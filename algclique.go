@@ -243,22 +243,25 @@ func WithSparseThreshold(t float64) SessionOption {
 	return sessionOpt(func(c *config) { c.sparseThreshold = t })
 }
 
-// WithWireTransport forces the encoded data plane: every message is
-// encoded into O(log n)-bit words, copied through link queues, and decoded
-// at the receiver — the original simulator behaviour. By default sessions
-// use the direct transport, which hands algebra-typed data end-to-end and
-// charges the identical rounds and words analytically (see DESIGN.md
-// "Accounting plane vs data plane"); the reported Stats are bit-identical
-// either way, only the wall-clock differs.
+// WithWireTransport selects the wire transport: every message is encoded
+// into O(log n)-bit words, copied through link queues, and decoded at the
+// receiver — the reference, in which every charged word really exists. By
+// default sessions use the direct transport, which hands algebra-typed
+// data end-to-end and charges the identical rounds and words analytically
+// (see DESIGN.md "Accounting plane vs data plane"); the same engine bodies
+// run either way, so the reported Stats are bit-identical and only the
+// wall-clock differs.
 func WithWireTransport() SessionOption {
 	return sessionOpt(func(c *config) { c.transport = clique.TransportWire })
 }
 
-// WithTransportVerification runs every engine product on both transports
-// and fails the operation if the results or the charged
-// rounds/words/flushes/phases differ in any way — the executable proof
-// that the direct plane's analytic accounting is faithful. Roughly twice
-// the work of WithWireTransport; meant for tests and debugging.
+// WithTransportVerification runs every engine product on both transports —
+// on the session's network, then again on a wire shadow under the same
+// context and round budget — and fails the operation if the results or the
+// charged rounds/words/flushes/phases differ in any way: the executable
+// proof that the direct transport's analytic accounting is faithful.
+// Roughly twice the work of WithWireTransport; meant for tests and
+// debugging.
 func WithTransportVerification() SessionOption {
 	return sessionOpt(func(c *config) { c.transport = clique.TransportVerify })
 }

@@ -213,7 +213,7 @@ func isScratchMethod(pass *framework.Pass, fd *ast.FuncDecl) bool {
 
 // checkPooledShapes flags make() of three-level slice shapes in scratch-
 // threading functions: those are the message/view matrices the pools
-// provide via getPayload/getView/getPay/getViews.
+// provide via getPay/getViews.
 func checkPooledShapes(pass *framework.Pass, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -232,7 +232,7 @@ func checkPooledShapes(pass *framework.Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		if sliceDepth(tv.Type) >= 3 {
-			pass.Reportf(call.Pos(), "make of message-matrix shape %s in a *Scratch-threading function: draw it from the pool (getPayload/getView) instead",
+			pass.Reportf(call.Pos(), "make of message-matrix shape %s in a *Scratch-threading function: draw it from the pool (getPay/getViews) instead",
 				types.TypeString(tv.Type, types.RelativeTo(pass.Pkg)))
 		}
 		return true

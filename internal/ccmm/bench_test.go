@@ -84,7 +84,7 @@ func BenchmarkEngineAblation(b *testing.B) {
 			var rounds int64
 			for i := 0; i < b.N; i++ {
 				net := clique.New(n)
-				if _, err := ccmm.MulRing[int64](net, e, r, r, ccmm.Distribute(a), ccmm.Distribute(c)); err != nil {
+				if _, err := ccmm.MulRingWith[int64](net, e, nil, r, r, ccmm.Distribute(a), ccmm.Distribute(c)); err != nil {
 					b.Fatal(err)
 				}
 				rounds = net.Rounds()

@@ -233,10 +233,10 @@ func TestMulBoolRejectsMalformedOperands(t *testing.T) {
 	net := clique.New(8)
 	ragged := ccmm.NewRowMat[int64](8)
 	ragged.Rows[3] = make([]int64, 12) // longer than the clique size
-	if _, err := ccmm.MulBool(net, ccmm.Engine3D, ragged, ccmm.NewRowMat[int64](8)); !errors.Is(err, ccmm.ErrSize) {
+	if _, err := ccmm.MulBoolWith(net, ccmm.Engine3D, nil, ragged, ccmm.NewRowMat[int64](8)); !errors.Is(err, ccmm.ErrSize) {
 		t.Errorf("ragged left operand: err = %v, want ErrSize", err)
 	}
-	if _, err := ccmm.MulBool(net, ccmm.Engine3D, ccmm.NewRowMat[int64](8), ccmm.NewRowMat[int64](9)); !errors.Is(err, ccmm.ErrSize) {
+	if _, err := ccmm.MulBoolWith(net, ccmm.Engine3D, nil, ccmm.NewRowMat[int64](8), ccmm.NewRowMat[int64](9)); !errors.Is(err, ccmm.ErrSize) {
 		t.Errorf("oversized right operand: err = %v, want ErrSize", err)
 	}
 }

@@ -79,49 +79,40 @@ func (e Engine) Resolve(n int, ringAlgebra bool) Engine {
 	return EngineNaive
 }
 
-// MulRing multiplies two distributed matrices over a ring using the chosen
-// engine (resolved through the memoised plan cache).
-func MulRing[T any](net *clique.Network, e Engine, rg ring.Ring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
-	return MulRingPlanned[T](net, PlanFor(net.N(), e), rg, codec, s, t)
-}
-
-// MulRingWith is MulRing with caller-owned scratch pools — the form every
-// iterated-product pipeline uses so repeated products share one working
-// set.
+// MulRingWith multiplies two distributed matrices over a ring using the
+// chosen engine (resolved through the memoised plan cache) and caller-owned
+// scratch pools — the form every iterated-product pipeline uses so repeated
+// products share one working set.
 func MulRingWith[T any](net *clique.Network, e Engine, sc *Scratch, rg ring.Ring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
 	return MulRingScratch[T](net, PlanFor(net.N(), e), sc, rg, codec, s, t)
 }
 
-// MulInt multiplies distributed int64 matrices over the integer ring.
-func MulInt(net *clique.Network, e Engine, s, t *RowMat[int64]) (*RowMat[int64], error) {
-	return MulIntWith(net, e, nil, s, t)
-}
-
-// MulIntWith is MulInt with caller-owned scratch pools.
+// MulIntWith multiplies distributed int64 matrices over the integer ring
+// with caller-owned scratch pools (nil for a transient scratch).
 func MulIntWith(net *clique.Network, e Engine, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], error) {
 	return PlanFor(net.N(), e).MulIntScratch(net, sc, s, t)
 }
 
-// MulBoolWith is MulBool with caller-owned scratch pools.
+// MulBoolWith computes the Boolean matrix product with caller-owned scratch
+// pools. Over the bilinear engine the product is computed in the integer
+// ring and collapsed entrywise to 0/1 (the entries are walk counts ≤ n, and
+// an entry is non-zero exactly when the Boolean product is true — the
+// standard embedding the paper uses in §3.1). Semiring engines multiply
+// over the Boolean semiring directly, shipped through the bit-packed
+// transport (ring.PackedBool): 64 entries per word, cutting Boolean-product
+// bandwidth and rounds ~64×. Inputs must be 0/1 matrices.
 func MulBoolWith(net *clique.Network, e Engine, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], error) {
 	return PlanFor(net.N(), e).MulBoolScratch(net, sc, s, t)
 }
 
-// MulMinPlusWith is MulMinPlus with caller-owned scratch pools.
+// MulMinPlusWith computes the distance product over the (min, +) semiring
+// with caller-owned scratch pools. The bilinear engine does not apply
+// (min-plus is not a ring); EngineAuto resolves to Semiring3D —
+// O(n^{1/3}) rounds on any clique size n ≥ 8 — and to NaiveGather only on
+// tiny cliques. For the ring-embedded fast distance product with bounded
+// entries, see the distance package (Lemma 18).
 func MulMinPlusWith(net *clique.Network, e Engine, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], error) {
 	return PlanFor(net.N(), e).MulMinPlusScratch(net, sc, s, t)
-}
-
-// MulBool computes the Boolean matrix product. Over the bilinear engine the
-// product is computed in the integer ring and collapsed entrywise to 0/1
-// (the entries are walk counts ≤ n, and an entry is non-zero exactly when
-// the Boolean product is true — the standard embedding the paper uses in
-// §3.1). Semiring engines multiply over the Boolean semiring directly,
-// shipped through the bit-packed transport (ring.PackedBool): 64 entries
-// per word, cutting Boolean-product bandwidth and rounds ~64×.
-// Inputs must be 0/1 matrices.
-func MulBool(net *clique.Network, e Engine, s, t *RowMat[int64]) (*RowMat[int64], error) {
-	return PlanFor(net.N(), e).MulBoolScratch(net, nil, s, t)
 }
 
 func mulBoolSemiring(net *clique.Network, e Engine, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], error) {
@@ -150,10 +141,7 @@ func mulBoolVia(net *clique.Network, sc *Scratch, s, t *RowMat[int64], run func(
 	n := net.N()
 	// Validate before converting: the conversion below writes through
 	// pooled n×n buffers, which malformed operands must never reach.
-	if err := s.validate(n); err != nil {
-		return nil, err
-	}
-	if err := t.validate(n); err != nil {
+	if err := validatePair(n, s, t); err != nil {
 		return nil, err
 	}
 	if sc == nil {
@@ -189,14 +177,4 @@ func mulBoolVia(net *clique.Network, sc *Scratch, s, t *RowMat[int64], run func(
 		out.Rows[v] = ints
 	})
 	return out, nil
-}
-
-// MulMinPlus computes the distance product over the (min, +) semiring.
-// The bilinear engine does not apply (min-plus is not a ring); EngineAuto
-// resolves to Semiring3D — O(n^{1/3}) rounds on any clique size n ≥ 8 —
-// and to NaiveGather only on tiny cliques. For the ring-embedded fast
-// distance product with bounded entries, see the distance package
-// (Lemma 18).
-func MulMinPlus(net *clique.Network, e Engine, s, t *RowMat[int64]) (*RowMat[int64], error) {
-	return PlanFor(net.N(), e).MulMinPlusPlanned(net, s, t)
 }

@@ -62,12 +62,12 @@ func TestMulMinPlusAutoBeatsNaiveOnNonCubes(t *testing.T) {
 	for _, n := range []int{60, 100} {
 		a, b := randMinPlusMat(rng, n), randMinPlusMat(rng, n)
 		auto := clique.New(n)
-		pAuto, err := ccmm.MulMinPlus(auto, ccmm.EngineAuto, ccmm.Distribute(a), ccmm.Distribute(b))
+		pAuto, err := ccmm.MulMinPlusWith(auto, ccmm.EngineAuto, nil, ccmm.Distribute(a), ccmm.Distribute(b))
 		if err != nil {
 			t.Fatalf("n=%d auto: %v", n, err)
 		}
 		naive := clique.New(n)
-		pNaive, err := ccmm.MulMinPlus(naive, ccmm.EngineNaive, ccmm.Distribute(a), ccmm.Distribute(b))
+		pNaive, err := ccmm.MulMinPlusWith(naive, ccmm.EngineNaive, nil, ccmm.Distribute(a), ccmm.Distribute(b))
 		if err != nil {
 			t.Fatalf("n=%d naive: %v", n, err)
 		}
@@ -90,7 +90,7 @@ func TestMulRingAutoOnSchemelessSizes(t *testing.T) {
 	for _, n := range []int{20, 60} {
 		a, b := randIntMat(rng, n, 20), randIntMat(rng, n, 20)
 		net := clique.New(n)
-		p, err := ccmm.MulInt(net, ccmm.EngineAuto, ccmm.Distribute(a), ccmm.Distribute(b))
+		p, err := ccmm.MulIntWith(net, ccmm.EngineAuto, nil, ccmm.Distribute(a), ccmm.Distribute(b))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -99,7 +99,7 @@ func TestMulRingAutoOnSchemelessSizes(t *testing.T) {
 		}
 		if n >= 60 {
 			naive := clique.New(n)
-			if _, err := ccmm.MulInt(naive, ccmm.EngineNaive, ccmm.Distribute(a), ccmm.Distribute(b)); err != nil {
+			if _, err := ccmm.MulIntWith(naive, ccmm.EngineNaive, nil, ccmm.Distribute(a), ccmm.Distribute(b)); err != nil {
 				t.Fatal(err)
 			}
 			if net.Rounds() >= naive.Rounds() {

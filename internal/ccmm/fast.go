@@ -7,7 +7,6 @@ import (
 	"github.com/algebraic-clique/algclique/internal/clique"
 	"github.com/algebraic-clique/algclique/internal/matrix"
 	"github.com/algebraic-clique/algclique/internal/ring"
-	"github.com/algebraic-clique/algclique/internal/routing"
 )
 
 // FastBilinear computes P = S·T over a ring on an n-node clique with
@@ -25,39 +24,25 @@ func FastBilinear[T any](net *clique.Network, rg ring.Ring[T], codec ring.Codec[
 }
 
 // FastBilinearScratch is FastBilinear with caller-owned scratch pools (see
-// Scratch): message payloads, the assembled grids, the per-multiplication
+// Scratch): message buffers, the assembled grids, the per-multiplication
 // combination pieces, and the block products all persist in sc across
-// products. It dispatches on the network's transport: the direct plane
-// moves typed row chunks end-to-end (the step-5 partial products and
-// step-7 output rows as zero-copy views) with the wire words charged
-// analytically from EncodedLen; the wire plane sends every row through one
-// bulk EncodeSlice/DecodeSlice; TransportVerify runs both and diffs them.
-// A nil sc uses a transient scratch.
-func FastBilinearScratch[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T], codec ring.Codec[T], scheme *bilinear.Scheme, s, t *RowMat[T]) (p *RowMat[T], err error) {
-	defer catchAbort(&err)
-	switch net.Transport() {
-	case clique.TransportWire:
-		return fastBilinearWire[T](net, sc, rg, codec, scheme, s, t)
-	case clique.TransportVerify:
-		return runVerified(net, func(net2 *clique.Network, wire bool) (*RowMat[T], error) {
-			if wire {
-				return fastBilinearWire[T](net2, nil, rg, codec, scheme, s, t)
-			}
-			return fastBilinearDirect[T](net2, sc, rg, codec, scheme, s, t)
-		})
-	default:
-		return fastBilinearDirect[T](net, sc, rg, codec, scheme, s, t)
-	}
+// products. Row and piece chunks are typed messages handed to the exchange
+// port (the step-7 output rows as zero-copy views): by reference with the
+// words charged analytically from EncodedLen on the direct transport, one
+// bulk-codec chunk each on the wire. A nil sc uses a transient scratch.
+func FastBilinearScratch[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T], codec ring.Codec[T], scheme *bilinear.Scheme, s, t *RowMat[T]) (*RowMat[T], error) {
+	return runProduct(net, sc, func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
+		return fastBilinear[T](net, sc, rg, codec, scheme, s, t)
+	})
 }
 
-// fastBilinearWire is the encoded bilinear-scheme algorithm (the original
-// path, kept for verification and WithWireTransport).
-func fastBilinearWire[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T], codec ring.Codec[T], scheme *bilinear.Scheme, s, t *RowMat[T]) (*RowMat[T], error) {
+// fastBilinear is the engine body: the seven steps of Lemma 10, every
+// chunk a typed element slice — gathered rows append straight into message
+// buffers, received chunks copy (or alias) straight into the grids, full
+// operands, and output rows.
+func fastBilinear[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T], codec ring.Codec[T], scheme *bilinear.Scheme, s, t *RowMat[T]) (*RowMat[T], error) {
 	n := net.N()
-	if err := s.validate(n); err != nil {
-		return nil, err
-	}
-	if err := t.validate(n); err != nil {
+	if err := validatePair(n, s, t); err != nil {
 		return nil, err
 	}
 	if scheme == nil {
@@ -78,22 +63,18 @@ func fastBilinearWire[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T], 
 	if err != nil {
 		return nil, err
 	}
-	if sc == nil {
-		sc = NewScratch()
-	}
 	bc := ring.AsBulk[T](codec)
 	ts := typedFrom[T](sc)
 	q, d, qd := lay.q, lay.d, lay.qd
 	m := scheme.M
-	qLen := bc.EncodedLen(q)  // words per length-q row chunk
-	pLen := bc.EncodedLen(qd) // words per length-q/d piece chunk
+	rows := newPort[T](net, sc, chunks[T]{bc, q}) // messages of length-q row chunks
+	pieces := rows.with(chunks[T]{bc, qd})        // messages of length-q/d piece chunks
 	zero := rg.Zero()
 
 	groups := make([][]int, q) // ∗x∗ ordered by (v1, v3)
 	for x := 0; x < q; x++ {
 		groups[x] = lay.groupSet(x)
 	}
-	growBufs(&ts.bufs, n)
 	growSlots(&ts.gridS, n)
 	growSlots(&ts.gridT, n)
 	growHat(&ts.hatS, n, m)
@@ -107,222 +88,6 @@ func fastBilinearWire[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T], 
 	// Step 1: node v sends S[v, ∗x2∗] and T[v, ∗x2∗] to the node labelled
 	// (v2, x2), for every x2 ∈ [q] — one message of two row chunks.
 	net.Phase("mmfast/distribute")
-	msgs := sc.getPayload(n)
-	net.ForEach(func(v int) {
-		_, v2, _ := lay.split(v)
-		srow, trow := s.Rows[v], t.Rows[v]
-		buf := nodeBuf(ts.bufs, v, q)
-		for x2 := 0; x2 < q; x2++ {
-			u := lay.nodeAt(v2, x2)
-			msg := msgs[v][u][:0]
-			gatherCols(buf, srow, groups[x2], n, zero)
-			msg = bc.EncodeSlice(msg, buf)
-			gatherCols(buf, trow, groups[x2], n, zero)
-			msgs[v][u] = bc.EncodeSlice(msg, buf)
-		}
-	})
-	in := routing.ExchangeScratch(net, routing.Auto, sc.rt, msgs)
-	sc.putPayload(msgs)
-
-	// Step 2: node (x1, x2) assembles S[∗x1∗, ∗x2∗] and T[∗x1∗, ∗x2∗]
-	// (q×q, block-row order) and computes the scheme's linear combinations
-	// Ŝ(w)[x1∗, x2∗], T̂(w)[x1∗, x2∗] — one (q/d)×(q/d) piece per w,
-	// accumulated through block views with no copies.
-	net.Phase("mmfast/encode")
-	net.ForEach(func(v int) {
-		x1, _ := lay.label(v)
-		sg := slotAt(ts.gridS, v, q, q)
-		tg := slotAt(ts.gridT, v, q, q)
-		for pos, sender := range groups[x1] {
-			ws := in[v][sender]
-			bc.DecodeSlice(sg.Row(pos), ws)
-			bc.DecodeSlice(tg.Row(pos), ws[qLen:])
-		}
-		for w := 0; w < m; w++ {
-			sp := slotAt(ts.hatS[v], w, qd, qd)
-			sp.Fill(zero)
-			for _, term := range scheme.Alpha[w] {
-				matrix.ScaleAddFromBlock(rg, sp, term.C, sg, term.I*qd, term.J*qd)
-			}
-			tp := slotAt(ts.hatT[v], w, qd, qd)
-			tp.Fill(zero)
-			for _, term := range scheme.Beta[w] {
-				matrix.ScaleAddFromBlock(rg, tp, term.C, tg, term.I*qd, term.J*qd)
-			}
-		}
-	})
-
-	// Step 3: every node sends its (q/d)² pieces of Ŝ(w), T̂(w) to node w,
-	// one row chunk at a time.
-	net.Phase("mmfast/combine")
-	msgs = sc.getPayload(n)
-	net.ForEach(func(v int) {
-		for w := 0; w < m; w++ {
-			msg := msgs[v][w][:0]
-			sp, tp := ts.hatS[v][w], ts.hatT[v][w]
-			for i := 0; i < qd; i++ {
-				msg = bc.EncodeSlice(msg, sp.Row(i))
-			}
-			for i := 0; i < qd; i++ {
-				msg = bc.EncodeSlice(msg, tp.Row(i))
-			}
-			msgs[v][w] = msg
-		}
-	})
-	in = routing.ExchangeScratch(net, routing.Auto, sc.rt, msgs)
-	sc.putPayload(msgs)
-
-	// Step 4: node w < m assembles Ŝ(w), T̂(w) ((n/d)×(n/d)), decoding each
-	// chunk straight into its row window, and multiplies.
-	net.Phase("mmfast/multiply")
-	nd := n / d
-	net.ForEach(func(w int) {
-		if w >= m {
-			return
-		}
-		sfull := slotAt(ts.fullA, w, nd, nd)
-		tfull := slotAt(ts.fullB, w, nd, nd)
-		for x1 := 0; x1 < q; x1++ {
-			for x2 := 0; x2 < q; x2++ {
-				ws := in[w][lay.nodeAt(x1, x2)]
-				for i := 0; i < qd; i++ {
-					bc.DecodeSlice(sfull.Row(x1*qd + i)[x2*qd:(x2+1)*qd], ws[i*pLen:])
-					bc.DecodeSlice(tfull.Row(x1*qd + i)[x2*qd:(x2+1)*qd], ws[(qd+i)*pLen:])
-				}
-			}
-		}
-		matrix.MulInto(rg, slotAt(ts.fullP, w, nd, nd), sfull, tfull)
-	})
-
-	// Step 5: node w returns P̂(w)[x1∗, x2∗] to the node labelled (x1, x2).
-	net.Phase("mmfast/products")
-	msgs = sc.getPayload(n)
-	net.ForEach(func(w int) {
-		if w >= m {
-			return
-		}
-		phat := ts.fullP[w]
-		for x1 := 0; x1 < q; x1++ {
-			for x2 := 0; x2 < q; x2++ {
-				u := lay.nodeAt(x1, x2)
-				msg := msgs[w][u][:0]
-				for i := 0; i < qd; i++ {
-					msg = bc.EncodeSlice(msg, phat.Row(x1*qd + i)[x2*qd:(x2+1)*qd])
-				}
-				msgs[w][u] = msg
-			}
-		}
-	})
-	in = routing.ExchangeScratch(net, routing.Auto, sc.rt, msgs)
-	sc.putPayload(msgs)
-
-	// Step 6: node (x1, x2) decodes the m pieces and accumulates
-	// P[i·x1∗, j·x2∗] = Σ_w λ_ijw P̂(w)[x1∗, x2∗], yielding P[∗x1∗, ∗x2∗].
-	net.Phase("mmfast/decode")
-	net.ForEach(func(v int) {
-		out := slotAt(ts.acc, v, q, q)
-		out.Fill(zero)
-		piece := slotAt(ts.piece, v, qd, qd)
-		for w := 0; w < m; w++ {
-			ws := in[v][w]
-			for i := 0; i < qd; i++ {
-				bc.DecodeSlice(piece.Row(i), ws[i*pLen:])
-			}
-			for _, term := range scheme.Lambda[w] {
-				matrix.ScaleAddToBlock(rg, out, term.I*qd, term.J*qd, term.C, piece)
-			}
-		}
-	})
-
-	// Step 7: node (x1, x2) sends P[u, ∗x2∗] to each row owner u ∈ ∗x1∗.
-	net.Phase("mmfast/assemble")
-	msgs = sc.getPayload(n)
-	net.ForEach(func(v int) {
-		x1, _ := lay.label(v)
-		out := ts.acc[v]
-		for pos, u := range groups[x1] {
-			msgs[v][u] = bc.EncodeSlice(msgs[v][u][:0], out.Row(pos))
-		}
-	})
-	in = routing.ExchangeScratch(net, routing.Auto, sc.rt, msgs)
-	sc.putPayload(msgs)
-
-	p := NewRowMat[T](n)
-	net.ForEach(func(u int) {
-		_, u2, _ := lay.split(u)
-		row := p.Rows[u]
-		piece := nodeBuf(ts.bufs, u, q)
-		for x2 := 0; x2 < q; x2++ {
-			bc.DecodeSlice(piece, in[u][lay.nodeAt(u2, x2)])
-			for i, col := range groups[x2] {
-				row[col] = piece[i]
-			}
-		}
-	})
-	return p, nil
-}
-
-// fastBilinearDirect is the bilinear-scheme algorithm on the data plane:
-// the same seven steps and charging as fastBilinearWire, but every chunk
-// is a typed element slice — gathered rows append straight into payload
-// buffers, received chunks copy (or alias) straight into the grids, full
-// operands, and output rows, with no codec transform anywhere.
-func fastBilinearDirect[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T], codec ring.Codec[T], scheme *bilinear.Scheme, s, t *RowMat[T]) (*RowMat[T], error) {
-	n := net.N()
-	if err := s.validate(n); err != nil {
-		return nil, err
-	}
-	if err := t.validate(n); err != nil {
-		return nil, err
-	}
-	if scheme == nil {
-		var err error
-		scheme, err = bilinear.Pick(n)
-		if err != nil {
-			return nil, fmt.Errorf("ccmm: no bilinear scheme fits clique size %d (%v): %w", n, err, ErrSize)
-		}
-	}
-	if err := scheme.Validate(); err != nil {
-		return nil, err
-	}
-	if scheme.M > n {
-		return nil, fmt.Errorf("ccmm: scheme %v needs %d multiplication sites on %d nodes: %w",
-			scheme, scheme.M, n, ErrSize)
-	}
-	lay, err := newGridLayout(n, scheme.D)
-	if err != nil {
-		return nil, err
-	}
-	if sc == nil {
-		sc = NewScratch()
-	}
-	bc := ring.AsBulk[T](codec)
-	ts := typedFrom[T](sc)
-	q, d, qd := lay.q, lay.d, lay.qd
-	m := scheme.M
-	qLen := int64(bc.EncodedLen(q))  // analytic words per length-q row chunk
-	pLen := int64(bc.EncodedLen(qd)) // analytic words per length-q/d piece chunk
-	rowWords := func(elems int) int64 { return int64(elems/q) * qLen }
-	pieceWords := func(elems int) int64 { return int64(elems/qd) * pLen }
-	zero := rg.Zero()
-
-	groups := make([][]int, q) // ∗x∗ ordered by (v1, v3)
-	for x := 0; x < q; x++ {
-		groups[x] = lay.groupSet(x)
-	}
-	growSlots(&ts.gridS, n)
-	growSlots(&ts.gridT, n)
-	growHat(&ts.hatS, n, m)
-	growHat(&ts.hatT, n, m)
-	growSlots(&ts.fullA, n)
-	growSlots(&ts.fullB, n)
-	growSlots(&ts.fullP, n)
-	growSlots(&ts.acc, n)
-	growSlots(&ts.piece, n)
-
-	// Step 1: node v sends S[v, ∗x2∗] and T[v, ∗x2∗] to node (v2, x2) —
-	// one typed message of two row chunks.
-	net.Phase("mmfast/distribute")
 	pays := ts.getPay(n)
 	net.ForEach(func(v int) {
 		_, v2, _ := lay.split(v)
@@ -332,13 +97,18 @@ func fastBilinearDirect[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T]
 			msg := appendCols(pays[v][u][:0], srow, groups[x2], n, zero)
 			pays[v][u] = appendCols(msg, trow, groups[x2], n, zero)
 		}
+		rows.post(pays, v)
 	})
-	in := routing.ExchangePayload(net, routing.Auto, sc.rt, pays, rowWords, ts.getViews(n))
+	in := rows.exchange(pays)
 
-	// Step 2: assemble the q×q grids straight from the received chunks and
-	// compute the scheme's linear combinations.
+	// Step 2: node (x1, x2) assembles S[∗x1∗, ∗x2∗] and T[∗x1∗, ∗x2∗]
+	// (q×q, block-row order) straight from the received chunks and computes
+	// the scheme's linear combinations Ŝ(w)[x1∗, x2∗], T̂(w)[x1∗, x2∗] — one
+	// (q/d)×(q/d) piece per w, accumulated through block views with no
+	// copies.
 	net.Phase("mmfast/encode")
 	net.ForEach(func(v int) {
+		rows.open(in, v)
 		x1, _ := lay.label(v)
 		sg := slotAt(ts.gridS, v, q, q)
 		tg := slotAt(ts.gridT, v, q, q)
@@ -360,10 +130,11 @@ func fastBilinearDirect[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T]
 			}
 		}
 	})
-	ts.putViews(in)
+	rows.release(in)
 	ts.putPay(pays)
 
-	// Step 3: every node sends its (q/d)² pieces of Ŝ(w), T̂(w) to node w.
+	// Step 3: every node sends its (q/d)² pieces of Ŝ(w), T̂(w) to node w,
+	// one row chunk at a time.
 	net.Phase("mmfast/combine")
 	pays = ts.getPay(n)
 	net.ForEach(func(v int) {
@@ -378,17 +149,19 @@ func fastBilinearDirect[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T]
 			}
 			pays[v][w] = msg
 		}
+		pieces.post(pays, v)
 	})
-	in = routing.ExchangePayload(net, routing.Auto, sc.rt, pays, pieceWords, ts.getViews(n))
+	in = pieces.exchange(pays)
 
-	// Step 4: node w < m assembles Ŝ(w), T̂(w), copying each chunk straight
-	// into its row window, and multiplies.
+	// Step 4: node w < m assembles Ŝ(w), T̂(w) ((n/d)×(n/d)), copying each
+	// chunk straight into its row window, and multiplies.
 	net.Phase("mmfast/multiply")
 	nd := n / d
 	net.ForEach(func(w int) {
 		if w >= m {
 			return
 		}
+		pieces.open(in, w)
 		sfull := slotAt(ts.fullA, w, nd, nd)
 		tfull := slotAt(ts.fullB, w, nd, nd)
 		for x1 := 0; x1 < q; x1++ {
@@ -402,11 +175,10 @@ func fastBilinearDirect[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T]
 		}
 		matrix.MulInto(rg, slotAt(ts.fullP, w, nd, nd), sfull, tfull)
 	})
-	ts.putViews(in)
+	rows.release(in)
 	ts.putPay(pays)
 
-	// Step 5: node w returns P̂(w)[x1∗, x2∗] to node (x1, x2) — zero-copy
-	// views of the block product's row windows.
+	// Step 5: node w returns P̂(w)[x1∗, x2∗] to the node labelled (x1, x2).
 	net.Phase("mmfast/products")
 	pays = ts.getPay(n)
 	net.ForEach(func(w int) {
@@ -424,13 +196,15 @@ func fastBilinearDirect[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T]
 				pays[w][u] = msg
 			}
 		}
+		pieces.post(pays, w)
 	})
-	in = routing.ExchangePayload(net, routing.Auto, sc.rt, pays, pieceWords, ts.getViews(n))
+	in = pieces.exchange(pays)
 
-	// Step 6: node (x1, x2) accumulates the m pieces into its output grid,
-	// reading the received chunks in place.
+	// Step 6: node (x1, x2) reads the m pieces in place and accumulates
+	// P[i·x1∗, j·x2∗] = Σ_w λ_ijw P̂(w)[x1∗, x2∗], yielding P[∗x1∗, ∗x2∗].
 	net.Phase("mmfast/decode")
 	net.ForEach(func(v int) {
+		pieces.open(in, v)
 		out := slotAt(ts.acc, v, q, q)
 		out.Fill(zero)
 		piece := slotAt(ts.piece, v, qd, qd)
@@ -444,7 +218,7 @@ func fastBilinearDirect[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T]
 			}
 		}
 	})
-	ts.putViews(in)
+	rows.release(in)
 	ts.putPay(pays)
 
 	// Step 7: node (x1, x2) sends P[u, ∗x2∗] to each row owner u ∈ ∗x1∗ as
@@ -457,11 +231,13 @@ func fastBilinearDirect[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T]
 		for pos, u := range groups[x1] {
 			vout[v][u] = out.Row(pos)
 		}
+		rows.post(vout, v)
 	})
-	in = routing.ExchangePayload(net, routing.Auto, sc.rt, vout, rowWords, ts.getViews(n))
+	in = rows.exchange(vout)
 
 	p := NewRowMat[T](n)
 	net.ForEach(func(u int) {
+		rows.open(in, u)
 		_, u2, _ := lay.split(u)
 		row := p.Rows[u]
 		for x2 := 0; x2 < q; x2++ {
@@ -471,7 +247,7 @@ func fastBilinearDirect[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T]
 			}
 		}
 	})
-	ts.putViews(in)
+	rows.release(in)
 	ts.putViews(vout)
 	return p, nil
 }

@@ -10,37 +10,39 @@ import (
 )
 
 // TestScratchTrimReleasesPools checks Trim drops every pooled structure a
-// product accumulated — word pools, typed arms, link tallies — and that
-// the scratch is fully usable (and correct) afterwards.
+// product accumulated — typed arms, link tallies, and the wire port's word
+// matrices — and that the scratch is fully usable (and correct) afterwards.
 func TestScratchTrimReleasesPools(t *testing.T) {
 	const n = 27
-	net := clique.New(n)
-	defer net.Close()
-	sc := NewScratch()
 	rng := rand.New(rand.NewPCG(7, n))
 	s, u := randIntMat(rng, n, 50), randIntMat(rng, n, 50)
 	r := ring.Int64{}
-	first, err := Semiring3DScratch[int64](net, sc, r, r, s, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sc.typed) == 0 {
-		t.Fatalf("sanity: product left no typed scratch state")
-	}
-	sc.Trim()
-	if len(sc.payload) != 0 || len(sc.views) != 0 {
-		t.Fatalf("Trim kept %d payload and %d view pool sizes", len(sc.payload), len(sc.views))
-	}
-	if sc.typed != nil || sc.offs != nil || sc.wloads != nil {
-		t.Fatalf("Trim kept typed arms or link tallies")
-	}
-	net.Reset()
-	again, err := Semiring3DScratch[int64](net, sc, r, r, s, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first.Rows, again.Rows) {
-		t.Fatalf("product changed after Trim")
+	for _, tr := range []clique.Transport{clique.TransportDirect, clique.TransportWire} {
+		net := clique.New(n, clique.WithTransport(tr))
+		defer net.Close()
+		sc := NewScratch()
+		first, err := Semiring3DScratch[int64](net, sc, r, r, s, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sc.typed) == 0 || (tr == clique.TransportWire && sc.wmsgs == nil) {
+			t.Fatalf("%v sanity: product left no scratch state", tr)
+		}
+		sc.Trim()
+		if sc.wmsgs != nil || sc.wgot != nil || sc.wbuf != nil {
+			t.Fatalf("%v: Trim kept the wire port's word matrices", tr)
+		}
+		if sc.typed != nil || sc.offs != nil || sc.wloads != nil {
+			t.Fatalf("%v: Trim kept typed arms or link tallies", tr)
+		}
+		net.Reset()
+		again, err := Semiring3DScratch[int64](net, sc, r, r, s, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first.Rows, again.Rows) {
+			t.Fatalf("%v: product changed after Trim", tr)
+		}
 	}
 }
 

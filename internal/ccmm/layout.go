@@ -1,6 +1,9 @@
 package ccmm
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // cubeLayout realises the §2.1 index scheme on an arbitrary n-node clique
 // by padding to the next cube: with c = ⌈n^{1/3}⌉ the layout addresses
@@ -139,4 +142,21 @@ func (l gridLayout) groupSet(x int) []int {
 func (l gridLayout) posInGroup(v int) int {
 	v1, _, v3 := l.split(v)
 	return v1*l.qd + v3
+}
+
+// appendCols appends row[cols[i]] for every in-range column, and the
+// semiring zero for padding columns (index ≥ n), onto a typed message
+// buffer: the gather step in front of every exchange. The message travels
+// as-is on the direct transport and through one bulk encode per chunk on
+// the wire, with no per-element codec dispatch anywhere on the path.
+func appendCols[T any](dst []T, row []T, cols []int, n int, zero T) []T {
+	dst = slices.Grow(dst, len(cols)) // a cold buffer grows once, not element by element
+	for _, col := range cols {
+		if col < n {
+			dst = append(dst, row[col])
+		} else {
+			dst = append(dst, zero)
+		}
+	}
+	return dst
 }

@@ -4,7 +4,6 @@ import (
 	"github.com/algebraic-clique/algclique/internal/clique"
 	"github.com/algebraic-clique/algclique/internal/matrix"
 	"github.com/algebraic-clique/algclique/internal/ring"
-	"github.com/algebraic-clique/algclique/internal/routing"
 )
 
 // NaiveGather computes P = S·T by having every node learn the entire right
@@ -15,99 +14,32 @@ func NaiveGather[T any](net *clique.Network, sr ring.Semiring[T], codec ring.Cod
 	return NaiveGatherScratch[T](net, nil, sr, codec, s, t)
 }
 
-// NaiveGatherScratch is NaiveGather with caller-owned scratch pools,
-// dispatched on the network's transport: the direct plane charges the
-// gather analytically from the codec's EncodedLen — so a packing codec
-// still compresses it 64× on the ledger — and every node reads the right
-// operand's rows in place; the wire plane ships each row through one bulk
-// EncodeSlice (encode and decode parallelised over the worker pool) into
-// pooled per-node buffers. A nil sc uses a transient scratch.
-func NaiveGatherScratch[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (p *RowMat[T], err error) {
-	defer catchAbort(&err)
-	switch net.Transport() {
-	case clique.TransportWire:
-		return naiveGatherWire[T](net, sc, sr, codec, s, t)
-	case clique.TransportVerify:
-		return runVerified(net, func(net2 *clique.Network, wire bool) (*RowMat[T], error) {
-			if wire {
-				return naiveGatherWire[T](net2, nil, sr, codec, s, t)
-			}
-			return naiveGatherDirect[T](net2, sc, sr, codec, s, t)
-		})
-	default:
-		return naiveGatherDirect[T](net, sc, sr, codec, s, t)
-	}
-}
-
-// naiveGatherDirect is the data-plane gather: the ledger of the encoded
-// all-gather is charged analytically and every node multiplies against
-// t's rows directly — decode-free, and with no materialised copy of the
-// operand at all.
-func naiveGatherDirect[T any](net *clique.Network, _ *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
-	n := net.N()
-	if err := s.validate(n); err != nil {
-		return nil, err
-	}
-	if err := t.validate(n); err != nil {
-		return nil, err
-	}
-	bc := ring.AsBulk[T](codec)
-	net.Phase("mmnaive/gather")
-	lens := make([]int64, n)
-	for v := 0; v < n; v++ {
-		lens[v] = int64(bc.EncodedLen(len(t.Rows[v])))
-	}
-	routing.ChargeAllGather(net, lens)
-
-	net.Phase("mmnaive/multiply")
-	return naiveMultiply(net, sr, s, t.Rows), nil
-}
-
-// naiveGatherWire is the encoded gather (the original path, kept for
-// verification and WithWireTransport).
-func naiveGatherWire[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
-	n := net.N()
-	if err := s.validate(n); err != nil {
-		return nil, err
-	}
-	if err := t.validate(n); err != nil {
-		return nil, err
-	}
-	if sc == nil {
-		sc = NewScratch()
-	}
-	bc := ring.AsBulk[T](codec)
-	ts := typedFrom[T](sc)
-	net.Phase("mmnaive/gather")
-	vecs := make([][]clique.Word, n)
-	net.ForEach(func(v int) {
-		vecs[v] = bc.EncodeSlice(nil, t.Rows[v])
-	})
-	all := routing.AllGather(net, vecs)
-
-	net.Phase("mmnaive/multiply")
-	// Packed Boolean gathers skip the decode entirely: the transport words
-	// share BitDense's bit layout, so the gathered rows feed the
-	// word-parallel kernel as-is and the []bool form is never materialised.
-	if _, packed := any(codec).(ring.PackedBool); packed {
-		if sb, ok := any(s).(*RowMat[bool]); ok {
-			return any(naiveMultiplyBoolWords(net, sb, all)).(*RowMat[T]), nil
+// NaiveGatherScratch is NaiveGather with caller-owned scratch pools. The
+// gather goes through the exchange port: the direct transport charges it
+// analytically from the codec's EncodedLen — so a packing codec still
+// compresses it 64× on the ledger — and every node reads the right
+// operand's rows in place; the wire transport ships each row as one bulk
+// chunk. A nil sc uses a transient scratch.
+func NaiveGatherScratch[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
+	return runProduct(net, sc, func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
+		n := net.N()
+		if err := validatePair(n, s, t); err != nil {
+			return nil, err
 		}
-	}
-	growBufs(&ts.rows, n)
-	trows := make([][]T, n)
-	net.ForEach(func(v int) {
-		trows[v] = nodeBuf(ts.rows, v, n)
-		bc.DecodeSlice(trows[v], all[v])
+		px := newPort[T](net, sc, chunks[T]{ring.AsBulk[T](codec), n})
+		net.Phase("mmnaive/gather")
+		trows := px.allGather(t.Rows)
+
+		net.Phase("mmnaive/multiply")
+		return naiveMultiply(net, sr, s, trows), nil
 	})
-	return naiveMultiply(net, sr, s, trows), nil
 }
 
-// naiveMultiply is the local multiplication both transports share: node v
-// multiplies its own row of s against the (gathered or in-place) right
-// operand. The Boolean semiring gets the word-parallel path: the right
-// operand is packed once into a pooled BitDense and every node multiplies
-// its packed row against it, ~64 columns per word operation.
+// naiveMultiply is the local multiplication: node v multiplies its own row
+// of s against the gathered right operand. The Boolean semiring gets the
+// word-parallel path: the right operand is packed once into a pooled
+// BitDense and every node multiplies its packed row against it, ~64
+// columns per word operation.
 func naiveMultiply[T any](net *clique.Network, sr ring.Semiring[T], s *RowMat[T], trows [][]T) *RowMat[T] {
 	if _, ok := any(sr).(ring.Bool); ok {
 		sb := any(s).(*RowMat[bool])
@@ -153,38 +85,6 @@ func naiveMultiplyBool(net *clique.Network, s *RowMat[bool], trows [][]bool) *Ro
 	bd.Invalidate()
 	bAny := bd.NonzeroRows()
 	stride := bd.Stride()
-	rowW := make([]uint64, n*stride)
-	outW := make([]uint64, n*stride)
-	net.ForEach(func(v int) {
-		aw := rowW[v*stride : (v+1)*stride]
-		ring.PackBits(aw, s.Rows[v])
-		dst := outW[v*stride : (v+1)*stride]
-		matrix.MulBitRowInto(dst, aw, bAny, bd)
-		ring.UnpackBits(p.Rows[v], dst)
-	})
-	return p
-}
-
-// naiveMultiplyBoolWords is naiveMultiplyBool fed straight from the
-// gathered transport words: all[v] is node v's PackedBool-encoded row of
-// the right operand, which shares BitDense's layout and is copied in
-// without decoding.
-func naiveMultiplyBoolWords(net *clique.Network, s *RowMat[bool], all [][]clique.Word) *RowMat[bool] {
-	n := net.N()
-	p := NewRowMat[bool](n)
-	bd := matrix.GetBitDense(n, n)
-	defer matrix.PutBitDense(bd)
-	stride := bd.Stride()
-	net.ForEach(func(v int) {
-		row := bd.RowWords(v)
-		copy(row, all[v][:stride])
-		// Defensive: the kernel relies on zero pad bits past column n.
-		if extra := uint(stride*64 - n); extra > 0 {
-			row[stride-1] &= ^uint64(0) >> extra
-		}
-	})
-	bd.Invalidate()
-	bAny := bd.NonzeroRows()
 	rowW := make([]uint64, n*stride)
 	outW := make([]uint64, n*stride)
 	net.ForEach(func(v int) {

@@ -92,16 +92,11 @@ func (p *Plan) check(net *clique.Network) error {
 	return nil
 }
 
-// MulRingPlanned multiplies two distributed matrices over a ring using an
-// already-resolved plan.
-func MulRingPlanned[T any](net *clique.Network, p *Plan, rg ring.Ring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
-	return MulRingScratch[T](net, p, nil, rg, codec, s, t)
-}
-
-// MulRingScratch is MulRingPlanned with caller-owned scratch pools: the
-// resolved engine draws its message matrices, payload buffers, and block
-// operands from sc, so a session (or any iterated-product pipeline) pays
-// the engine's working set once. A nil sc uses a transient scratch.
+// MulRingScratch multiplies two distributed matrices over a ring using an
+// already-resolved plan and caller-owned scratch pools: the resolved engine
+// draws its message matrices, payload buffers, and block operands from sc,
+// so a session (or any iterated-product pipeline) pays the engine's working
+// set once. A nil sc uses a transient scratch.
 func MulRingScratch[T any](net *clique.Network, p *Plan, sc *Scratch, rg ring.Ring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
 	m, _, err := MulRingRouted[T](net, p, sc, rg, codec, s, t)
 	return m, err
@@ -123,10 +118,7 @@ func MulRingRouted[T any](net *clique.Network, p *Plan, sc *Scratch, rg ring.Rin
 		return m, Route{Engine: p.RingEngine}, err
 	}
 	n := net.N()
-	if err := s.validate(n); err != nil {
-		return nil, Route{}, err
-	}
-	if err := t.validate(n); err != nil {
+	if err := validatePair(n, s, t); err != nil {
 		return nil, Route{}, err
 	}
 	bc := ring.AsBulk[T](codec)
@@ -156,13 +148,8 @@ func mulRingConcrete[T any](net *clique.Network, p *Plan, sc *Scratch, rg ring.R
 	}
 }
 
-// MulIntPlanned multiplies distributed int64 matrices over the integer ring
-// with an already-resolved plan.
-func (p *Plan) MulIntPlanned(net *clique.Network, s, t *RowMat[int64]) (*RowMat[int64], error) {
-	return p.MulIntScratch(net, nil, s, t)
-}
-
-// MulIntScratch is MulIntPlanned with caller-owned scratch pools.
+// MulIntScratch multiplies distributed int64 matrices over the integer ring
+// with an already-resolved plan and caller-owned scratch pools.
 func (p *Plan) MulIntScratch(net *clique.Network, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], error) {
 	r := ring.Int64{}
 	return MulRingScratch[int64](net, p, sc, r, r, s, t)
@@ -174,15 +161,10 @@ func (p *Plan) MulIntRouted(net *clique.Network, sc *Scratch, s, t *RowMat[int64
 	return MulRingRouted[int64](net, p, sc, r, r, s, t)
 }
 
-// MulBoolPlanned computes the Boolean matrix product with an
-// already-resolved plan (see MulBool for the embedding).
-func (p *Plan) MulBoolPlanned(net *clique.Network, s, t *RowMat[int64]) (*RowMat[int64], error) {
-	return p.MulBoolScratch(net, nil, s, t)
-}
-
-// MulBoolScratch is MulBoolPlanned with caller-owned scratch pools; the
-// semiring engines ship the product through the bit-packed Boolean
-// transport.
+// MulBoolScratch computes the Boolean matrix product with an
+// already-resolved plan and caller-owned scratch pools (see MulBoolWith
+// for the embedding); the semiring engines ship the product through the
+// bit-packed Boolean transport.
 func (p *Plan) MulBoolScratch(net *clique.Network, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], error) {
 	m, _, err := p.MulBoolRouted(net, sc, s, t)
 	return m, err
@@ -206,10 +188,7 @@ func (p *Plan) MulBoolRouted(net *clique.Network, sc *Scratch, s, t *RowMat[int6
 		return m, Route{Engine: p.RingEngine}, err
 	}
 	n := net.N()
-	if err := s.validate(n); err != nil {
-		return nil, Route{}, err
-	}
-	if err := t.validate(n); err != nil {
+	if err := validatePair(n, s, t); err != nil {
 		return nil, Route{}, err
 	}
 	// Dense Boolean products either ride the integer embedding on the
@@ -260,13 +239,9 @@ func (p *Plan) mulBoolDense(net *clique.Network, sc *Scratch, s, t *RowMat[int64
 	}
 }
 
-// MulMinPlusPlanned computes the distance product with an already-resolved
-// plan; the bilinear engine does not apply (min-plus is not a ring).
-func (p *Plan) MulMinPlusPlanned(net *clique.Network, s, t *RowMat[int64]) (*RowMat[int64], error) {
-	return p.MulMinPlusScratch(net, nil, s, t)
-}
-
-// MulMinPlusScratch is MulMinPlusPlanned with caller-owned scratch pools.
+// MulMinPlusScratch computes the distance product with an already-resolved
+// plan and caller-owned scratch pools; the bilinear engine does not apply
+// (min-plus is not a ring).
 func (p *Plan) MulMinPlusScratch(net *clique.Network, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], error) {
 	m, _, err := p.MulMinPlusRouted(net, sc, s, t)
 	return m, err
@@ -290,10 +265,7 @@ func (p *Plan) MulMinPlusRouted(net *clique.Network, sc *Scratch, s, t *RowMat[i
 		return m, Route{Engine: p.SemiringEngine}, err
 	}
 	n := net.N()
-	if err := s.validate(n); err != nil {
-		return nil, Route{}, err
-	}
-	if err := t.validate(n); err != nil {
+	if err := validatePair(n, s, t); err != nil {
 		return nil, Route{}, err
 	}
 	bc := ring.AsBulk[int64](mp)

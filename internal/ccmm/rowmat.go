@@ -86,3 +86,11 @@ func (m *RowMat[T]) validate(n int) error {
 	}
 	return nil
 }
+
+// validatePair checks both operands of a product against the clique size.
+func validatePair[T any](n int, s, t *RowMat[T]) error {
+	if err := s.validate(n); err != nil {
+		return err
+	}
+	return t.validate(n)
+}

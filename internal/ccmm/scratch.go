@@ -7,8 +7,9 @@ import (
 )
 
 // Scratch holds the reusable working state of the distributed
-// multiplication engines: message matrices, encoded-word payload buffers,
-// local block operands and products, and decode buffers. A session owns
+// multiplication engines: typed message matrices, local block operands and
+// products, and — for the wire transport — the exchange port's encoded-word
+// payload matrices and typed receive arenas. A session owns
 // one Scratch per clique size and passes it to every product, so repeated
 // multiplications — iterated squaring, Seidel's recursion, colour-coding's
 // 3^k products — run allocation-free in steady state. Engines accept a nil
@@ -22,20 +23,22 @@ import (
 //     entries are touched only by that node's ForEach worker.
 //   - Payload matrices hold message buffers owned by the scratch; entries
 //     are truncated (capacity kept) between uses and only ever appended
-//     into. View matrices hold borrowed slices — mailbox windows, local
-//     loopback payloads — and are nil-cleared between uses, never appended
-//     into.
+//     into. View matrices hold borrowed slices — delivered payloads,
+//     product rows, receive-arena windows — and are nil-cleared between
+//     uses, never appended into.
 //   - Engine inputs and outputs are never pooled: results returned to
 //     callers are freshly allocated, so nothing a caller retains aliases
 //     scratch state.
 type Scratch struct {
-	payload map[int][][][][]clique.Word // free payload matrices, by dimension
-	views   map[int][][][][]clique.Word // free view matrices, by dimension
-	offs    []int                       // per-link offsets for exchangeVirtual
-	wloads  []int64                     // per-link analytic word loads (direct transport)
-	rt      *routing.Scratch            // delivery-layer pools
-	typed   []any                       // one *typedScratch[T] per element type
-	sp      *sparseState                // sparse-engine census/tile tables
+	wmsgs  [][][]clique.Word // n×n encoded-word message matrix nodes post into (wire port): windows of wout
+	wout   [][]clique.Word   // per-node word arenas behind wmsgs
+	wgot   [][][]clique.Word // the last wire exchange's delivery, until its receivers open it
+	wbuf   []clique.Word     // link-level encode staging (wire port, single-threaded sends)
+	offs   []int             // per-link cursors of the port's exchanges
+	wloads []int64           // per-link analytic word loads (direct transport)
+	rt     *routing.Scratch  // delivery-layer pools
+	typed  []any             // one *typedScratch[T] per element type
+	sp     *sparseState      // sparse-engine census/tile tables
 }
 
 // sparseState pools the element-type-independent working set of the sparse
@@ -56,11 +59,7 @@ type sparseState struct {
 
 // NewScratch returns an empty scratch pool.
 func NewScratch() *Scratch {
-	return &Scratch{
-		payload: make(map[int][][][][]clique.Word),
-		views:   make(map[int][][][][]clique.Word),
-		rt:      routing.NewScratch(),
-	}
+	return &Scratch{rt: routing.NewScratch()}
 }
 
 // Trim releases every pooled buffer, matrix, and typed arm the scratch has
@@ -68,8 +67,7 @@ func NewScratch() *Scratch {
 // sessions call it — via Clique.Trim — to drop the working set of past
 // peak sizes instead of pinning it forever.
 func (sc *Scratch) Trim() {
-	clear(sc.payload)
-	clear(sc.views)
+	sc.wmsgs, sc.wout, sc.wgot, sc.wbuf = nil, nil, nil, nil
 	sc.offs = nil
 	sc.wloads = nil
 	sc.typed = nil
@@ -77,63 +75,20 @@ func (sc *Scratch) Trim() {
 	sc.rt.Trim()
 }
 
-// getPayload returns a d×d message matrix whose entries are truncated to
-// length zero but keep their accumulated capacity. Callers build messages
-// with vmsgs[v][u] = append/EncodeSlice(vmsgs[v][u][:0], ...) and return
-// the matrix with putPayload once the traffic has been handed to the
-// network (which copies payloads into its queues).
-func (sc *Scratch) getPayload(d int) [][][]clique.Word {
-	free := sc.payload[d]
-	if k := len(free); k > 0 {
-		m := free[k-1]
-		sc.payload[d] = free[:k-1]
-		return m
-	}
-	m := make([][][]clique.Word, d)
-	for i := range m {
-		m[i] = make([][]clique.Word, d)
-	}
-	return m
-}
-
-// putPayload truncates every entry and returns the matrix to the pool.
-func (sc *Scratch) putPayload(m [][][]clique.Word) {
-	for _, row := range m {
-		for i := range row {
-			row[i] = row[i][:0]
+// wireMsgs readies the wire port's n×n word message matrix and its
+// per-node arenas (kept across products on the same clique size) for a new
+// product: every entry empty, whatever an aborted product left posted.
+func (sc *Scratch) wireMsgs(n int) {
+	if len(sc.wmsgs) != n {
+		sc.wmsgs, sc.wout = make([][][]clique.Word, n), make([][]clique.Word, n)
+		for v := range sc.wmsgs {
+			sc.wmsgs[v] = make([][]clique.Word, n)
 		}
+		return
 	}
-	d := len(m)
-	sc.payload[d] = append(sc.payload[d], m)
-}
-
-// getView returns a d×d matrix of nil slices for holding borrowed word
-// windows (mailbox slices, loopback payloads). View entries are assigned,
-// never appended into; putView drops the references.
-func (sc *Scratch) getView(d int) [][][]clique.Word {
-	free := sc.views[d]
-	if k := len(free); k > 0 {
-		m := free[k-1]
-		sc.views[d] = free[:k-1]
-		return m
+	for _, row := range sc.wmsgs {
+		clear(row)
 	}
-	m := make([][][]clique.Word, d)
-	for i := range m {
-		m[i] = make([][]clique.Word, d)
-	}
-	return m
-}
-
-// putView nil-clears every entry (releasing the borrowed slices) and
-// returns the matrix to the pool.
-func (sc *Scratch) putView(m [][][]clique.Word) {
-	for _, row := range m {
-		for i := range row {
-			row[i] = nil
-		}
-	}
-	d := len(m)
-	sc.views[d] = append(sc.views[d], m)
 }
 
 // linkOffs returns a zeroed length-k offset array.
@@ -170,9 +125,9 @@ func (sc *Scratch) linkWords(k int) []int64 {
 // ring and the min-plus semiring — so everything in it is either fully
 // overwritten per use or explicitly refilled (zero rows).
 type typedScratch[T any] struct {
-	bufs    []([]T) // per-node gather/scatter buffers
-	bufs2   []([]T) // second per-node buffer (sparse engine B-side lists)
-	bufs3   []([]T) // third per-node buffer (sparse engine compose lists)
+	bufs    []([]T) // per-node buffers (sparse engines' A-side lists; tuple formats' value staging)
+	bufs2   []([]T) // second per-node buffer (sparse engines' B-side lists, then accumulators)
+	bufs3   []([]T) // third per-node buffer (CSR engine's spread send arenas)
 	zeroRow []T     // one semiring-zero row, refilled per product
 
 	// 3D engine state.
@@ -186,8 +141,15 @@ type typedScratch[T any] struct {
 	fullP        []*matrix.Dense[T]   // per node w: block product
 	acc, piece   []*matrix.Dense[T]   // per node: output accumulator and decode piece
 
-	// Naive engine state.
-	rows []([]T) // per-node decoded right-operand rows
+	// Wire-port receive state: per-node arenas the port decodes arriving
+	// messages into (append-only while any delivery is outstanding, so
+	// every window handed out stays valid; truncated when a product opens
+	// its port and whenever all live deliveries have been released), and
+	// the one-element staging cell of single-value sends.
+	recv []([]T)
+	live int     // deliveries taken and not yet released (link-level arrivals never are)
+	sent [][][]T // the last wire exchange's messages, until its receivers open the delivery
+	cell [1]T
 
 	// CSR engine state: per-node tables of borrowed windows into the
 	// arena buffers above (bufs/bufs2/bufs3). Window entries are
@@ -201,11 +163,10 @@ type typedScratch[T any] struct {
 	// packing).
 	mats []*RowMat[T]
 
-	// Direct-transport message state: typed payload matrices (entries are
-	// scratch-owned append buffers holding algebra values, the data-plane
-	// twin of Scratch.payload) and typed view matrices (entries borrow
-	// rows of other scratch state or delivered payloads, nil-cleared on
-	// return — the twin of Scratch.views).
+	// Message state: typed payload matrices (entries are scratch-owned
+	// append buffers holding algebra values) and typed view matrices
+	// (entries borrow rows of other scratch state, delivered payloads, or
+	// receive-arena windows; nil-cleared on return).
 	payFree  map[int][][][][]T
 	viewFree map[int][][][][]T
 }
@@ -240,14 +201,6 @@ func nodeBuf[T any](s []([]T), v, k int) []T {
 		s[v] = b
 	}
 	return b[:k]
-}
-
-// growSlotRows pre-sizes a per-node window-table slice to k nodes
-// (single-threaded).
-func growSlotRows[T any](s *[]([][]T), k int) {
-	for len(*s) < k {
-		*s = append(*s, nil)
-	}
 }
 
 // nodeSlots returns node v's window table with exactly k nil entries,

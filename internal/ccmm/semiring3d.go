@@ -28,52 +28,34 @@ func Semiring3D[T any](net *clique.Network, sr ring.Semiring[T], codec ring.Code
 }
 
 // Semiring3DScratch is Semiring3D with caller-owned scratch pools: message
-// matrices, payloads, block operands, and product subcubes persist in sc
-// across products, so a pipeline of repeated multiplications (or a
-// session) runs the engine allocation-free in steady state apart from the
-// returned result. It dispatches on the network's transport: the direct
-// plane hands typed block rows end-to-end with the wire words charged
-// analytically, the wire plane encodes every chunk through the codec's
-// bulk interface, and TransportVerify runs both and diffs them. A packing
-// codec (ring.PackedBool) is honoured on both planes, since every cost and
-// offset is an EncodedLen sum of whole chunks. A nil sc uses a transient
-// scratch.
-func Semiring3DScratch[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (p *RowMat[T], err error) {
-	defer catchAbort(&err)
-	switch net.Transport() {
-	case clique.TransportWire:
-		return semiring3DWire[T](net, sc, sr, codec, s, t)
-	case clique.TransportVerify:
-		return runVerified(net, func(net2 *clique.Network, wire bool) (*RowMat[T], error) {
-			if wire {
-				return semiring3DWire[T](net2, nil, sr, codec, s, t)
-			}
-			return semiring3DDirect[T](net2, sc, sr, codec, s, t)
-		})
-	default:
-		return semiring3DDirect[T](net, sc, sr, codec, s, t)
-	}
+// matrices, block operands, and product subcubes persist in sc across
+// products, so a pipeline of repeated multiplications (or a session) runs
+// the engine allocation-free in steady state apart from the returned
+// result. Block rows are typed messages handed to the exchange port, which
+// moves them by reference (direct transport, words charged analytically)
+// or as bulk-codec chunks (wire transport). A packing codec
+// (ring.PackedBool) is honoured either way, since every cost and offset is
+// an EncodedLen sum of whole chunks. A nil sc uses a transient scratch.
+func Semiring3DScratch[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
+	return runProduct(net, sc, func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
+		return semiring3D[T](net, sc, sr, codec, s, t)
+	})
 }
 
-// semiring3DWire is the encoded 3D algorithm (the original path, kept for
-// verification and WithWireTransport).
-func semiring3DWire[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
+// semiring3D is the engine body: four phases over the padded cube, with
+// block rows gathered straight into message buffers, received rows copied
+// straight into the block operands, and the step-3 partial products shipped
+// as views of the product subcubes.
+func semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
 	n := net.N()
-	if err := s.validate(n); err != nil {
+	if err := validatePair(n, s, t); err != nil {
 		return nil, err
 	}
-	if err := t.validate(n); err != nil {
-		return nil, err
-	}
-	if sc == nil {
-		sc = NewScratch()
-	}
-	bc := ring.AsBulk[T](codec)
 	ts := typedFrom[T](sc)
 	lay := newCubeLayout(n)
 	c, vn := lay.c, lay.vn
 	c2 := c * c
-	partLen := bc.EncodedLen(c2) // words per block-row chunk on the wire
+	px := newPort[T](net, sc, chunks[T]{ring.AsBulk[T](codec), c2}).over(lay) // every message is whole block rows
 	zero := sr.Zero()
 	live := lay.liveDigits()
 	// alive reports whether virtual node u's subcube touches real data;
@@ -88,7 +70,6 @@ func semiring3DWire[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T]
 	for x := 0; x < c; x++ {
 		groups[x] = lay.firstDigitSet(x)
 	}
-	growBufs(&ts.bufs, n)
 	growSlots(&ts.cubeS, n)
 	growSlots(&ts.cubeT, n)
 	growSlots(&ts.cubeProd, vn)
@@ -99,189 +80,17 @@ func semiring3DWire[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T]
 	// ≥ n read as the semiring zero. Virtual nodes v ≥ n own all-zero
 	// padding rows, which every node can synthesise locally, so they send
 	// nothing. When both an S and a T part go to the same recipient the S
-	// part precedes the T part; each message is built contiguously so the
-	// scratch payload buffers are append-only.
+	// part precedes the T part.
 	net.Phase("mm3d/distribute")
-	vmsgs := sc.getPayload(vn)
+	pmsgs := ts.getPay(vn)
 	net.ForEach(func(v int) {
 		// The sending virtual nodes are exactly v < n, each hosted by
 		// real node v itself: every real node ships its own row slices.
 		v1, _, _ := lay.split(v)
 		srow, trow := s.Rows[v], t.Rows[v]
-		buf := nodeBuf(ts.bufs, v, c2)
 		// S parts go to u = (v1, u2, u3); the recipients with u2 = v1 get
 		// this sender's T part too, appended right after the S part.
 		// (v < n implies v1 < live, so every such u is alive.)
-		for u2 := 0; u2 < live; u2++ {
-			for u3 := 0; u3 < live; u3++ {
-				u := lay.join(v1, u2, u3)
-				msg := vmsgs[v][u][:0]
-				gatherCols(buf, srow, groups[u2], n, zero)
-				msg = bc.EncodeSlice(msg, buf)
-				if u2 == v1 {
-					gatherCols(buf, trow, groups[u3], n, zero)
-					msg = bc.EncodeSlice(msg, buf)
-				}
-				vmsgs[v][u] = msg
-			}
-		}
-		// T parts to the remaining nodes with u2 = v1 (u1 ≠ v1); dead
-		// subcubes get no T rows.
-		for u1 := 0; u1 < live; u1++ {
-			if u1 == v1 {
-				continue
-			}
-			for u3 := 0; u3 < live; u3++ {
-				u := lay.join(u1, v1, u3)
-				gatherCols(buf, trow, groups[u3], n, zero)
-				vmsgs[v][u] = bc.EncodeSlice(vmsgs[v][u][:0], buf)
-			}
-		}
-	})
-	in := lay.exchangeVirtual(net, sc, vmsgs)
-
-	// Step 2: local multiplication of the received c²×c² blocks, decoded
-	// straight into scratch block operands. Rows from padding senders
-	// (v ≥ n) are the semiring zero.
-	net.Phase("mm3d/multiply")
-	net.ForEach(func(r int) {
-		sblk := slotAt(ts.cubeS, r, c2, c2)
-		tblk := slotAt(ts.cubeT, r, c2, c2)
-		for u := r; u < vn; u += n {
-			if !alive(u) {
-				continue
-			}
-			u1, u2, _ := lay.split(u)
-			for pos, v := range groups[u1] { // S row senders: v1 = u1
-				if v >= n {
-					sblk.SetRow(pos, zeroRow)
-					continue
-				}
-				bc.DecodeSlice(sblk.Row(pos), in[u][v])
-			}
-			for pos, v := range groups[u2] { // T row senders: v1 = u2
-				if v >= n {
-					tblk.SetRow(pos, zeroRow)
-					continue
-				}
-				ws := in[u][v]
-				if v1, _, _ := lay.split(v); v1 == u1 {
-					ws = ws[partLen:] // S part precedes on shared links
-				}
-				bc.DecodeSlice(tblk.Row(pos), ws)
-			}
-			prod := slotAt(ts.cubeProd, u, c2, c2)
-			matrix.MulInto(sr, prod, sblk, tblk)
-		}
-	})
-	sc.putView(in)
-
-	// Step 3: distribute the partial products: virtual node u sends
-	// P^{(u2)}[x, u3∗∗] to each real row owner x ∈ u1∗∗ with x < n
-	// (padding rows of the output are discarded, so they never travel).
-	// Step 1's messages were already copied out by the exchange, so its
-	// sender rows (v < n) are truncated first — step 3's senders rewrite
-	// only their own product entries, and anything else (T-part recipients,
-	// senders owning no live subcube) must not leak into the next exchange.
-	net.Phase("mm3d/products")
-	for v := 0; v < n; v++ {
-		row := vmsgs[v]
-		for u := range row {
-			row[u] = row[u][:0]
-		}
-	}
-	net.ForEach(func(r int) {
-		for u := r; u < vn; u += n {
-			if !alive(u) {
-				continue // the product subcube was never built
-			}
-			u1, _, _ := lay.split(u)
-			prod := ts.cubeProd[u]
-			for pos, x := range groups[u1] {
-				if x < n {
-					vmsgs[u][x] = bc.EncodeSlice(vmsgs[u][x][:0], prod.Row(pos))
-				}
-			}
-		}
-	})
-	in = lay.exchangeVirtual(net, sc, vmsgs)
-
-	// Step 4: assemble P[x, ∗] = Σ_w P^{(w)}[x, ∗]. Output row owners are
-	// the virtual nodes x < n, each hosted by real node x itself.
-	net.Phase("mm3d/assemble")
-	p := NewRowMat[T](n)
-	net.ForEach(func(x int) {
-		x1, _, _ := lay.split(x)
-		row := p.Rows[x]
-		for j := range row {
-			row[j] = zero
-		}
-		piece := nodeBuf(ts.bufs, x, c2)
-		for _, u := range groups[x1] { // senders: the live u with u1 = x1
-			if !alive(u) {
-				continue
-			}
-			_, _, u3 := lay.split(u)
-			bc.DecodeSlice(piece, in[x][u])
-			for i, col := range groups[u3] {
-				if col < n {
-					row[col] = sr.Add(row[col], piece[i])
-				}
-			}
-		}
-	})
-	sc.putView(in)
-	sc.putPayload(vmsgs)
-	return p, nil
-}
-
-// semiring3DDirect is the 3D algorithm on the data plane: the same four
-// phases as semiring3DWire with identical charging, but block rows travel
-// as typed slices — gathered straight into payload buffers, received
-// straight into block-operand rows, and the step-3 partial products
-// shipped as views of the product subcubes with no copy at all.
-func semiring3DDirect[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
-	n := net.N()
-	if err := s.validate(n); err != nil {
-		return nil, err
-	}
-	if err := t.validate(n); err != nil {
-		return nil, err
-	}
-	if sc == nil {
-		sc = NewScratch()
-	}
-	bc := ring.AsBulk[T](codec)
-	ts := typedFrom[T](sc)
-	lay := newCubeLayout(n)
-	c, vn := lay.c, lay.vn
-	c2 := c * c
-	partWords := int64(bc.EncodedLen(c2)) // analytic words per block-row chunk
-	chunkWords := func(elems int) int64 { return int64(elems/c2) * partWords }
-	zero := sr.Zero()
-	live := lay.liveDigits()
-	alive := func(u int) bool {
-		u1, u2, u3 := lay.split(u)
-		return u1 < live && u2 < live && u3 < live
-	}
-
-	groups := make([][]int, c)
-	for x := 0; x < c; x++ {
-		groups[x] = lay.firstDigitSet(x)
-	}
-	growSlots(&ts.cubeS, n)
-	growSlots(&ts.cubeT, n)
-	growSlots(&ts.cubeProd, vn)
-	zeroRow := ts.zeroRowFor(zero, c2)
-
-	// Step 1: distribute entries — the same recipients and chunk layout as
-	// the wire path (S part before T part on shared pairs), but the chunks
-	// are the algebra values themselves.
-	net.Phase("mm3d/distribute")
-	pmsgs := ts.getPay(vn)
-	net.ForEach(func(v int) {
-		v1, _, _ := lay.split(v)
-		srow, trow := s.Rows[v], t.Rows[v]
 		for u2 := 0; u2 < live; u2++ {
 			for u3 := 0; u3 < live; u3++ {
 				u := lay.join(v1, u2, u3)
@@ -292,6 +101,8 @@ func semiring3DDirect[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[
 				pmsgs[v][u] = msg
 			}
 		}
+		// T parts to the remaining nodes with u2 = v1 (u1 ≠ v1); dead
+		// subcubes get no T rows.
 		for u1 := 0; u1 < live; u1++ {
 			if u1 == v1 {
 				continue
@@ -301,13 +112,15 @@ func semiring3DDirect[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[
 				pmsgs[v][u] = appendCols(pmsgs[v][u][:0], trow, groups[u3], n, zero)
 			}
 		}
+		px.post(pmsgs, v)
 	})
-	in := exchangeVirtualPayload(lay, net, sc, ts, pmsgs, chunkWords)
+	in := px.exchange(pmsgs)
 
-	// Step 2: local multiplication; received rows copy straight into the
-	// block operands (a memmove, no decode).
+	// Step 2: local multiplication of the received c²×c² blocks. Rows from
+	// padding senders (v ≥ n) are the semiring zero.
 	net.Phase("mm3d/multiply")
 	net.ForEach(func(r int) {
+		px.open(in, r)
 		sblk := slotAt(ts.cubeS, r, c2, c2)
 		tblk := slotAt(ts.cubeT, r, c2, c2)
 		for u := r; u < vn; u += n {
@@ -337,16 +150,18 @@ func semiring3DDirect[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[
 			matrix.MulInto(sr, prod, sblk, tblk)
 		}
 	})
-	ts.putViews(in)
+	px.release(in)
 
-	// Step 3: distribute the partial products as zero-copy views of the
-	// product subcube rows.
+	// Step 3: distribute the partial products: virtual node u sends
+	// P^{(u2)}[x, u3∗∗] to each real row owner x ∈ u1∗∗ with x < n
+	// (padding rows of the output are discarded, so they never travel) —
+	// as zero-copy views of the product subcube rows.
 	net.Phase("mm3d/products")
 	vout := ts.getViews(vn)
 	net.ForEach(func(r int) {
 		for u := r; u < vn; u += n {
 			if !alive(u) {
-				continue
+				continue // the product subcube was never built
 			}
 			u1, _, _ := lay.split(u)
 			prod := ts.cubeProd[u]
@@ -356,14 +171,17 @@ func semiring3DDirect[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[
 				}
 			}
 		}
+		px.post(vout, r)
 	})
-	in = exchangeVirtualPayload(lay, net, sc, ts, vout, chunkWords)
+	in = px.exchange(vout)
 
 	// Step 4: assemble P[x, ∗] = Σ_w P^{(w)}[x, ∗] by accumulating the
-	// received rows in place.
+	// received rows. Output row owners are the virtual nodes x < n, each
+	// hosted by real node x itself.
 	net.Phase("mm3d/assemble")
 	p := NewRowMat[T](n)
 	net.ForEach(func(x int) {
+		px.open(in, x)
 		x1, _, _ := lay.split(x)
 		row := p.Rows[x]
 		for j := range row {
@@ -382,7 +200,7 @@ func semiring3DDirect[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[
 			}
 		}
 	})
-	ts.putViews(in)
+	px.release(in)
 	ts.putViews(vout)
 	ts.putPay(pmsgs)
 	return p, nil
@@ -402,10 +220,7 @@ func DistanceProduct3D(net *clique.Network, s, t *RowMat[int64]) (p, q *RowMat[i
 // as well, so iterated squaring (APSP) allocates only its results.
 func DistanceProduct3DScratch(net *clique.Network, sc *Scratch, s, t *RowMat[int64]) (p, q *RowMat[int64], err error) {
 	n := net.N()
-	if err := s.validate(n); err != nil {
-		return nil, nil, err
-	}
-	if err := t.validate(n); err != nil {
+	if err := validatePair(n, s, t); err != nil {
 		return nil, nil, err
 	}
 	if sc == nil {

@@ -6,7 +6,6 @@ import (
 
 	"github.com/algebraic-clique/algclique/internal/clique"
 	"github.com/algebraic-clique/algclique/internal/ring"
-	"github.com/algebraic-clique/algclique/internal/routing"
 )
 
 // This file is EngineSparse: a density-aware sparse semiring matrix
@@ -49,11 +48,11 @@ import (
 // All traffic after the census is oblivious — chunk sizes and tile
 // placements are computable by every node from the broadcast counts — and
 // rides the routing layer's Auto strategy, so skewed loads fall back to
-// Lenzen-style two-phase delivery. The tuple streams travel through both
-// transport planes: the wire plane encodes them with ring.TupleCodec (one
-// chunk per ordered pair per phase), the direct plane hands typed
-// []ring.Tuple[T] slices end-to-end with the identical word cost charged
-// analytically from the same TupleCodec EncodedLen sums.
+// Lenzen-style two-phase delivery. The tuple streams are typed
+// []ring.Tuple[T] messages handed to the exchange port: ring.TupleCodec
+// chunks on the wire transport (one per ordered pair per phase), references
+// on the direct transport with the identical word cost charged from the
+// same TupleCodec EncodedLen sums.
 
 // ErrTooDense reports that the operands fail the Σ ca(y)·rb(y) < 2n²
 // density bound of the sparse tile engine, so the Lemma 12 packing is not
@@ -74,33 +73,11 @@ func SparseMul[T any](net *clique.Network, sr ring.Semiring[T], codec ring.Codec
 	return SparseMulScratch[T](net, nil, sr, codec, s, t)
 }
 
-// SparseMulScratch is SparseMul with caller-owned scratch pools,
-// dispatched on the network's transport like every other engine.
-func SparseMulScratch[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (p *RowMat[T], err error) {
-	defer catchAbort(&err)
-	n := net.N()
-	if err := s.validate(n); err != nil {
-		return nil, err
-	}
-	if err := t.validate(n); err != nil {
-		return nil, err
-	}
-	if n < minSparseN {
-		return nil, fmt.Errorf("ccmm: sparse engine needs n ≥ %d for the Lemma 12 packing, got %d: %w", minSparseN, n, ErrSize)
-	}
-	switch net.Transport() {
-	case clique.TransportWire:
-		return sparseWire[T](net, sc, sr, codec, s, t)
-	case clique.TransportVerify:
-		return runVerified(net, func(net2 *clique.Network, wire bool) (*RowMat[T], error) {
-			if wire {
-				return sparseWire[T](net2, nil, sr, codec, s, t)
-			}
-			return sparseDirect[T](net2, sc, sr, codec, s, t)
-		})
-	default:
-		return sparseDirect[T](net, sc, sr, codec, s, t)
-	}
+// SparseMulScratch is SparseMul with caller-owned scratch pools.
+func SparseMulScratch[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
+	return runProduct(net, sc, func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
+		return sparseMul[T](net, sc, sr, codec, s, t)
+	})
 }
 
 // sparse returns the scratch's pooled sparse-engine tables.
@@ -235,69 +212,52 @@ func countRowNNZ[T any](net *clique.Network, sr ring.Semiring[T], zero T, m *Row
 	})
 }
 
-// sparseWire is the encoded plane: tuple streams travel as TupleCodec
-// chunks, one chunk per ordered pair per phase.
-func sparseWire[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
+// sparseMul is the engine body. The spread views alias the senders' message
+// buffers (or the port's receive arenas), which stay alive until the
+// message matrices return to the pool at the end of the product.
+func sparseMul[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
 	n := net.N()
-	if sc == nil {
-		sc = NewScratch()
+	if err := validatePair(n, s, t); err != nil {
+		return nil, err
+	}
+	if n < minSparseN {
+		return nil, fmt.Errorf("ccmm: sparse engine needs n ≥ %d for the Lemma 12 packing, got %d: %w", minSparseN, n, ErrSize)
 	}
 	bc := ring.AsBulk[T](codec)
-	tc := ring.TupleCodec[T]{Val: bc}
-	ts := typedFrom[T](sc)
-	tts := typedFrom[ring.Tuple[T]](sc)
+	vals := newPort[T](net, sc, chunks[T]{bc, 1})
+	tups := newPort[ring.Tuple[T]](net, sc, tupleFormat(sc, bc, n))
+	tts := tups.ts
 	sp := sc.sparse()
 	zero := sr.Zero()
-	growBufs(&ts.bufs, n)
 	growBufs(&tts.bufs, n)
 	growBufs(&tts.bufs2, n)
-	growBufs(&tts.bufs3, n)
 	sp.ca = growInts(sp.ca, n)
 	sp.rb = growInts(sp.rb, n)
 
-	// Phase 1: transpose — ship each nonzero S[x][y] to column owner y.
-	// At most one value per ordered pair, so per-link loads never exceed
-	// the value width and direct per-link delivery is already optimal.
+	// Phase 1: transpose — ship each nonzero S[x][y] to column owner y as a
+	// one-element message read straight out of the operand row. At most one
+	// value per ordered pair, so per-link loads never exceed the value
+	// width and direct per-link delivery is already optimal. Payload
+	// enqueue is single-threaded, like the exchanges' send loops.
 	net.Phase("mmsparse/transpose")
 	countRowNNZ(net, sr, zero, t, sp.rb)
-	msgs := sc.getPayload(n)
-	net.ForEach(func(x int) {
-		vb := nodeBuf(ts.bufs, x, 1)
-		out := msgs[x]
-		for y, v := range s.Rows[x] {
-			if !sr.Equal(v, zero) {
-				vb[0] = v
-				out[y] = bc.EncodeSlice(out[y][:0], vb)
-			}
-		}
-	})
 	for x := 0; x < n; x++ {
-		for y, ws := range msgs[x] {
-			if len(ws) > 0 {
-				net.SendVec(x, y, ws)
+		row := s.Rows[x]
+		for y := range row {
+			if !sr.Equal(row[y], zero) {
+				vals.sendVal(x, y, &row[y])
 			}
 		}
 	}
 	mail := net.Flush()
 	net.ForEach(func(y int) {
-		var ca int
-		for x := 0; x < n; x++ {
-			if len(mail.From(y, x)) > 0 {
-				ca++
-			}
-		}
-		aL := nodeBuf(tts.bufs, y, ca)[:0]
-		var one [1]T
-		for x := 0; x < n; x++ {
-			if ws := mail.From(y, x); len(ws) > 0 {
-				bc.DecodeSlice(one[:], ws)
-				aL = append(aL, ring.Tuple[T]{Idx: int32(x), Val: one[0]})
-			}
-		}
+		aL := tts.bufs[y][:0]
+		vals.eachVal(mail, y, func(x int, v T) {
+			aL = append(aL, ring.Tuple[T]{Idx: int32(x), Val: v})
+		})
 		tts.bufs[y] = aL
-		sp.ca[y] = ca
+		sp.ca[y] = len(aL)
 	})
-	sc.putPayload(msgs)
 
 	// Phase 2: census + tile tables; the density bound is enforced here.
 	if err := sparseCensus(net, sp, n); err != nil {
@@ -308,287 +268,11 @@ func sparseWire[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], co
 	// over B(y). A destination in both ranges receives one combined chunk,
 	// A-part first.
 	net.Phase("mmsparse/spread")
-	msgs = sc.getPayload(n)
-	net.ForEach(func(y int) {
-		tl := sp.tiles[y]
-		if !tl.Allocated {
-			return
-		}
-		aL := tts.bufs[y][:sp.ca[y]]
-		bL := nodeBuf(tts.bufs2, y, sp.rb[y])[:0]
-		for z, v := range t.Rows[y] {
-			if !sr.Equal(v, zero) {
-				bL = append(bL, ring.Tuple[T]{Idx: int32(z), Val: v})
-			}
-		}
-		tts.bufs2[y] = bL
-		vb := ts.bufs[y]
-		for i := 0; i < tl.F; i++ {
-			dst := tl.Row + i
-			lo, hi := chunkBounds(sp.ca[y], tl.F, i)
-			comp := tts.bufs3[y][:0]
-			comp = append(comp, aL[lo:hi]...)
-			if j := dst - tl.Col; j >= 0 && j < tl.F {
-				blo, bhi := chunkBounds(sp.rb[y], tl.F, j)
-				comp = append(comp, bL[blo:bhi]...)
-			}
-			tts.bufs3[y] = comp
-			if len(comp) > 0 {
-				msgs[y][dst], vb = tc.EncodeSlice(msgs[y][dst][:0], comp, vb)
-			}
-		}
-		for j := 0; j < tl.F; j++ {
-			dst := tl.Col + j
-			if i := dst - tl.Row; i >= 0 && i < tl.F {
-				continue // combined with the A-part above
-			}
-			blo, bhi := chunkBounds(sp.rb[y], tl.F, j)
-			if bhi > blo {
-				msgs[y][dst], vb = tc.EncodeSlice(msgs[y][dst][:0], bL[blo:bhi], vb)
-			}
-		}
-		ts.bufs[y] = vb
-	})
-	in := routing.ExchangeScratch(net, routing.Auto, sc.rt, msgs)
-
-	// Decode the received chunks: node p keeps its A-chunks (to forward)
-	// and B-chunks (for the gather) in one flat per-node buffer, windowed
-	// per tile through pooled view matrices.
-	viewsA := tts.getViews(n)
-	viewsB := tts.getViews(n)
-	net.ForEach(func(p int) {
-		total := 0
-		for _, y := range sp.rowYs[sp.rowOff[p]:sp.rowOff[p+1]] {
-			ka, kb := spreadCounts(sp.tiles[y], sp.ca[y], sp.rb[y], p)
-			total += ka + kb
-		}
-		for _, y := range sp.colYs[sp.colOff[p]:sp.colOff[p+1]] {
-			tl := sp.tiles[y]
-			if i := p - tl.Row; i >= 0 && i < tl.F {
-				continue // counted with the combined chunk above
-			}
-			_, kb := spreadCounts(tl, sp.ca[y], sp.rb[y], p)
-			total += kb
-		}
-		flat := nodeBuf(tts.bufs, p, total)
-		vb := ts.bufs[p]
-		off := 0
-		decode := func(y int32, ka, kb int) {
-			k := ka + kb
-			if k == 0 {
-				return
-			}
-			out := flat[off : off+k]
-			vb = tc.DecodeSlice(out, in[p][y], vb)
-			if ka > 0 {
-				viewsA[p][y] = out[:ka]
-			}
-			if kb > 0 {
-				viewsB[p][y] = out[ka:]
-			}
-			off += k
-		}
-		for _, y := range sp.rowYs[sp.rowOff[p]:sp.rowOff[p+1]] {
-			ka, kb := spreadCounts(sp.tiles[y], sp.ca[y], sp.rb[y], p)
-			decode(y, ka, kb)
-		}
-		for _, y := range sp.colYs[sp.colOff[p]:sp.colOff[p+1]] {
-			tl := sp.tiles[y]
-			if i := p - tl.Row; i >= 0 && i < tl.F {
-				continue
-			}
-			_, kb := spreadCounts(tl, sp.ca[y], sp.rb[y], p)
-			decode(y, 0, kb)
-		}
-		ts.bufs[p] = vb
-	})
-	sc.putPayload(msgs)
-
-	// Phase 4: forward — a ships each tile's a(y)-chunk to the tile's
-	// column nodes. Tiles are disjoint, so each ordered pair carries at
-	// most one chunk.
-	net.Phase("mmsparse/forward")
-	fmsgs := sc.getPayload(n)
-	net.ForEach(func(a int) {
-		vb := ts.bufs[a]
-		for _, y := range sp.rowYs[sp.rowOff[a]:sp.rowOff[a+1]] {
-			chunk := viewsA[a][y]
-			if len(chunk) == 0 {
-				continue
-			}
-			tl := sp.tiles[y]
-			for j := 0; j < tl.F; j++ {
-				b := tl.Col + j
-				fmsgs[a][b], vb = tc.EncodeSlice(fmsgs[a][b][:0], chunk, vb)
-			}
-		}
-		ts.bufs[a] = vb
-	})
-	fin := routing.ExchangeScratch(net, routing.Auto, sc.rt, fmsgs)
-
-	// Phase 5: gather — b reassembles a(y), forms the partial products
-	// against its b(y)-chunk, and routes each (z, value) to row owner x.
-	net.Phase("mmsparse/gather")
-	gpays := tts.getPay(n)
-	net.ForEach(func(b int) {
-		vb := ts.bufs[b]
-		out := gpays[b]
-		for _, y := range sp.colYs[sp.colOff[b]:sp.colOff[b+1]] {
-			bchunk := viewsB[b][y]
-			if len(bchunk) == 0 {
-				continue
-			}
-			tl := sp.tiles[y]
-			for a := tl.Row; a < tl.Row+tl.F; a++ {
-				lo, hi := chunkBounds(sp.ca[y], tl.F, a-tl.Row)
-				if hi == lo {
-					continue
-				}
-				ach := nodeBuf(tts.bufs2, b, hi-lo)
-				vb = tc.DecodeSlice(ach, fin[b][a], vb)
-				for _, at := range ach {
-					dst := out[at.Idx]
-					for _, bt := range bchunk {
-						dst = append(dst, ring.Tuple[T]{Idx: bt.Idx, Val: sr.Mul(at.Val, bt.Val)})
-					}
-					out[at.Idx] = dst
-				}
-			}
-		}
-		ts.bufs[b] = vb
-	})
-	tts.putViews(viewsA)
-	tts.putViews(viewsB)
-	sc.putPayload(fmsgs)
-	gmsgs := sc.getPayload(n)
-	net.ForEach(func(b int) {
-		vb := ts.bufs[b]
-		for x, tups := range gpays[b] {
-			if len(tups) > 0 {
-				gmsgs[b][x], vb = tc.EncodeSlice(gmsgs[b][x][:0], tups, vb)
-			}
-		}
-		ts.bufs[b] = vb
-	})
-	// The gather's receive pattern is data-dependent (which pairs carry
-	// products depends on the inputs), so this exchange goes through the
-	// dynamic variant: idle pairs must read as empty, never as a stale
-	// scratch window.
-	gin := routing.ExchangeDynamic(net, routing.Auto, sc.rt, gmsgs)
-	tts.putPay(gpays)
-	sc.putPayload(gmsgs)
-
-	// Phase 6: accumulate.
-	net.Phase("mmsparse/accumulate")
-	p := NewRowMat[T](n)
-	errs := make([]error, n)
-	net.ForEach(func(x int) {
-		row := p.Rows[x]
-		for j := range row {
-			row[j] = zero
-		}
-		vb := ts.bufs[x]
-		for b := 0; b < n; b++ {
-			ws := gin[x][b]
-			if len(ws) == 0 {
-				continue
-			}
-			k := tc.CountFor(len(ws))
-			if k < 0 {
-				errs[x] = fmt.Errorf("ccmm: malformed %d-word tuple chunk in sparse gather: %w", len(ws), ErrSize)
-				return
-			}
-			tups := nodeBuf(tts.bufs2, x, k)
-			vb = tc.DecodeSlice(tups, ws, vb)
-			for _, tp := range tups {
-				row[tp.Idx] = sr.Add(row[tp.Idx], tp.Val)
-			}
-		}
-		ts.bufs[x] = vb
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
-}
-
-// sparseDirect is the data plane: the same phases with identical charging,
-// but the tuple streams travel as typed []ring.Tuple[T] payload slices by
-// reference, their wire cost charged analytically from TupleCodec
-// EncodedLen sums.
-func sparseDirect[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
-	n := net.N()
-	if sc == nil {
-		sc = NewScratch()
-	}
-	bc := ring.AsBulk[T](codec)
-	tc := ring.TupleCodec[T]{Val: bc}
-	ts := typedFrom[T](sc)
-	tts := typedFrom[ring.Tuple[T]](sc)
-	sp := sc.sparse()
-	zero := sr.Zero()
-	growBufs(&tts.bufs, n)
-	growBufs(&tts.bufs2, n)
-	sp.ca = growInts(sp.ca, n)
-	sp.rb = growInts(sp.rb, n)
-	tupleWords := func(elems int) int64 { return int64(tc.EncodedLen(elems)) }
-
-	// Phase 1: transpose — each nonzero S[x][y] rides as a one-element
-	// payload window, charged EncodedLen(1) analytic words.
-	net.Phase("mmsparse/transpose")
-	countRowNNZ(net, sr, zero, t, sp.rb)
-	tpay := ts.getPay(n)
-	oneWords := int64(bc.EncodedLen(1))
-	net.ForEach(func(x int) {
-		row := tpay[x]
-		for y, v := range s.Rows[x] {
-			if !sr.Equal(v, zero) {
-				row[y] = append(row[y][:0], v)
-			}
-		}
-	})
-	// Payload enqueue is single-threaded, like the engines' exchange loops.
-	for x := 0; x < n; x++ {
-		row := tpay[x]
-		for y := range row {
-			if len(row[y]) > 0 {
-				net.SendPayload(x, y, oneWords, &row[y])
-			}
-		}
-	}
-	mail := net.Flush()
-	net.ForEach(func(y int) {
-		var ca int
-		for x := 0; x < n; x++ {
-			if len(mail.PayloadsFrom(y, x)) > 0 {
-				ca++
-			}
-		}
-		aL := nodeBuf(tts.bufs, y, ca)[:0]
-		for x := 0; x < n; x++ {
-			if ps := mail.PayloadsFrom(y, x); len(ps) > 0 {
-				aL = append(aL, ring.Tuple[T]{Idx: int32(x), Val: (*ps[0].(*[]T))[0]})
-			}
-		}
-		tts.bufs[y] = aL
-		sp.ca[y] = ca
-	})
-	ts.putPay(tpay)
-
-	// Phase 2: census + tile tables.
-	if err := sparseCensus(net, sp, n); err != nil {
-		return nil, err
-	}
-
-	// Phase 3: spread.
-	net.Phase("mmsparse/spread")
 	pays := tts.getPay(n)
 	net.ForEach(func(y int) {
 		tl := sp.tiles[y]
 		if !tl.Allocated {
-			return
+			return // an unallocated tile has nothing to send
 		}
 		aL := tts.bufs[y][:sp.ca[y]]
 		bL := nodeBuf(tts.bufs2, y, sp.rb[y])[:0]
@@ -611,22 +295,23 @@ func sparseDirect[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], 
 		for j := 0; j < tl.F; j++ {
 			dst := tl.Col + j
 			if i := dst - tl.Row; i >= 0 && i < tl.F {
-				continue
+				continue // combined with the A-part above
 			}
 			blo, bhi := chunkBounds(sp.rb[y], tl.F, j)
 			if bhi > blo {
 				pays[y][dst] = append(pays[y][dst][:0], bL[blo:bhi]...)
 			}
 		}
+		tups.post(pays, y)
 	})
-	in := routing.ExchangePayload(net, routing.Auto, sc.rt, pays, tupleWords, tts.getViews(n))
+	in := tups.exchange(pays)
 
-	// Window the received combined chunks per tile (no copy: the views
-	// alias the senders' payload buffers, which stay alive until the pay
-	// matrices return to the pool at the end of the product).
+	// Window the received combined chunks per tile: node p keeps its
+	// A-chunks (to forward) and B-chunks (for the gather).
 	viewsA := tts.getViews(n)
 	viewsB := tts.getViews(n)
 	net.ForEach(func(p int) {
+		tups.open(in, p)
 		for _, y := range sp.rowYs[sp.rowOff[p]:sp.rowOff[p+1]] {
 			ka, kb := spreadCounts(sp.tiles[y], sp.ca[y], sp.rb[y], p)
 			if ka+kb == 0 {
@@ -643,7 +328,7 @@ func sparseDirect[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], 
 		for _, y := range sp.colYs[sp.colOff[p]:sp.colOff[p+1]] {
 			tl := sp.tiles[y]
 			if i := p - tl.Row; i >= 0 && i < tl.F {
-				continue
+				continue // windowed with the combined chunk above
 			}
 			_, kb := spreadCounts(tl, sp.ca[y], sp.rb[y], p)
 			if kb > 0 {
@@ -652,8 +337,10 @@ func sparseDirect[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], 
 		}
 	})
 
-	// Phase 4: forward — copy each tile chunk into a fresh payload buffer
-	// per destination (the spread views stay untouched and alive).
+	// Phase 4: forward — a ships each tile's a(y)-chunk to the tile's
+	// column nodes, copied into a fresh message buffer per destination (the
+	// spread views stay untouched and alive). Tiles are disjoint, so each
+	// ordered pair carries at most one chunk.
 	net.Phase("mmsparse/forward")
 	fpays := tts.getPay(n)
 	net.ForEach(func(a int) {
@@ -668,13 +355,16 @@ func sparseDirect[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], 
 				fpays[a][b] = append(fpays[a][b][:0], chunk...)
 			}
 		}
+		tups.post(fpays, a)
 	})
-	fin := routing.ExchangePayload(net, routing.Auto, sc.rt, fpays, tupleWords, tts.getViews(n))
+	fin := tups.exchange(fpays)
 
-	// Phase 5: gather.
+	// Phase 5: gather — b holds all of a(y), forms the partial products
+	// against its b(y)-chunk, and routes each (z, value) to row owner x.
 	net.Phase("mmsparse/gather")
 	gpays := tts.getPay(n)
 	net.ForEach(func(b int) {
+		tups.open(fin, b)
 		out := gpays[b]
 		for _, y := range sp.colYs[sp.colOff[b]:sp.colOff[b+1]] {
 			bchunk := viewsB[b][y]
@@ -696,15 +386,17 @@ func sparseDirect[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], 
 				}
 			}
 		}
+		tups.post(gpays, b)
 	})
-	gin := routing.ExchangePayload(net, routing.Auto, sc.rt, gpays, tupleWords, tts.getViews(n))
+	gin := tups.exchange(gpays)
 
-	// Phase 6: accumulate. The gather receive pattern is data-dependent,
-	// but view-matrix entries are nil-cleared between uses, so idle pairs
-	// read as empty.
+	// Phase 6: accumulate. The gather receive pattern is data-dependent
+	// (which pairs carry products depends on the inputs), so x scans every
+	// source; the exchange leaves idle pairs nil.
 	net.Phase("mmsparse/accumulate")
 	p := NewRowMat[T](n)
 	net.ForEach(func(x int) {
+		tups.open(gin, x)
 		row := p.Rows[x]
 		for j := range row {
 			row[j] = zero
@@ -717,9 +409,9 @@ func sparseDirect[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], 
 	})
 	tts.putViews(viewsA)
 	tts.putViews(viewsB)
-	tts.putViews(in)
-	tts.putViews(fin)
-	tts.putViews(gin)
+	tups.release(in)
+	tups.release(fin)
+	tups.release(gin)
 	tts.putPay(pays)
 	tts.putPay(fpays)
 	tts.putPay(gpays)

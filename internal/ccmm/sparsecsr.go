@@ -3,7 +3,6 @@ package ccmm
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"sort"
 
 	"github.com/algebraic-clique/algclique/internal/clique"
@@ -27,22 +26,22 @@ import (
 //     view matrices and receives through all-sources probes; here every
 //     node packs its outgoing chunks contiguously into one per-node arena,
 //     per-message windows live in per-node slot tables sized to the node's
-//     own traffic, and receivers walk Mail.Each/EachPayload, whose cost is
-//     proportional to the traffic actually delivered (the sparse-link
-//     network makes the same guarantee underneath).
+//     own traffic, and receivers walk the port's link-level each/from,
+//     whose cost is proportional to the traffic actually delivered (the
+//     sparse-link network makes the same guarantee underneath).
 //   - Exchanges bypass the routing layer (whose Exchange* entries take n×n
-//     message matrices) and send directly: per-link loads are already
-//     balanced by the tile allocation itself — a side-f tile splits its
-//     weight-w workload into ≤ 2f chunks of ~√w·4 elements each — so the
-//     two-phase Lenzen rebalancing has nothing to win here.
+//     message matrices) and go out through the port's link-level sends:
+//     per-link loads are already balanced by the tile allocation itself —
+//     a side-f tile splits its weight-w workload into ≤ 2f chunks of
+//     ~√w·4 elements each — so the two-phase Lenzen rebalancing has
+//     nothing to win here.
 //
 // The result comes back as a fresh CSR (canonical: strictly increasing
 // columns, no stored semiring zeros), bit-identical to compressing the
 // dense engines' product, because the accumulation order per output cell is
 // a permutation of the dense engine's and every shipped algebra's ⊕ is
-// order-independent. Both transports run, sharing one ledger:
-// TransportVerify executes the product on each and diffs results and
-// accounting, exactly like the dense engines.
+// order-independent. Like every engine it is one body over the exchange
+// port, so both transports — and TransportVerify's dual run — come with it.
 
 // csrDensifyCap is the largest clique on which the density-aware CSR
 // planner may fall back to a dense engine (which materialises Θ(n²)
@@ -77,55 +76,10 @@ func csrCheck[T any](m *matrix.CSR[T], n int) error {
 // but Θ(n + ρ) memory — no dense n×n buffer is ever allocated, which the
 // DenseAllocs counter asserts. Requires n ≥ 8. A nil Val on an operand
 // means every stored entry is the semiring one (the adjacency convention).
-func SparseMulCSR[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *matrix.CSR[T]) (p *matrix.CSR[T], err error) {
-	defer catchAbort(&err)
-	n := net.N()
-	if err := csrCheck(s, n); err != nil {
-		return nil, err
-	}
-	if err := csrCheck(t, n); err != nil {
-		return nil, err
-	}
-	if n < minSparseN {
-		return nil, fmt.Errorf("ccmm: sparse engine needs n ≥ %d for the Lemma 12 packing, got %d: %w", minSparseN, n, ErrSize)
-	}
-	switch net.Transport() {
-	case clique.TransportWire:
-		return csrWire[T](net, sc, sr, codec, s, t)
-	case clique.TransportVerify:
-		return runVerifiedCSR(net, func(net2 *clique.Network, wire bool) (*matrix.CSR[T], error) {
-			if wire {
-				return csrWire[T](net2, nil, sr, codec, s, t)
-			}
-			return csrDirect[T](net2, sc, sr, codec, s, t)
-		})
-	default:
-		return csrDirect[T](net, sc, sr, codec, s, t)
-	}
-}
-
-// runVerifiedCSR is runVerified for CSR products: direct on the caller's
-// network, wire on a shadow clique (which inherits sparse-link mode by
-// size), comparing the structural arrays entry for entry plus the ledger.
-func runVerifiedCSR[T any](net *clique.Network, run func(net *clique.Network, wire bool) (*matrix.CSR[T], error)) (*matrix.CSR[T], error) {
-	before := net.Stats()
-	p, err := run(net, false)
-	if err != nil {
-		return nil, err
-	}
-	shadow := clique.New(net.N(), clique.WithTransport(clique.TransportWire))
-	defer shadow.Close()
-	q, err := run(shadow, true)
-	if err != nil {
-		return nil, fmt.Errorf("ccmm: wire shadow run failed: %w", err)
-	}
-	if err := diffLedger(before, net.Stats(), shadow.Stats()); err != nil {
-		return nil, err
-	}
-	if !reflect.DeepEqual(p, q) {
-		return nil, fmt.Errorf("%w: products differ", ErrTransportDiverged)
-	}
-	return p, nil
+func SparseMulCSR[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *matrix.CSR[T]) (*matrix.CSR[T], error) {
+	return runProduct(net, sc, func(net *clique.Network, sc *Scratch) (*matrix.CSR[T], error) {
+		return sparseMulCSR[T](net, sc, sr, codec, s, t)
+	})
 }
 
 // sortedIndex returns the position of y in an ascending list that contains
@@ -148,8 +102,8 @@ func sortedIndex(list []int32, y int32) int {
 // A-then-B chunk) contiguously into the per-node arena tts.bufs3[y], with
 // one window per destination in the slot table tts.slots3[y] — row-range
 // destinations at [0, F), column-only destinations at [F, 2F). The arena is
-// immutable until the product ends: in the direct plane, receivers (and
-// their forwardees) hold windows into it through the gather.
+// immutable until the product ends: on the direct transport, receivers
+// (and their forwardees) hold windows into it through the gather.
 func csrSpreadChunks[T any](net *clique.Network, sp *sparseState, tts *typedScratch[ring.Tuple[T]], t *matrix.CSR[T], one T) {
 	net.ForEach(func(y int) {
 		tl := sp.tiles[y]
@@ -197,7 +151,7 @@ func csrSpreadChunks[T any](net *clique.Network, sp *sparseState, tts *typedScra
 // the (z, v) halves into arena — which must have length len(pairs) — and
 // records one window per distinct output row in tts.slots3[b] with the row
 // indices in xts.bufs[b]. The spread slots the table previously held are
-// dead by gather time (receivers copied their windows out at spread
+// dead by gather time (receivers copied the window headers out at spread
 // receive), so the table is reused.
 func csrGatherRuns[T any](tts *typedScratch[ring.Tuple[T]], xts *typedScratch[int32], b int, pairs []ring.Tuple[ring.Tuple[T]], arena []ring.Tuple[T]) {
 	sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].Idx < pairs[j].Idx })
@@ -273,17 +227,25 @@ func csrAssemble[T any](net *clique.Network, sp *sparseState, tts *typedScratch[
 	return out
 }
 
-// csrDirect is the data plane: tuple windows into per-node arenas travel by
-// reference as payloads, their wire cost charged analytically from the same
-// TupleCodec EncodedLen sums the wire plane pays for real.
-func csrDirect[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *matrix.CSR[T]) (*matrix.CSR[T], error) {
+// sparseMulCSR is the engine body: tuple windows into per-node arenas go
+// out through the port's link-level sends — by reference on the direct
+// transport, their wire cost charged from the TupleCodec EncodedLen sums
+// the wire transport pays for real.
+func sparseMulCSR[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *matrix.CSR[T]) (*matrix.CSR[T], error) {
 	n := net.N()
-	if sc == nil {
-		sc = NewScratch()
+	if err := csrCheck(s, n); err != nil {
+		return nil, err
+	}
+	if err := csrCheck(t, n); err != nil {
+		return nil, err
+	}
+	if n < minSparseN {
+		return nil, fmt.Errorf("ccmm: sparse engine needs n ≥ %d for the Lemma 12 packing, got %d: %w", minSparseN, n, ErrSize)
 	}
 	bc := ring.AsBulk[T](codec)
-	tc := ring.TupleCodec[T]{Val: bc}
-	tts := typedFrom[ring.Tuple[T]](sc)
+	vals := newPort[T](net, sc, chunks[T]{bc, 1})
+	tups := newPort[ring.Tuple[T]](net, sc, tupleFormat(sc, bc, n))
+	tts := tups.ts
 	pts := typedFrom[ring.Tuple[ring.Tuple[T]]](sc)
 	xts := typedFrom[int32](sc)
 	sp := sc.sparse()
@@ -293,34 +255,31 @@ func csrDirect[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], cod
 	growBufs(&tts.bufs3, n)
 	growBufs(&pts.bufs, n)
 	growBufs(&xts.bufs, n)
-	growSlotRows(&tts.slots, n)
-	growSlotRows(&tts.slots2, n)
-	growSlotRows(&tts.slots3, n)
+	growBufs(&tts.slots, n)
+	growBufs(&tts.slots2, n)
+	growBufs(&tts.slots3, n)
 	sp.ca = growInts(sp.ca, n)
 	sp.rb = growInts(sp.rb, n)
 
 	// Phase 1: transpose — each stored S[x][y] rides to column owner y as a
-	// pointer into the operand's value array (a shared one-cell for nil-Val
-	// operands), charged EncodedLen(1) analytic words. rb is free on CSR.
+	// one-element message read straight out of the operand's value array (a
+	// shared one-cell for nil-Val operands). rb is free on CSR.
 	net.Phase("mmcsr/transpose")
 	net.ForEach(func(v int) { sp.rb[v] = t.RowNNZ(v) })
-	oneWords := int64(bc.EncodedLen(1))
-	ones := []T{one}
 	for x := 0; x < n; x++ {
-		lo, hi := s.RowPtr[x], s.RowPtr[x+1]
-		for i := lo; i < hi; i++ {
+		for i := s.RowPtr[x]; i < s.RowPtr[x+1]; i++ {
 			if s.Val != nil {
-				net.SendPayload(x, int(s.Col[i]), oneWords, &s.Val[i])
+				vals.sendVal(x, int(s.Col[i]), &s.Val[i])
 			} else {
-				net.SendPayload(x, int(s.Col[i]), oneWords, &ones[0])
+				vals.sendVal(x, int(s.Col[i]), &one)
 			}
 		}
 	}
 	mailT := net.Flush()
 	net.ForEach(func(y int) {
 		aL := tts.bufs[y][:0]
-		mailT.EachPayload(y, func(src int, ps []clique.Payload) {
-			aL = append(aL, ring.Tuple[T]{Idx: int32(src), Val: *(ps[0].(*T))})
+		vals.eachVal(mailT, y, func(src int, v T) {
+			aL = append(aL, ring.Tuple[T]{Idx: int32(src), Val: v})
 		})
 		tts.bufs[y] = aL
 		sp.ca[y] = len(aL)
@@ -332,7 +291,7 @@ func csrDirect[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], cod
 		return nil, err
 	}
 
-	// Phase 3: spread — arenas and windows, then one payload per window.
+	// Phase 3: spread — arenas and windows, then one message per window.
 	net.Phase("mmcsr/spread")
 	csrSpreadChunks[T](net, sp, tts, t, one)
 	for y := 0; y < n; y++ {
@@ -343,12 +302,12 @@ func csrDirect[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], cod
 		ws := tts.slots3[y]
 		for i := 0; i < tl.F; i++ {
 			if len(ws[i]) > 0 {
-				net.SendPayload(y, tl.Row+i, int64(tc.EncodedLen(len(ws[i]))), &ws[i])
+				tups.send(y, tl.Row+i, &ws[i])
 			}
 		}
 		for j := 0; j < tl.F; j++ {
-			if w := ws[tl.F+j]; len(w) > 0 {
-				net.SendPayload(y, tl.Col+j, int64(tc.EncodedLen(len(w))), &ws[tl.F+j])
+			if len(ws[tl.F+j]) > 0 {
+				tups.send(y, tl.Col+j, &ws[tl.F+j])
 			}
 		}
 	}
@@ -358,8 +317,7 @@ func csrDirect[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], cod
 		cl := sp.colYs[sp.colOff[p]:sp.colOff[p+1]]
 		wa := nodeSlots(tts.slots, p, len(rl))
 		wb := nodeSlots(tts.slots2, p, len(cl))
-		mailS.EachPayload(p, func(src int, ps []clique.Payload) {
-			win := *(ps[0].(*[]ring.Tuple[T]))
+		tups.each(mailS, p, func(src int, win []ring.Tuple[T]) {
 			ka, kb := spreadCounts(sp.tiles[src], sp.ca[src], sp.rb[src], p)
 			if ka > 0 {
 				wa[sortedIndex(rl, int32(src))] = win[:ka]
@@ -370,21 +328,20 @@ func csrDirect[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], cod
 		})
 	})
 
-	// Phase 4: forward — a re-sends each tile's A-window (a slice into the
-	// tile owner's arena, so no copy) to the tile's column nodes.
+	// Phase 4: forward — a re-sends each tile's A-window (on the direct
+	// transport a slice into the tile owner's arena, so no copy) to the
+	// tile's column nodes.
 	net.Phase("mmcsr/forward")
 	for a := 0; a < n; a++ {
 		rl := sp.rowYs[sp.rowOff[a]:sp.rowOff[a+1]]
 		wa := tts.slots[a]
 		for i, y := range rl {
-			chunk := wa[i]
-			if len(chunk) == 0 {
+			if len(wa[i]) == 0 {
 				continue
 			}
 			tl := sp.tiles[y]
-			words := int64(tc.EncodedLen(len(chunk)))
 			for j := 0; j < tl.F; j++ {
-				net.SendPayload(a, tl.Col+j, words, &wa[i])
+				tups.send(a, tl.Col+j, &wa[i])
 			}
 		}
 	}
@@ -405,11 +362,7 @@ func csrDirect[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], cod
 			}
 			tl := sp.tiles[y]
 			for a := tl.Row; a < tl.Row+tl.F; a++ {
-				ps := mailF.PayloadsFrom(b, a)
-				if len(ps) == 0 {
-					continue
-				}
-				for _, at := range *(ps[0].(*[]ring.Tuple[T])) {
+				for _, at := range tups.from(mailF, b, a) {
 					for _, bt := range bchunk {
 						pairs = append(pairs, ring.Tuple[ring.Tuple[T]]{Idx: at.Idx, Val: ring.Tuple[T]{Idx: bt.Idx, Val: sr.Mul(at.Val, bt.Val)}})
 					}
@@ -421,9 +374,8 @@ func csrDirect[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], cod
 	})
 	for b := 0; b < n; b++ {
 		gs := tts.slots3[b]
-		xs := xts.bufs[b]
 		for r := range gs {
-			net.SendPayload(b, int(xs[r]), int64(tc.EncodedLen(len(gs[r]))), &gs[r])
+			tups.send(b, int(xts.bufs[b][r]), &gs[r])
 		}
 	}
 	mailG := net.Flush()
@@ -433,255 +385,13 @@ func csrDirect[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], cod
 	net.Phase("mmcsr/accumulate")
 	net.ForEach(func(x int) {
 		acc := tts.bufs2[x][:0]
-		mailG.EachPayload(x, func(src int, ps []clique.Payload) {
-			acc = append(acc, *(ps[0].(*[]ring.Tuple[T]))...)
+		tups.each(mailG, x, func(src int, run []ring.Tuple[T]) {
+			acc = append(acc, run...)
 		})
 		out := csrFold(sr, zero, acc)
 		tts.bufs2[x] = out
 		sp.ca[x] = len(out)
 	})
-	return csrAssemble[T](net, sp, tts, n), nil
-}
-
-// csrWire is the encoded plane: the same schedule with every chunk encoded
-// through ring.TupleCodec and moved as words, decoded into per-node receive
-// arenas on arrival.
-func csrWire[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *matrix.CSR[T]) (*matrix.CSR[T], error) {
-	n := net.N()
-	if sc == nil {
-		sc = NewScratch()
-	}
-	bc := ring.AsBulk[T](codec)
-	tc := ring.TupleCodec[T]{Val: bc}
-	ts := typedFrom[T](sc)
-	tts := typedFrom[ring.Tuple[T]](sc)
-	pts := typedFrom[ring.Tuple[ring.Tuple[T]]](sc)
-	xts := typedFrom[int32](sc)
-	sp := sc.sparse()
-	zero, one := sr.Zero(), sr.One()
-	growBufs(&ts.bufs, n)
-	growBufs(&tts.bufs, n)
-	growBufs(&tts.bufs2, n)
-	growBufs(&tts.bufs3, n)
-	growBufs(&pts.bufs, n)
-	growBufs(&xts.bufs, n)
-	growSlotRows(&tts.slots, n)
-	growSlotRows(&tts.slots2, n)
-	growSlotRows(&tts.slots3, n)
-	sp.ca = growInts(sp.ca, n)
-	sp.rb = growInts(sp.rb, n)
-	var wbuf []clique.Word // shared by the single-threaded send loops
-	var vbuf []T
-
-	// Phase 1: transpose.
-	net.Phase("mmcsr/transpose")
-	net.ForEach(func(v int) { sp.rb[v] = t.RowNNZ(v) })
-	var cell [1]T
-	for x := 0; x < n; x++ {
-		lo, hi := s.RowPtr[x], s.RowPtr[x+1]
-		for i := lo; i < hi; i++ {
-			if s.Val != nil {
-				cell[0] = s.Val[i]
-			} else {
-				cell[0] = one
-			}
-			wbuf = bc.EncodeSlice(wbuf[:0], cell[:])
-			net.SendVec(x, int(s.Col[i]), wbuf)
-		}
-	}
-	mailT := net.Flush()
-	net.ForEach(func(y int) {
-		aL := tts.bufs[y][:0]
-		var got [1]T
-		mailT.Each(y, func(src int, ws []clique.Word) {
-			bc.DecodeSlice(got[:], ws)
-			aL = append(aL, ring.Tuple[T]{Idx: int32(src), Val: got[0]})
-		})
-		tts.bufs[y] = aL
-		sp.ca[y] = len(aL)
-	})
-
-	// Phase 2: census + tile tables.
-	if err := sparseCensus(net, sp, n); err != nil {
-		return nil, err
-	}
-
-	// Phase 3: spread.
-	net.Phase("mmcsr/spread")
-	csrSpreadChunks[T](net, sp, tts, t, one)
-	for y := 0; y < n; y++ {
-		tl := sp.tiles[y]
-		if !tl.Allocated {
-			continue
-		}
-		ws := tts.slots3[y]
-		for i := 0; i < tl.F; i++ {
-			if w := ws[i]; len(w) > 0 {
-				wbuf, vbuf = tc.EncodeSlice(wbuf[:0], w, vbuf)
-				net.SendVec(y, tl.Row+i, wbuf)
-			}
-		}
-		for j := 0; j < tl.F; j++ {
-			if w := ws[tl.F+j]; len(w) > 0 {
-				wbuf, vbuf = tc.EncodeSlice(wbuf[:0], w, vbuf)
-				net.SendVec(y, tl.Col+j, wbuf)
-			}
-		}
-	}
-	mailS := net.Flush()
-	// Decode into per-node receive arenas (the transpose lists in tts.bufs
-	// are dead — csrSpreadChunks copied them into the send arenas).
-	net.ForEach(func(p int) {
-		rl := sp.rowYs[sp.rowOff[p]:sp.rowOff[p+1]]
-		cl := sp.colYs[sp.colOff[p]:sp.colOff[p+1]]
-		wa := nodeSlots(tts.slots, p, len(rl))
-		wb := nodeSlots(tts.slots2, p, len(cl))
-		total := 0
-		for _, y := range rl {
-			ka, kb := spreadCounts(sp.tiles[y], sp.ca[y], sp.rb[y], p)
-			total += ka + kb
-		}
-		for _, y := range cl {
-			tl := sp.tiles[y]
-			if i := p - tl.Row; i >= 0 && i < tl.F {
-				continue
-			}
-			_, kb := spreadCounts(tl, sp.ca[y], sp.rb[y], p)
-			total += kb
-		}
-		flat := nodeBuf(tts.bufs, p, total)
-		vb := ts.bufs[p]
-		off := 0
-		for i, y := range rl {
-			ka, kb := spreadCounts(sp.tiles[y], sp.ca[y], sp.rb[y], p)
-			k := ka + kb
-			if k == 0 {
-				continue
-			}
-			chunk := flat[off : off+k]
-			vb = tc.DecodeSlice(chunk, mailS.From(p, int(y)), vb)
-			if ka > 0 {
-				wa[i] = chunk[:ka]
-			}
-			if kb > 0 {
-				wb[sortedIndex(cl, y)] = chunk[ka:]
-			}
-			off += k
-		}
-		for j, y := range cl {
-			tl := sp.tiles[y]
-			if i := p - tl.Row; i >= 0 && i < tl.F {
-				continue
-			}
-			_, kb := spreadCounts(tl, sp.ca[y], sp.rb[y], p)
-			if kb == 0 {
-				continue
-			}
-			chunk := flat[off : off+kb]
-			vb = tc.DecodeSlice(chunk, mailS.From(p, int(y)), vb)
-			wb[j] = chunk
-			off += kb
-		}
-		ts.bufs[p] = vb
-	})
-
-	// Phase 4: forward.
-	net.Phase("mmcsr/forward")
-	for a := 0; a < n; a++ {
-		rl := sp.rowYs[sp.rowOff[a]:sp.rowOff[a+1]]
-		wa := tts.slots[a]
-		for i, y := range rl {
-			chunk := wa[i]
-			if len(chunk) == 0 {
-				continue
-			}
-			tl := sp.tiles[y]
-			wbuf, vbuf = tc.EncodeSlice(wbuf[:0], chunk, vbuf)
-			for j := 0; j < tl.F; j++ {
-				net.SendVec(a, tl.Col+j, wbuf)
-			}
-		}
-	}
-	mailF := net.Flush()
-
-	// Phase 5: gather.
-	net.Phase("mmcsr/gather")
-	net.ForEach(func(b int) {
-		cl := sp.colYs[sp.colOff[b]:sp.colOff[b+1]]
-		wb := tts.slots2[b]
-		pairs := pts.bufs[b][:0]
-		vb := ts.bufs[b]
-		for j, y := range cl {
-			bchunk := wb[j]
-			if len(bchunk) == 0 {
-				continue
-			}
-			tl := sp.tiles[y]
-			for a := tl.Row; a < tl.Row+tl.F; a++ {
-				lo, hi := chunkBounds(sp.ca[y], tl.F, a-tl.Row)
-				if hi == lo {
-					continue
-				}
-				ach := nodeBuf(tts.bufs2, b, hi-lo)
-				vb = tc.DecodeSlice(ach, mailF.From(b, a), vb)
-				for _, at := range ach {
-					for _, bt := range bchunk {
-						pairs = append(pairs, ring.Tuple[ring.Tuple[T]]{Idx: at.Idx, Val: ring.Tuple[T]{Idx: bt.Idx, Val: sr.Mul(at.Val, bt.Val)}})
-					}
-				}
-			}
-		}
-		pts.bufs[b] = pairs
-		ts.bufs[b] = vb
-		// The spread send arena in bufs3 is dead on the wire plane (its
-		// chunks were encoded and copied into the link queues), so it hosts
-		// the outgoing run tuples.
-		csrGatherRuns[T](tts, xts, b, pairs, nodeBuf(tts.bufs3, b, len(pairs)))
-	})
-	for b := 0; b < n; b++ {
-		gs := tts.slots3[b]
-		for r := range gs {
-			wbuf, vbuf = tc.EncodeSlice(wbuf[:0], gs[r], vbuf)
-			net.SendVec(b, int(xts.bufs[b][r]), wbuf)
-		}
-	}
-	mailG := net.Flush()
-
-	// Phase 6: accumulate. The receive pattern is data-dependent, so counts
-	// come from the self-delimiting chunks (CountFor), not the census.
-	net.Phase("mmcsr/accumulate")
-	errs := make([]error, n)
-	net.ForEach(func(x int) {
-		total := 0
-		mailG.Each(x, func(src int, ws []clique.Word) {
-			k := tc.CountFor(len(ws))
-			if k < 0 {
-				errs[x] = fmt.Errorf("ccmm: malformed %d-word tuple chunk in CSR gather: %w", len(ws), ErrSize)
-				return
-			}
-			total += k
-		})
-		if errs[x] != nil {
-			return
-		}
-		acc := nodeBuf(tts.bufs2, x, total)
-		vb := ts.bufs[x]
-		off := 0
-		mailG.Each(x, func(src int, ws []clique.Word) {
-			k := tc.CountFor(len(ws))
-			vb = tc.DecodeSlice(acc[off:off+k], ws, vb)
-			off += k
-		})
-		ts.bufs[x] = vb
-		out := csrFold(sr, zero, acc)
-		tts.bufs2[x] = out
-		sp.ca[x] = len(out)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 	return csrAssemble[T](net, sp, tts, n), nil
 }
 
@@ -819,12 +529,6 @@ func (p *Plan) MulIntCSRRouted(net *clique.Network, sc *Scratch, s, t *matrix.CS
 		})
 }
 
-// MulIntCSR is MulIntCSRRouted without the route report.
-func (p *Plan) MulIntCSR(net *clique.Network, sc *Scratch, s, t *matrix.CSR[int64]) (CSRProduct[int64], error) {
-	m, _, err := p.MulIntCSRRouted(net, sc, s, t)
-	return m, err
-}
-
 // MulBoolCSRRouted computes the Boolean product of CSR operands. Stored
 // entries are treated as true regardless of value — Boolean CSR operands
 // must store only true entries (the canonical form; a nil Val is the usual
@@ -865,12 +569,6 @@ func (p *Plan) MulBoolCSRRouted(net *clique.Network, sc *Scratch, s, t *matrix.C
 		})
 }
 
-// MulBoolCSR is MulBoolCSRRouted without the route report.
-func (p *Plan) MulBoolCSR(net *clique.Network, sc *Scratch, s, t *matrix.CSR[int64]) (CSRProduct[int64], error) {
-	m, _, err := p.MulBoolCSRRouted(net, sc, s, t)
-	return m, err
-}
-
 // MulMinPlusCSRRouted computes the distance product of CSR operands:
 // unstored entries are the min-plus zero (+∞), so a CSR distance matrix
 // stores exactly the finite entries, and a nil Val means every stored edge
@@ -893,10 +591,4 @@ func (p *Plan) MulMinPlusCSRRouted(net *clique.Network, sc *Scratch, s, t *matri
 			defer release()
 			return p.mulMinPlusDense(net, sc, sd, td)
 		})
-}
-
-// MulMinPlusCSR is MulMinPlusCSRRouted without the route report.
-func (p *Plan) MulMinPlusCSR(net *clique.Network, sc *Scratch, s, t *matrix.CSR[int64]) (CSRProduct[int64], error) {
-	m, _, err := p.MulMinPlusCSRRouted(net, sc, s, t)
-	return m, err
 }

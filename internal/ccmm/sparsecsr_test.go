@@ -301,7 +301,7 @@ func TestCSRRoutedBoolMinPlus(t *testing.T) {
 	}
 	ref := clique.New(n)
 	defer ref.Close()
-	wantB, err := p.MulBoolPlanned(ref, a, b)
+	wantB, err := p.MulBoolScratch(ref, nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

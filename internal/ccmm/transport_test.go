@@ -1,18 +1,25 @@
 package ccmm
 
 import (
+	"context"
+	"errors"
 	"math/rand/v2"
 	"reflect"
 	"testing"
 
+	"github.com/algebraic-clique/algclique/internal/bilinear"
 	"github.com/algebraic-clique/algclique/internal/clique"
+	"github.com/algebraic-clique/algclique/internal/matrix"
 	"github.com/algebraic-clique/algclique/internal/ring"
 )
 
-// The differential tests are the tentpole's contract: for every shipped
-// algebra and engine, the direct (typed, zero-copy) transport must produce
-// bit-identical products AND a bit-identical ledger — rounds, words,
-// flushes, per-phase breakdown — to the encoded wire transport.
+// The parity property is the exchange port's contract, stated once for
+// every engine: on any operands, the product equals the schoolbook
+// reference on the direct transport, on the wire transport, and under
+// TransportVerify, and all three charge the identical ledger — rounds,
+// words, flushes, per-phase breakdown. Engines register into engineTable
+// once; the per-algebra tests below only choose operands and sizes. (What
+// the shared schedules cost is pinned separately by TestGoldenLedger.)
 
 // mulOn runs one product on a fresh network with the given transport and
 // returns the product plus the full accounting snapshot.
@@ -28,188 +35,176 @@ func mulOn[T any](t *testing.T, n int, tr clique.Transport,
 	return p, net.Stats()
 }
 
-// diffTransports runs mul on both transports and requires identical
-// products and ledgers.
-func diffTransports[T any](t *testing.T, n int,
+// parity asserts the property for one product.
+func parity[T any](t *testing.T, n int, want *RowMat[T],
 	mul func(net *clique.Network, sc *Scratch) (*RowMat[T], error)) {
 	t.Helper()
-	direct, dstats := mulOn[T](t, n, clique.TransportDirect, mul)
-	wire, wstats := mulOn[T](t, n, clique.TransportWire, mul)
-	if !reflect.DeepEqual(direct.Rows, wire.Rows) {
-		t.Fatalf("n=%d: direct product differs from wire product", n)
+	var direct clique.Stats
+	for _, tr := range []clique.Transport{clique.TransportDirect, clique.TransportWire, clique.TransportVerify} {
+		got, st := mulOn[T](t, n, tr, mul)
+		if !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Fatalf("n=%d: %v product differs from the schoolbook reference", n, tr)
+		}
+		if tr == clique.TransportDirect {
+			direct = st
+		} else if !reflect.DeepEqual(st, direct) {
+			t.Fatalf("n=%d: ledger diverged:\ndirect: %+v\n%v: %+v", n, direct, tr, st)
+		}
 	}
-	if dstats.Rounds != wstats.Rounds || dstats.Words != wstats.Words || dstats.Flushes != wstats.Flushes {
-		t.Fatalf("n=%d: ledger diverged: direct rounds/words/flushes %d/%d/%d, wire %d/%d/%d",
-			n, dstats.Rounds, dstats.Words, dstats.Flushes, wstats.Rounds, wstats.Words, wstats.Flushes)
+}
+
+// engineCase is one engine's registration in the parity table.
+type engineCase[T any] struct {
+	name   string
+	sparse bool // runs on operands inside the tile engines' density bound
+	mul    func(net *clique.Network, sc *Scratch, s, t *RowMat[T]) (*RowMat[T], error)
+}
+
+// engineTable lists every engine that can multiply over (sr, codec) on an
+// n-node clique — including the naive, RowMat-sparse and CSR paths on the
+// wire transport, which no benchmark workload reaches.
+func engineTable[T any](n int, sr ring.Semiring[T], codec ring.Codec[T]) []engineCase[T] {
+	cases := []engineCase[T]{
+		{"naive", false, func(net *clique.Network, sc *Scratch, s, t *RowMat[T]) (*RowMat[T], error) {
+			return NaiveGatherScratch[T](net, sc, sr, codec, s, t)
+		}},
+		{"3d", false, func(net *clique.Network, sc *Scratch, s, t *RowMat[T]) (*RowMat[T], error) {
+			return Semiring3DScratch[T](net, sc, sr, codec, s, t)
+		}},
 	}
-	if !reflect.DeepEqual(dstats.Phases, wstats.Phases) {
-		t.Fatalf("n=%d: per-phase ledgers diverged:\ndirect: %+v\nwire:   %+v", n, dstats.Phases, wstats.Phases)
+	if rg, ok := any(sr).(ring.Ring[T]); ok {
+		if _, err := bilinear.Pick(n); err == nil {
+			cases = append(cases, engineCase[T]{"fast", false, func(net *clique.Network, sc *Scratch, s, t *RowMat[T]) (*RowMat[T], error) {
+				return FastBilinearScratch[T](net, sc, rg, codec, nil, s, t)
+			}})
+		}
+	}
+	if n >= minSparseN {
+		zero := sr.Zero()
+		keep := func(x T) bool { return !sr.Equal(x, zero) }
+		cases = append(cases,
+			engineCase[T]{"sparse", true, func(net *clique.Network, sc *Scratch, s, t *RowMat[T]) (*RowMat[T], error) {
+				return SparseMulScratch[T](net, sc, sr, codec, s, t)
+			}},
+			engineCase[T]{"csr", true, func(net *clique.Network, sc *Scratch, s, t *RowMat[T]) (*RowMat[T], error) {
+				p, err := SparseMulCSR[T](net, sc, sr, codec,
+					matrix.CSRFromDense(s.Collect(), keep), matrix.CSRFromDense(t.Collect(), keep))
+				if err != nil {
+					return nil, err
+				}
+				return Distribute(p.Dense(zero, sr.One())), nil
+			}})
+	}
+	return cases
+}
+
+// parityOver runs the property for every table engine at every size.
+// label names the subtest for an engine ("" skips it); gen draws one
+// element. Dense operands are three-quarters full — the rest is the
+// semiring zero, so min-plus operands carry +∞ entries — and the tile
+// engines get operands at average degree 2.
+func parityOver[T any](t *testing.T, sizes []int, seed uint64, sr ring.Semiring[T], codec ring.Codec[T],
+	gen func(*rand.Rand) T, label func(engine string) string) {
+	zero := sr.Zero()
+	for _, n := range sizes {
+		rng := rand.New(rand.NewPCG(seed, uint64(n)))
+		dense := [2]*RowMat[T]{randMat(rng, n, 0.75, zero, gen), randMat(rng, n, 0.75, zero, gen)}
+		sparse := [2]*RowMat[T]{randMat(rng, n, 2/float64(n), zero, gen), randMat(rng, n, 2/float64(n), zero, gen)}
+		var wantDense, wantSparse *RowMat[T]
+		for _, e := range engineTable(n, sr, codec) {
+			name := label(e.name)
+			if name == "" {
+				continue
+			}
+			ops, want := dense, &wantDense
+			if e.sparse {
+				ops, want = sparse, &wantSparse
+			}
+			if *want == nil { // the schoolbook reference, evaluated locally
+				*want = Distribute(matrix.Mul(sr, ops[0].Collect(), ops[1].Collect()))
+			}
+			t.Run(name, func(t *testing.T) {
+				parity[T](t, n, *want, func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
+					return e.mul(net, sc, ops[0], ops[1])
+				})
+			})
+		}
+	}
+}
+
+func allEngines(engine string) string { return engine }
+
+// only restricts a parity run to one engine, under the given subtest name.
+func only(engine, as string) func(string) string {
+	return func(e string) string {
+		if e == engine {
+			return as
+		}
+		return ""
 	}
 }
 
 func randIntMat(rng *rand.Rand, n int, span int64) *RowMat[int64] {
-	m := NewRowMat[int64](n)
-	for v := range m.Rows {
-		for j := range m.Rows[v] {
-			m.Rows[v][j] = rng.Int64N(2*span) - span
-		}
-	}
-	return m
+	return randMat(rng, n, 1, 0, func(rng *rand.Rand) int64 { return rng.Int64N(2*span) - span })
 }
 
-func randMinPlusMat(rng *rand.Rand, n int) *RowMat[int64] {
-	m := NewRowMat[int64](n)
-	for v := range m.Rows {
-		for j := range m.Rows[v] {
-			switch rng.IntN(5) {
-			case 0:
-				m.Rows[v][j] = ring.Inf
-			case 1:
-				m.Rows[v][j] = -rng.Int64N(50) // negative weights are supported
-			default:
-				m.Rows[v][j] = rng.Int64N(100)
-			}
-		}
-	}
-	return m
-}
+func genInt(rng *rand.Rand) int64 { return rng.Int64N(100) - 50 }
 
-func randValWMat(rng *rand.Rand, n int) *RowMat[ring.ValW] {
-	m := NewRowMat[ring.ValW](n)
-	for v := range m.Rows {
-		for j := range m.Rows[v] {
-			if rng.IntN(4) == 0 {
-				m.Rows[v][j] = ring.ValW{V: ring.Inf, W: ring.NoWitness}
-			} else {
-				m.Rows[v][j] = ring.ValW{V: rng.Int64N(100), W: int64(rng.IntN(n))}
-			}
-		}
-	}
-	return m
-}
+// genMinPlus draws finite weights; negative ones are supported.
+func genMinPlus(rng *rand.Rand) int64 { return rng.Int64N(150) - 50 }
 
-func randBoolMat(rng *rand.Rand, n int) *RowMat[bool] {
-	m := NewRowMat[bool](n)
-	for v := range m.Rows {
-		for j := range m.Rows[v] {
-			m.Rows[v][j] = rng.IntN(3) == 0
-		}
-	}
-	return m
-}
+func genValW(rng *rand.Rand) ring.ValW { return ring.ValW{V: rng.Int64N(100), W: rng.Int64N(64)} }
+
+func genTrue(*rand.Rand) bool { return true }
 
 // diffSizes samples the awkward range 2..100: primes, powers, perfect
 // cubes and squares, and both neighbours of cube boundaries.
 var diffSizes = []int{2, 3, 5, 7, 8, 9, 13, 26, 27, 28, 36, 50, 64, 81, 100}
 
-// semiringEngines are the two engines every semiring algebra runs on.
-func semiringEngines[T any](sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) map[string]func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
-	return map[string]func(net *clique.Network, sc *Scratch) (*RowMat[T], error){
-		"naive": func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
-			return NaiveGatherScratch[T](net, sc, sr, codec, s, t)
-		},
-		"3d": func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
-			return Semiring3DScratch[T](net, sc, sr, codec, s, t)
-		},
-	}
-}
-
 func TestTransportDifferentialInt64(t *testing.T) {
-	for _, n := range diffSizes {
-		rng := rand.New(rand.NewPCG(41, uint64(n)))
-		s, u := randIntMat(rng, n, 50), randIntMat(rng, n, 50)
-		r := ring.Int64{}
-		for name, mul := range semiringEngines[int64](r, r, s, u) {
-			t.Run(name, func(t *testing.T) { diffTransports[int64](t, n, mul) })
-		}
-	}
+	r := ring.Int64{}
+	parityOver[int64](t, diffSizes, 41, r, r, genInt, allEngines)
 }
 
 func TestTransportDifferentialMinPlus(t *testing.T) {
-	for _, n := range diffSizes {
-		rng := rand.New(rand.NewPCG(42, uint64(n)))
-		s, u := randMinPlusMat(rng, n), randMinPlusMat(rng, n)
-		mp := ring.MinPlus{}
-		for name, mul := range semiringEngines[int64](mp, mp, s, u) {
-			t.Run(name, func(t *testing.T) { diffTransports[int64](t, n, mul) })
-		}
-	}
+	mp := ring.MinPlus{}
+	parityOver[int64](t, diffSizes, 42, mp, mp, genMinPlus, allEngines)
 }
 
 func TestTransportDifferentialMinPlusW(t *testing.T) {
-	for _, n := range diffSizes {
-		rng := rand.New(rand.NewPCG(43, uint64(n)))
-		s, u := randValWMat(rng, n), randValWMat(rng, n)
-		mw := ring.MinPlusW{}
-		for name, mul := range semiringEngines[ring.ValW](mw, mw, s, u) {
-			t.Run(name, func(t *testing.T) { diffTransports[ring.ValW](t, n, mul) })
-		}
-	}
+	mw := ring.MinPlusW{}
+	parityOver[ring.ValW](t, diffSizes, 43, mw, mw, genValW, allEngines)
 }
 
 func TestTransportDifferentialZp(t *testing.T) {
 	z := ring.NewZp(1009)
-	for _, n := range diffSizes {
-		rng := rand.New(rand.NewPCG(44, uint64(n)))
-		s, u := NewRowMat[int64](n), NewRowMat[int64](n)
-		for v := 0; v < n; v++ {
-			for j := 0; j < n; j++ {
-				s.Rows[v][j] = rng.Int64N(z.Modulus())
-				u.Rows[v][j] = rng.Int64N(z.Modulus())
-			}
-		}
-		for name, mul := range semiringEngines[int64](z, z, s, u) {
-			t.Run(name, func(t *testing.T) { diffTransports[int64](t, n, mul) })
-		}
-	}
+	parityOver[int64](t, diffSizes, 44, z, z, func(rng *rand.Rand) int64 { return rng.Int64N(z.Modulus()) }, allEngines)
 }
 
 func TestTransportDifferentialBool(t *testing.T) {
 	br := ring.Bool{}
-	for _, n := range diffSizes {
-		rng := rand.New(rand.NewPCG(45, uint64(n)))
-		s, u := randBoolMat(rng, n), randBoolMat(rng, n)
-		for _, codec := range []struct {
-			name string
-			c    ring.BulkCodec[bool]
-		}{{"unpacked", ring.AsBulk[bool](br)}, {"packed", ring.PackedBool{}}} {
-			for name, mul := range semiringEngines[bool](br, codec.c, s, u) {
-				t.Run(codec.name+"/"+name, func(t *testing.T) { diffTransports[bool](t, n, mul) })
-			}
-		}
+	for _, codec := range []struct {
+		name string
+		c    ring.BulkCodec[bool]
+	}{{"unpacked", ring.AsBulk[bool](br)}, {"packed", ring.PackedBool{}}} {
+		parityOver[bool](t, diffSizes, 45, br, codec.c, genTrue,
+			func(engine string) string { return codec.name + "/" + engine })
 	}
 }
 
 func TestTransportDifferentialFastBilinear(t *testing.T) {
+	sizes := []int{16, 36, 64, 100}
 	r := ring.Int64{}
+	parityOver[int64](t, sizes, 46, r, r, genInt, only("fast", "int64"))
 	z := ring.NewZp(1009)
-	for _, n := range []int{16, 36, 64, 100} {
-		rng := rand.New(rand.NewPCG(46, uint64(n)))
-		s, u := randIntMat(rng, n, 20), randIntMat(rng, n, 20)
-		t.Run("int64", func(t *testing.T) {
-			diffTransports[int64](t, n, func(net *clique.Network, sc *Scratch) (*RowMat[int64], error) {
-				return FastBilinearScratch[int64](net, sc, r, r, nil, s, u)
-			})
-		})
-		sz, uz := NewRowMat[int64](n), NewRowMat[int64](n)
-		for v := 0; v < n; v++ {
-			for j := 0; j < n; j++ {
-				sz.Rows[v][j] = rng.Int64N(z.Modulus())
-				uz.Rows[v][j] = rng.Int64N(z.Modulus())
-			}
-		}
-		t.Run("zp", func(t *testing.T) {
-			diffTransports[int64](t, n, func(net *clique.Network, sc *Scratch) (*RowMat[int64], error) {
-				return FastBilinearScratch[int64](net, sc, z, z, nil, sz, uz)
-			})
-		})
-	}
+	parityOver[int64](t, sizes, 46, z, z, func(rng *rand.Rand) int64 { return rng.Int64N(z.Modulus()) }, only("fast", "zp"))
 }
 
 func TestTransportDifferentialWitnessProduct(t *testing.T) {
+	mp := ring.MinPlus{}
 	for _, n := range []int{5, 27, 50} {
 		rng := rand.New(rand.NewPCG(47, uint64(n)))
-		s, u := randMinPlusMat(rng, n), randMinPlusMat(rng, n)
+		s, u := randMat(rng, n, 0.75, mp.Zero(), genMinPlus), randMat(rng, n, 0.75, mp.Zero(), genMinPlus)
 		run := func(tr clique.Transport) (p, q *RowMat[int64], st clique.Stats) {
 			net := clique.New(n, clique.WithTransport(tr))
 			defer net.Close()
@@ -230,50 +225,166 @@ func TestTransportDifferentialWitnessProduct(t *testing.T) {
 	}
 }
 
-// TestTransportDifferentialLarge pushes the differential to n = 512, where
-// the 3D engine multiplexes a padded 8³ cube and the packed Boolean
-// transport compresses 64×.
+// TestTransportDifferentialLarge pushes the property to n = 512, where the
+// 3D engine multiplexes a padded 8³ cube and the packed Boolean transport
+// compresses 64×.
 func TestTransportDifferentialLarge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=512 differential skipped in -short")
 	}
-	const n = 512
-	rng := rand.New(rand.NewPCG(48, n))
-	s, u := randIntMat(rng, n, 50), randIntMat(rng, n, 50)
 	r := ring.Int64{}
-	t.Run("3d/int64", func(t *testing.T) {
-		diffTransports[int64](t, n, func(net *clique.Network, sc *Scratch) (*RowMat[int64], error) {
-			return Semiring3DScratch[int64](net, sc, r, r, s, u)
-		})
-	})
-	sb, ub := randBoolMat(rng, n), randBoolMat(rng, n)
-	t.Run("3d/packedbool", func(t *testing.T) {
-		diffTransports[bool](t, n, func(net *clique.Network, sc *Scratch) (*RowMat[bool], error) {
-			return Semiring3DScratch[bool](net, sc, ring.Bool{}, ring.PackedBool{}, sb, ub)
-		})
-	})
+	parityOver[int64](t, []int{512}, 48, r, r, genInt, only("3d", "3d/int64"))
+	parityOver[bool](t, []int{512}, 48, ring.Bool{}, ring.PackedBool{}, genTrue, only("3d", "3d/packedbool"))
 }
 
-// TestTransportVerifyMode exercises TransportVerify end to end: the
-// dual-run must succeed on a healthy engine and charge only the direct
-// run's cost on the caller's network.
+// TestTransportVerifyMode pins what TransportVerify leaves on the caller's
+// network: exactly the direct run's ledger, the shadow's cost nowhere.
 func TestTransportVerifyMode(t *testing.T) {
 	for _, n := range []int{9, 16, 27} {
 		rng := rand.New(rand.NewPCG(49, uint64(n)))
 		s, u := randIntMat(rng, n, 50), randIntMat(rng, n, 50)
 		r := ring.Int64{}
-
-		direct, dstats := mulOn[int64](t, n, clique.TransportDirect, func(net *clique.Network, sc *Scratch) (*RowMat[int64], error) {
+		mul := func(net *clique.Network, sc *Scratch) (*RowMat[int64], error) {
 			return Semiring3DScratch[int64](net, sc, r, r, s, u)
-		})
-		verified, vstats := mulOn[int64](t, n, clique.TransportVerify, func(net *clique.Network, sc *Scratch) (*RowMat[int64], error) {
-			return Semiring3DScratch[int64](net, sc, r, r, s, u)
-		})
+		}
+		direct, dstats := mulOn[int64](t, n, clique.TransportDirect, mul)
+		verified, vstats := mulOn[int64](t, n, clique.TransportVerify, mul)
 		if !reflect.DeepEqual(direct.Rows, verified.Rows) {
 			t.Fatalf("n=%d: verify-mode product differs from direct product", n)
 		}
 		if !reflect.DeepEqual(dstats, vstats) {
 			t.Fatalf("n=%d: verify mode charged %+v, direct charged %+v", n, vstats, dstats)
+		}
+	}
+}
+
+// cancelAfter is a context that reads as cancelled once net has charged
+// at least rounds rounds — a cancellation landing at a chosen point of a
+// run's schedule, with no timing involved.
+type cancelAfter struct {
+	context.Context
+	net    *clique.Network
+	rounds int64
+}
+
+func (c cancelAfter) Err() error {
+	if c.net.Rounds() >= c.rounds {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestTransportVerifyShadowInheritsAborts pins that the wire shadow runs
+// under the caller's abort conditions. A cancellation landing between the
+// two halves — after the caller's run charged its last round, before the
+// shadow charges its first — must stop the shadow with *CanceledError
+// rather than let the (slower) wire half run to completion; and the shadow
+// gets the round budget the caller had when the product started, so a
+// budget that fits the product exactly still verifies on a network that
+// already carries earlier rounds.
+func TestTransportVerifyShadowInheritsAborts(t *testing.T) {
+	const n = 27
+	rng := rand.New(rand.NewPCG(50, n))
+	s, u := randIntMat(rng, n, 50), randIntMat(rng, n, 50)
+	r := ring.Int64{}
+	mul := func(net *clique.Network, sc *Scratch) (*RowMat[int64], error) {
+		return Semiring3DScratch[int64](net, sc, r, r, s, u)
+	}
+	_, st := mulOn[int64](t, n, clique.TransportDirect, mul)
+
+	net := clique.New(n, clique.WithTransport(clique.TransportVerify))
+	defer net.Close()
+	net.SetContext(cancelAfter{context.Background(), net, st.Rounds})
+	_, err := mul(net, NewScratch())
+	var canceled *clique.CanceledError
+	if !errors.As(err, &canceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancel between the halves: err = %v, want *clique.CanceledError", err)
+	}
+	if canceled.Rounds != 0 || net.Rounds() != st.Rounds {
+		t.Fatalf("cancelled at shadow round %d with %d caller rounds; want the shadow's first charge after the caller's full %d",
+			canceled.Rounds, net.Rounds(), st.Rounds)
+	}
+
+	net.Reset()
+	net.SetRoundLimit(2 * st.Rounds)
+	sc := NewScratch()
+	for i := 0; i < 2; i++ {
+		if _, err := mul(net, sc); err != nil {
+			t.Fatalf("product %d inside the budget: %v", i+1, err)
+		}
+	}
+	var limit *clique.RoundLimitError
+	if _, err := mul(net, sc); !errors.As(err, &limit) {
+		t.Fatalf("product past the budget: err = %v, want *clique.RoundLimitError", err)
+	}
+}
+
+// TestWireScratchSurvivesAbort pins that a product aborted mid-schedule —
+// messages posted but never exchanged, deliveries never released — leaves
+// nothing behind in the scratch that the next product on the wire
+// transport could re-send or misread.
+func TestWireScratchSurvivesAbort(t *testing.T) {
+	const n = 36
+	r := ring.Int64{}
+	rng := rand.New(rand.NewPCG(52, n))
+	for _, e := range engineTable[int64](n, r, r) {
+		keep := 0.75
+		if e.sparse {
+			keep = 2.0 / n
+		}
+		s, u := randMat(rng, n, keep, 0, genInt), randMat(rng, n, keep, 0, genInt)
+		want := Distribute(matrix.Mul(r, s.Collect(), u.Collect()))
+		net := clique.New(n, clique.WithTransport(clique.TransportWire))
+		sc := NewScratch()
+		if _, err := e.mul(net, sc, s, u); err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		full := net.Rounds()
+		for limit := int64(1); limit < full; limit += max(full/7, 1) {
+			net.Reset()
+			net.SetRoundLimit(limit)
+			var abort *clique.RoundLimitError
+			if _, err := e.mul(net, sc, u, s); !errors.As(err, &abort) {
+				t.Fatalf("%s under a %d-round budget: err = %v, want *clique.RoundLimitError", e.name, limit, err)
+			}
+			net.Reset()
+			net.SetRoundLimit(0)
+			got, err := e.mul(net, sc, s, u)
+			if err != nil {
+				t.Fatalf("%s after an abort at %d rounds: %v", e.name, limit, err)
+			}
+			if !reflect.DeepEqual(got.Rows, want.Rows) || net.Rounds() != full {
+				t.Fatalf("%s after an abort at %d rounds: wrong product or ledger (%d rounds, want %d)", e.name, limit, net.Rounds(), full)
+			}
+		}
+		net.Close()
+	}
+}
+
+// TestTranspose pins the shared one-word-per-link transpose on both
+// transports, down to the single-node clique whose only link is the free
+// self-link.
+func TestTranspose(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 30} {
+		rng := rand.New(rand.NewPCG(51, uint64(n)))
+		m := randIntMat(rng, n, 1000)
+		var ledgers [2]clique.Stats
+		for i, tr := range []clique.Transport{clique.TransportDirect, clique.TransportWire} {
+			net := clique.New(n, clique.WithTransport(tr))
+			col := Transpose(net, m.Rows)
+			for v := 0; v < n; v++ {
+				for w := 0; w < n; w++ {
+					if col[v][w] != m.Rows[w][v] {
+						t.Fatalf("n=%d %v: col[%d][%d] = %d, want %d", n, tr, v, w, col[v][w], m.Rows[w][v])
+					}
+				}
+			}
+			ledgers[i] = net.Stats()
+			net.Close()
+		}
+		want := clique.Stats{N: n, Rounds: min(int64(n-1), 1), Words: int64(n) * int64(n-1), Flushes: 1, Phases: []clique.PhaseStat{}}
+		if !reflect.DeepEqual(ledgers[0], want) || !reflect.DeepEqual(ledgers[1], want) {
+			t.Fatalf("n=%d: ledgers direct %+v wire %+v, want %+v", n, ledgers[0], ledgers[1], want)
 		}
 	}
 }

@@ -14,9 +14,9 @@ import "fmt"
 // from the codec's EncodedLen, so a bit-packed Boolean row still costs
 // ⌈len/64⌉ words) and Flush folds it into the same per-link load maximum
 // that real queued words produce. Rounds, words, flushes, and phase
-// attribution are therefore bit-identical between the two planes — the
-// encoded ("wire") path stays available for verification and for protocols
-// whose payloads genuinely are word-structured.
+// attribution are therefore bit-identical between the two transports — the
+// wire transport stays the reference (verification, WithWireTransport) and
+// the path of protocols whose payloads genuinely are word-structured.
 
 // Transport selects how the simulator moves algorithm data.
 type Transport int
@@ -28,10 +28,11 @@ const (
 	// skipped.
 	TransportDirect Transport = iota
 	// TransportWire materialises every message as encoded words moved
-	// through link queues — the original simulator behaviour.
+	// through link queues — the reference, in which every charged word
+	// really exists.
 	TransportWire
-	// TransportVerify runs every engine product on both planes (direct on
-	// this network, wire on a shadow clique) and fails if the results or
+	// TransportVerify runs every engine product twice (by reference on
+	// this network, encoded on a wire Shadow) and fails if the results or
 	// the charged rounds/words/flushes/phases differ.
 	TransportVerify
 )
@@ -61,6 +62,23 @@ func (c *Network) SetTransport(t Transport) { c.transport = t }
 
 // Transport returns the network's current transport.
 func (c *Network) Transport() Transport { return c.transport }
+
+// Shadow returns a fresh, empty-ledger network of the same size and worker
+// count on transport t that runs under this network's abort conditions as
+// they stand now: the same cancellation context and the round budget this
+// network has left. TransportVerify replays a product on a wire shadow
+// taken before the product starts, so the replay is cancelled with the
+// caller and trips the caller's budget exactly where the caller would. (A
+// budget with nothing left trips the caller's own run first.) The fault
+// injector is not inherited: a shadow is the clean reference run.
+func (c *Network) Shadow(t Transport) *Network {
+	s := New(c.n, WithWorkers(c.workers), WithTransport(t))
+	s.ctx = c.ctx
+	if left := c.roundLimit - c.rounds; c.roundLimit > 0 && left > 0 {
+		s.roundLimit = left
+	}
+	return s
+}
 
 // Payload is an opaque value riding the data plane. Senders relinquish the
 // payload at SendPayload; receivers may read it until the second-next

@@ -14,7 +14,7 @@ import (
 // product, the Lemma 18 ring-embedded product, or the naive baseline.
 type Oracle func(s, t *ccmm.RowMat[int64]) (*ccmm.RowMat[int64], error)
 
-// MinPlusOracle adapts ccmm.MulMinPlus to the Oracle interface.
+// MinPlusOracle adapts ccmm.MulMinPlusWith to the Oracle interface.
 func MinPlusOracle(net *clique.Network, engine ccmm.Engine) Oracle {
 	sc := ccmm.NewScratch() // shared by every product the oracle serves
 	return func(s, t *ccmm.RowMat[int64]) (*ccmm.RowMat[int64], error) {
@@ -74,7 +74,7 @@ func FindWitnesses(net *clique.Network, oracle Oracle, s, t, p *ccmm.RowMat[int6
 	}
 	// Column view of T, used by every verification round (one round).
 	net.Phase("witness/transpose")
-	tcol := transposeExchange(net, t)
+	tcol := ccmm.Transpose(net, t.Rows)
 
 	full := make([]bool, n)
 	for i := range full {
@@ -210,38 +210,6 @@ func maskRows(t *ccmm.RowMat[int64], keep []bool) *ccmm.RowMat[int64] {
 	return out
 }
 
-// transposeExchange gives node v the column T[·][v]: each node sends one
-// word per link — one round. On the direct transport the round is charged
-// analytically and each node reads its column in place.
-func transposeExchange(net *clique.Network, t *ccmm.RowMat[int64]) [][]int64 {
-	n := net.N()
-	col := make([][]int64, n)
-	if net.Transport() != clique.TransportWire {
-		net.FlushAnalytic(uniformAllToAll(n))
-		net.ForEach(func(v int) {
-			col[v] = make([]int64, n)
-			for w := 0; w < n; w++ {
-				col[v][w] = t.Rows[w][v]
-			}
-		})
-		return col
-	}
-	for w := 0; w < n; w++ {
-		row := t.Rows[w]
-		for v := 0; v < n; v++ {
-			net.Send(w, v, clique.Word(row[v]))
-		}
-	}
-	mail := net.Flush()
-	for v := 0; v < n; v++ {
-		col[v] = make([]int64, n)
-		for w := 0; w < n; w++ {
-			col[v][w] = int64(mail.From(v, w)[0])
-		}
-	}
-	return col
-}
-
 // verifyAndMerge checks candidates in-network and records certified
 // witnesses. Node u ships (w, S[u][w], P[u][v]) to v — three words per
 // link; v, holding column v of T, confirms S[u][w] + T[w][v] = P[u][v] and
@@ -302,16 +270,6 @@ func verifyAndMerge(net *clique.Network, s, p *ccmm.RowMat[int64], tcol [][]int6
 		})
 	}
 	return nil
-}
-
-// uniformAllToAll is the analytic load of a one-word-per-ordered-pair
-// round: max link load 1 (0 on a single node, where only the free
-// self-link exists) and n·(n−1) words.
-func uniformAllToAll(n int) (maxLoad, total int64) {
-	if n <= 1 {
-		return 0, 0
-	}
-	return 1, int64(n) * int64(n-1)
 }
 
 // verifyAndMergeDirect is verifyAndMerge on the data plane: the same two

@@ -108,13 +108,32 @@ func ExchangeScratch(net *clique.Network, strategy Strategy, sc *Scratch, msgs [
 	case TwoPhase:
 		return exchangeTwoPhase(net, sc, msgs)
 	case Auto:
-		if ResolveStrategy(n, sc, Auto, lensOf(msgs)) == TwoPhase {
+		if autoTwoPhase(n, sc, msgs) {
 			return exchangeTwoPhase(net, sc, msgs)
 		}
 		return exchangeDirect(net, sc, msgs)
 	default:
 		panic(fmt.Sprintf("routing: unknown strategy %d", int(strategy)))
 	}
+}
+
+// autoTwoPhase resolves Auto for a materialised message matrix. With a
+// Scratch it goes through the same memoised PlanCosts the payload exchange
+// uses, so a session replaying an oblivious pattern pays the striping
+// arithmetic once per shape on either transport; the comparison is
+// ResolveStrategy's.
+func autoTwoPhase(n int, sc *Scratch, msgs [][][]clique.Word) bool {
+	if sc == nil {
+		return ResolveStrategy(n, nil, Auto, lensOf(msgs)) == TwoPhase
+	}
+	lens := sc.payLens(n * n)
+	for src, row := range msgs {
+		for dst, vec := range row {
+			lens[src*n+dst] = int64(len(vec))
+		}
+	}
+	maxA, _, maxB, _, direct := PlanCosts(n, sc, lens)
+	return maxA+maxB < direct
 }
 
 // ExchangeDynamic is Exchange for *dynamic* traffic patterns — ones whose

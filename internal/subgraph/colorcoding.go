@@ -99,7 +99,7 @@ func DetectKCycleColourful(net *clique.Network, engine ccmm.Engine, g *graphs.Gr
 	// Close the cycle: a colourful k-cycle exists iff C([k])[u][v] = 1 and
 	// (v, u) ∈ E for some u, v. Node u needs its in-edges: one exchange round.
 	net.Phase("kcycle/close")
-	colA := columnExchange(net, a.Rows)
+	colA := ccmm.Transpose(net, a.Rows)
 	cFull := cMat[full]
 	flags := make([]bool, n)
 	net.ForEach(func(u int) {

@@ -24,7 +24,7 @@ func CountTriangles(net *clique.Network, engine ccmm.Engine, g *graphs.Graph) (i
 		return 0, err
 	}
 	net.Phase("tri/trace")
-	colA := columnExchange(net, a.Rows)
+	colA := ccmm.Transpose(net, a.Rows)
 	n := net.N()
 	partial := make([]int64, n)
 	net.ForEach(func(v int) {
@@ -71,10 +71,10 @@ func CountC4(net *clique.Network, engine ccmm.Engine, g *graphs.Graph) (int64, e
 	}
 	net.Phase("c4count/trace")
 	n := net.N()
-	colA2 := columnExchange(net, a2.Rows)
+	colA2 := ccmm.Transpose(net, a2.Rows)
 	var colA [][]int64
 	if g.Directed() {
-		colA = columnExchange(net, a.Rows)
+		colA = ccmm.Transpose(net, a.Rows)
 	}
 	partial := make([]int64, n)
 	net.ForEach(func(v int) {

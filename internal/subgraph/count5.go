@@ -38,7 +38,7 @@ func CountC5(net *clique.Network, engine ccmm.Engine, g *graphs.Graph) (int64, e
 	}
 
 	net.Phase("c5count/trace")
-	colA3 := columnExchange(net, a3.Rows)
+	colA3 := ccmm.Transpose(net, a3.Rows)
 	partial := make([]int64, n)
 	net.ForEach(func(v int) {
 		// tr(A⁵) contribution: Σ_w A²[v][w]·A³[w][v].

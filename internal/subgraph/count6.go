@@ -56,8 +56,8 @@ func CountC6(net *clique.Network, engine ccmm.Engine, g *graphs.Graph) (int64, e
 	for v := 0; v < n; v++ {
 		degs[v] = int64(bc[v])
 	}
-	colA2 := columnExchange(net, a2.Rows)
-	colA3 := columnExchange(net, a3.Rows)
+	colA2 := ccmm.Transpose(net, a2.Rows)
+	colA3 := ccmm.Transpose(net, a3.Rows)
 
 	// Per-node partial sums of the census quantities; one broadcast round
 	// per quantity merges them.

@@ -30,43 +30,6 @@ func adjacencyRows(g *graphs.Graph) *ccmm.RowMat[int64] {
 	return out
 }
 
-// columnExchange gives every node v the v-th column of a distributed
-// matrix: each node w sends rows[w][v] to v. One word per ordered pair —
-// exactly one round. On the direct transport the round is charged
-// analytically and each node reads its column in place.
-func columnExchange(net *clique.Network, rows [][]int64) [][]int64 {
-	n := net.N()
-	col := make([][]int64, n)
-	if net.Transport() != clique.TransportWire {
-		// One word per ordered pair: max non-self link load 1.
-		if n > 1 {
-			net.FlushAnalytic(1, int64(n)*int64(n-1))
-		} else {
-			net.Flush()
-		}
-		net.ForEach(func(v int) {
-			col[v] = make([]int64, n)
-			for w := 0; w < n; w++ {
-				col[v][w] = rows[w][v]
-			}
-		})
-		return col
-	}
-	for w := 0; w < n; w++ {
-		for v := 0; v < n; v++ {
-			net.Send(w, v, clique.Word(rows[w][v]))
-		}
-	}
-	mail := net.Flush()
-	for v := 0; v < n; v++ {
-		col[v] = make([]int64, n)
-		for w := 0; w < n; w++ {
-			col[v][w] = int64(mail.From(v, w)[0])
-		}
-	}
-	return col
-}
-
 // sumBroadcast sums per-node partial values via a single broadcast round.
 func sumBroadcast(net *clique.Network, partial []int64) int64 {
 	n := net.N()
