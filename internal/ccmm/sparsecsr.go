@@ -1,9 +1,10 @@
 package ccmm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/algebraic-clique/algclique/internal/clique"
 	"github.com/algebraic-clique/algclique/internal/matrix"
@@ -146,6 +147,11 @@ func csrSpreadChunks[T any](net *clique.Network, sp *sparseState, tts *typedScra
 	})
 }
 
+// byIdx orders tuples by index alone, for the stable sorts below: a generic
+// comparison the sort instantiates directly, so neither reflection nor a
+// per-call closure stands between the sort and the int32 key.
+func byIdx[V any](a, b ring.Tuple[V]) int { return cmp.Compare(a.Idx, b.Idx) }
+
 // csrGatherRuns sorts node b's emitted (x, (z, v)) pairs by output row
 // (stable, so the deterministic emit order survives within a row), projects
 // the (z, v) halves into arena — which must have length len(pairs) — and
@@ -154,7 +160,7 @@ func csrSpreadChunks[T any](net *clique.Network, sp *sparseState, tts *typedScra
 // dead by gather time (receivers copied the window headers out at spread
 // receive), so the table is reused.
 func csrGatherRuns[T any](tts *typedScratch[ring.Tuple[T]], xts *typedScratch[int32], b int, pairs []ring.Tuple[ring.Tuple[T]], arena []ring.Tuple[T]) {
-	sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].Idx < pairs[j].Idx })
+	slices.SortStableFunc(pairs, byIdx[ring.Tuple[T]])
 	runs := 0
 	for i := 0; i < len(pairs); {
 		j := i + 1
@@ -189,7 +195,7 @@ func csrGatherRuns[T any](tts *typedScratch[ring.Tuple[T]], xts *typedScratch[in
 // compressing a dense engine's product row. Returns the folded prefix of
 // acc.
 func csrFold[T any](sr ring.Semiring[T], zero T, acc []ring.Tuple[T]) []ring.Tuple[T] {
-	sort.SliceStable(acc, func(i, j int) bool { return acc[i].Idx < acc[j].Idx })
+	slices.SortStableFunc(acc, byIdx[T])
 	out := acc[:0]
 	for i := 0; i < len(acc); {
 		v := acc[i].Val

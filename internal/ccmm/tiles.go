@@ -1,8 +1,9 @@
 package ccmm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // This file is the Lemma 12 tile machinery, generalised from the 4-cycle
@@ -101,12 +102,11 @@ func AllocateTiles(fs []int, n int) ([]Tile, error) {
 	if area > k*k {
 		return nil, fmt.Errorf("ccmm: tile area %d exceeds %d² (density bound violated)", area, k)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if tiles[a].F != tiles[b].F {
-			return tiles[a].F > tiles[b].F
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(tiles[b].F, tiles[a].F); c != 0 {
+			return c
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 
 	// Buddy allocator over the k×k square: free lists of empty s×s blocks.

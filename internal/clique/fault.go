@@ -324,49 +324,57 @@ func (fi *FaultInjector) straggle(flush uint64) int64 {
 	return fi.plan.StraggleSkew
 }
 
-// link perturbs one link's delivery sitting in the mail at slot ri
-// (dst*n+src), already filled for generation seq. Faults mutate delivered
-// data only — the charge for the link was computed from what was *sent*, so
-// the ledger (and with it the determinism of round counts) is unchanged by
-// corrupt/drop/duplicate; only straggle stretches rounds.
-func (fi *FaultInjector) link(m *Mail, src, dst, ri int, seq uint64) {
+// delivered is one link's delivery of one flush as the fault plane sees it:
+// the word and payload vectors just filled, in whichever mailbox form holds
+// them; nil where that plane delivered nothing on the link.
+type delivered struct {
+	ws *[]Word
+	ps *[]Payload
+}
+
+// perturb decides and applies this flush's faults on one link's delivery and
+// reports whether the delivery must be withheld (how is the mailbox form's
+// business). Faults mutate delivered data only — the charge for the link was
+// computed from what was *sent*, so the ledger (and with it the determinism
+// of round counts) is unchanged by corrupt/drop/duplicate; only straggle
+// stretches rounds.
+func (fi *FaultInjector) perturb(d delivered, src, dst int, seq uint64) (withhold bool) {
 	if fi.crashed && src == fi.plan.CrashNode {
 		// Fail-stop: anything the node had in flight is withheld.
-		if m.wstamp[ri] == seq || (m.pstamp != nil && m.pstamp[ri] == seq) {
-			fi.withhold(m, ri)
+		if d.ws != nil || d.ps != nil {
 			fi.stats.Dropped++
+			return true
 		}
-		return
+		return false
 	}
 	if fi.dataCapped() {
-		return
+		return false
 	}
 	p := &fi.plan
 	if fi.roll(seq, src, dst, saltDrop, p.DropProb) {
-		fi.withhold(m, ri)
 		fi.stats.Dropped++
-		return
+		return true
 	}
 	if fi.roll(seq, src, dst, saltDup, p.DupProb) {
-		if m.wstamp[ri] == seq {
-			m.bufs[ri] = append(m.bufs[ri], m.bufs[ri]...)
+		if d.ws != nil {
+			*d.ws = append(*d.ws, *d.ws...)
 		}
-		if m.pstamp != nil && m.pstamp[ri] == seq {
-			m.pbufs[ri] = append(m.pbufs[ri], m.pbufs[ri]...)
+		if d.ps != nil {
+			*d.ps = append(*d.ps, *d.ps...)
 		}
 		fi.stats.Duplicated++
 		if fi.dataCapped() {
-			return
+			return false
 		}
 	}
 	if fi.roll(seq, src, dst, saltCorrupt, p.CorruptProb) {
 		h := fi.draw(seq, src, dst, saltCorruptPick)
-		if m.wstamp[ri] == seq && len(m.bufs[ri]) > 0 {
-			buf := m.bufs[ri]
+		if d.ws != nil && len(*d.ws) > 0 {
+			buf := *d.ws
 			buf[h%uint64(len(buf))] ^= 1 << ((h >> 32) & 63)
 			fi.stats.Corrupted++
-		} else if m.pstamp != nil && m.pstamp[ri] == seq && len(m.pbufs[ri]) > 0 {
-			pq := m.pbufs[ri]
+		} else if d.ps != nil && len(*d.ps) > 0 {
+			pq := *d.ps
 			pick := pq[h%uint64(len(pq))]
 			for _, co := range fi.corrupters {
 				if co(pick, h) {
@@ -376,15 +384,43 @@ func (fi *FaultInjector) link(m *Mail, src, dst, ri int, seq uint64) {
 			}
 		}
 	}
+	return false
 }
 
-// withhold erases a delivered link from the mail: stamp-gated reads (From,
-// PayloadsFrom) see an idle link. The buffers stay allocated — only their
-// generation stamp is cleared — so the next legitimate delivery reuses
-// them; stamp 0 never matches (flush generations start at 1).
-func (fi *FaultInjector) withhold(m *Mail, ri int) {
-	m.wstamp[ri] = 0
-	if m.pstamp != nil {
-		m.pstamp[ri] = 0
+// link perturbs one link's delivery sitting in a flat-array mail at slot ri
+// (dst*n+src), already filled for generation seq. A withheld link is erased
+// by clearing its generation stamps: stamp-gated reads (From, PayloadsFrom)
+// see an idle link, the buffers stay allocated for the next legitimate
+// delivery, and stamp 0 never matches (flush generations start at 1).
+func (fi *FaultInjector) link(m *Mail, src, dst, ri int, seq uint64) {
+	var d delivered
+	if m.wstamp[ri] == seq {
+		d.ws = &m.bufs[ri]
+	}
+	if m.pstamp != nil && m.pstamp[ri] == seq {
+		d.ps = &m.pbufs[ri]
+	}
+	if fi.perturb(d, src, dst, seq) {
+		m.wstamp[ri] = 0
+		if m.pstamp != nil {
+			m.pstamp[ri] = 0
+		}
+	}
+}
+
+// linkSparse is link for a sparse-form mailbox entry just filled from src.
+// A withheld entry is emptied in place — reads skip entries that deliver
+// nothing — and keeps its word buffer for the next fill.
+func (fi *FaultInjector) linkSparse(e *mailEntry, src, dst int, seq uint64) {
+	var d delivered
+	if len(e.ws) > 0 {
+		d.ws = &e.ws
+	}
+	if len(e.ps) > 0 {
+		d.ps = &e.ps
+	}
+	if fi.perturb(d, src, dst, seq) {
+		e.ws = e.ws[:0]
+		e.ps = trimPayloads(e.ps)
 	}
 }

@@ -84,95 +84,91 @@ func TestFaultInjectorAdvanceChangesDraws(t *testing.T) {
 }
 
 func TestFaultDropWithholdsDelivery(t *testing.T) {
-	c := New(4)
-	fi := NewFaultInjector(FaultPlan{Seed: 3, DropProb: 1})
-	c.SetFaultInjector(fi)
-	got := ringExchange(c)
-	for dst := range got {
-		for src := range got[dst] {
-			if src != dst && got[dst][src] != 0 {
-				t.Fatalf("delivery [%d][%d] survived DropProb=1", dst, src)
+	EachForm(t, 4, func(t *testing.T, c *Network) {
+		fi := NewFaultInjector(FaultPlan{Seed: 3, DropProb: 1})
+		c.SetFaultInjector(fi)
+		got := ringExchange(c)
+		for dst := range got {
+			for src := range got[dst] {
+				if src != dst && got[dst][src] != 0 {
+					t.Fatalf("delivery [%d][%d] survived DropProb=1", dst, src)
+				}
 			}
 		}
-	}
-	// The words were sent: the charge is unchanged by the drops.
-	if c.Rounds() != 1 || c.Words() != 12 {
-		t.Fatalf("drops perturbed the ledger: rounds=%d words=%d, want 1/12", c.Rounds(), c.Words())
-	}
-	if fi.Stats().Dropped != 12 {
-		t.Fatalf("Dropped = %d, want 12", fi.Stats().Dropped)
-	}
+		// The words were sent: the charge is unchanged by the drops.
+		if c.Rounds() != 1 || c.Words() != 12 {
+			t.Fatalf("drops perturbed the ledger: rounds=%d words=%d, want 1/12", c.Rounds(), c.Words())
+		}
+		if fi.Stats().Dropped != 12 {
+			t.Fatalf("Dropped = %d, want 12", fi.Stats().Dropped)
+		}
+	})
 }
 
 func TestFaultDuplicateDoublesDelivery(t *testing.T) {
-	c := New(4)
-	fi := NewFaultInjector(FaultPlan{Seed: 3, DupProb: 1})
-	c.SetFaultInjector(fi)
-	got := ringExchange(c)
-	for dst := range got {
-		for src := range got[dst] {
-			if src != dst && got[dst][src] != 2 {
-				t.Fatalf("delivery [%d][%d] = %d words, want 2 under DupProb=1", dst, src, got[dst][src])
+	EachForm(t, 4, func(t *testing.T, c *Network) {
+		fi := NewFaultInjector(FaultPlan{Seed: 3, DupProb: 1})
+		c.SetFaultInjector(fi)
+		got := ringExchange(c)
+		for dst := range got {
+			for src := range got[dst] {
+				if src != dst && got[dst][src] != 2 {
+					t.Fatalf("delivery [%d][%d] = %d words, want 2 under DupProb=1", dst, src, got[dst][src])
+				}
 			}
 		}
-	}
-	if c.Rounds() != 1 {
-		t.Fatalf("duplicates perturbed the round ledger: %d", c.Rounds())
-	}
+		if c.Rounds() != 1 {
+			t.Fatalf("duplicates perturbed the round ledger: %d", c.Rounds())
+		}
+	})
 }
 
 func TestFaultCorruptFlipsWord(t *testing.T) {
-	c := New(4)
-	fi := NewFaultInjector(FaultPlan{Seed: 9, CorruptProb: 1})
-	c.SetFaultInjector(fi)
-	for dst := 1; dst < 4; dst++ {
-		c.Send(0, dst, 42)
-	}
-	mail := c.Flush()
-	corrupted := 0
-	for dst := 1; dst < 4; dst++ {
-		ws := mail.From(dst, 0)
-		if len(ws) != 1 {
-			t.Fatalf("dst %d received %d words, want 1", dst, len(ws))
+	EachForm(t, 4, func(t *testing.T, c *Network) {
+		fi := NewFaultInjector(FaultPlan{Seed: 9, CorruptProb: 1})
+		c.SetFaultInjector(fi)
+		for dst := 1; dst < 4; dst++ {
+			c.Send(0, dst, 42)
 		}
-		if ws[0] != 42 {
-			corrupted++
+		mail := c.Flush()
+		corrupted := 0
+		for dst := 1; dst < 4; dst++ {
+			ws := mail.From(dst, 0)
+			if len(ws) != 1 {
+				t.Fatalf("dst %d received %d words, want 1", dst, len(ws))
+			}
+			if ws[0] != 42 {
+				corrupted++
+			}
 		}
-	}
-	if corrupted != 3 {
-		t.Fatalf("%d of 3 deliveries corrupted under CorruptProb=1", corrupted)
-	}
-	if fi.Stats().Corrupted != 3 {
-		t.Fatalf("Corrupted = %d, want 3", fi.Stats().Corrupted)
-	}
+		if corrupted != 3 {
+			t.Fatalf("%d of 3 deliveries corrupted under CorruptProb=1", corrupted)
+		}
+		if fi.Stats().Corrupted != 3 {
+			t.Fatalf("Corrupted = %d, want 3", fi.Stats().Corrupted)
+		}
+	})
 }
 
 func TestFaultPayloadCorrupter(t *testing.T) {
-	c := New(2)
-	corrupt := func(p Payload, h uint64) bool {
-		sp, ok := p.(*[]int64)
-		if !ok {
-			return false
+	EachForm(t, 2, func(t *testing.T, c *Network) {
+		fi := NewFaultInjector(FaultPlan{Seed: 5, CorruptProb: 1}, CorruptInt64s)
+		c.SetFaultInjector(fi)
+		data := []int64{1, 2, 3}
+		c.SendPayload(0, 1, 3, &data)
+		mail := c.Flush()
+		ps := mail.PayloadsFrom(1, 0)
+		if len(ps) != 1 {
+			t.Fatalf("got %d payloads, want 1", len(ps))
 		}
-		(*sp)[h%uint64(len(*sp))] ^= 1 << ((h >> 32) & 62)
-		return true
-	}
-	fi := NewFaultInjector(FaultPlan{Seed: 5, CorruptProb: 1}, corrupt)
-	c.SetFaultInjector(fi)
-	data := []int64{1, 2, 3}
-	c.SendPayload(0, 1, 3, &data)
-	mail := c.Flush()
-	ps := mail.PayloadsFrom(1, 0)
-	if len(ps) != 1 {
-		t.Fatalf("got %d payloads, want 1", len(ps))
-	}
-	got := *(ps[0].(*[]int64))
-	if got[0] == 1 && got[1] == 2 && got[2] == 3 {
-		t.Fatal("payload survived CorruptProb=1 with a registered corrupter")
-	}
-	if fi.Stats().Corrupted != 1 {
-		t.Fatalf("Corrupted = %d, want 1", fi.Stats().Corrupted)
-	}
+		got := *(ps[0].(*[]int64))
+		if got[0] == 1 && got[1] == 2 && got[2] == 3 {
+			t.Fatal("payload survived CorruptProb=1 with a registered corrupter")
+		}
+		if fi.Stats().Corrupted != 1 {
+			t.Fatalf("Corrupted = %d, want 1", fi.Stats().Corrupted)
+		}
+	})
 }
 
 func TestFaultCrashStopsSends(t *testing.T) {
@@ -236,13 +232,14 @@ func TestFaultStraggleStretchesRounds(t *testing.T) {
 }
 
 func TestFaultMaxFaultsCapsStorm(t *testing.T) {
-	c := New(16)
-	fi := NewFaultInjector(FaultPlan{Seed: 4, DropProb: 1, MaxFaults: 3})
-	c.SetFaultInjector(fi)
-	ringExchange(c)
-	if got := fi.Stats().Dropped; got != 3 {
-		t.Fatalf("Dropped = %d, want the MaxFaults cap of 3", got)
-	}
+	EachForm(t, 16, func(t *testing.T, c *Network) {
+		fi := NewFaultInjector(FaultPlan{Seed: 4, DropProb: 1, MaxFaults: 3})
+		c.SetFaultInjector(fi)
+		ringExchange(c)
+		if got := fi.Stats().Dropped; got != 3 {
+			t.Fatalf("Dropped = %d, want the MaxFaults cap of 3", got)
+		}
+	})
 }
 
 func TestFaultPanicAtFlushIsUntyped(t *testing.T) {

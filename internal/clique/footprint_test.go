@@ -7,7 +7,7 @@ import "testing"
 // delivery and the spiked mail buffer at the next Reset, while modest
 // capacity stays warm.
 func TestResetTrimsOversizedBuffers(t *testing.T) {
-	c := New(3)
+	c := NewDense(t, 3)
 	defer c.Close()
 	big := make([]Word, linkRetainCap+1)
 	c.SendVec(0, 1, big)
@@ -39,7 +39,7 @@ func TestResetTrimsOversizedBuffers(t *testing.T) {
 // TestResetClearsPayloadState checks payload queues, loads, and delivered
 // references are dropped by Reset.
 func TestResetClearsPayloadState(t *testing.T) {
-	c := New(2)
+	c := NewDense(t, 2)
 	defer c.Close()
 	vec := []int64{1, 2, 3}
 	c.SendPayload(0, 1, 3, &vec)
@@ -72,9 +72,10 @@ func TestResetClearsPayloadState(t *testing.T) {
 }
 
 // TestTrimReleasesEverything checks the aggressive release used by
-// session Trim, and that the network stays usable afterwards.
+// session Trim — the flat arrays go, the network is newborn (sparse form)
+// again — and that the network stays usable afterwards.
 func TestTrimReleasesEverything(t *testing.T) {
-	c := New(2)
+	c := NewDense(t, 2)
 	defer c.Close()
 	c.SendVec(0, 1, make([]Word, 128))
 	vec := []int64{1}
@@ -84,8 +85,11 @@ func TestTrimReleasesEverything(t *testing.T) {
 	if c.pqueues != nil || c.ploads != nil {
 		t.Fatalf("Trim kept payload-plane state")
 	}
-	if got := cap(c.queues[0][1]); got != 0 {
-		t.Fatalf("Trim kept %d words of queue capacity", got)
+	if c.queues != nil || c.tstamp != nil || c.touched != nil || c.mails != [2]*Mail{} || c.retired != [2]*Mail{} {
+		t.Fatalf("Trim kept flat-array link state")
+	}
+	if !c.SparseLinks() || len(c.slinks[0]) != 0 {
+		t.Fatalf("Trim did not return the network to the newborn sparse form")
 	}
 	// Still usable: a fresh send/flush cycle works.
 	c.Send(0, 1, 42)
@@ -149,7 +153,7 @@ func TestPayloadChargingMatchesWords(t *testing.T) {
 // TestPayloadFIFOAndLifetime checks payload delivery order and the
 // two-flush Mail lifetime.
 func TestPayloadFIFOAndLifetime(t *testing.T) {
-	c := New(2)
+	c := NewDense(t, 2)
 	defer c.Close()
 	a, b := []int64{1}, []int64{2}
 	c.SendPayload(0, 1, 1, &a)

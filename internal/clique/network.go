@@ -115,9 +115,11 @@ type Network struct {
 	ploads      []int64          // analytic word load per link, flat [src*n+dst] (lazy)
 	touched     [][]int          // per-source destinations with traffic or load since last Flush
 	tstamp      []uint64         // per-link touch generation backing the touched lists
-	sparseLinks bool             // sparse-link mode: per-link state on demand, no Θ(n²) arrays
-	slinks      []map[int]*slink // sparse mode: per-source link state, materialised on first send
-	stouched    [][]int          // sparse mode: per-source touched destinations (replaces touched)
+	sparseLinks bool             // current link form: per-link state on demand, no Θ(n²) arrays
+	pinSparse   bool             // never leave the sparse form (WithSparseLinks, n ≥ sparseLinkFloor)
+	slinks      []map[int]*slink // sparse form: per-source link state, materialised on first send
+	stouched    [][]int          // sparse form: per-source touched destinations (replaces touched)
+	retired     [2]*Mail         // sparse-form mails still in their lifetime when the form switched
 	flushSeq    uint64           // monotone flush generation; never reset (stamps depend on it)
 	spiked      bool             // a delivery exceeded linkRetainCap since the last sweep
 	mails       [2]*Mail         // double-buffered delivery state, alternated by Flush
@@ -148,20 +150,21 @@ func New(n int, opts ...Option) *Network {
 		o(c)
 	}
 	if n >= sparseLinkFloor {
-		c.sparseLinks = true
+		c.pinSparse = true
 	}
-	if c.sparseLinks {
-		// Sparse-link mode: all per-link state materialises on demand, so
-		// construction (and every later walk) is proportional to the nodes
-		// and the traffic, never to the n² links. See sparselinks.go.
-		c.slinks = make([]map[int]*slink, n)
-		c.stouched = make([][]int, n)
-	} else {
-		c.queues = newQueues(n)
-		c.touched = make([][]int, n)
-		c.tstamp = make([]uint64, n*n)
-	}
+	// Every network is born in the sparse-link form: per-link state
+	// materialises on demand, so construction is proportional to the nodes,
+	// never to the n² links. Below sparseLinkFloor the first flush that
+	// shows dense traffic moves it to the flat arrays (see sparselinks.go).
+	c.newborn()
 	return c
+}
+
+// newborn installs the empty sparse-link form New and Trim leave behind.
+func (c *Network) newborn() {
+	c.sparseLinks = true
+	c.slinks = make([]map[int]*slink, c.n)
+	c.stouched = make([][]int, c.n)
 }
 
 func newQueues(n int) [][][]Word {
@@ -300,13 +303,7 @@ func (c *Network) DropPending() {
 	if c.sparseLinks {
 		c.dropPendingSparse()
 		c.flushSeq++ // see the dense branch's comment below
-		for _, mail := range c.mails {
-			if mail == nil {
-				continue
-			}
-			mail.releaseSparse()
-			mail.id = 0 // no stamp matches: everything reads as undelivered
-		}
+		invalidate(&c.mails)
 		return
 	}
 	n := c.n
@@ -327,33 +324,39 @@ func (c *Network) DropPending() {
 	// link would be deduplicated as already registered and silently
 	// dropped by the next Flush.
 	c.flushSeq++
-	for _, mail := range c.mails {
+	invalidate(&c.mails)
+	// Mails the form switch retired are invalidated with the rest and let
+	// go: nothing refills them.
+	invalidate(&c.retired)
+	c.retired = [2]*Mail{}
+}
+
+// invalidate ends the lifetime of a mail pair: the payload references they
+// hold are dropped and no stamp matches any more, so everything reads as
+// undelivered.
+func invalidate(mails *[2]*Mail) {
+	for _, mail := range mails {
 		if mail == nil {
 			continue
 		}
 		mail.releasePayloads()
-		mail.id = 0 // no stamp matches: everything reads as undelivered
+		mail.id = 0
 	}
 }
 
-// Trim releases all recycled queue, mailbox, and payload capacity
-// regardless of size (the structures rebuild lazily on next use). It is
-// the aggressive form of Reset's high-water trimming, for callers parking
-// a network they may not use again soon; accounting is untouched.
+// Trim returns the network to its newborn state: all recycled queue,
+// mailbox, and payload capacity is released regardless of size and, below
+// sparseLinkFloor, the flat arrays go with it — the network is in the
+// sparse-link form again and the next dense traffic switches it back. It is
+// the aggressive form of Reset's high-water trimming, for callers parking a
+// network they may not use again soon; it costs O(n) and leaves the
+// accounting untouched.
 func (c *Network) Trim() {
-	if c.sparseLinks {
-		c.slinks = make([]map[int]*slink, c.n)
-		c.stouched = make([][]int, c.n)
-		c.mails = [2]*Mail{}
-		c.flushSeq++ // invalidate the discarded links' touch stamps (see Reset)
-		return
-	}
-	c.queues = newQueues(c.n)
-	c.mails = [2]*Mail{}
-	c.pqueues = nil
-	c.ploads = nil
-	c.touched = make([][]int, c.n)
-	c.flushSeq++ // invalidate the discarded lists' touch stamps (see Reset)
+	c.queues, c.touched, c.tstamp = nil, nil, nil
+	c.pqueues, c.ploads = nil, nil
+	c.mails, c.retired = [2]*Mail{}, [2]*Mail{}
+	c.newborn()
+	c.flushSeq++ // invalidate the discarded links' touch stamps (see Reset)
 }
 
 // Phase begins a named accounting phase; subsequent costs are attributed to

@@ -1,16 +1,18 @@
 package clique
 
-// This file is the simulator's sparse-link mode: the same synchronous
+// This file is the simulator's sparse-link form: the same synchronous
 // clique, with per-link state materialised only for links actually used.
 //
-// The dense-link representation is Θ(n²) at construction — queue rows,
-// touch stamps, and flat mailbox arrays all scale with the link count, not
-// the traffic. That is invisible at the sizes the dense engines run
-// (n ≤ a few thousand) and fatal at the sizes the CSR operand plane
-// targets: a GNP(10⁵, c/n) adjacency square moves Θ(n) traffic over a
-// network whose dense bookkeeping alone would need tens of gigabytes.
-// Above sparseLinkFloor nodes (or under WithSparseLinks, which tests use
-// to force the mode at small n), a network therefore keeps
+// The flat-array form costs 192 B per directed link whatever the traffic:
+// a 24 B queue header and an 8 B touch stamp, the same again for the payload
+// plane's queue and analytic load, and two mailboxes of 24 + 8 B per plane —
+// 12.6 MB at n = 256, 770 MB at n = 2000, and every receive walk scans all n
+// source stamps of its destination. Traffic that uses most links (the dense
+// engines) wants exactly that: a send is an index, a flush is a linear walk.
+// Traffic that uses a vanishing share of them (the CSR tile engine moves
+// Θ(ρ) words over 0.1–3 % of the links) pays for n² and uses none of it. So
+// the form follows the traffic, not n. Every network is born sparse and
+// keeps
 //
 //   - per-source maps of *slink (queue, payload queue, analytic load,
 //     touch generation) materialised on first send, and
@@ -18,28 +20,56 @@ package clique
 //     order by the flush walk, so Mail.From resolves by binary search and
 //     Mail.Each walks exactly the delivering sources.
 //
+// Below sparseLinkFloor nodes it moves itself — once, one way — to the flat
+// arrays at the end of the first flush that touched at least 1/denseSwitchDiv
+// of the n² links (switchDense); Trim returns it to the newborn form. At
+// sparseLinkFloor and above, and under WithSparseLinks, it stays sparse.
+//
 // Charging is unchanged: flushSparse computes the identical per-link load
 // maximum and word total the dense walk computes, so the ledger — rounds,
 // words, flushes, phase attribution — is bit-identical between the two
-// representations (TestSparseLinksLedgerParity pins this differentially).
-// The only unsupported feature is link-plane fault injection, which
-// mutates mailbox state by flat [dst·n+src] index; flushSparse rejects an
-// armed link-fault plan with a panic rather than silently not injecting.
+// forms (TestSparseLinksLedgerParity pins this differentially), and the
+// fault plane perturbs a sparse mailbox entry with the same draws, in the
+// same visit order, as a flat-array slot (FaultInjector.perturb).
 
-// sparseLinkFloor is the node count at which New switches to sparse links
-// automatically: below it the dense arrays are at most a few MB and the
-// flat-index paths are faster; above it Θ(n²) construction dominates any
-// plausible traffic.
+// sparseLinkFloor is the node count from which a network never leaves the
+// sparse-link form: 192 B × n² is 3.2 GB there, more than any traffic the
+// simulator carries justifies. Below it the traffic selects the form.
 const sparseLinkFloor = 4096
 
-// WithSparseLinks forces sparse-link mode regardless of size, so tests
-// can differentially compare the two representations at small n.
+// denseSwitchDiv sets the traffic that moves a network to the flat arrays:
+// one flush touching n²/denseSwitchDiv links or more. The two traffic
+// classes sit apart on that axis: every dense-engine product has such a
+// flush among its first exchanges (0.06–1.0 of the links at n ∈ {16…1000},
+// either transport), while the tile engines on sparse inputs touch
+// 0.0004–0.027 of them per flush at n ∈ {64…2000} (tables in DESIGN.md,
+// "Link state follows traffic").
+const denseSwitchDiv = 16
+
+// WithSparseLinks pins the sparse-link form regardless of size and
+// traffic, so tests can differentially compare the two forms at small n.
 func WithSparseLinks() Option {
-	return func(c *Network) { c.sparseLinks = true }
+	return func(c *Network) { c.pinSparse = true }
 }
 
-// SparseLinks reports whether the network uses sparse-link state.
+// SparseLinks reports whether the network is in the sparse-link form right
+// now (a network below sparseLinkFloor leaves it on its first dense flush).
 func (c *Network) SparseLinks() bool { return c.sparseLinks }
+
+// switchDense moves the network to the flat-array form. It runs at the end
+// of a flush, when every link queue is drained, so no traffic migrates; the
+// mail just filled and its predecessor stay in sparse form — Mail
+// dispatches on its own form — and retire with their two-flush lifetime
+// (DropPending still invalidates them). From here on the network runs the
+// dense Send*/FlushAnalytic code and nothing else.
+func (c *Network) switchDense() {
+	c.queues = newQueues(c.n)
+	c.touched = make([][]int, c.n)
+	c.tstamp = make([]uint64, c.n*c.n) // flushSeq ≥ 1 here, so a zero stamp never matches
+	c.slinks, c.stouched = nil, nil
+	c.retired, c.mails = c.mails, [2]*Mail{}
+	c.sparseLinks = false
+}
 
 // slink is the per-used-link state: the dense mode's queues[src][dst],
 // pqueues/ploads entries, and touch stamp, materialised on first use.
@@ -139,9 +169,6 @@ func (c *Network) flushSparse(maxLoad, totalWords int64) *Mail {
 	n := c.n
 	if c.fault != nil {
 		c.fault.checkFlush(c.flushes + 1)
-		if c.fault.linkActive() {
-			panic("clique: link-plane fault injection is not supported in sparse-link mode (see WithSparseLinks)")
-		}
 	}
 	mail := c.mails[c.flushSeq&1]
 	if mail == nil {
@@ -154,11 +181,14 @@ func (c *Network) flushSparse(maxLoad, totalWords int64) *Mail {
 	seq := c.flushSeq + 1
 	mail.id = seq
 	total := totalWords
+	faultLinks := c.fault != nil && c.fault.linkActive() // once per flush, as in the dense walk
+	links := 0
 	for src := 0; src < n; src++ {
 		list := c.stouched[src]
 		if len(list) == 0 {
 			continue
 		}
+		links += len(list)
 		srcLinks := c.slinks[src]
 		for _, dst := range list {
 			sl := srcLinks[dst]
@@ -200,6 +230,12 @@ func (c *Network) flushSparse(maxLoad, totalWords int64) *Mail {
 				} else {
 					e.ps = trimPayloads(e.ps)
 				}
+				// Fault application point, exactly where the dense walk has
+				// it: the charge reflects what was sent, only delivered
+				// data changes.
+				if faultLinks && src != dst {
+					c.fault.linkSparse(e, src, dst, seq)
+				}
 			}
 			if src != dst && load > 0 {
 				if load > maxLoad {
@@ -212,6 +248,9 @@ func (c *Network) flushSparse(maxLoad, totalWords int64) *Mail {
 	}
 	c.flushSeq = seq
 	c.flushes++
+	if !c.pinSparse && links*denseSwitchDiv >= n*n {
+		c.switchDense()
+	}
 	if c.fault != nil {
 		maxLoad += c.fault.straggle(seq)
 	}

@@ -18,9 +18,10 @@ var ErrPoolClosed = errors.New("serve: session pool is closed")
 // guarantee.
 func sessionBytes(n int) int64 { return 64*int64(n)*int64(n) + 1<<14 }
 
-// trimmedBytes is the post-Trim residual: the pooled buffers and queue
-// payloads are released (they rebuild lazily on the next operation), but
-// the clique's n×n link table, worker pool, and memoised plan survive.
+// trimmedBytes is the post-Trim residual: the pooled buffers, queue
+// payloads and the networks' link state are released (they rebuild lazily
+// on the next operation); the worker pool and memoised plan survive. The
+// n² term is deliberately conservative — a trimmed network is O(n).
 func trimmedBytes(n int) int64 { return 24*int64(n)*int64(n) + 1<<12 }
 
 // poolEntry is one cached session with its LRU stamp.
