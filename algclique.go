@@ -234,11 +234,11 @@ func WithWorkers(k int) SessionOption { return sessionOpt(func(c *config) { c.wo
 // dense engine's estimate. The default is 1 (route sparse whenever the
 // prediction says it wins); values below 1 demand a larger predicted win;
 // 0 disables the per-product density census — and with it the sparse
-// routing — entirely, restoring the purely static plan. The setting is
-// armed on the session's network for every operation, so it also governs
-// the products graph algorithms (CountTriangles, Girth, APSP, …) resolve
-// internally. Each directly-routed operation's decision is reported in
-// Stats.Routing.
+// routing — entirely, restoring the purely static plan. NaN and negative
+// values mean 0: census off. The setting is armed on the session's network
+// for every operation, so it also governs the products graph algorithms
+// (CountTriangles, Girth, APSP, …) resolve internally. Each
+// directly-routed operation's decision is reported in Stats.Routing.
 func WithSparseThreshold(t float64) SessionOption {
 	return sessionOpt(func(c *config) { c.sparseThreshold = t })
 }
@@ -306,8 +306,9 @@ func abortError(r any) (error, bool) { return clique.AsAbort(r) }
 type sizeClass int
 
 const (
-	anySize  sizeClass = iota // every engine runs unpadded (semiring products)
-	ringSize                  // the bilinear engine wants a scheme-compatible size
+	anySize     sizeClass = iota // every engine runs unpadded (semiring products)
+	ringSize                     // the bilinear engine wants a scheme-compatible size
+	minPlusSize                  // anySize, and the bilinear engine cannot run it at all
 )
 
 // paddedSize returns the clique size to simulate for an instance of size n.
@@ -322,7 +323,7 @@ func (c config) paddedSize(n int, class sizeClass) (int, error) {
 	}
 	want := n
 	switch class {
-	case anySize:
+	case anySize, minPlusSize:
 		// No constraint.
 	case ringSize:
 		switch c.engine {

@@ -27,7 +27,7 @@ func (s *Clique) TransitiveClosure(g *Graph, opts ...CallOption) (reach Mat, sta
 	}
 	cur := mat
 	for iter := 0; 1<<iter < r.n; iter++ {
-		next, merr := r.plan.MulBoolScratch(r.net, r.sc, cur, cur)
+		next, _, merr := r.plan.MulBoolRouted(r.net, r.sc, cur, cur)
 		if merr != nil {
 			err = merr
 			return
@@ -41,12 +41,9 @@ func (s *Clique) TransitiveClosure(g *Graph, opts ...CallOption) (reach Mat, sta
 
 // TransitiveClosure is the one-shot form of Clique.TransitiveClosure.
 func TransitiveClosure(g *Graph, opts ...Option) (Mat, Stats, error) {
-	s, err := oneShot(g.N(), opts)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	defer s.Close()
-	return s.TransitiveClosure(g)
+	return oneShot(g.N(), opts, func(s *Clique) (Mat, Stats, error) {
+		return s.TransitiveClosure(g)
+	})
 }
 
 // Diameter returns the unweighted diameter (the largest finite pairwise
@@ -75,7 +72,7 @@ func (s *Clique) Diameter(g *Graph, opts ...CallOption) (diam int64, connected b
 
 // Diameter is the one-shot form of Clique.Diameter.
 func Diameter(g *Graph, opts ...Option) (int64, bool, Stats, error) {
-	s, err := oneShot(g.N(), opts)
+	s, err := newSession(g.N(), newConfig(opts))
 	if err != nil {
 		return 0, false, Stats{}, err
 	}
@@ -111,11 +108,7 @@ func (s *Clique) MatMulBroadcast(a, b Mat, opts ...CallOption) (prod Mat, stats 
 
 // MatMulBroadcast is the one-shot form of Clique.MatMulBroadcast.
 func MatMulBroadcast(a, b Mat, opts ...Option) (Mat, Stats, error) {
-	n := len(a)
-	s, err := oneShot(n, opts)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	defer s.Close()
-	return s.MatMulBroadcast(a, b)
+	return oneShot(len(a), opts, func(s *Clique) (Mat, Stats, error) {
+		return s.MatMulBroadcast(a, b)
+	})
 }

@@ -261,9 +261,9 @@ func measureBool(engine string, n int) benchBoolStats {
 		defer net.Close()
 		var err error
 		if engine == "naive-gather" {
-			p, err = ccmm.NaiveGather[bool](net, br, codec, s, s)
+			p, err = ccmm.NaiveGather[bool](net, nil, br, codec, s, s)
 		} else {
-			p, err = ccmm.Semiring3D[bool](net, br, codec, s, s)
+			p, err = ccmm.Semiring3D[bool](net, nil, br, codec, s, s)
 		}
 		check(err)
 		return net.Rounds(), net.Words(), p

@@ -3,7 +3,7 @@ package algclique
 import (
 	"fmt"
 	"math/bits"
-	"reflect"
+	"slices"
 
 	"github.com/algebraic-clique/algclique/internal/ccmm"
 	"github.com/algebraic-clique/algclique/internal/matrix"
@@ -41,12 +41,6 @@ func (m *CSR) NNZ() int64 {
 		return 0
 	}
 	return m.RowPtr[m.N]
-}
-
-// internal views the public CSR as the engine's operand type — zero-copy,
-// the backing arrays are shared.
-func (m *CSR) internal() *matrix.CSR[int64] {
-	return &matrix.CSR[int64]{N: m.N, RowPtr: m.RowPtr, Col: m.Col, Val: m.Val}
 }
 
 // CSRFromMat compresses a dense matrix, keeping entries different from
@@ -107,8 +101,28 @@ type CSRProduct struct {
 // IsSparse reports whether the product stayed on the CSR plane.
 func (p CSRProduct) IsSparse() bool { return p.Sparse != nil }
 
-// csrPairSize validates a CSR operand pair's sizes against each other.
+// validate checks the operand's structure at the trust boundary, before
+// anything indexes it: a malformed CSR is an error wrapping ErrSize, never
+// a panic.
+func (m *CSR) validate() error {
+	v := matrix.CSR[int64]{N: m.N, RowPtr: m.RowPtr, Col: m.Col, Val: m.Val}
+	if err := v.Validate(); err != nil {
+		return fmt.Errorf("algclique: malformed CSR operand: %v: %w", err, ccmm.ErrSize)
+	}
+	return nil
+}
+
+// csrPairSize validates a CSR operand pair: each operand's structure, then
+// the sizes against each other.
 func csrPairSize(a, b *CSR) (int, error) {
+	if err := a.validate(); err != nil {
+		return 0, err
+	}
+	if b != a {
+		if err := b.validate(); err != nil {
+			return 0, err
+		}
+	}
 	if a.N != b.N {
 		return 0, fmt.Errorf("algclique: CSR operand sizes %d and %d differ: %w", a.N, b.N, ccmm.ErrSize)
 	}
@@ -118,17 +132,18 @@ func csrPairSize(a, b *CSR) (int, error) {
 // padCSRTo views a CSR operand on a padded clique of size n: the padding
 // rows are empty, so the padded product restricted to the original block
 // is unchanged. Zero-copy when no padding is needed; otherwise only the
-// row-pointer array is rebuilt (the entry arrays are shared).
+// row-pointer array is rebuilt (the entry arrays are shared). The operand
+// has been validated.
 func padCSRTo(m *CSR, n int) *matrix.CSR[int64] {
-	if m.N == n {
-		return m.internal()
+	out := &matrix.CSR[int64]{N: n, RowPtr: m.RowPtr, Col: m.Col, Val: m.Val}
+	if m.N != n {
+		out.RowPtr = make([]int64, n+1)
+		copy(out.RowPtr, m.RowPtr)
+		for v := m.N + 1; v <= n; v++ {
+			out.RowPtr[v] = m.RowPtr[m.N]
+		}
 	}
-	rp := make([]int64, n+1)
-	copy(rp, m.RowPtr)
-	for v := m.N + 1; v <= n; v++ {
-		rp[v] = m.RowPtr[m.N]
-	}
-	return &matrix.CSR[int64]{N: n, RowPtr: rp, Col: m.Col, Val: m.Val}
+	return out
 }
 
 // truncCSR clips an engine result on a padded clique back to the original
@@ -158,46 +173,28 @@ func (r *opRun) publicProduct(p ccmm.CSRProduct[int64]) CSRProduct {
 	return out
 }
 
-// csrSpec ties a CSR product entry point to its routed plan product.
-type csrSpec struct {
-	op    string
-	class sizeClass
-	mul   func(r *opRun, a, b *matrix.CSR[int64]) (ccmm.CSRProduct[int64], ccmm.Route, error)
-}
-
-var matMulCSRSpec = csrSpec{op: "MatMulCSR", class: ringSize,
-	mul: func(r *opRun, a, b *matrix.CSR[int64]) (ccmm.CSRProduct[int64], ccmm.Route, error) {
-		return r.plan.MulIntCSRRouted(r.net, r.sc, a, b)
-	}}
-
-var matMulBoolCSRSpec = csrSpec{op: "MatMulBoolCSR", class: ringSize,
-	mul: func(r *opRun, a, b *matrix.CSR[int64]) (ccmm.CSRProduct[int64], ccmm.Route, error) {
-		return r.plan.MulBoolCSRRouted(r.net, r.sc, a, b)
-	}}
-
-var distanceProductCSRSpec = csrSpec{op: "DistanceProductCSR", class: anySize,
-	mul: func(r *opRun, a, b *matrix.CSR[int64]) (ccmm.CSRProduct[int64], ccmm.Route, error) {
-		return r.plan.MulMinPlusCSRRouted(r.net, r.sc, a, b)
-	}}
-
-// csrProduct is the shared harness for the one-product CSR entry points.
-func (s *Clique) csrProduct(spec csrSpec, a, b *CSR, opts []CallOption) (prod CSRProduct, stats Stats, err error) {
+// csrProduct is the shared harness for the one-product CSR entry points:
+// op is the ledger name, spec the product table row whose routed CSR
+// product runs.
+func (s *Clique) csrProduct(op string, spec *productSpec, a, b *CSR, opts []CallOption) (prod CSRProduct, stats Stats, err error) {
 	orig, err := csrPairSize(a, b)
 	if err != nil {
 		return CSRProduct{}, Stats{}, err
 	}
-	r, err := s.begin(spec.op, orig, spec.class, opts)
+	r, err := s.begin(op, orig, spec.class, opts)
 	if err != nil {
 		return CSRProduct{}, Stats{}, err
 	}
 	defer r.end(&stats, &err)
-	p, route, perr := spec.mul(r, padCSRTo(a, r.n), padCSRTo(b, r.n))
-	r.route = route
-	if perr != nil {
-		err = perr
-		return
+	pa := padCSRTo(a, r.n)
+	pb := pa
+	if b != a {
+		pb = padCSRTo(b, r.n)
 	}
-	prod = r.publicProduct(p)
+	var p ccmm.CSRProduct[int64]
+	if p, r.route, err = spec.mulCSR(r.plan, r.net, r.sc, pa, pb); err == nil {
+		prod = r.publicProduct(p)
+	}
 	return
 }
 
@@ -208,17 +205,14 @@ func (s *Clique) csrProduct(spec csrSpec, a, b *CSR, opts []CallOption) (prod CS
 // ErrSparseTooDense instead). The result is sparse whenever the product
 // ran on the CSR plane.
 func (s *Clique) MatMulCSR(a, b *CSR, opts ...CallOption) (CSRProduct, Stats, error) {
-	return s.csrProduct(matMulCSRSpec, a, b, opts)
+	return s.csrProduct("MatMulCSR", &matMulSpec, a, b, opts)
 }
 
 // MatMulCSR is the one-shot form of Clique.MatMulCSR.
 func MatMulCSR(a, b *CSR, opts ...Option) (CSRProduct, Stats, error) {
-	s, err := oneShot(a.N, opts)
-	if err != nil {
-		return CSRProduct{}, Stats{}, err
-	}
-	defer s.Close()
-	return s.MatMulCSR(a, b)
+	return oneShot(a.N, opts, func(s *Clique) (CSRProduct, Stats, error) {
+		return s.MatMulCSR(a, b)
+	})
 }
 
 // MatMulBoolCSR computes the Boolean product of CSR matrices. Stored
@@ -226,17 +220,14 @@ func MatMulCSR(a, b *CSR, opts ...Option) (CSRProduct, Stats, error) {
 // a nil Val is the usual adjacency encoding), and a sparse result comes
 // back value-free — every stored entry is 1.
 func (s *Clique) MatMulBoolCSR(a, b *CSR, opts ...CallOption) (CSRProduct, Stats, error) {
-	return s.csrProduct(matMulBoolCSRSpec, a, b, opts)
+	return s.csrProduct("MatMulBoolCSR", &matMulBoolSpec, a, b, opts)
 }
 
 // MatMulBoolCSR is the one-shot form of Clique.MatMulBoolCSR.
 func MatMulBoolCSR(a, b *CSR, opts ...Option) (CSRProduct, Stats, error) {
-	s, err := oneShot(a.N, opts)
-	if err != nil {
-		return CSRProduct{}, Stats{}, err
-	}
-	defer s.Close()
-	return s.MatMulBoolCSR(a, b)
+	return oneShot(a.N, opts, func(s *Clique) (CSRProduct, Stats, error) {
+		return s.MatMulBoolCSR(a, b)
+	})
 }
 
 // DistanceProductCSR computes the min-plus product of CSR distance
@@ -244,20 +235,14 @@ func MatMulBoolCSR(a, b *CSR, opts ...Option) (CSRProduct, Stats, error) {
 // exactly its finite entries, and a nil Val means every stored edge has
 // weight 0.
 func (s *Clique) DistanceProductCSR(a, b *CSR, opts ...CallOption) (CSRProduct, Stats, error) {
-	if s.cfg.engine == Fast {
-		return CSRProduct{}, Stats{}, fmt.Errorf("algclique: min-plus is not a ring; use Auto, Semiring3D or Naive: %w", ccmm.ErrSize)
-	}
-	return s.csrProduct(distanceProductCSRSpec, a, b, opts)
+	return s.csrProduct("DistanceProductCSR", &distanceProductSpec, a, b, opts)
 }
 
 // DistanceProductCSR is the one-shot form of Clique.DistanceProductCSR.
 func DistanceProductCSR(a, b *CSR, opts ...Option) (CSRProduct, Stats, error) {
-	s, err := oneShot(a.N, opts)
-	if err != nil {
-		return CSRProduct{}, Stats{}, err
-	}
-	defer s.Close()
-	return s.DistanceProductCSR(a, b)
+	return oneShot(a.N, opts, func(s *Clique) (CSRProduct, Stats, error) {
+		return s.DistanceProductCSR(a, b)
+	})
 }
 
 // SquareAdjacencyCSR computes A² (2-walk counts) of a CSR adjacency
@@ -266,31 +251,15 @@ func DistanceProductCSR(a, b *CSR, opts ...Option) (CSRProduct, Stats, error) {
 // on the CSR plane in O(1) rounds without ever allocating a dense row,
 // dense ones densify through the planner (below the cap). A nil Val is
 // the natural encoding.
-func (s *Clique) SquareAdjacencyCSR(a *CSR, opts ...CallOption) (prod CSRProduct, stats Stats, err error) {
-	r, err := s.begin("SquareAdjacencyCSR", a.N, ringSize, opts)
-	if err != nil {
-		return CSRProduct{}, Stats{}, err
-	}
-	defer r.end(&stats, &err)
-	pa := padCSRTo(a, r.n)
-	p, route, perr := r.plan.MulIntCSRRouted(r.net, r.sc, pa, pa)
-	r.route = route
-	if perr != nil {
-		err = perr
-		return
-	}
-	prod = r.publicProduct(p)
-	return
+func (s *Clique) SquareAdjacencyCSR(a *CSR, opts ...CallOption) (CSRProduct, Stats, error) {
+	return s.csrProduct("SquareAdjacencyCSR", &matMulSpec, a, a, opts)
 }
 
 // SquareAdjacencyCSR is the one-shot form of Clique.SquareAdjacencyCSR.
 func SquareAdjacencyCSR(a *CSR, opts ...Option) (CSRProduct, Stats, error) {
-	s, err := oneShot(a.N, opts)
-	if err != nil {
-		return CSRProduct{}, Stats{}, err
-	}
-	defer s.Close()
-	return s.SquareAdjacencyCSR(a)
+	return oneShot(a.N, opts, func(s *Clique) (CSRProduct, Stats, error) {
+		return s.SquareAdjacencyCSR(a)
+	})
 }
 
 // withDiagonal merges the identity's entries into a CSR view: every row
@@ -323,7 +292,7 @@ func withDiagonal(m *matrix.CSR[int64], n int, diag int64, keepVal bool) *matrix
 				placed = true
 			}
 			if vals == nil {
-				push(c, 1)
+				push(c, diag) // value-free entries are the one element too
 			} else {
 				push(c, vals[i])
 			}
@@ -345,24 +314,28 @@ func squaringIters(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
+// csrEqual reports whether two iterates store the same entries; a nil and
+// an empty array are the same array here.
+func csrEqual(a, b *matrix.CSR[int64]) bool {
+	return a.N == b.N && slices.Equal(a.RowPtr, b.RowPtr) && slices.Equal(a.Col, b.Col) && slices.Equal(a.Val, b.Val)
+}
+
 // iterateSquaring drives an iterated-squaring loop that stays CSR until
-// fill-in forces densification: each squaring runs through the routed CSR
-// product, and the first dense result switches the loop to the dense
-// product for its remaining iterations. Either representation exits early
+// fill-in forces densification: each squaring runs through spec's routed
+// CSR product, and the first dense result switches the loop to its dense
+// product for the remaining iterations. Either representation exits early
 // at a fixed point.
-func (r *opRun) iterateSquaring(d *matrix.CSR[int64], iters int,
-	mulCSR func(d *matrix.CSR[int64]) (ccmm.CSRProduct[int64], ccmm.Route, error),
-	mulDense func(d *ccmm.RowMat[int64]) (*ccmm.RowMat[int64], ccmm.Route, error)) (ccmm.CSRProduct[int64], error) {
+func (r *opRun) iterateSquaring(spec *productSpec, d *matrix.CSR[int64], iters int) (ccmm.CSRProduct[int64], error) {
 	var dd *ccmm.RowMat[int64]
 	for i := 0; i < iters; i++ {
 		if dd == nil {
-			p, route, err := mulCSR(d)
+			p, route, err := spec.mulCSR(r.plan, r.net, r.sc, d, d)
 			r.route = route
 			if err != nil {
 				return ccmm.CSRProduct[int64]{}, err
 			}
 			if p.Sparse != nil {
-				if reflect.DeepEqual(p.Sparse, d) {
+				if csrEqual(p.Sparse, d) {
 					break
 				}
 				d = p.Sparse
@@ -371,12 +344,12 @@ func (r *opRun) iterateSquaring(d *matrix.CSR[int64], iters int,
 			dd = p.Dense // fill-in densified the iterate; stay dense from here
 			continue
 		}
-		next, route, err := mulDense(dd)
+		next, route, err := spec.mul(r.plan, r.net, r.sc, dd, dd)
 		r.route = route
 		if err != nil {
 			return ccmm.CSRProduct[int64]{}, err
 		}
-		if reflect.DeepEqual(next.Rows, dd.Rows) {
+		if slices.EqualFunc(next.Rows, dd.Rows, slices.Equal[[]int64]) {
 			r.recycle(next)
 			break
 		}
@@ -391,6 +364,28 @@ func (r *opRun) iterateSquaring(d *matrix.CSR[int64], iters int,
 	return ccmm.CSRProduct[int64]{Sparse: d}, nil
 }
 
+// iterateCSR is the shared harness of the iterated-squaring CSR entry
+// points: seed the iterate with the operand plus diag on the diagonal —
+// values kept (min-plus) or dropped, since a Boolean iterate is
+// structure-only and successive iterates come back value-free — and square
+// it to a fixed point with spec's products.
+func (s *Clique) iterateCSR(op string, spec *productSpec, a *CSR, diag int64, keepVal bool, opts []CallOption) (prod CSRProduct, stats Stats, err error) {
+	if err := a.validate(); err != nil {
+		return CSRProduct{}, Stats{}, err
+	}
+	r, err := s.begin(op, a.N, spec.class, opts)
+	if err != nil {
+		return CSRProduct{}, Stats{}, err
+	}
+	defer r.end(&stats, &err)
+	d := withDiagonal(padCSRTo(a, r.n), r.n, diag, keepVal)
+	var p ccmm.CSRProduct[int64]
+	if p, err = r.iterateSquaring(spec, d, squaringIters(a.N)); err == nil {
+		prod = r.publicProduct(p)
+	}
+	return
+}
+
 // APSPCSR computes all-pairs shortest-path distances of a nonnegatively
 // weighted digraph given as a CSR matrix (stored entries are edge
 // weights; nil Val means all edges have weight 0), by min-plus iterated
@@ -398,40 +393,15 @@ func (r *opRun) iterateSquaring(d *matrix.CSR[int64], iters int,
 // densification. Unstored result entries are +∞ — unreachable pairs cost
 // nothing, so on graphs whose components are small the whole computation
 // is sublinear in n². Distances only; use APSP for routing tables.
-func (s *Clique) APSPCSR(a *CSR, opts ...CallOption) (prod CSRProduct, stats Stats, err error) {
-	if s.cfg.engine == Fast {
-		return CSRProduct{}, Stats{}, fmt.Errorf("algclique: min-plus is not a ring; use Auto, Semiring3D or Naive: %w", ccmm.ErrSize)
-	}
-	r, err := s.begin("APSPCSR", a.N, anySize, opts)
-	if err != nil {
-		return CSRProduct{}, Stats{}, err
-	}
-	defer r.end(&stats, &err)
-	d := withDiagonal(padCSRTo(a, r.n), r.n, 0, true)
-	p, serr := r.iterateSquaring(d, squaringIters(a.N),
-		func(d *matrix.CSR[int64]) (ccmm.CSRProduct[int64], ccmm.Route, error) {
-			return r.plan.MulMinPlusCSRRouted(r.net, r.sc, d, d)
-		},
-		func(d *ccmm.RowMat[int64]) (*ccmm.RowMat[int64], ccmm.Route, error) {
-			return r.plan.MulMinPlusRouted(r.net, r.sc, d, d)
-		},
-	)
-	if serr != nil {
-		err = serr
-		return
-	}
-	prod = r.publicProduct(p)
-	return
+func (s *Clique) APSPCSR(a *CSR, opts ...CallOption) (CSRProduct, Stats, error) {
+	return s.iterateCSR("APSPCSR", &distanceProductSpec, a, 0, true, opts)
 }
 
 // APSPCSR is the one-shot form of Clique.APSPCSR.
 func APSPCSR(a *CSR, opts ...Option) (CSRProduct, Stats, error) {
-	s, err := oneShot(a.N, opts)
-	if err != nil {
-		return CSRProduct{}, Stats{}, err
-	}
-	defer s.Close()
-	return s.APSPCSR(a)
+	return oneShot(a.N, opts, func(s *Clique) (CSRProduct, Stats, error) {
+		return s.APSPCSR(a)
+	})
 }
 
 // TransitiveClosureCSR computes the reflexive-transitive closure of a CSR
@@ -439,39 +409,13 @@ func APSPCSR(a *CSR, opts ...Option) (CSRProduct, Stats, error) {
 // iterated squaring — the adjacency-powers pattern of the girth machinery
 // — staying CSR across iterations until fill-in forces densification. A
 // sparse result is value-free; a dense one is a 0/1 matrix.
-func (s *Clique) TransitiveClosureCSR(a *CSR, opts ...CallOption) (prod CSRProduct, stats Stats, err error) {
-	r, err := s.begin("TransitiveClosureCSR", a.N, ringSize, opts)
-	if err != nil {
-		return CSRProduct{}, Stats{}, err
-	}
-	defer r.end(&stats, &err)
-	seed := padCSRTo(a, r.n)
-	// A Boolean iterate is structure-only: drop any values up front so
-	// successive iterates (which come back value-free) compare equal at
-	// the fixed point.
-	d := withDiagonal(&matrix.CSR[int64]{N: r.n, RowPtr: seed.RowPtr, Col: seed.Col}, r.n, 1, false)
-	p, serr := r.iterateSquaring(d, squaringIters(a.N),
-		func(d *matrix.CSR[int64]) (ccmm.CSRProduct[int64], ccmm.Route, error) {
-			return r.plan.MulBoolCSRRouted(r.net, r.sc, d, d)
-		},
-		func(d *ccmm.RowMat[int64]) (*ccmm.RowMat[int64], ccmm.Route, error) {
-			return r.plan.MulBoolRouted(r.net, r.sc, d, d)
-		},
-	)
-	if serr != nil {
-		err = serr
-		return
-	}
-	prod = r.publicProduct(p)
-	return
+func (s *Clique) TransitiveClosureCSR(a *CSR, opts ...CallOption) (CSRProduct, Stats, error) {
+	return s.iterateCSR("TransitiveClosureCSR", &matMulBoolSpec, a, 1, false, opts)
 }
 
 // TransitiveClosureCSR is the one-shot form of Clique.TransitiveClosureCSR.
 func TransitiveClosureCSR(a *CSR, opts ...Option) (CSRProduct, Stats, error) {
-	s, err := oneShot(a.N, opts)
-	if err != nil {
-		return CSRProduct{}, Stats{}, err
-	}
-	defer s.Close()
-	return s.TransitiveClosureCSR(a)
+	return oneShot(a.N, opts, func(s *Clique) (CSRProduct, Stats, error) {
+		return s.TransitiveClosureCSR(a)
+	})
 }

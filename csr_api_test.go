@@ -1,11 +1,13 @@
 package algclique_test
 
 import (
+	"errors"
 	"math/rand/v2"
 	"reflect"
 	"testing"
 
 	"github.com/algebraic-clique/algclique"
+	"github.com/algebraic-clique/algclique/internal/ccmm"
 )
 
 // sparseMatFor draws an n×n integer matrix with roughly perRow nonzeros
@@ -243,6 +245,35 @@ func TestCSRAPITransitiveClosure(t *testing.T) {
 	}
 }
 
+// TestCSRAPIAPSPValueFree: a nil Val means every stored edge has weight 0,
+// for APSPCSR as for DistanceProductCSR — reachable pairs are at distance
+// 0, the rest unstored.
+func TestCSRAPIAPSPValueFree(t *testing.T) {
+	const n = 9
+	path := &algclique.CSR{N: n, RowPtr: make([]int64, n+1)}
+	for v := 0; v < n-1; v++ {
+		path.Col = append(path.Col, int32(v+1))
+		path.RowPtr[v+1] = int64(len(path.Col))
+	}
+	path.RowPtr[n] = path.RowPtr[n-1]
+	got, _, err := algclique.APSPCSR(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist := expandProduct(got, algclique.Inf, 0)
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			want := algclique.Inf
+			if v >= u {
+				want = 0
+			}
+			if dist[u][v] != want {
+				t.Fatalf("dist[%d][%d] = %d, want %d", u, v, dist[u][v], want)
+			}
+		}
+	}
+}
+
 // TestCSRAPISessionLedger: CSR operations record in the session ledger
 // like any other operation, and operand size mismatches error.
 func TestCSRAPISessionLedger(t *testing.T) {
@@ -285,5 +316,75 @@ func TestCSRAPISessionLedger(t *testing.T) {
 	b.N = n - 1
 	if _, _, err := s.MatMulCSR(a, &b); err == nil {
 		t.Fatal("operand pair size mismatch accepted")
+	}
+}
+
+// TestCSRAPIMalformedOperands: a structurally broken CSR crossing the
+// public boundary is an error wrapping ErrSize on every CSR entry point —
+// as either operand — and never a panic.
+func TestCSRAPIMalformedOperands(t *testing.T) {
+	ptr := func(n int, fill int64) []int64 { // n+1 row pointers: 0, then fill
+		rp := make([]int64, n+1)
+		for i := 1; i <= n; i++ {
+			rp[i] = fill
+		}
+		return rp
+	}
+	cases := []struct {
+		name string
+		m    *algclique.CSR
+	}{
+		{"row pointers claim more than stored", &algclique.CSR{N: 8, RowPtr: ptr(8, 5), Col: []int32{1}}},
+		{"row pointers claim less than stored", &algclique.CSR{N: 8, RowPtr: ptr(8, 1), Col: []int32{1, 2, 3}}},
+		{"short row-pointer array", &algclique.CSR{N: 9, RowPtr: []int64{0, 0}}},
+		{"no row pointers", &algclique.CSR{N: 8}},
+		{"row pointers start past zero", &algclique.CSR{N: 8, RowPtr: append([]int64{1}, ptr(8, 1)[1:]...), Col: []int32{1}}},
+		{"row end past the stored entries", &algclique.CSR{N: 8, RowPtr: []int64{0, 5, 1, 1, 1, 1, 1, 1, 1}, Col: []int32{1}}},
+		{"decreasing row pointers", &algclique.CSR{N: 8, RowPtr: []int64{0, 2, 1, 2, 2, 2, 2, 2, 2}, Col: []int32{1, 2}}},
+		{"column out of range", &algclique.CSR{N: 8, RowPtr: ptr(8, 1), Col: []int32{8}}},
+		{"negative column", &algclique.CSR{N: 8, RowPtr: ptr(8, 1), Col: []int32{-1}}},
+		{"columns not increasing", &algclique.CSR{N: 8, RowPtr: ptr(8, 2), Col: []int32{3, 3}}},
+		{"value count mismatch", &algclique.CSR{N: 8, RowPtr: ptr(8, 2), Col: []int32{1, 2}, Val: []int64{7}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := algclique.NewClique(c.m.N)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			good := &algclique.CSR{N: c.m.N, RowPtr: make([]int64, c.m.N+1)}
+			pair := func(f func(a, b *algclique.CSR, opts ...algclique.CallOption) (algclique.CSRProduct, algclique.Stats, error)) func() error {
+				return func() error {
+					if _, _, err := f(good, c.m); !errors.Is(err, ccmm.ErrSize) {
+						return errors.Join(errors.New("as right operand"), err)
+					}
+					_, _, err := f(c.m, good)
+					return err
+				}
+			}
+			one := func(f func(a *algclique.CSR, opts ...algclique.CallOption) (algclique.CSRProduct, algclique.Stats, error)) func() error {
+				return func() error { _, _, err := f(c.m); return err }
+			}
+			for op, call := range map[string]func() error{
+				"MatMulCSR":            pair(s.MatMulCSR),
+				"MatMulBoolCSR":        pair(s.MatMulBoolCSR),
+				"DistanceProductCSR":   pair(s.DistanceProductCSR),
+				"SquareAdjacencyCSR":   one(s.SquareAdjacencyCSR),
+				"APSPCSR":              one(s.APSPCSR),
+				"TransitiveClosureCSR": one(s.TransitiveClosureCSR),
+			} {
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("%s panicked: %v", op, r)
+						}
+					}()
+					if err := call(); !errors.Is(err, ccmm.ErrSize) {
+						t.Errorf("%s: err = %v, want an error wrapping ErrSize", op, err)
+					}
+				}()
+			}
+		})
 	}
 }

@@ -81,12 +81,9 @@ func (s *Clique) APSP(g *Weighted, opts ...CallOption) (res *APSPResult, stats S
 
 // APSP is the one-shot form of Clique.APSP.
 func APSP(g *Weighted, opts ...Option) (*APSPResult, Stats, error) {
-	s, err := oneShot(g.N(), opts)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	defer s.Close()
-	return s.APSP(g)
+	return oneShot(g.N(), opts, func(s *Clique) (*APSPResult, Stats, error) {
+		return s.APSP(g)
+	})
 }
 
 // APSPUnweighted computes exact all-pairs shortest paths of an unweighted
@@ -114,12 +111,9 @@ func (s *Clique) apspUnweighted(op string, g *Graph, opts []CallOption) (res *AP
 
 // APSPUnweighted is the one-shot form of Clique.APSPUnweighted.
 func APSPUnweighted(g *Graph, opts ...Option) (*APSPResult, Stats, error) {
-	s, err := oneShot(g.N(), opts)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	defer s.Close()
-	return s.APSPUnweighted(g)
+	return oneShot(g.N(), opts, func(s *Clique) (*APSPResult, Stats, error) {
+		return s.APSPUnweighted(g)
+	})
 }
 
 // APSPUnweightedWithRouting runs Seidel's algorithm and then recovers a
@@ -166,12 +160,9 @@ func (s *Clique) APSPUnweightedWithRouting(g *Graph, opts ...CallOption) (res *A
 // APSPUnweightedWithRouting is the one-shot form of
 // Clique.APSPUnweightedWithRouting.
 func APSPUnweightedWithRouting(g *Graph, opts ...Option) (*APSPResult, Stats, error) {
-	s, err := oneShot(g.N(), opts)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	defer s.Close()
-	return s.APSPUnweightedWithRouting(g)
+	return oneShot(g.N(), opts, func(s *Clique) (*APSPResult, Stats, error) {
+		return s.APSPUnweightedWithRouting(g)
+	})
 }
 
 // APSPSmallWeights computes exact all-pairs shortest paths for directed
@@ -195,12 +186,9 @@ func (s *Clique) APSPSmallWeights(g *Weighted, opts ...CallOption) (res *APSPRes
 
 // APSPSmallWeights is the one-shot form of Clique.APSPSmallWeights.
 func APSPSmallWeights(g *Weighted, opts ...Option) (*APSPResult, Stats, error) {
-	s, err := oneShot(g.N(), opts)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	defer s.Close()
-	return s.APSPSmallWeights(g)
+	return oneShot(g.N(), opts, func(s *Clique) (*APSPResult, Stats, error) {
+		return s.APSPSmallWeights(g)
+	})
 }
 
 // APSPApprox computes (1+ε)-approximate all-pairs shortest paths for
@@ -228,7 +216,7 @@ func (s *Clique) APSPApprox(g *Weighted, opts ...CallOption) (res *APSPResult, s
 
 // APSPApprox is the one-shot form of Clique.APSPApprox.
 func APSPApprox(g *Weighted, opts ...Option) (*APSPResult, float64, Stats, error) {
-	s, err := oneShot(g.N(), opts)
+	s, err := newSession(g.N(), newConfig(opts))
 	if err != nil {
 		return nil, 0, Stats{}, err
 	}
@@ -259,12 +247,9 @@ func (s *Clique) APSPNaive(g *Weighted, opts ...CallOption) (res *APSPResult, st
 
 // APSPNaive is the one-shot form of Clique.APSPNaive.
 func APSPNaive(g *Weighted, opts ...Option) (*APSPResult, Stats, error) {
-	s, err := oneShot(g.N(), opts)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	defer s.Close()
-	return s.APSPNaive(g)
+	return oneShot(g.N(), opts, func(s *Clique) (*APSPResult, Stats, error) {
+		return s.APSPNaive(g)
+	})
 }
 
 // ValidateRouting checks a distance matrix and routing table against the

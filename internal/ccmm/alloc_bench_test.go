@@ -30,7 +30,7 @@ func BenchmarkSemiring3DAllocs(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				net.Reset()
-				if _, err := ccmm.Semiring3DScratch[int64](net, sc, mp, mp, s, t); err != nil {
+				if _, err := ccmm.Semiring3D[int64](net, sc, mp, mp, s, t); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -51,7 +51,7 @@ func BenchmarkSemiring3DWitnessAllocs(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				net.Reset()
-				if _, _, err := ccmm.DistanceProduct3DScratch(net, sc, s, t); err != nil {
+				if _, _, err := ccmm.DistanceProduct3D(net, sc, s, t); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -74,7 +74,7 @@ func BenchmarkFastBilinearAllocs(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				net.Reset()
-				if _, err := ccmm.FastBilinearScratch[int64](net, sc, r, r, nil, s, t); err != nil {
+				if _, err := ccmm.FastBilinear[int64](net, sc, r, r, nil, s, t); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -112,7 +112,7 @@ func BenchmarkBoolPackedRounds(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					net.Reset()
-					if _, err := ccmm.Semiring3DScratch[bool](net, sc, br, codec, s, s); err != nil {
+					if _, err := ccmm.Semiring3D[bool](net, sc, br, codec, s, s); err != nil {
 						b.Fatal(err)
 					}
 					rounds = net.Rounds()
@@ -140,7 +140,7 @@ func BenchmarkSparseAllocs(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				net.Reset()
-				if _, err := ccmm.SparseMulScratch[int64](net, sc, r, r, s, t); err != nil {
+				if _, err := ccmm.SparseMul[int64](net, sc, r, r, s, t); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -32,7 +32,7 @@ func BenchmarkSchemeAblation(b *testing.B) {
 			var rounds int64
 			for i := 0; i < b.N; i++ {
 				net := clique.New(n)
-				if _, err := ccmm.FastBilinear[int64](net, r, r, s, ccmm.Distribute(a), ccmm.Distribute(c)); err != nil {
+				if _, err := ccmm.FastBilinear[int64](net, nil, r, r, s, ccmm.Distribute(a), ccmm.Distribute(c)); err != nil {
 					b.Fatal(err)
 				}
 				rounds = net.Rounds()
@@ -53,7 +53,7 @@ func BenchmarkWitnessOverhead(b *testing.B) {
 		var rounds int64
 		for i := 0; i < b.N; i++ {
 			net := clique.New(n)
-			if _, err := ccmm.Semiring3D[int64](net, mp, mp, ccmm.Distribute(a), ccmm.Distribute(c)); err != nil {
+			if _, err := ccmm.Semiring3D[int64](net, nil, mp, mp, ccmm.Distribute(a), ccmm.Distribute(c)); err != nil {
 				b.Fatal(err)
 			}
 			rounds = net.Rounds()
@@ -64,7 +64,7 @@ func BenchmarkWitnessOverhead(b *testing.B) {
 		var rounds int64
 		for i := 0; i < b.N; i++ {
 			net := clique.New(n)
-			if _, _, err := ccmm.DistanceProduct3D(net, ccmm.Distribute(a), ccmm.Distribute(c)); err != nil {
+			if _, _, err := ccmm.DistanceProduct3D(net, nil, ccmm.Distribute(a), ccmm.Distribute(c)); err != nil {
 				b.Fatal(err)
 			}
 			rounds = net.Rounds()

@@ -43,7 +43,7 @@ func TestSemiring3DInt64(t *testing.T) {
 	for _, n := range []int{1, 8, 27, 64} {
 		a, b := randIntMat(rng, n, 30), randIntMat(rng, n, 30)
 		net := clique.New(n)
-		p, err := ccmm.Semiring3D[int64](net, r, r, ccmm.Distribute(a), ccmm.Distribute(b))
+		p, err := ccmm.Semiring3D[int64](net, nil, r, r, ccmm.Distribute(a), ccmm.Distribute(b))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -59,7 +59,7 @@ func TestSemiring3DMinPlus(t *testing.T) {
 	for _, n := range []int{8, 27} {
 		a, b := randMinPlusMat(rng, n), randMinPlusMat(rng, n)
 		net := clique.New(n)
-		p, err := ccmm.Semiring3D[int64](net, mp, mp, ccmm.Distribute(a), ccmm.Distribute(b))
+		p, err := ccmm.Semiring3D[int64](net, nil, mp, mp, ccmm.Distribute(a), ccmm.Distribute(b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestSemiring3DBool(t *testing.T) {
 		}
 	}
 	net := clique.New(n)
-	p, err := ccmm.Semiring3D[bool](net, br, br, ccmm.Distribute(a), ccmm.Distribute(b))
+	p, err := ccmm.Semiring3D[bool](net, nil, br, br, ccmm.Distribute(a), ccmm.Distribute(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSemiring3DRoundScaling(t *testing.T) {
 	for _, n := range []int{27, 64, 125} {
 		a, b := randIntMat(rng, n, 5), randIntMat(rng, n, 5)
 		net := clique.New(n)
-		if _, err := ccmm.Semiring3D[int64](net, r, r, ccmm.Distribute(a), ccmm.Distribute(b)); err != nil {
+		if _, err := ccmm.Semiring3D[int64](net, nil, r, r, ccmm.Distribute(a), ccmm.Distribute(b)); err != nil {
 			t.Fatal(err)
 		}
 		cbrt := math.Cbrt(float64(n))
@@ -112,7 +112,7 @@ func TestSemiring3DRoundScaling(t *testing.T) {
 	for _, n := range []int{28, 60, 100, 150, 200} {
 		a, b := randIntMat(rng, n, 5), randIntMat(rng, n, 5)
 		net := clique.New(n)
-		if _, err := ccmm.Semiring3D[int64](net, r, r, ccmm.Distribute(a), ccmm.Distribute(b)); err != nil {
+		if _, err := ccmm.Semiring3D[int64](net, nil, r, r, ccmm.Distribute(a), ccmm.Distribute(b)); err != nil {
 			t.Fatal(err)
 		}
 		cbrt := math.Cbrt(float64(n))
@@ -136,7 +136,7 @@ func TestSemiring3DArbitrarySizesInt64(t *testing.T) {
 	for _, n := range awkwardSizes {
 		a, b := randIntMat(rng, n, 30), randIntMat(rng, n, 30)
 		net := clique.New(n)
-		p, err := ccmm.Semiring3D[int64](net, r, r, ccmm.Distribute(a), ccmm.Distribute(b))
+		p, err := ccmm.Semiring3D[int64](net, nil, r, r, ccmm.Distribute(a), ccmm.Distribute(b))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -152,7 +152,7 @@ func TestSemiring3DArbitrarySizesMinPlus(t *testing.T) {
 	for _, n := range awkwardSizes {
 		a, b := randMinPlusMat(rng, n), randMinPlusMat(rng, n)
 		net := clique.New(n)
-		p, err := ccmm.Semiring3D[int64](net, mp, mp, ccmm.Distribute(a), ccmm.Distribute(b))
+		p, err := ccmm.Semiring3D[int64](net, nil, mp, mp, ccmm.Distribute(a), ccmm.Distribute(b))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -174,7 +174,7 @@ func TestSemiring3DArbitrarySizesBool(t *testing.T) {
 			}
 		}
 		net := clique.New(n)
-		p, err := ccmm.Semiring3D[bool](net, br, br, ccmm.Distribute(a), ccmm.Distribute(b))
+		p, err := ccmm.Semiring3D[bool](net, nil, br, br, ccmm.Distribute(a), ccmm.Distribute(b))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -193,7 +193,7 @@ func TestDistanceProduct3DArbitrarySizes(t *testing.T) {
 	for _, n := range []int{5, 26, 28, 60} {
 		a, b := randMinPlusMat(rng, n), randMinPlusMat(rng, n)
 		net := clique.New(n)
-		p, q, err := ccmm.DistanceProduct3D(net, ccmm.Distribute(a), ccmm.Distribute(b))
+		p, q, err := ccmm.DistanceProduct3D(net, nil, ccmm.Distribute(a), ccmm.Distribute(b))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -220,7 +220,7 @@ func TestDistanceProduct3DArbitrarySizes(t *testing.T) {
 func TestSemiring3DRejectsRowMismatch(t *testing.T) {
 	r := ring.Int64{}
 	net := clique.New(8)
-	_, err := ccmm.Semiring3D[int64](net, r, r, ccmm.NewRowMat[int64](7), ccmm.NewRowMat[int64](8))
+	_, err := ccmm.Semiring3D[int64](net, nil, r, r, ccmm.NewRowMat[int64](7), ccmm.NewRowMat[int64](8))
 	if !errors.Is(err, ccmm.ErrSize) {
 		t.Errorf("row mismatch: err = %v", err)
 	}
@@ -247,7 +247,7 @@ func TestDistanceProduct3DWitnesses(t *testing.T) {
 	for _, n := range []int{8, 27} {
 		a, b := randMinPlusMat(rng, n), randMinPlusMat(rng, n)
 		net := clique.New(n)
-		p, q, err := ccmm.DistanceProduct3D(net, ccmm.Distribute(a), ccmm.Distribute(b))
+		p, q, err := ccmm.DistanceProduct3D(net, nil, ccmm.Distribute(a), ccmm.Distribute(b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +282,7 @@ func TestFastBilinearInt64(t *testing.T) {
 	for _, n := range []int{16, 64} {
 		a, b := randIntMat(rng, n, 20), randIntMat(rng, n, 20)
 		net := clique.New(n)
-		p, err := ccmm.FastBilinear[int64](net, r, r, nil, ccmm.Distribute(a), ccmm.Distribute(b))
+		p, err := ccmm.FastBilinear[int64](net, nil, r, r, nil, ccmm.Distribute(a), ccmm.Distribute(b))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -304,7 +304,7 @@ func TestFastBilinearExplicitSchemes(t *testing.T) {
 	for i, s := range schemes {
 		a, b := randIntMat(rng, n, 10), randIntMat(rng, n, 10)
 		net := clique.New(n)
-		p, err := ccmm.FastBilinear[int64](net, r, r, s, ccmm.Distribute(a), ccmm.Distribute(b))
+		p, err := ccmm.FastBilinear[int64](net, nil, r, r, s, ccmm.Distribute(a), ccmm.Distribute(b))
 		if i == 2 {
 			if !errors.Is(err, ccmm.ErrSize) {
 				t.Errorf("oversized scheme accepted: %v", err)
@@ -332,7 +332,7 @@ func TestFastBilinearZp(t *testing.T) {
 		}
 	}
 	net := clique.New(n)
-	p, err := ccmm.FastBilinear[int64](net, z, z, nil, ccmm.Distribute(a), ccmm.Distribute(b))
+	p, err := ccmm.FastBilinear[int64](net, nil, z, z, nil, ccmm.Distribute(a), ccmm.Distribute(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestFastBilinearPolyRing(t *testing.T) {
 		}
 	}
 	net := clique.New(n)
-	p, err := ccmm.FastBilinear[ring.PolyElem](net, pr, pr, nil, ccmm.Distribute(ap), ccmm.Distribute(bp))
+	p, err := ccmm.FastBilinear[ring.PolyElem](net, nil, pr, pr, nil, ccmm.Distribute(ap), ccmm.Distribute(bp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestFastBilinearRejectsBadSizes(t *testing.T) {
 	for _, n := range []int{8, 15} {
 		net := clique.New(n)
 		a := ccmm.NewRowMat[int64](n)
-		if _, err := ccmm.FastBilinear[int64](net, r, r, nil, a, a); !errors.Is(err, ccmm.ErrSize) {
+		if _, err := ccmm.FastBilinear[int64](net, nil, r, r, nil, a, a); !errors.Is(err, ccmm.ErrSize) {
 			t.Errorf("n=%d: err = %v, want ErrSize", n, err)
 		}
 	}
@@ -410,13 +410,13 @@ func TestFastBilinearRoundsBeatNaiveAndScale(t *testing.T) {
 	for _, n := range []int{64, 256} {
 		a, b := randIntMat(rng, n, 5), randIntMat(rng, n, 5)
 		net := clique.New(n)
-		if _, err := ccmm.FastBilinear[int64](net, r, r, nil, ccmm.Distribute(a), ccmm.Distribute(b)); err != nil {
+		if _, err := ccmm.FastBilinear[int64](net, nil, r, r, nil, ccmm.Distribute(a), ccmm.Distribute(b)); err != nil {
 			t.Fatal(err)
 		}
 		rounds[n] = net.Rounds()
 
 		naive := clique.New(n)
-		if _, err := ccmm.NaiveGather[int64](naive, r, r, ccmm.Distribute(a), ccmm.Distribute(b)); err != nil {
+		if _, err := ccmm.NaiveGather[int64](naive, nil, r, r, ccmm.Distribute(a), ccmm.Distribute(b)); err != nil {
 			t.Fatal(err)
 		}
 		if n >= 64 && net.Rounds() >= naive.Rounds() {
@@ -436,7 +436,7 @@ func TestNaiveGatherMatches(t *testing.T) {
 	for _, n := range []int{5, 12, 30} {
 		a, b := randIntMat(rng, n, 20), randIntMat(rng, n, 20)
 		net := clique.New(n)
-		p, err := ccmm.NaiveGather[int64](net, r, r, ccmm.Distribute(a), ccmm.Distribute(b))
+		p, err := ccmm.NaiveGather[int64](net, nil, r, r, ccmm.Distribute(a), ccmm.Distribute(b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -470,7 +470,7 @@ func TestPhaseBreakdownRecorded(t *testing.T) {
 	n := 27
 	a, b := randIntMat(rng, n, 5), randIntMat(rng, n, 5)
 	net := clique.New(n)
-	if _, err := ccmm.Semiring3D[int64](net, r, r, ccmm.Distribute(a), ccmm.Distribute(b)); err != nil {
+	if _, err := ccmm.Semiring3D[int64](net, nil, r, r, ccmm.Distribute(a), ccmm.Distribute(b)); err != nil {
 		t.Fatal(err)
 	}
 	st := net.Stats()

@@ -2,10 +2,10 @@ package ccmm
 
 import (
 	"errors"
+	"fmt"
 	"math"
 
 	"github.com/algebraic-clique/algclique/internal/clique"
-	"github.com/algebraic-clique/algclique/internal/ring"
 )
 
 // This file is the density-aware half of the planner: a one-round census
@@ -52,31 +52,31 @@ func (r Route) Decision() string {
 	}
 }
 
-// thresholdOn resolves the effective sparse threshold for a product on
-// net: a session arms its WithSparseThreshold setting on the network per
-// operation (so even products resolved deep inside graph algorithms —
-// which plan via PlanFor, not PlanSparse — honour it); a bare network
-// falls back to the plan's own threshold.
-func (p *Plan) thresholdOn(net *clique.Network) float64 {
+// sparseThreshold is the effective threshold of a product on net. The
+// network is its one home: a session arms its WithSparseThreshold setting
+// there per operation, so even products resolved deep inside graph
+// algorithms honour it; a network nobody armed means
+// DefaultSparseThreshold.
+func sparseThreshold(net *clique.Network) float64 {
 	if t, ok := net.SparseThreshold(); ok {
 		return t
 	}
-	return p.SparseThreshold
+	return DefaultSparseThreshold
 }
 
 // censusApplies reports whether the plan runs the density census on its
 // products on net: only Auto plans (a forced engine is a forced engine),
 // only on cliques the sparse engine covers, and only with a positive
-// effective threshold.
+// threshold — zero, negative, and NaN all turn the census off.
 func (p *Plan) censusApplies(net *clique.Network) bool {
-	return p.Requested == EngineAuto && p.N >= minSparseN && p.thresholdOn(net) > 0
+	return p.Requested == EngineAuto && p.N >= minSparseN && sparseThreshold(net) > 0
 }
 
-// nnzCensus is the planner's census round: every node broadcasts its two
-// per-row nonzero counts packed into one word, and every node returns the
-// same operand totals (ρ_A, ρ_B). This mirrors the degree broadcast that
-// opens the Theorem 4 machinery (the sparsesq/degrees phase), lifted to
-// arbitrary operands.
+// census is the planner's census round: count fills in every node's two
+// per-row nonzero counts, every node broadcasts them packed into one word,
+// and every node returns the same operand totals (ρ_A, ρ_B). This mirrors
+// the degree broadcast that opens the Theorem 4 machinery (the
+// sparsesq/degrees phase), lifted to arbitrary operands.
 //
 // A sparse-routed product censuses twice by design: this round sees only
 // row counts (all that exists before any communication — it is what the
@@ -87,15 +87,13 @@ func (p *Plan) censusApplies(net *clique.Network) bool {
 // round whether it carries one packed word or two — so the sparse path's
 // fixed overhead includes both, which the ρ-bound predictor's constant
 // accounts for.
-func nnzCensus[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], s, t *RowMat[T]) (rhoA, rhoB int64) {
+func census(net *clique.Network, sc *Scratch, count func(ca, rb []int)) (rhoA, rhoB int64) {
 	n := net.N()
 	net.Phase("mmplan/census")
-	zero := sr.Zero()
 	sp := sc.sparse()
 	sp.ca = growInts(sp.ca, n)
 	sp.rb = growInts(sp.rb, n)
-	countRowNNZ(net, sr, zero, s, sp.ca)
-	countRowNNZ(net, sr, zero, t, sp.rb)
+	count(sp.ca, sp.rb)
 	sp.nnz = growInts(sp.nnz, n)
 	for v := 0; v < n; v++ {
 		sp.nnz[v] = clique.Word(sp.ca[v])<<32 | clique.Word(sp.rb[v])
@@ -175,30 +173,70 @@ func chooseSparse(n int, rhoA, rhoB int64, tupleWords int, densePred, threshold 
 	return predictSparseRounds(n, rhoA, rhoB, tupleWords) <= threshold*densePred
 }
 
-// routeProduct is the adaptive dispatcher shared by the typed entry
-// points: it runs the census on the operands the sparse engine would see,
-// decides sparse-vs-dense with the predictors, runs runSparse with
-// transparent fallback on ErrTooDense, and otherwise defers to runDense
-// (which executes the plan's resolved dense engine on the original
-// operands). tupleWords is the wire width of one sparse tuple for the
-// product's transport codec.
-func routeProduct[T any](net *clique.Network, p *Plan, sc *Scratch, sr ring.Semiring[T], s, t *RowMat[T], denseEngine Engine, densePred float64, tupleWords int, runSparse func(sc *Scratch) (*RowMat[T], error), runDense func() (*RowMat[T], error)) (*RowMat[T], Route, error) {
+// operands is what the router needs from an operand form, RowMat or CSR
+// (mulRowMat and mulCSR in plan.go build the two): P is the product type,
+// and every function closes over the operand pair.
+type operands[P any] struct {
+	// validate checks the pair against the clique size.
+	validate func(n int) error
+	// count fills in each node's per-row nonzero counts — the local half
+	// of the census.
+	count func(ca, rb []int)
+	// sparse runs the sparse tile engine, dense the resolved dense engine
+	// e, each on the original operands.
+	sparse func(sc *Scratch) (P, error)
+	dense  func(sc *Scratch, e Engine) (P, error)
+	// densifyCap, when positive, is the largest clique on which dense may
+	// run at all (see csrDensifyCap).
+	densifyCap int
+}
+
+// route is the routed product — the one body behind every Mul*Routed entry
+// point: plan and operand checks, the forced-sparse short-cut, the census
+// on the operands the sparse engine would see, the sparse-vs-dense decision
+// from the predictors, the sparse run with transparent fallback on
+// ErrTooDense, and otherwise the plan's resolved dense engine. The Route
+// reports what happened.
+func route[T, P any](net *clique.Network, p *Plan, sc *Scratch, a *algebra[T], ops operands[P]) (out P, rt Route, err error) {
+	defer catchAbort(&err)
+	var none P
+	n := net.N()
+	if p.N != n {
+		return none, Route{}, fmt.Errorf("ccmm: plan for n=%d used on an %d-node clique: %w", p.N, n, ErrSize)
+	}
+	if err := ops.validate(n); err != nil {
+		return none, Route{}, err
+	}
 	if sc == nil {
 		sc = NewScratch()
 	}
-	rhoA, rhoB := nnzCensus[T](net, sc, sr, s, t)
-	rt := Route{Census: true, RhoA: rhoA, RhoB: rhoB, Engine: denseEngine}
-	if chooseSparse(net.N(), rhoA, rhoB, tupleWords, densePred, p.thresholdOn(net)) {
-		m, err := runSparse(sc)
-		if err == nil {
-			rt.Engine = EngineSparse
-			return m, rt, nil
-		}
-		if !errors.Is(err, ErrTooDense) {
-			return nil, rt, err
-		}
-		rt.Fallback = true // the exact Σ ca·rb census rejected the operands
+	if p.Requested == EngineSparse {
+		out, err = ops.sparse(sc)
+		return out, Route{Engine: EngineSparse}, err
 	}
-	m, err := runDense()
-	return m, rt, err
+	rt.Engine = p.RingEngine
+	if a.semiring {
+		rt.Engine = p.SemiringEngine
+	}
+	if p.censusApplies(net) {
+		rt.Census = true
+		rt.RhoA, rt.RhoB = census(net, sc, ops.count)
+		densePred := p.predictDenseRounds(rt.Engine, a.entryWords(rt.Engine, n))
+		if chooseSparse(n, rt.RhoA, rt.RhoB, a.tupleWords, densePred, sparseThreshold(net)) {
+			out, err = ops.sparse(sc)
+			if err == nil {
+				rt.Engine = EngineSparse
+				return out, rt, nil
+			}
+			if !errors.Is(err, ErrTooDense) {
+				return none, rt, err
+			}
+			rt.Fallback = true // the exact Σ ca·rb census rejected the operands
+		}
+	}
+	if ops.densifyCap > 0 && n > ops.densifyCap {
+		return none, rt, fmt.Errorf("ccmm: dense fallback at n = %d would allocate n² state (densify cap %d): %w", n, ops.densifyCap, ErrTooDense)
+	}
+	out, err = ops.dense(sc, rt.Engine)
+	return out, rt, err
 }

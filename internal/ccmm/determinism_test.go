@@ -29,9 +29,9 @@ func TestWorkerCountDoesNotAffectResults(t *testing.T) {
 		var p *ccmm.RowMat[int64]
 		var err error
 		if fast {
-			p, err = ccmm.FastBilinear[int64](net, r, r, nil, ccmm.Distribute(a), ccmm.Distribute(b))
+			p, err = ccmm.FastBilinear[int64](net, nil, r, r, nil, ccmm.Distribute(a), ccmm.Distribute(b))
 		} else {
-			p, err = ccmm.Semiring3D[int64](net, r, r, ccmm.Distribute(a), ccmm.Distribute(b))
+			p, err = ccmm.Semiring3D[int64](net, nil, r, r, ccmm.Distribute(a), ccmm.Distribute(b))
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -64,7 +64,7 @@ func TestSemiring3DPaddedDeterminism(t *testing.T) {
 			rng := rand.New(rand.NewPCG(42, uint64(n)))
 			a, b := randMinPlusMat(rng, n), randMinPlusMat(rng, n)
 			net := clique.New(n, clique.WithWorkers(workers))
-			p, err := ccmm.Semiring3D[int64](net, mp, mp, ccmm.Distribute(a), ccmm.Distribute(b))
+			p, err := ccmm.Semiring3D[int64](net, nil, mp, mp, ccmm.Distribute(a), ccmm.Distribute(b))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,6 +5,7 @@ import (
 
 	"github.com/algebraic-clique/algclique/internal/bilinear"
 	"github.com/algebraic-clique/algclique/internal/clique"
+	"github.com/algebraic-clique/algclique/internal/matrix"
 	"github.com/algebraic-clique/algclique/internal/ring"
 )
 
@@ -79,18 +80,22 @@ func (e Engine) Resolve(n int, ringAlgebra bool) Engine {
 	return EngineNaive
 }
 
+// dropRoute discards a routed product's Route, for callers that only want
+// the product.
+func dropRoute[M any](m M, _ Route, err error) (M, error) { return m, err }
+
 // MulRingWith multiplies two distributed matrices over a ring using the
 // chosen engine (resolved through the memoised plan cache) and caller-owned
 // scratch pools — the form every iterated-product pipeline uses so repeated
 // products share one working set.
 func MulRingWith[T any](net *clique.Network, e Engine, sc *Scratch, rg ring.Ring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
-	return MulRingScratch[T](net, PlanFor(net.N(), e), sc, rg, codec, s, t)
+	return dropRoute(MulRingRouted[T](net, PlanFor(net.N(), e), sc, rg, codec, s, t))
 }
 
 // MulIntWith multiplies distributed int64 matrices over the integer ring
 // with caller-owned scratch pools (nil for a transient scratch).
 func MulIntWith(net *clique.Network, e Engine, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], error) {
-	return PlanFor(net.N(), e).MulIntScratch(net, sc, s, t)
+	return dropRoute(PlanFor(net.N(), e).MulIntRouted(net, sc, s, t))
 }
 
 // MulBoolWith computes the Boolean matrix product with caller-owned scratch
@@ -102,7 +107,7 @@ func MulIntWith(net *clique.Network, e Engine, sc *Scratch, s, t *RowMat[int64])
 // transport (ring.PackedBool): 64 entries per word, cutting Boolean-product
 // bandwidth and rounds ~64×. Inputs must be 0/1 matrices.
 func MulBoolWith(net *clique.Network, e Engine, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], error) {
-	return PlanFor(net.N(), e).MulBoolScratch(net, sc, s, t)
+	return dropRoute(PlanFor(net.N(), e).MulBoolRouted(net, sc, s, t))
 }
 
 // MulMinPlusWith computes the distance product over the (min, +) semiring
@@ -112,41 +117,63 @@ func MulBoolWith(net *clique.Network, e Engine, sc *Scratch, s, t *RowMat[int64]
 // tiny cliques. For the ring-embedded fast distance product with bounded
 // entries, see the distance package (Lemma 18).
 func MulMinPlusWith(net *clique.Network, e Engine, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], error) {
-	return PlanFor(net.N(), e).MulMinPlusScratch(net, sc, s, t)
+	return dropRoute(PlanFor(net.N(), e).MulMinPlusRouted(net, sc, s, t))
 }
 
-func mulBoolSemiring(net *clique.Network, e Engine, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], error) {
-	return mulBoolVia(net, sc, s, t, func(sc *Scratch, sb, tb *RowMat[bool]) (*RowMat[bool], error) {
-		br := ring.Bool{}
-		if e == Engine3D {
-			return Semiring3DScratch[bool](net, sc, br, ring.PackedBool{}, sb, tb)
+// mulBoolDense executes resolved dense engine e on a Boolean product (no
+// census): the integer embedding on the bilinear engine, the bit-packed
+// Boolean semiring otherwise.
+func mulBoolDense(net *clique.Network, p *Plan, sc *Scratch, e Engine, s, t *RowMat[int64]) (*RowMat[int64], error) {
+	if e != EngineFast {
+		return mulBoolVia(net, sc, s, t, func(sb, tb *RowMat[bool]) (*RowMat[bool], error) {
+			return mulDense[bool](net, p, sc, e, ring.Bool{}, ring.PackedBool{}, sb, tb)
+		})
+	}
+	r := ring.Int64{}
+	prod, err := mulDense[int64](net, p, sc, e, r, r, s, t)
+	if err != nil {
+		return nil, err
+	}
+	for v := range prod.Rows {
+		row := prod.Rows[v]
+		for j := range row {
+			if row[j] != 0 {
+				row[j] = 1
+			}
 		}
-		return NaiveGatherScratch[bool](net, sc, br, ring.PackedBool{}, sb, tb)
-	})
+	}
+	return prod, nil
 }
 
 // mulBoolSparse runs a Boolean product through the sparse tile engine: the
 // 0/1 operands convert to the Boolean semiring and the tuple streams carry
 // bit-packed values (ring.TupleCodec over ring.PackedBool).
 func mulBoolSparse(net *clique.Network, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], error) {
-	return mulBoolVia(net, sc, s, t, func(sc *Scratch, sb, tb *RowMat[bool]) (*RowMat[bool], error) {
-		return SparseMulScratch[bool](net, sc, ring.Bool{}, ring.PackedBool{}, sb, tb)
+	return mulBoolVia(net, sc, s, t, func(sb, tb *RowMat[bool]) (*RowMat[bool], error) {
+		return SparseMul[bool](net, sc, ring.Bool{}, ring.PackedBool{}, sb, tb)
 	})
+}
+
+// mulBoolSparseCSR is mulBoolSparse on CSR operands. Stored entries are
+// true whatever their value, so the Boolean view shares the structure
+// arrays with no conversion pass, and the product comes back value-free.
+func mulBoolSparseCSR(net *clique.Network, sc *Scratch, s, t *matrix.CSR[int64]) (*matrix.CSR[int64], error) {
+	sb := &matrix.CSR[bool]{N: s.N, RowPtr: s.RowPtr, Col: s.Col}
+	tb := &matrix.CSR[bool]{N: t.N, RowPtr: t.RowPtr, Col: t.Col}
+	pb, err := SparseMulCSR[bool](net, sc, ring.Bool{}, ring.PackedBool{}, sb, tb)
+	if err != nil {
+		return nil, err
+	}
+	return &matrix.CSR[int64]{N: pb.N, RowPtr: pb.RowPtr, Col: pb.Col}, nil
 }
 
 // mulBoolVia converts 0/1 integer operands to the Boolean semiring through
 // pooled row matrices, runs the given Boolean product, and converts the
-// result back.
-func mulBoolVia(net *clique.Network, sc *Scratch, s, t *RowMat[int64], run func(sc *Scratch, sb, tb *RowMat[bool]) (*RowMat[bool], error)) (*RowMat[int64], error) {
+// result back. Only route calls it, with validated operands — the
+// conversion writes through pooled n×n buffers, which malformed operands
+// must never reach — and a non-nil scratch.
+func mulBoolVia(net *clique.Network, sc *Scratch, s, t *RowMat[int64], run func(sb, tb *RowMat[bool]) (*RowMat[bool], error)) (*RowMat[int64], error) {
 	n := net.N()
-	// Validate before converting: the conversion below writes through
-	// pooled n×n buffers, which malformed operands must never reach.
-	if err := validatePair(n, s, t); err != nil {
-		return nil, err
-	}
-	if sc == nil {
-		sc = NewScratch()
-	}
 	ts := typedFrom[bool](sc)
 	toBool := func(m *RowMat[int64]) *RowMat[bool] {
 		out := ts.getMat(n)
@@ -161,7 +188,7 @@ func mulBoolVia(net *clique.Network, sc *Scratch, s, t *RowMat[int64], run func(
 	sb, tb := toBool(s), toBool(t)
 	defer ts.putMat(sb)
 	defer ts.putMat(tb)
-	p, err := run(sc, sb, tb)
+	p, err := run(sb, tb)
 	if err != nil {
 		return nil, err
 	}

@@ -19,18 +19,15 @@ import (
 //
 // A nil scheme selects bilinear.Pick(n). The scheme must satisfy m ≤ n and
 // d | q.
-func FastBilinear[T any](net *clique.Network, rg ring.Ring[T], codec ring.Codec[T], scheme *bilinear.Scheme, s, t *RowMat[T]) (*RowMat[T], error) {
-	return FastBilinearScratch[T](net, nil, rg, codec, scheme, s, t)
-}
-
-// FastBilinearScratch is FastBilinear with caller-owned scratch pools (see
-// Scratch): message buffers, the assembled grids, the per-multiplication
-// combination pieces, and the block products all persist in sc across
-// products. Row and piece chunks are typed messages handed to the exchange
-// port (the step-7 output rows as zero-copy views): by reference with the
-// words charged analytically from EncodedLen on the direct transport, one
-// bulk-codec chunk each on the wire. A nil sc uses a transient scratch.
-func FastBilinearScratch[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T], codec ring.Codec[T], scheme *bilinear.Scheme, s, t *RowMat[T]) (*RowMat[T], error) {
+//
+// The scratch pools are caller-owned (see Scratch): message buffers, the
+// assembled grids, the per-multiplication combination pieces, and the block
+// products all persist in sc across products. Row and piece chunks are
+// typed messages handed to the exchange port (the step-7 output rows as
+// zero-copy views): by reference with the words charged analytically from
+// EncodedLen on the direct transport, one bulk-codec chunk each on the
+// wire. A nil sc uses a transient scratch.
+func FastBilinear[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T], codec ring.Codec[T], scheme *bilinear.Scheme, s, t *RowMat[T]) (*RowMat[T], error) {
 	return runProduct(net, sc, func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
 		return fastBilinear[T](net, sc, rg, codec, scheme, s, t)
 	})

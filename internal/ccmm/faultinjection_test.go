@@ -22,7 +22,7 @@ func TestRoundBudgetAbortsRunawayAlgorithm(t *testing.T) {
 	a, b := randIntMat(rng, n, 10), randIntMat(rng, n, 10)
 	net := clique.New(n, clique.WithRoundLimit(5)) // 3D needs ~20 here
 
-	_, err := ccmm.Semiring3D[int64](net, r, r, ccmm.Distribute(a), ccmm.Distribute(b))
+	_, err := ccmm.Semiring3D[int64](net, nil, r, r, ccmm.Distribute(a), ccmm.Distribute(b))
 	if err == nil {
 		t.Fatal("expected a round-limit error")
 	}
@@ -43,7 +43,7 @@ func TestRoundBudgetPermitsCompliantAlgorithm(t *testing.T) {
 	n := 27
 	a, b := randIntMat(rng, n, 10), randIntMat(rng, n, 10)
 	net := clique.New(n, clique.WithRoundLimit(500))
-	if _, err := ccmm.Semiring3D[int64](net, r, r, ccmm.Distribute(a), ccmm.Distribute(b)); err != nil {
+	if _, err := ccmm.Semiring3D[int64](net, nil, r, r, ccmm.Distribute(a), ccmm.Distribute(b)); err != nil {
 		t.Fatal(err)
 	}
 }

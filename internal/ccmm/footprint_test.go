@@ -21,7 +21,7 @@ func TestScratchTrimReleasesPools(t *testing.T) {
 		net := clique.New(n, clique.WithTransport(tr))
 		defer net.Close()
 		sc := NewScratch()
-		first, err := Semiring3DScratch[int64](net, sc, r, r, s, u)
+		first, err := Semiring3D[int64](net, sc, r, r, s, u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +36,7 @@ func TestScratchTrimReleasesPools(t *testing.T) {
 			t.Fatalf("%v: Trim kept typed arms or link tallies", tr)
 		}
 		net.Reset()
-		again, err := Semiring3DScratch[int64](net, sc, r, r, s, u)
+		again, err := Semiring3D[int64](net, sc, r, r, s, u)
 		if err != nil {
 			t.Fatal(err)
 		}

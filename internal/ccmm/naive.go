@@ -10,17 +10,14 @@ import (
 // operand (Θ(n) rounds) and multiply its own row locally. It is the trivial
 // baseline against which the 3D and bilinear algorithms are measured, and
 // works on any clique size and semiring.
-func NaiveGather[T any](net *clique.Network, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
-	return NaiveGatherScratch[T](net, nil, sr, codec, s, t)
-}
-
-// NaiveGatherScratch is NaiveGather with caller-owned scratch pools. The
-// gather goes through the exchange port: the direct transport charges it
-// analytically from the codec's EncodedLen — so a packing codec still
+//
+// The gather goes through the exchange port: the direct transport charges
+// it analytically from the codec's EncodedLen — so a packing codec still
 // compresses it 64× on the ledger — and every node reads the right
 // operand's rows in place; the wire transport ships each row as one bulk
-// chunk. A nil sc uses a transient scratch.
-func NaiveGatherScratch[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
+// chunk. The scratch pools are caller-owned; a nil sc uses a transient
+// scratch.
+func NaiveGather[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
 	return runProduct(net, sc, func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
 		n := net.N()
 		if err := validatePair(n, s, t); err != nil {

@@ -20,7 +20,7 @@ func TestMatMulIsOblivious(t *testing.T) {
 		rng := rand.New(rand.NewPCG(seed, 0))
 		a, b := randIntMat(rng, n, 50), randIntMat(rng, n, 50)
 		net := clique.New(n)
-		if _, err := ccmm.Semiring3D[int64](net, r, r, ccmm.Distribute(a), ccmm.Distribute(b)); err != nil {
+		if _, err := ccmm.Semiring3D[int64](net, nil, r, r, ccmm.Distribute(a), ccmm.Distribute(b)); err != nil {
 			t.Fatal(err)
 		}
 		return net.Stats().Phases
@@ -49,7 +49,7 @@ func TestMatMulIsOblivious(t *testing.T) {
 			}
 		}
 		net := clique.New(n)
-		if _, err := ccmm.FastBilinear[int64](net, r, r, nil, ccmm.Distribute(a), ccmm.Distribute(b)); err != nil {
+		if _, err := ccmm.FastBilinear[int64](net, nil, r, r, nil, ccmm.Distribute(a), ccmm.Distribute(b)); err != nil {
 			t.Fatal(err)
 		}
 		return net.Stats().Phases

@@ -6,6 +6,7 @@ import (
 
 	"github.com/algebraic-clique/algclique/internal/bilinear"
 	"github.com/algebraic-clique/algclique/internal/clique"
+	"github.com/algebraic-clique/algclique/internal/matrix"
 	"github.com/algebraic-clique/algclique/internal/ring"
 )
 
@@ -20,8 +21,8 @@ import (
 // sparse tile engine (EngineSparse) when the paper's ρ-bound predicts
 // fewer rounds than the resolved dense engine — with a transparent
 // fallback to the dense engine when the sparse engine's exact Σ ca·rb
-// bound fails mid-call. SparseThreshold scales that comparison; 0 turns
-// the census (and the sparse routing) off. See census.go.
+// bound fails mid-call. The threshold scaling that comparison is not part
+// of the plan: it lives on the network (see sparseThreshold in census.go).
 type Plan struct {
 	// N is the clique size the plan was resolved for.
 	N int
@@ -36,40 +37,27 @@ type Plan struct {
 	// when no scheme fits (forcing EngineFast then fails at multiply time,
 	// exactly as the unplanned path does).
 	Scheme *bilinear.Scheme
-	// SparseThreshold scales the density-aware sparse/dense round
-	// comparison (see DefaultSparseThreshold); 0 disables the census.
-	SparseThreshold float64
 }
 
 type planKey struct {
-	n  int
-	e  Engine
-	th float64
+	n int
+	e Engine
 }
 
 var planCache sync.Map // planKey → *Plan
 
 // PlanFor resolves (and memoises) the plan for an n-node clique under the
-// given engine selection, with the default density-aware threshold.
+// given engine selection.
 func PlanFor(n int, e Engine) *Plan {
-	return PlanSparse(n, e, DefaultSparseThreshold)
-}
-
-// PlanSparse is PlanFor with an explicit sparse-routing threshold:
-// products on an Auto plan go through the sparse engine when
-// predictedSparseRounds ≤ threshold · predictedDenseRounds. A zero
-// threshold disables the density census entirely.
-func PlanSparse(n int, e Engine, threshold float64) *Plan {
-	key := planKey{n, e, threshold}
+	key := planKey{n, e}
 	if v, ok := planCache.Load(key); ok {
 		return v.(*Plan)
 	}
 	p := &Plan{
-		N:               n,
-		Requested:       e,
-		RingEngine:      e.Resolve(n, true),
-		SemiringEngine:  e.Resolve(n, false),
-		SparseThreshold: threshold,
+		N:              n,
+		Requested:      e,
+		RingEngine:     e.Resolve(n, true),
+		SemiringEngine: e.Resolve(n, false),
 	}
 	if p.RingEngine == EngineFast {
 		if s, err := bilinear.Pick(n); err == nil {
@@ -85,207 +73,198 @@ func (p *Plan) String() string {
 	return fmt.Sprintf("plan(n=%d ring=%v semiring=%v)", p.N, p.RingEngine, p.SemiringEngine)
 }
 
-func (p *Plan) check(net *clique.Network) error {
-	if p.N != net.N() {
-		return fmt.Errorf("ccmm: plan for n=%d used on an %d-node clique: %w", p.N, net.N(), ErrSize)
-	}
-	return nil
+// algebra describes a product's algebra to the router (route, census.go):
+// everything in which the integer ring, the Boolean semiring, min-plus, and
+// a caller's own ring (MulRingRouted) differ is a field here, so a typed
+// entry point only picks one. T is the type the operands carry, which for
+// Boolean products is not the type they are multiplied in.
+type algebra[T any] struct {
+	// sr supplies zero and one: the RowMat census counts the entries
+	// different from zero, and densifying a CSR operand fills with zero and
+	// writes one for the entries of a value-free (nil Val) operand.
+	sr ring.Semiring[T]
+	// semiring selects the plan's SemiringEngine as the dense engine; the
+	// RingEngine otherwise.
+	semiring bool
+	// entryWords is the per-entry width in words of the dense transport on
+	// engine e, fed to predictDenseRounds (fractional for packing codecs).
+	entryWords func(e Engine, n int) float64
+	// tupleWords is the wire width of one tuple of the sparse engine.
+	tupleWords int
+	// sparse and sparseCSR run the forced sparse tile engine on either
+	// operand form; dense runs the resolved dense engine e. None of them
+	// censuses or routes.
+	sparse    func(net *clique.Network, sc *Scratch, s, t *RowMat[T]) (*RowMat[T], error)
+	sparseCSR func(net *clique.Network, sc *Scratch, s, t *matrix.CSR[T]) (*matrix.CSR[T], error)
+	dense     func(net *clique.Network, p *Plan, sc *Scratch, e Engine, s, t *RowMat[T]) (*RowMat[T], error)
 }
 
-// MulRingScratch multiplies two distributed matrices over a ring using an
-// already-resolved plan and caller-owned scratch pools: the resolved engine
-// draws its message matrices, payload buffers, and block operands from sc,
-// so a session (or any iterated-product pipeline) pays the engine's working
-// set once. A nil sc uses a transient scratch.
-func MulRingScratch[T any](net *clique.Network, p *Plan, sc *Scratch, rg ring.Ring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
-	m, _, err := MulRingRouted[T](net, p, sc, rg, codec, s, t)
-	return m, err
-}
-
-// MulRingRouted is MulRingScratch reporting how the density-aware planner
-// routed the product (see Route).
-func MulRingRouted[T any](net *clique.Network, p *Plan, sc *Scratch, rg ring.Ring[T], codec ring.Codec[T], s, t *RowMat[T]) (m *RowMat[T], rt Route, err error) {
-	defer catchAbort(&err)
-	if err := p.check(net); err != nil {
-		return nil, Route{}, err
-	}
-	if p.RingEngine == EngineSparse {
-		m, err := SparseMulScratch[T](net, sc, rg, codec, s, t)
-		return m, Route{Engine: EngineSparse}, err
-	}
-	if !p.censusApplies(net) {
-		m, err := mulRingConcrete[T](net, p, sc, rg, codec, s, t)
-		return m, Route{Engine: p.RingEngine}, err
-	}
-	n := net.N()
-	if err := validatePair(n, s, t); err != nil {
-		return nil, Route{}, err
-	}
+// semiringAlgebra describes a product multiplied in the type it is carried
+// in, shipped through codec; semiring is false for rings.
+func semiringAlgebra[T any](sr ring.Semiring[T], codec ring.Codec[T], semiring bool) algebra[T] {
 	bc := ring.AsBulk[T](codec)
-	wd := float64(bc.EncodedLen(n)) / float64(n)
-	return routeProduct[T](net, p, sc, rg, s, t, p.RingEngine,
-		p.predictDenseRounds(p.RingEngine, wd), ring.TupleCodec[T]{Val: bc}.EncodedLen(1),
-		func(sc *Scratch) (*RowMat[T], error) {
-			return SparseMulScratch[T](net, sc, rg, codec, s, t)
+	return algebra[T]{
+		sr:       sr,
+		semiring: semiring,
+		entryWords: func(_ Engine, n int) float64 {
+			return float64(bc.EncodedLen(n)) / float64(n)
 		},
-		func() (*RowMat[T], error) {
-			return mulRingConcrete[T](net, p, sc, rg, codec, s, t)
-		})
-}
-
-// mulRingConcrete executes the plan's resolved dense ring engine (no
-// census, no routing) — the pre-density-aware dispatch.
-func mulRingConcrete[T any](net *clique.Network, p *Plan, sc *Scratch, rg ring.Ring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
-	switch p.RingEngine {
-	case EngineFast:
-		return FastBilinearScratch[T](net, sc, rg, codec, p.Scheme, s, t)
-	case Engine3D:
-		return Semiring3DScratch[T](net, sc, rg, codec, s, t)
-	case EngineNaive:
-		return NaiveGatherScratch[T](net, sc, rg, codec, s, t)
-	default:
-		return nil, fmt.Errorf("ccmm: engine %v cannot multiply over a ring: %w", p.RingEngine, ErrSize)
+		tupleWords: ring.TupleCodec[T]{Val: bc}.EncodedLen(1),
+		sparse: func(net *clique.Network, sc *Scratch, s, t *RowMat[T]) (*RowMat[T], error) {
+			return SparseMul[T](net, sc, sr, codec, s, t)
+		},
+		sparseCSR: func(net *clique.Network, sc *Scratch, s, t *matrix.CSR[T]) (*matrix.CSR[T], error) {
+			return SparseMulCSR[T](net, sc, sr, codec, s, t)
+		},
+		dense: func(net *clique.Network, p *Plan, sc *Scratch, e Engine, s, t *RowMat[T]) (*RowMat[T], error) {
+			return mulDense[T](net, p, sc, e, sr, codec, s, t)
+		},
 	}
 }
 
-// MulIntScratch multiplies distributed int64 matrices over the integer ring
-// with an already-resolved plan and caller-owned scratch pools.
-func (p *Plan) MulIntScratch(net *clique.Network, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], error) {
-	r := ring.Int64{}
-	return MulRingScratch[int64](net, p, sc, r, r, s, t)
-}
-
-// MulIntRouted is MulIntScratch reporting the density-aware route.
-func (p *Plan) MulIntRouted(net *clique.Network, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], Route, error) {
-	r := ring.Int64{}
-	return MulRingRouted[int64](net, p, sc, r, r, s, t)
-}
-
-// MulBoolScratch computes the Boolean matrix product with an
-// already-resolved plan and caller-owned scratch pools (see MulBoolWith
-// for the embedding); the semiring engines ship the product through the
-// bit-packed Boolean transport.
-func (p *Plan) MulBoolScratch(net *clique.Network, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], error) {
-	m, _, err := p.MulBoolRouted(net, sc, s, t)
-	return m, err
-}
-
-// MulBoolRouted is MulBoolScratch reporting the density-aware route. The
-// sparse path multiplies over the Boolean semiring with bit-packed tuple
-// values (ring.TupleCodec over ring.PackedBool).
-func (p *Plan) MulBoolRouted(net *clique.Network, sc *Scratch, s, t *RowMat[int64]) (m *RowMat[int64], rt Route, err error) {
-	defer catchAbort(&err)
-	if err := p.check(net); err != nil {
-		return nil, Route{}, err
-	}
-	if p.RingEngine == EngineSparse {
-		m, err := mulBoolSparse(net, sc, s, t)
-		return m, Route{Engine: EngineSparse}, err
-	}
-	dense := func() (*RowMat[int64], error) { return p.mulBoolDense(net, sc, s, t) }
-	if !p.censusApplies(net) {
-		m, err := dense()
-		return m, Route{Engine: p.RingEngine}, err
-	}
-	n := net.N()
-	if err := validatePair(n, s, t); err != nil {
-		return nil, Route{}, err
-	}
-	// Dense Boolean products either ride the integer embedding on the
-	// bilinear engine (one word per entry) or the bit-packed transport on
-	// the semiring engines — predict whichever the plan resolved; the
-	// sparse path's tuples carry bit-packed values either way.
-	wdPacked := float64(ring.PackedBool{}.EncodedLen(n)) / float64(n)
-	var densePred float64
-	switch p.RingEngine {
-	case EngineFast:
-		densePred = p.predictDenseRounds(EngineFast, 1)
-	case Engine3D:
-		densePred = p.predictDenseRounds(Engine3D, wdPacked)
-	default:
-		densePred = p.predictDenseRounds(EngineNaive, wdPacked)
-	}
-	return routeProduct[int64](net, p, sc, ring.Int64{}, s, t, p.RingEngine, densePred,
-		ring.TupleCodec[bool]{Val: ring.PackedBool{}}.EncodedLen(1),
-		func(sc *Scratch) (*RowMat[int64], error) {
-			return mulBoolSparse(net, sc, s, t)
-		}, dense)
-}
-
-// mulBoolDense executes the plan's resolved dense Boolean path (no
-// census): the integer embedding on the bilinear engine, the bit-packed
-// Boolean semiring otherwise.
-func (p *Plan) mulBoolDense(net *clique.Network, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], error) {
-	switch p.RingEngine {
-	case EngineFast:
-		r := ring.Int64{}
-		prod, err := mulRingConcrete[int64](net, p, sc, r, r, s, t)
-		if err != nil {
-			return nil, err
-		}
-		for v := range prod.Rows {
-			row := prod.Rows[v]
-			for j := range row {
-				if row[j] != 0 {
-					row[j] = 1
-				}
+// The three int64-carried algebras of the typed entry points.
+var (
+	intAlgebra = semiringAlgebra[int64](ring.Int64{}, ring.Int64{}, false)
+	// Min-plus is not a ring, so the bilinear engine does not apply.
+	minPlusAlgebra = semiringAlgebra[int64](ring.MinPlus{}, ring.MinPlus{}, true)
+	// boolAlgebra carries 0/1 integers and multiplies in the Boolean
+	// semiring. Dense Boolean products either ride the integer embedding
+	// on the bilinear engine (one word per entry) or the bit-packed
+	// transport on the semiring engines — the prediction follows whichever
+	// the plan resolved; the sparse path's tuples carry bit-packed values
+	// either way.
+	boolAlgebra = algebra[int64]{
+		sr: ring.Int64{},
+		entryWords: func(e Engine, n int) float64 {
+			if e == EngineFast {
+				return 1
 			}
+			return float64(ring.PackedBool{}.EncodedLen(n)) / float64(n)
+		},
+		tupleWords: ring.TupleCodec[bool]{Val: ring.PackedBool{}}.EncodedLen(1),
+		sparse:     mulBoolSparse,
+		sparseCSR:  mulBoolSparseCSR,
+		dense:      mulBoolDense,
+	}
+)
+
+// mulDense executes resolved dense engine e — no census, no routing. Only
+// a ring can ride the bilinear engine.
+func mulDense[T any](net *clique.Network, p *Plan, sc *Scratch, e Engine, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
+	switch e {
+	case EngineFast:
+		if rg, ok := sr.(ring.Ring[T]); ok {
+			return FastBilinear[T](net, sc, rg, codec, p.Scheme, s, t)
 		}
-		return prod, nil
 	case Engine3D:
-		return mulBoolSemiring(net, Engine3D, sc, s, t)
-	default:
-		return mulBoolSemiring(net, EngineNaive, sc, s, t)
-	}
-}
-
-// MulMinPlusScratch computes the distance product with an already-resolved
-// plan and caller-owned scratch pools; the bilinear engine does not apply
-// (min-plus is not a ring).
-func (p *Plan) MulMinPlusScratch(net *clique.Network, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], error) {
-	m, _, err := p.MulMinPlusRouted(net, sc, s, t)
-	return m, err
-}
-
-// MulMinPlusRouted is MulMinPlusScratch reporting the density-aware route;
-// a min-plus entry is nonzero when it is finite.
-func (p *Plan) MulMinPlusRouted(net *clique.Network, sc *Scratch, s, t *RowMat[int64]) (m *RowMat[int64], rt Route, err error) {
-	defer catchAbort(&err)
-	if err := p.check(net); err != nil {
-		return nil, Route{}, err
-	}
-	mp := ring.MinPlus{}
-	if p.SemiringEngine == EngineSparse {
-		m, err := SparseMulScratch[int64](net, sc, mp, mp, s, t)
-		return m, Route{Engine: EngineSparse}, err
-	}
-	dense := func() (*RowMat[int64], error) { return p.mulMinPlusDense(net, sc, s, t) }
-	if !p.censusApplies(net) {
-		m, err := dense()
-		return m, Route{Engine: p.SemiringEngine}, err
-	}
-	n := net.N()
-	if err := validatePair(n, s, t); err != nil {
-		return nil, Route{}, err
-	}
-	bc := ring.AsBulk[int64](mp)
-	wd := float64(bc.EncodedLen(n)) / float64(n)
-	return routeProduct[int64](net, p, sc, mp, s, t, p.SemiringEngine,
-		p.predictDenseRounds(p.SemiringEngine, wd), ring.TupleCodec[int64]{Val: bc}.EncodedLen(1),
-		func(sc *Scratch) (*RowMat[int64], error) {
-			return SparseMulScratch[int64](net, sc, mp, mp, s, t)
-		}, dense)
-}
-
-// mulMinPlusDense executes the plan's resolved dense min-plus engine.
-func (p *Plan) mulMinPlusDense(net *clique.Network, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], error) {
-	mp := ring.MinPlus{}
-	switch p.SemiringEngine {
-	case Engine3D:
-		return Semiring3DScratch[int64](net, sc, mp, mp, s, t)
+		return Semiring3D[T](net, sc, sr, codec, s, t)
 	case EngineNaive:
-		return NaiveGatherScratch[int64](net, sc, mp, mp, s, t)
-	default:
-		return nil, fmt.Errorf("ccmm: engine %v cannot compute a min-plus product: %w", p.SemiringEngine, ErrSize)
+		return NaiveGather[T](net, sc, sr, codec, s, t)
 	}
+	return nil, fmt.Errorf("ccmm: engine %v cannot multiply over %T: %w", e, sr, ErrSize)
+}
+
+// mulRowMat is the RowMat operand form of the routed product: the census
+// scans each row for entries different from the algebra's zero.
+func mulRowMat[T any](net *clique.Network, p *Plan, sc *Scratch, a *algebra[T], s, t *RowMat[T]) (*RowMat[T], Route, error) {
+	return route(net, p, sc, a, operands[*RowMat[T]]{
+		validate: func(n int) error { return validatePair(n, s, t) },
+		count: func(ca, rb []int) {
+			zero := a.sr.Zero()
+			countRowNNZ(net, a.sr, zero, s, ca)
+			countRowNNZ(net, a.sr, zero, t, rb)
+		},
+		sparse: func(sc *Scratch) (*RowMat[T], error) { return a.sparse(net, sc, s, t) },
+		dense: func(sc *Scratch, e Engine) (*RowMat[T], error) {
+			return a.dense(net, p, sc, e, s, t)
+		},
+	})
+}
+
+// mulCSR is the CSR operand form of the routed product. Its census scans
+// nothing — a CSR row's nonzero count is a RowPtr difference, so the round
+// costs exactly its broadcast, the "census is free" property the CSR plane
+// is built around. Sparse products stay CSR; a product the router sends to
+// a dense engine densifies its operands through the pool and comes back as
+// the dense row matrix that engine produced — up to csrDensifyCap.
+func mulCSR[T any](net *clique.Network, p *Plan, sc *Scratch, a *algebra[T], s, t *matrix.CSR[T]) (CSRProduct[T], Route, error) {
+	return route(net, p, sc, a, operands[CSRProduct[T]]{
+		validate: func(n int) error {
+			if err := csrCheck(s, n); err != nil {
+				return err
+			}
+			return csrCheck(t, n)
+		},
+		count: func(ca, rb []int) {
+			net.ForEach(func(v int) {
+				ca[v] = s.RowNNZ(v)
+				rb[v] = t.RowNNZ(v)
+			})
+		},
+		sparse: func(sc *Scratch) (CSRProduct[T], error) {
+			m, err := a.sparseCSR(net, sc, s, t)
+			return CSRProduct[T]{Sparse: m}, err
+		},
+		dense: func(sc *Scratch, e Engine) (CSRProduct[T], error) {
+			sd, td, release := densifyPair(net, sc, a.sr.Zero(), a.sr.One(), s, t)
+			defer release()
+			m, err := a.dense(net, p, sc, e, sd, td)
+			return CSRProduct[T]{Dense: m}, err
+		},
+		densifyCap: csrDensifyCap,
+	})
+}
+
+// MulRingRouted multiplies two distributed matrices over a caller's ring
+// with an already-resolved plan and caller-owned scratch pools: the engines
+// draw their message matrices, payload buffers, and block operands from sc,
+// so a session (or any iterated-product pipeline) pays the working set
+// once. A nil sc uses a transient scratch. The Route reports how the
+// density-aware planner executed the product.
+func MulRingRouted[T any](net *clique.Network, p *Plan, sc *Scratch, rg ring.Ring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], Route, error) {
+	a := semiringAlgebra[T](rg, codec, false)
+	return mulRowMat(net, p, sc, &a, s, t)
+}
+
+// MulIntRouted multiplies distributed int64 matrices over the integer ring.
+func (p *Plan) MulIntRouted(net *clique.Network, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], Route, error) {
+	return mulRowMat(net, p, sc, &intAlgebra, s, t)
+}
+
+// MulBoolRouted computes the Boolean product of 0/1 matrices (see
+// MulBoolWith for the embedding). The sparse path multiplies over the
+// Boolean semiring with bit-packed tuple values (ring.TupleCodec over
+// ring.PackedBool).
+func (p *Plan) MulBoolRouted(net *clique.Network, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], Route, error) {
+	return mulRowMat(net, p, sc, &boolAlgebra, s, t)
+}
+
+// MulMinPlusRouted computes the distance product; a min-plus entry is
+// nonzero when it is finite.
+func (p *Plan) MulMinPlusRouted(net *clique.Network, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], Route, error) {
+	return mulRowMat(net, p, sc, &minPlusAlgebra, s, t)
+}
+
+// MulIntCSRRouted multiplies CSR operands over the integer ring.
+func (p *Plan) MulIntCSRRouted(net *clique.Network, sc *Scratch, s, t *matrix.CSR[int64]) (CSRProduct[int64], Route, error) {
+	return mulCSR(net, p, sc, &intAlgebra, s, t)
+}
+
+// MulBoolCSRRouted computes the Boolean product of CSR operands. Stored
+// entries are treated as true regardless of value — Boolean CSR operands
+// must store only true entries (the canonical form; a nil Val is the usual
+// adjacency encoding) — so the Boolean view shares the structure arrays
+// with no conversion pass, and the sparse tuple streams carry bit-packed
+// values. Sparse results come back value-free (nil Val: every stored entry
+// is 1).
+func (p *Plan) MulBoolCSRRouted(net *clique.Network, sc *Scratch, s, t *matrix.CSR[int64]) (CSRProduct[int64], Route, error) {
+	return mulCSR(net, p, sc, &boolAlgebra, s, t)
+}
+
+// MulMinPlusCSRRouted computes the distance product of CSR operands:
+// unstored entries are the min-plus zero (+∞), so a CSR distance matrix
+// stores exactly the finite entries, and a nil Val means every stored edge
+// has weight 0 (the min-plus one).
+func (p *Plan) MulMinPlusCSRRouted(net *clique.Network, sc *Scratch, s, t *matrix.CSR[int64]) (CSRProduct[int64], Route, error) {
+	return mulCSR(net, p, sc, &minPlusAlgebra, s, t)
 }

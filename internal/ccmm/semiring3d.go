@@ -23,20 +23,17 @@ import (
 // (receiving rows ∗v2∗ would not match the S columns v2∗∗), so T rows here
 // are grouped by their *first* digit: row w of T is needed by exactly the
 // nodes u with u2 = w1, keeping both middle-index sets equal to v2∗∗.
-func Semiring3D[T any](net *clique.Network, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
-	return Semiring3DScratch[T](net, nil, sr, codec, s, t)
-}
-
-// Semiring3DScratch is Semiring3D with caller-owned scratch pools: message
-// matrices, block operands, and product subcubes persist in sc across
-// products, so a pipeline of repeated multiplications (or a session) runs
-// the engine allocation-free in steady state apart from the returned
-// result. Block rows are typed messages handed to the exchange port, which
-// moves them by reference (direct transport, words charged analytically)
-// or as bulk-codec chunks (wire transport). A packing codec
-// (ring.PackedBool) is honoured either way, since every cost and offset is
-// an EncodedLen sum of whole chunks. A nil sc uses a transient scratch.
-func Semiring3DScratch[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
+//
+// The scratch pools are caller-owned: message matrices, block operands, and
+// product subcubes persist in sc across products, so a pipeline of repeated
+// multiplications (or a session) runs the engine allocation-free in steady
+// state apart from the returned result. Block rows are typed messages
+// handed to the exchange port, which moves them by reference (direct
+// transport, words charged analytically) or as bulk-codec chunks (wire
+// transport). A packing codec (ring.PackedBool) is honoured either way,
+// since every cost and offset is an EncodedLen sum of whole chunks. A nil
+// sc uses a transient scratch.
+func Semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
 	return runProduct(net, sc, func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
 		return semiring3D[T](net, sc, sr, codec, s, t)
 	})
@@ -210,15 +207,10 @@ func semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], co
 // witness matrix Q: Q[u][v] = w certifies P[u][v] = S[u][w] + T[w][v]
 // (ring.NoWitness where P is infinite). This is the "easily modified"
 // semiring algorithm of §3.3: T's entries are tagged with their row index
-// and the tags ride through the min-plus algebra.
-func DistanceProduct3D(net *clique.Network, s, t *RowMat[int64]) (p, q *RowMat[int64], err error) {
-	return DistanceProduct3DScratch(net, nil, s, t)
-}
-
-// DistanceProduct3DScratch is DistanceProduct3D with caller-owned scratch
-// pools; the witness-tagged operand conversions borrow pooled row matrices
-// as well, so iterated squaring (APSP) allocates only its results.
-func DistanceProduct3DScratch(net *clique.Network, sc *Scratch, s, t *RowMat[int64]) (p, q *RowMat[int64], err error) {
+// and the tags ride through the min-plus algebra. The witness-tagged
+// operand conversions borrow pooled row matrices from the caller-owned
+// scratch as well, so iterated squaring (APSP) allocates only its results.
+func DistanceProduct3D(net *clique.Network, sc *Scratch, s, t *RowMat[int64]) (p, q *RowMat[int64], err error) {
 	n := net.N()
 	if err := validatePair(n, s, t); err != nil {
 		return nil, nil, err
@@ -245,7 +237,7 @@ func DistanceProduct3DScratch(net *clique.Network, sc *Scratch, s, t *RowMat[int
 			}
 		}
 	})
-	pw, err := Semiring3DScratch[ring.ValW](net, sc, ring.MinPlusW{}, ring.MinPlusW{}, sw, tw)
+	pw, err := Semiring3D[ring.ValW](net, sc, ring.MinPlusW{}, ring.MinPlusW{}, sw, tw)
 	if err != nil {
 		return nil, nil, err
 	}

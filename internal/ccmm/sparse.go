@@ -69,12 +69,8 @@ const minSparseN = 8
 // tile engine — O((ρ_A·ρ_B)^{1/3}/n^{2/3} + 1) rounds on operands sparse
 // enough for the Lemma 12 packing (Σ ca(y)·rb(y) < 2n²), ErrTooDense
 // otherwise. Requires n ≥ 8; see the file comment for the phase structure.
-func SparseMul[T any](net *clique.Network, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
-	return SparseMulScratch[T](net, nil, sr, codec, s, t)
-}
-
-// SparseMulScratch is SparseMul with caller-owned scratch pools.
-func SparseMulScratch[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
+// The scratch pools are caller-owned; a nil sc uses a transient one.
+func SparseMul[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
 	return runProduct(net, sc, func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
 		return sparseMul[T](net, sc, sr, codec, s, t)
 	})

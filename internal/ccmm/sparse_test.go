@@ -42,20 +42,20 @@ func diffSparse[T any](t *testing.T, name string, n int, sr ring.Semiring[T], co
 	t.Helper()
 	refNet := clique.New(n)
 	defer refNet.Close()
-	want, err := ccmm.Semiring3D[T](refNet, sr, codec, s, tm)
+	want, err := ccmm.Semiring3D[T](refNet, nil, sr, codec, s, tm)
 	if err != nil {
 		t.Fatalf("%s n=%d: dense reference: %v", name, n, err)
 	}
 
 	direct := clique.New(n)
 	defer direct.Close()
-	gotD, err := ccmm.SparseMul[T](direct, sr, codec, s, tm)
+	gotD, err := ccmm.SparseMul[T](direct, nil, sr, codec, s, tm)
 	if err != nil {
 		t.Fatalf("%s n=%d: sparse direct: %v", name, n, err)
 	}
 	wire := clique.New(n, clique.WithTransport(clique.TransportWire))
 	defer wire.Close()
-	gotW, err := ccmm.SparseMul[T](wire, sr, codec, s, tm)
+	gotW, err := ccmm.SparseMul[T](wire, nil, sr, codec, s, tm)
 	if err != nil {
 		t.Fatalf("%s n=%d: sparse wire: %v", name, n, err)
 	}
@@ -76,7 +76,7 @@ func diffSparse[T any](t *testing.T, name string, n int, sr ring.Semiring[T], co
 
 	verify := clique.New(n, clique.WithTransport(clique.TransportVerify))
 	defer verify.Close()
-	gotV, err := ccmm.SparseMul[T](verify, sr, codec, s, tm)
+	gotV, err := ccmm.SparseMul[T](verify, nil, sr, codec, s, tm)
 	if err != nil {
 		t.Fatalf("%s n=%d: transport verification failed: %v", name, n, err)
 	}
@@ -138,12 +138,12 @@ func TestSparseScratchReuse(t *testing.T) {
 		a := sparseIntMat(rng, n, 1+trial, 20)
 		b := sparseIntMat(rng, n, 2, 20)
 		shared := clique.New(n)
-		got, err := ccmm.SparseMulScratch[int64](shared, sc, r, r, a, b)
+		got, err := ccmm.SparseMul[int64](shared, sc, r, r, a, b)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		fresh := clique.New(n)
-		want, err := ccmm.SparseMul[int64](fresh, r, r, a, b)
+		want, err := ccmm.SparseMul[int64](fresh, nil, r, r, a, b)
 		if err != nil {
 			t.Fatalf("trial %d fresh: %v", trial, err)
 		}
@@ -169,7 +169,7 @@ func TestSparseDeterministic(t *testing.T) {
 	run := func() (*ccmm.RowMat[int64], clique.Stats) {
 		net := clique.New(n)
 		defer net.Close()
-		p, err := ccmm.SparseMul[int64](net, r, r, a, b)
+		p, err := ccmm.SparseMul[int64](net, nil, r, r, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,13 +213,13 @@ func TestSparseDensityBoundary(t *testing.T) {
 	s, tm := withColRowCounts(n, []int{8, 8, 7}, []int{8, 7, 1})
 	net := clique.New(n)
 	defer net.Close()
-	got, err := ccmm.SparseMul[int64](net, r, r, s, tm)
+	got, err := ccmm.SparseMul[int64](net, nil, r, r, s, tm)
 	if err != nil {
 		t.Fatalf("Σ = 2n²−1 rejected: %v", err)
 	}
 	ref := clique.New(n)
 	defer ref.Close()
-	want, err := ccmm.Semiring3D[int64](ref, r, r, s, tm)
+	want, err := ccmm.Semiring3D[int64](ref, nil, r, r, s, tm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestSparseDensityBoundary(t *testing.T) {
 	s, tm = withColRowCounts(n, []int{8, 8, 8}, []int{8, 7, 1})
 	net2 := clique.New(n)
 	defer net2.Close()
-	if _, err := ccmm.SparseMul[int64](net2, r, r, s, tm); !errors.Is(err, ccmm.ErrTooDense) {
+	if _, err := ccmm.SparseMul[int64](net2, nil, r, r, s, tm); !errors.Is(err, ccmm.ErrTooDense) {
 		t.Fatalf("Σ = 2n² err = %v, want ErrTooDense", err)
 	}
 }
@@ -242,7 +242,7 @@ func TestSparseTooSmall(t *testing.T) {
 	net := clique.New(4)
 	defer net.Close()
 	a := ccmm.NewRowMat[int64](4)
-	if _, err := ccmm.SparseMul[int64](net, r, r, a, a); !errors.Is(err, ccmm.ErrSize) {
+	if _, err := ccmm.SparseMul[int64](net, nil, r, r, a, a); !errors.Is(err, ccmm.ErrSize) {
 		t.Fatalf("n=4 err = %v, want ErrSize", err)
 	}
 }
@@ -266,7 +266,7 @@ func TestSparseForcedEngineViaPlan(t *testing.T) {
 	if route.Engine != ccmm.EngineSparse || route.Census {
 		t.Fatalf("forced sparse route = %+v", route)
 	}
-	want, err := ccmm.Semiring3D[int64](clique.New(n), ring.Int64{}, ring.Int64{}, a, b)
+	want, err := ccmm.Semiring3D[int64](clique.New(n), nil, ring.Int64{}, ring.Int64{}, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,10 +274,10 @@ func TestSparseForcedEngineViaPlan(t *testing.T) {
 		t.Fatal("forced sparse product differs from dense 3D")
 	}
 
-	if _, err := p.MulBoolScratch(clique.New(n), nil, a, b); err != nil {
+	if _, _, err := p.MulBoolRouted(clique.New(n), nil, a, b); err != nil {
 		t.Fatalf("forced sparse bool: %v", err)
 	}
-	if _, err := p.MulMinPlusScratch(clique.New(n), nil, mapMat(a, func(x int64) int64 {
+	if _, _, err := p.MulMinPlusRouted(clique.New(n), nil, mapMat(a, func(x int64) int64 {
 		if x == 0 {
 			return ring.Inf
 		}
@@ -327,10 +327,10 @@ func TestSparseAutoRouting(t *testing.T) {
 	}
 
 	// The dense plan for comparison: same product, census disabled.
-	pd := ccmm.PlanSparse(n, ccmm.EngineAuto, 0)
 	dnet := clique.New(n)
 	defer dnet.Close()
-	want, droute, err := pd.MulIntRouted(dnet, nil, a, b)
+	dnet.SetSparseThreshold(0)
+	want, droute, err := p.MulIntRouted(dnet, nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestSparseAutoRouting(t *testing.T) {
 	if !route3.Fallback || route3.Engine != ccmm.EngineFast {
 		t.Fatalf("skewed input route = %+v, want dense-fallback", route3)
 	}
-	want3, err := ccmm.Semiring3D[int64](clique.New(n), ring.Int64{}, ring.Int64{}, skewS, skewT)
+	want3, err := ccmm.Semiring3D[int64](clique.New(n), nil, ring.Int64{}, ring.Int64{}, skewS, skewT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestSparseZeroOperand(t *testing.T) {
 	b := sparseIntMat(rng, n, 3, 5)
 	net := clique.New(n)
 	defer net.Close()
-	got, err := ccmm.SparseMul[int64](net, r, r, zero, b)
+	got, err := ccmm.SparseMul[int64](net, nil, r, r, zero, b)
 	if err != nil {
 		t.Fatal(err)
 	}

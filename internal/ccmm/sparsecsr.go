@@ -2,7 +2,6 @@ package ccmm
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"slices"
 
@@ -68,7 +67,10 @@ func csrCheck[T any](m *matrix.CSR[T], n int) error {
 	if m.N != n {
 		return fmt.Errorf("ccmm: %d×%d CSR operand on an %d-node clique: %w", m.N, m.N, n, ErrSize)
 	}
-	return m.Validate()
+	if err := m.Validate(); err != nil {
+		return fmt.Errorf("ccmm: malformed CSR operand: %v: %w", err, ErrSize)
+	}
+	return nil
 }
 
 // SparseMulCSR computes P = S·T over an arbitrary semiring with the sparse
@@ -401,32 +403,6 @@ func sparseMulCSR[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], 
 	return csrAssemble[T](net, sp, tts, n), nil
 }
 
-// csrCensus is the planner's census over CSR operands. Unlike nnzCensus it
-// scans nothing: a CSR row's nonzero count is a RowPtr difference, so the
-// round costs exactly its broadcast — the "census is free" property the
-// CSR plane is built around.
-func csrCensus[T any](net *clique.Network, sc *Scratch, s, t *matrix.CSR[T]) (rhoA, rhoB int64) {
-	n := net.N()
-	net.Phase("mmplan/census")
-	sp := sc.sparse()
-	sp.ca = growInts(sp.ca, n)
-	sp.rb = growInts(sp.rb, n)
-	net.ForEach(func(v int) {
-		sp.ca[v] = s.RowNNZ(v)
-		sp.rb[v] = t.RowNNZ(v)
-	})
-	sp.nnz = growInts(sp.nnz, n)
-	for v := 0; v < n; v++ {
-		sp.nnz[v] = clique.Word(sp.ca[v])<<32 | clique.Word(sp.rb[v])
-	}
-	got := net.BroadcastWord(sp.nnz)
-	for v := 0; v < n; v++ {
-		rhoA += int64(got[v] >> 32)
-		rhoB += int64(got[v] & 0xffffffff)
-	}
-	return rhoA, rhoB
-}
-
 // csrExpand densifies a CSR operand into a pooled row matrix (fallback
 // paths only — NewRowMat underneath is exactly what the dense-allocation
 // gate watches, so a product that claims to have stayed CSR and didn't is
@@ -457,144 +433,4 @@ func densifyPair[T any](net *clique.Network, sc *Scratch, zero, one T, s, t *mat
 	sd = csrExpand(net, ts, zero, one, s)
 	td = csrExpand(net, ts, zero, one, t)
 	return sd, td, func() { ts.putMat(sd); ts.putMat(td) }
-}
-
-// csrRoute is the density-aware dispatcher for CSR operands, the CSR twin
-// of routeProduct: census (free on CSR), predictor comparison, sparse run
-// with transparent ErrTooDense fallback, dense fallback gated by
-// csrDensifyCap — beyond it a too-dense product errors rather than
-// allocating Θ(n²).
-func csrRoute[T any](net *clique.Network, p *Plan, sc *Scratch, s, t *matrix.CSR[T], denseEngine Engine, densePred float64, tupleWords int,
-	runSparse func(sc *Scratch) (*matrix.CSR[T], error),
-	runDense func(sc *Scratch) (*RowMat[T], error)) (CSRProduct[T], Route, error) {
-	n := net.N()
-	if sc == nil {
-		sc = NewScratch()
-	}
-	if err := csrCheck(s, n); err != nil {
-		return CSRProduct[T]{}, Route{}, err
-	}
-	if err := csrCheck(t, n); err != nil {
-		return CSRProduct[T]{}, Route{}, err
-	}
-	dense := func(rt Route) (CSRProduct[T], Route, error) {
-		if n > csrDensifyCap {
-			return CSRProduct[T]{}, rt, fmt.Errorf("ccmm: dense fallback at n = %d would allocate n² state (densify cap %d): %w", n, csrDensifyCap, ErrTooDense)
-		}
-		m, err := runDense(sc)
-		if err != nil {
-			return CSRProduct[T]{}, rt, err
-		}
-		return CSRProduct[T]{Dense: m}, rt, nil
-	}
-	if p.Requested == EngineSparse {
-		m, err := runSparse(sc)
-		if err != nil {
-			return CSRProduct[T]{}, Route{Engine: EngineSparse}, err
-		}
-		return CSRProduct[T]{Sparse: m}, Route{Engine: EngineSparse}, nil
-	}
-	if n < minSparseN || !p.censusApplies(net) {
-		return dense(Route{Engine: denseEngine})
-	}
-	rhoA, rhoB := csrCensus[T](net, sc, s, t)
-	rt := Route{Census: true, RhoA: rhoA, RhoB: rhoB, Engine: denseEngine}
-	if chooseSparse(n, rhoA, rhoB, tupleWords, densePred, p.thresholdOn(net)) {
-		m, err := runSparse(sc)
-		if err == nil {
-			rt.Engine = EngineSparse
-			return CSRProduct[T]{Sparse: m}, rt, nil
-		}
-		if !errors.Is(err, ErrTooDense) {
-			return CSRProduct[T]{}, rt, err
-		}
-		rt.Fallback = true // the exact Σ ca·rb census rejected the operands
-	}
-	return dense(rt)
-}
-
-// MulIntCSRRouted multiplies CSR operands over the integer ring with the
-// density-aware planner, reporting the route taken.
-func (p *Plan) MulIntCSRRouted(net *clique.Network, sc *Scratch, s, t *matrix.CSR[int64]) (m CSRProduct[int64], rt Route, err error) {
-	defer catchAbort(&err)
-	if err := p.check(net); err != nil {
-		return CSRProduct[int64]{}, Route{}, err
-	}
-	r := ring.Int64{}
-	bc := ring.AsBulk[int64](r)
-	wd := float64(bc.EncodedLen(p.N)) / float64(p.N)
-	return csrRoute[int64](net, p, sc, s, t, p.RingEngine,
-		p.predictDenseRounds(p.RingEngine, wd), ring.TupleCodec[int64]{Val: bc}.EncodedLen(1),
-		func(sc *Scratch) (*matrix.CSR[int64], error) {
-			return SparseMulCSR[int64](net, sc, r, r, s, t)
-		},
-		func(sc *Scratch) (*RowMat[int64], error) {
-			sd, td, release := densifyPair(net, sc, r.Zero(), r.One(), s, t)
-			defer release()
-			return mulRingConcrete[int64](net, p, sc, r, r, sd, td)
-		})
-}
-
-// MulBoolCSRRouted computes the Boolean product of CSR operands. Stored
-// entries are treated as true regardless of value — Boolean CSR operands
-// must store only true entries (the canonical form; a nil Val is the usual
-// adjacency encoding) — so the Boolean view shares the structure arrays
-// with no conversion pass, and the sparse tuple streams carry bit-packed
-// values. Sparse results come back value-free (nil Val: every stored entry
-// is 1).
-func (p *Plan) MulBoolCSRRouted(net *clique.Network, sc *Scratch, s, t *matrix.CSR[int64]) (m CSRProduct[int64], rt Route, err error) {
-	defer catchAbort(&err)
-	if err := p.check(net); err != nil {
-		return CSRProduct[int64]{}, Route{}, err
-	}
-	sb := &matrix.CSR[bool]{N: s.N, RowPtr: s.RowPtr, Col: s.Col}
-	tb := &matrix.CSR[bool]{N: t.N, RowPtr: t.RowPtr, Col: t.Col}
-	wdPacked := float64(ring.PackedBool{}.EncodedLen(p.N)) / float64(p.N)
-	var densePred float64
-	switch p.RingEngine {
-	case EngineFast:
-		densePred = p.predictDenseRounds(EngineFast, 1)
-	case Engine3D:
-		densePred = p.predictDenseRounds(Engine3D, wdPacked)
-	default:
-		densePred = p.predictDenseRounds(EngineNaive, wdPacked)
-	}
-	return csrRoute[int64](net, p, sc, s, t, p.RingEngine, densePred,
-		ring.TupleCodec[bool]{Val: ring.PackedBool{}}.EncodedLen(1),
-		func(sc *Scratch) (*matrix.CSR[int64], error) {
-			pb, err := SparseMulCSR[bool](net, sc, ring.Bool{}, ring.PackedBool{}, sb, tb)
-			if err != nil {
-				return nil, err
-			}
-			return &matrix.CSR[int64]{N: pb.N, RowPtr: pb.RowPtr, Col: pb.Col}, nil
-		},
-		func(sc *Scratch) (*RowMat[int64], error) {
-			sd, td, release := densifyPair(net, sc, int64(0), int64(1), s, t)
-			defer release()
-			return p.mulBoolDense(net, sc, sd, td)
-		})
-}
-
-// MulMinPlusCSRRouted computes the distance product of CSR operands:
-// unstored entries are the min-plus zero (+∞), so a CSR distance matrix
-// stores exactly the finite entries, and a nil Val means every stored edge
-// has weight 0 (the min-plus one).
-func (p *Plan) MulMinPlusCSRRouted(net *clique.Network, sc *Scratch, s, t *matrix.CSR[int64]) (m CSRProduct[int64], rt Route, err error) {
-	defer catchAbort(&err)
-	if err := p.check(net); err != nil {
-		return CSRProduct[int64]{}, Route{}, err
-	}
-	mp := ring.MinPlus{}
-	bc := ring.AsBulk[int64](mp)
-	wd := float64(bc.EncodedLen(p.N)) / float64(p.N)
-	return csrRoute[int64](net, p, sc, s, t, p.SemiringEngine,
-		p.predictDenseRounds(p.SemiringEngine, wd), ring.TupleCodec[int64]{Val: bc}.EncodedLen(1),
-		func(sc *Scratch) (*matrix.CSR[int64], error) {
-			return SparseMulCSR[int64](net, sc, mp, mp, s, t)
-		},
-		func(sc *Scratch) (*RowMat[int64], error) {
-			sd, td, release := densifyPair(net, sc, mp.Zero(), mp.One(), s, t)
-			defer release()
-			return p.mulMinPlusDense(net, sc, sd, td)
-		})
 }

@@ -26,7 +26,7 @@ func diffCSR[T any](t *testing.T, name string, n int, sr ring.Semiring[T], codec
 	t.Helper()
 	refNet := clique.New(n)
 	defer refNet.Close()
-	dense, err := ccmm.Semiring3D[T](refNet, sr, codec, s, tm)
+	dense, err := ccmm.Semiring3D[T](refNet, nil, sr, codec, s, tm)
 	if err != nil {
 		t.Fatalf("%s n=%d: dense reference: %v", name, n, err)
 	}
@@ -216,7 +216,7 @@ func TestCSRRoutedDensifyFallback(t *testing.T) {
 	}
 	ref := clique.New(n)
 	defer ref.Close()
-	dense, err := ccmm.Semiring3D[int64](ref, ring.Int64{}, ring.Int64{}, a, b)
+	dense, err := ccmm.Semiring3D[int64](ref, nil, ring.Int64{}, ring.Int64{}, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestCSRRoutedDensifyFallback(t *testing.T) {
 	}
 	ref2 := clique.New(n)
 	defer ref2.Close()
-	want2, err := ccmm.Semiring3D[int64](ref2, ring.Int64{}, ring.Int64{}, dm, dm)
+	want2, err := ccmm.Semiring3D[int64](ref2, nil, ring.Int64{}, ring.Int64{}, dm, dm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestCSRRoutedBoolMinPlus(t *testing.T) {
 	}
 	ref := clique.New(n)
 	defer ref.Close()
-	wantB, err := p.MulBoolScratch(ref, nil, a, b)
+	wantB, _, err := p.MulBoolRouted(ref, nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestCSRRoutedBoolMinPlus(t *testing.T) {
 	}
 	ref2 := clique.New(n)
 	defer ref2.Close()
-	wantMP, err := ccmm.Semiring3D[int64](ref2, ring.MinPlus{}, ring.MinPlus{}, ma, mb)
+	wantMP, err := ccmm.Semiring3D[int64](ref2, nil, ring.MinPlus{}, ring.MinPlus{}, ma, mb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,10 +339,11 @@ func TestCSRRoutedBoolMinPlus(t *testing.T) {
 // densify — a product that cannot stay sparse errors with ErrTooDense
 // instead of allocating Θ(n²) state.
 func TestCSRDensifyCapRejects(t *testing.T) {
-	const n = 8200                              // above the 8192 densify cap; sparse-link network, so cheap
-	p := ccmm.PlanSparse(n, ccmm.EngineAuto, 0) // census disabled → dense route
+	const n = 8200 // above the 8192 densify cap; sparse-link network, so cheap
+	p := ccmm.PlanFor(n, ccmm.EngineAuto)
 	net := clique.New(n)
 	defer net.Close()
+	net.SetSparseThreshold(0) // census disabled → dense route
 	empty := matrix.NewCSR[int64](n)
 	_, _, err := p.MulIntCSRRouted(net, nil, empty, empty)
 	if !errors.Is(err, ccmm.ErrTooDense) {

@@ -66,16 +66,16 @@ type engineCase[T any] struct {
 func engineTable[T any](n int, sr ring.Semiring[T], codec ring.Codec[T]) []engineCase[T] {
 	cases := []engineCase[T]{
 		{"naive", false, func(net *clique.Network, sc *Scratch, s, t *RowMat[T]) (*RowMat[T], error) {
-			return NaiveGatherScratch[T](net, sc, sr, codec, s, t)
+			return NaiveGather[T](net, sc, sr, codec, s, t)
 		}},
 		{"3d", false, func(net *clique.Network, sc *Scratch, s, t *RowMat[T]) (*RowMat[T], error) {
-			return Semiring3DScratch[T](net, sc, sr, codec, s, t)
+			return Semiring3D[T](net, sc, sr, codec, s, t)
 		}},
 	}
 	if rg, ok := any(sr).(ring.Ring[T]); ok {
 		if _, err := bilinear.Pick(n); err == nil {
 			cases = append(cases, engineCase[T]{"fast", false, func(net *clique.Network, sc *Scratch, s, t *RowMat[T]) (*RowMat[T], error) {
-				return FastBilinearScratch[T](net, sc, rg, codec, nil, s, t)
+				return FastBilinear[T](net, sc, rg, codec, nil, s, t)
 			}})
 		}
 	}
@@ -84,7 +84,7 @@ func engineTable[T any](n int, sr ring.Semiring[T], codec ring.Codec[T]) []engin
 		keep := func(x T) bool { return !sr.Equal(x, zero) }
 		cases = append(cases,
 			engineCase[T]{"sparse", true, func(net *clique.Network, sc *Scratch, s, t *RowMat[T]) (*RowMat[T], error) {
-				return SparseMulScratch[T](net, sc, sr, codec, s, t)
+				return SparseMul[T](net, sc, sr, codec, s, t)
 			}},
 			engineCase[T]{"csr", true, func(net *clique.Network, sc *Scratch, s, t *RowMat[T]) (*RowMat[T], error) {
 				p, err := SparseMulCSR[T](net, sc, sr, codec,
@@ -208,7 +208,7 @@ func TestTransportDifferentialWitnessProduct(t *testing.T) {
 		run := func(tr clique.Transport) (p, q *RowMat[int64], st clique.Stats) {
 			net := clique.New(n, clique.WithTransport(tr))
 			defer net.Close()
-			p, q, err := DistanceProduct3DScratch(net, NewScratch(), s, u)
+			p, q, err := DistanceProduct3D(net, NewScratch(), s, u)
 			if err != nil {
 				t.Fatalf("transport %v: %v", tr, err)
 			}
@@ -245,7 +245,7 @@ func TestTransportVerifyMode(t *testing.T) {
 		s, u := randIntMat(rng, n, 50), randIntMat(rng, n, 50)
 		r := ring.Int64{}
 		mul := func(net *clique.Network, sc *Scratch) (*RowMat[int64], error) {
-			return Semiring3DScratch[int64](net, sc, r, r, s, u)
+			return Semiring3D[int64](net, sc, r, r, s, u)
 		}
 		direct, dstats := mulOn[int64](t, n, clique.TransportDirect, mul)
 		verified, vstats := mulOn[int64](t, n, clique.TransportVerify, mul)
@@ -288,7 +288,7 @@ func TestTransportVerifyShadowInheritsAborts(t *testing.T) {
 	s, u := randIntMat(rng, n, 50), randIntMat(rng, n, 50)
 	r := ring.Int64{}
 	mul := func(net *clique.Network, sc *Scratch) (*RowMat[int64], error) {
-		return Semiring3DScratch[int64](net, sc, r, r, s, u)
+		return Semiring3D[int64](net, sc, r, r, s, u)
 	}
 	_, st := mulOn[int64](t, n, clique.TransportDirect, mul)
 

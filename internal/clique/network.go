@@ -216,7 +216,7 @@ func (c *Network) FaultInjector() *FaultInjector { return c.fault }
 // algorithm performs — however deep in the call tree it resolves its plan
 // — honours the session's WithSparseThreshold setting. The planner (see
 // ccmm's census) reads it through SparseThreshold; a network never armed
-// reports ok = false and plans fall back to their own threshold.
+// reports ok = false and the planner uses its default.
 func (c *Network) SetSparseThreshold(t float64) { c.sparseTh, c.sparseThOn = t, true }
 
 // SparseThreshold returns the armed planning threshold, if any.

@@ -43,7 +43,7 @@ func APSPSemiring(net *clique.Network, g *graphs.Weighted) (*Result, error) {
 	sc := ccmm.NewScratch()
 	for iter := 0; iter < log2Ceil(n); iter++ {
 		net.Phase(fmt.Sprintf("apsp3d/square-%d", iter))
-		w2, q, err := ccmm.DistanceProduct3DScratch(net, sc, w, w)
+		w2, q, err := ccmm.DistanceProduct3D(net, sc, w, w)
 		if err != nil {
 			return nil, err
 		}

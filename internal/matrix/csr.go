@@ -51,7 +51,9 @@ func (m *CSR[T]) Row(v int) ([]int32, []T) {
 // Validate checks the structural invariants: monotone row pointers,
 // in-range strictly increasing columns per row, and value length matching
 // the entry count (a nil Val is legal and means "all entries are the
-// caller's one element" — adjacency matrices ship without values).
+// caller's one element" — adjacency matrices ship without values). The
+// length checks come first, so the row walk never slices past what a
+// malformed operand actually stores.
 func (m *CSR[T]) Validate() error {
 	n := m.N
 	if n < 0 || len(m.RowPtr) != n+1 {
@@ -60,10 +62,20 @@ func (m *CSR[T]) Validate() error {
 	if m.RowPtr[0] != 0 {
 		return fmt.Errorf("matrix: CSR row pointers start at %d, want 0", m.RowPtr[0])
 	}
+	nnz := int64(len(m.Col))
+	if nnz != m.RowPtr[n] {
+		return fmt.Errorf("matrix: CSR has %d columns stored, row pointers claim %d", nnz, m.RowPtr[n])
+	}
+	if m.Val != nil && len(m.Val) != len(m.Col) {
+		return fmt.Errorf("matrix: CSR has %d values for %d columns", len(m.Val), len(m.Col))
+	}
 	for v := 0; v < n; v++ {
 		lo, hi := m.RowPtr[v], m.RowPtr[v+1]
 		if hi < lo {
 			return fmt.Errorf("matrix: CSR row %d has negative extent [%d, %d)", v, lo, hi)
+		}
+		if hi > nnz {
+			return fmt.Errorf("matrix: CSR row %d ends at %d, past the %d stored entries", v, hi, nnz)
 		}
 		prev := int32(-1)
 		for _, c := range m.Col[lo:hi] {
@@ -75,12 +87,6 @@ func (m *CSR[T]) Validate() error {
 			}
 			prev = c
 		}
-	}
-	if int64(len(m.Col)) != m.RowPtr[n] {
-		return fmt.Errorf("matrix: CSR has %d columns stored, row pointers claim %d", len(m.Col), m.RowPtr[n])
-	}
-	if m.Val != nil && len(m.Val) != len(m.Col) {
-		return fmt.Errorf("matrix: CSR has %d values for %d columns", len(m.Val), len(m.Col))
 	}
 	return nil
 }

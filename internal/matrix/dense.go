@@ -210,13 +210,3 @@ func (m *Dense[T]) Map(f func(T) T) {
 		m.e[i] = f(m.e[i])
 	}
 }
-
-// MapInto returns a new matrix of a possibly different element type whose
-// entries are f applied to m's entries.
-func MapInto[T, U any](m *Dense[T], f func(T) U) *Dense[U] {
-	out := New[U](m.rows, m.cols)
-	for i := range m.e {
-		out.e[i] = f(m.e[i])
-	}
-	return out
-}

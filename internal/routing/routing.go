@@ -136,43 +136,6 @@ func autoTwoPhase(n int, sc *Scratch, msgs [][][]clique.Word) bool {
 	return maxA+maxB < direct
 }
 
-// ExchangeDynamic is Exchange for *dynamic* traffic patterns — ones whose
-// receive side is data-dependent, so a receiver must be able to scan all n
-// potential senders and trust that a pair which carried no traffic reads
-// as empty. ExchangeScratch cannot promise that (stale windows survive in
-// its pooled matrices, which is fine for oblivious protocols that read
-// exactly the pairs they addressed); ExchangeDynamic does, while still
-// pooling: the direct schedule reassigns every entry from the mailbox
-// (idle links read empty there), and the two-phase schedule truncates the
-// pooled entries of idle pairs after reassembly. The returned matrix
-// follows the same two-call recycling lifetime as ExchangeScratch. A nil
-// sc allocates a fresh (nil-entry) matrix per call.
-//
-// The sparse matmul engine's gather is the motivating caller: which nodes
-// send partial products to which row owners depends on the operands'
-// nonzero structure, so its receivers scan every source.
-func ExchangeDynamic(net *clique.Network, strategy Strategy, sc *Scratch, msgs [][][]clique.Word) [][][]clique.Word {
-	n := net.N()
-	validateShape(n, msgs)
-	if ResolveStrategy(n, sc, strategy, lensOf(msgs)) == TwoPhase {
-		in := exchangeTwoPhase(net, sc, msgs)
-		if sc != nil {
-			// Idle pairs keep their pooled capacity but read as empty.
-			for src := 0; src < n; src++ {
-				for dst := 0; dst < n; dst++ {
-					if len(msgs[src][dst]) == 0 && in[dst][src] != nil {
-						in[dst][src] = in[dst][src][:0]
-					}
-				}
-			}
-		}
-		return in
-	}
-	// The direct schedule reassigns every (dst, src) entry from the
-	// mailbox, whose idle links read empty, so it is already clean.
-	return exchangeDirect(net, sc, msgs)
-}
-
 // validateShape panics unless msgs is an n×n message matrix — the shared
 // precondition of every exchange variant.
 func validateShape(n int, msgs [][][]clique.Word) {

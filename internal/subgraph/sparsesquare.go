@@ -26,9 +26,9 @@ var (
 	ErrDirected = fmt.Errorf("subgraph: sparse square requires an undirected graph: %w", ccmm.ErrSize)
 )
 
-// SparseSquare computes row v of A² (the number of 2-walks v→·) at every
-// node v in O(1) rounds, for undirected graphs with Σ_y deg(y)² < 2n² —
-// the paper's remark that the Theorem 4 machinery "can be interpreted as
+// SparseSquareScratch computes row v of A² (the number of 2-walks v→·) at
+// every node v in O(1) rounds, for undirected graphs with Σ_y deg(y)² < 2n²
+// — the paper's remark that the Theorem 4 machinery "can be interpreted as
 // an efficient routine for sparse matrix multiplication, under a specific
 // definition of sparseness" (§1.2). It is a thin wrapper over the general
 // sparse tile engine (ccmm.SparseMul with the integer ring): for an
@@ -38,13 +38,8 @@ var (
 //
 // Returns ErrTooDense (wrapped) when the degree condition fails — the
 // caller can fall back to a matmul engine — ErrTooSmall for n < 8, and
-// ErrDirected for directed inputs; all three satisfy errors.Is.
-func SparseSquare(net *clique.Network, g *graphs.Graph) (*ccmm.RowMat[int64], error) {
-	return SparseSquareScratch(net, nil, g)
-}
-
-// SparseSquareScratch is SparseSquare with caller-owned engine scratch
-// pools.
+// ErrDirected for directed inputs; all three satisfy errors.Is. The engine
+// scratch pools are caller-owned; a nil sc uses a transient scratch.
 func SparseSquareScratch(net *clique.Network, sc *ccmm.Scratch, g *graphs.Graph) (*ccmm.RowMat[int64], error) {
 	if err := checkGraphSize(net, g); err != nil {
 		return nil, err
@@ -57,7 +52,7 @@ func SparseSquareScratch(net *clique.Network, sc *ccmm.Scratch, g *graphs.Graph)
 	}
 	r := ring.Int64{}
 	a := adjacencyRows(g)
-	sq, err := ccmm.SparseMulScratch[int64](net, sc, r, r, a, a)
+	sq, err := ccmm.SparseMul[int64](net, sc, r, r, a, a)
 	if err != nil {
 		if errors.Is(err, ccmm.ErrTooDense) {
 			return nil, fmt.Errorf("%w (%v)", ErrTooDense, err)

@@ -20,7 +20,7 @@ func TestSparseSquareMatchesMatMul(t *testing.T) {
 		n := 8 + rng.IntN(48)
 		g := graphs.GNP(n, 2.5/float64(n), false, rng.Uint64())
 		net := clique.New(n)
-		sq, err := subgraph.SparseSquare(net, g)
+		sq, err := subgraph.SparseSquareScratch(net, nil, g)
 		if errors.Is(err, subgraph.ErrTooDense) {
 			continue // unlucky draw; covered by the dedicated test below
 		}
@@ -40,7 +40,7 @@ func TestSparseSquareConstantRounds(t *testing.T) {
 	for _, n := range []int{16, 64, 256} {
 		g := graphs.GNP(n, 2.0/float64(n), false, 3)
 		net := clique.New(n)
-		if _, err := subgraph.SparseSquare(net, g); err != nil {
+		if _, err := subgraph.SparseSquareScratch(net, nil, g); err != nil {
 			t.Fatal(err)
 		}
 		if net.Rounds() > maxRounds {
@@ -55,17 +55,17 @@ func TestSparseSquareConstantRounds(t *testing.T) {
 func TestSparseSquareRejectsDense(t *testing.T) {
 	g := graphs.Complete(16, false)
 	net := clique.New(16)
-	_, err := subgraph.SparseSquare(net, g)
+	_, err := subgraph.SparseSquareScratch(net, nil, g)
 	if !errors.Is(err, subgraph.ErrTooDense) {
 		t.Fatalf("err = %v, want ErrTooDense", err)
 	}
 }
 
 func TestSparseSquareRejectsMisuse(t *testing.T) {
-	if _, err := subgraph.SparseSquare(clique.New(16), graphs.Cycle(16, true)); err == nil {
+	if _, err := subgraph.SparseSquareScratch(clique.New(16), nil, graphs.Cycle(16, true)); err == nil {
 		t.Error("directed graph accepted")
 	}
-	if _, err := subgraph.SparseSquare(clique.New(4), graphs.Cycle(4, false)); !errors.Is(err, ccmm.ErrSize) {
+	if _, err := subgraph.SparseSquareScratch(clique.New(4), nil, graphs.Cycle(4, false)); !errors.Is(err, ccmm.ErrSize) {
 		t.Error("tiny clique accepted")
 	}
 }

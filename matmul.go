@@ -14,19 +14,15 @@ import (
 // Strassen scheme (Theorem 1; the paper's O(n^{0.158}) uses the
 // impracticable Le Gall scheme, see DESIGN.md).
 func (s *Clique) MatMul(a, b Mat, opts ...CallOption) (Mat, Stats, error) {
-	return s.product(matMulSpec, a, b, opts)
+	return s.product(&matMulSpec, a, b, opts)
 }
 
 // MatMul is the one-shot form of Clique.MatMul: it simulates the product on
 // a throwaway session.
 func MatMul(a, b Mat, opts ...Option) (Mat, Stats, error) {
-	n := len(a)
-	s, err := oneShot(n, opts)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	defer s.Close()
-	return s.MatMul(a, b)
+	return oneShot(len(a), opts, func(s *Clique) (Mat, Stats, error) {
+		return s.MatMul(a, b)
+	})
 }
 
 // DistanceProduct computes the min-plus (tropical) product
@@ -37,32 +33,25 @@ func MatMul(a, b Mat, opts ...Option) (Mat, Stats, error) {
 // the ring-embedded fast product is used by the small-weight APSP entry
 // points.
 func (s *Clique) DistanceProduct(a, b Mat, opts ...CallOption) (Mat, Stats, error) {
-	if s.cfg.engine == Fast {
-		return nil, Stats{}, fmt.Errorf("algclique: min-plus is not a ring; use Auto, Semiring3D or Naive: %w", ccmm.ErrSize)
-	}
-	return s.product(distanceProductSpec, a, b, opts)
+	return s.product(&distanceProductSpec, a, b, opts)
 }
 
 // DistanceProduct is the one-shot form of Clique.DistanceProduct.
 func DistanceProduct(a, b Mat, opts ...Option) (Mat, Stats, error) {
-	n := len(a)
-	s, err := oneShot(n, opts)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	defer s.Close()
-	return s.DistanceProduct(a, b)
+	return oneShot(len(a), opts, func(s *Clique) (Mat, Stats, error) {
+		return s.DistanceProduct(a, b)
+	})
 }
 
 // MatMulBool computes the Boolean matrix product of 0/1 matrices
 // (reachability composition), over the integers on the fast engine.
 func (s *Clique) MatMulBool(a, b Mat, opts ...CallOption) (Mat, Stats, error) {
-	return s.product(matMulBoolSpec, a, b, opts)
+	return s.product(&matMulBoolSpec, a, b, opts)
 }
 
 // product is the shared entry for the three matrix products: one
 // per-operation harness around runProduct's retry/certification loop.
-func (s *Clique) product(spec batchSpec, a, b Mat, opts []CallOption) (prod Mat, stats Stats, err error) {
+func (s *Clique) product(spec *productSpec, a, b Mat, opts []CallOption) (prod Mat, stats Stats, err error) {
 	orig, err := squareSize(a, b)
 	if err != nil {
 		return nil, Stats{}, err
@@ -78,13 +67,9 @@ func (s *Clique) product(spec batchSpec, a, b Mat, opts []CallOption) (prod Mat,
 
 // MatMulBool is the one-shot form of Clique.MatMulBool.
 func MatMulBool(a, b Mat, opts ...Option) (Mat, Stats, error) {
-	n := len(a)
-	s, err := oneShot(n, opts)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	defer s.Close()
-	return s.MatMulBool(a, b)
+	return oneShot(len(a), opts, func(s *Clique) (Mat, Stats, error) {
+		return s.MatMulBool(a, b)
+	})
 }
 
 func squareSize(a, b Mat) (int, error) {

@@ -8,6 +8,7 @@ import (
 
 	"github.com/algebraic-clique/algclique/internal/ccmm"
 	"github.com/algebraic-clique/algclique/internal/clique"
+	"github.com/algebraic-clique/algclique/internal/matrix"
 )
 
 // ErrSessionClosed is returned by operations on a closed session.
@@ -109,9 +110,16 @@ func newSession(n int, cfg config) (*Clique, error) {
 	return s, nil
 }
 
-// oneShot builds the throwaway session behind a package-level function.
-func oneShot(n int, opts []Option) (*Clique, error) {
-	return newSession(n, newConfig(opts))
+// oneShot is the body of a package-level function: build a throwaway
+// session for instances of size n, run one operation on it, close it.
+func oneShot[R any](n int, opts []Option, call func(*Clique) (R, Stats, error)) (R, Stats, error) {
+	s, err := newSession(n, newConfig(opts))
+	if err != nil {
+		var none R
+		return none, Stats{}, err
+	}
+	defer s.Close()
+	return call(s)
 }
 
 // N returns the instance size the session serves.
@@ -200,13 +208,19 @@ func (s *Clique) record(op string, st Stats) {
 }
 
 // sizeFor maps an algorithm's size class to the session's padded clique
-// size for it.
+// size for it. This is also where a min-plus operation meets a forced
+// bilinear engine, which cannot run it.
 func (s *Clique) sizeFor(class sizeClass) (int, error) {
-	if class == ringSize {
+	switch class {
+	case ringSize:
 		if s.ringErr != nil {
 			return 0, s.ringErr
 		}
 		return s.nRing, nil
+	case minPlusSize:
+		if s.cfg.engine == Fast {
+			return 0, fmt.Errorf("algclique: min-plus is not a ring; use Auto, Semiring3D or Naive: %w", ccmm.ErrSize)
+		}
 	}
 	return s.nAny, nil
 }
@@ -344,7 +358,7 @@ func (s *Clique) beginAt(op string, orig, n int, opts []CallOption) (*opRun, err
 func (s *Clique) newRun(op string, cfg config, orig, n int) *opRun {
 	net := s.networkFor(n)
 	r := &opRun{s: s, op: op, cfg: cfg, sim: net, net: net,
-		plan: ccmm.PlanSparse(n, cfg.engine.internal(), cfg.sparseThreshold),
+		plan: ccmm.PlanFor(n, cfg.engine.internal()),
 		sc:   s.scratchFor(n),
 		n:    n, orig: orig}
 	r.arm()
@@ -354,9 +368,10 @@ func (s *Clique) newRun(op string, cfg config, orig, n int) *opRun {
 // arm resets the run's simulator and applies the per-call abort settings
 // and the session's transport (direct by default; WithWireTransport and
 // WithTransportVerification override). Unicast runs also arm the
-// session's sparse threshold on the network, so every matrix product the
-// operation performs — including ones graph algorithms resolve internally
-// via PlanFor — honours WithSparseThreshold.
+// session's sparse threshold on the network — the one place the planner
+// reads it from — so every matrix product the operation performs,
+// including ones graph algorithms resolve internally, honours
+// WithSparseThreshold.
 func (r *opRun) arm() {
 	r.sim.Reset()
 	r.sim.SetRoundLimit(r.cfg.roundLimit)
@@ -409,10 +424,7 @@ func (r *opRun) end(stats *Stats, err *error) {
 		}
 		*err = e
 	}
-	*stats = statsFrom(r.sim.Stats(), r.orig)
-	stats.Routing = r.route.Decision()
-	stats.Attempts = r.attempts
-	stats.Certified = r.certified
+	*stats = r.settle()
 	// Taint backstop for operations without their own retry loop (graph
 	// algorithms, attempts == 0): a run that "succeeded" while data faults
 	// fired, with nothing vouching for the result, must not return a
@@ -423,17 +435,34 @@ func (r *opRun) end(stats *Stats, err *error) {
 		*err = &clique.FaultError{Kind: clique.FaultDisrupt, Node: -1,
 			Round: stats.Rounds, Injected: r.fi.Stats()}
 	}
+	r.disarm()
+	s.mu.Unlock()
+}
+
+// disarm clears the per-call abort settings and the fault injector, which
+// all survive Reset, so the next operation starts clean.
+func (r *opRun) disarm() {
 	r.sim.SetContext(nil)
 	r.sim.SetRoundLimit(0)
 	if r.net != nil {
 		r.net.SetFaultInjector(nil)
 	}
+}
+
+// settle closes the books on the run's current product or operation: it
+// snapshots the Stats, returns the borrowed buffers to the pool, and
+// records the ledger entry (mu held).
+func (r *opRun) settle() Stats {
+	st := statsFrom(r.sim.Stats(), r.orig)
+	st.Routing = r.route.Decision()
+	st.Attempts = r.attempts
+	st.Certified = r.certified
 	for _, m := range r.borrowed {
-		s.putMat(m)
+		r.s.putMat(m)
 	}
-	r.borrowed = nil
-	s.record(r.op, *stats)
-	s.mu.Unlock()
+	r.borrowed = r.borrowed[:0]
+	r.s.record(r.op, st)
+	return st
 }
 
 // borrow pads rows into a pooled n×n distributed matrix, filling missing
@@ -488,41 +517,28 @@ type BatchItem struct {
 	Opts []CallOption
 }
 
-// batchSpec ties a batched entry point to its product kind: the ledger
-// name, the clique-size class, the padding zero of its algebra, the
-// routed plan product it executes, and the certification check matching
-// its algebra (Freivalds for rings, spot-checks for semirings).
-type batchSpec struct {
+// productSpec is one row of the product table: everything the dense,
+// batched and CSR entry points of one algebra share — the ledger name of
+// the dense form, the clique-size class, the padding zero, the routed plan
+// products on either operand form, and the certification check matching
+// the algebra (Freivalds for rings, spot-checks for semirings).
+type productSpec struct {
 	op      string
 	class   sizeClass
 	zero    int64
-	mul     func(r *opRun, a, b *ccmm.RowMat[int64]) (*ccmm.RowMat[int64], ccmm.Route, error)
-	certify func(r *opRun, a, b, c *ccmm.RowMat[int64], k int, seed uint64) (bool, error)
+	mul     func(p *ccmm.Plan, net *clique.Network, sc *ccmm.Scratch, a, b *ccmm.RowMat[int64]) (*ccmm.RowMat[int64], ccmm.Route, error)
+	mulCSR  func(p *ccmm.Plan, net *clique.Network, sc *ccmm.Scratch, a, b *matrix.CSR[int64]) (ccmm.CSRProduct[int64], ccmm.Route, error)
+	certify func(net *clique.Network, a, b, c *ccmm.RowMat[int64], k int, seed uint64) (bool, error)
 }
 
-var matMulSpec = batchSpec{op: "MatMul", class: ringSize, zero: 0,
-	mul: func(r *opRun, a, b *ccmm.RowMat[int64]) (*ccmm.RowMat[int64], ccmm.Route, error) {
-		return r.plan.MulIntRouted(r.net, r.sc, a, b)
-	},
-	certify: func(r *opRun, a, b, c *ccmm.RowMat[int64], k int, seed uint64) (bool, error) {
-		return ccmm.CertifyIntProduct(r.net, a, b, c, k, seed)
-	}}
-
-var matMulBoolSpec = batchSpec{op: "MatMulBool", class: ringSize, zero: 0,
-	mul: func(r *opRun, a, b *ccmm.RowMat[int64]) (*ccmm.RowMat[int64], ccmm.Route, error) {
-		return r.plan.MulBoolRouted(r.net, r.sc, a, b)
-	},
-	certify: func(r *opRun, a, b, c *ccmm.RowMat[int64], k int, seed uint64) (bool, error) {
-		return ccmm.CertifyBoolProduct(r.net, a, b, c, k, seed)
-	}}
-
-var distanceProductSpec = batchSpec{op: "DistanceProduct", class: anySize, zero: Inf,
-	mul: func(r *opRun, a, b *ccmm.RowMat[int64]) (*ccmm.RowMat[int64], ccmm.Route, error) {
-		return r.plan.MulMinPlusRouted(r.net, r.sc, a, b)
-	},
-	certify: func(r *opRun, a, b, c *ccmm.RowMat[int64], k int, seed uint64) (bool, error) {
-		return ccmm.CertifyMinPlusProduct(r.net, a, b, c, k, seed)
-	}}
+var (
+	matMulSpec = productSpec{op: "MatMul", class: ringSize, zero: 0,
+		mul: (*ccmm.Plan).MulIntRouted, mulCSR: (*ccmm.Plan).MulIntCSRRouted, certify: ccmm.CertifyIntProduct}
+	matMulBoolSpec = productSpec{op: "MatMulBool", class: ringSize, zero: 0,
+		mul: (*ccmm.Plan).MulBoolRouted, mulCSR: (*ccmm.Plan).MulBoolCSRRouted, certify: ccmm.CertifyBoolProduct}
+	distanceProductSpec = productSpec{op: "DistanceProduct", class: minPlusSize, zero: Inf,
+		mul: (*ccmm.Plan).MulMinPlusRouted, mulCSR: (*ccmm.Plan).MulMinPlusCSRRouted, certify: ccmm.CertifyMinPlusProduct}
+)
 
 // runProduct executes one product under the fault plane's contract: run,
 // certify when armed, and retry — fresh fault draws, fresh probe seed,
@@ -530,7 +546,7 @@ var distanceProductSpec = batchSpec{op: "DistanceProduct", class: anySize, zero:
 // It returns the truncated product or a typed error; a completed product
 // that data faults touched is only returned when certification vouched
 // for it.
-func (r *opRun) runProduct(cfg config, spec batchSpec, a, b Mat) (Mat, error) {
+func (r *opRun) runProduct(cfg config, spec *productSpec, a, b Mat) (Mat, error) {
 	retries := cfg.certifyRetries
 	if retries < 0 {
 		if cfg.certifyProbes > 0 {
@@ -559,7 +575,7 @@ func (r *opRun) runProduct(cfg config, spec batchSpec, a, b Mat) (Mat, error) {
 		pa, pb := r.borrow(a, spec.zero), r.borrow(b, spec.zero)
 		p, err := r.attemptProduct(spec, pa, pb, before)
 		if err == nil && cfg.certifyProbes > 0 {
-			ok, cerr := spec.certify(r, pa, pb, p, cfg.certifyProbes, certSeed(cfg.seed, attempt))
+			ok, cerr := spec.certify(r.net, pa, pb, p, cfg.certifyProbes, certSeed(cfg.seed, attempt))
 			switch {
 			case cerr != nil:
 				err = cerr
@@ -593,7 +609,7 @@ func (r *opRun) runProduct(cfg config, spec batchSpec, a, b Mat) (Mat, error) {
 // tripping over garbled bytes) into a typed *FaultError. Injected panics
 // (FaultPlan.PanicAtFlush) and genuine bugs propagate raw — the former
 // exists precisely to exercise the recovery layers above.
-func (r *opRun) attemptProduct(spec batchSpec, pa, pb *ccmm.RowMat[int64], before int64) (p *ccmm.RowMat[int64], err error) {
+func (r *opRun) attemptProduct(spec *productSpec, pa, pb *ccmm.RowMat[int64], before int64) (p *ccmm.RowMat[int64], err error) {
 	defer func() {
 		rec := recover()
 		if rec == nil {
@@ -610,8 +626,7 @@ func (r *opRun) attemptProduct(spec batchSpec, pa, pb *ccmm.RowMat[int64], befor
 		}
 		panic(rec)
 	}()
-	p, route, err := spec.mul(r, pa, pb)
-	r.route = route
+	p, r.route, err = spec.mul(r.plan, r.net, r.sc, pa, pb)
 	return p, err
 }
 
@@ -650,23 +665,6 @@ func (r *opRun) faults() clique.FaultStats {
 	return r.fi.Stats()
 }
 
-// beginBatch is begin for a whole batch: one lock acquisition, one merged
-// config, one memoised plan/scratch resolution, and one arming of the
-// session-scoped network settings (transport, sparse threshold) that every
-// item shares.
-func (s *Clique) beginBatch(spec batchSpec, opts []CallOption) (*opRun, error) {
-	cfg, err := s.acquire(s.n, opts)
-	if err != nil {
-		return nil, err
-	}
-	n, err := s.sizeFor(spec.class)
-	if err != nil {
-		s.mu.Unlock()
-		return nil, err
-	}
-	return s.newRun(spec.op, cfg, s.n, n), nil
-}
-
 // endBatch releases the batch harness. Per-item aborts were already
 // converted by runItem; anything else propagates once the lock is safely
 // released.
@@ -676,11 +674,7 @@ func (r *opRun) endBatch() {
 		s.mu.Unlock()
 		panic(rec)
 	}
-	r.sim.SetContext(nil)
-	r.sim.SetRoundLimit(0)
-	if r.net != nil {
-		r.net.SetFaultInjector(nil)
-	}
+	r.disarm()
 	s.mu.Unlock()
 }
 
@@ -688,8 +682,8 @@ func (r *opRun) endBatch() {
 // simulator is reset (warm capacity kept) so the item gets its own Stats
 // and ledger entry, and only the per-call abort settings — the item's
 // context and round limit — are re-armed. Plan, scratch, transport, and
-// sparse threshold carry over from beginBatch.
-func (r *opRun) runItem(spec batchSpec, it *BatchItem) (prod Mat, st Stats, err error) {
+// sparse threshold carry over from the batch's begin.
+func (r *opRun) runItem(spec *productSpec, it *BatchItem) (prod Mat, st Stats, err error) {
 	orig, err := squareSize(it.A, it.B)
 	if err != nil {
 		return nil, Stats{}, err
@@ -715,29 +709,22 @@ func (r *opRun) runItem(spec batchSpec, it *BatchItem) (prod Mat, st Stats, err 
 			}
 			err = e
 		}
-		st = statsFrom(r.sim.Stats(), r.orig)
-		st.Routing = r.route.Decision()
-		st.Attempts = r.attempts
-		st.Certified = r.certified
-		for _, m := range r.borrowed {
-			r.s.putMat(m)
-		}
-		r.borrowed = r.borrowed[:0]
-		r.s.record(r.op, st)
+		st = r.settle()
 	}()
 	prod, err = r.runProduct(cfg, spec, it.A, it.B)
 	return prod, st, err
 }
 
-// runBatch runs every item of a batch inside one per-operation harness,
-// amortising lock acquisition, plan and scratch resolution, and network
-// arming across the whole batch; it stops at the first error, returning
-// the already-computed results alongside it.
-func (s *Clique) runBatch(spec batchSpec, items []BatchItem, opts []CallOption) ([]Mat, []Stats, error) {
+// runBatch runs every item of a batch inside one per-operation harness —
+// one lock acquisition, one merged config, one memoised plan and scratch
+// resolution, and one arming of the session-scoped network settings
+// (transport, sparse threshold) shared by all items; it stops at the first
+// error, returning the already-computed results alongside it.
+func (s *Clique) runBatch(spec *productSpec, items []BatchItem, opts []CallOption) ([]Mat, []Stats, error) {
 	if len(items) == 0 {
 		return nil, nil, nil
 	}
-	r, err := s.beginBatch(spec, opts)
+	r, err := s.begin(spec.op, s.n, spec.class, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -770,22 +757,19 @@ func pairItems(pairs [][2]Mat) []BatchItem {
 // stops at the first error: the returned slices hold the results of the
 // items before the failing one (whose index is len of the result slice).
 func (s *Clique) MatMulBatch(items []BatchItem, opts ...CallOption) ([]Mat, []Stats, error) {
-	return s.runBatch(matMulSpec, items, opts)
+	return s.runBatch(&matMulSpec, items, opts)
 }
 
 // MatMulBoolBatch is MatMulBatch over the Boolean semiring (see
 // MatMulBool).
 func (s *Clique) MatMulBoolBatch(items []BatchItem, opts ...CallOption) ([]Mat, []Stats, error) {
-	return s.runBatch(matMulBoolSpec, items, opts)
+	return s.runBatch(&matMulBoolSpec, items, opts)
 }
 
 // DistanceProductBatch is MatMulBatch for min-plus products (see
 // DistanceProduct).
 func (s *Clique) DistanceProductBatch(items []BatchItem, opts ...CallOption) ([]Mat, []Stats, error) {
-	if s.cfg.engine == Fast {
-		return nil, nil, fmt.Errorf("algclique: min-plus is not a ring; use Auto, Semiring3D or Naive: %w", ccmm.ErrSize)
-	}
-	return s.runBatch(distanceProductSpec, items, opts)
+	return s.runBatch(&distanceProductSpec, items, opts)
 }
 
 // MatMuls runs a batch of integer matrix products on the session,

@@ -27,12 +27,9 @@ func (s *Clique) CountTriangles(g *Graph, opts ...CallOption) (count int64, stat
 
 // CountTriangles is the one-shot form of Clique.CountTriangles.
 func CountTriangles(g *Graph, opts ...Option) (int64, Stats, error) {
-	s, err := oneShot(g.N(), opts)
-	if err != nil {
-		return 0, Stats{}, err
-	}
-	defer s.Close()
-	return s.CountTriangles(g)
+	return oneShot(g.N(), opts, func(s *Clique) (int64, Stats, error) {
+		return s.CountTriangles(g)
+	})
 }
 
 // CountFourCycles counts the graph's 4-cycles via the Alon–Yuster–Zwick
@@ -49,12 +46,9 @@ func (s *Clique) CountFourCycles(g *Graph, opts ...CallOption) (count int64, sta
 
 // CountFourCycles is the one-shot form of Clique.CountFourCycles.
 func CountFourCycles(g *Graph, opts ...Option) (int64, Stats, error) {
-	s, err := oneShot(g.N(), opts)
-	if err != nil {
-		return 0, Stats{}, err
-	}
-	defer s.Close()
-	return s.CountFourCycles(g)
+	return oneShot(g.N(), opts, func(s *Clique) (int64, Stats, error) {
+		return s.CountFourCycles(g)
+	})
 }
 
 // CountFiveCycles counts the 5-cycles of an undirected graph via the
@@ -72,12 +66,9 @@ func (s *Clique) CountFiveCycles(g *Graph, opts ...CallOption) (count int64, sta
 
 // CountFiveCycles is the one-shot form of Clique.CountFiveCycles.
 func CountFiveCycles(g *Graph, opts ...Option) (int64, Stats, error) {
-	s, err := oneShot(g.N(), opts)
-	if err != nil {
-		return 0, Stats{}, err
-	}
-	defer s.Close()
-	return s.CountFiveCycles(g)
+	return oneShot(g.N(), opts, func(s *Clique) (int64, Stats, error) {
+		return s.CountFiveCycles(g)
+	})
 }
 
 // CountSixCycles counts the 6-cycles of an undirected graph via the k = 6
@@ -96,12 +87,9 @@ func (s *Clique) CountSixCycles(g *Graph, opts ...CallOption) (count int64, stat
 
 // CountSixCycles is the one-shot form of Clique.CountSixCycles.
 func CountSixCycles(g *Graph, opts ...Option) (int64, Stats, error) {
-	s, err := oneShot(g.N(), opts)
-	if err != nil {
-		return 0, Stats{}, err
-	}
-	defer s.Close()
-	return s.CountSixCycles(g)
+	return oneShot(g.N(), opts, func(s *Clique) (int64, Stats, error) {
+		return s.CountSixCycles(g)
+	})
 }
 
 // DetectFourCycle reports whether an undirected graph contains a 4-cycle
@@ -121,12 +109,9 @@ func (s *Clique) DetectFourCycle(g *Graph, opts ...CallOption) (found bool, stat
 
 // DetectFourCycle is the one-shot form of Clique.DetectFourCycle.
 func DetectFourCycle(g *Graph, opts ...Option) (bool, Stats, error) {
-	s, err := oneShot(g.N(), opts)
-	if err != nil {
-		return false, Stats{}, err
-	}
-	defer s.Close()
-	return s.DetectFourCycle(g)
+	return oneShot(g.N(), opts, func(s *Clique) (bool, Stats, error) {
+		return s.DetectFourCycle(g)
+	})
 }
 
 // DetectCycle reports whether the graph contains a simple cycle of length
@@ -146,12 +131,9 @@ func (s *Clique) DetectCycle(g *Graph, k int, opts ...CallOption) (found bool, s
 
 // DetectCycle is the one-shot form of Clique.DetectCycle.
 func DetectCycle(g *Graph, k int, opts ...Option) (bool, Stats, error) {
-	s, err := oneShot(g.N(), opts)
-	if err != nil {
-		return false, Stats{}, err
-	}
-	defer s.Close()
-	return s.DetectCycle(g, k)
+	return oneShot(g.N(), opts, func(s *Clique) (bool, Stats, error) {
+		return s.DetectCycle(g, k)
+	})
 }
 
 // Girth computes the length of the graph's shortest cycle — Õ(n^ρ) rounds
@@ -181,7 +163,7 @@ func (s *Clique) Girth(g *Graph, opts ...CallOption) (value int, ok bool, stats 
 
 // Girth is the one-shot form of Clique.Girth.
 func Girth(g *Graph, opts ...Option) (int, bool, Stats, error) {
-	s, err := oneShot(g.N(), opts)
+	s, err := newSession(g.N(), newConfig(opts))
 	if err != nil {
 		return 0, false, Stats{}, err
 	}
@@ -249,12 +231,9 @@ func (s *Clique) SquareAdjacencySparse(g *Graph, opts ...CallOption) (sq Mat, st
 
 // SquareAdjacencySparse is the one-shot form of Clique.SquareAdjacencySparse.
 func SquareAdjacencySparse(g *Graph, opts ...Option) (Mat, Stats, error) {
-	s, err := oneShot(g.N(), opts)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	defer s.Close()
-	return s.SquareAdjacencySparse(g)
+	return oneShot(g.N(), opts, func(s *Clique) (Mat, Stats, error) {
+		return s.SquareAdjacencySparse(g)
+	})
 }
 
 // CountTrianglesDolev counts triangles with the deterministic
@@ -272,10 +251,7 @@ func (s *Clique) CountTrianglesDolev(g *Graph, opts ...CallOption) (count int64,
 
 // CountTrianglesDolev is the one-shot form of Clique.CountTrianglesDolev.
 func CountTrianglesDolev(g *Graph, opts ...Option) (int64, Stats, error) {
-	s, err := oneShot(g.N(), opts)
-	if err != nil {
-		return 0, Stats{}, err
-	}
-	defer s.Close()
-	return s.CountTrianglesDolev(g)
+	return oneShot(g.N(), opts, func(s *Clique) (int64, Stats, error) {
+		return s.CountTrianglesDolev(g)
+	})
 }
