@@ -80,3 +80,30 @@ func BenchmarkSessionAPSP(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSessionGraphOps measures the nine graph_pipeline operations at
+// the yardstick's size on a reused session: chains of products on the
+// network's one working set, so allocs/op is each reduction's answer and
+// per-call vectors (TestWarmGraphOpAllocs holds the budgets).
+func BenchmarkSessionGraphOps(b *testing.B) {
+	const n = 144
+	for _, op := range graphPipelineOps(n, 1) {
+		b.Run(op.name, func(b *testing.B) {
+			s, err := cc.NewClique(n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			if _, _, err := op.run(s); err != nil { // the cold call builds the working set
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := op.run(s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package algclique
 
 import (
 	"github.com/algebraic-clique/algclique/internal/baseline"
+	"github.com/algebraic-clique/algclique/internal/ccmm"
 )
 
 // TransitiveClosure computes reachability: out[u][v] = 1 iff a (directed)
@@ -15,8 +16,7 @@ func (s *Clique) TransitiveClosure(g *Graph, opts ...CallOption) (reach Mat, sta
 	}
 	defer r.end(&stats, &err)
 	padded := padGraph(g, r.n)
-	mat := r.s.getMat(r.n)
-	r.borrowed = append(r.borrowed, mat)
+	mat := r.getMat()
 	for v := 0; v < r.n; v++ {
 		row := mat.Rows[v]
 		for j := range row {
@@ -97,7 +97,11 @@ func (s *Clique) MatMulBroadcast(a, b Mat, opts ...CallOption) (prod Mat, stats 
 		return nil, Stats{}, err
 	}
 	defer r.end(&stats, &err)
-	p, merr := baseline.BroadcastMatMul(r.bnet, s.localPool(), r.borrow(a, 0), r.borrow(b, 0))
+	// A broadcast run has no engines and so no working set to borrow from.
+	pa, pb := ccmm.NewRowMat[int64](r.n), ccmm.NewRowMat[int64](r.n)
+	padMatInto(pa, a, 0)
+	padMatInto(pb, b, 0)
+	p, merr := baseline.BroadcastMatMul(r.bnet, s.localPool(), pa, pb)
 	if merr != nil {
 		err = merr
 		return

@@ -49,12 +49,14 @@ func truncateResult(res *distance.Result, n int) *APSPResult {
 	return out
 }
 
+// truncateRows copies the leading n×n block of m out as an answer the caller
+// owns: rows cut from one backing array, each capped at its own extent.
 func truncateRows(m *ccmm.RowMat[int64], n int) [][]int64 {
+	b := make([]int64, n*n)
 	out := make([][]int64, n)
-	for v := 0; v < n; v++ {
-		row := make([]int64, n)
-		copy(row, m.Rows[v][:n])
-		out[v] = row
+	for v := range out {
+		out[v] = b[v*n : (v+1)*n : (v+1)*n]
+		copy(out[v], m.Rows[v])
 	}
 	return out
 }
@@ -76,6 +78,8 @@ func (s *Clique) APSP(g *Weighted, opts ...CallOption) (res *APSPResult, stats S
 		return
 	}
 	res = truncateResult(dres, r.orig)
+	r.recycle(dres.Dist)
+	r.recycle(dres.Next)
 	return
 }
 
@@ -130,8 +134,7 @@ func (s *Clique) APSPUnweightedWithRouting(g *Graph, opts ...CallOption) (res *A
 		err = derr
 		return
 	}
-	w := r.s.getMat(r.n)
-	r.borrowed = append(r.borrowed, w)
+	w := r.getMat()
 	for u := 0; u < r.n; u++ {
 		row := w.Rows[u]
 		for v := 0; v < r.n; v++ {

@@ -1,0 +1,131 @@
+package algclique_test
+
+import (
+	"runtime"
+	"testing"
+
+	cc "github.com/algebraic-clique/algclique"
+)
+
+// graphOp is one of the nine operations of the yardstick's graph_pipeline
+// workload (bench/library.go), on that workload's inputs.
+type graphOp struct {
+	name string
+	// run makes the call and returns its answer in a comparable form.
+	run func(s *cc.Clique, opts ...cc.CallOption) (any, cc.Stats, error)
+}
+
+// graphPipelineOps returns the nine graph_pipeline operations at size n:
+// a weighted digraph, an undirected GNP at average degree ≈ 14 and a
+// directed one at a third of that, as the yardstick draws them.
+func graphPipelineOps(n int, seed uint64) []graphOp {
+	p := min(0.5, 14/float64(n))
+	wg := cc.RandomConnectedWeighted(n, p, 100, true, seed)
+	g := cc.GNP(n, p, false, seed+1)
+	gd := cc.GNP(n, p/3, true, seed+2)
+	girth := func(g *cc.Graph) func(s *cc.Clique, opts ...cc.CallOption) (any, cc.Stats, error) {
+		return func(s *cc.Clique, opts ...cc.CallOption) (any, cc.Stats, error) {
+			v, ok, st, err := s.Girth(g, opts...)
+			return [2]any{v, ok}, st, err
+		}
+	}
+	return []graphOp{
+		{"apsp", func(s *cc.Clique, opts ...cc.CallOption) (any, cc.Stats, error) { return s.APSP(wg, opts...) }},
+		{"apsp_unweighted", func(s *cc.Clique, opts ...cc.CallOption) (any, cc.Stats, error) {
+			return s.APSPUnweighted(g, opts...)
+		}},
+		{"closure", func(s *cc.Clique, opts ...cc.CallOption) (any, cc.Stats, error) {
+			return s.TransitiveClosure(gd, opts...)
+		}},
+		{"triangles", func(s *cc.Clique, opts ...cc.CallOption) (any, cc.Stats, error) {
+			return s.CountTriangles(g, opts...)
+		}},
+		{"c4count", func(s *cc.Clique, opts ...cc.CallOption) (any, cc.Stats, error) {
+			return s.CountFourCycles(g, opts...)
+		}},
+		{"c5count", func(s *cc.Clique, opts ...cc.CallOption) (any, cc.Stats, error) {
+			return s.CountFiveCycles(g, opts...)
+		}},
+		{"c4detect", func(s *cc.Clique, opts ...cc.CallOption) (any, cc.Stats, error) {
+			return s.DetectFourCycle(g, opts...)
+		}},
+		{"girth", girth(g)},
+		{"girth_directed", girth(gd)},
+	}
+}
+
+// liveHeap returns HeapAlloc and HeapObjects after a collection.
+func liveHeap() (bytes, objects uint64) {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc, ms.HeapObjects
+}
+
+// TestWarmGraphOpAllocs pins what a warm session allocates per graph
+// operation at the yardstick's size. Every product of every reduction runs
+// on the network's one working set and dead intermediates return to its
+// free list, so a warm call allocates its answer, its per-call vectors and
+// little else; each budget is about twice the measured figure and one to
+// two orders of magnitude below what the reductions allocated when each
+// opened with a working set of its own (triangles: 75 105).
+//
+// The second half is the other side of the same coin: a working set that
+// outlives its operation must still go when the session is trimmed (it
+// lives in the network's engine-state slot, which Network.Trim drops).
+func TestWarmGraphOpAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("n = 144 session warm-up")
+	}
+	const n = 144
+	// Measured → budget; in brackets what the same call allocated while
+	// every reduction built its own working set. Undirected girth never
+	// did (it gathers this graph and runs the local reference), so its
+	// budget only pins the status quo; closure's squarings always ran on the
+	// session's working set and gain from results drawn off the free list
+	// and from message matrices that keep their roles between products.
+	budget := map[string]float64{
+		"apsp":            400,  // 177 [11 712]
+		"apsp_unweighted": 400,  // 180 [76 996]
+		"closure":         500,  // 238 [1 695]
+		"triangles":       100,  // 39 [75 105]
+		"c4count":         100,  // 39 [75 105]
+		"c5count":         150,  // 67 [75 279]
+		"c4detect":        30,   // 12 [12]
+		"girth":           3500, // 1 740 [1 740]
+		"girth_directed":  100,  // 42 [5 180]
+	}
+	base, _ := liveHeap() // no session yet: what a never-used one costs is noise here
+	sess, err := cc.NewClique(n, cc.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	ops := graphPipelineOps(n, 1)
+	for pass := 0; pass < 2; pass++ { // warm: the second pass maps what the first one trimmed by high-water marks
+		for _, op := range ops {
+			if _, _, err := op.run(sess); err != nil {
+				t.Fatalf("%s: %v", op.name, err)
+			}
+		}
+	}
+	for _, op := range ops {
+		got := testing.AllocsPerRun(3, func() {
+			if _, _, err := op.run(sess); err != nil {
+				t.Fatalf("%s: %v", op.name, err)
+			}
+		})
+		t.Logf("%-16s %8.0f allocs/op (budget %.0f)", op.name, got, budget[op.name])
+		if got > budget[op.name] {
+			t.Errorf("%s: %.0f allocs/op on a warm session, budget %.0f", op.name, got, budget[op.name])
+		}
+	}
+	sess.ResetStats()
+	warm, objects := liveHeap()
+	t.Logf("warm session retains %.1f MB, %d heap objects in all", float64(warm-base)/(1<<20), objects)
+	sess.Trim()
+	trimmed, _ := liveHeap()
+	if over := int64(trimmed) - int64(base); over > 1<<20 {
+		t.Errorf("Trim left %.1f MB over a never-used session's heap, want < 1 MB", float64(over)/(1<<20))
+	}
+}

@@ -207,9 +207,7 @@ func route[T, P any](net *clique.Network, p *Plan, sc *Scratch, a *algebra[T], o
 	if err := ops.validate(n); err != nil {
 		return none, Route{}, err
 	}
-	if sc == nil {
-		sc = NewScratch()
-	}
+	sc = sc.orOf(net)
 	if p.Requested == EngineSparse {
 		out, err = ops.sparse(sc)
 		return out, Route{Engine: EngineSparse}, err

@@ -85,37 +85,37 @@ func (e Engine) Resolve(n int, ringAlgebra bool) Engine {
 func dropRoute[M any](m M, _ Route, err error) (M, error) { return m, err }
 
 // MulRingWith multiplies two distributed matrices over a ring using the
-// chosen engine (resolved through the memoised plan cache) and caller-owned
-// scratch pools — the form every iterated-product pipeline uses so repeated
-// products share one working set.
+// chosen engine (resolved through the memoised plan cache) on the working
+// set sc, nil for the network's own — the form the reductions use.
 func MulRingWith[T any](net *clique.Network, e Engine, sc *Scratch, rg ring.Ring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
 	return dropRoute(MulRingRouted[T](net, PlanFor(net.N(), e), sc, rg, codec, s, t))
 }
 
 // MulIntWith multiplies distributed int64 matrices over the integer ring
-// with caller-owned scratch pools (nil for a transient scratch).
+// on the working set sc (nil for the network's own).
 func MulIntWith(net *clique.Network, e Engine, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], error) {
 	return dropRoute(PlanFor(net.N(), e).MulIntRouted(net, sc, s, t))
 }
 
-// MulBoolWith computes the Boolean matrix product with caller-owned scratch
-// pools. Over the bilinear engine the product is computed in the integer
-// ring and collapsed entrywise to 0/1 (the entries are walk counts ≤ n, and
-// an entry is non-zero exactly when the Boolean product is true — the
-// standard embedding the paper uses in §3.1). Semiring engines multiply
-// over the Boolean semiring directly, shipped through the bit-packed
-// transport (ring.PackedBool): 64 entries per word, cutting Boolean-product
-// bandwidth and rounds ~64×. Inputs must be 0/1 matrices.
+// MulBoolWith computes the Boolean matrix product on the working set sc
+// (nil for the network's own). Over the bilinear engine the product is
+// computed in the integer ring and collapsed entrywise to 0/1 (the entries
+// are walk counts ≤ n, and an entry is non-zero exactly when the Boolean
+// product is true — the standard embedding the paper uses in §3.1).
+// Semiring engines multiply over the Boolean semiring directly, shipped
+// through the bit-packed transport (ring.PackedBool): 64 entries per word,
+// cutting Boolean-product bandwidth and rounds ~64×. Inputs must be 0/1
+// matrices.
 func MulBoolWith(net *clique.Network, e Engine, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], error) {
 	return dropRoute(PlanFor(net.N(), e).MulBoolRouted(net, sc, s, t))
 }
 
 // MulMinPlusWith computes the distance product over the (min, +) semiring
-// with caller-owned scratch pools. The bilinear engine does not apply
-// (min-plus is not a ring); EngineAuto resolves to Semiring3D —
-// O(n^{1/3}) rounds on any clique size n ≥ 8 — and to NaiveGather only on
-// tiny cliques. For the ring-embedded fast distance product with bounded
-// entries, see the distance package (Lemma 18).
+// on the working set sc (nil for the network's own). The bilinear engine
+// does not apply (min-plus is not a ring); EngineAuto resolves to
+// Semiring3D — O(n^{1/3}) rounds on any clique size n ≥ 8 — and to
+// NaiveGather only on tiny cliques. For the ring-embedded fast distance
+// product with bounded entries, see the distance package (Lemma 18).
 func MulMinPlusWith(net *clique.Network, e Engine, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], error) {
 	return dropRoute(PlanFor(net.N(), e).MulMinPlusRouted(net, sc, s, t))
 }
@@ -168,15 +168,15 @@ func mulBoolSparseCSR(net *clique.Network, sc *Scratch, s, t *matrix.CSR[int64])
 }
 
 // mulBoolVia converts 0/1 integer operands to the Boolean semiring through
-// pooled row matrices, runs the given Boolean product, and converts the
-// result back. Only route calls it, with validated operands — the
-// conversion writes through pooled n×n buffers, which malformed operands
-// must never reach — and a non-nil scratch.
+// free-list row matrices, runs the given Boolean product, and converts the
+// result back into a fourth; the three Boolean ones return to the list.
+// Only route calls it, with validated operands — the conversion writes
+// through pooled n×n buffers, which malformed operands must never reach —
+// and a resolved scratch.
 func mulBoolVia(net *clique.Network, sc *Scratch, s, t *RowMat[int64], run func(sb, tb *RowMat[bool]) (*RowMat[bool], error)) (*RowMat[int64], error) {
 	n := net.N()
-	ts := typedFrom[bool](sc)
 	toBool := func(m *RowMat[int64]) *RowMat[bool] {
-		out := ts.getMat(n)
+		out := GetMat[bool](sc, n)
 		net.ForEach(func(v int) {
 			b, row := out.Rows[v], m.Rows[v]
 			for j, x := range row {
@@ -186,22 +186,22 @@ func mulBoolVia(net *clique.Network, sc *Scratch, s, t *RowMat[int64], run func(
 		return out
 	}
 	sb, tb := toBool(s), toBool(t)
-	defer ts.putMat(sb)
-	defer ts.putMat(tb)
+	defer PutMat(sc, sb)
+	defer PutMat(sc, tb)
 	p, err := run(sb, tb)
 	if err != nil {
 		return nil, err
 	}
-	out := &RowMat[int64]{Rows: make([][]int64, len(p.Rows))}
+	defer PutMat(sc, p)
+	out := GetMat[int64](sc, n)
 	net.ForEach(func(v int) {
-		row := p.Rows[v]
-		ints := make([]int64, len(row))
-		for j, b := range row {
+		ints := out.Rows[v]
+		for j, b := range p.Rows[v] {
+			ints[j] = 0
 			if b {
 				ints[j] = 1
 			}
 		}
-		out.Rows[v] = ints
 	})
 	return out, nil
 }

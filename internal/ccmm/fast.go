@@ -20,13 +20,13 @@ import (
 // A nil scheme selects bilinear.Pick(n). The scheme must satisfy m ≤ n and
 // d | q.
 //
-// The scratch pools are caller-owned (see Scratch): message buffers, the
-// assembled grids, the per-multiplication combination pieces, and the block
-// products all persist in sc across products. Row and piece chunks are
-// typed messages handed to the exchange port (the step-7 output rows as
-// zero-copy views): by reference with the words charged analytically from
-// EncodedLen on the direct transport, one bulk-codec chunk each on the
-// wire. A nil sc uses a transient scratch.
+// Message buffers, the assembled grids, the per-multiplication combination
+// pieces, the block products, and the result all come from sc (see Scratch)
+// and persist there across products; a nil sc is the network's own. Row and
+// piece chunks are typed messages handed to the exchange port (the step-7
+// output rows as zero-copy views): by reference with the words charged
+// analytically from EncodedLen on the direct transport, one bulk-codec
+// chunk each on the wire.
 func FastBilinear[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T], codec ring.Codec[T], scheme *bilinear.Scheme, s, t *RowMat[T]) (*RowMat[T], error) {
 	return runProduct(net, sc, func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
 		return fastBilinear[T](net, sc, rg, codec, scheme, s, t)
@@ -74,8 +74,8 @@ func fastBilinear[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T], code
 	}
 	growSlots(&ts.gridS, n)
 	growSlots(&ts.gridT, n)
-	growHat(&ts.hatS, n, m)
-	growHat(&ts.hatT, n, m)
+	growHat(&ts.hatS, n)
+	growHat(&ts.hatT, n)
 	growSlots(&ts.fullA, n)
 	growSlots(&ts.fullB, n)
 	growSlots(&ts.fullP, n)
@@ -114,13 +114,14 @@ func fastBilinear[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T], code
 			sg.SetRow(pos, ws[:q])
 			tg.SetRow(pos, ws[q:])
 		}
+		hs, ht := hatAt(ts.hatS, v, m, qd), hatAt(ts.hatT, v, m, qd)
 		for w := 0; w < m; w++ {
-			sp := slotAt(ts.hatS[v], w, qd, qd)
+			sp := &hs[w]
 			sp.Fill(zero)
 			for _, term := range scheme.Alpha[w] {
 				matrix.ScaleAddFromBlock(rg, sp, term.C, sg, term.I*qd, term.J*qd)
 			}
-			tp := slotAt(ts.hatT[v], w, qd, qd)
+			tp := &ht[w]
 			tp.Fill(zero)
 			for _, term := range scheme.Beta[w] {
 				matrix.ScaleAddFromBlock(rg, tp, term.C, tg, term.I*qd, term.J*qd)
@@ -137,7 +138,7 @@ func fastBilinear[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T], code
 	net.ForEach(func(v int) {
 		for w := 0; w < m; w++ {
 			msg := pays[v][w][:0]
-			sp, tp := ts.hatS[v][w], ts.hatT[v][w]
+			sp, tp := &ts.hatS[v][w], &ts.hatT[v][w]
 			for i := 0; i < qd; i++ {
 				msg = append(msg, sp.Row(i)...)
 			}
@@ -232,7 +233,7 @@ func fastBilinear[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T], code
 	})
 	in = rows.exchange(vout)
 
-	p := NewRowMat[T](n)
+	p := GetMat[T](sc, n) // every column lies in exactly one group, so every entry is written
 	net.ForEach(func(u int) {
 		rows.open(in, u)
 		_, u2, _ := lay.split(u)

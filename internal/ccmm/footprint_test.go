@@ -9,10 +9,12 @@ import (
 	"github.com/algebraic-clique/algclique/internal/ring"
 )
 
-// TestScratchTrimReleasesPools checks Trim drops every pooled structure a
-// product accumulated — typed arms, link tallies, and the wire port's word
-// matrices — and that the scratch is fully usable (and correct) afterwards.
-func TestScratchTrimReleasesPools(t *testing.T) {
+// TestNetworkTrimReleasesWorkingSet checks the network's own working set —
+// what a nil scratch resolves to — is one object across products, holds
+// what a product accumulated (typed arms, link tallies, the wire port's
+// word matrices), goes with Network.Trim, and rebuilds into a correct
+// product afterwards.
+func TestNetworkTrimReleasesWorkingSet(t *testing.T) {
 	const n = 27
 	rng := rand.New(rand.NewPCG(7, n))
 	s, u := randIntMat(rng, n, 50), randIntMat(rng, n, 50)
@@ -20,25 +22,35 @@ func TestScratchTrimReleasesPools(t *testing.T) {
 	for _, tr := range []clique.Transport{clique.TransportDirect, clique.TransportWire} {
 		net := clique.New(n, clique.WithTransport(tr))
 		defer net.Close()
-		sc := NewScratch()
-		first, err := Semiring3D[int64](net, sc, r, r, s, u)
+		if net.EngineState() != nil {
+			t.Fatalf("%v: a new network already has a working set", tr)
+		}
+		first, err := Semiring3D[int64](net, nil, r, r, s, u)
 		if err != nil {
 			t.Fatal(err)
+		}
+		sc := ScratchOf(net)
+		if net.EngineState() != any(sc) || ScratchOf(net) != sc {
+			t.Fatalf("%v: ScratchOf is not the one object in the network's slot", tr)
 		}
 		if len(sc.typed) == 0 || (tr == clique.TransportWire && sc.wmsgs == nil) {
-			t.Fatalf("%v sanity: product left no scratch state", tr)
+			t.Fatalf("%v sanity: a nil-scratch product left nothing in the network's working set", tr)
 		}
-		sc.Trim()
-		if sc.wmsgs != nil || sc.wgot != nil || sc.wbuf != nil {
-			t.Fatalf("%v: Trim kept the wire port's word matrices", tr)
+		PutMat(sc, first)
+		if again := GetMat[int64](sc, n); again != first {
+			t.Fatalf("%v: the free list did not hand back the matrix just returned", tr)
 		}
-		if sc.typed != nil || sc.offs != nil || sc.wloads != nil {
-			t.Fatalf("%v: Trim kept typed arms or link tallies", tr)
+		net.Trim()
+		if net.EngineState() != nil {
+			t.Fatalf("%v: Trim kept the working set", tr)
 		}
 		net.Reset()
-		again, err := Semiring3D[int64](net, sc, r, r, s, u)
+		again, err := Semiring3D[int64](net, nil, r, r, s, u)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if ScratchOf(net) == sc {
+			t.Fatalf("%v: the working set survived Trim", tr)
 		}
 		if !reflect.DeepEqual(first.Rows, again.Rows) {
 			t.Fatalf("%v: product changed after Trim", tr)

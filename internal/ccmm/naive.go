@@ -15,8 +15,8 @@ import (
 // it analytically from the codec's EncodedLen — so a packing codec still
 // compresses it 64× on the ledger — and every node reads the right
 // operand's rows in place; the wire transport ships each row as one bulk
-// chunk. The scratch pools are caller-owned; a nil sc uses a transient
-// scratch.
+// chunk. The result comes from sc's free list; a nil sc is the network's
+// own.
 func NaiveGather[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
 	return runProduct(net, sc, func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
 		n := net.N()
@@ -28,7 +28,7 @@ func NaiveGather[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], c
 		trows := px.allGather(t.Rows)
 
 		net.Phase("mmnaive/multiply")
-		return naiveMultiply(net, sr, s, trows), nil
+		return naiveMultiply(net, sc, sr, s, trows), nil
 	})
 }
 
@@ -37,15 +37,15 @@ func NaiveGather[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], c
 // word-parallel path: the right operand is packed once into a pooled
 // BitDense and every node multiplies its packed row against it, ~64
 // columns per word operation.
-func naiveMultiply[T any](net *clique.Network, sr ring.Semiring[T], s *RowMat[T], trows [][]T) *RowMat[T] {
+func naiveMultiply[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], s *RowMat[T], trows [][]T) *RowMat[T] {
 	if _, ok := any(sr).(ring.Bool); ok {
 		sb := any(s).(*RowMat[bool])
 		tb := any(trows).([][]bool)
-		return any(naiveMultiplyBool(net, sb, tb)).(*RowMat[T])
+		return any(naiveMultiplyBool(net, sc, sb, tb)).(*RowMat[T])
 	}
 	n := net.N()
 	zero := sr.Zero()
-	p := NewRowMat[T](n)
+	p := GetMat[T](sc, n)
 	net.ForEach(func(v int) {
 		srow := s.Rows[v]
 		out := p.Rows[v]
@@ -71,9 +71,9 @@ func naiveMultiply[T any](net *clique.Network, sr ring.Semiring[T], s *RowMat[T]
 // node), its nonzero-row bitset is computed once up front — single-threaded
 // on purpose, the cache is not safe for concurrent first use — and every
 // node runs the packed row kernel on its own slice of the word buffers.
-func naiveMultiplyBool(net *clique.Network, s *RowMat[bool], trows [][]bool) *RowMat[bool] {
+func naiveMultiplyBool(net *clique.Network, sc *Scratch, s *RowMat[bool], trows [][]bool) *RowMat[bool] {
 	n := net.N()
-	p := NewRowMat[bool](n)
+	p := GetMat[bool](sc, n) // UnpackBits writes every entry
 	bd := matrix.GetBitDense(n, n)
 	defer matrix.PutBitDense(bd)
 	net.ForEach(func(v int) {

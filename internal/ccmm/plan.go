@@ -216,10 +216,10 @@ func mulCSR[T any](net *clique.Network, p *Plan, sc *Scratch, a *algebra[T], s, 
 }
 
 // MulRingRouted multiplies two distributed matrices over a caller's ring
-// with an already-resolved plan and caller-owned scratch pools: the engines
-// draw their message matrices, payload buffers, and block operands from sc,
-// so a session (or any iterated-product pipeline) pays the working set
-// once. A nil sc uses a transient scratch. The Route reports how the
+// with an already-resolved plan on the working set sc: the engines draw
+// their message matrices, payload buffers, block operands, and result from
+// it, so whatever multiplies on one network pays the working set once. A
+// nil sc is the network's own (ScratchOf). The Route reports how the
 // density-aware planner executed the product.
 func MulRingRouted[T any](net *clique.Network, p *Plan, sc *Scratch, rg ring.Ring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], Route, error) {
 	a := semiringAlgebra[T](rg, codec, false)

@@ -46,12 +46,11 @@ var ErrTransportDiverged = errors.New("ccmm: direct and wire transports diverged
 // (whose port moves data by reference) and on a wire shadow that inherits
 // the caller's context and remaining round budget — and the product is
 // returned only if values and charged rounds/words/flushes/phases agree. A
-// nil sc uses a transient scratch.
+// nil sc is the network's own working set; the shadow, a network of its
+// own, runs on its own.
 func runProduct[P any](net *clique.Network, sc *Scratch, body func(net *clique.Network, sc *Scratch) (P, error)) (p P, err error) {
 	defer catchAbort(&err)
-	if sc == nil {
-		sc = NewScratch()
-	}
+	sc = sc.orOf(net)
 	if net.Transport() != clique.TransportVerify {
 		return body(net, sc)
 	}
@@ -62,7 +61,7 @@ func runProduct[P any](net *clique.Network, sc *Scratch, body func(net *clique.N
 	if p, err = body(net, sc); err != nil {
 		return none, err
 	}
-	q, err := body(shadow, NewScratch())
+	q, err := body(shadow, ScratchOf(shadow))
 	if err != nil {
 		return none, fmt.Errorf("ccmm: wire shadow run failed: %w", err)
 	}
@@ -533,14 +532,17 @@ func (p port[E]) from(mail *clique.Mail, dst, src int) []E {
 	return nil
 }
 
-// Transpose gives every node v column v of a row-distributed int64 matrix:
-// node w sends rows[w][v] to v, one word per ordered pair — exactly one
-// round (none on a single node, whose only link is the free self-link).
-// The direct transport charges that round analytically and each node reads
-// its column in place.
-func Transpose(net *clique.Network, rows [][]int64) [][]int64 {
+// Transpose gives every node v column v of a row-distributed int64 matrix,
+// as row v of the matrix it returns: node w sends m[w][v] to v, one word per
+// ordered pair — exactly one round (none on a single node, whose only link
+// is the free self-link). The direct transport charges that round
+// analytically and each node reads its column in place. The result comes
+// from sc's free list (a nil sc is the network's own), the caller's to
+// return once read.
+func Transpose(net *clique.Network, sc *Scratch, m *RowMat[int64]) *RowMat[int64] {
 	n := net.N()
-	col := make([][]int64, n)
+	rows := m.Rows
+	col := GetMat[int64](sc.orOf(net), n)
 	var mail *clique.Mail
 	if net.Transport() == clique.TransportWire {
 		for w := 0; w < n; w++ {
@@ -553,12 +555,12 @@ func Transpose(net *clique.Network, rows [][]int64) [][]int64 {
 		net.FlushAnalytic(min(int64(n-1), 1), int64(n)*int64(n-1))
 	}
 	net.ForEach(func(v int) {
-		col[v] = make([]int64, n)
+		cv := col.Rows[v]
 		for w := 0; w < n; w++ {
 			if mail != nil {
-				col[v][w] = int64(mail.From(v, w)[0])
+				cv[w] = int64(mail.From(v, w)[0])
 			} else {
-				col[v][w] = rows[w][v]
+				cv[w] = rows[w][v]
 			}
 		}
 	})

@@ -43,11 +43,15 @@ type RowMat[T any] struct {
 }
 
 // NewRowMat returns a distributed matrix with n zero-value rows of length n.
+// The rows are cut from one backing array, each capped at its own extent —
+// three allocations whatever n is — so they are independent slices that
+// live and die together.
 func NewRowMat[T any](n int) *RowMat[T] {
 	denseAllocs.Add(1)
+	b := make([]T, n*n)
 	rows := make([][]T, n)
 	for i := range rows {
-		rows[i] = make([]T, n)
+		rows[i] = b[i*n : (i+1)*n : (i+1)*n]
 	}
 	return &RowMat[T]{Rows: rows}
 }

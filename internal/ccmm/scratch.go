@@ -8,27 +8,47 @@ import (
 
 // Scratch holds the reusable working state of the distributed
 // multiplication engines: typed message matrices, local block operands and
-// products, and — for the wire transport — the exchange port's encoded-word
-// payload matrices and typed receive arenas. A session owns
-// one Scratch per clique size and passes it to every product, so repeated
-// multiplications — iterated squaring, Seidel's recursion, colour-coding's
-// 3^k products — run allocation-free in steady state. Engines accept a nil
-// Scratch and build a transient one, which still pools across the steps of
-// that single product.
+// products, the free list of n×n row matrices, and — for the wire transport
+// — the exchange port's encoded-word payload matrices and typed receive
+// arenas.
+//
+// A Scratch belongs to the network it serves. ScratchOf(net) is that
+// network's one working set, built on the first product and kept in the
+// network's engine-state slot until Network.Trim or Close lets it go; every
+// engine entry point reads a nil *Scratch argument as "this network's". So
+// a session — one network per clique size — has exactly one working set per
+// size, and everything that multiplies on the network shares it: the
+// session's own products, iterated squaring, and every product inside the
+// reductions of internal/distance, internal/subgraph and internal/girth
+// (Seidel's recursion, the trace formulas, colour-coding's 3^k products,
+// girth doubling), which is what makes a warm graph operation allocate its
+// answer and little else. NewScratch builds a working set of the caller's
+// own — a bench rig, a test, the wire shadow of a verified product (a
+// shadow is a network of its own) — for which the same rules hold.
 //
 // Ownership rules (see DESIGN.md "Scratch pools"):
 //
 //   - A Scratch belongs to at most one in-flight product; sessions
 //     guarantee this by serialising operations. Within a product, per-node
 //     entries are touched only by that node's ForEach worker.
+//   - A Scratch outlives aborted products (a round limit, a cancelled
+//     context, an injected crash unwinding an engine mid-exchange). Nothing
+//     in it is trusted across products: every slot is overwritten before it
+//     is read, each product's port opens by clearing what the last one may
+//     have left posted or undelivered, and a message or view matrix an
+//     aborted product never returned is simply gone from the pool.
 //   - Payload matrices hold message buffers owned by the scratch; entries
 //     are truncated (capacity kept) between uses and only ever appended
 //     into. View matrices hold borrowed slices — delivered payloads,
 //     product rows, receive-arena windows — and are nil-cleared between
 //     uses, never appended into.
-//   - Engine inputs and outputs are never pooled: results returned to
-//     callers are freshly allocated, so nothing a caller retains aliases
-//     scratch state.
+//   - Row matrices come from one free list per element type (GetMat /
+//     PutMat). Engines draw their results from it, with stale contents they
+//     overwrite entirely; whoever holds a result — a reduction, the session
+//     — may return it with PutMat once nothing reads it any more, and must
+//     not touch it afterwards. Engines never return an operand or a result
+//     on their own, and the matrix a reduction hands back to its caller is
+//     never on the list, so nothing a caller retains aliases scratch state.
 type Scratch struct {
 	wmsgs  [][][]clique.Word // n×n encoded-word message matrix nodes post into (wire port): windows of wout
 	wout   [][]clique.Word   // per-node word arenas behind wmsgs
@@ -39,6 +59,8 @@ type Scratch struct {
 	rt     *routing.Scratch  // delivery-layer pools
 	typed  []any             // one *typedScratch[T] per element type
 	sp     *sparseState      // sparse-engine census/tile tables
+
+	recycled func(m any) // test seam: sees every matrix PutMat accepts (SetRecycleHook)
 }
 
 // sparseState pools the element-type-independent working set of the sparse
@@ -57,23 +79,36 @@ type sparseState struct {
 	colYs  []int32
 }
 
-// NewScratch returns an empty scratch pool.
+// NewScratch returns an empty working set owned by the caller. Code that
+// multiplies on a network it did not build wants ScratchOf instead.
 func NewScratch() *Scratch {
 	return &Scratch{rt: routing.NewScratch()}
 }
 
-// Trim releases every pooled buffer, matrix, and typed arm the scratch has
-// accumulated (they rebuild lazily on the next product). Long-lived
-// sessions call it — via Clique.Trim — to drop the working set of past
-// peak sizes instead of pinning it forever.
-func (sc *Scratch) Trim() {
-	sc.wmsgs, sc.wout, sc.wgot, sc.wbuf = nil, nil, nil, nil
-	sc.offs = nil
-	sc.wloads = nil
-	sc.typed = nil
-	sc.sp = nil
-	sc.rt.Trim()
+// ScratchOf returns the working set that belongs to net, building it on
+// first use (single-threaded, like everything that arms a network).
+func ScratchOf(net *clique.Network) *Scratch {
+	if sc, ok := net.EngineState().(*Scratch); ok {
+		return sc
+	}
+	sc := NewScratch()
+	net.SetEngineState(sc)
+	return sc
 }
+
+// orOf resolves an entry point's scratch argument: nil means net's own.
+func (sc *Scratch) orOf(net *clique.Network) *Scratch {
+	if sc != nil {
+		return sc
+	}
+	return ScratchOf(net)
+}
+
+// SetRecycleHook installs f to be called with every *RowMat[T] handed to
+// PutMat, after which the matrix is the list's to hand out again. It
+// exists for tests, which overwrite the matrix there so that a reader of a
+// recycled matrix fails at once instead of when the slot is reused.
+func (sc *Scratch) SetRecycleHook(f func(m any)) { sc.recycled = f }
 
 // wireMsgs readies the wire port's n×n word message matrix and its
 // per-node arenas (kept across products on the same clique size) for a new
@@ -135,11 +170,11 @@ type typedScratch[T any] struct {
 	cubeProd     []*matrix.Dense[T] // per virtual node: product subcube
 
 	// Fast bilinear engine state.
-	gridS, gridT []*matrix.Dense[T]   // per node: assembled q×q operand grids
-	hatS, hatT   [][]*matrix.Dense[T] // per node, per multiplication: (q/d)² pieces
-	fullA, fullB []*matrix.Dense[T]   // per node w: assembled (n/d)×(n/d) operands
-	fullP        []*matrix.Dense[T]   // per node w: block product
-	acc, piece   []*matrix.Dense[T]   // per node: output accumulator and decode piece
+	gridS, gridT []*matrix.Dense[T]  // per node: assembled q×q operand grids
+	hatS, hatT   [][]matrix.Dense[T] // per node, per multiplication: (q/d)² pieces, windows of one arena per node
+	fullA, fullB []*matrix.Dense[T]  // per node w: assembled (n/d)×(n/d) operands
+	fullP        []*matrix.Dense[T]  // per node w: block product
+	acc, piece   []*matrix.Dense[T]  // per node: output accumulator and decode piece
 
 	// Wire-port receive state: per-node arenas the port decodes arriving
 	// messages into (append-only while any delivery is outstanding, so
@@ -159,8 +194,9 @@ type typedScratch[T any] struct {
 	slots2 []([][]T) // per-node forwarded A-part windows
 	slots3 []([][]T) // per-node outgoing gather-chunk windows
 
-	// Free row matrices for algebra conversions (witness tagging, Boolean
-	// packing).
+	// Free row matrices: engine results, algebra conversions (witness
+	// tagging, Boolean packing), padded operands, and the reductions'
+	// intermediates all come from here and return here once dead.
 	mats []*RowMat[T]
 
 	// Message state: typed payload matrices (entries are scratch-owned
@@ -239,16 +275,25 @@ func slotAt[T any](s []*matrix.Dense[T], idx, rows, cols int) *matrix.Dense[T] {
 	return d
 }
 
-// growHat pre-sizes the per-node × per-multiplication slot table.
-func growHat[T any](s *[][]*matrix.Dense[T], nodes, m int) {
+// growHat pre-sizes the per-node table of piece arenas (single-threaded).
+func growHat[T any](s *[][]matrix.Dense[T], nodes int) {
 	for len(*s) < nodes {
 		*s = append(*s, nil)
 	}
-	for v := range *s {
-		for len((*s)[v]) < m {
-			(*s)[v] = append((*s)[v], nil)
-		}
+}
+
+// hatAt returns node v's m pieces of k×k each, (re)allocating them — one
+// arena cut into m windows, so a node's pieces are two heap objects rather
+// than 2m — when the slot is empty or the wrong shape. Contents are stale;
+// callers overwrite. Safe from v's ForEach worker once the table is
+// pre-sized.
+func hatAt[T any](s [][]matrix.Dense[T], v, m, k int) []matrix.Dense[T] {
+	h := s[v]
+	if len(h) != m || h[0].Rows() != k || h[0].Cols() != k {
+		h = matrix.NewWindows[T](m, k, k)
+		s[v] = h
 	}
+	return h
 }
 
 // zeroRowFor refills and returns the shared semiring-zero row of length k
@@ -332,11 +377,20 @@ func (ts *typedScratch[T]) putViews(m [][][]T) {
 	ts.viewFree[len(m)] = append(ts.viewFree[len(m)], m)
 }
 
-// getMat borrows an n×n row matrix from the pool; contents are stale.
-func (ts *typedScratch[T]) getMat(n int) *RowMat[T] {
+// maxFreeMats bounds a free list, so that it cannot grow with the number of
+// operations: a matrix returned to a full list goes to the collector.
+// Iterated squaring and Seidel's recursion have a handful of dead matrices
+// at a time; colour-coding returns every C(X) and C(Y)·A of a colouring
+// together and fills the list from k = 4 up.
+const maxFreeMats = 16
+
+// GetMat takes an n×n row matrix off sc's free list for T, or allocates one
+// when the list has none of that size. Contents are stale: the caller
+// overwrites every entry it will read.
+func GetMat[T any](sc *Scratch, n int) *RowMat[T] {
+	ts := typedFrom[T](sc)
 	for k := len(ts.mats) - 1; k >= 0; k-- {
-		m := ts.mats[k]
-		if m.N() == n {
+		if m := ts.mats[k]; m.N() == n {
 			ts.mats = append(ts.mats[:k], ts.mats[k+1:]...)
 			return m
 		}
@@ -344,10 +398,23 @@ func (ts *typedScratch[T]) getMat(n int) *RowMat[T] {
 	return NewRowMat[T](n)
 }
 
-// putMat returns a borrowed row matrix to the pool.
-func (ts *typedScratch[T]) putMat(m *RowMat[T]) {
-	const maxPooled = 8
-	if len(ts.mats) < maxPooled {
+// PutMat returns a matrix nothing reads any more to sc's free list for T;
+// the caller must not touch it afterwards. A nil m is ignored, so error
+// paths can hand back whatever they hold.
+func PutMat[T any](sc *Scratch, m *RowMat[T]) {
+	if m == nil {
+		return
+	}
+	if sc.recycled != nil {
+		sc.recycled(m)
+	}
+	ts := typedFrom[T](sc)
+	for _, f := range ts.mats {
+		if f == m {
+			panic("ccmm: row matrix returned to the free list twice")
+		}
+	}
+	if len(ts.mats) < maxFreeMats {
 		ts.mats = append(ts.mats, m)
 	}
 }

@@ -24,15 +24,15 @@ import (
 // are grouped by their *first* digit: row w of T is needed by exactly the
 // nodes u with u2 = w1, keeping both middle-index sets equal to v2∗∗.
 //
-// The scratch pools are caller-owned: message matrices, block operands, and
-// product subcubes persist in sc across products, so a pipeline of repeated
-// multiplications (or a session) runs the engine allocation-free in steady
-// state apart from the returned result. Block rows are typed messages
-// handed to the exchange port, which moves them by reference (direct
-// transport, words charged analytically) or as bulk-codec chunks (wire
-// transport). A packing codec (ring.PackedBool) is honoured either way,
-// since every cost and offset is an EncodedLen sum of whole chunks. A nil
-// sc uses a transient scratch.
+// Message matrices, block operands, product subcubes, and the result come
+// from sc and persist there across products (a nil sc is the network's
+// own), so a pipeline of repeated multiplications runs the engine
+// allocation-free in steady state once its results are returned to the
+// free list. Block rows are typed messages handed to the exchange port,
+// which moves them by reference (direct transport, words charged
+// analytically) or as bulk-codec chunks (wire transport). A packing codec
+// (ring.PackedBool) is honoured either way, since every cost and offset is
+// an EncodedLen sum of whole chunks.
 func Semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
 	return runProduct(net, sc, func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
 		return semiring3D[T](net, sc, sr, codec, s, t)
@@ -176,7 +176,7 @@ func semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], co
 	// received rows. Output row owners are the virtual nodes x < n, each
 	// hosted by real node x itself.
 	net.Phase("mm3d/assemble")
-	p := NewRowMat[T](n)
+	p := GetMat[T](sc, n)
 	net.ForEach(func(x int) {
 		px.open(in, x)
 		x1, _, _ := lay.split(x)
@@ -208,21 +208,20 @@ func semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], co
 // (ring.NoWitness where P is infinite). This is the "easily modified"
 // semiring algorithm of §3.3: T's entries are tagged with their row index
 // and the tags ride through the min-plus algebra. The witness-tagged
-// operand conversions borrow pooled row matrices from the caller-owned
-// scratch as well, so iterated squaring (APSP) allocates only its results.
+// operands and the tagged product are free-list matrices that go back
+// before the call returns, so iterated squaring (APSP) holds only p and q
+// — which are the caller's to return once dead. A nil sc is the network's
+// own.
 func DistanceProduct3D(net *clique.Network, sc *Scratch, s, t *RowMat[int64]) (p, q *RowMat[int64], err error) {
 	n := net.N()
 	if err := validatePair(n, s, t); err != nil {
 		return nil, nil, err
 	}
-	if sc == nil {
-		sc = NewScratch()
-	}
-	ts := typedFrom[ring.ValW](sc)
-	sw := ts.getMat(n)
-	tw := ts.getMat(n)
-	defer ts.putMat(sw)
-	defer ts.putMat(tw)
+	sc = sc.orOf(net)
+	sw := GetMat[ring.ValW](sc, n)
+	tw := GetMat[ring.ValW](sc, n)
+	defer PutMat(sc, sw)
+	defer PutMat(sc, tw)
 	// The witness-tagging and untagging conversions are free node-local
 	// work; run them on the worker pool like every other per-node step.
 	net.ForEach(func(v int) {
@@ -241,8 +240,9 @@ func DistanceProduct3D(net *clique.Network, sc *Scratch, s, t *RowMat[int64]) (p
 	if err != nil {
 		return nil, nil, err
 	}
-	p = NewRowMat[int64](n)
-	q = NewRowMat[int64](n)
+	defer PutMat(sc, pw)
+	p = GetMat[int64](sc, n)
+	q = GetMat[int64](sc, n)
 	net.ForEach(func(v int) {
 		prow, qrow, pwrow := p.Rows[v], q.Rows[v], pw.Rows[v]
 		for j := 0; j < n; j++ {

@@ -390,7 +390,7 @@ func sparseMul[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], cod
 	// (which pairs carry products depends on the inputs), so x scans every
 	// source; the exchange leaves idle pairs nil.
 	net.Phase("mmsparse/accumulate")
-	p := NewRowMat[T](n)
+	p := GetMat[T](sc, n)
 	net.ForEach(func(x int) {
 		tups.open(gin, x)
 		row := p.Rows[x]
@@ -408,8 +408,10 @@ func sparseMul[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], cod
 	tups.release(in)
 	tups.release(fin)
 	tups.release(gin)
-	tts.putPay(pays)
-	tts.putPay(fpays)
+	// Last taken, first returned: the pool is a stack, so the next product
+	// gets each matrix back in the role whose capacity it already has.
 	tts.putPay(gpays)
+	tts.putPay(fpays)
+	tts.putPay(pays)
 	return p, nil
 }

@@ -407,8 +407,8 @@ func sparseMulCSR[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], 
 // paths only — NewRowMat underneath is exactly what the dense-allocation
 // gate watches, so a product that claims to have stayed CSR and didn't is
 // caught even here).
-func csrExpand[T any](net *clique.Network, ts *typedScratch[T], zero, one T, m *matrix.CSR[T]) *RowMat[T] {
-	out := ts.getMat(m.N)
+func csrExpand[T any](net *clique.Network, sc *Scratch, zero, one T, m *matrix.CSR[T]) *RowMat[T] {
+	out := GetMat[T](sc, m.N)
 	net.ForEach(func(v int) {
 		row := out.Rows[v]
 		for j := range row {
@@ -429,8 +429,7 @@ func csrExpand[T any](net *clique.Network, ts *typedScratch[T], zero, one T, m *
 // densifyPair expands both operands for a dense-engine fallback; release
 // returns the pooled matrices (engine results are fresh, never aliased).
 func densifyPair[T any](net *clique.Network, sc *Scratch, zero, one T, s, t *matrix.CSR[T]) (sd, td *RowMat[T], release func()) {
-	ts := typedFrom[T](sc)
-	sd = csrExpand(net, ts, zero, one, s)
-	td = csrExpand(net, ts, zero, one, t)
-	return sd, td, func() { ts.putMat(sd); ts.putMat(td) }
+	sd = csrExpand(net, sc, zero, one, s)
+	td = csrExpand(net, sc, zero, one, t)
+	return sd, td, func() { PutMat(sc, sd); PutMat(sc, td) }
 }

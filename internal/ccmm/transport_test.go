@@ -371,7 +371,7 @@ func TestTranspose(t *testing.T) {
 		var ledgers [2]clique.Stats
 		for i, tr := range []clique.Transport{clique.TransportDirect, clique.TransportWire} {
 			net := clique.New(n, clique.WithTransport(tr))
-			col := Transpose(net, m.Rows)
+			col := Transpose(net, nil, m).Rows
 			for v := 0; v < n; v++ {
 				for w := 0; w < n; w++ {
 					if col[v][w] != m.Rows[w][v] {

@@ -135,6 +135,7 @@ type Network struct {
 	sparseThOn  bool
 	ctx         context.Context
 	pool        *workerPool
+	engine      any // the multiplication engines' working set for this network (see EngineState)
 }
 
 // New returns a network of n ≥ 1 nodes.
@@ -221,6 +222,16 @@ func (c *Network) SetSparseThreshold(t float64) { c.sparseTh, c.sparseThOn = t, 
 
 // SparseThreshold returns the armed planning threshold, if any.
 func (c *Network) SparseThreshold() (t float64, ok bool) { return c.sparseTh, c.sparseThOn }
+
+// EngineState returns whatever SetEngineState stored, nil when nothing is.
+// The slot is how the working set of the layer above — ccmm's Scratch, which
+// this package cannot name — belongs to the network it serves: every product
+// on the network finds the same one, and it lives exactly as long as the
+// network's own recycled capacity (Trim and Close drop it with the rest).
+func (c *Network) EngineState() any { return c.engine }
+
+// SetEngineState stores the engines' working set for this network.
+func (c *Network) SetEngineState(s any) { c.engine = s }
 
 // SetContext attaches a cancellation context to the network: once ctx is
 // cancelled, the next charged cost panics with *CanceledError (recovered by
@@ -350,8 +361,10 @@ func invalidate(mails *[2]*Mail) {
 // sparse-link form again and the next dense traffic switches it back. It is
 // the aggressive form of Reset's high-water trimming, for callers parking a
 // network they may not use again soon; it costs O(n) and leaves the
-// accounting untouched.
+// accounting untouched. The engines' working set (EngineState) is let go as
+// well and rebuilds on the next product.
 func (c *Network) Trim() {
+	c.engine = nil
 	c.queues, c.touched, c.tstamp = nil, nil, nil
 	c.pqueues, c.ploads = nil, nil
 	c.mails, c.retired = [2]*Mail{}, [2]*Mail{}
@@ -908,10 +921,12 @@ func (c *Network) RunLocal(tasks int, f func(task int)) {
 	pan.rethrow()
 }
 
-// Close releases the persistent worker pool. The network remains usable —
-// a later ForEach starts a fresh pool — but sessions call Close when done
-// so idle workers do not outlive them.
+// Close releases the persistent worker pool and the engines' working set.
+// The network remains usable — a later ForEach starts a fresh pool, a later
+// product a fresh working set — but sessions call Close when done so idle
+// workers do not outlive them.
 func (c *Network) Close() {
+	c.engine = nil
 	if c.pool != nil {
 		c.pool.shutdown()
 		c.pool = nil

@@ -25,17 +25,23 @@ func APSPSeidel(net *clique.Network, engine ccmm.Engine, g *graphs.Graph) (*ccmm
 			g.N(), net.N(), ccmm.ErrSize)
 	}
 	n := net.N()
-	a := &ccmm.RowMat[int64]{Rows: make([][]int64, n)}
+	// The network's working set serves the whole recursion: every level's
+	// Boolean squaring and parity product run on it, and every matrix that
+	// dies inside the recursion goes back to its free list.
+	sc := ccmm.ScratchOf(net)
+	a := ccmm.GetMat[int64](sc, n)
+	defer ccmm.PutMat(sc, a)
 	net.ForEach(func(v int) {
-		row := make([]int64, n)
+		row := a.Rows[v]
+		clear(row)
 		g.Row(v).ForEach(func(u int) { row[u] = 1 })
-		a.Rows[v] = row
 	})
-	// One scratch pool serves the whole recursion: every level's Boolean
-	// squaring and parity product share a working set.
-	return seidelRec(net, engine, ccmm.NewScratch(), a, 0, log2Ceil(n)+2)
+	return seidelRec(net, engine, sc, a, 0, log2Ceil(n)+2)
 }
 
+// seidelRec solves one level. The caller keeps a; everything the level makes
+// except the distances it returns is back on sc's free list when it returns
+// (on an error or an abort the level's matrices are simply the collector's).
 func seidelRec(net *clique.Network, engine ccmm.Engine, sc *ccmm.Scratch, a *ccmm.RowMat[int64], depth, maxDepth int) (*ccmm.RowMat[int64], error) {
 	if depth > maxDepth {
 		return nil, fmt.Errorf("distance: Seidel recursion exceeded depth %d (internal invariant)", maxDepth)
@@ -47,12 +53,14 @@ func seidelRec(net *clique.Network, engine ccmm.Engine, sc *ccmm.Scratch, a *ccm
 		return nil, err
 	}
 	// B = adjacency of G²: d(u,v) ≤ 2, excluding the diagonal.
-	b := ccmm.NewRowMat[int64](n)
+	b := ccmm.GetMat[int64](sc, n)
+	defer ccmm.PutMat(sc, b)
 	fixpoint := make([]bool, n)
 	net.ForEach(func(v int) {
 		brow, arow, a2row := b.Rows[v], a.Rows[v], a2.Rows[v]
 		same := true
 		for j := 0; j < n; j++ {
+			brow[j] = 0
 			if j == v {
 				continue
 			}
@@ -65,6 +73,7 @@ func seidelRec(net *clique.Network, engine ccmm.Engine, sc *ccmm.Scratch, a *ccm
 		}
 		fixpoint[v] = same
 	})
+	ccmm.PutMat(sc, a2)
 	// One broadcast round agrees on the fixpoint globally.
 	flags := make([]clique.Word, n)
 	for v := 0; v < n; v++ {
@@ -82,7 +91,7 @@ func seidelRec(net *clique.Network, engine ccmm.Engine, sc *ccmm.Scratch, a *ccm
 	if !changed {
 		// G is a disjoint union of cliques: distance 1 to neighbours,
 		// infinity across components.
-		d := ccmm.NewRowMat[int64](n)
+		d := ccmm.GetMat[int64](sc, n)
 		net.ForEach(func(v int) {
 			row, arow := d.Rows[v], a.Rows[v]
 			for j := 0; j < n; j++ {
@@ -103,6 +112,7 @@ func seidelRec(net *clique.Network, engine ccmm.Engine, sc *ccmm.Scratch, a *ccm
 	if err != nil {
 		return nil, err
 	}
+	defer ccmm.PutMat(sc, d2)
 
 	// Degrees of G are broadcast once (one round); the local sums fan out
 	// over the worker pool, one node per task.
@@ -124,7 +134,7 @@ func seidelRec(net *clique.Network, engine ccmm.Engine, sc *ccmm.Scratch, a *ccm
 	// S = D₂'·A over the integers, with infinities capped to n: the capped
 	// entries only involve cross-component pairs, whose output stays ∞, and
 	// capping keeps the product within int64 (true distances are < n).
-	capped := ccmm.NewRowMat[int64](n)
+	capped := ccmm.GetMat[int64](sc, n)
 	net.ForEach(func(v int) {
 		crow, drow := capped.Rows[v], d2.Rows[v]
 		for j := 0; j < n; j++ {
@@ -136,12 +146,14 @@ func seidelRec(net *clique.Network, engine ccmm.Engine, sc *ccmm.Scratch, a *ccm
 		}
 	})
 	s, err := ccmm.MulIntWith(net, engine, sc, capped, a)
+	ccmm.PutMat(sc, capped)
 	if err != nil {
 		return nil, err
 	}
+	defer ccmm.PutMat(sc, s)
 
 	// Lemma 17: d(u,v) = 2·d₂(u,v) − 1 exactly when S[u][v] < d₂(u,v)·deg(v).
-	d := ccmm.NewRowMat[int64](n)
+	d := ccmm.GetMat[int64](sc, n)
 	net.ForEach(func(u int) {
 		row, d2row, srow := d.Rows[u], d2.Rows[u], s.Rows[u]
 		for v := 0; v < n; v++ {

@@ -20,10 +20,18 @@ func APSPSemiring(net *clique.Network, g *graphs.Weighted) (*Result, error) {
 		return nil, err
 	}
 	n := net.N()
-	w := weightRows(g)
+	// The network's working set serves every squaring — the ⌈log₂ n⌉
+	// products reuse the same message matrices, payload buffers, and block
+	// operands — and takes back each iterate, witness matrix, and routing
+	// table once the next one supersedes it.
+	sc := ccmm.ScratchOf(net)
+	w := ccmm.GetMat[int64](sc, n)
+	for v := range w.Rows {
+		copy(w.Rows[v], g.Matrix().Row(v))
+	}
 
 	// Initial routing table: direct edges point at the target.
-	next := ccmm.NewRowMat[int64](n)
+	next := ccmm.GetMat[int64](sc, n)
 	for u := 0; u < n; u++ {
 		row := next.Rows[u]
 		for v := 0; v < n; v++ {
@@ -38,31 +46,32 @@ func APSPSemiring(net *clique.Network, g *graphs.Weighted) (*Result, error) {
 		}
 	}
 
-	// One scratch pool serves every squaring: the ⌈log₂ n⌉ products reuse
-	// the same message matrices, payload buffers, and block operands.
-	sc := ccmm.NewScratch()
 	for iter := 0; iter < log2Ceil(n); iter++ {
 		net.Phase(fmt.Sprintf("apsp3d/square-%d", iter))
 		w2, q, err := ccmm.DistanceProduct3D(net, sc, w, w)
 		if err != nil {
 			return nil, err
 		}
-		// R[u,v] ← R[u, Q[u,v]] where the square strictly improved — a
-		// purely local update, since node u owns all three rows involved.
-		// Reads go to a snapshot of the previous table so that updates
+		// R'[u,v] = R[u, Q[u,v]] where the square strictly improved, R[u,v]
+		// elsewhere — a purely local update, since node u owns all the rows
+		// involved. It is written into a second table so that updates
 		// within the same squaring cannot observe each other.
+		next2 := ccmm.GetMat[int64](sc, n)
 		net.ForEach(func(u int) {
 			wrow, w2row := w.Rows[u], w2.Rows[u]
-			nrow, qrow := next.Rows[u], q.Rows[u]
-			old := make([]int64, n)
-			copy(old, nrow)
+			old, nrow, qrow := next.Rows[u], next2.Rows[u], q.Rows[u]
 			for v := 0; v < n; v++ {
 				if w2row[v] < wrow[v] {
 					nrow[v] = old[qrow[v]]
+				} else {
+					nrow[v] = old[v]
 				}
 			}
 		})
-		w = w2
+		ccmm.PutMat(sc, w)
+		ccmm.PutMat(sc, q)
+		ccmm.PutMat(sc, next)
+		w, next = w2, next2
 	}
 
 	// Negative-cycle check: any negative diagonal entry is broadcast.

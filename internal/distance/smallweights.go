@@ -17,10 +17,6 @@ import (
 // element costs 2M+1 words on the wire, realising the paper's O(M·n^ρ)
 // round bound.
 func DistanceProductSmall(net *clique.Network, engine ccmm.Engine, s, t *ccmm.RowMat[int64], m int64) (*ccmm.RowMat[int64], error) {
-	return distanceProductSmall(net, engine, nil, s, t, m)
-}
-
-func distanceProductSmall(net *clique.Network, engine ccmm.Engine, sc *ccmm.Scratch, s, t *ccmm.RowMat[int64], m int64) (*ccmm.RowMat[int64], error) {
 	if m < 1 {
 		return nil, fmt.Errorf("distance: entry bound M = %d must be ≥ 1: %w", m, ccmm.ErrSize)
 	}
@@ -51,11 +47,13 @@ func distanceProductSmall(net *clique.Network, engine ccmm.Engine, sc *ccmm.Scra
 	if err != nil {
 		return nil, err
 	}
-	pp, err := ccmm.MulRingWith[ring.PolyElem](net, engine, sc, pr, pr, sp, tp)
+	pp, err := ccmm.MulRingWith[ring.PolyElem](net, engine, nil, pr, pr, sp, tp)
 	if err != nil {
 		return nil, err
 	}
-	out := ccmm.NewRowMat[int64](n)
+	// The polynomial product is the collector's: a free list would pin its
+	// n²·(2M+1) coefficients.
+	out := ccmm.GetMat[int64](ccmm.ScratchOf(net), n)
 	for v := 0; v < n; v++ {
 		row := out.Rows[v]
 		for j := 0; j < n; j++ {
@@ -75,28 +73,29 @@ func distanceProductSmall(net *clique.Network, engine ccmm.Engine, sc *ccmm.Scra
 // Output entries are exact distances ≤ M; pairs farther apart (or
 // unreachable) are ∞.
 func APSPBounded(net *clique.Network, engine ccmm.Engine, w *ccmm.RowMat[int64], m int64) (*ccmm.RowMat[int64], error) {
-	return apspBounded(net, engine, ccmm.NewScratch(), w, m)
-}
-
-func apspBounded(net *clique.Network, engine ccmm.Engine, sc *ccmm.Scratch, w *ccmm.RowMat[int64], m int64) (*ccmm.RowMat[int64], error) {
 	if m < 1 {
 		return nil, fmt.Errorf("distance: distance bound M = %d must be ≥ 1: %w", m, ccmm.ErrSize)
 	}
 	n := net.N()
-	cur := truncateAbove(w, m)
+	sc := ccmm.ScratchOf(net)
+	cur := truncateAbove(sc, w, m)
 	for iter := 0; iter < log2Ceil(n); iter++ {
 		net.Phase(fmt.Sprintf("apsp-bounded/square-%d", iter))
-		next, err := distanceProductSmall(net, engine, sc, cur, cur, m)
+		next, err := DistanceProductSmall(net, engine, cur, cur, m)
 		if err != nil {
 			return nil, err
 		}
-		cur = truncateAbove(next, m)
+		ccmm.PutMat(sc, cur)
+		cur = truncateAbove(sc, next, m)
+		ccmm.PutMat(sc, next)
 	}
 	return cur, nil
 }
 
-func truncateAbove(w *ccmm.RowMat[int64], m int64) *ccmm.RowMat[int64] {
-	out := ccmm.NewRowMat[int64](len(w.Rows))
+// truncateAbove copies w into a free-list matrix with entries above m set
+// to ∞.
+func truncateAbove(sc *ccmm.Scratch, w *ccmm.RowMat[int64], m int64) *ccmm.RowMat[int64] {
+	out := ccmm.GetMat[int64](sc, len(w.Rows))
 	for v, row := range w.Rows {
 		orow := out.Rows[v]
 		for j, x := range row {
@@ -121,9 +120,9 @@ func APSPSmallWeights(net *clique.Network, engine ccmm.Engine, g *graphs.Weighte
 	}
 	n := net.N()
 	w := weightRows(g)
-	// One scratch pool serves the reachability closure and every bounded
-	// squaring of the doubling search.
-	sc := ccmm.NewScratch()
+	// The network's working set serves the reachability closure and every
+	// bounded squaring of the doubling search.
+	sc := ccmm.ScratchOf(net)
 	var maxW int64 = 1
 	for v := 0; v < n; v++ {
 		for j, x := range w.Rows[v] {
@@ -142,21 +141,24 @@ func APSPSmallWeights(net *clique.Network, engine ccmm.Engine, g *graphs.Weighte
 
 	// Reachability closure: Boolean iterated squaring of A ∨ I.
 	net.Phase("apsp-smallw/reach")
-	reach := ccmm.NewRowMat[int64](n)
+	reach := ccmm.GetMat[int64](sc, n)
+	defer func() { ccmm.PutMat(sc, reach) }()
 	for v := 0; v < n; v++ {
 		row := reach.Rows[v]
 		for j, x := range w.Rows[v] {
+			row[j] = 0
 			if v == j || !ring.IsInf(x) {
 				row[j] = 1
 			}
 		}
 	}
-	var err error
 	for iter := 0; iter < log2Ceil(n); iter++ {
-		reach, err = ccmm.MulBoolWith(net, engine, sc, reach, reach)
+		next, err := ccmm.MulBoolWith(net, engine, sc, reach, reach)
 		if err != nil {
 			return nil, err
 		}
+		ccmm.PutMat(sc, reach)
+		reach = next
 	}
 
 	// Doubling search over U: at most log₂(n·maxW)+1 guesses.
@@ -165,7 +167,7 @@ func APSPSmallWeights(net *clique.Network, engine ccmm.Engine, g *graphs.Weighte
 		if u > 2*limit {
 			return nil, fmt.Errorf("distance: diameter search exceeded %d (internal invariant)", 2*limit)
 		}
-		d, err := apspBounded(net, engine, sc, w, u)
+		d, err := APSPBounded(net, engine, w, u)
 		if err != nil {
 			return nil, err
 		}
@@ -191,5 +193,6 @@ func APSPSmallWeights(net *clique.Network, engine ccmm.Engine, g *graphs.Weighte
 		if done {
 			return d, nil
 		}
+		ccmm.PutMat(sc, d)
 	}
 }

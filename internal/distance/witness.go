@@ -11,23 +11,24 @@ import (
 
 // Oracle computes a distance product of distributed matrices; the witness
 // machinery of §3.4 is generic over it, so it works with the semiring (3D)
-// product, the Lemma 18 ring-embedded product, or the naive baseline.
+// product, the Lemma 18 ring-embedded product, or the naive baseline. The
+// operands stay the caller's; the product is the caller's too, to return to
+// the network's free list once read.
 type Oracle func(s, t *ccmm.RowMat[int64]) (*ccmm.RowMat[int64], error)
 
-// MinPlusOracle adapts ccmm.MulMinPlusWith to the Oracle interface.
+// MinPlusOracle adapts ccmm.MulMinPlusWith, on the network's working set, to
+// the Oracle interface.
 func MinPlusOracle(net *clique.Network, engine ccmm.Engine) Oracle {
-	sc := ccmm.NewScratch() // shared by every product the oracle serves
 	return func(s, t *ccmm.RowMat[int64]) (*ccmm.RowMat[int64], error) {
-		return ccmm.MulMinPlusWith(net, engine, sc, s, t)
+		return ccmm.MulMinPlusWith(net, engine, nil, s, t)
 	}
 }
 
 // SmallWeightOracle adapts DistanceProductSmall (Lemma 18) to the Oracle
 // interface for entries bounded by m.
 func SmallWeightOracle(net *clique.Network, engine ccmm.Engine, m int64) Oracle {
-	sc := ccmm.NewScratch() // shared by every product the oracle serves
 	return func(s, t *ccmm.RowMat[int64]) (*ccmm.RowMat[int64], error) {
-		return distanceProductSmall(net, engine, sc, s, t, m)
+		return DistanceProductSmall(net, engine, s, t, m)
 	}
 }
 
@@ -60,7 +61,8 @@ func FindWitnesses(net *clique.Network, oracle Oracle, s, t, p *ccmm.RowMat[int6
 	if reps <= 0 {
 		reps = 4 * (log2Ceil(n) + 1)
 	}
-	q := ccmm.NewRowMat[int64](n)
+	sc := ccmm.ScratchOf(net)
+	q := ccmm.GetMat[int64](sc, n)
 	resolved := make([][]bool, n)
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
@@ -74,7 +76,9 @@ func FindWitnesses(net *clique.Network, oracle Oracle, s, t, p *ccmm.RowMat[int6
 	}
 	// Column view of T, used by every verification round (one round).
 	net.Phase("witness/transpose")
-	tcol := ccmm.Transpose(net, t.Rows)
+	tcolMat := ccmm.Transpose(net, sc, t)
+	defer ccmm.PutMat(sc, tcolMat)
+	tcol := tcolMat.Rows
 
 	full := make([]bool, n)
 	for i := range full {
@@ -85,6 +89,7 @@ func FindWitnesses(net *clique.Network, oracle Oracle, s, t, p *ccmm.RowMat[int6
 		if err != nil {
 			return err
 		}
+		defer ccmm.PutMat(sc, cand)
 		return verifyAndMerge(net, s, p, tcol, cand, q, resolved)
 	}
 	// Unique-witness pass over the full column set.
@@ -140,11 +145,25 @@ func validateSameSize(n int, mats ...*ccmm.RowMat[int64]) error {
 func uniqueWitnessProbe(net *clique.Network, oracle Oracle, s, t *ccmm.RowMat[int64], subset []bool) (*ccmm.RowMat[int64], error) {
 	n := net.N()
 	net.Phase("witness/probe")
-	base, err := oracle(maskCols(s, subset), maskRows(t, subset))
+	// Every masked operand and every probe product dies inside this
+	// function and goes back to the network's free list; only the candidate
+	// matrix leaves.
+	sc := ccmm.ScratchOf(net)
+	masked := func(keep []bool) (*ccmm.RowMat[int64], error) {
+		ms, mt := maskCols(sc, s, keep), maskRows(sc, t, keep)
+		defer ccmm.PutMat(sc, ms)
+		defer ccmm.PutMat(sc, mt)
+		return oracle(ms, mt)
+	}
+	base, err := masked(subset)
 	if err != nil {
 		return nil, err
 	}
-	cand := ccmm.NewRowMat[int64](n)
+	defer ccmm.PutMat(sc, base)
+	cand := ccmm.GetMat[int64](sc, n)
+	for _, row := range cand.Rows {
+		clear(row)
+	}
 	bits := log2Ceil(n)
 	if bits == 0 {
 		bits = 1 // n = 1 still needs one probe to identify index 0… trivially
@@ -154,7 +173,7 @@ func uniqueWitnessProbe(net *clique.Network, oracle Oracle, s, t *ccmm.RowMat[in
 		for v := 0; v < n; v++ {
 			vi[v] = subset[v] && (v>>i)&1 == 1
 		}
-		pi, err := oracle(maskCols(s, vi), maskRows(t, vi))
+		pi, err := masked(vi)
 		if err != nil {
 			return nil, err
 		}
@@ -166,6 +185,7 @@ func uniqueWitnessProbe(net *clique.Network, oracle Oracle, s, t *ccmm.RowMat[in
 				}
 			}
 		}
+		ccmm.PutMat(sc, pi)
 	}
 	// Pairs infinite in the subset product have no candidate.
 	for u := 0; u < n; u++ {
@@ -178,9 +198,9 @@ func uniqueWitnessProbe(net *clique.Network, oracle Oracle, s, t *ccmm.RowMat[in
 	return cand, nil
 }
 
-func maskCols(s *ccmm.RowMat[int64], keep []bool) *ccmm.RowMat[int64] {
+func maskCols(sc *ccmm.Scratch, s *ccmm.RowMat[int64], keep []bool) *ccmm.RowMat[int64] {
 	n := len(s.Rows)
-	out := ccmm.NewRowMat[int64](n)
+	out := ccmm.GetMat[int64](sc, n)
 	for u := 0; u < n; u++ {
 		row, src := out.Rows[u], s.Rows[u]
 		for v := 0; v < n; v++ {
@@ -194,9 +214,9 @@ func maskCols(s *ccmm.RowMat[int64], keep []bool) *ccmm.RowMat[int64] {
 	return out
 }
 
-func maskRows(t *ccmm.RowMat[int64], keep []bool) *ccmm.RowMat[int64] {
+func maskRows(sc *ccmm.Scratch, t *ccmm.RowMat[int64], keep []bool) *ccmm.RowMat[int64] {
 	n := len(t.Rows)
-	out := ccmm.NewRowMat[int64](n)
+	out := ccmm.GetMat[int64](sc, n)
 	for w := 0; w < n; w++ {
 		row, src := out.Rows[w], t.Rows[w]
 		for v := 0; v < n; v++ {
@@ -360,11 +380,14 @@ func RoutingFromDistances(net *clique.Network, oracle Oracle, w, d *ccmm.RowMat[
 	if err := validateSameSize(n, w, d); err != nil {
 		return nil, err
 	}
-	lifted := ccmm.NewRowMat[int64](n)
+	sc := ccmm.ScratchOf(net)
+	lifted := ccmm.GetMat[int64](sc, n)
+	defer ccmm.PutMat(sc, lifted)
 	// The target entries: distances, with the diagonal lifted to ∞ so that
 	// the (trivially zero) pairs (u,u) are exempt from witness search — the
 	// lifted product cannot reach 0 there.
-	target := ccmm.NewRowMat[int64](n)
+	target := ccmm.GetMat[int64](sc, n)
+	defer ccmm.PutMat(sc, target)
 	for u := 0; u < n; u++ {
 		copy(lifted.Rows[u], w.Rows[u])
 		lifted.Rows[u][u] = ring.Inf

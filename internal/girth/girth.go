@@ -142,11 +142,15 @@ func Directed(net *clique.Network, engine ccmm.Engine, g *graphs.Graph) (girth i
 		return 0, false, fmt.Errorf("girth: graph has %d nodes on an %d-node clique: %w", g.N(), net.N(), ccmm.ErrSize)
 	}
 	n := net.N()
-	a := &ccmm.RowMat[int64]{Rows: make([][]int64, n)}
+	// The doubling and binary-search products run on the network's working
+	// set; the powers and the search's candidates all die in here and go
+	// back to its free list.
+	sc := ccmm.ScratchOf(net)
+	a := ccmm.GetMat[int64](sc, n)
 	net.ForEach(func(v int) {
-		row := make([]int64, n)
+		row := a.Rows[v]
+		clear(row)
 		g.Row(v).ForEach(func(u int) { row[u] = 1 })
-		a.Rows[v] = row
 	})
 
 	diagSet := func(b *ccmm.RowMat[int64]) bool {
@@ -178,8 +182,12 @@ func Directed(net *clique.Network, engine ccmm.Engine, g *graphs.Graph) (girth i
 	// B(1) = A always has an empty diagonal and any cycle has length ≥ 2;
 	// once 2^t ≥ n an empty diagonal certifies acyclicity.
 	net.Phase("girth-dir/doubling")
-	sc := ccmm.NewScratch() // shared by the doubling and binary-search products
 	powers := []*ccmm.RowMat[int64]{a}
+	defer func() {
+		for _, b := range powers {
+			ccmm.PutMat(sc, b)
+		}
+	}()
 	t := 0
 	for !diagSet(powers[t]) {
 		if 1<<t >= n {
@@ -203,16 +211,21 @@ func Directed(net *clique.Network, engine ccmm.Engine, g *graphs.Graph) (girth i
 	net.Phase("girth-dir/binary-search")
 	lo := 1 << (t - 1)
 	cur := powers[t-1]
+	var made *ccmm.RowMat[int64] // cur, once it is a product of the search and not a power
 	for s := t - 2; s >= 0; s-- {
 		cand, err := ccmm.MulBoolWith(net, engine, sc, cur, powers[s])
 		if err != nil {
 			return 0, false, err
 		}
 		orA(cand)
-		if !diagSet(cand) {
-			lo += 1 << s
-			cur = cand
+		if diagSet(cand) {
+			ccmm.PutMat(sc, cand)
+			continue
 		}
+		lo += 1 << s
+		ccmm.PutMat(sc, made)
+		cur, made = cand, cand
 	}
+	ccmm.PutMat(sc, made)
 	return lo + 1, true, nil
 }

@@ -27,6 +27,23 @@ func New[T any](rows, cols int) *Dense[T] {
 	return &Dense[T]{rows: rows, cols: cols, e: make([]T, rows*cols)}
 }
 
+// NewWindows returns k rows×cols matrices cut from one backing array, their
+// entries the zero value of T: two heap objects however large k is, where k
+// calls of New make 2k. The matrices are independent — each window is
+// capped at its own extent — but live and die together.
+func NewWindows[T any](k, rows, cols int) []Dense[T] {
+	if k < 0 || rows < 0 || cols < 0 {
+		panic(fmt.Sprintf("matrix: negative dimension %d of %d×%d", k, rows, cols))
+	}
+	sz := rows * cols
+	arena := make([]T, k*sz)
+	ms := make([]Dense[T], k)
+	for i := range ms {
+		ms[i] = Dense[T]{rows: rows, cols: cols, e: arena[i*sz : (i+1)*sz : (i+1)*sz]}
+	}
+	return ms
+}
+
 // NewFilled returns a rows×cols matrix with every entry set to fill.
 func NewFilled[T any](rows, cols int, fill T) *Dense[T] {
 	m := New[T](rows, cols)

@@ -49,16 +49,6 @@ func NewScratch() *Scratch { return &Scratch{} }
 // one-off traffic spike above it is released rather than pinned.
 const heldRetainCap = 1 << 14
 
-// Trim releases all retained delivery state (the structures rebuild
-// lazily), for callers parking a scratch they may not use again soon.
-func (sc *Scratch) Trim() {
-	sc.directIns = [2][][][]clique.Word{}
-	sc.ownedIns = [2][][][]clique.Word{}
-	sc.heldMeta, sc.heldWord = nil, nil
-	sc.loads, sc.lens = nil, nil
-	sc.plans = nil
-}
-
 // nextMatrix rotates a double-buffered n×n receive matrix.
 func nextMatrix(bufs *[2][][][]clique.Word, idx *int, n int) [][][]clique.Word {
 	m := bufs[*idx]
@@ -134,8 +124,7 @@ func zeroedLoads(b []int64, k int) []int64 {
 	return b
 }
 
-// resize returns b with length k, reusing capacity above the high-water
-// mark only until the next Trim.
+// resize returns b with length k, reusing its capacity.
 func resize(b []clique.Word, k int) []clique.Word {
 	if cap(b) < k {
 		return make([]clique.Word, k)

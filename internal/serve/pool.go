@@ -10,19 +10,25 @@ import (
 // ErrPoolClosed is returned by Get after the pool is closed.
 var ErrPoolClosed = errors.New("serve: session pool is closed")
 
-// sessionBytes coarsely estimates the resident footprint of a warm
-// session for clique size n: the simulator's per-link queue and mailbox
-// capacity, the engine scratch (message matrices, block operands), and up
-// to four pooled operand buffers are all small multiples of n² words. The
-// budget is a control knob driving eviction order, not an accounting
-// guarantee.
-func sessionBytes(n int) int64 { return 64*int64(n)*int64(n) + 1<<14 }
+// sessionBytes estimates the live heap of a warm session for clique size n:
+// its networks' per-link queue and mailbox capacity and, on each network,
+// the engines' working set — message matrices, block operands and products
+// of every element type it has multiplied in, and the free list of row
+// matrices — all of which outlive the operation that grew them. Measured
+// on a session that has served each of the six ops once (live HeapAlloc,
+// bytes per n² in brackets): n = 16 0.50 MB [1 968], n = 32 2.88 MB
+// [2 814], n = 64 6.70 MB [1 636], n = 144 50.0 MB [2 411]; the estimate
+// is 2 200 bytes per link. TestSessionFootprintEstimate holds it within a
+// factor of two of that table. The budget is a control knob driving
+// eviction order, not an accounting guarantee.
+func sessionBytes(n int) int64 { return 2200 * int64(n) * int64(n) }
 
-// trimmedBytes is the post-Trim residual: the pooled buffers, queue
-// payloads and the networks' link state are released (they rebuild lazily
-// on the next operation); the worker pool and memoised plan survive. The
-// n² term is deliberately conservative — a trimmed network is O(n).
-func trimmedBytes(n int) int64 { return 24*int64(n)*int64(n) + 1<<12 }
+// trimmedBytes is the post-Trim residual. Trim releases the networks' link
+// state and, with it, their working sets (everything rebuilds lazily on the
+// next operation); what survives — the session, its O(n) network shells,
+// the worker pool, the memoised plan — measured 4.7 KB at n = 16, 10.5 KB
+// at 32, 19.0 KB at 64 and 23.1 KB at 144.
+func trimmedBytes(n int) int64 { return 128*int64(n) + 1<<12 }
 
 // poolEntry is one cached session with its LRU stamp.
 type poolEntry struct {

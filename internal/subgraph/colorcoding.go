@@ -35,12 +35,32 @@ func DetectKCycleColourful(net *clique.Network, engine ccmm.Engine, g *graphs.Gr
 		}
 	}
 	n := net.N()
-	a := adjacencyRows(g)
+	// The O(3^k) products run on the network's working set, and every
+	// matrix of the recursion — all of them dead once the cycle is closed —
+	// goes back to its free list for the next colouring.
+	sc := ccmm.ScratchOf(net)
+	a := adjacencyRows(sc, g)
+	defer ccmm.PutMat(sc, a)
+	var kept []*ccmm.RowMat[int64] // every C(X) and C(Y)·A, in the order made
+	defer func() {
+		for _, m := range kept {
+			ccmm.PutMat(sc, m)
+		}
+	}()
+	zeroed := func() *ccmm.RowMat[int64] {
+		m := ccmm.GetMat[int64](sc, n)
+		for _, row := range m.Rows {
+			clear(row)
+		}
+		kept = append(kept, m)
+		return m
+	}
 
 	// C(X) for all needed colour subsets, bottom-up by size.
 	cMat := make(map[uint32]*ccmm.RowMat[int64])
+	dCache := make(map[uint32]*ccmm.RowMat[int64]) // C(Y)·A, keyed by Y
 	for i := 0; i < k; i++ {
-		m := ccmm.NewRowMat[int64](n)
+		m := zeroed()
 		for v := 0; v < n; v++ {
 			if colours[v] == i {
 				m.Rows[v][v] = 1
@@ -49,8 +69,6 @@ func DetectKCycleColourful(net *clique.Network, engine ccmm.Engine, g *graphs.Gr
 		cMat[1<<i] = m
 	}
 	sizes := neededSizes(k)
-	dCache := make(map[uint32]*ccmm.RowMat[int64]) // C(Y)·A, keyed by Y
-	sc := ccmm.NewScratch()                        // shared by the O(3^k) products
 
 	full := uint32(1)<<k - 1
 	for s := 2; s <= k; s++ {
@@ -62,7 +80,8 @@ func DetectKCycleColourful(net *clique.Network, engine ccmm.Engine, g *graphs.Gr
 				continue
 			}
 			h := (s + 1) / 2
-			acc := ccmm.NewRowMat[int64](n)
+			acc := zeroed()
+			cMat[x] = acc
 			for y := x & (x - 1); ; y = (y - 1) & x {
 				// Iterate all non-empty proper submasks of x; keep |Y| = h.
 				if bits.OnesCount32(y) == h {
@@ -74,6 +93,7 @@ func DetectKCycleColourful(net *clique.Network, engine ccmm.Engine, g *graphs.Gr
 							return false, err
 						}
 						dCache[y] = d
+						kept = append(kept, d)
 					}
 					r, err := ccmm.MulBoolWith(net, engine, sc, d, cMat[x&^y])
 					if err != nil {
@@ -87,24 +107,25 @@ func DetectKCycleColourful(net *clique.Network, engine ccmm.Engine, g *graphs.Gr
 							}
 						}
 					})
+					ccmm.PutMat(sc, r)
 				}
 				if y == 0 {
 					break
 				}
 			}
-			cMat[x] = acc
 		}
 	}
 
 	// Close the cycle: a colourful k-cycle exists iff C([k])[u][v] = 1 and
 	// (v, u) ∈ E for some u, v. Node u needs its in-edges: one exchange round.
 	net.Phase("kcycle/close")
-	colA := ccmm.Transpose(net, a.Rows)
+	colA := ccmm.Transpose(net, sc, a)
+	defer ccmm.PutMat(sc, colA)
 	cFull := cMat[full]
 	flags := make([]bool, n)
 	net.ForEach(func(u int) {
 		row := cFull.Rows[u]
-		inEdges := colA[u]
+		inEdges := colA.Rows[u]
 		for v := 0; v < n; v++ {
 			if row[v] != 0 && inEdges[v] != 0 {
 				flags[u] = true

@@ -17,20 +17,23 @@ func CountTriangles(net *clique.Network, engine ccmm.Engine, g *graphs.Graph) (i
 	if err := checkGraphSize(net, g); err != nil {
 		return 0, err
 	}
-	a := adjacencyRows(g)
-	sc := ccmm.NewScratch()
+	sc := ccmm.ScratchOf(net)
+	a := adjacencyRows(sc, g)
+	defer ccmm.PutMat(sc, a)
 	a2, err := ccmm.MulIntWith(net, engine, sc, a, a)
 	if err != nil {
 		return 0, err
 	}
+	defer ccmm.PutMat(sc, a2)
 	net.Phase("tri/trace")
-	colA := ccmm.Transpose(net, a.Rows)
+	colA := ccmm.Transpose(net, sc, a)
+	defer ccmm.PutMat(sc, colA)
 	n := net.N()
 	partial := make([]int64, n)
 	net.ForEach(func(v int) {
 		var t int64
 		row := a2.Rows[v]
-		col := colA[v]
+		col := colA.Rows[v]
 		for w := 0; w < n; w++ {
 			t += row[w] * col[w]
 		}
@@ -63,31 +66,35 @@ func CountC4(net *clique.Network, engine ccmm.Engine, g *graphs.Graph) (int64, e
 	if err := checkGraphSize(net, g); err != nil {
 		return 0, err
 	}
-	a := adjacencyRows(g)
-	sc := ccmm.NewScratch()
+	sc := ccmm.ScratchOf(net)
+	a := adjacencyRows(sc, g)
+	defer ccmm.PutMat(sc, a)
 	a2, err := ccmm.MulIntWith(net, engine, sc, a, a)
 	if err != nil {
 		return 0, err
 	}
+	defer ccmm.PutMat(sc, a2)
 	net.Phase("c4count/trace")
 	n := net.N()
-	colA2 := ccmm.Transpose(net, a2.Rows)
-	var colA [][]int64
+	colA2 := ccmm.Transpose(net, sc, a2)
+	defer ccmm.PutMat(sc, colA2)
+	var colA *ccmm.RowMat[int64]
 	if g.Directed() {
-		colA = ccmm.Transpose(net, a.Rows)
+		colA = ccmm.Transpose(net, sc, a)
+		defer ccmm.PutMat(sc, colA)
 	}
 	partial := make([]int64, n)
 	net.ForEach(func(v int) {
 		var t int64
 		row := a2.Rows[v]
-		col := colA2[v]
+		col := colA2.Rows[v]
 		for w := 0; w < n; w++ {
 			t += row[w] * col[w]
 		}
 		var mutual int64
 		if g.Directed() {
 			arow := a.Rows[v]
-			acol := colA[v]
+			acol := colA.Rows[v]
 			for w := 0; w < n; w++ {
 				mutual += arow[w] * acol[w]
 			}

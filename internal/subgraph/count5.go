@@ -26,25 +26,29 @@ func CountC5(net *clique.Network, engine ccmm.Engine, g *graphs.Graph) (int64, e
 		return 0, fmt.Errorf("subgraph: CountC5 supports undirected graphs only: %w", ccmm.ErrSize)
 	}
 	n := net.N()
-	a := adjacencyRows(g)
-	sc := ccmm.NewScratch()
+	sc := ccmm.ScratchOf(net)
+	a := adjacencyRows(sc, g)
+	defer ccmm.PutMat(sc, a)
 	a2, err := ccmm.MulIntWith(net, engine, sc, a, a)
 	if err != nil {
 		return 0, err
 	}
+	defer ccmm.PutMat(sc, a2)
 	a3, err := ccmm.MulIntWith(net, engine, sc, a2, a)
 	if err != nil {
 		return 0, err
 	}
+	defer ccmm.PutMat(sc, a3)
 
 	net.Phase("c5count/trace")
-	colA3 := ccmm.Transpose(net, a3.Rows)
+	colA3 := ccmm.Transpose(net, sc, a3)
+	defer ccmm.PutMat(sc, colA3)
 	partial := make([]int64, n)
 	net.ForEach(func(v int) {
 		// tr(A⁵) contribution: Σ_w A²[v][w]·A³[w][v].
 		var walk5 int64
 		row := a2.Rows[v]
-		col := colA3[v]
+		col := colA3.Rows[v]
 		for w := 0; w < n; w++ {
 			walk5 += row[w] * col[w]
 		}

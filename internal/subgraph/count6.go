@@ -34,16 +34,19 @@ func CountC6(net *clique.Network, engine ccmm.Engine, g *graphs.Graph) (int64, e
 		return 0, fmt.Errorf("subgraph: CountC6 supports undirected graphs only: %w", ccmm.ErrSize)
 	}
 	n := net.N()
-	a := adjacencyRows(g)
-	sc := ccmm.NewScratch()
+	sc := ccmm.ScratchOf(net)
+	a := adjacencyRows(sc, g)
+	defer ccmm.PutMat(sc, a)
 	a2, err := ccmm.MulIntWith(net, engine, sc, a, a)
 	if err != nil {
 		return 0, err
 	}
+	defer ccmm.PutMat(sc, a2)
 	a3, err := ccmm.MulIntWith(net, engine, sc, a2, a)
 	if err != nil {
 		return 0, err
 	}
+	defer ccmm.PutMat(sc, a3)
 
 	net.Phase("c6count/census")
 	// All degrees, for the path/claw terms.
@@ -56,8 +59,10 @@ func CountC6(net *clique.Network, engine ccmm.Engine, g *graphs.Graph) (int64, e
 	for v := 0; v < n; v++ {
 		degs[v] = int64(bc[v])
 	}
-	colA2 := ccmm.Transpose(net, a2.Rows)
-	colA3 := ccmm.Transpose(net, a3.Rows)
+	colA2 := ccmm.Transpose(net, sc, a2)
+	defer ccmm.PutMat(sc, colA2)
+	colA3 := ccmm.Transpose(net, sc, a3)
+	defer ccmm.PutMat(sc, colA3)
 
 	// Per-node partial sums of the census quantities; one broadcast round
 	// per quantity merges them.
@@ -78,7 +83,7 @@ func CountC6(net *clique.Network, engine ccmm.Engine, g *graphs.Graph) (int64, e
 	net.ForEach(func(v int) {
 		p := make([]int64, nPartials)
 		a2row, a3row := a2.Rows[v], a3.Rows[v]
-		c2, c3 := colA2[v], colA3[v]
+		c2, c3 := colA2.Rows[v], colA3.Rows[v]
 		d := degs[v]
 		for w := 0; w < n; w++ {
 			p[pWalk6] += a3row[w] * c3[w]

@@ -38,8 +38,8 @@ var (
 //
 // Returns ErrTooDense (wrapped) when the degree condition fails — the
 // caller can fall back to a matmul engine — ErrTooSmall for n < 8, and
-// ErrDirected for directed inputs; all three satisfy errors.Is. The engine
-// scratch pools are caller-owned; a nil sc uses a transient scratch.
+// ErrDirected for directed inputs; all three satisfy errors.Is. The product
+// runs on the working set sc, nil for the network's own.
 func SparseSquareScratch(net *clique.Network, sc *ccmm.Scratch, g *graphs.Graph) (*ccmm.RowMat[int64], error) {
 	if err := checkGraphSize(net, g); err != nil {
 		return nil, err
@@ -50,8 +50,12 @@ func SparseSquareScratch(net *clique.Network, sc *ccmm.Scratch, g *graphs.Graph)
 	if net.N() < 8 {
 		return nil, fmt.Errorf("%w (got n = %d)", ErrTooSmall, net.N())
 	}
+	if sc == nil {
+		sc = ccmm.ScratchOf(net)
+	}
 	r := ring.Int64{}
-	a := adjacencyRows(g)
+	a := adjacencyRows(sc, g)
+	defer ccmm.PutMat(sc, a)
 	sq, err := ccmm.SparseMul[int64](net, sc, r, r, a, a)
 	if err != nil {
 		if errors.Is(err, ccmm.ErrTooDense) {

@@ -18,14 +18,13 @@ import (
 )
 
 // adjacencyRows distributes the adjacency matrix one row per node: node v's
-// local input, as the model prescribes.
-func adjacencyRows(g *graphs.Graph) *ccmm.RowMat[int64] {
-	n := g.N()
-	out := &ccmm.RowMat[int64]{Rows: make([][]int64, n)}
-	for v := 0; v < n; v++ {
-		row := make([]int64, n)
+// local input, as the model prescribes. The matrix comes from sc's free
+// list and goes back there when the caller is done with it.
+func adjacencyRows(sc *ccmm.Scratch, g *graphs.Graph) *ccmm.RowMat[int64] {
+	out := ccmm.GetMat[int64](sc, g.N())
+	for v, row := range out.Rows {
+		clear(row)
 		g.Row(v).ForEach(func(u int) { row[u] = 1 })
-		out.Rows[v] = row
 	}
 	return out
 }

@@ -1,8 +1,11 @@
 package algclique_test
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	cc "github.com/algebraic-clique/algclique"
@@ -59,3 +62,119 @@ func TestWithRoundLimitAcrossEntryPoints(t *testing.T) {
 
 // nil2rand returns a fresh deterministic rand for test-matrix construction.
 func nil2rand() *rand.Rand { return rand.New(rand.NewPCG(9, 9)) }
+
+// abortOps are the reductions the abort sweep unwinds: each is a chain of
+// products on its network's one working set — witness-carrying squarings,
+// Seidel's recursion under the witness oracle, two ring products and a
+// transpose, Boolean doubling with a binary search, and colour-coding's
+// product tree — so an abort can land inside any engine, between two
+// products, or in a broadcast of the reduction itself.
+func abortOps(n int) []graphOp {
+	wg := cc.RandomConnectedWeighted(n, 0.3, 20, true, 7)
+	g := cc.GNP(n, 0.3, false, 8)
+	ring := cc.Cycle(n, true) // girth n: the full doubling ladder and binary search
+	return []graphOp{
+		{"APSP", func(s *cc.Clique, opts ...cc.CallOption) (any, cc.Stats, error) { return s.APSP(wg, opts...) }},
+		{"APSPUnweightedWithRouting", func(s *cc.Clique, opts ...cc.CallOption) (any, cc.Stats, error) {
+			return s.APSPUnweightedWithRouting(g, opts...)
+		}},
+		{"CountFiveCycles", func(s *cc.Clique, opts ...cc.CallOption) (any, cc.Stats, error) {
+			return s.CountFiveCycles(g, opts...)
+		}},
+		{"GirthDirected", func(s *cc.Clique, opts ...cc.CallOption) (any, cc.Stats, error) {
+			v, ok, st, err := s.Girth(ring, opts...)
+			return [2]any{v, ok}, st, err
+		}},
+		{"DetectCycle4", func(s *cc.Clique, opts ...cc.CallOption) (any, cc.Stats, error) {
+			return s.DetectCycle(g, 4, opts...)
+		}},
+	}
+}
+
+// TestAbortedOpLeavesWorkingSetClean: the engines' working set belongs to
+// the network and so outlives an operation that a round budget, a cancelled
+// context or a crashed node unwound mid-product — whatever that operation
+// had posted, borrowed or half-written, the next one inherits the same
+// object. For each reduction the sweep aborts at the round indices below
+// the clean run's count — every one up to 64 and a stride beyond on the
+// direct transport, a stride throughout on the wire and under -short — by
+// context at a few poll counts and by a node crash at a few rounds; each
+// abort must surface as its typed error, and the unrestricted rerun on the
+// same session must return the answer and the Stats — rounds, words, phase
+// list — of a session that never aborted.
+func TestAbortedOpLeavesWorkingSetClean(t *testing.T) {
+	const n = 27
+	transports := []struct {
+		name  string
+		opts  []cc.SessionOption
+		dense int64 // every round index below this one, a stride from there on
+	}{
+		{"direct", nil, 64},
+		{"wire", []cc.SessionOption{cc.WithWireTransport()}, 0},
+	}
+	for _, tr := range transports {
+		if testing.Short() {
+			tr.dense = 0
+		}
+		for _, op := range abortOps(n) {
+			t.Run(tr.name+"/"+op.name, func(t *testing.T) {
+				fresh, err := cc.NewClique(n, tr.opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer fresh.Close()
+				want, wantSt, err := op.run(fresh)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sess, err := cc.NewClique(n, tr.opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sess.Close()
+				// abort runs the op under opt, wants the typed error, and
+				// reruns it clean.
+				abort := func(label string, typed func(error) bool, opt cc.CallOption) {
+					t.Helper()
+					if _, _, err := op.run(sess, opt); !typed(err) {
+						t.Fatalf("%s: err = %v (%T), want the typed abort", label, err, err)
+					}
+					got, st, err := op.run(sess)
+					if err != nil {
+						t.Fatalf("rerun after %s: %v", label, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("rerun after %s: answer differs from a fresh session's", label)
+					}
+					if !reflect.DeepEqual(st, wantSt) {
+						t.Fatalf("rerun after %s: stats %+v, a fresh session charges %+v", label, st, wantSt)
+					}
+				}
+				rounds := wantSt.Rounds
+				step := int64(1)
+				for k := int64(1); k < rounds; k += step {
+					if k >= tr.dense {
+						step = rounds/32 + 1
+					}
+					abort(fmt.Sprintf("round limit %d", k), func(err error) bool {
+						var lim *clique.RoundLimitError
+						return errors.As(err, &lim)
+					}, cc.WithRoundLimit(k))
+				}
+				for _, polls := range []int{1, 3, 8} {
+					ctx := &cancelAfterCalls{Context: context.Background(), remaining: polls}
+					abort(fmt.Sprintf("cancel after %d polls", polls), func(err error) bool {
+						var canc *clique.CanceledError
+						return errors.As(err, &canc)
+					}, cc.WithContext(ctx))
+				}
+				for _, k := range []int64{1, rounds / 3, rounds / 2} {
+					abort(fmt.Sprintf("crash at round %d", k), func(err error) bool {
+						var fe *cc.FaultError
+						return errors.As(err, &fe)
+					}, cc.WithFaultInjection(cc.FaultPlan{Seed: 5, CrashAtRound: max(k, 1), CrashNode: 3}))
+				}
+			})
+		}
+	}
+}

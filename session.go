@@ -19,10 +19,12 @@ var ErrSessionClosed = errors.New("algclique: session is closed")
 // and identical across operations —
 //
 //   - the simulated network(s), reset and reused instead of rebuilt,
-//     including their local-computation worker pools,
+//     including their local-computation worker pools and, on each, the
+//     engines' one working set (message buffers, block operands, and the
+//     free list of row matrices every product and every reduction on that
+//     network draws from),
 //   - the resolved engine plan (engine selection, bilinear scheme, and
 //     padding decisions are computed once at construction),
-//   - reusable row-matrix buffers for padding operands,
 //
 // and every algorithm in the package is a method on it. Construction
 // options (engine, padding policy, workers) are fixed for the session's
@@ -46,12 +48,10 @@ type Clique struct {
 	nRing   int // clique size for ring operations (scheme padding)
 	ringErr error
 
-	nets    map[int]*clique.Network
-	bnet    *clique.BroadcastNetwork
-	lpool   *clique.LocalPool
-	matPool map[int][]*ccmm.RowMat[int64]
-	scratch map[int]*ccmm.Scratch
-	closed  bool
+	nets   map[int]*clique.Network
+	bnet   *clique.BroadcastNetwork
+	lpool  *clique.LocalPool
+	closed bool
 
 	ledger      []OpStats
 	totalRounds int64
@@ -99,12 +99,10 @@ func newSession(n int, cfg config) (*Clique, error) {
 		return nil, err
 	}
 	s := &Clique{
-		n:       n,
-		cfg:     cfg,
-		nAny:    nAny,
-		nets:    make(map[int]*clique.Network),
-		matPool: make(map[int][]*ccmm.RowMat[int64]),
-		scratch: make(map[int]*ccmm.Scratch),
+		n:    n,
+		cfg:  cfg,
+		nAny: nAny,
+		nets: make(map[int]*clique.Network),
 	}
 	s.nRing, s.ringErr = cfg.paddedSize(n, ringSize)
 	return s, nil
@@ -147,13 +145,14 @@ func (s *Clique) Close() error {
 	return nil
 }
 
-// Trim releases the session's cached working set — engine scratch pools,
-// simulator queue and mailbox capacity, and pooled operand buffers — while
-// keeping the session fully usable (everything rebuilds lazily on the next
-// operation). Long-lived sessions whose workload has shrunk call it so one
-// past peak does not pin its footprint forever; the per-operation Reset
-// already releases individual buffers above a high-water threshold, Trim
-// is the explicit full release.
+// Trim releases the session's cached working set — simulator queue and
+// mailbox capacity and, with each network, the engines' working set on it:
+// message buffers, block operands, and the free list of row matrices —
+// while keeping the session fully usable (everything rebuilds lazily on the
+// next operation). Long-lived sessions whose workload has shrunk call it so
+// one past peak does not pin its footprint forever; the per-operation Reset
+// already releases individual buffers above a high-water threshold, Trim is
+// the explicit full release.
 //
 // Trim is safe to call concurrently with in-flight operations — including
 // from a pool's eviction goroutine. Operations hold the session mutex for
@@ -165,12 +164,6 @@ func (s *Clique) Trim() {
 	defer s.mu.Unlock()
 	for _, net := range s.nets {
 		net.Trim()
-	}
-	for _, sc := range s.scratch {
-		sc.Trim()
-	}
-	for n := range s.matPool {
-		delete(s.matPool, n)
 	}
 }
 
@@ -252,46 +245,6 @@ func (s *Clique) localPool() *clique.LocalPool {
 	return s.lpool
 }
 
-// scratchFor returns the session's persistent engine scratch for the given
-// clique size, building it on first use (mu held). One scratch per size is
-// enough: operations serialise, so a scratch is never shared by two
-// in-flight products.
-func (s *Clique) scratchFor(n int) *ccmm.Scratch {
-	if sc, ok := s.scratch[n]; ok {
-		return sc
-	}
-	sc := ccmm.NewScratch()
-	s.scratch[n] = sc
-	return sc
-}
-
-// getMat borrows an n×n row-matrix buffer from the pool (mu held). The
-// contents are stale; callers must overwrite every entry (padMatInto does).
-func (s *Clique) getMat(n int) *ccmm.RowMat[int64] {
-	free := s.matPool[n]
-	if k := len(free); k > 0 {
-		m := free[k-1]
-		s.matPool[n] = free[:k-1]
-		return m
-	}
-	return ccmm.NewRowMat[int64](n)
-}
-
-// maxPooledMats bounds the per-size buffer pool: enough for the operands
-// and results in flight during one operation. Engines allocate their
-// results outside the pool, so without a cap a long-lived session would
-// retain one surplus matrix per operation; beyond the cap buffers go to
-// the GC instead.
-const maxPooledMats = 4
-
-// putMat returns a buffer to the pool, or drops it at capacity (mu held).
-func (s *Clique) putMat(m *ccmm.RowMat[int64]) {
-	n := m.N()
-	if len(s.matPool[n]) < maxPooledMats {
-		s.matPool[n] = append(s.matPool[n], m)
-	}
-}
-
 // simNetwork is the accounting/abort surface shared by the unicast and
 // broadcast simulators, which lets one run harness serve both.
 type simNetwork interface {
@@ -315,7 +268,7 @@ type opRun struct {
 	net      *clique.Network          // non-nil for unicast runs
 	bnet     *clique.BroadcastNetwork // non-nil for broadcast runs
 	plan     *ccmm.Plan
-	sc       *ccmm.Scratch // session-owned engine pools for this size
+	sc       *ccmm.Scratch // net's working set (unicast runs)
 	n        int           // padded clique size for this run
 	orig     int           // original instance size
 	route    ccmm.Route    // density-aware routing decision, when one ran
@@ -359,7 +312,7 @@ func (s *Clique) newRun(op string, cfg config, orig, n int) *opRun {
 	net := s.networkFor(n)
 	r := &opRun{s: s, op: op, cfg: cfg, sim: net, net: net,
 		plan: ccmm.PlanFor(n, cfg.engine.internal()),
-		sc:   s.scratchFor(n),
+		sc:   ccmm.ScratchOf(net),
 		n:    n, orig: orig}
 	r.arm()
 	return r
@@ -450,33 +403,39 @@ func (r *opRun) disarm() {
 }
 
 // settle closes the books on the run's current product or operation: it
-// snapshots the Stats, returns the borrowed buffers to the pool, and
-// records the ledger entry (mu held).
+// snapshots the Stats, returns the borrowed buffers to the working set's
+// free list, and records the ledger entry (mu held).
 func (r *opRun) settle() Stats {
 	st := statsFrom(r.sim.Stats(), r.orig)
 	st.Routing = r.route.Decision()
 	st.Attempts = r.attempts
 	st.Certified = r.certified
 	for _, m := range r.borrowed {
-		r.s.putMat(m)
+		ccmm.PutMat(r.sc, m)
 	}
 	r.borrowed = r.borrowed[:0]
 	r.s.record(r.op, st)
 	return st
 }
 
-// borrow pads rows into a pooled n×n distributed matrix, filling missing
-// entries with the algebra's zero; the buffer returns to the pool when the
-// operation ends.
-func (r *opRun) borrow(rows Mat, zero int64) *ccmm.RowMat[int64] {
-	m := r.s.getMat(r.n)
-	padMatInto(m, rows, zero)
+// getMat takes an n×n matrix with stale contents off the working set's free
+// list, to go back there when the operation ends.
+func (r *opRun) getMat() *ccmm.RowMat[int64] {
+	m := ccmm.GetMat[int64](r.sc, r.n)
 	r.borrowed = append(r.borrowed, m)
 	return m
 }
 
+// borrow pads rows into a getMat matrix, filling missing entries with the
+// algebra's zero.
+func (r *opRun) borrow(rows Mat, zero int64) *ccmm.RowMat[int64] {
+	m := r.getMat()
+	padMatInto(m, rows, zero)
+	return m
+}
+
 // recycle hands an engine-produced matrix (whose contents have been copied
-// out) to the pool when the operation ends.
+// out) to the free list when the operation ends.
 func (r *opRun) recycle(m *ccmm.RowMat[int64]) {
 	if m != nil && m.N() == r.n {
 		r.borrowed = append(r.borrowed, m)
