@@ -10,7 +10,7 @@ import (
 // Allocation-tracking benchmarks for the session hot path. Each benchmark
 // runs repeated products on one session, so allocs/op measures the
 // steady-state per-operation cost the scratch pools are meant to amortise
-// away; CI watches these numbers through the ccbench matmul experiment.
+// away; TestWarmGraphOpAllocs holds the same figures to a budget.
 
 // BenchmarkSessionDistanceProduct measures a repeated min-plus product on a
 // reused session (the shape of every iterated-squaring APSP pipeline).

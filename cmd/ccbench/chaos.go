@@ -2,11 +2,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
 	"time"
 
@@ -27,36 +25,20 @@ import (
 //     scenario that stalls fails the run instead of wedging CI;
 //   - zero lost admitted requests (hard): the serve wave's ledger must
 //     account for every admitted request through poisoned sessions and
-//     shutdown, and no poisoned session may be re-pooled;
-//   - disarmed overhead (gated vs BENCH_matmul.json): with no fault plan
-//     armed, the session hot path must charge exactly the baseline's
-//     rounds and words and stay within chaosOverheadTol (+ small absolute
-//     slack) of its allocs/op; an armed-but-inert plan must leave the
-//     schedule untouched and add at most chaosInertAllocSlack allocs/op.
-//     Wall-clock ratios (disarmed vs baseline, armed-inert vs disarmed)
-//     are recorded for the trajectory but not gated — per the repo's
-//     bench philosophy, regressions on this path surface in allocs and
-//     message volume first, and those are deterministic.
+//     shutdown, and no poisoned session may be re-pooled.
 //
 // The sweep is replayable end to end: every fault draw is keyed by the
-// scenario's plan seed, so a failure line names a reproducible run.
+// scenario's plan seed, so a failure line names a reproducible run — and
+// how many scenarios ended clean, recovered or typed, how many extra
+// attempts they took and what the serve wave completed, failed and
+// discarded are exact, so those counts are the BENCH_chaos.json ledger.
+// (That a disarmed session charges the clean schedule is the matmul
+// ledger's rows, and that an armed plan which never fires leaves it alone is
+// clique's TestFaultZeroPlanIsTransparent.)
 
 const (
-	chaosBaselinePath = "BENCH_chaos.json"
-	chaosWatchdog     = 10 * time.Minute
-	// chaosOverheadTol bounds the disarmed clean path: allocs/op versus
-	// the committed matmul baseline (rounds and words must match exactly).
-	chaosOverheadTol = 0.05
-	// chaosInertAllocSlack is the absolute allocs/op headroom the
-	// armed-but-inert path gets over disarmed: the injector, its option
-	// closure, and the per-call arming are a handful of constant
-	// allocations, and anything beyond (say, a per-link or per-send
-	// allocation creeping into the sweep) must fail the gate. The
-	// armed-inert wall-clock ratio is recorded but not gated — it hovers
-	// at 1.0, inside scheduler noise, so allocs and the exact schedule
-	// are the signals that can actually hold a gate.
-	chaosInertAllocSlack = 16
-	chaosN               = 12 // session-sweep instance size: small, so 200+ scenarios stay fast
+	chaosWatchdog = 10 * time.Minute
+	chaosN        = 12 // session-sweep instance size: small, so 200+ scenarios stay fast
 	// chaosCertify = n makes the semiring spot-checks exhaustive (every
 	// entry of every row re-derived — a corrupted min-plus or Boolean
 	// product cannot slip past a partial sample) and gives ring products a
@@ -75,49 +57,38 @@ type chaosScenario struct {
 	plan   cc.FaultPlan
 }
 
+// chaosReport tallies the campaign; counters flattens it into ledger rows.
 type chaosReport struct {
-	Experiment string `json:"experiment"`
-	Note       string `json:"note"`
-	Session    struct {
-		Scenarios int `json:"scenarios"`
-		Clean     int `json:"clean"`
-		Recovered int `json:"recovered"`
-		Typed     int `json:"typed_failures"`
-		Retries   int `json:"extra_attempts"`
-	} `json:"session_sweep"`
+	Session struct {
+		Scenarios, Clean, Recovered, Typed, Retries int
+	}
 	Serve struct {
-		Requests  int   `json:"requests"`
-		Poisoned  int   `json:"poison_requests"`
-		Completed int64 `json:"completed"`
-		Failed    int64 `json:"failed_typed"`
-		Discards  int64 `json:"sessions_discarded"`
-	} `json:"serve_wave"`
-	Overhead []chaosOverheadRow `json:"disarmed_overhead"`
+		Requests, Poisoned          int
+		Completed, Failed, Discards int64
+	}
 }
 
-// chaosOverheadRow compares one disarmed hot-path configuration against
-// the committed matmul baseline and against its own armed-but-inert twin.
-type chaosOverheadRow struct {
-	Kind   string `json:"kind"`
-	N      int    `json:"n"`
-	Rounds int64  `json:"rounds"`
-	Words  int64  `json:"words"`
-	// AllocsOp is the disarmed measurement; BaseAllocsOp the committed
-	// baseline it is gated against; InertAllocsOp the armed-but-inert
-	// path's, gated against AllocsOp + chaosInertAllocSlack.
-	AllocsOp      uint64 `json:"allocs_op"`
-	BaseAllocsOp  uint64 `json:"base_allocs_op"`
-	InertAllocsOp uint64 `json:"inert_allocs_op"`
-	// NsRatioVsBase is disarmed ns/op over the committed baseline's —
-	// recorded for the trajectory, not gated (hardware varies).
-	NsRatioVsBase float64 `json:"ns_ratio_vs_base"`
-	// ArmedInertRatio is armed-but-inert ns/op over disarmed ns/op,
-	// interleaved in the same process: the cost of the fault plane's
-	// per-send/per-flush checks when a (no-op) plan is armed. Recorded,
-	// not gated — it sits at 1.0 and scheduler noise swamps any tolerance
-	// tight enough to mean something; the deterministic twin gates
-	// (schedule and allocs) carry the regression signal.
-	ArmedInertRatio float64 `json:"armed_inert_ratio"`
+// chaosRow is one outcome count of the campaign.
+type chaosRow struct {
+	Counter string `json:"counter"`
+	Count   int64  `json:"count"`
+}
+
+func (r chaosRow) key() string { return r.Counter }
+
+func (rep *chaosReport) counters() []chaosRow {
+	return []chaosRow{
+		{"session_sweep/scenarios", int64(rep.Session.Scenarios)},
+		{"session_sweep/clean", int64(rep.Session.Clean)},
+		{"session_sweep/recovered", int64(rep.Session.Recovered)},
+		{"session_sweep/typed_failures", int64(rep.Session.Typed)},
+		{"session_sweep/extra_attempts", int64(rep.Session.Retries)},
+		{"serve_wave/requests", int64(rep.Serve.Requests)},
+		{"serve_wave/poison_requests", int64(rep.Serve.Poisoned)},
+		{"serve_wave/completed", rep.Serve.Completed},
+		{"serve_wave/failed_typed", rep.Serve.Failed},
+		{"serve_wave/sessions_discarded", rep.Serve.Discards},
+	}
 }
 
 // chaosMatrix enumerates the session sweep: engines × transports ×
@@ -395,134 +366,6 @@ func chaosServeWave(rep *chaosReport) {
 	rep.Serve.Discards = pool.Discards
 }
 
-// chaosOverhead gates the disarmed clean path against the committed
-// matmul baseline: identical rounds and words (the fault plane must not
-// perturb the schedule when nothing is armed), allocs/op within
-// chaosOverheadTol, and the armed-but-inert twin bounded by the same
-// schedule plus chaosInertAllocSlack allocs/op.
-func chaosOverhead(rep *chaosReport) {
-	raw, err := os.ReadFile(benchBaselinePath)
-	if err != nil {
-		fmt.Printf("   no %s; disarmed-overhead gate skipped\n", benchBaselinePath)
-		return
-	}
-	var committed benchFile
-	check(json.Unmarshal(raw, &committed))
-	if committed.After == nil {
-		fmt.Printf("   %s has no baseline snapshot; disarmed-overhead gate skipped\n", benchBaselinePath)
-		return
-	}
-
-	mm := func(s *cc.Clique, a, b [][]int64) (cc.Stats, error) {
-		_, st, err := s.MatMul(a, b)
-		return st, err
-	}
-	dp := func(s *cc.Clique, a, b [][]int64) (cc.Stats, error) {
-		_, st, err := s.DistanceProduct(a, b)
-		return st, err
-	}
-	// The inert plan never injects (every probability zero), so arming it
-	// prices exactly the fault plane's per-send and per-flush checks.
-	inert := cc.FaultPlan{Seed: 1}
-	kinds := []struct {
-		kind string
-		base map[string]benchProductStats
-		mul  func(s *cc.Clique, a, b [][]int64) (cc.Stats, error)
-		inrt func(s *cc.Clique, a, b [][]int64) (cc.Stats, error)
-	}{
-		{"matmul", committed.After.SessionMatMul, mm,
-			func(s *cc.Clique, a, b [][]int64) (cc.Stats, error) {
-				_, st, err := s.MatMul(a, b, cc.WithFaultInjection(inert))
-				return st, err
-			}},
-		{"distance-product", committed.After.SessionDistanceProduct, dp,
-			func(s *cc.Clique, a, b [][]int64) (cc.Stats, error) {
-				_, st, err := s.DistanceProduct(a, b, cc.WithFaultInjection(inert))
-				return st, err
-			}},
-	}
-	var fails []string
-	for _, k := range kinds {
-		for _, n := range []int{27, 64, 100} {
-			base, ok := k.base[fmt.Sprintf("%d", n)]
-			if !ok {
-				continue
-			}
-			disarmed := measureSession(n, k.mul)
-			armedInert := measureSession(n, k.inrt)
-			row := chaosOverheadRow{
-				Kind: k.kind, N: n,
-				Rounds: disarmed.Rounds, Words: disarmed.Words,
-				AllocsOp: disarmed.AllocsOp, BaseAllocsOp: base.AllocsOp,
-				InertAllocsOp:   armedInert.AllocsOp,
-				NsRatioVsBase:   disarmed.NsOp / base.NsOp,
-				ArmedInertRatio: measureInertRatio(n, k.mul, k.inrt),
-			}
-			rep.Overhead = append(rep.Overhead, row)
-			if disarmed.Rounds != base.Rounds || disarmed.Words != base.Words {
-				fails = append(fails, fmt.Sprintf("%s n=%d: disarmed schedule changed: %d rounds / %d words, baseline %d / %d",
-					k.kind, n, disarmed.Rounds, disarmed.Words, base.Rounds, base.Words))
-			}
-			if float64(disarmed.AllocsOp) > float64(base.AllocsOp)*(1+chaosOverheadTol)+64 {
-				fails = append(fails, fmt.Sprintf("%s n=%d: disarmed allocs/op %d > baseline %d (+%.0f%%)",
-					k.kind, n, disarmed.AllocsOp, base.AllocsOp, chaosOverheadTol*100))
-			}
-			if armedInert.Rounds != disarmed.Rounds || armedInert.Words != disarmed.Words {
-				fails = append(fails, fmt.Sprintf("%s n=%d: an inert plan perturbed the schedule: %d rounds / %d words armed, %d / %d disarmed",
-					k.kind, n, armedInert.Rounds, armedInert.Words, disarmed.Rounds, disarmed.Words))
-			}
-			if armedInert.AllocsOp > disarmed.AllocsOp+chaosInertAllocSlack {
-				fails = append(fails, fmt.Sprintf("%s n=%d: armed-inert path allocates %d/op vs %d disarmed (slack %d)",
-					k.kind, n, armedInert.AllocsOp, disarmed.AllocsOp, chaosInertAllocSlack))
-			}
-		}
-	}
-	if len(fails) > 0 {
-		for _, f := range fails {
-			fmt.Fprintln(os.Stderr, "   OVERHEAD:", f)
-		}
-		check(fmt.Errorf("chaos: %d disarmed-overhead violation(s) versus %s", len(fails), benchBaselinePath))
-	}
-}
-
-// measureInertRatio times the disarmed and armed-but-inert paths
-// interleaved on the same session — the measureTransport recipe: slow
-// machine phases hit both sides alike, per-side minima filter one-sided
-// noise, and their quotient is the one hardware-relative wall-clock
-// figure stable enough to gate.
-func measureInertRatio(n int, disarmed, inrt func(s *cc.Clique, a, b [][]int64) (cc.Stats, error)) float64 {
-	a, b := randSquare(n, 71), randSquare(n, 72)
-	runtime.GC()
-	s, err := cc.NewClique(n)
-	check(err)
-	defer s.Close()
-	for i := 0; i < benchWarmups; i++ {
-		_, err = disarmed(s, a, b)
-		check(err)
-		_, err = inrt(s, a, b)
-		check(err)
-	}
-	time1 := func(mul func(s *cc.Clique, a, b [][]int64) (cc.Stats, error)) float64 {
-		t0 := time.Now()
-		for i := 0; i < 2*benchOps; i++ {
-			_, err := mul(s, a, b)
-			check(err)
-		}
-		return float64(time.Since(t0).Nanoseconds())
-	}
-	var dns, ins float64
-	for rep := 0; rep < benchReps; rep++ {
-		d, i := time1(disarmed), time1(inrt)
-		if rep == 0 || d < dns {
-			dns = d
-		}
-		if rep == 0 || i < ins {
-			ins = i
-		}
-	}
-	return ins / dns
-}
-
 // chaosBench is the `ccbench chaos` experiment entry point.
 func chaosBench() {
 	// Zero hangs is a gate, not a hope: if any scenario wedges, the
@@ -534,13 +377,7 @@ func chaosBench() {
 	})
 	defer watchdog.Stop()
 
-	rep := &chaosReport{
-		Experiment: "fault-plane-chaos",
-		Note: "seeded fault campaign: engines × transports × algebras × fault kinds, plus a poisoned serve wave; " +
-			"gated on typed-or-correct answers, zero hangs, zero lost admitted requests, no re-pooled poisoned " +
-			"sessions, and disarmed clean-path overhead (schedule identical to baseline, allocs within 5%, armed-inert " +
-			"within a constant alloc slack)",
-	}
+	rep := &chaosReport{}
 	chaosSessionSweep(rep)
 	fmt.Printf("   session sweep: %d scenarios — %d clean, %d recovered via certification, %d typed failures, %d extra attempts\n",
 		rep.Session.Scenarios, rep.Session.Clean, rep.Session.Recovered, rep.Session.Typed, rep.Session.Retries)
@@ -550,17 +387,12 @@ func chaosBench() {
 	chaosServeWave(rep)
 	fmt.Printf("   serve wave: %d requests (%d poisoning) — %d completed, %d typed failures, %d sessions discarded\n",
 		rep.Serve.Requests, rep.Serve.Poisoned, rep.Serve.Completed, rep.Serve.Failed, rep.Serve.Discards)
-	chaosOverhead(rep)
-	for _, row := range rep.Overhead {
-		fmt.Printf("   disarmed %s n=%d: schedule unchanged (%d rounds / %d words), allocs %d vs %d baseline, armed-inert %.1f%%\n",
-			row.Kind, row.N, row.Rounds, row.Words, row.AllocsOp, row.BaseAllocsOp, (row.ArmedInertRatio-1)*100)
-	}
-
-	raw, err := json.MarshalIndent(rep, "", "  ")
-	check(err)
-	raw = append(raw, '\n')
-	check(os.WriteFile(chaosBaselinePath, raw, 0o644))
-	fmt.Printf("   wrote %s\n", chaosBaselinePath)
 	total := rep.Session.Scenarios + rep.Serve.Requests
 	fmt.Printf("   campaign: %d seeded scenarios, all typed-or-correct, zero hangs, zero lost requests\n", total)
+	gateLedger("chaos",
+		"seeded fault campaign: engines × transports × algebras × fault kinds, plus a poisoned serve wave; every "+
+			"scenario typed-or-correct with zero hangs, zero lost admitted requests and no re-pooled poisoned "+
+			"session, or the run fails before this file is read; how the scenarios ended is exact for the seeds, "+
+			"gated for equality",
+		rep.counters())
 }

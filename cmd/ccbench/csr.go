@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"os"
@@ -15,56 +14,40 @@ import (
 // CSR operand plane at n from 10⁴ up to 10⁵ — sizes where a single dense
 // n×n int64 buffer (8n² bytes) ranges from 800 MB to 80 GB and must never
 // exist — and at n = 2000, where the simulator's flat-array link state
-// (192 B per link, 770 MB) used to be built whatever the traffic. Each row
-// records the deterministic simulator charges (rounds,
-// words), the process allocation profile around the product (mallocs,
-// bytes allocated, runtime.MemStats.Sys as the peak-footprint proxy), and
-// the ccmm.DenseAllocs counter every dense row-matrix constructor bumps.
+// (192 B per link, 770 MB) used to be built whatever the traffic.
 //
-// The gate is two-layered:
+// What is exact for the seed — nnz in and out, whether the result stayed
+// sparse, rounds and words — is the BENCH_csr.json ledger. The memory
+// profile around the product (bytes allocated, runtime.MemStats.Sys as the
+// peak-footprint proxy, the ccmm.DenseAllocs counter every dense
+// row-matrix constructor bumps) moves by a hair from run to run, so it is
+// printed, never committed, and held to budgets that are code:
 //
-//   - hard memory invariants that hold on any machine: the DenseAllocs
-//     delta across the product must be zero (no dense n×n buffer on the
-//     CSR path, pooled or not), the result must come back sparse, total
-//     bytes allocated must stay below one dense matrix's 8n², at
-//     n ≥ 10⁵ the whole process footprint must sit far below it —
-//     the "peak RSS sublinear in n²" acceptance criterion — and at
-//     n = 2000 (rows run smallest-first, so Sys is theirs) both must stay
-//     below two dense matrices, 64 MB: link state follows traffic, and
-//     the CSR engine's never asks for n² of it (csrSmallBudget);
-//   - trajectory bounds against the committed BENCH_csr.json: the seeded
-//     generator makes nnz exact, so input/output nnz must match the
-//     baseline bit-for-bit, rounds/words within benchTolerance, and the
-//     allocation counts within a slightly wider band (pool warm-up and
-//     goroutine stacks add one-off noise that round counts don't have).
-//
-// The refreshed file is written back and uploaded as a CI artifact so an
-// intentional change can replace the baseline.
-
-const csrBaselinePath = "BENCH_csr.json"
-
-// csrMemTolerance is the gate band for allocation metrics: byte and
-// malloc counts are dominated by the deterministic tuple streams but
-// carry one-off runtime noise (pool growth, stack moves) that the
-// round/word ledger doesn't, so they get a wider band than benchTolerance
-// plus a small absolute slack.
-const (
-	csrMemTolerance  = 0.25
-	csrMemSlackBytes = 1 << 20
-)
+//   - the DenseAllocs delta across the product must be zero (no dense n×n
+//     buffer on the CSR path, pooled or not) and the result must come
+//     back sparse;
+//   - bytes allocated must stay under the row's budget, about twice what
+//     the product allocates today and at every n ≥ 10⁴ far below one dense
+//     matrix's 8n²;
+//   - at n ≥ 10⁵ the whole process footprint must sit far below one dense
+//     matrix — the "peak RSS sublinear in n²" acceptance criterion — and
+//     at n = 2000 (rows run smallest-first, so Sys is theirs) below two,
+//     64 MB: link state follows traffic, and the CSR engine's never asks
+//     for n² of it.
 
 // csrLinkFloor mirrors clique's sparseLinkFloor: from here up a network is
 // pinned to sparse links, below it the traffic selects the form.
-// csrSmallBudget is the allocation and footprint ceiling of the rows below
-// it, in dense n×n matrices. One matrix (32 MB at n = 2000) holds the c = 2
-// row but is no ceiling for c = 8, whose output is 3 % dense: its cold tuple
-// streams are 21 MB and the links it touches 14 MB more. Two matrices hold
-// both, and the flat-array link state the gate exists to catch is 24.
+// csrSmallBudget is the footprint ceiling of the rows below it, in dense
+// n×n matrices. One matrix (32 MB at n = 2000) holds the c = 2 row but is
+// no ceiling for c = 8, whose output is 3 % dense: its cold tuple streams
+// are 21 MB and the links it touches 14 MB more. Two matrices hold both,
+// and the flat-array link state the gate exists to catch is 24.
 const (
 	csrLinkFloor   = 4096
 	csrSmallBudget = 2
 )
 
+// csrRow is one ledger row: the seed-exact half of a measurement.
 type csrRow struct {
 	N            int     `json:"n"`
 	AvgDeg       float64 `json:"avg_deg"`
@@ -73,20 +56,16 @@ type csrRow struct {
 	SparseResult bool    `json:"sparse_result"`
 	Rounds       int64   `json:"rounds"`
 	Words        int64   `json:"words"`
-	Allocs       uint64  `json:"allocs"`
-	AllocBytes   uint64  `json:"alloc_bytes"`
-	SysBytes     uint64  `json:"sys_bytes"`
-	DenseAllocs  int64   `json:"dense_allocs"`
-	DenseBytes   uint64  `json:"dense_matrix_bytes"`
 }
 
-type csrFile struct {
-	Experiment string   `json:"experiment"`
-	Note       string   `json:"note"`
-	Results    []csrRow `json:"results"`
+// csrMem is the other half: the product's memory profile, budgeted here
+// and never committed.
+type csrMem struct {
+	Allocs, AllocBytes, SysBytes uint64
+	DenseAllocs                  int64
 }
 
-func csrKey(r csrRow) string { return fmt.Sprintf("%d/%.1f", r.N, r.AvgDeg) }
+func (r csrRow) key() string { return fmt.Sprintf("%d/%.1f", r.N, r.AvgDeg) }
 
 // gnpAdjacency draws a GNP(n, avgDeg/n) adjacency straight into CSR form
 // with geometric skip sampling — Θ(nnz) work and memory, never a dense
@@ -127,7 +106,7 @@ func gnpAdjacency(n int, avgDeg float64, seed uint64) *cc.CSR {
 
 // measureCSRRow squares one seeded GNP adjacency on the CSR path and
 // captures the full charge and memory profile around the single product.
-func measureCSRRow(n int, avgDeg float64, seed uint64) csrRow {
+func measureCSRRow(n int, avgDeg float64, seed uint64) (csrRow, csrMem) {
 	adj := gnpAdjacency(n, avgDeg, seed)
 	runtime.GC() // level the collector so the alloc window is the product's own
 	var ms0 runtime.MemStats
@@ -143,11 +122,12 @@ func measureCSRRow(n int, avgDeg float64, seed uint64) csrRow {
 		SparseResult: sq.IsSparse(),
 		Rounds:       st.Rounds,
 		Words:        st.Words,
-		Allocs:       ms1.Mallocs - ms0.Mallocs,
-		AllocBytes:   ms1.TotalAlloc - ms0.TotalAlloc,
-		SysBytes:     ms1.Sys,
-		DenseAllocs:  ccmm.DenseAllocs() - dense0,
-		DenseBytes:   8 * uint64(n) * uint64(n),
+	}
+	mem := csrMem{
+		Allocs:      ms1.Mallocs - ms0.Mallocs,
+		AllocBytes:  ms1.TotalAlloc - ms0.TotalAlloc,
+		SysBytes:    ms1.Sys,
+		DenseAllocs: ccmm.DenseAllocs() - dense0,
 	}
 	if sq.IsSparse() {
 		row.NNZOut = sq.Sparse.NNZ()
@@ -160,136 +140,75 @@ func measureCSRRow(n int, avgDeg float64, seed uint64) csrRow {
 			}
 		}
 	}
-	return row
+	return row, mem
 }
 
-// measureCSR runs the campaign smallest-first so MemStats.Sys — a
-// monotone high-water mark of memory obtained from the OS — reflects each
-// row's own footprint rather than a larger predecessor's (GNP(2000, 8/n)
-// and GNP(10⁴, 2/n) both sit near 40 MB, so the latter's Sys can read the
-// former's; neither gate looks at it).
-func measureCSR() []csrRow {
-	var rows []csrRow
-	for _, cfg := range []struct {
-		n      int
-		avgDeg float64
-	}{
-		{2000, 2},
-		{2000, 8},
-		{10000, 2},
-		{10000, 8},
-		{100000, 8},
-	} {
-		fmt.Printf("   squaring GNP(%d, %.0f/n) on the CSR plane...\n", cfg.n, cfg.avgDeg)
-		rows = append(rows, measureCSRRow(cfg.n, cfg.avgDeg, uint64(cfg.n)*31+uint64(cfg.avgDeg)))
-	}
-	return rows
-}
-
-func csrGate(base, cur []csrRow) []string {
+// csrBudgets returns every memory invariant the row breaks; budget is its
+// ceiling on bytes allocated.
+func csrBudgets(r csrRow, m csrMem, budget uint64) []string {
 	var fails []string
-	for _, r := range cur {
-		// Hard invariants — machine-independent, hold with or without a
-		// committed baseline.
-		if r.DenseAllocs != 0 {
-			fails = append(fails, fmt.Sprintf("n=%d c=%.0f: CSR path allocated %d dense n×n row matrices; want 0",
-				r.N, r.AvgDeg, r.DenseAllocs))
-		}
-		if !r.SparseResult {
-			fails = append(fails, fmt.Sprintf("n=%d c=%.0f: adjacency square densified on a sparse input", r.N, r.AvgDeg))
-		}
-		budget := r.DenseBytes
-		if r.N < csrLinkFloor {
-			budget *= csrSmallBudget
-		}
-		if r.AllocBytes >= budget {
-			fails = append(fails, fmt.Sprintf("n=%d c=%.0f: %d bytes allocated exceeds %d dense n×n matrices (%d bytes)",
-				r.N, r.AvgDeg, r.AllocBytes, budget/r.DenseBytes, budget))
-		}
-		// Below the simulator's sparse-link floor the network picks its link
-		// form from the traffic; the CSR engine's must leave it sparse.
-		if r.N < csrLinkFloor && r.SysBytes >= budget {
-			fails = append(fails, fmt.Sprintf("n=%d c=%.0f: process footprint %d bytes reaches %d dense n×n matrices (%d bytes): the network built Θ(n²) link state for Θ(n) traffic",
-				r.N, r.AvgDeg, r.SysBytes, budget/r.DenseBytes, budget))
-		}
-		// The headline sublinearity assertion: at n = 10⁵ a dense matrix
-		// is 80 GB; the whole process must fit in a small fraction of it.
-		if r.N >= 100000 && r.SysBytes > r.DenseBytes/8 {
-			fails = append(fails, fmt.Sprintf("n=%d c=%.0f: process footprint %d bytes is not sublinear in n² (dense matrix = %d bytes)",
-				r.N, r.AvgDeg, r.SysBytes, r.DenseBytes))
-		}
+	if m.DenseAllocs != 0 {
+		fails = append(fails, fmt.Sprintf("n=%d c=%.0f: CSR path allocated %d dense n×n row matrices; want 0",
+			r.N, r.AvgDeg, m.DenseAllocs))
 	}
-	baseByKey := map[string]csrRow{}
-	for _, b := range base {
-		baseByKey[csrKey(b)] = b
+	if !r.SparseResult {
+		fails = append(fails, fmt.Sprintf("n=%d c=%.0f: adjacency square densified on a sparse input", r.N, r.AvgDeg))
 	}
-	worse := func(now, then int64) bool { return float64(now) > float64(then)*(1+benchTolerance) }
-	for _, r := range cur {
-		b, ok := baseByKey[csrKey(r)]
-		if !ok {
-			continue
-		}
-		// The generator is seeded and the simulator deterministic: nnz
-		// must reproduce exactly, charges within the usual band.
-		if r.NNZIn != b.NNZIn || r.NNZOut != b.NNZOut {
-			fails = append(fails, fmt.Sprintf("n=%d c=%.0f: nnz %d→%d differs from committed %d→%d (seeded run must reproduce exactly)",
-				r.N, r.AvgDeg, r.NNZIn, r.NNZOut, b.NNZIn, b.NNZOut))
-		}
-		if worse(r.Rounds, b.Rounds) {
-			fails = append(fails, fmt.Sprintf("n=%d c=%.0f: rounds %d > baseline %d", r.N, r.AvgDeg, r.Rounds, b.Rounds))
-		}
-		if worse(r.Words, b.Words) {
-			fails = append(fails, fmt.Sprintf("n=%d c=%.0f: words %d > baseline %d", r.N, r.AvgDeg, r.Words, b.Words))
-		}
-		if float64(r.Allocs) > float64(b.Allocs)*(1+csrMemTolerance)+64 {
-			fails = append(fails, fmt.Sprintf("n=%d c=%.0f: allocs %d > baseline %d", r.N, r.AvgDeg, r.Allocs, b.Allocs))
-		}
-		if float64(r.AllocBytes) > float64(b.AllocBytes)*(1+csrMemTolerance)+csrMemSlackBytes {
-			fails = append(fails, fmt.Sprintf("n=%d c=%.0f: alloc bytes %d > baseline %d", r.N, r.AvgDeg, r.AllocBytes, b.AllocBytes))
-		}
+	if m.AllocBytes >= budget {
+		fails = append(fails, fmt.Sprintf("n=%d c=%.0f: %d bytes allocated reaches the row's budget of %d",
+			r.N, r.AvgDeg, m.AllocBytes, budget))
+	}
+	dense := 8 * uint64(r.N) * uint64(r.N)
+	// Below the simulator's sparse-link floor the network picks its link
+	// form from the traffic; the CSR engine's must leave it sparse.
+	if r.N < csrLinkFloor && m.SysBytes >= csrSmallBudget*dense {
+		fails = append(fails, fmt.Sprintf("n=%d c=%.0f: process footprint %d bytes reaches %d dense n×n matrices (%d bytes): the network built Θ(n²) link state for Θ(n) traffic",
+			r.N, r.AvgDeg, m.SysBytes, csrSmallBudget, csrSmallBudget*dense))
+	}
+	// The headline sublinearity assertion: at n = 10⁵ a dense matrix
+	// is 80 GB; the whole process must fit in a small fraction of it.
+	if r.N >= 100000 && m.SysBytes > dense/8 {
+		fails = append(fails, fmt.Sprintf("n=%d c=%.0f: process footprint %d bytes is not sublinear in n² (dense matrix = %d bytes)",
+			r.N, r.AvgDeg, m.SysBytes, dense))
 	}
 	return fails
 }
 
-// csrBench is the `ccbench csr` experiment entry point.
+// csrBench is the `ccbench csr` experiment entry point. The campaign runs
+// smallest-first so MemStats.Sys — a monotone high-water mark of memory
+// obtained from the OS — reflects each row's own footprint rather than a
+// larger predecessor's (GNP(2000, 8/n) and GNP(10⁴, 2/n) both sit near
+// 40 MB, so the latter's Sys can read the former's; no budget looks at it).
 func csrBench() {
-	cur := measureCSR()
-
-	var committed csrFile
-	gated := false
-	if raw, err := os.ReadFile(csrBaselinePath); err == nil {
-		check(json.Unmarshal(raw, &committed))
-		gated = len(committed.Results) > 0
-	}
-	if fails := csrGate(committed.Results, cur); len(fails) > 0 {
-		for _, f := range fails {
-			fmt.Fprintln(os.Stderr, "   REGRESSION:", f)
-		}
-		check(fmt.Errorf("csr: %d CSR-plane memory/charge regression(s)", len(fails)))
-	}
-
-	out := csrFile{
-		Experiment: "csr-adjacency-square",
-		Note: "GNP(n, c/n) adjacency squares through the CSR operand plane (SquareAdjacencyCSR); gated on the zero " +
-			"dense-allocation invariant, sparse results, total allocation below one dense n×n matrix (two, and the process " +
-			"footprint with it, at n=2000), process footprint sublinear in n² at n=1e5, exact seeded nnz reproduction, and ±10% rounds/words versus the " +
-			"committed baseline",
-		Results: cur,
-	}
-	raw, err := json.MarshalIndent(out, "", "  ")
-	check(err)
-	raw = append(raw, '\n')
-	check(os.WriteFile(csrBaselinePath, raw, 0o644))
-	fmt.Printf("   wrote %s\n", csrBaselinePath)
-	if gated {
-		fmt.Printf("   no regression > %.0f%% versus committed baseline\n", benchTolerance*100)
-	} else {
-		fmt.Printf("   no committed baseline found at %s; snapshot recorded\n", csrBaselinePath)
-	}
+	var rows []csrRow
+	var fails []string
 	fmt.Println("        n    c    nnz(A)    nnz(A²)  rounds         words      allocs   alloc MiB   sys MiB  dense-allocs")
-	for _, r := range cur {
+	for _, cfg := range []struct {
+		n      int
+		avgDeg float64
+		budget uint64 // bytes allocated, about twice today's
+	}{
+		{2000, 2, 16 << 20},
+		{2000, 8, 64 << 20},
+		{10000, 2, 80 << 20},
+		{10000, 8, 400 << 20},
+		{100000, 8, 4 << 30},
+	} {
+		r, m := measureCSRRow(cfg.n, cfg.avgDeg, uint64(cfg.n)*31+uint64(cfg.avgDeg))
 		fmt.Printf("   %6d  %3.0f  %8d  %9d  %6d  %12d  %10d  %10.1f  %8.1f  %12d\n",
-			r.N, r.AvgDeg, r.NNZIn, r.NNZOut, r.Rounds, r.Words, r.Allocs,
-			float64(r.AllocBytes)/(1<<20), float64(r.SysBytes)/(1<<20), r.DenseAllocs)
+			r.N, r.AvgDeg, r.NNZIn, r.NNZOut, r.Rounds, r.Words, m.Allocs,
+			float64(m.AllocBytes)/(1<<20), float64(m.SysBytes)/(1<<20), m.DenseAllocs)
+		rows = append(rows, r)
+		fails = append(fails, csrBudgets(r, m, cfg.budget)...)
 	}
+	if len(fails) > 0 {
+		for _, f := range fails {
+			fmt.Fprintln(os.Stderr, "   BUDGET:", f)
+		}
+		check(fmt.Errorf("csr: %d CSR-plane memory invariant(s) broken", len(fails)))
+	}
+	gateLedger("csr",
+		"GNP(n, c/n) adjacency squares through the CSR operand plane (SquareAdjacencyCSR): nnz in and out, "+
+			"rounds and words; exact for the seed, gated for equality (the memory budgets are code, cmd/ccbench/csr.go)",
+		rows)
 }

@@ -9,6 +9,12 @@
 //	ccbench all              # run everything (a few minutes)
 //	ccbench t1-mm-semiring   # run one experiment
 //	ccbench table1           # compact Table-1-style summary at n = 64
+//
+// Four experiments are gated — matmul, sparse, csr, chaos: each ends in a
+// committed ledger, BENCH_<id>.json, that a run must reproduce exactly
+// (ledger.go) — and serve is a pass/fail campaign. No experiment times
+// anything or commits an allocation count: that is bench/, the yardstick
+// BENCHMARK.json declares.
 package main
 
 import (
@@ -16,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"time"
 
 	cc "github.com/algebraic-clique/algclique"
@@ -44,12 +49,11 @@ func main() {
 		{"x2-broadcast", "X2 broadcast-clique separation (§4, Corollary 24)", broadcastGap},
 		{"x3-sparsesquare", "X3 sparse A² in O(1) rounds (§1.2 remark)", sparseSquare},
 		{"x4-mm-padded", "X4 padded 3D vs naive min-plus on non-cube n (JSON)", mmPadded},
-		{"session-reuse", "X5 session API: amortised vs one-shot setup (JSON)", sessionReuse},
-		{"matmul", "X6 multiply-and-message hot path: bulk codecs, scratch pools, packed booleans (JSON, gated)", matmulBench},
-		{"sparse", "X7 density-aware planner: sparse tile engine vs dense plan on GNP (JSON, gated)", sparseBench},
-		{"serve", "X8 service plane: 2000 concurrent mixed queries over 6 tenants (JSON, gated)", serveBench},
-		{"chaos", "X9 fault plane: 240 seeded chaos scenarios, typed-or-correct gate + disarmed overhead (JSON, gated)", chaosBench},
-		{"csr", "X10 CSR operand plane: GNP(1e4–1e5) adjacency squares, zero-dense-allocation + peak-memory gate (JSON, gated)", csrBench},
+		{"matmul", "X6 multiply-and-message schedule: session products, packed vs unpacked booleans (ledger, gated)", matmulBench},
+		{"sparse", "X7 density-aware planner: sparse tile engine vs dense plan on GNP (ledger, gated)", sparseBench},
+		{"serve", "X8 service plane: 2000 concurrent mixed queries over 6 tenants (pass/fail)", serveBench},
+		{"chaos", "X9 fault plane: 240 seeded chaos scenarios, typed-or-correct (ledger, gated)", chaosBench},
+		{"csr", "X10 CSR operand plane: GNP(1e4–1e5) adjacency squares, zero-dense-allocation + memory budgets (ledger, gated)", csrBench},
 		{"table1", "Table 1 summary at n = 64", table1},
 	}
 	if len(os.Args) < 2 || os.Args[1] == "list" {
@@ -385,100 +389,6 @@ func mmPadded() {
 	enc.SetIndent("   ", "  ")
 	check(enc.Encode(report))
 	fmt.Println("   the 3D engine must match naive exactly and charge fewer rounds for n ≥ 50")
-}
-
-// sessionReuse measures what the session API amortises: a k-operation
-// batch on one session (engine/scheme resolution, network construction,
-// and operand buffers paid once) against k independent one-shot calls.
-// Wall-clock and heap-allocation counts are emitted as one JSON object so
-// regressions in the session fast path are mechanically trackable.
-func sessionReuse() {
-	const n, k = 64, 10
-	pairs := make([][2][][]int64, k)
-	for i := range pairs {
-		pairs[i] = [2][][]int64{randSquare(n, uint64(51+2*i)), randSquare(n, uint64(52+2*i))}
-	}
-
-	mallocs := func() uint64 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.Mallocs
-	}
-
-	// One-shot: every call rebuilds the network and re-resolves the plan.
-	m0, t0 := mallocs(), time.Now()
-	oneShot := make([][][]int64, k)
-	for i, pair := range pairs {
-		p, _, err := cc.DistanceProduct(pair[0], pair[1])
-		check(err)
-		oneShot[i] = p
-	}
-	oneShotTime, oneShotAllocs := time.Since(t0), mallocs()-m0
-
-	// Session: setup once, then the batch.
-	m1, t1 := mallocs(), time.Now()
-	sess, err := cc.NewClique(n)
-	check(err)
-	setupTime := time.Since(t1)
-	m2, t2 := mallocs(), time.Now()
-	batch, stats, err := sess.DistanceProducts(pairs)
-	check(err)
-	batchTime, batchAllocs := time.Since(t2), mallocs()-m2
-	setupAllocs := m2 - m1
-	check(sess.Close())
-
-	for i := range batch {
-		for u := 0; u < n; u++ {
-			for v := 0; v < n; v++ {
-				if batch[i][u][v] != oneShot[i][u][v] {
-					check(fmt.Errorf("session-reuse: product %d mismatch at (%d,%d)", i, u, v))
-				}
-			}
-		}
-	}
-	ledger := sess.Stats()
-	if len(ledger.Ops) != k || len(stats) != k {
-		check(fmt.Errorf("session-reuse: ledger has %d ops, want %d", len(ledger.Ops), k))
-	}
-	// The whole point of the session: paying setup once must beat paying it
-	// k times, so the amortised per-op cost has to come in under one-shot.
-	if batchAllocs/uint64(k) >= oneShotAllocs/uint64(k) {
-		check(fmt.Errorf("session-reuse: regression: session batch allocates %d/op, one-shot %d/op",
-			batchAllocs/uint64(k), oneShotAllocs/uint64(k)))
-	}
-
-	report := struct {
-		Experiment      string  `json:"experiment"`
-		N               int     `json:"n"`
-		Ops             int     `json:"ops"`
-		OneShotMs       float64 `json:"oneshot_total_ms"`
-		OneShotAllocsOp uint64  `json:"oneshot_allocs_per_op"`
-		SetupMs         float64 `json:"session_setup_ms"`
-		SetupAllocs     uint64  `json:"session_setup_allocs"`
-		BatchMs         float64 `json:"session_batch_ms"`
-		SessionAllocsOp uint64  `json:"session_allocs_per_op"`
-		LedgerRounds    int64   `json:"ledger_rounds"`
-		TimeRatio       float64 `json:"session_over_oneshot_time"`
-		AllocRatio      float64 `json:"session_over_oneshot_allocs"`
-	}{
-		Experiment:      "session-reuse",
-		N:               n,
-		Ops:             k,
-		OneShotMs:       float64(oneShotTime.Microseconds()) / 1000,
-		OneShotAllocsOp: oneShotAllocs / uint64(k),
-		SetupMs:         float64(setupTime.Microseconds()) / 1000,
-		SetupAllocs:     setupAllocs,
-		BatchMs:         float64(batchTime.Microseconds()) / 1000,
-		SessionAllocsOp: batchAllocs / uint64(k),
-		LedgerRounds:    ledger.Rounds,
-		TimeRatio:       float64((setupTime + batchTime).Nanoseconds()) / float64(oneShotTime.Nanoseconds()),
-		AllocRatio:      float64(setupAllocs+batchAllocs) / float64(oneShotAllocs),
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("   ", "  ")
-	check(enc.Encode(report))
-	fmt.Printf("   %d-op batch: setup paid once (%d allocs) instead of %d times; amortised allocs %d/op vs %d/op one-shot\n",
-		k, setupAllocs, k, report.SessionAllocsOp, report.OneShotAllocsOp)
 }
 
 // table1 prints a compact reproduction of Table 1 at n = 64. All runs at

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	cc "github.com/algebraic-clique/algclique"
 )
@@ -11,21 +9,9 @@ import (
 // The sparse experiment measures the density-aware planner: the same
 // integer product A·A on GNP adjacency matrices, once on a default Auto
 // session (census + sparse routing) and once with the census disabled
-// (WithSparseThreshold(0) — the purely static dense plan). The simulator
-// is deterministic for a fixed seed, so every recorded number is exact and
-// machine-independent; the gate enforces
-//
-//   - no sparse/dense round or word count regressing more than 10%
-//     against the committed BENCH_sparse.json, and
-//   - the hard invariant that on the sparse inputs (p ∈ {2/n, 8/n}) the
-//     auto route never charges more rounds than the dense plan — whether
-//     the census chose the sparse engine or correctly kept the product on
-//     the dense one.
-//
-// The refreshed file is written back (and uploaded as a CI artifact) so an
-// intentional change can replace the baseline.
-
-const sparseBaselinePath = "BENCH_sparse.json"
+// (WithSparseThreshold(0) — the purely static dense plan). The two products
+// must be equal whatever is committed; the route the census chose and both
+// charges are the BENCH_sparse.json ledger.
 
 type sparseRow struct {
 	N           int     `json:"n"`
@@ -35,17 +21,10 @@ type sparseRow struct {
 	WordsAuto   int64   `json:"words_auto"`
 	RoundsDense int64   `json:"rounds_dense"`
 	WordsDense  int64   `json:"words_dense"`
-	Speedup     float64 `json:"round_speedup"`
 	Match       bool    `json:"results_match"`
 }
 
-type sparseFile struct {
-	Experiment string      `json:"experiment"`
-	Note       string      `json:"note"`
-	Results    []sparseRow `json:"results"`
-}
-
-func sparseKey(r sparseRow) string { return fmt.Sprintf("%d/%.6f", r.N, r.P) }
+func (r sparseRow) key() string { return fmt.Sprintf("%d/%.6f", r.N, r.P) }
 
 func measureSparse() []sparseRow {
 	var rows []sparseRow
@@ -82,102 +61,27 @@ func measureSparse() []sparseRow {
 				N: n, P: p, Routing: sa.Routing,
 				RoundsAuto: sa.Rounds, WordsAuto: sa.Words,
 				RoundsDense: sd.Rounds, WordsDense: sd.Words,
-				Speedup: float64(sd.Rounds) / float64(sa.Rounds),
-				Match:   match,
+				Match: match,
 			})
 		}
 	}
 	return rows
 }
 
-func sparseGate(base, cur []sparseRow) []string {
-	var fails []string
-	for _, r := range cur {
-		if !r.Match {
-			fails = append(fails, fmt.Sprintf("n=%d p=%.4f: sparse-routed product differs from the dense plan", r.N, r.P))
-		}
-		// Hard invariant: whenever the census sends a sparse input down
-		// the sparse path, that path must never charge more rounds than
-		// the dense plan. When the census (correctly) keeps a product
-		// dense, the auto route may exceed the static plan only by the
-		// bounded census/fallback overhead.
-		if r.P < 0.5 {
-			if r.Routing == "sparse" && r.RoundsAuto > r.RoundsDense {
-				fails = append(fails, fmt.Sprintf("n=%d p=%.4f: sparse path %d rounds exceeds dense plan %d on a sparse input",
-					r.N, r.P, r.RoundsAuto, r.RoundsDense))
-			}
-			if r.Routing != "sparse" && r.RoundsAuto > r.RoundsDense+5 {
-				fails = append(fails, fmt.Sprintf("n=%d p=%.4f: census overhead %d rounds over the dense plan's %d exceeds the fixed bound (routing=%s)",
-					r.N, r.P, r.RoundsAuto-r.RoundsDense, r.RoundsDense, r.Routing))
-			}
-		}
-	}
-	baseByKey := map[string]sparseRow{}
-	for _, b := range base {
-		baseByKey[sparseKey(b)] = b
-	}
-	worse := func(now, then int64) bool { return float64(now) > float64(then)*(1+benchTolerance) }
-	for _, r := range cur {
-		b, ok := baseByKey[sparseKey(r)]
-		if !ok {
-			continue
-		}
-		if worse(r.RoundsAuto, b.RoundsAuto) {
-			fails = append(fails, fmt.Sprintf("n=%d p=%.4f: auto rounds %d > baseline %d", r.N, r.P, r.RoundsAuto, b.RoundsAuto))
-		}
-		if worse(r.WordsAuto, b.WordsAuto) {
-			fails = append(fails, fmt.Sprintf("n=%d p=%.4f: auto words %d > baseline %d", r.N, r.P, r.WordsAuto, b.WordsAuto))
-		}
-		if worse(r.RoundsDense, b.RoundsDense) {
-			fails = append(fails, fmt.Sprintf("n=%d p=%.4f: dense rounds %d > baseline %d", r.N, r.P, r.RoundsDense, b.RoundsDense))
-		}
-		if worse(r.WordsDense, b.WordsDense) {
-			fails = append(fails, fmt.Sprintf("n=%d p=%.4f: dense words %d > baseline %d", r.N, r.P, r.WordsDense, b.WordsDense))
-		}
-		if b.Routing == "sparse" && r.Routing != "sparse" {
-			fails = append(fails, fmt.Sprintf("n=%d p=%.4f: census no longer routes sparse (now %q)", r.N, r.P, r.Routing))
-		}
-	}
-	return fails
-}
-
 // sparseBench is the `ccbench sparse` experiment entry point.
 func sparseBench() {
-	cur := measureSparse()
-
-	var committed sparseFile
-	gated := false
-	if raw, err := os.ReadFile(sparseBaselinePath); err == nil {
-		check(json.Unmarshal(raw, &committed))
-		gated = len(committed.Results) > 0
-	}
-	if fails := sparseGate(committed.Results, cur); len(fails) > 0 {
-		for _, f := range fails {
-			fmt.Fprintln(os.Stderr, "   REGRESSION:", f)
-		}
-		check(fmt.Errorf("sparse: %d density-aware planner regression(s)", len(fails)))
-	}
-
-	out := sparseFile{
-		Experiment: "sparse-vs-dense",
-		Note: "Auto (density census + sparse tile engine) vs WithSparseThreshold(0) (static dense plan) on GNP " +
-			"adjacency squaring; deterministic simulator counts, gated at ±10% plus the hard sparse≤dense round " +
-			"invariant on sparse inputs",
-		Results: cur,
-	}
-	raw, err := json.MarshalIndent(out, "", "  ")
-	check(err)
-	raw = append(raw, '\n')
-	check(os.WriteFile(sparseBaselinePath, raw, 0o644))
-	fmt.Printf("   wrote %s\n", sparseBaselinePath)
-	if gated {
-		fmt.Printf("   no regression > %.0f%% versus committed baseline\n", benchTolerance*100)
-	} else {
-		fmt.Printf("   no committed baseline found at %s; snapshot recorded\n", sparseBaselinePath)
-	}
+	rows := measureSparse()
 	fmt.Println("     n       p  routing         rounds(auto)  rounds(dense)  words(auto)  words(dense)  speedup")
-	for _, r := range cur {
+	for _, r := range rows {
 		fmt.Printf("   %3d  %.4f  %-14s %13d %14d %12d %13d  %6.2fx\n",
-			r.N, r.P, r.Routing, r.RoundsAuto, r.RoundsDense, r.WordsAuto, r.WordsDense, r.Speedup)
+			r.N, r.P, r.Routing, r.RoundsAuto, r.RoundsDense, r.WordsAuto, r.WordsDense,
+			float64(r.RoundsDense)/float64(r.RoundsAuto))
+		if !r.Match {
+			check(fmt.Errorf("sparse: n=%d p=%.4f: %s-routed product differs from the dense plan", r.N, r.P, r.Routing))
+		}
 	}
+	gateLedger("sparse",
+		"Auto (density census + sparse tile engine) vs WithSparseThreshold(0) (static dense plan) on GNP "+
+			"adjacency squaring: the route chosen and both charges; exact for the seed, gated for equality",
+		rows)
 }

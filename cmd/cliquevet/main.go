@@ -1,6 +1,6 @@
 // Command cliquevet runs the repository's contract-enforcing analyzer
-// suite (see internal/analysis): Mail lifetime, payload ownership, charge
-// parity, chunk offsets, determinism, and hot-path allocation discipline.
+// suite (see internal/analysis): Mail lifetime, determinism, and hot-path
+// allocation discipline.
 //
 // Standalone (the CI gating step):
 //

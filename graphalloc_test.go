@@ -2,6 +2,7 @@ package algclique_test
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	cc "github.com/algebraic-clique/algclique"
@@ -62,6 +63,20 @@ func liveHeap() (bytes, objects uint64) {
 	return ms.HeapAlloc, ms.HeapObjects
 }
 
+// raceDetector reports whether the test binary was built with -race, under
+// which sync.Pool drops a quarter of its Puts at random and the allocation
+// count of a pool-backed kernel is a coin toss.
+func raceDetector() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
+}
+
 // TestWarmGraphOpAllocs pins what a warm session allocates per graph
 // operation at the yardstick's size. Every product of every reduction runs
 // on the network's one working set and dead intermediates return to its
@@ -73,9 +88,50 @@ func liveHeap() (bytes, objects uint64) {
 // The second half is the other side of the same coin: a working set that
 // outlives its operation must still go when the session is trimmed (it
 // lives in the network's engine-state slot, which Network.Trim drops).
+//
+// The products the reductions chain come first, at the sizes whose schedule
+// cmd/ccbench matmul pins (BENCH_matmul.json): a warm session product
+// allocates a few dozen objects whatever n is, and on one worker the count
+// does not depend on the machine (two workers add 12 to 20).
 func TestWarmGraphOpAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n = 144 session warm-up")
+	}
+	products := []struct {
+		name   string
+		mul    func(s *cc.Clique, a, b cc.Mat, opts ...cc.CallOption) (cc.Mat, cc.Stats, error)
+		budget [3]float64 // at n = 27, 64, 100: about twice the measured figure
+	}{
+		{"matmul", (*cc.Clique).MatMul, [3]float64{50, 70, 75}},                    // 24 / 34 / 36
+		{"distance_product", (*cc.Clique).DistanceProduct, [3]float64{50, 50, 55}}, // 24 / 25 / 26
+		{"matmul_bool", (*cc.Clique).MatMulBool, [3]float64{55, 70, 75}},           // 27 / 34 / 36
+	}
+	race := raceDetector()
+	for i, n := range []int{27, 64, 100} {
+		a, b := randSquare(n, 71), randSquare(n, 72)
+		sess, err := cc.NewClique(n, cc.WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range products {
+			if p.name == "matmul_bool" && race {
+				continue // its local kernel draws scratch from a sync.Pool
+			}
+			mul := func() {
+				if _, _, err := p.mul(sess, a, b); err != nil {
+					t.Fatalf("%s n=%d: %v", p.name, n, err)
+				}
+			}
+			for warm := 0; warm < 3; warm++ { // buffers reach their high-water marks over the first calls
+				mul()
+			}
+			got := testing.AllocsPerRun(5, mul)
+			t.Logf("%-16s n=%-3d %4.0f allocs/op (budget %.0f)", p.name, n, got, p.budget[i])
+			if got > p.budget[i] {
+				t.Errorf("%s n=%d: %.0f allocs/op on a warm session, budget %.0f", p.name, n, got, p.budget[i])
+			}
+		}
+		sess.Close()
 	}
 	const n = 144
 	// Measured → budget; in brackets what the same call allocated while

@@ -75,7 +75,9 @@ func RandomConnectedWeighted(n int, p float64, maxW int64, directed bool, seed u
 
 // ReadGraph parses the plain edge-list format written by WriteGraph:
 // a "n <count> directed|undirected" header followed by "<u> <v>" lines
-// ('#' comments allowed).
+// ('#' comments allowed). A count above 16384 (graphs.MaxReadNodes) is an
+// error, here and in ReadWeightedGraph: the adjacency is allocated from the
+// header alone.
 func ReadGraph(r io.Reader) (*Graph, error) { return graphs.ReadEdgeList(r) }
 
 // WriteGraph serialises a graph in the ReadGraph format.

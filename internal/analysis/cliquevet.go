@@ -1,22 +1,19 @@
 // Package analysis assembles cliquevet: the multichecker of custom
-// analyzers that mechanise the simulator's documented contracts — Mail
-// lifetime, payload ownership, charge parity, chunk offsets, determinism,
-// and hot-path allocation discipline. DESIGN.md "Enforced invariants"
-// maps each contract to its analyzer; cmd/cliquevet is the standalone
-// and go vet -vettool driver, and TestRepoIsClean keeps `go test ./...`
-// failing on any regression CI would catch.
+// analyzers that mechanise the contracts a passing test run cannot show
+// broken — Mail lifetime, determinism, and hot-path allocation
+// discipline. DESIGN.md "Enforced invariants" maps each contract to its
+// analyzer; cmd/cliquevet is the standalone and go vet -vettool driver,
+// and TestRepoIsClean keeps `go test ./...` failing on any regression CI
+// would catch.
 package analysis
 
 import (
 	"strings"
 
-	"github.com/algebraic-clique/algclique/internal/analysis/chargeparity"
-	"github.com/algebraic-clique/algclique/internal/analysis/chunkoffset"
 	"github.com/algebraic-clique/algclique/internal/analysis/detorder"
 	"github.com/algebraic-clique/algclique/internal/analysis/framework"
 	"github.com/algebraic-clique/algclique/internal/analysis/hotalloc"
 	"github.com/algebraic-clique/algclique/internal/analysis/mailretain"
-	"github.com/algebraic-clique/algclique/internal/analysis/payloadown"
 )
 
 // ModulePath is the repository's module path.
@@ -52,19 +49,11 @@ func suffixIn(path string, suffixes []string) bool {
 // Checks returns the full cliquevet suite with its package scoping.
 func Checks() []Check {
 	everywhere := func(string) bool { return true }
-	notClique := func(p string) bool { return !suffixIn(p, []string{"internal/clique"}) }
 	return []Check{
-		// The simulator package owns the Mail/payload machinery it hands
-		// out, so the lifetime analyzers start one layer above it.
-		{mailretain.Analyzer, notClique},
-		{payloadown.Analyzer, notClique},
-		// Charge parity is a contract on engine code driving the direct
-		// plane; the clique package defines the charging primitives.
-		{chargeparity.Analyzer, notClique},
-		// The ring package defines the wire formats the chunk contract
-		// protects; every consumer of a codec is in scope.
-		{chunkoffset.Analyzer, func(p string) bool {
-			return !suffixIn(p, []string{"internal/ring"})
+		// The simulator package owns the Mail machinery it hands out, so
+		// the lifetime analyzer starts one layer above it.
+		{mailretain.Analyzer, func(p string) bool {
+			return !suffixIn(p, []string{"internal/clique"})
 		}},
 		{detorder.Analyzer, func(p string) bool {
 			return suffixIn(p, deterministicPkgs)

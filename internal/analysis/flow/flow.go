@@ -1,14 +1,17 @@
-// Package flow implements the small intra-function taint analysis shared
-// by cliquevet's dataflow-flavoured analyzers: given a structural
-// predicate marking source expressions (a Mail accessor call, an
-// EncodedLen call, …), it computes the local variables reached by those
+// Package flow implements the small intra-function taint analysis behind
+// cliquevet's mailretain analyzer, and the callee resolution it shares
+// with the others: given a structural predicate marking source expressions
+// (a Mail accessor call), it computes the local variables that alias those
 // sources through assignments and reports whether an arbitrary expression
 // is derived from one.
 //
 // The analysis is a conservative syntactic fixpoint, deliberately simple:
 // it tracks named locals only (no field- or element-sensitive aliasing),
-// which is exactly the granularity the enforced contracts are written at —
-// "a value derived from Mail", "a cost that comes from EncodedLen".
+// which is exactly the granularity the enforced contract is written at —
+// "a value derived from Mail". Taint follows aliasing only: slicing,
+// address-of and type assertions always carry it, indexing, dereferencing
+// and ranging carry it when the result is reference-like (slice, pointer,
+// map, interface, channel), and arithmetic and conversions never do.
 package flow
 
 import (
@@ -17,30 +20,16 @@ import (
 	"go/types"
 )
 
-// Options select how taint propagates through composite expressions.
-type Options struct {
-	// ThroughIndex propagates x[i] ← x and ranges` values ← ranged
-	// expression. RefOnly limits that to results of reference-like type
-	// (slice, pointer, map, interface), the aliasing-preserving subset.
-	ThroughIndex bool
-	RefOnly      bool
-	// ThroughBinary propagates a OP b ← a|b (cost arithmetic).
-	ThroughBinary bool
-	// ThroughConvert propagates T(x) ← x for type conversions.
-	ThroughConvert bool
-}
-
 // Set is the result of a taint computation over one function body.
 type Set struct {
 	info     *types.Info
 	isSource func(ast.Expr) bool
-	opt      Options
 	vars     map[types.Object]bool
 }
 
 // Compute runs the fixpoint over body.
-func Compute(info *types.Info, body ast.Node, isSource func(ast.Expr) bool, opt Options) *Set {
-	s := &Set{info: info, isSource: isSource, opt: opt, vars: make(map[types.Object]bool)}
+func Compute(info *types.Info, body ast.Node, isSource func(ast.Expr) bool) *Set {
+	s := &Set{info: info, isSource: isSource, vars: make(map[types.Object]bool)}
 	for changed := true; changed; {
 		changed = false
 		ast.Inspect(body, func(n ast.Node) bool {
@@ -54,8 +43,8 @@ func Compute(info *types.Info, body ast.Node, isSource func(ast.Expr) bool, opt 
 					}
 				}
 			case *ast.RangeStmt:
-				if s.opt.ThroughIndex && st.X != nil && s.Tainted(st.X) {
-					if v, ok := st.Value.(*ast.Ident); ok && s.refOK(v) {
+				if st.X != nil && s.Tainted(st.X) {
+					if v, ok := st.Value.(*ast.Ident); ok && s.isRef(v) {
 						changed = s.taintIdent(v) || changed
 					}
 				}
@@ -72,13 +61,7 @@ func (s *Set) assign(st *ast.AssignStmt) bool {
 	changed := false
 	if len(st.Lhs) == len(st.Rhs) {
 		for i, lhs := range st.Lhs {
-			rhs := st.Rhs[i]
-			tainted := s.Tainted(rhs)
-			if !tainted && st.Tok != token.ASSIGN && st.Tok != token.DEFINE && s.opt.ThroughBinary {
-				// op-assign: x op= rhs keeps x's own taint; nothing new.
-				continue
-			}
-			if tainted {
+			if s.Tainted(st.Rhs[i]) {
 				if id := baseIdent(lhs); id != nil {
 					changed = s.taintIdent(id) || changed
 				}
@@ -128,11 +111,9 @@ func (s *Set) taintIdent(id *ast.Ident) bool {
 	return true
 }
 
-// refOK reports whether the identifier's type passes the RefOnly filter.
-func (s *Set) refOK(e ast.Expr) bool {
-	if !s.opt.RefOnly {
-		return true
-	}
+// isRef reports whether the expression's type is reference-like, the
+// subset through which indexing and ranging preserve aliasing.
+func (s *Set) isRef(e ast.Expr) bool {
 	tv, ok := s.info.Types[e]
 	if !ok {
 		if id, isID := e.(*ast.Ident); isID {
@@ -153,8 +134,7 @@ func isRefType(t types.Type) bool {
 	return false
 }
 
-// Tainted reports whether e derives from a source under the configured
-// propagation rules.
+// Tainted reports whether e derives from a source.
 func (s *Set) Tainted(e ast.Expr) bool {
 	if e == nil {
 		return false
@@ -174,15 +154,9 @@ func (s *Set) Tainted(e ast.Expr) bool {
 	case *ast.SliceExpr:
 		return s.Tainted(x.X)
 	case *ast.IndexExpr:
-		if s.opt.ThroughIndex && s.refOK(x) {
-			return s.Tainted(x.X)
-		}
-		return false
+		return s.isRef(x) && s.Tainted(x.X)
 	case *ast.StarExpr:
-		if s.opt.ThroughIndex && s.refOK(x) {
-			return s.Tainted(x.X)
-		}
-		return false
+		return s.isRef(x) && s.Tainted(x.X)
 	case *ast.UnaryExpr:
 		if x.Op == token.AND {
 			return s.Tainted(x.X)
@@ -190,24 +164,8 @@ func (s *Set) Tainted(e ast.Expr) bool {
 		return false
 	case *ast.TypeAssertExpr:
 		return s.Tainted(x.X)
-	case *ast.BinaryExpr:
-		if s.opt.ThroughBinary {
-			return s.Tainted(x.X) || s.Tainted(x.Y)
-		}
-		return false
-	case *ast.CallExpr:
-		if s.opt.ThroughConvert && s.isConversion(x) && len(x.Args) == 1 {
-			return s.Tainted(x.Args[0])
-		}
-		return false
 	}
 	return false
-}
-
-// isConversion reports whether the call expression is a type conversion.
-func (s *Set) isConversion(call *ast.CallExpr) bool {
-	tv, ok := s.info.Types[call.Fun]
-	return ok && tv.IsType()
 }
 
 func unparen(e ast.Expr) ast.Expr {

@@ -109,10 +109,7 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 		}
 		return false
 	}
-	taint := flow.Compute(pass.TypesInfo, fd.Body, isSource, flow.Options{
-		ThroughIndex: true,
-		RefOnly:      true,
-	})
+	taint := flow.Compute(pass.TypesInfo, fd.Body, isSource)
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch node := n.(type) {

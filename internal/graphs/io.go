@@ -8,6 +8,25 @@ import (
 	"strings"
 )
 
+// MaxReadNodes is the largest node count the readers accept in a header.
+// A header is a few bytes, and what it asks for is allocated before the
+// first edge is read: a Graph's bitset adjacency costs n²/8 bytes (32 MiB
+// at the bound) and a Weighted's matrix 8n² (2 GiB), so an unbounded count
+// lets a one-line file take the process down.
+const MaxReadNodes = 1 << 14
+
+// readNodeCount parses the <count> field of a header line.
+func readNodeCount(line int, field string) (int, error) {
+	n, err := strconv.Atoi(field)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("graphs: line %d: bad node count %q", line, field)
+	}
+	if n > MaxReadNodes {
+		return 0, fmt.Errorf("graphs: line %d: node count %d exceeds the readers' limit of %d", line, n, MaxReadNodes)
+	}
+	return n, nil
+}
+
 // WriteEdgeList serialises a graph in a plain text format:
 //
 //	# comment lines are allowed
@@ -35,7 +54,8 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	return nil
 }
 
-// ReadEdgeList parses the WriteEdgeList format.
+// ReadEdgeList parses the WriteEdgeList format. Node counts above
+// MaxReadNodes are rejected.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -54,9 +74,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			if len(fields) != 3 {
 				return nil, fmt.Errorf("graphs: line %d: header wants 'n <count> <kind>'", line)
 			}
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("graphs: line %d: bad node count %q", line, fields[1])
+			n, err := readNodeCount(line, fields[1])
+			if err != nil {
+				return nil, err
 			}
 			switch fields[2] {
 			case "directed":
@@ -120,7 +140,8 @@ func WriteWeightedEdgeList(w io.Writer, g *Weighted) error {
 	return nil
 }
 
-// ReadWeightedEdgeList parses the WriteWeightedEdgeList format.
+// ReadWeightedEdgeList parses the WriteWeightedEdgeList format. Node counts
+// above MaxReadNodes are rejected.
 func ReadWeightedEdgeList(r io.Reader) (*Weighted, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -139,9 +160,9 @@ func ReadWeightedEdgeList(r io.Reader) (*Weighted, error) {
 			if len(fields) != 4 || fields[3] != "weighted" {
 				return nil, fmt.Errorf("graphs: line %d: header wants 'n <count> <kind> weighted'", line)
 			}
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("graphs: line %d: bad node count %q", line, fields[1])
+			n, err := readNodeCount(line, fields[1])
+			if err != nil {
+				return nil, err
 			}
 			switch fields[2] {
 			case "directed":

@@ -3,6 +3,7 @@ package graphs_test
 import (
 	"bytes"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,6 +54,22 @@ func TestWeightedEdgeListRoundTrip(t *testing.T) {
 	}
 }
 
+// malformedEdgeLists are inputs ReadEdgeList must reject: the error rows of
+// TestReadEdgeListCommentsAndErrors and the seeds of FuzzReadEdgeList.
+var malformedEdgeLists = []string{
+	"",                             // no header
+	"0 1\n",                        // edge before header
+	"n 4\n",                        // short header
+	"n -1 undirected\n",            // bad count
+	"n 4 sideways\n",               // bad kind
+	"n 4 undirected\n0\n",          // short edge
+	"n 4 undirected\n0 9\n",        // out of range
+	"n 4 undirected\n1 1\n",        // self loop
+	"n 2 directed\nn 2 directed\n", // duplicate header
+	"n 4000000000000 undirected\n", // count no process could hold
+	"n 16385 undirected\n",         // just over MaxReadNodes
+}
+
 func TestReadEdgeListCommentsAndErrors(t *testing.T) {
 	good := "# a comment\nn 4 undirected\n0 1\n\n2 3\n"
 	g, err := graphs.ReadEdgeList(strings.NewReader(good))
@@ -62,18 +79,7 @@ func TestReadEdgeListCommentsAndErrors(t *testing.T) {
 	if g.EdgeCount() != 2 || !g.HasEdge(1, 0) {
 		t.Error("parsed graph wrong")
 	}
-	bad := []string{
-		"",                             // no header
-		"0 1\n",                        // edge before header
-		"n 4\n",                        // short header
-		"n -1 undirected\n",            // bad count
-		"n 4 sideways\n",               // bad kind
-		"n 4 undirected\n0\n",          // short edge
-		"n 4 undirected\n0 9\n",        // out of range
-		"n 4 undirected\n1 1\n",        // self loop
-		"n 2 directed\nn 2 directed\n", // duplicate header
-	}
-	for _, s := range bad {
+	for _, s := range malformedEdgeLists {
 		if _, err := graphs.ReadEdgeList(strings.NewReader(s)); err == nil {
 			t.Errorf("accepted malformed input %q", s)
 		}
@@ -82,6 +88,8 @@ func TestReadEdgeListCommentsAndErrors(t *testing.T) {
 		"n 4 undirected\n0 1 5\n",          // missing 'weighted'
 		"n 4 undirected weighted\n0 1\n",   // missing weight
 		"n 4 undirected weighted\n0 1 x\n", // bad weight
+		"n 4000000000000 undirected weighted\n",
+		"n 16385 undirected weighted\n",
 	}
 	for _, s := range badW {
 		if _, err := graphs.ReadWeightedEdgeList(strings.NewReader(s)); err == nil {
@@ -98,4 +106,36 @@ func TestReadEdgeListDeduplicates(t *testing.T) {
 	if g.EdgeCount() != 1 {
 		t.Errorf("EdgeCount = %d, want 1", g.EdgeCount())
 	}
+}
+
+// FuzzReadEdgeList: whatever the bytes, ReadEdgeList returns an error or a
+// graph that WriteEdgeList and a second read reproduce — never a panic, and
+// never an allocation the header alone decides (MaxReadNodes).
+func FuzzReadEdgeList(f *testing.F) {
+	f.Add("# a comment\nn 4 undirected\n0 1\n\n2 3\n")
+	for _, s := range malformedEdgeLists {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		g, err := graphs.ReadEdgeList(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := graphs.WriteEdgeList(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		back, err := graphs.ReadEdgeList(&buf)
+		if err != nil {
+			t.Fatalf("own output rejected: %v", err)
+		}
+		if back.N() != g.N() || back.Directed() != g.Directed() {
+			t.Fatalf("header changed: n %d→%d, directed %v→%v", g.N(), back.N(), g.Directed(), back.Directed())
+		}
+		for u := 0; u < g.N(); u++ {
+			if !slices.Equal(g.Neighbors(u), back.Neighbors(u)) {
+				t.Fatalf("row %d changed: %v → %v", u, g.Neighbors(u), back.Neighbors(u))
+			}
+		}
+	})
 }

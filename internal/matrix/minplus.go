@@ -11,8 +11,9 @@ import (
 // the v3 instruction selection — unrolled 4× so the loop overhead amortises
 // over independent accumulator chains. The Ref twins are the original
 // scalar kernels, kept as the differential-test references and as the
-// denominators of the unrolled/reference speedup ratio gated in
-// BENCH_matmul.json.
+// reference side of BenchmarkMulMinPlus / BenchmarkMulMinPlusW (the fast
+// kernels' rates are the yardstick's matrix.ns_per_madd.minplus_64 and
+// minplusw_64, bench/micro.go).
 //
 // (min, +) over values has no tie-break state — min is commutative and
 // associative — so any evaluation order is bit-identical; the witness

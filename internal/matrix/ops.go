@@ -301,8 +301,9 @@ func MulBoolInto(out, a, b *Dense[bool]) {
 }
 
 // MulBoolScalarInto is the pre-packing scalar Boolean kernel, kept as the
-// differential-test reference and the denominator of the packed/scalar
-// speedup ratio gated in BENCH_matmul.json. It ORs a·b with two
+// differential-test reference and the scalar side of BenchmarkMulBool (the
+// packed kernel's rate is the yardstick's matrix.ns_per_madd.mulbit_256).
+// It ORs a·b with two
 // short-circuits the Boolean algebra allows: b-rows with no true entry are
 // skipped outright, and the k loop stops as soon as an output row is
 // saturated (all true) — both invisible in the result, since OR is

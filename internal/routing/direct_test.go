@@ -37,58 +37,73 @@ func randPattern(rng *rand.Rand, n int) [][][]int64 {
 // TestExchangePayloadMatchesExchange runs the same random patterns through
 // the encoded Exchange and the direct ExchangePayload and requires
 // identical deliveries and identical ledgers — including the Auto strategy
-// choice that decides between direct and two-phase schedules.
+// choice that decides between direct and two-phase schedules — under three
+// cost closures: a charge that is the element count passes the first and
+// fails the other two.
 func TestExchangePayloadMatchesExchange(t *testing.T) {
-	for _, n := range []int{2, 4, 7, 12, 25} {
-		for trial := 0; trial < 4; trial++ {
-			rng := rand.New(rand.NewPCG(uint64(n), uint64(trial)))
-			pays := randPattern(rng, n)
+	costs := []struct {
+		name  string
+		words func(elems int) int64
+	}{
+		{"one word per element", func(el int) int64 { return int64(el) }},
+		{"two words per element", func(el int) int64 { return 2 * int64(el) }},
+		{"packed, 64 elements per word", func(el int) int64 { return int64((el + 63) / 64) }},
+	}
+	for _, cost := range costs {
+		for _, n := range []int{2, 4, 7, 12, 25} {
+			for trial := 0; trial < 4; trial++ {
+				rng := rand.New(rand.NewPCG(uint64(n), uint64(trial)))
+				pays := randPattern(rng, n)
 
-			// Encoded reference: one word per element.
-			wnet := clique.New(n)
-			msgs := make([][][]clique.Word, n)
-			for src := range pays {
-				msgs[src] = make([][]clique.Word, n)
-				for dst := range pays[src] {
-					vec := make([]clique.Word, len(pays[src][dst]))
-					for i, x := range pays[src][dst] {
-						vec[i] = clique.Word(x)
+				// Encoded reference: a message of words(k) words, carrying
+				// as many of its k elements as fit.
+				wnet := clique.New(n)
+				msgs := make([][][]clique.Word, n)
+				for src := range pays {
+					msgs[src] = make([][]clique.Word, n)
+					for dst := range pays[src] {
+						vec := make([]clique.Word, cost.words(len(pays[src][dst])))
+						for i := range min(len(vec), len(pays[src][dst])) {
+							vec[i] = clique.Word(pays[src][dst][i])
+						}
+						msgs[src][dst] = vec
 					}
-					msgs[src][dst] = vec
 				}
-			}
-			win := Exchange(wnet, Auto, msgs)
+				win := Exchange(wnet, Auto, msgs)
 
-			dnet := clique.New(n)
-			in := make([][][]int64, n)
-			for i := range in {
-				in[i] = make([][]int64, n)
-			}
-			ExchangePayload(dnet, Auto, NewScratch(), pays, func(el int) int64 { return int64(el) }, in)
+				dnet := clique.New(n)
+				in := make([][][]int64, n)
+				for i := range in {
+					in[i] = make([][]int64, n)
+				}
+				ExchangePayload(dnet, Auto, NewScratch(), pays, cost.words, in)
 
-			ws, ds := wnet.Stats(), dnet.Stats()
-			if !reflect.DeepEqual(ws, ds) {
-				t.Fatalf("n=%d trial %d: ledger diverged: wire %+v, direct %+v", n, trial, ws, ds)
-			}
-			for src := 0; src < n; src++ {
-				for dst := 0; dst < n; dst++ {
-					if len(pays[src][dst]) == 0 {
-						continue
-					}
-					got := in[dst][src]
-					want := win[dst][src]
-					if len(got) != len(want) {
-						t.Fatalf("n=%d (%d→%d): got %d elements, want %d", n, src, dst, len(got), len(want))
-					}
-					for i := range got {
-						if clique.Word(got[i]) != want[i] {
-							t.Fatalf("n=%d (%d→%d)[%d]: got %d, want %d", n, src, dst, i, got[i], want[i])
+				ws, ds := wnet.Stats(), dnet.Stats()
+				if !reflect.DeepEqual(ws, ds) {
+					t.Fatalf("%s, n=%d trial %d: ledger diverged: wire %+v, direct %+v", cost.name, n, trial, ws, ds)
+				}
+				for src := 0; src < n; src++ {
+					for dst := 0; dst < n; dst++ {
+						sent := pays[src][dst]
+						if len(sent) == 0 {
+							continue
+						}
+						got := in[dst][src]
+						want := win[dst][src]
+						if len(got) != len(sent) || int64(len(want)) != cost.words(len(sent)) {
+							t.Fatalf("%s, n=%d (%d→%d): got %d elements and %d words for %d elements",
+								cost.name, n, src, dst, len(got), len(want), len(sent))
+						}
+						for i := range got {
+							if got[i] != sent[i] || (i < len(want) && clique.Word(got[i]) != want[i]) {
+								t.Fatalf("%s, n=%d (%d→%d)[%d]: got %d, sent %d", cost.name, n, src, dst, i, got[i], sent[i])
+							}
 						}
 					}
 				}
+				wnet.Close()
+				dnet.Close()
 			}
-			wnet.Close()
-			dnet.Close()
 		}
 	}
 }
