@@ -16,11 +16,11 @@
 //     with routing tables (Corollaries 6–8, Theorem 9, §3.4 witnesses),
 //   - the combinatorial baselines of Table 1.
 //
-// The primary entry point is the session API: NewClique builds a reusable
-// simulated clique whose engine plan, networks, and buffers persist across
-// operations, and every algorithm is a method on it (see Clique and
-// DESIGN.md). The package-level functions are one-shot conveniences that
-// build a throwaway session per call.
+// The entry point is the session: NewClique builds a reusable simulated
+// clique whose engine plan, networks, and buffers persist across
+// operations, and every algorithm is a method on it — one entry point per
+// operation (see Clique and DESIGN.md). A single measurement is NewClique,
+// one method call, and Close.
 //
 // Every operation returns a Stats value with the measured round count and a
 // per-phase breakdown — the paper's "evaluation" reproduced as
@@ -153,29 +153,19 @@ func statsFrom(st clique.Stats, orig int) Stats {
 	return out
 }
 
-// Option configures a simulation. Options come in two scopes: SessionOption
-// values configure a session for its whole lifetime (engine, padding
-// policy, worker pool), CallOption values configure one operation (seed,
-// delta, round limit, context, …). The package-level one-shot functions
-// accept both kinds; NewClique accepts session options and Clique methods
-// accept call options.
-type Option interface {
-	apply(*config)
-}
-
-// SessionOption is an Option fixed for a session's lifetime: it selects the
+// SessionOption configures a session for its whole lifetime: it selects the
 // engine plan, the padding policy, and the simulator worker pool, which are
 // resolved once at NewClique and shared by every subsequent operation.
 type SessionOption interface {
-	Option
+	apply(*config)
 	sessionOption()
 }
 
-// CallOption is an Option scoped to a single operation: randomisation
-// seeds, approximation and colour-coding parameters, round budgets, and
-// cancellation contexts.
+// CallOption configures a single operation, passed to a Clique method:
+// randomisation seeds, approximation and colour-coding parameters, round
+// budgets, cancellation contexts, fault plans and certification.
 type CallOption interface {
-	Option
+	apply(*config)
 	callOption()
 }
 
@@ -204,19 +194,6 @@ type config struct {
 	fault           *clique.FaultPlan
 	certifyProbes   int
 	certifyRetries  int // -1 = unset (resolved per operation)
-}
-
-// defaultConfig is the base every session and one-shot call starts from.
-func defaultConfig() config {
-	return config{engine: Auto, sparseThreshold: ccmm.DefaultSparseThreshold, certifyRetries: -1}
-}
-
-func newConfig(opts []Option) config {
-	c := defaultConfig()
-	for _, o := range opts {
-		o.apply(&c)
-	}
-	return c
 }
 
 // WithEngine forces a specific multiplication engine.
@@ -296,11 +273,6 @@ func WithRoundLimit(limit int64) CallOption {
 func WithContext(ctx context.Context) CallOption {
 	return callOpt(func(c *config) { c.ctx = ctx })
 }
-
-// abortError reports whether a recovered panic value is one of the
-// simulator's controlled aborts — round limit, cancellation, or injected
-// fault.
-func abortError(r any) (error, bool) { return clique.AsAbort(r) }
 
 // sizeClass describes an algorithm's clique-size requirement.
 type sizeClass int

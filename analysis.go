@@ -39,13 +39,6 @@ func (s *Clique) TransitiveClosure(g *Graph, opts ...CallOption) (reach Mat, sta
 	return
 }
 
-// TransitiveClosure is the one-shot form of Clique.TransitiveClosure.
-func TransitiveClosure(g *Graph, opts ...Option) (Mat, Stats, error) {
-	return oneShot(g.N(), opts, func(s *Clique) (Mat, Stats, error) {
-		return s.TransitiveClosure(g)
-	})
-}
-
 // Diameter returns the unweighted diameter (the largest finite pairwise
 // distance) of an undirected graph via Seidel APSP, and whether the graph
 // is connected. For an edgeless or single-node graph the diameter is 0.
@@ -68,16 +61,6 @@ func (s *Clique) Diameter(g *Graph, opts ...CallOption) (diam int64, connected b
 		}
 	}
 	return diam, connected, stats, nil
-}
-
-// Diameter is the one-shot form of Clique.Diameter.
-func Diameter(g *Graph, opts ...Option) (int64, bool, Stats, error) {
-	s, err := newSession(g.N(), newConfig(opts))
-	if err != nil {
-		return 0, false, Stats{}, err
-	}
-	defer s.Close()
-	return s.Diameter(g)
 }
 
 // MatMulBroadcast multiplies integer matrices on the *broadcast* congested
@@ -108,11 +91,4 @@ func (s *Clique) MatMulBroadcast(a, b Mat, opts ...CallOption) (prod Mat, stats 
 	}
 	prod = truncateRows(p, orig)
 	return
-}
-
-// MatMulBroadcast is the one-shot form of Clique.MatMulBroadcast.
-func MatMulBroadcast(a, b Mat, opts ...Option) (Mat, Stats, error) {
-	return oneShot(len(a), opts, func(s *Clique) (Mat, Stats, error) {
-		return s.MatMulBroadcast(a, b)
-	})
 }

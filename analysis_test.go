@@ -15,7 +15,7 @@ func TestTransitiveClosure(t *testing.T) {
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
 	g.AddEdge(5, 6)
-	reach, _, err := cc.TransitiveClosure(g)
+	reach, _, err := openSession(t, g.N()).TransitiveClosure(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestTransitiveClosureMatchesBFS(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		n := 10 + rng.IntN(20)
 		g := cc.GNP(n, 0.08, true, rng.Uint64())
-		reach, _, err := cc.TransitiveClosure(g)
+		reach, _, err := openSession(t, n).TransitiveClosure(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,18 +57,18 @@ func TestTransitiveClosureMatchesBFS(t *testing.T) {
 }
 
 func TestDiameter(t *testing.T) {
-	diam, connected, _, err := cc.Diameter(cc.Path(10, false))
+	diam, connected, _, err := openSession(t, 10).Diameter(cc.Path(10, false))
 	if err != nil || !connected || diam != 9 {
 		t.Errorf("path: diam=%d connected=%v err=%v, want (9,true)", diam, connected, err)
 	}
-	diam, connected, _, err = cc.Diameter(cc.Petersen())
+	diam, connected, _, err = openSession(t, 10).Diameter(cc.Petersen())
 	if err != nil || !connected || diam != 2 {
 		t.Errorf("petersen: diam=%d connected=%v, want (2,true)", diam, connected)
 	}
 	g := cc.NewGraph(8, false)
 	g.AddEdge(0, 1)
 	g.AddEdge(3, 4)
-	diam, connected, _, err = cc.Diameter(g)
+	diam, connected, _, err = openSession(t, g.N()).Diameter(g)
 	if err != nil || connected || diam != 1 {
 		t.Errorf("disconnected: diam=%d connected=%v, want (1,false)", diam, connected)
 	}
@@ -81,11 +81,11 @@ func TestMatMulBroadcastSeparation(t *testing.T) {
 	n := 64
 	a := randMat(rng, n, 10)
 	b := randMat(rng, n, 10)
-	pb, sb, err := cc.MatMulBroadcast(a, b)
+	pb, sb, err := openSession(t, n).MatMulBroadcast(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pu, su, err := cc.MatMul(a, b, cc.WithEngine(cc.Semiring3D))
+	pu, su, err := openSession(t, n, cc.WithEngine(cc.Semiring3D)).MatMul(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ func TestMatMulPadsArbitrarySizes(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 10, 17, 30} {
 		a := randMat(rng, n, 20)
 		b := randMat(rng, n, 20)
-		p, stats, err := cc.MatMul(a, b)
+		p, stats, err := openSession(t, n).MatMul(a, b)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -32,6 +32,18 @@ func TestMatMulPadsArbitrarySizes(t *testing.T) {
 			t.Errorf("n=%d: padding not reported: %+v", n, stats)
 		}
 	}
+}
+
+// openSession builds a session for instances of size n, closed when the
+// test ends.
+func openSession(t testing.TB, n int, opts ...cc.SessionOption) *cc.Clique {
+	t.Helper()
+	s, err := cc.NewClique(n, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
 }
 
 func randMat(rng *rand.Rand, n int, lim int64) [][]int64 {
@@ -63,7 +75,7 @@ func TestMatMulStrictSemantics(t *testing.T) {
 	// Under Auto, WithoutPadding never fails: engine resolution falls back
 	// to the 3D (or naive) algorithm, which runs any size unpadded.
 	a := randMat(rand.New(rand.NewPCG(2, 1)), 10, 5)
-	p, stats, err := cc.MatMul(a, a, cc.WithoutPadding())
+	p, stats, err := openSession(t, 10, cc.WithoutPadding()).MatMul(a, a)
 	if err != nil {
 		t.Fatalf("strict auto run rejected: %v", err)
 	}
@@ -80,11 +92,11 @@ func TestMatMulStrictSemantics(t *testing.T) {
 	}
 	// Forcing the bilinear engine still rejects scheme-incompatible sizes
 	// under WithoutPadding, and accepts compatible ones.
-	if _, _, err := cc.MatMul(a, a, cc.WithEngine(cc.Fast), cc.WithoutPadding()); err == nil {
+	if _, _, err := openSession(t, 10, cc.WithEngine(cc.Fast), cc.WithoutPadding()).MatMul(a, a); err == nil {
 		t.Error("scheme-incompatible size accepted by strict fast engine")
 	}
 	b := randMat(rand.New(rand.NewPCG(2, 2)), 16, 5)
-	if _, _, err := cc.MatMul(b, b, cc.WithoutPadding()); err != nil {
+	if _, _, err := openSession(t, 16, cc.WithoutPadding()).MatMul(b, b); err != nil {
 		t.Errorf("compatible size rejected: %v", err)
 	}
 }
@@ -95,7 +107,7 @@ func TestDistanceProduct(t *testing.T) {
 		{cc.Inf, 0, 4},
 		{1, cc.Inf, 0},
 	}
-	p, stats, err := cc.DistanceProduct(a, a)
+	p, stats, err := openSession(t, 3).DistanceProduct(a, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +118,7 @@ func TestDistanceProduct(t *testing.T) {
 	if stats.N != 3 || stats.PaddedFrom != 0 {
 		t.Errorf("expected unpadded 3-node run, got %+v", stats)
 	}
-	if _, _, err := cc.DistanceProduct(a, a, cc.WithEngine(cc.Fast)); err == nil {
+	if _, _, err := openSession(t, 3, cc.WithEngine(cc.Fast)).DistanceProduct(a, a); err == nil {
 		t.Error("fast engine accepted for min-plus")
 	}
 }
@@ -114,7 +126,7 @@ func TestDistanceProduct(t *testing.T) {
 func TestMatMulBool(t *testing.T) {
 	a := [][]int64{{0, 1}, {0, 0}}
 	b := [][]int64{{0, 0}, {1, 0}}
-	p, _, err := cc.MatMulBool(a, b)
+	p, _, err := openSession(t, 2).MatMulBool(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,23 +139,25 @@ func TestCountingAPIsWithPadding(t *testing.T) {
 	// A 10-node graph (Petersen) exercises the padding path for every
 	// counting entry point.
 	g := cc.Petersen()
-	tri, stats, err := cc.CountTriangles(g)
+	s := openSession(t, g.N())
+	tri, stats, err := s.CountTriangles(g)
 	if err != nil || tri != 0 {
 		t.Errorf("Petersen triangles = (%d, %v)", tri, err)
 	}
 	if stats.PaddedFrom != 10 {
 		t.Errorf("expected padding: %+v", stats)
 	}
-	c4, _, err := cc.CountFourCycles(g)
+	c4, _, err := s.CountFourCycles(g)
 	if err != nil || c4 != 0 {
 		t.Errorf("Petersen C4s = (%d, %v)", c4, err)
 	}
 	k5 := cc.Complete(5, false)
-	tri, _, err = cc.CountTriangles(k5)
+	s5 := openSession(t, k5.N())
+	tri, _, err = s5.CountTriangles(k5)
 	if err != nil || tri != 10 {
 		t.Errorf("K5 triangles = (%d, %v), want 10", tri, err)
 	}
-	c4, _, err = cc.CountFourCycles(k5)
+	c4, _, err = s5.CountFourCycles(k5)
 	if err != nil || c4 != 15 {
 		t.Errorf("K5 C4s = (%d, %v), want 15", c4, err)
 	}
@@ -153,7 +167,7 @@ func TestCountTrianglesAllEnginesAgree(t *testing.T) {
 	g := cc.GNP(27, 0.3, false, 4)
 	want := graphs.CountTrianglesRef(g)
 	for _, e := range []cc.Engine{cc.Auto, cc.Fast, cc.Semiring3D, cc.Naive} {
-		got, _, err := cc.CountTriangles(g, cc.WithEngine(e))
+		got, _, err := openSession(t, g.N(), cc.WithEngine(e)).CountTriangles(g)
 		if err != nil {
 			t.Fatalf("engine %v: %v", e, err)
 		}
@@ -164,14 +178,15 @@ func TestCountTrianglesAllEnginesAgree(t *testing.T) {
 }
 
 func TestDetectFourCycleAPI(t *testing.T) {
-	found, stats, err := cc.DetectFourCycle(cc.Torus(4, 5))
+	torus := cc.Torus(4, 5)
+	found, stats, err := openSession(t, torus.N()).DetectFourCycle(torus)
 	if err != nil || !found {
 		t.Errorf("torus C4 = (%v, %v)", found, err)
 	}
 	if stats.Rounds < 1 {
 		t.Error("no rounds recorded")
 	}
-	found, _, err = cc.DetectFourCycle(cc.Petersen())
+	found, _, err = openSession(t, 10).DetectFourCycle(cc.Petersen())
 	if err != nil || found {
 		t.Errorf("Petersen C4 = (%v, %v)", found, err)
 	}
@@ -179,35 +194,35 @@ func TestDetectFourCycleAPI(t *testing.T) {
 
 func TestDetectCycleAPI(t *testing.T) {
 	g, _ := cc.PlantedCycle(14, 5, 0.02, false, 3)
-	found, _, err := cc.DetectCycle(g, 5, cc.WithColourings(150), cc.WithSeed(7))
+	found, _, err := openSession(t, g.N()).DetectCycle(g, 5, cc.WithColourings(150), cc.WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !found {
 		t.Error("planted 5-cycle missed")
 	}
-	found, _, err = cc.DetectCycle(cc.Tree(14, 1), 4, cc.WithColourings(20))
+	found, _, err = openSession(t, 14).DetectCycle(cc.Tree(14, 1), 4, cc.WithColourings(20))
 	if err != nil || found {
 		t.Errorf("tree 4-cycle = (%v, %v)", found, err)
 	}
 }
 
 func TestGirthAPI(t *testing.T) {
-	val, ok, _, err := cc.Girth(cc.Petersen(), cc.WithColourings(150), cc.WithSeed(2))
+	val, ok, _, err := openSession(t, 10).Girth(cc.Petersen(), cc.WithColourings(150), cc.WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok || val != 5 {
 		t.Errorf("Petersen girth = (%d, %v), want (5, true)", val, ok)
 	}
-	val, ok, _, err = cc.Girth(cc.Cycle(12, true))
+	val, ok, _, err = openSession(t, 12).Girth(cc.Cycle(12, true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok || val != 12 {
 		t.Errorf("directed C12 girth = (%d, %v)", val, ok)
 	}
-	_, ok, _, err = cc.Girth(cc.Tree(13, 5))
+	_, ok, _, err = openSession(t, 13).Girth(cc.Tree(13, 5))
 	if err != nil || ok {
 		t.Errorf("tree girth ok=%v err=%v", ok, err)
 	}
@@ -230,7 +245,8 @@ func TestAPSPAPIs(t *testing.T) {
 		}
 	}
 
-	exact, stats, err := cc.APSP(g)
+	s := openSession(t, g.N())
+	exact, stats, err := s.APSP(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,19 +263,19 @@ func TestAPSPAPIs(t *testing.T) {
 		t.Errorf("bad path: %v", path)
 	}
 
-	small, _, err := cc.APSPSmallWeights(g)
+	small, _, err := s.APSPSmallWeights(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("small-weights", small)
 
-	naive, _, err := cc.APSPNaive(g)
+	naive, _, err := s.APSPNaive(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("naive", naive)
 
-	approx, stretch, _, err := cc.APSPApprox(g, cc.WithDelta(0.2))
+	approx, stretch, _, err := s.APSPApprox(g, cc.WithDelta(0.2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +297,8 @@ func TestAPSPAPIs(t *testing.T) {
 
 func TestAPSPUnweightedAPI(t *testing.T) {
 	g := cc.GNP(20, 0.2, false, 13)
-	res, _, err := cc.APSPUnweighted(g)
+	s := openSession(t, g.N())
+	res, _, err := s.APSPUnweighted(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +311,7 @@ func TestAPSPUnweightedAPI(t *testing.T) {
 		}
 	}
 
-	withRouting, _, err := cc.APSPUnweightedWithRouting(g, cc.WithSeed(5))
+	withRouting, _, err := s.APSPUnweightedWithRouting(g, cc.WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,11 +322,12 @@ func TestAPSPUnweightedAPI(t *testing.T) {
 
 func TestDolevBaselineAPI(t *testing.T) {
 	g := cc.GNP(20, 0.4, false, 17)
-	fast, _, err := cc.CountTriangles(g)
+	s := openSession(t, g.N())
+	fast, _, err := s.CountTriangles(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dolev, _, err := cc.CountTrianglesDolev(g)
+	dolev, _, err := s.CountTrianglesDolev(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +338,7 @@ func TestDolevBaselineAPI(t *testing.T) {
 
 func TestStatsPhasesPresent(t *testing.T) {
 	g := cc.GNP(16, 0.3, false, 19)
-	_, stats, err := cc.CountTriangles(g)
+	_, stats, err := openSession(t, g.N()).CountTriangles(g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,20 +10,20 @@ import (
 	"github.com/algebraic-clique/algclique/internal/clique"
 )
 
-func batchPairs(n, k int) [][2]cc.Mat {
-	pairs := make([][2]cc.Mat, k)
-	for i := range pairs {
-		pairs[i] = [2]cc.Mat{sessionTestMat(n, int64(100+2*i)), sessionTestMat(n, int64(101+2*i))}
+func batchItems(n, k int) []cc.BatchItem {
+	items := make([]cc.BatchItem, k)
+	for i := range items {
+		items[i] = cc.BatchItem{A: sessionTestMat(n, int64(100+2*i)), B: sessionTestMat(n, int64(101+2*i))}
 	}
-	return pairs
+	return items
 }
 
 // TestBatchMatchesSingleCalls pins the batch entry points to the
-// pair-by-pair results: amortising plan/scratch/arming across the batch
+// item-by-item results: amortising plan/scratch/arming across the batch
 // must not change a single product or its charged stats.
 func TestBatchMatchesSingleCalls(t *testing.T) {
 	const n, k = 16, 4
-	pairs := batchPairs(n, k)
+	items := batchItems(n, k)
 
 	single, err := cc.NewClique(n, cc.WithWorkers(1))
 	if err != nil {
@@ -37,27 +37,22 @@ func TestBatchMatchesSingleCalls(t *testing.T) {
 	defer batched.Close()
 
 	for name, run := range map[string]struct {
-		one   func(a, b cc.Mat) (cc.Mat, cc.Stats, error)
-		batch func(pairs [][2]cc.Mat) ([]cc.Mat, []cc.Stats, error)
+		one   func(a, b cc.Mat, opts ...cc.CallOption) (cc.Mat, cc.Stats, error)
+		batch func(items []cc.BatchItem, opts ...cc.CallOption) ([]cc.Mat, []cc.Stats, error)
 	}{
-		"MatMuls": {
-			one:   func(a, b cc.Mat) (cc.Mat, cc.Stats, error) { return single.MatMul(a, b) },
-			batch: func(p [][2]cc.Mat) ([]cc.Mat, []cc.Stats, error) { return batched.MatMuls(p) },
-		},
-		"DistanceProducts": {
-			one:   func(a, b cc.Mat) (cc.Mat, cc.Stats, error) { return single.DistanceProduct(a, b) },
-			batch: func(p [][2]cc.Mat) ([]cc.Mat, []cc.Stats, error) { return batched.DistanceProducts(p) },
-		},
+		"MatMulBatch":          {one: single.MatMul, batch: batched.MatMulBatch},
+		"MatMulBoolBatch":      {one: single.MatMulBool, batch: batched.MatMulBoolBatch},
+		"DistanceProductBatch": {one: single.DistanceProduct, batch: batched.DistanceProductBatch},
 	} {
-		prods, stats, err := run.batch(pairs)
+		prods, stats, err := run.batch(items)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if len(prods) != k || len(stats) != k {
 			t.Fatalf("%s: got %d products, %d stats, want %d", name, len(prods), len(stats), k)
 		}
-		for i, pair := range pairs {
-			want, wantStats, err := run.one(pair[0], pair[1])
+		for i, it := range items {
+			want, wantStats, err := run.one(it.A, it.B)
 			if err != nil {
 				t.Fatalf("%s single %d: %v", name, i, err)
 			}
@@ -78,7 +73,7 @@ func TestBatchMatchesSingleCalls(t *testing.T) {
 // instead of per pair.
 func TestBatchAmortisesSetup(t *testing.T) {
 	const n, k = 16, 8
-	pairs := batchPairs(n, k)
+	items := batchItems(n, k)
 
 	single, err := cc.NewClique(n, cc.WithWorkers(1))
 	if err != nil {
@@ -92,22 +87,22 @@ func TestBatchAmortisesSetup(t *testing.T) {
 	defer batched.Close()
 
 	// Warm both sessions so pooled buffers and ledger capacity exist.
-	if _, _, err := single.DistanceProduct(pairs[0][0], pairs[0][1]); err != nil {
+	if _, _, err := single.DistanceProduct(items[0].A, items[0].B); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := batched.DistanceProducts(pairs); err != nil {
+	if _, _, err := batched.DistanceProductBatch(items); err != nil {
 		t.Fatal(err)
 	}
 
 	singles := testing.AllocsPerRun(5, func() {
-		for _, pair := range pairs {
-			if _, _, err := single.DistanceProduct(pair[0], pair[1]); err != nil {
+		for _, it := range items {
+			if _, _, err := single.DistanceProduct(it.A, it.B); err != nil {
 				t.Fatal(err)
 			}
 		}
 	})
 	inBatch := testing.AllocsPerRun(5, func() {
-		if _, _, err := batched.DistanceProducts(pairs); err != nil {
+		if _, _, err := batched.DistanceProductBatch(items); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -123,7 +118,7 @@ func TestBatchAmortisesSetup(t *testing.T) {
 // its context's error, and the batch stops there.
 func TestBatchPerItemContext(t *testing.T) {
 	const n = 16
-	pairs := batchPairs(n, 3)
+	items := batchItems(n, 3)
 	sess, err := cc.NewClique(n, cc.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
@@ -132,11 +127,7 @@ func TestBatchPerItemContext(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already expired: the second item must abort immediately
-	items := []cc.BatchItem{
-		{A: pairs[0][0], B: pairs[0][1]},
-		{A: pairs[1][0], B: pairs[1][1], Opts: []cc.CallOption{cc.WithContext(ctx)}},
-		{A: pairs[2][0], B: pairs[2][1]},
-	}
+	items[1].Opts = []cc.CallOption{cc.WithContext(ctx)}
 	prods, stats, err := sess.MatMulBatch(items)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -144,7 +135,7 @@ func TestBatchPerItemContext(t *testing.T) {
 	if len(prods) != 1 || len(stats) != 1 {
 		t.Fatalf("got %d products before the cancelled item, want 1", len(prods))
 	}
-	want, _, err := sess.MatMul(pairs[0][0], pairs[0][1])
+	want, _, err := sess.MatMul(items[0].A, items[0].B)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +144,7 @@ func TestBatchPerItemContext(t *testing.T) {
 	}
 
 	// The session stays fully usable after a batch abort.
-	if _, _, err := sess.MatMul(pairs[2][0], pairs[2][1]); err != nil {
+	if _, _, err := sess.MatMul(items[2].A, items[2].B); err != nil {
 		t.Fatalf("session unusable after batch abort: %v", err)
 	}
 }
@@ -161,17 +152,14 @@ func TestBatchPerItemContext(t *testing.T) {
 // TestBatchPerItemRoundLimit arms a round limit on one item only.
 func TestBatchPerItemRoundLimit(t *testing.T) {
 	const n = 16
-	pairs := batchPairs(n, 2)
+	items := batchItems(n, 2)
 	sess, err := cc.NewClique(n, cc.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
 
-	items := []cc.BatchItem{
-		{A: pairs[0][0], B: pairs[0][1], Opts: []cc.CallOption{cc.WithRoundLimit(1)}},
-		{A: pairs[1][0], B: pairs[1][1]},
-	}
+	items[0].Opts = []cc.CallOption{cc.WithRoundLimit(1)}
 	prods, _, err := sess.DistanceProductBatch(items)
 	var rle *clique.RoundLimitError
 	if !errors.As(err, &rle) {
@@ -192,17 +180,14 @@ func TestBatchPerItemRoundLimit(t *testing.T) {
 // losing the results before it.
 func TestBatchWrongSizeItem(t *testing.T) {
 	const n = 16
-	pairs := batchPairs(n, 1)
+	items := batchItems(n, 1)
 	sess, err := cc.NewClique(n, cc.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
 	bad := sessionTestMat(n-1, 9)
-	prods, _, err := sess.MatMulBatch([]cc.BatchItem{
-		{A: pairs[0][0], B: pairs[0][1]},
-		{A: bad, B: bad},
-	})
+	prods, _, err := sess.MatMulBatch(append(items, cc.BatchItem{A: bad, B: bad}))
 	if err == nil {
 		t.Fatal("mis-sized item accepted")
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -203,17 +204,6 @@ func refChaosProduct(op string, a, b [][]int64) [][]int64 {
 	return out
 }
 
-func chaosEq(a, b [][]int64) bool {
-	for i := range a {
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // chaosSessionSweep runs the engines × transports × algebras × kinds ×
 // seeds matrix, reusing one warm session per (engine, transport) so the
 // sweep also exercises arm/disarm hygiene across consecutive faulted,
@@ -279,7 +269,7 @@ func chaosSessionSweep(rep *chaosReport) {
 				check(fmt.Errorf("chaos: %s: untyped failure: %v", sc.id, err))
 			}
 			rep.Session.Typed++
-		case !chaosEq(prod, want[sc.op]):
+		case !slices.EqualFunc(prod, want[sc.op], slices.Equal[[]int64]):
 			check(fmt.Errorf("chaos: %s: silently wrong product (faults fired: %d, certified: %v)",
 				sc.id, stats.Faults.Fired(), stats.Certified))
 		case !stats.Certified:
@@ -336,7 +326,7 @@ func chaosServeWave(rep *chaosReport) {
 			rep.Serve.Failed++
 			continue
 		}
-		if !chaosEq(res.Matrix, want) {
+		if !slices.EqualFunc(res.Matrix, want, slices.Equal[[]int64]) {
 			check(fmt.Errorf("chaos: serve request %d: silently wrong product", i))
 		}
 		rep.Serve.Completed++

@@ -112,8 +112,11 @@ func measureCSRRow(n int, avgDeg float64, seed uint64) (csrRow, csrMem) {
 	var ms0 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	dense0 := ccmm.DenseAllocs()
-	sq, st, err := cc.SquareAdjacencyCSR(adj)
+	s, err := cc.NewClique(n)
 	check(err)
+	sq, st, err := s.SquareAdjacencyCSR(adj)
+	check(err)
+	check(s.Close())
 	var ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms1)
 	row := csrRow{

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	cc "github.com/algebraic-clique/algclique"
 	"github.com/algebraic-clique/algclique/internal/ccmm"
@@ -62,12 +63,8 @@ func measureBool(engine string, n int) (unpacked, packed matmulRow) {
 	}
 	ru, wu, pu := run(ring.AsBulk[bool](br))
 	rp, wp, pp := run(ring.PackedBool{})
-	for v := range pu.Rows {
-		for j := range pu.Rows[v] {
-			if pu.Rows[v][j] != pp.Rows[v][j] {
-				check(fmt.Errorf("matmul: packed Boolean product differs from unpacked at (%d,%d), n=%d", v, j, n))
-			}
-		}
+	if !slices.EqualFunc(pu.Rows, pp.Rows, slices.Equal[[]bool]) {
+		check(fmt.Errorf("matmul: packed Boolean product differs from unpacked, n=%d", n))
 	}
 	return matmulRow{"bool-" + engine + "-unpacked", n, ru, wu},
 		matmulRow{"bool-" + engine + "-packed", n, rp, wp}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -152,23 +153,6 @@ func (in *serveInputs) request(tenant string, op serve.Op) (serve.Request, [][]i
 	}
 }
 
-func serveMatEq(a, b [][]int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // serveFire submits one request with bounded retries under backpressure.
 func serveFire(srv *serve.Server, req serve.Request, retried *int64) serve.Result {
 	for attempt := 0; ; attempt++ {
@@ -245,7 +229,7 @@ func serveBench() {
 				}
 				ok := true
 				if wantMat != nil {
-					ok = serveMatEq(res.Matrix, wantMat)
+					ok = slices.EqualFunc(res.Matrix, wantMat, slices.Equal[[]int64])
 				} else {
 					ok = res.Count == wantCount
 				}

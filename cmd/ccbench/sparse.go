@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"slices"
 
 	cc "github.com/algebraic-clique/algclique"
 )
@@ -48,20 +49,11 @@ func measureSparse() []sparseRow {
 			pd, sd, err := dense.MatMul(a, a)
 			check(err)
 			check(dense.Close())
-			match := true
-			for i := 0; i < n && match; i++ {
-				for j := 0; j < n; j++ {
-					if pa[i][j] != pd[i][j] {
-						match = false
-						break
-					}
-				}
-			}
 			rows = append(rows, sparseRow{
 				N: n, P: p, Routing: sa.Routing,
 				RoundsAuto: sa.Rounds, WordsAuto: sa.Words,
 				RoundsDense: sd.Rounds, WordsDense: sd.Words,
-				Match: match,
+				Match: slices.EqualFunc(pa, pd, slices.Equal[[]int64]),
 			})
 		}
 	}

@@ -208,26 +208,12 @@ func (s *Clique) MatMulCSR(a, b *CSR, opts ...CallOption) (CSRProduct, Stats, er
 	return s.csrProduct("MatMulCSR", &matMulSpec, a, b, opts)
 }
 
-// MatMulCSR is the one-shot form of Clique.MatMulCSR.
-func MatMulCSR(a, b *CSR, opts ...Option) (CSRProduct, Stats, error) {
-	return oneShot(a.N, opts, func(s *Clique) (CSRProduct, Stats, error) {
-		return s.MatMulCSR(a, b)
-	})
-}
-
 // MatMulBoolCSR computes the Boolean product of CSR matrices. Stored
 // entries are read as true whatever their value (store only true entries;
 // a nil Val is the usual adjacency encoding), and a sparse result comes
 // back value-free — every stored entry is 1.
 func (s *Clique) MatMulBoolCSR(a, b *CSR, opts ...CallOption) (CSRProduct, Stats, error) {
 	return s.csrProduct("MatMulBoolCSR", &matMulBoolSpec, a, b, opts)
-}
-
-// MatMulBoolCSR is the one-shot form of Clique.MatMulBoolCSR.
-func MatMulBoolCSR(a, b *CSR, opts ...Option) (CSRProduct, Stats, error) {
-	return oneShot(a.N, opts, func(s *Clique) (CSRProduct, Stats, error) {
-		return s.MatMulBoolCSR(a, b)
-	})
 }
 
 // DistanceProductCSR computes the min-plus product of CSR distance
@@ -238,13 +224,6 @@ func (s *Clique) DistanceProductCSR(a, b *CSR, opts ...CallOption) (CSRProduct, 
 	return s.csrProduct("DistanceProductCSR", &distanceProductSpec, a, b, opts)
 }
 
-// DistanceProductCSR is the one-shot form of Clique.DistanceProductCSR.
-func DistanceProductCSR(a, b *CSR, opts ...Option) (CSRProduct, Stats, error) {
-	return oneShot(a.N, opts, func(s *Clique) (CSRProduct, Stats, error) {
-		return s.DistanceProductCSR(a, b)
-	})
-}
-
 // SquareAdjacencyCSR computes A² (2-walk counts) of a CSR adjacency
 // matrix — the CSR-native form of SquareAdjacencySparse, with the Auto
 // census in charge instead of a forced engine: sparse adjacencies square
@@ -253,13 +232,6 @@ func DistanceProductCSR(a, b *CSR, opts ...Option) (CSRProduct, Stats, error) {
 // the natural encoding.
 func (s *Clique) SquareAdjacencyCSR(a *CSR, opts ...CallOption) (CSRProduct, Stats, error) {
 	return s.csrProduct("SquareAdjacencyCSR", &matMulSpec, a, a, opts)
-}
-
-// SquareAdjacencyCSR is the one-shot form of Clique.SquareAdjacencyCSR.
-func SquareAdjacencyCSR(a *CSR, opts ...Option) (CSRProduct, Stats, error) {
-	return oneShot(a.N, opts, func(s *Clique) (CSRProduct, Stats, error) {
-		return s.SquareAdjacencyCSR(a)
-	})
 }
 
 // withDiagonal merges the identity's entries into a CSR view: every row
@@ -397,13 +369,6 @@ func (s *Clique) APSPCSR(a *CSR, opts ...CallOption) (CSRProduct, Stats, error) 
 	return s.iterateCSR("APSPCSR", &distanceProductSpec, a, 0, true, opts)
 }
 
-// APSPCSR is the one-shot form of Clique.APSPCSR.
-func APSPCSR(a *CSR, opts ...Option) (CSRProduct, Stats, error) {
-	return oneShot(a.N, opts, func(s *Clique) (CSRProduct, Stats, error) {
-		return s.APSPCSR(a)
-	})
-}
-
 // TransitiveClosureCSR computes the reflexive-transitive closure of a CSR
 // adjacency matrix (values ignored; stored entries are edges) by Boolean
 // iterated squaring — the adjacency-powers pattern of the girth machinery
@@ -411,11 +376,4 @@ func APSPCSR(a *CSR, opts ...Option) (CSRProduct, Stats, error) {
 // sparse result is value-free; a dense one is a 0/1 matrix.
 func (s *Clique) TransitiveClosureCSR(a *CSR, opts ...CallOption) (CSRProduct, Stats, error) {
 	return s.iterateCSR("TransitiveClosureCSR", &matMulBoolSpec, a, 1, false, opts)
-}
-
-// TransitiveClosureCSR is the one-shot form of Clique.TransitiveClosureCSR.
-func TransitiveClosureCSR(a *CSR, opts ...Option) (CSRProduct, Stats, error) {
-	return oneShot(a.N, opts, func(s *Clique) (CSRProduct, Stats, error) {
-		return s.TransitiveClosureCSR(a)
-	})
 }

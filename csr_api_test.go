@@ -47,11 +47,12 @@ func TestCSRAPIMatMul(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := algclique.MatMul(a, b)
+		s := openSession(t, n)
+		want, _, err := s.MatMul(a, b)
 		if err != nil {
 			t.Fatalf("n=%d dense: %v", n, err)
 		}
-		got, stats, err := algclique.MatMulCSR(ca, cb)
+		got, stats, err := s.MatMulCSR(ca, cb)
 		if err != nil {
 			t.Fatalf("n=%d CSR: %v", n, err)
 		}
@@ -79,14 +80,15 @@ func TestCSRAPIDenseInputFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := algclique.MatMulCSR(ca, ca)
+	s := openSession(t, n)
+	got, _, err := s.MatMulCSR(ca, ca)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.IsSparse() {
 		t.Fatal("dense operands stayed sparse; want dense fallback")
 	}
-	want, _, err := algclique.MatMul(a, a)
+	want, _, err := s.MatMul(a, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +114,8 @@ func TestCSRAPISquareAdjacency(t *testing.T) {
 			am[u][v], am[v][u] = 1, 1
 		}
 	}
-	want, _, err := algclique.SquareAdjacencySparse(g)
+	s := openSession(t, n)
+	want, _, err := s.SquareAdjacencySparse(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +124,7 @@ func TestCSRAPISquareAdjacency(t *testing.T) {
 		t.Fatal(err)
 	}
 	adj.Val = nil // adjacency encoding: structure only
-	got, stats, err := algclique.SquareAdjacencyCSR(adj)
+	got, stats, err := s.SquareAdjacencyCSR(adj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +159,12 @@ func TestCSRAPIDistanceProduct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := algclique.DistanceProduct(d, d)
+	s := openSession(t, n)
+	want, _, err := s.DistanceProduct(d, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := algclique.DistanceProductCSR(cd, cd)
+	got, _, err := s.DistanceProductCSR(cd, cd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +195,8 @@ func TestCSRAPIAPSP(t *testing.T) {
 			wm[u][v] = w
 		}
 	}
-	want, _, err := algclique.APSP(g)
+	s := openSession(t, n)
+	want, _, err := s.APSP(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +206,7 @@ func TestCSRAPIAPSP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := algclique.APSPCSR(cw)
+	got, _, err := s.APSPCSR(cw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +233,8 @@ func TestCSRAPITransitiveClosure(t *testing.T) {
 			am[u][v] = 1
 		}
 	}
-	want, _, err := algclique.TransitiveClosure(g)
+	s := openSession(t, n)
+	want, _, err := s.TransitiveClosure(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +242,7 @@ func TestCSRAPITransitiveClosure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := algclique.TransitiveClosureCSR(adj)
+	got, _, err := s.TransitiveClosureCSR(adj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +262,7 @@ func TestCSRAPIAPSPValueFree(t *testing.T) {
 		path.RowPtr[v+1] = int64(len(path.Col))
 	}
 	path.RowPtr[n] = path.RowPtr[n-1]
-	got, _, err := algclique.APSPCSR(path)
+	got, _, err := openSession(t, n).APSPCSR(path)
 	if err != nil {
 		t.Fatal(err)
 	}

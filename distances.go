@@ -6,6 +6,7 @@ import (
 	"github.com/algebraic-clique/algclique/internal/baseline"
 	"github.com/algebraic-clique/algclique/internal/ccmm"
 	"github.com/algebraic-clique/algclique/internal/distance"
+	"github.com/algebraic-clique/algclique/internal/matrix"
 	"github.com/algebraic-clique/algclique/internal/ring"
 )
 
@@ -83,13 +84,6 @@ func (s *Clique) APSP(g *Weighted, opts ...CallOption) (res *APSPResult, stats S
 	return
 }
 
-// APSP is the one-shot form of Clique.APSP.
-func APSP(g *Weighted, opts ...Option) (*APSPResult, Stats, error) {
-	return oneShot(g.N(), opts, func(s *Clique) (*APSPResult, Stats, error) {
-		return s.APSP(g)
-	})
-}
-
 // APSPUnweighted computes exact all-pairs shortest paths of an unweighted
 // undirected graph by Seidel's algorithm — Õ(n^ρ) rounds (Corollary 7).
 // No routing table is produced; see APSPUnweightedWithRouting.
@@ -111,13 +105,6 @@ func (s *Clique) apspUnweighted(op string, g *Graph, opts []CallOption) (res *AP
 	res = &APSPResult{Dist: truncateRows(d, r.orig)}
 	r.recycle(d)
 	return
-}
-
-// APSPUnweighted is the one-shot form of Clique.APSPUnweighted.
-func APSPUnweighted(g *Graph, opts ...Option) (*APSPResult, Stats, error) {
-	return oneShot(g.N(), opts, func(s *Clique) (*APSPResult, Stats, error) {
-		return s.APSPUnweighted(g)
-	})
 }
 
 // APSPUnweightedWithRouting runs Seidel's algorithm and then recovers a
@@ -160,14 +147,6 @@ func (s *Clique) APSPUnweightedWithRouting(g *Graph, opts ...CallOption) (res *A
 	return
 }
 
-// APSPUnweightedWithRouting is the one-shot form of
-// Clique.APSPUnweightedWithRouting.
-func APSPUnweightedWithRouting(g *Graph, opts ...Option) (*APSPResult, Stats, error) {
-	return oneShot(g.N(), opts, func(s *Clique) (*APSPResult, Stats, error) {
-		return s.APSPUnweightedWithRouting(g)
-	})
-}
-
 // APSPSmallWeights computes exact all-pairs shortest paths for directed
 // graphs with positive integer weights and weighted diameter U in
 // Õ(U·n^ρ) rounds (Corollary 8, via the Lemma 18 ring embedding).
@@ -185,13 +164,6 @@ func (s *Clique) APSPSmallWeights(g *Weighted, opts ...CallOption) (res *APSPRes
 	res = &APSPResult{Dist: truncateRows(d, r.orig)}
 	r.recycle(d)
 	return
-}
-
-// APSPSmallWeights is the one-shot form of Clique.APSPSmallWeights.
-func APSPSmallWeights(g *Weighted, opts ...Option) (*APSPResult, Stats, error) {
-	return oneShot(g.N(), opts, func(s *Clique) (*APSPResult, Stats, error) {
-		return s.APSPSmallWeights(g)
-	})
 }
 
 // APSPApprox computes (1+ε)-approximate all-pairs shortest paths for
@@ -217,16 +189,6 @@ func (s *Clique) APSPApprox(g *Weighted, opts ...CallOption) (res *APSPResult, s
 	return
 }
 
-// APSPApprox is the one-shot form of Clique.APSPApprox.
-func APSPApprox(g *Weighted, opts ...Option) (*APSPResult, float64, Stats, error) {
-	s, err := newSession(g.N(), newConfig(opts))
-	if err != nil {
-		return nil, 0, Stats{}, err
-	}
-	defer s.Close()
-	return s.APSPApprox(g)
-}
-
 // APSPNaive is the Θ(n)-round learn-everything baseline (per-node
 // Dijkstra); non-negative weights only. Like the other semiring entry
 // points it runs on the instance's own clique size (anySize never pads),
@@ -248,13 +210,6 @@ func (s *Clique) APSPNaive(g *Weighted, opts ...CallOption) (res *APSPResult, st
 	return
 }
 
-// APSPNaive is the one-shot form of Clique.APSPNaive.
-func APSPNaive(g *Weighted, opts ...Option) (*APSPResult, Stats, error) {
-	return oneShot(g.N(), opts, func(s *Clique) (*APSPResult, Stats, error) {
-		return s.APSPNaive(g)
-	})
-}
-
 // ValidateRouting checks a distance matrix and routing table against the
 // graph: every recorded path must exist and realise its distance. Intended
 // for tests and examples.
@@ -262,5 +217,5 @@ func ValidateRouting(g *Weighted, res *APSPResult) error {
 	if res.Next == nil {
 		return fmt.Errorf("algclique: no routing table to validate")
 	}
-	return distance.ValidateRouting(g, denseOf(res.Dist), denseOf(res.Next))
+	return distance.ValidateRouting(g, matrix.FromRows(res.Dist), matrix.FromRows(res.Next))
 }

@@ -6,7 +6,7 @@ import (
 	cc "github.com/algebraic-clique/algclique"
 )
 
-func ExampleMatMul() {
+func ExampleClique_MatMul() {
 	a := [][]int64{
 		{1, 2},
 		{3, 4},
@@ -15,7 +15,12 @@ func ExampleMatMul() {
 		{5, 6},
 		{7, 8},
 	}
-	p, _, err := cc.MatMul(a, b)
+	s, err := cc.NewClique(2)
+	if err != nil {
+		panic(err)
+	}
+	defer s.Close()
+	p, _, err := s.MatMul(a, b)
 	if err != nil {
 		panic(err)
 	}
@@ -23,9 +28,14 @@ func ExampleMatMul() {
 	// Output: [19 22] [43 50]
 }
 
-func ExampleCountTriangles() {
+func ExampleClique_CountTriangles() {
 	g := cc.Complete(5, false) // K5 has C(5,3) = 10 triangles
-	count, stats, err := cc.CountTriangles(g)
+	s, err := cc.NewClique(g.N())
+	if err != nil {
+		panic(err)
+	}
+	defer s.Close()
+	count, stats, err := s.CountTriangles(g)
 	if err != nil {
 		panic(err)
 	}
@@ -33,14 +43,22 @@ func ExampleCountTriangles() {
 	// Output: 10 triangles on a 8-node clique
 }
 
-func ExampleDetectFourCycle() {
-	square := cc.Cycle(4, false)
-	found, _, err := cc.DetectFourCycle(square)
+func ExampleClique_DetectFourCycle() {
+	square, err := cc.NewClique(4)
 	if err != nil {
 		panic(err)
 	}
-	pentagon := cc.Cycle(5, false)
-	notFound, _, err := cc.DetectFourCycle(pentagon)
+	defer square.Close()
+	found, _, err := square.DetectFourCycle(cc.Cycle(4, false))
+	if err != nil {
+		panic(err)
+	}
+	pentagon, err := cc.NewClique(5)
+	if err != nil {
+		panic(err)
+	}
+	defer pentagon.Close()
+	notFound, _, err := pentagon.DetectFourCycle(cc.Cycle(5, false))
 	if err != nil {
 		panic(err)
 	}
@@ -48,13 +66,18 @@ func ExampleDetectFourCycle() {
 	// Output: true false
 }
 
-func ExampleAPSP() {
+func ExampleClique_APSP() {
 	g := cc.NewWeighted(4, true)
 	g.SetEdge(0, 1, 2)
 	g.SetEdge(1, 2, 3)
 	g.SetEdge(2, 3, 1)
 	g.SetEdge(0, 3, 10)
-	res, _, err := cc.APSP(g)
+	s, err := cc.NewClique(g.N())
+	if err != nil {
+		panic(err)
+	}
+	defer s.Close()
+	res, _, err := s.APSP(g)
 	if err != nil {
 		panic(err)
 	}
@@ -62,8 +85,13 @@ func ExampleAPSP() {
 	// Output: 6 [0 1 2 3]
 }
 
-func ExampleGirth() {
-	g, ok, _, err := cc.Girth(cc.Petersen(), cc.WithSeed(1))
+func ExampleClique_Girth() {
+	s, err := cc.NewClique(10)
+	if err != nil {
+		panic(err)
+	}
+	defer s.Close()
+	g, ok, _, err := s.Girth(cc.Petersen(), cc.WithSeed(1))
 	if err != nil {
 		panic(err)
 	}
@@ -71,14 +99,19 @@ func ExampleGirth() {
 	// Output: 5 true
 }
 
-func ExampleDistanceProduct() {
+func ExampleClique_DistanceProduct() {
 	inf := cc.Inf
 	w := [][]int64{
 		{0, 4, inf},
 		{inf, 0, 5},
 		{2, inf, 0},
 	}
-	p, _, err := cc.DistanceProduct(w, w)
+	s, err := cc.NewClique(len(w))
+	if err != nil {
+		panic(err)
+	}
+	defer s.Close()
+	p, _, err := s.DistanceProduct(w, w)
 	if err != nil {
 		panic(err)
 	}
@@ -86,11 +119,16 @@ func ExampleDistanceProduct() {
 	// Output: 9 6
 }
 
-func ExampleTransitiveClosure() {
+func ExampleClique_TransitiveClosure() {
 	g := cc.NewGraph(4, true)
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
-	reach, _, err := cc.TransitiveClosure(g)
+	s, err := cc.NewClique(g.N())
+	if err != nil {
+		panic(err)
+	}
+	defer s.Close()
+	reach, _, err := s.TransitiveClosure(g)
 	if err != nil {
 		panic(err)
 	}
@@ -98,8 +136,13 @@ func ExampleTransitiveClosure() {
 	// Output: 1 0
 }
 
-func ExampleAPSPUnweighted() {
-	res, _, err := cc.APSPUnweighted(cc.Path(6, false))
+func ExampleClique_APSPUnweighted() {
+	s, err := cc.NewClique(6)
+	if err != nil {
+		panic(err)
+	}
+	defer s.Close()
+	res, _, err := s.APSPUnweighted(cc.Path(6, false))
 	if err != nil {
 		panic(err)
 	}

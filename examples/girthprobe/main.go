@@ -25,7 +25,7 @@ func main() {
 		{"dense G(64, .5) (girth 3 whp)", cc.GNP(64, 0.5, false, 12)},
 	}
 	for _, tc := range undirected {
-		girth, ok, stats, err := cc.Girth(tc.g, cc.WithColourings(60), cc.WithSeed(5))
+		girth, ok, stats, err := girthOf(tc.g, cc.WithColourings(60), cc.WithSeed(5))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func main() {
 		{"DAG (acyclic)", dag(24)},
 	}
 	for _, tc := range directed {
-		girth, ok, stats, err := cc.Girth(tc.g)
+		girth, ok, stats, err := girthOf(tc.g)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -59,6 +59,16 @@ func main() {
 			fmt.Printf("  %-32s acyclic    (%4d rounds)\n", tc.name, stats.Rounds)
 		}
 	}
+}
+
+// girthOf runs Girth on a session sized to g.
+func girthOf(g *cc.Graph, opts ...cc.CallOption) (int, bool, cc.Stats, error) {
+	s, err := cc.NewClique(g.N())
+	if err != nil {
+		return 0, false, cc.Stats{}, err
+	}
+	defer s.Close()
+	return s.Girth(g, opts...)
 }
 
 // withChord: a 15-cycle with a chord creating a short cycle.

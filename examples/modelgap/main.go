@@ -26,35 +26,42 @@ func main() {
 	fmt.Printf("multiplying two %d×%d integer matrices, one row per node\n\n", n, n)
 	fmt.Println("model / algorithm                rounds   clique size")
 
-	prodB, sb, err := cc.MatMulBroadcast(a, b)
+	sess, err := cc.NewClique(n)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer sess.Close()
+	prodB, sb, err := sess.MatMulBroadcast(a, b)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("broadcast clique (Θ(n) forced)  %7d   %d\n", sb.Rounds, sb.N)
 
-	prodN, sn, err := cc.MatMul(a, b, cc.WithEngine(cc.Naive))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("unicast, naive gather           %7d   %d\n", sn.Rounds, sn.N)
-
-	prod3, s3, err := cc.MatMul(a, b, cc.WithEngine(cc.Semiring3D))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("unicast, semiring 3D            %7d   %d\n", s3.Rounds, s3.N)
-
-	prodF, sf, err := cc.MatMul(a, b, cc.WithEngine(cc.Fast))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("unicast, fast bilinear          %7d   %d (padded from %d)\n",
-		sf.Rounds, sf.N, n)
-
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if prodB[i][j] != prodN[i][j] || prodN[i][j] != prod3[i][j] || prod3[i][j] != prodF[i][j] {
-				log.Fatalf("products disagree at (%d,%d)", i, j)
+	// The engine is a session option: one session per engine, each checked
+	// entry for entry against the broadcast product.
+	for _, m := range []struct {
+		label  string
+		engine cc.Engine
+	}{{"unicast, naive gather", cc.Naive}, {"unicast, semiring 3D", cc.Semiring3D}, {"unicast, fast bilinear", cc.Fast}} {
+		s, err := cc.NewClique(n, cc.WithEngine(m.engine))
+		if err != nil {
+			log.Fatal(err)
+		}
+		prod, st, err := s.MatMul(a, b)
+		s.Close()
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%-32s%7d   %d", m.label, st.Rounds, st.N)
+		if st.PaddedFrom != 0 {
+			fmt.Printf(" (padded from %d)", st.PaddedFrom)
+		}
+		fmt.Println()
+		for i := range prod {
+			for j := range prod[i] {
+				if prod[i][j] != prodB[i][j] {
+					log.Fatalf("%s disagrees with the broadcast product at (%d,%d)", m.label, i, j)
+				}
 			}
 		}
 	}
@@ -63,7 +70,7 @@ func main() {
 	// Bonus: on a sparse graph, A² needs no algebra at all (Theorem 4's
 	// machinery, constant rounds).
 	g := cc.GNP(n, 2.5/float64(n), false, 3)
-	_, ss, err := cc.SquareAdjacencySparse(g)
+	_, ss, err := sess.SquareAdjacencySparse(g)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -69,9 +69,14 @@ func main() {
 		fmt.Printf("  %-18s %5d rounds %9d words\n", op.Op, op.Rounds, op.Words)
 	}
 
-	// One-shot helpers remain for single measurements: here the Θ(n)-round
-	// learn-everything baseline for comparison.
-	_, naive, err := cc.CountTriangles(g, cc.WithEngine(cc.Naive))
+	// The engine is a session option, so a baseline is a second session:
+	// here the Θ(n)-round learn-everything engine for comparison.
+	naiveSess, err := cc.NewClique(g.N(), cc.WithEngine(cc.Naive))
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer naiveSess.Close()
+	_, naive, err := naiveSess.CountTriangles(g)
 	if err != nil {
 		log.Fatal(err)
 	}

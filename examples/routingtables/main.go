@@ -20,7 +20,13 @@ func main() {
 	g := cc.RandomConnectedWeighted(n, 0.12, 20, true, 99)
 	fmt.Printf("network: %d nodes, directed weighted links (latency 1..20)\n\n", n)
 
-	res, stats, err := cc.APSP(g)
+	sess, err := cc.NewClique(n)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer sess.Close()
+
+	res, stats, err := sess.APSP(g)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,7 +44,7 @@ func main() {
 		fmt.Printf("  route %2d → %2d: distance %3d, path %v\n", u, v, res.Dist[u][v], path)
 	}
 
-	naive, sn, err := cc.APSPNaive(g)
+	naive, sn, err := sess.APSPNaive(g)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +57,7 @@ func main() {
 		}
 	}
 
-	approx, stretch, sa, err := cc.APSPApprox(g, cc.WithDelta(0.25))
+	approx, stretch, sa, err := sess.APSPApprox(g, cc.WithDelta(0.25))
 	if err != nil {
 		log.Fatal(err)
 	}

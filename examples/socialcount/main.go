@@ -21,14 +21,21 @@ func main() {
 	g := cc.PreferentialAttachment(n, 3, 2024)
 	fmt.Printf("social graph: %d nodes, %d edges\n\n", g.N(), g.EdgeCount())
 
-	triangles, st, err := cc.CountTriangles(g)
+	// One session serves every query below: both graphs have n nodes.
+	sess, err := cc.NewClique(n)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer sess.Close()
+
+	triangles, st, err := sess.CountTriangles(g)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("triangles (algebraic, %v engine):  %6d in %4d rounds\n",
 		cc.Auto, triangles, st.Rounds)
 
-	dolev, sd, err := cc.CountTrianglesDolev(g)
+	dolev, sd, err := sess.CountTrianglesDolev(g)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,13 +44,13 @@ func main() {
 		log.Fatalf("count mismatch: %d vs %d", triangles, dolev)
 	}
 
-	c4s, sc, err := cc.CountFourCycles(g)
+	c4s, sc, err := sess.CountFourCycles(g)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("4-cycles (trace formula):          %6d in %4d rounds\n", c4s, sc.Rounds)
 
-	found, sdet, err := cc.DetectFourCycle(g)
+	found, sdet, err := sess.DetectFourCycle(g)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +61,7 @@ func main() {
 	// region than a degree-matched random graph? (A classic social-network
 	// statistic, computed entirely with congested-clique primitives.)
 	rnd := cc.GNP(n, float64(2*g.EdgeCount())/float64(n*(n-1)), false, 7)
-	rndTri, _, err := cc.CountTriangles(rnd)
+	rndTri, _, err := sess.CountTriangles(rnd)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package algclique
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/algebraic-clique/algclique/internal/clique"
@@ -73,8 +74,24 @@ func WithFaultInjection(plan FaultPlan) CallOption {
 // spot-checks instead — every node re-derives k entries of its output row
 // from first principles, and k = n audits every entry. k ≤ 0 disables
 // certification.
+//
+// Only MatMul, MatMulBool, DistanceProduct and their Batch forms certify.
+// Every other operation has no certificate for its result yet and refuses
+// with an error wrapping ErrNotCertifiable before it runs, rather than
+// return an answer with Stats.Certified false.
 func WithCertification(k int) CallOption {
 	return callOpt(func(c *config) { c.certifyProbes = k })
+}
+
+// ErrNotCertifiable is wrapped by the error of an operation called under
+// WithCertification that cannot vouch for its result.
+var ErrNotCertifiable = errors.New("algclique: operation cannot certify its result")
+
+// certifies reports whether the operation named op runs through runProduct,
+// the one place a result is certified: the three dense products, singly or
+// batched (a batch records under its product's name).
+func certifies(op string) bool {
+	return op == matMulSpec.op || op == matMulBoolSpec.op || op == distanceProductSpec.op
 }
 
 // WithCertificationRetries bounds how many times a product is re-run when

@@ -9,11 +9,16 @@ import (
 	"github.com/algebraic-clique/algclique/internal/clique"
 )
 
-// mustMatMulClean computes the fault-free reference product on a throwaway
+// mustMatMulClean computes the fault-free reference product on a fresh
 // session.
 func mustMatMulClean(t *testing.T, a, b Mat) Mat {
 	t.Helper()
-	want, _, err := MatMul(a, b)
+	s, err := NewClique(len(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	want, _, err := s.MatMul(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,5 +374,192 @@ func TestRoundLimitStillTypedThroughFaultPath(t *testing.T) {
 	}
 	if st.Attempts != 1 {
 		t.Errorf("round-limit abort retried: %d attempts", st.Attempts)
+	}
+}
+
+// TestCertifiesOrRefuses pins, for every session operation, what it does
+// under WithCertification: "certifies" returns a result with
+// Stats.Certified set, "refuses" returns an error wrapping
+// ErrNotCertifiable before it runs. Every method that takes call options
+// must have a row, so a new operation has to choose; giving an operation a
+// certificate flips its row.
+func TestCertifiesOrRefuses(t *testing.T) {
+	const n = 16
+	a, b := randMatT(1, n), randMatT(2, n)
+	bits := make(Mat, n)
+	for i := range bits {
+		bits[i] = make([]int64, n)
+		for j := range bits[i] {
+			bits[i][j] = a[i][j] & 1
+		}
+	}
+	csr, err := CSRFromMat(bits, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := GNP(n, 0.2, false, 3)
+	w := RandomConnectedWeighted(n, 0.3, 9, true, 4)
+	items := []BatchItem{{A: a, B: b}, {A: b, B: a}}
+	boolItems := []BatchItem{{A: bits, B: bits}}
+
+	one := func(st Stats, err error) (bool, error) { return st.Certified, err }
+	all := func(sts []Stats, err error) (bool, error) {
+		for _, st := range sts {
+			if !st.Certified {
+				return false, err
+			}
+		}
+		return len(sts) > 0, err
+	}
+	ops := map[string]struct {
+		certifies bool
+		run       func(s *Clique, opts ...CallOption) (certified bool, err error)
+	}{
+		"MatMul": {true, func(s *Clique, o ...CallOption) (bool, error) {
+			_, st, err := s.MatMul(a, b, o...)
+			return one(st, err)
+		}},
+		"MatMulBool": {true, func(s *Clique, o ...CallOption) (bool, error) {
+			_, st, err := s.MatMulBool(bits, bits, o...)
+			return one(st, err)
+		}},
+		"DistanceProduct": {true, func(s *Clique, o ...CallOption) (bool, error) {
+			_, st, err := s.DistanceProduct(a, b, o...)
+			return one(st, err)
+		}},
+		"MatMulBatch": {true, func(s *Clique, o ...CallOption) (bool, error) {
+			_, st, err := s.MatMulBatch(items, o...)
+			return all(st, err)
+		}},
+		"MatMulBoolBatch": {true, func(s *Clique, o ...CallOption) (bool, error) {
+			_, st, err := s.MatMulBoolBatch(boolItems, o...)
+			return all(st, err)
+		}},
+		"DistanceProductBatch": {true, func(s *Clique, o ...CallOption) (bool, error) {
+			_, st, err := s.DistanceProductBatch(items, o...)
+			return all(st, err)
+		}},
+		"MatMulCSR": {false, func(s *Clique, o ...CallOption) (bool, error) {
+			_, st, err := s.MatMulCSR(csr, csr, o...)
+			return one(st, err)
+		}},
+		"MatMulBoolCSR": {false, func(s *Clique, o ...CallOption) (bool, error) {
+			_, st, err := s.MatMulBoolCSR(csr, csr, o...)
+			return one(st, err)
+		}},
+		"DistanceProductCSR": {false, func(s *Clique, o ...CallOption) (bool, error) {
+			_, st, err := s.DistanceProductCSR(csr, csr, o...)
+			return one(st, err)
+		}},
+		"SquareAdjacencyCSR": {false, func(s *Clique, o ...CallOption) (bool, error) {
+			_, st, err := s.SquareAdjacencyCSR(csr, o...)
+			return one(st, err)
+		}},
+		"APSPCSR": {false, func(s *Clique, o ...CallOption) (bool, error) {
+			_, st, err := s.APSPCSR(csr, o...)
+			return one(st, err)
+		}},
+		"TransitiveClosureCSR": {false, func(s *Clique, o ...CallOption) (bool, error) {
+			_, st, err := s.TransitiveClosureCSR(csr, o...)
+			return one(st, err)
+		}},
+		"APSP": {false, func(s *Clique, o ...CallOption) (bool, error) { _, st, err := s.APSP(w, o...); return one(st, err) }},
+		"APSPUnweighted": {false, func(s *Clique, o ...CallOption) (bool, error) {
+			_, st, err := s.APSPUnweighted(g, o...)
+			return one(st, err)
+		}},
+		"APSPUnweightedWithRouting": {false, func(s *Clique, o ...CallOption) (bool, error) {
+			_, st, err := s.APSPUnweightedWithRouting(g, o...)
+			return one(st, err)
+		}},
+		"APSPSmallWeights": {false, func(s *Clique, o ...CallOption) (bool, error) {
+			_, st, err := s.APSPSmallWeights(w, o...)
+			return one(st, err)
+		}},
+		"APSPApprox": {false, func(s *Clique, o ...CallOption) (bool, error) {
+			_, _, st, err := s.APSPApprox(w, o...)
+			return one(st, err)
+		}},
+		"APSPNaive": {false, func(s *Clique, o ...CallOption) (bool, error) {
+			_, st, err := s.APSPNaive(w, o...)
+			return one(st, err)
+		}},
+		"CountTriangles": {false, func(s *Clique, o ...CallOption) (bool, error) {
+			_, st, err := s.CountTriangles(g, o...)
+			return one(st, err)
+		}},
+		"CountFourCycles": {false, func(s *Clique, o ...CallOption) (bool, error) {
+			_, st, err := s.CountFourCycles(g, o...)
+			return one(st, err)
+		}},
+		"CountFiveCycles": {false, func(s *Clique, o ...CallOption) (bool, error) {
+			_, st, err := s.CountFiveCycles(g, o...)
+			return one(st, err)
+		}},
+		"CountSixCycles": {false, func(s *Clique, o ...CallOption) (bool, error) {
+			_, st, err := s.CountSixCycles(g, o...)
+			return one(st, err)
+		}},
+		"DetectFourCycle": {false, func(s *Clique, o ...CallOption) (bool, error) {
+			_, st, err := s.DetectFourCycle(g, o...)
+			return one(st, err)
+		}},
+		"DetectCycle": {false, func(s *Clique, o ...CallOption) (bool, error) {
+			_, st, err := s.DetectCycle(g, 5, o...)
+			return one(st, err)
+		}},
+		"Girth": {false, func(s *Clique, o ...CallOption) (bool, error) { _, _, st, err := s.Girth(g, o...); return one(st, err) }},
+		"SquareAdjacencySparse": {false, func(s *Clique, o ...CallOption) (bool, error) {
+			_, st, err := s.SquareAdjacencySparse(g, o...)
+			return one(st, err)
+		}},
+		"CountTrianglesDolev": {false, func(s *Clique, o ...CallOption) (bool, error) {
+			_, st, err := s.CountTrianglesDolev(g, o...)
+			return one(st, err)
+		}},
+		"TransitiveClosure": {false, func(s *Clique, o ...CallOption) (bool, error) {
+			_, st, err := s.TransitiveClosure(g, o...)
+			return one(st, err)
+		}},
+		"Diameter": {false, func(s *Clique, o ...CallOption) (bool, error) {
+			_, _, st, err := s.Diameter(g, o...)
+			return one(st, err)
+		}},
+		"MatMulBroadcast": {false, func(s *Clique, o ...CallOption) (bool, error) {
+			_, st, err := s.MatMulBroadcast(a, b, o...)
+			return one(st, err)
+		}},
+	}
+
+	callOpts := reflect.TypeOf([]CallOption(nil))
+	ty := reflect.TypeOf((*Clique)(nil))
+	for i := 0; i < ty.NumMethod(); i++ {
+		m := ty.Method(i).Type
+		if m.IsVariadic() && m.In(m.NumIn()-1) == callOpts {
+			if _, ok := ops[ty.Method(i).Name]; !ok {
+				t.Errorf("%s takes call options but has no certifies-or-refuses row", ty.Method(i).Name)
+			}
+		}
+	}
+
+	s, err := NewClique(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for name, op := range ops {
+		certified, err := op.run(s, WithCertification(n))
+		switch {
+		case op.certifies && (err != nil || !certified):
+			t.Errorf("%s: certified = %v, err = %v; want a certified result", name, certified, err)
+		case !op.certifies && !errors.Is(err, ErrNotCertifiable):
+			t.Errorf("%s: err = %v; want an error wrapping ErrNotCertifiable", name, err)
+		}
+	}
+	// A refusal runs nothing: only the certifying rows reached the ledger.
+	for _, rec := range s.Stats().Ops {
+		if !certifies(rec.Op) {
+			t.Errorf("refused operation %s reached the ledger", rec.Op)
+		}
 	}
 }

@@ -55,6 +55,21 @@ func graphPipelineOps(n int, seed uint64) []graphOp {
 	}
 }
 
+// randSquare draws a dense n×n product operand with entries in [0, 100].
+func randSquare(n int, seed uint64) cc.Mat {
+	g := cc.RandomWeighted(n, 0.99, 100, true, seed)
+	out := make(cc.Mat, n)
+	for i := range out {
+		out[i] = make([]int64, n)
+		for j := range out[i] {
+			if w := g.Weight(i, j); !cc.IsInf(w) {
+				out[i][j] = w
+			}
+		}
+	}
+	return out
+}
+
 // liveHeap returns HeapAlloc and HeapObjects after a collection.
 func liveHeap() (bytes, objects uint64) {
 	runtime.GC()

@@ -24,8 +24,9 @@ func TestIntegrationSweep(t *testing.T) {
 		seed := rng.Uint64()
 		g := cc.GNP(n, p, false, seed)
 		t.Logf("trial %d: n=%d p=%.2f", trial, n, p)
+		s := openSession(t, n)
 
-		tri, _, err := cc.CountTriangles(g)
+		tri, _, err := s.CountTriangles(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +34,7 @@ func TestIntegrationSweep(t *testing.T) {
 			t.Fatalf("triangles %d != %d", tri, want)
 		}
 
-		c4, _, err := cc.CountFourCycles(g)
+		c4, _, err := s.CountFourCycles(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +42,7 @@ func TestIntegrationSweep(t *testing.T) {
 			t.Fatalf("C4s %d != %d", c4, want)
 		}
 
-		c5, _, err := cc.CountFiveCycles(g)
+		c5, _, err := s.CountFiveCycles(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +50,7 @@ func TestIntegrationSweep(t *testing.T) {
 			t.Fatalf("C5s %d != %d", c5, want)
 		}
 
-		c6, _, err := cc.CountSixCycles(g)
+		c6, _, err := s.CountSixCycles(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +58,7 @@ func TestIntegrationSweep(t *testing.T) {
 			t.Fatalf("C6s %d != %d", c6, want)
 		}
 
-		has4, _, err := cc.DetectFourCycle(g)
+		has4, _, err := s.DetectFourCycle(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +66,7 @@ func TestIntegrationSweep(t *testing.T) {
 			t.Fatalf("DetectFourCycle %v != %v", has4, want)
 		}
 
-		dolev, _, err := cc.CountTrianglesDolev(g)
+		dolev, _, err := s.CountTrianglesDolev(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +74,7 @@ func TestIntegrationSweep(t *testing.T) {
 			t.Fatalf("Dolev %d != algebraic %d", dolev, tri)
 		}
 
-		res, _, err := cc.APSPUnweighted(g)
+		res, _, err := s.APSPUnweighted(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +92,7 @@ func TestIntegrationSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact, _, err := cc.APSP(w)
+		exact, _, err := s.APSP(w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +107,7 @@ func TestIntegrationSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		girth, ok, _, err := cc.Girth(g, cc.WithColourings(120), cc.WithSeed(seed))
+		girth, ok, _, err := s.Girth(g, cc.WithColourings(120), cc.WithSeed(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +136,7 @@ func TestIntegrationDisconnectedWeighted(t *testing.T) {
 	g.SetEdge(0, 1, 3)
 	g.SetEdge(1, 2, 4)
 	g.SetEdge(5, 6, 1)
-	res, _, err := cc.APSP(g)
+	res, _, err := openSession(t, g.N()).APSP(g)
 	if err != nil {
 		t.Fatal(err)
 	}

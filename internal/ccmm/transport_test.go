@@ -15,18 +15,23 @@ import (
 
 // The parity property is the exchange port's contract, stated once for
 // every engine: on any operands, the product equals the schoolbook
-// reference on the direct transport, on the wire transport, and under
-// TransportVerify, and all three charge the identical ledger — rounds,
-// words, flushes, per-phase breakdown. Engines register into engineTable
-// once; the per-algebra tests below only choose operands and sizes. (What
-// the shared schedules cost is pinned separately by TestGoldenLedger.)
+// reference on the direct transport, on the wire transport, under
+// TransportVerify, and on one and on four local workers, and every run
+// charges the identical ledger — rounds, words, flushes, per-phase
+// breakdown. For the commutative algebras (int64, Boolean, min-plus) two
+// metamorphic rows follow: the product of transposed operands in swapped
+// order is the transposed product, (AB)ᵀ = BᵀAᵀ, and squaring a relabelled
+// operand relabels the square, (PAPᵀ)² = P·A²·Pᵀ. Engines register into
+// engineTable once; the per-algebra tests below only choose operands and
+// sizes. (What the shared schedules cost is pinned separately by
+// TestGoldenLedger.)
 
 // mulOn runs one product on a fresh network with the given transport and
-// returns the product plus the full accounting snapshot.
+// options and returns the product plus the full accounting snapshot.
 func mulOn[T any](t *testing.T, n int, tr clique.Transport,
-	mul func(net *clique.Network, sc *Scratch) (*RowMat[T], error)) (*RowMat[T], clique.Stats) {
+	mul func(net *clique.Network, sc *Scratch) (*RowMat[T], error), opts ...clique.Option) (*RowMat[T], clique.Stats) {
 	t.Helper()
-	net := clique.New(n, clique.WithTransport(tr))
+	net := clique.New(n, append(opts, clique.WithTransport(tr))...)
 	defer net.Close()
 	p, err := mul(net, NewScratch())
 	if err != nil {
@@ -35,21 +40,86 @@ func mulOn[T any](t *testing.T, n int, tr clique.Transport,
 	return p, net.Stats()
 }
 
+// parityRuns are the networks one product runs on; the first one's ledger
+// is the one the others must charge.
+var parityRuns = []struct {
+	name    string
+	tr      clique.Transport
+	workers int // local workers; 0 is the network's default
+}{
+	{"direct", clique.TransportDirect, 0},
+	{"wire", clique.TransportWire, 0},
+	{"verify", clique.TransportVerify, 0},
+	{"direct, 1 worker", clique.TransportDirect, 1},
+	{"direct, 4 workers", clique.TransportDirect, 4},
+}
+
 // parity asserts the property for one product.
 func parity[T any](t *testing.T, n int, want *RowMat[T],
 	mul func(net *clique.Network, sc *Scratch) (*RowMat[T], error)) {
 	t.Helper()
-	var direct clique.Stats
-	for _, tr := range []clique.Transport{clique.TransportDirect, clique.TransportWire, clique.TransportVerify} {
-		got, st := mulOn[T](t, n, tr, mul)
+	var first clique.Stats
+	for i, run := range parityRuns {
+		var opts []clique.Option
+		if run.workers > 0 {
+			opts = append(opts, clique.WithWorkers(run.workers))
+		}
+		got, st := mulOn[T](t, n, run.tr, mul, opts...)
 		if !reflect.DeepEqual(got.Rows, want.Rows) {
-			t.Fatalf("n=%d: %v product differs from the schoolbook reference", n, tr)
+			t.Fatalf("n=%d: %s product differs from the schoolbook reference", n, run.name)
 		}
-		if tr == clique.TransportDirect {
-			direct = st
-		} else if !reflect.DeepEqual(st, direct) {
-			t.Fatalf("n=%d: ledger diverged:\ndirect: %+v\n%v: %+v", n, direct, tr, st)
+		if i == 0 {
+			first = st
+		} else if !reflect.DeepEqual(st, first) {
+			t.Fatalf("n=%d: ledger diverged:\n%s: %+v\n%s: %+v", n, parityRuns[0].name, first, run.name, st)
 		}
+	}
+}
+
+// transposed returns mᵀ.
+func transposed[T any](m *RowMat[T]) *RowMat[T] {
+	out := make([][]T, m.N())
+	for i := range out {
+		out[i] = make([]T, m.N())
+		for j := range out[i] {
+			out[i][j] = m.Rows[j][i]
+		}
+	}
+	return &RowMat[T]{Rows: out}
+}
+
+// relabelled returns P·m·Pᵀ for the permutation P sending node i to p[i].
+func relabelled[T any](m *RowMat[T], p []int) *RowMat[T] {
+	out := make([][]T, m.N())
+	for i := range out {
+		out[i] = make([]T, m.N())
+	}
+	for i, row := range m.Rows {
+		for j, x := range row {
+			out[p[i]][p[j]] = x
+		}
+	}
+	return &RowMat[T]{Rows: out}
+}
+
+// metamorphic asserts the two metamorphic rows for one engine on the
+// direct transport: mul(Bᵀ, Aᵀ) = want(AB)ᵀ and mul(PAPᵀ, PAPᵀ) =
+// P·square·Pᵀ, where square = A².
+func metamorphic[T any](t *testing.T, n int, p []int, a, b, want, square *RowMat[T],
+	mul func(net *clique.Network, sc *Scratch, s, t *RowMat[T]) (*RowMat[T], error)) {
+	t.Helper()
+	got, _ := mulOn[T](t, n, clique.TransportDirect, func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
+		return mul(net, sc, transposed(b), transposed(a))
+	})
+	if !reflect.DeepEqual(got.Rows, transposed(want).Rows) {
+		t.Fatalf("n=%d: BᵀAᵀ differs from (AB)ᵀ", n)
+	}
+	pa := relabelled(a, p)
+	got, _ = mulOn[T](t, n, clique.TransportDirect, func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
+		return mul(net, sc, pa, pa)
+	})
+	if !reflect.DeepEqual(got.Rows, relabelled(square, p).Rows) {
+		t.Fatalf("n=%d: (PAPᵀ)² differs from P·A²·Pᵀ", n)
 	}
 }
 
@@ -102,31 +172,48 @@ func engineTable[T any](n int, sr ring.Semiring[T], codec ring.Codec[T]) []engin
 // label names the subtest for an engine ("" skips it); gen draws one
 // element. Dense operands are three-quarters full — the rest is the
 // semiring zero, so min-plus operands carry +∞ entries — and the tile
-// engines get operands at average degree 2.
+// engines get operands at average degree 2; transposing and relabelling
+// keep an operand pair's Σ ca·rb, so the metamorphic rows stay inside the
+// tile engines' bound.
 func parityOver[T any](t *testing.T, sizes []int, seed uint64, sr ring.Semiring[T], codec ring.Codec[T],
 	gen func(*rand.Rand) T, label func(engine string) string) {
 	zero := sr.Zero()
+	commutes := false // the metamorphic rows' algebras: ⊗ commutes, no witnesses
+	switch any(sr).(type) {
+	case ring.Int64, ring.MinPlus, ring.Bool:
+		commutes = true
+	}
 	for _, n := range sizes {
 		rng := rand.New(rand.NewPCG(seed, uint64(n)))
-		dense := [2]*RowMat[T]{randMat(rng, n, 0.75, zero, gen), randMat(rng, n, 0.75, zero, gen)}
-		sparse := [2]*RowMat[T]{randMat(rng, n, 2/float64(n), zero, gen), randMat(rng, n, 2/float64(n), zero, gen)}
-		var wantDense, wantSparse *RowMat[T]
+		ops := [2][2]*RowMat[T]{ // [dense, sparse][A, B]
+			{randMat(rng, n, 0.75, zero, gen), randMat(rng, n, 0.75, zero, gen)},
+			{randMat(rng, n, 2/float64(n), zero, gen), randMat(rng, n, 2/float64(n), zero, gen)},
+		}
+		perm := rng.Perm(n)
+		var want, square [2]*RowMat[T] // the schoolbook references AB and A², evaluated locally
 		for _, e := range engineTable(n, sr, codec) {
 			name := label(e.name)
 			if name == "" {
 				continue
 			}
-			ops, want := dense, &wantDense
+			k := 0
 			if e.sparse {
-				ops, want = sparse, &wantSparse
+				k = 1
 			}
-			if *want == nil { // the schoolbook reference, evaluated locally
-				*want = Distribute(matrix.Mul(sr, ops[0].Collect(), ops[1].Collect()))
+			a, b := ops[k][0], ops[k][1]
+			if want[k] == nil {
+				want[k] = Distribute(matrix.Mul(sr, a.Collect(), b.Collect()))
+				if commutes {
+					square[k] = Distribute(matrix.Mul(sr, a.Collect(), a.Collect()))
+				}
 			}
 			t.Run(name, func(t *testing.T) {
-				parity[T](t, n, *want, func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
-					return e.mul(net, sc, ops[0], ops[1])
+				parity[T](t, n, want[k], func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
+					return e.mul(net, sc, a, b)
 				})
+				if commutes {
+					metamorphic(t, n, perm, a, b, want[k], square[k], e.mul)
+				}
 			})
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"time"
@@ -13,7 +14,8 @@ import (
 // wireRequest is the JSON body of a query: POST /v1/{op}. The tenant may
 // come from the body or the X-Tenant header (the body wins). DeadlineMs,
 // when positive, bounds the request end to end — queue wait included —
-// and expired requests are answered without ever reaching a session.
+// and expired requests are answered without ever reaching a session; one
+// beyond maxDeadlineMs is no bound at all.
 type wireRequest struct {
 	Tenant     string    `json:"tenant"`
 	A          [][]int64 `json:"a"`
@@ -52,30 +54,18 @@ func (s *Server) Handler() http.Handler {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	op := Op(r.PathValue("op"))
-	var body wireRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad request body: %w", err))
+	req, deadline, err := decodeRequest(op, http.MaxBytesReader(w, r.Body, maxBodyBytes), r.Header.Get("X-Tenant"))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	tenant := body.Tenant
-	if tenant == "" {
-		tenant = r.Header.Get("X-Tenant")
-	}
-
 	ctx := r.Context()
-	if body.DeadlineMs > 0 {
+	if !deadline.IsZero() {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(body.DeadlineMs)*time.Millisecond)
+		ctx, cancel = context.WithDeadline(ctx, deadline)
 		defer cancel()
 	}
-	res := s.Do(ctx, Request{
-		Tenant: tenant,
-		Op:     op,
-		A:      body.A,
-		B:      body.B,
-		Seed:   body.Seed,
-	})
+	res := s.Do(ctx, req)
 	if res.Err != nil {
 		status, retry := statusOf(res.Err)
 		if retry > 0 {
@@ -85,6 +75,32 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeResult(w, op, &res)
+}
+
+// maxDeadlineMs is the largest deadline_ms a time.Duration holds (about
+// 292 years); a larger one would wrap negative.
+const maxDeadlineMs = math.MaxInt64 / int64(time.Millisecond)
+
+// decodeRequest is the HTTP trust boundary: it decodes a query body into
+// the Request for op — the body's tenant, else headerTenant — and its
+// deadline, the zero time for none. A positive deadline_ms counts from
+// the end of the decode; one too large for a time.Duration means no
+// deadline rather than one that wrapped into the past. Validation is the
+// Server's, on every path in.
+func decodeRequest(op Op, body io.Reader, headerTenant string) (Request, time.Time, error) {
+	var wr wireRequest
+	if err := json.NewDecoder(body).Decode(&wr); err != nil {
+		return Request{}, time.Time{}, fmt.Errorf("serve: bad request body: %w", err)
+	}
+	tenant := wr.Tenant
+	if tenant == "" {
+		tenant = headerTenant
+	}
+	var deadline time.Time
+	if wr.DeadlineMs > 0 && wr.DeadlineMs <= maxDeadlineMs {
+		deadline = time.Now().Add(time.Duration(wr.DeadlineMs) * time.Millisecond)
+	}
+	return Request{Tenant: tenant, Op: op, A: wr.A, B: wr.B, Seed: wr.Seed}, deadline, nil
 }
 
 // statusOf maps a service error to its HTTP status and, for backpressure,

@@ -8,6 +8,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
+
+	cc "github.com/algebraic-clique/algclique"
 )
 
 type wireResult struct {
@@ -197,4 +200,91 @@ func TestHTTPStats(t *testing.T) {
 	if doc.Tenants["t"].Completed != 1 {
 		t.Fatalf("tenant stats = %+v", doc.Tenants)
 	}
+}
+
+// TestHTTPDeadlines: deadline_ms bounds a request only when it is a
+// positive duration a time.Duration can hold; a larger one (317 years
+// here) means no deadline instead of wrapping into the past.
+func TestHTTPDeadlines(t *testing.T) {
+	s := New(Config{})
+	defer s.Shutdown(context.Background())
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	path := make([][]int64, 8)
+	for i := range path {
+		path[i] = make([]int64, 8)
+	}
+	for i := 0; i < 7; i++ {
+		path[i][i+1], path[i+1][i] = 1, 1
+	}
+	for _, c := range []struct {
+		name string
+		ms   int64
+	}{
+		{"one second", 1000},
+		{"none", 0},
+		{"negative: none", -5},
+		{"317 years: beyond a time.Duration", 10_000_000_000_000},
+		{"the largest time.Duration", maxDeadlineMs},
+	} {
+		resp, body := post(t, srv, "/v1/triangles", map[string]any{"tenant": "t", "a": path, "deadline_ms": c.ms})
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s (deadline_ms %d): status %d: %s", c.name, c.ms, resp.StatusCode, body)
+		}
+	}
+}
+
+// FuzzDecodeRequest drives the HTTP trust boundary: any body either fails
+// to decode or yields a deadline that is absent or in the future, and a
+// decoded request that validates builds the n×n instance its op runs on —
+// both operands n×n for the products, the graph of A for the graph ops.
+// The served range is narrowed to 2…8 so the committed corpus can sit on
+// both sides of it.
+func FuzzDecodeRequest(f *testing.F) {
+	cfg := Config{MinSize: 2, MaxSize: 8}.withDefaults()
+	f.Fuzz(func(t *testing.T, op string, body []byte) {
+		before := time.Now()
+		req, deadline, err := decodeRequest(Op(op), bytes.NewReader(body), "hdr")
+		if err != nil {
+			return
+		}
+		if !deadline.IsZero() && !deadline.After(before) {
+			t.Fatalf("deadline %v is not after the decode began (%v)", deadline, before)
+		}
+		if req.validate(cfg) != nil {
+			return
+		}
+		n := len(req.A)
+		switch req.Op {
+		case OpTriangles, OpSparseSquare:
+			g := graphOf(req.A)
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					if g.N() != n || g.HasEdge(i, j) != (req.A[i][j] == 1) {
+						t.Fatalf("graph of a validated %d×%d adjacency disagrees at (%d,%d)", n, n, i, j)
+					}
+				}
+			}
+		case OpAPSP:
+			g := weightedOf(req.A)
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					w, a := g.Weight(i, j), req.A[i][j]
+					if g.N() != n || (i != j && w != a && !(cc.IsInf(w) && cc.IsInf(a))) {
+						t.Fatalf("weighted graph of a validated %d×%d matrix disagrees at (%d,%d)", n, n, i, j)
+					}
+				}
+			}
+		default:
+			if len(req.B) != n {
+				t.Fatalf("validated product operands are %d and %d rows", n, len(req.B))
+			}
+			for i := range req.A {
+				if len(req.A[i]) != n || len(req.B[i]) != n {
+					t.Fatalf("validated product operand row %d is ragged", i)
+				}
+			}
+		}
+	})
 }

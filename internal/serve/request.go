@@ -68,7 +68,8 @@ type Request struct {
 	Fault *cc.FaultPlan
 	// Certify > 0 arms result certification with that many probes
 	// (cc.WithCertification), which also gives a faulted product its
-	// retry budget.
+	// retry budget. Only the product ops certify; validation refuses it
+	// on the graph ops.
 	Certify int
 
 	ctx      context.Context
@@ -163,6 +164,11 @@ func (r *Request) validate(cfg Config) error {
 	}
 	if r.Tenant == "" {
 		return errors.New("serve: missing tenant")
+	}
+	if r.Certify > 0 && !r.Op.binary() {
+		// Only the product ops certify; a graph op would refuse on its
+		// session, so it is refused here instead, before it takes a slot.
+		return fmt.Errorf("serve: op %q: %w", r.Op, cc.ErrNotCertifiable)
 	}
 	n := len(r.A)
 	if n < cfg.MinSize || n > cfg.MaxSize {

@@ -87,6 +87,10 @@ func TestServerValidationRejects(t *testing.T) {
 	defer s.Shutdown(context.Background())
 	ctx := context.Background()
 
+	edgeless := make([][]int64, 8)
+	for i := range edgeless {
+		edgeless[i] = make([]int64, 8)
+	}
 	cases := []Request{
 		{Tenant: "t", Op: "nope", A: testMat(8, 1), B: testMat(8, 2)},
 		{Tenant: "", Op: OpMatMul, A: testMat(8, 1), B: testMat(8, 2)},
@@ -95,11 +99,15 @@ func TestServerValidationRejects(t *testing.T) {
 		{Tenant: "t", Op: OpMatMul, A: testMat(8, 1), B: testMat(6, 2)},   // size mismatch
 		{Tenant: "t", Op: OpTriangles, A: testMat(8, 1)},                  // not 0/1
 		{Tenant: "t", Op: OpTriangles, A: testMat(8, 1), B: testMat(8, 2)},
+		{Tenant: "t", Op: OpTriangles, A: edgeless, Certify: 4}, // a valid graph, but graph ops do not certify
 	}
 	for i, req := range cases {
 		if res := s.Do(ctx, req); res.Err == nil {
 			t.Errorf("case %d: invalid request was accepted", i)
 		}
+	}
+	if res := s.Do(ctx, cases[len(cases)-1]); !errors.Is(res.Err, cc.ErrNotCertifiable) {
+		t.Errorf("certified graph op: err = %v, want cc.ErrNotCertifiable", res.Err)
 	}
 	// None of these may have touched a session or a queue slot.
 	if st := s.Pool(); st.Hits+st.Misses != 0 {

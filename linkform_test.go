@@ -103,7 +103,12 @@ func TestCSRFaultInjectionOnSparseLinks(t *testing.T) {
 	plan := FaultPlan{Seed: 5, DropProb: 0.02, DupProb: 0.02, CorruptProb: 0.05}
 	for _, n := range []int{64, 2000} {
 		adj := gnpCSR(n, 2, uint64(n))
-		want, _, err := MatMulCSR(adj, adj)
+		clean, err := NewClique(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := clean.MatMulCSR(adj, adj)
+		clean.Close()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/algebraic-clique/algclique/internal/ccmm"
-	"github.com/algebraic-clique/algclique/internal/matrix"
 )
 
 // MatMul multiplies two n×n integer matrices on the session's simulated
@@ -17,14 +16,6 @@ func (s *Clique) MatMul(a, b Mat, opts ...CallOption) (Mat, Stats, error) {
 	return s.product(&matMulSpec, a, b, opts)
 }
 
-// MatMul is the one-shot form of Clique.MatMul: it simulates the product on
-// a throwaway session.
-func MatMul(a, b Mat, opts ...Option) (Mat, Stats, error) {
-	return oneShot(len(a), opts, func(s *Clique) (Mat, Stats, error) {
-		return s.MatMul(a, b)
-	})
-}
-
 // DistanceProduct computes the min-plus (tropical) product
 // P[u][v] = min_w A[u][w] + B[w][v] with Inf as "no entry" — the primitive
 // behind all APSP algorithms. Runs unpadded on the semiring 3D engine for
@@ -34,13 +25,6 @@ func MatMul(a, b Mat, opts ...Option) (Mat, Stats, error) {
 // points.
 func (s *Clique) DistanceProduct(a, b Mat, opts ...CallOption) (Mat, Stats, error) {
 	return s.product(&distanceProductSpec, a, b, opts)
-}
-
-// DistanceProduct is the one-shot form of Clique.DistanceProduct.
-func DistanceProduct(a, b Mat, opts ...Option) (Mat, Stats, error) {
-	return oneShot(len(a), opts, func(s *Clique) (Mat, Stats, error) {
-		return s.DistanceProduct(a, b)
-	})
 }
 
 // MatMulBool computes the Boolean matrix product of 0/1 matrices
@@ -63,13 +47,6 @@ func (s *Clique) product(spec *productSpec, a, b Mat, opts []CallOption) (prod M
 	defer r.end(&stats, &err)
 	prod, err = r.runProduct(r.cfg, spec, a, b)
 	return
-}
-
-// MatMulBool is the one-shot form of Clique.MatMulBool.
-func MatMulBool(a, b Mat, opts ...Option) (Mat, Stats, error) {
-	return oneShot(len(a), opts, func(s *Clique) (Mat, Stats, error) {
-		return s.MatMulBool(a, b)
-	})
 }
 
 func squareSize(a, b Mat) (int, error) {
@@ -106,8 +83,4 @@ func padMatInto(dst *ccmm.RowMat[int64], rows Mat, zero int64) {
 			r[j] = zero
 		}
 	}
-}
-
-func denseOf(rows Mat) *matrix.Dense[int64] {
-	return matrix.FromRows(rows)
 }

@@ -16,7 +16,8 @@ func TestWithRoundLimitReturnsTypedError(t *testing.T) {
 	g := cc.RandomConnectedWeighted(27, 0.3, 20, true, 1)
 	// Exact APSP needs ~190 rounds at n = 27; a 10-round budget must abort
 	// cleanly with the typed error, not a panic.
-	_, _, err := cc.APSP(g, cc.WithRoundLimit(10))
+	s := openSession(t, g.N())
+	_, _, err := s.APSP(g, cc.WithRoundLimit(10))
 	var lim *clique.RoundLimitError
 	if !errors.As(err, &lim) {
 		t.Fatalf("err = %v, want *clique.RoundLimitError", err)
@@ -26,27 +27,28 @@ func TestWithRoundLimitReturnsTypedError(t *testing.T) {
 	}
 
 	// A generous budget must succeed.
-	if _, _, err := cc.APSP(g, cc.WithRoundLimit(100000)); err != nil {
+	if _, _, err := s.APSP(g, cc.WithRoundLimit(100000)); err != nil {
 		t.Fatalf("generous budget failed: %v", err)
 	}
 }
 
 func TestWithRoundLimitAcrossEntryPoints(t *testing.T) {
 	g := cc.GNP(64, 0.3, false, 2)
+	s := openSession(t, 64)
 	cases := []struct {
 		name string
 		run  func() error
 	}{
-		{"triangles", func() error { _, _, err := cc.CountTriangles(g, cc.WithRoundLimit(3)); return err }},
-		{"c4count", func() error { _, _, err := cc.CountFourCycles(g, cc.WithRoundLimit(3)); return err }},
-		{"seidel", func() error { _, _, err := cc.APSPUnweighted(g, cc.WithRoundLimit(3)); return err }},
+		{"triangles", func() error { _, _, err := s.CountTriangles(g, cc.WithRoundLimit(3)); return err }},
+		{"c4count", func() error { _, _, err := s.CountFourCycles(g, cc.WithRoundLimit(3)); return err }},
+		{"seidel", func() error { _, _, err := s.APSPUnweighted(g, cc.WithRoundLimit(3)); return err }},
 		{"matmul", func() error {
 			a := randMat(nil2rand(), 64, 5)
-			_, _, err := cc.MatMul(a, a, cc.WithRoundLimit(2))
+			_, _, err := s.MatMul(a, a, cc.WithRoundLimit(2))
 			return err
 		}},
 		{"girth", func() error {
-			_, _, _, err := cc.Girth(g, cc.WithRoundLimit(3), cc.WithColourings(5))
+			_, _, _, err := s.Girth(g, cc.WithRoundLimit(3), cc.WithColourings(5))
 			return err
 		}},
 	}

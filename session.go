@@ -36,9 +36,11 @@ var ErrSessionClosed = errors.New("algclique: session is closed")
 // The session keeps a cumulative ledger of every completed operation —
 // Stats returns it, ResetStats clears it — so a pipeline's total
 // communication cost (with per-operation phase breakdowns) is measured for
-// free. Close releases the worker pools; the package-level one-shot
-// functions are thin wrappers that build a session, run one operation, and
-// close it.
+// free. Close releases the worker pools.
+//
+// Under WithCertification an operation either vouches for its result
+// (Stats.Certified) or refuses with an error wrapping ErrNotCertifiable
+// before it runs; see WithCertification for which do which.
 type Clique struct {
 	mu  sync.Mutex
 	n   int
@@ -83,17 +85,10 @@ type SessionStats struct {
 // and padding decisions happen here, once; the session's networks and
 // buffers are then reused by every operation.
 func NewClique(n int, opts ...SessionOption) (*Clique, error) {
-	cfg := defaultConfig()
+	cfg := config{engine: Auto, sparseThreshold: ccmm.DefaultSparseThreshold, certifyRetries: -1}
 	for _, o := range opts {
 		o.apply(&cfg)
 	}
-	return newSession(n, cfg)
-}
-
-// newSession builds a session from an already-merged config; the one-shot
-// wrappers use it to honour call options passed through the flat Option
-// list.
-func newSession(n int, cfg config) (*Clique, error) {
 	nAny, err := cfg.paddedSize(n, anySize)
 	if err != nil {
 		return nil, err
@@ -106,18 +101,6 @@ func newSession(n int, cfg config) (*Clique, error) {
 	}
 	s.nRing, s.ringErr = cfg.paddedSize(n, ringSize)
 	return s, nil
-}
-
-// oneShot is the body of a package-level function: build a throwaway
-// session for instances of size n, run one operation on it, close it.
-func oneShot[R any](n int, opts []Option, call func(*Clique) (R, Stats, error)) (R, Stats, error) {
-	s, err := newSession(n, newConfig(opts))
-	if err != nil {
-		var none R
-		return none, Stats{}, err
-	}
-	defer s.Close()
-	return call(s)
 }
 
 // N returns the instance size the session serves.
@@ -279,9 +262,10 @@ type opRun struct {
 	certified bool                  // result passed certification
 }
 
-// acquire locks the session and merges the per-call config; on error the
-// lock is released.
-func (s *Clique) acquire(orig int, opts []CallOption) (config, error) {
+// acquire locks the session and merges op's per-call config; on error the
+// lock is released. An operation without a certificate refuses
+// certification here, before anything runs.
+func (s *Clique) acquire(op string, orig int, opts []CallOption) (config, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -295,12 +279,16 @@ func (s *Clique) acquire(orig int, opts []CallOption) (config, error) {
 	for _, o := range opts {
 		o.apply(&cfg)
 	}
+	if cfg.certifyProbes > 0 && !certifies(op) {
+		s.mu.Unlock()
+		return config{}, fmt.Errorf("algclique: %s under WithCertification: %w", op, ErrNotCertifiable)
+	}
 	return cfg, nil
 }
 
 // beginAt starts an operation on a clique of the given (padded) size.
 func (s *Clique) beginAt(op string, orig, n int, opts []CallOption) (*opRun, error) {
-	cfg, err := s.acquire(orig, opts)
+	cfg, err := s.acquire(op, orig, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -353,7 +341,7 @@ func (r *opRun) armFault(cfg config) {
 // size class. The closed/size checks in acquire take precedence over the
 // deferred ring-padding error.
 func (s *Clique) begin(op string, orig int, class sizeClass, opts []CallOption) (*opRun, error) {
-	cfg, err := s.acquire(orig, opts)
+	cfg, err := s.acquire(op, orig, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -370,7 +358,7 @@ func (s *Clique) begin(op string, orig int, class sizeClass, opts []CallOption) 
 func (r *opRun) end(stats *Stats, err *error) {
 	s := r.s
 	if rec := recover(); rec != nil {
-		e, ok := abortError(rec)
+		e, ok := clique.AsAbort(rec)
 		if !ok {
 			s.mu.Unlock()
 			panic(rec)
@@ -450,7 +438,7 @@ func (r *opRun) engine() ccmm.Engine { return r.cfg.engine.internal() }
 // beginBroadcast starts an operation on the session's broadcast-model
 // network (built on first use; broadcast algorithms never pad).
 func (s *Clique) beginBroadcast(op string, orig int, opts []CallOption) (*opRun, error) {
-	cfg, err := s.acquire(orig, opts)
+	cfg, err := s.acquire(op, orig, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -662,7 +650,7 @@ func (r *opRun) runItem(spec *productSpec, it *BatchItem) (prod Mat, st Stats, e
 	r.attempts, r.certified = 0, false
 	defer func() {
 		if rec := recover(); rec != nil {
-			e, ok := abortError(rec)
+			e, ok := clique.AsAbort(rec)
 			if !ok {
 				panic(rec) // endBatch unlocks and re-raises
 			}
@@ -701,14 +689,6 @@ func (s *Clique) runBatch(spec *productSpec, items []BatchItem, opts []CallOptio
 	return prods, stats, nil
 }
 
-func pairItems(pairs [][2]Mat) []BatchItem {
-	items := make([]BatchItem, len(pairs))
-	for i, p := range pairs {
-		items[i] = BatchItem{A: p[0], B: p[1]}
-	}
-	return items
-}
-
 // MatMulBatch runs a batch of integer matrix products on the session. The
 // plan, scratch pools, and session-scoped network configuration are
 // resolved and armed once for the whole batch (not per pair); each item
@@ -729,20 +709,4 @@ func (s *Clique) MatMulBoolBatch(items []BatchItem, opts ...CallOption) ([]Mat, 
 // DistanceProduct).
 func (s *Clique) DistanceProductBatch(items []BatchItem, opts ...CallOption) ([]Mat, []Stats, error) {
 	return s.runBatch(&distanceProductSpec, items, opts)
-}
-
-// MatMuls runs a batch of integer matrix products on the session,
-// amortising setup across the whole batch. It returns one product and one
-// Stats per pair, stopping at the first error (already-computed results are
-// returned alongside it).
-func (s *Clique) MatMuls(pairs [][2]Mat, opts ...CallOption) ([]Mat, []Stats, error) {
-	return s.MatMulBatch(pairItems(pairs), opts...)
-}
-
-// DistanceProducts runs a batch of min-plus products on the session,
-// amortising setup across the whole batch. It returns one product and one
-// Stats per pair, stopping at the first error (already-computed results are
-// returned alongside it).
-func (s *Clique) DistanceProducts(pairs [][2]Mat, opts ...CallOption) ([]Mat, []Stats, error) {
-	return s.DistanceProductBatch(pairItems(pairs), opts...)
 }

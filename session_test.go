@@ -27,16 +27,16 @@ func sessionTestMat(n int, seed int64) cc.Mat {
 }
 
 // Two sequential operations on one session must give results identical to
-// two independent one-shot calls.
+// the same operations each on a fresh session.
 func TestSessionReuseIdenticalResults(t *testing.T) {
 	const n = 16
 	a, b := sessionTestMat(n, 1), sessionTestMat(n, 2)
 
-	want1, ws1, err := cc.MatMul(a, b)
+	want1, ws1, err := openSession(t, n).MatMul(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want2, _, err := cc.MatMul(b, a)
+	want2, _, err := openSession(t, n).MatMul(b, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,14 +55,14 @@ func TestSessionReuseIdenticalResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got1, want1) || !reflect.DeepEqual(got2, want2) {
-		t.Fatal("session results differ from one-shot results")
+		t.Fatal("reused-session results differ from fresh-session results")
 	}
 	if gs1.Rounds != ws1.Rounds || gs1.Words != ws1.Words || gs1.N != ws1.N {
-		t.Errorf("session stats %+v differ from one-shot stats %+v", gs1, ws1)
+		t.Errorf("reused-session stats %+v differ from fresh-session stats %+v", gs1, ws1)
 	}
 	// The same holds for graph algorithms sharing the session.
 	g := cc.GNP(n, 0.4, false, 3)
-	wantTri, _, err := cc.CountTriangles(g)
+	wantTri, _, err := openSession(t, n).CountTriangles(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,22 +71,27 @@ func TestSessionReuseIdenticalResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if gotTri != wantTri {
-		t.Errorf("session triangles = %d, one-shot = %d", gotTri, wantTri)
+		t.Errorf("reused-session triangles = %d, fresh session = %d", gotTri, wantTri)
 	}
 }
 
-// A session operation must allocate strictly less than the equivalent
-// one-shot call: the network, engine plan, and padded operand buffers are
-// reused instead of rebuilt. Workers are pinned to 1 so the measurement is
-// deterministic.
+// An operation on a warm session must allocate strictly less than
+// NewClique, the same operation and Close: the network, engine plan, and
+// padded operand buffers are reused instead of rebuilt. Workers are pinned
+// to 1 so the measurement is deterministic.
 func TestSessionFewerAllocations(t *testing.T) {
 	const n = 16
 	a, b := sessionTestMat(n, 4), sessionTestMat(n, 5)
 
-	oneShot := testing.AllocsPerRun(10, func() {
-		if _, _, err := cc.MatMul(a, b, cc.WithWorkers(1)); err != nil {
+	fresh := testing.AllocsPerRun(10, func() {
+		s, err := cc.NewClique(n, cc.WithWorkers(1))
+		if err != nil {
 			t.Fatal(err)
 		}
+		if _, _, err := s.MatMul(a, b); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
 	})
 
 	sess, err := cc.NewClique(n, cc.WithWorkers(1))
@@ -99,10 +104,10 @@ func TestSessionFewerAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if inSession >= oneShot {
-		t.Errorf("session MatMul allocates %.0f allocs/op, one-shot %.0f — session must be strictly cheaper", inSession, oneShot)
+	if inSession >= fresh {
+		t.Errorf("warm-session MatMul allocates %.0f allocs/op, a fresh session %.0f — the warm session must be strictly cheaper", inSession, fresh)
 	}
-	t.Logf("allocs/op: one-shot %.0f, session %.0f", oneShot, inSession)
+	t.Logf("allocs/op: fresh session %.0f, warm session %.0f", fresh, inSession)
 }
 
 // cancelAfterCalls implements context.Context with an Err that flips to
@@ -178,36 +183,36 @@ func TestSessionRoundLimitPerCall(t *testing.T) {
 
 func TestSessionBatchedDistanceProducts(t *testing.T) {
 	const n = 20
-	pairs := make([][2]cc.Mat, 4)
-	for i := range pairs {
-		pairs[i] = [2]cc.Mat{sessionTestMat(n, int64(10+i)), sessionTestMat(n, int64(20+i))}
+	items := make([]cc.BatchItem, 4)
+	for i := range items {
+		items[i] = cc.BatchItem{A: sessionTestMat(n, int64(10+i)), B: sessionTestMat(n, int64(20+i))}
 	}
 	sess, err := cc.NewClique(n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	prods, stats, err := sess.DistanceProducts(pairs)
+	prods, stats, err := sess.DistanceProductBatch(items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(prods) != len(pairs) || len(stats) != len(pairs) {
-		t.Fatalf("got %d products / %d stats, want %d", len(prods), len(stats), len(pairs))
+	if len(prods) != len(items) || len(stats) != len(items) {
+		t.Fatalf("got %d products / %d stats, want %d", len(prods), len(stats), len(items))
 	}
 	var wantRounds int64
-	for i, pair := range pairs {
-		want, st, err := cc.DistanceProduct(pair[0], pair[1])
+	for i, it := range items {
+		want, st, err := openSession(t, n).DistanceProduct(it.A, it.B)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(prods[i], want) {
-			t.Fatalf("batched product %d differs from one-shot", i)
+			t.Fatalf("batched product %d differs from a fresh session's", i)
 		}
 		wantRounds += st.Rounds
 	}
 	ledger := sess.Stats()
-	if len(ledger.Ops) != len(pairs) {
-		t.Fatalf("ledger has %d ops, want %d", len(ledger.Ops), len(pairs))
+	if len(ledger.Ops) != len(items) {
+		t.Fatalf("ledger has %d ops, want %d", len(ledger.Ops), len(items))
 	}
 	if ledger.Rounds != wantRounds {
 		t.Errorf("ledger rounds = %d, want %d", ledger.Rounds, wantRounds)
@@ -368,12 +373,12 @@ func TestSessionConcurrentUse(t *testing.T) {
 	}
 	defer sess.Close()
 	g := cc.GNP(n, 0.4, false, 11)
-	wantTri, _, err := cc.CountTriangles(g)
+	wantTri, _, err := openSession(t, n).CountTriangles(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := sessionTestMat(n, 6)
-	wantProd, _, err := cc.MatMul(a, a)
+	wantProd, _, err := openSession(t, n).MatMul(a, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,11 +423,12 @@ func TestSessionConcurrentUse(t *testing.T) {
 func TestBroadcastThroughConfigPath(t *testing.T) {
 	const n = 8
 	a, b := sessionTestMat(n, 1), sessionTestMat(n, 2)
-	want, _, err := cc.MatMul(a, b, cc.WithEngine(cc.Naive))
+	want, _, err := openSession(t, n, cc.WithEngine(cc.Naive)).MatMul(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, stats, err := cc.MatMulBroadcast(a, b)
+	s := openSession(t, n)
+	p, stats, err := s.MatMulBroadcast(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,43 +441,24 @@ func TestBroadcastThroughConfigPath(t *testing.T) {
 	if stats.N != n || stats.Rounds < int64(n) {
 		t.Errorf("broadcast stats = %+v, want N=%d and ≥ %d rounds", stats, n, n)
 	}
-	_, _, err = cc.MatMulBroadcast(a, b, cc.WithRoundLimit(3))
+	_, _, err = s.MatMulBroadcast(a, b, cc.WithRoundLimit(3))
 	var lim *clique.RoundLimitError
 	if !errors.As(err, &lim) {
 		t.Errorf("broadcast round limit: err = %v, want *clique.RoundLimitError", err)
 	}
 }
 
-// The one-shot wrappers accept both option scopes in one flat list.
+// The two option scopes meet in one operation: the engine on the session,
+// the seed and trial count on the call.
 func TestOptionScopesInteroperate(t *testing.T) {
 	g := cc.Petersen()
-	opts := []cc.Option{cc.WithEngine(cc.Fast), cc.WithSeed(2), cc.WithColourings(150)}
-	v, ok, _, err := cc.Girth(g, opts...)
-	if err != nil || !ok || v != 5 {
-		t.Fatalf("girth = %d, %v, %v; want 5", v, ok, err)
-	}
-	// Session scope: engine on the session, seed on the call.
 	sess, err := cc.NewClique(g.N(), cc.WithEngine(cc.Fast))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	v, ok, _, err = sess.Girth(g, cc.WithSeed(2), cc.WithColourings(150))
+	v, ok, _, err := sess.Girth(g, cc.WithSeed(2), cc.WithColourings(150))
 	if err != nil || !ok || v != 5 {
 		t.Fatalf("session girth = %d, %v, %v; want 5", v, ok, err)
-	}
-}
-
-// BenchmarkOneShotDistanceProduct anchors the session benchmarks in
-// alloc_bench_test.go: the one-shot path pays network construction,
-// engine/scheme resolution, and operand allocation on every call.
-func BenchmarkOneShotDistanceProduct(b *testing.B) {
-	const n = 27
-	x, y := sessionTestMat(n, 1), sessionTestMat(n, 2)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := cc.DistanceProduct(x, y); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

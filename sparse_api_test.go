@@ -61,7 +61,7 @@ func TestAutoRoutesSparseGNP(t *testing.T) {
 	if !reflect.DeepEqual(pa, pd) {
 		t.Fatal("sparse-routed product differs from the dense plan")
 	}
-	p3, _, err := cc.MatMul(a, a, cc.WithEngine(cc.Semiring3D))
+	p3, _, err := openSession(t, n, cc.WithEngine(cc.Semiring3D)).MatMul(a, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestForcedSparseEngineSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := cc.MatMul(a, a, cc.WithEngine(cc.Semiring3D))
+	want, _, err := openSession(t, n, cc.WithEngine(cc.Semiring3D)).MatMul(a, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,13 +154,13 @@ func TestForcedSparseEngineSession(t *testing.T) {
 func TestSquareAdjacencySparseSentinels(t *testing.T) {
 	// Directed input.
 	dir := cc.GNP(12, 0.2, true, 4)
-	if _, _, err := cc.SquareAdjacencySparse(dir); !errors.Is(err, cc.ErrSparseDirected) {
+	if _, _, err := openSession(t, 12).SquareAdjacencySparse(dir); !errors.Is(err, cc.ErrSparseDirected) {
 		t.Fatalf("directed err = %v, want ErrSparseDirected", err)
 	}
 
 	// Too dense: both the public and the internal sentinel must match,
 	// plus the engine-level one they wrap.
-	_, _, err := cc.SquareAdjacencySparse(cc.Complete(20, false))
+	_, _, err := openSession(t, 20).SquareAdjacencySparse(cc.Complete(20, false))
 	if !errors.Is(err, cc.ErrSparseTooDense) {
 		t.Fatalf("dense err = %v, want ErrSparseTooDense", err)
 	}
@@ -170,10 +170,11 @@ func TestSquareAdjacencySparseSentinels(t *testing.T) {
 
 	// Too small under WithoutPadding; padded otherwise.
 	small := cc.Cycle(5, false)
-	if _, _, err := cc.SquareAdjacencySparse(small, cc.WithoutPadding()); !errors.Is(err, cc.ErrSparseTooSmall) {
+	if _, _, err := openSession(t, 5, cc.WithoutPadding()).SquareAdjacencySparse(small); !errors.Is(err, cc.ErrSparseTooSmall) {
 		t.Fatalf("strict small err = %v, want ErrSparseTooSmall", err)
 	}
-	sq, st, err := cc.SquareAdjacencySparse(small)
+	s := openSession(t, 5)
+	sq, st, err := s.SquareAdjacencySparse(small)
 	if err != nil {
 		t.Fatalf("padded small instance: %v", err)
 	}
@@ -192,7 +193,7 @@ func TestSquareAdjacencySparseSentinels(t *testing.T) {
 	if !census {
 		t.Fatalf("sparse square phases missing mmsparse/census: %+v", st.Phases)
 	}
-	want, _, err := cc.MatMul(adjacencyMat(small), adjacencyMat(small))
+	want, _, err := s.MatMul(adjacencyMat(small), adjacencyMat(small))
 	if err != nil {
 		t.Fatal(err)
 	}

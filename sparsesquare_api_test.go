@@ -10,7 +10,8 @@ import (
 
 func TestSquareAdjacencySparseAPI(t *testing.T) {
 	g := cc.GNP(40, 0.05, false, 5)
-	sq, stats, err := cc.SquareAdjacencySparse(g)
+	s := openSession(t, g.N())
+	sq, stats, err := s.SquareAdjacencySparse(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +24,7 @@ func TestSquareAdjacencySparseAPI(t *testing.T) {
 			a[v][u] = 1
 		}
 	}
-	want, _, err := cc.MatMul(a, a)
+	want, _, err := s.MatMul(a, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,13 +40,13 @@ func TestSquareAdjacencySparseAPI(t *testing.T) {
 	}
 
 	// Dense graphs must report ErrTooDense (wrapped).
-	if _, _, err := cc.SquareAdjacencySparse(cc.Complete(20, false)); !errors.Is(err, subgraph.ErrTooDense) {
+	if _, _, err := openSession(t, 20).SquareAdjacencySparse(cc.Complete(20, false)); !errors.Is(err, subgraph.ErrTooDense) {
 		t.Errorf("dense graph err = %v, want ErrTooDense", err)
 	}
 
 	// Tiny graphs are padded to the packing threshold.
 	small := cc.Path(5, false)
-	sq, stats, err = cc.SquareAdjacencySparse(small)
+	sq, stats, err = openSession(t, 5).SquareAdjacencySparse(small)
 	if err != nil {
 		t.Fatal(err)
 	}

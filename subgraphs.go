@@ -25,13 +25,6 @@ func (s *Clique) CountTriangles(g *Graph, opts ...CallOption) (count int64, stat
 	return
 }
 
-// CountTriangles is the one-shot form of Clique.CountTriangles.
-func CountTriangles(g *Graph, opts ...Option) (int64, Stats, error) {
-	return oneShot(g.N(), opts, func(s *Clique) (int64, Stats, error) {
-		return s.CountTriangles(g)
-	})
-}
-
 // CountFourCycles counts the graph's 4-cycles via the Alon–Yuster–Zwick
 // trace formula — O(n^ρ) rounds (Corollary 2).
 func (s *Clique) CountFourCycles(g *Graph, opts ...CallOption) (count int64, stats Stats, err error) {
@@ -42,13 +35,6 @@ func (s *Clique) CountFourCycles(g *Graph, opts ...CallOption) (count int64, sta
 	defer r.end(&stats, &err)
 	count, err = subgraph.CountC4(r.net, r.engine(), padGraph(g, r.n))
 	return
-}
-
-// CountFourCycles is the one-shot form of Clique.CountFourCycles.
-func CountFourCycles(g *Graph, opts ...Option) (int64, Stats, error) {
-	return oneShot(g.N(), opts, func(s *Clique) (int64, Stats, error) {
-		return s.CountFourCycles(g)
-	})
 }
 
 // CountFiveCycles counts the 5-cycles of an undirected graph via the
@@ -64,13 +50,6 @@ func (s *Clique) CountFiveCycles(g *Graph, opts ...CallOption) (count int64, sta
 	return
 }
 
-// CountFiveCycles is the one-shot form of Clique.CountFiveCycles.
-func CountFiveCycles(g *Graph, opts ...Option) (int64, Stats, error) {
-	return oneShot(g.N(), opts, func(s *Clique) (int64, Stats, error) {
-		return s.CountFiveCycles(g)
-	})
-}
-
 // CountSixCycles counts the 6-cycles of an undirected graph via the k = 6
 // closed-walk census (ten image shapes with machine-enumerated walk
 // constants; see internal/subgraph.CountC6): two distributed products —
@@ -83,13 +62,6 @@ func (s *Clique) CountSixCycles(g *Graph, opts ...CallOption) (count int64, stat
 	defer r.end(&stats, &err)
 	count, err = subgraph.CountC6(r.net, r.engine(), padGraph(g, r.n))
 	return
-}
-
-// CountSixCycles is the one-shot form of Clique.CountSixCycles.
-func CountSixCycles(g *Graph, opts ...Option) (int64, Stats, error) {
-	return oneShot(g.N(), opts, func(s *Clique) (int64, Stats, error) {
-		return s.CountSixCycles(g)
-	})
 }
 
 // DetectFourCycle reports whether an undirected graph contains a 4-cycle
@@ -107,13 +79,6 @@ func (s *Clique) DetectFourCycle(g *Graph, opts ...CallOption) (found bool, stat
 	return
 }
 
-// DetectFourCycle is the one-shot form of Clique.DetectFourCycle.
-func DetectFourCycle(g *Graph, opts ...Option) (bool, Stats, error) {
-	return oneShot(g.N(), opts, func(s *Clique) (bool, Stats, error) {
-		return s.DetectFourCycle(g)
-	})
-}
-
 // DetectCycle reports whether the graph contains a simple cycle of length
 // exactly k, by randomised colour-coding — 2^{O(k)}·n^ρ·log n rounds
 // (Theorem 3). There are no false positives; the detection probability per
@@ -127,13 +92,6 @@ func (s *Clique) DetectCycle(g *Graph, k int, opts ...CallOption) (found bool, s
 	found, _, err = subgraph.DetectKCycle(r.net, r.engine(), padGraph(g, r.n), k,
 		subgraph.KCycleOpts{Colourings: r.cfg.colourings, Seed: r.cfg.seed})
 	return
-}
-
-// DetectCycle is the one-shot form of Clique.DetectCycle.
-func DetectCycle(g *Graph, k int, opts ...Option) (bool, Stats, error) {
-	return oneShot(g.N(), opts, func(s *Clique) (bool, Stats, error) {
-		return s.DetectCycle(g, k)
-	})
 }
 
 // Girth computes the length of the graph's shortest cycle — Õ(n^ρ) rounds
@@ -159,16 +117,6 @@ func (s *Clique) Girth(g *Graph, opts ...CallOption) (value int, ok bool, stats 
 		})
 	}
 	return
-}
-
-// Girth is the one-shot form of Clique.Girth.
-func Girth(g *Graph, opts ...Option) (int, bool, Stats, error) {
-	s, err := newSession(g.N(), newConfig(opts))
-	if err != nil {
-		return 0, false, Stats{}, err
-	}
-	defer s.Close()
-	return s.Girth(g)
 }
 
 // Sentinel errors of the Sparse engine's restrictions as they surface
@@ -229,13 +177,6 @@ func (s *Clique) SquareAdjacencySparse(g *Graph, opts ...CallOption) (sq Mat, st
 	return
 }
 
-// SquareAdjacencySparse is the one-shot form of Clique.SquareAdjacencySparse.
-func SquareAdjacencySparse(g *Graph, opts ...Option) (Mat, Stats, error) {
-	return oneShot(g.N(), opts, func(s *Clique) (Mat, Stats, error) {
-		return s.SquareAdjacencySparse(g)
-	})
-}
-
 // CountTrianglesDolev counts triangles with the deterministic
 // O(n^{1/3})-round combinatorial algorithm of Dolev, Lenzen and Peled
 // (DISC 2012) — the prior-work baseline of Table 1.
@@ -247,11 +188,4 @@ func (s *Clique) CountTrianglesDolev(g *Graph, opts ...CallOption) (count int64,
 	defer r.end(&stats, &err)
 	count, err = baseline.DolevTriangles(r.net, g)
 	return
-}
-
-// CountTrianglesDolev is the one-shot form of Clique.CountTrianglesDolev.
-func CountTrianglesDolev(g *Graph, opts ...Option) (int64, Stats, error) {
-	return oneShot(g.N(), opts, func(s *Clique) (int64, Stats, error) {
-		return s.CountTrianglesDolev(g)
-	})
 }
