@@ -31,8 +31,10 @@ import (
 // The sweep is replayable end to end: every fault draw is keyed by the
 // scenario's plan seed, so a failure line names a reproducible run — and
 // how many scenarios ended clean, recovered or typed, how many extra
-// attempts they took and what the serve wave completed, failed and
-// discarded are exact, so those counts are the BENCH_chaos.json ledger.
+// attempts they took and what the serve wave completed and failed are
+// exact, so those counts are the BENCH_chaos.json ledger. How many
+// sessions the wave discarded is not: it depends on which requests
+// arrived together, so it is printed and bounded, not committed.
 // (That a disarmed session charges the clean schedule is the matmul
 // ledger's rows, and that an armed plan which never fires leaves it alone is
 // clique's TestFaultZeroPlanIsTransparent.)
@@ -88,7 +90,6 @@ func (rep *chaosReport) counters() []chaosRow {
 		{"serve_wave/poison_requests", int64(rep.Serve.Poisoned)},
 		{"serve_wave/completed", rep.Serve.Completed},
 		{"serve_wave/failed_typed", rep.Serve.Failed},
-		{"serve_wave/sessions_discarded", rep.Serve.Discards},
 	}
 }
 
@@ -290,7 +291,7 @@ func chaosSessionSweep(rep *chaosReport) {
 // and session-poisoning — through the service plane and audits the
 // crash-safety ledger.
 func chaosServeWave(rep *chaosReport) {
-	s := serve.New(serve.Config{MaxBatch: 4, MaxWait: 2 * time.Millisecond})
+	s := serve.New(serve.Config{MaxBatch: 4})
 	const waveN, waveReqs = 10, 48
 	a, b := randSquare(waveN, 91), randSquare(waveN, 92)
 	want := refChaosProduct("matmul", a, b)
@@ -344,8 +345,12 @@ func chaosServeWave(rep *chaosReport) {
 			admitted, completed, failed, expired))
 	}
 	pool := s.Pool()
-	if pool.Discards < int64(poisons) {
-		check(fmt.Errorf("chaos: %d poison requests but only %d sessions discarded", poisons, pool.Discards))
+	// A poison alone in its batch costs one session, one that shared a
+	// batch two (the batch's, then its solo retry's); which did depends on
+	// how the goroutines arrived.
+	if pool.Discards < int64(poisons) || pool.Discards > 2*int64(poisons) {
+		check(fmt.Errorf("chaos: %d poison requests but %d sessions discarded, want between %d and %d",
+			poisons, pool.Discards, poisons, 2*poisons))
 	}
 	if int64(pool.Idle+pool.InUse) != pool.Misses-pool.Discards {
 		check(fmt.Errorf("chaos: a poisoned session was re-pooled: %+v", pool))

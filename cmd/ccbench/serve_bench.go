@@ -29,6 +29,10 @@ import (
 // decides the batches, the sessions built and who the drain turns away — so
 // it has no ledger; its latency and allocations per request are the
 // yardstick's serve_mixed workload (bench/).
+//
+// The printed avg batch is what the dispatchers found queued when they
+// came free — about 6.5–8 for a burst of 2 000 on a 2-vCPU guest, where
+// the campaign takes 1.1–1.4 s.
 
 // serveLCG is the bench's deterministic input generator.
 type serveLCG uint64
@@ -190,11 +194,7 @@ func serveBench() {
 		inputs[n].serveReference(n)
 	}
 
-	srv := serve.New(serve.Config{
-		QueueCap: 512,
-		MaxBatch: 16,
-		MaxWait:  2 * time.Millisecond,
-	})
+	srv := serve.New(serve.Config{QueueCap: 512, MaxBatch: 16})
 
 	// Warm the pool and the dispatchers: one request per (size, op).
 	for _, n := range sizes {

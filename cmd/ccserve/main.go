@@ -1,12 +1,15 @@
 // Command ccserve runs the multi-tenant service plane over warm clique
 // sessions: a JSON-over-HTTP API multiplexing many callers over a budgeted
 // pool of simulator sessions, with per-(size, op) admission queues,
-// request batching, and per-tenant accounting.
+// request batching, and per-tenant accounting. Batching is
+// work-conserving: an idle queue's dispatcher serves a request at once,
+// and a batch is what queued while the previous one was in service (at
+// most -max-batch requests); no request waits for co-batchers.
 //
 // Usage:
 //
 //	ccserve [-addr :8035] [-budget-mb 256] [-queue-cap 64]
-//	        [-tenant-queue-cap 32] [-max-batch 16] [-max-wait 2ms]
+//	        [-tenant-queue-cap 32] [-max-batch 16]
 //	        [-min-size 2] [-max-size 512] [-workers N]
 //
 // Endpoints:
@@ -36,41 +39,50 @@ import (
 	"github.com/algebraic-clique/algclique/internal/serve"
 )
 
-func main() {
-	var (
-		addr           = flag.String("addr", ":8035", "listen address")
-		budgetMB       = flag.Int64("budget-mb", 256, "session pool memory budget in MiB (0 = unbounded)")
-		queueCap       = flag.Int("queue-cap", 64, "per-(size, op) admission queue capacity")
-		tenantQueueCap = flag.Int("tenant-queue-cap", 0, "per-tenant share of each queue (0 = half the queue)")
-		maxBatch       = flag.Int("max-batch", 16, "max requests coalesced into one session batch")
-		maxWait        = flag.Duration("max-wait", 2*time.Millisecond, "max time the oldest request waits for co-batchers")
-		minSize        = flag.Int("min-size", 2, "smallest served instance size")
-		maxSize        = flag.Int("max-size", 512, "largest served instance size")
-		workers        = flag.Int("workers", 0, "session worker goroutines (0 = GOMAXPROCS)")
-		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown deadline")
-	)
-	flag.Parse()
+var (
+	addr           = flag.String("addr", ":8035", "listen address")
+	budgetMB       = flag.Int64("budget-mb", 256, "session pool memory budget in MiB (0 = unbounded)")
+	queueCap       = flag.Int("queue-cap", 64, "per-(size, op) admission queue capacity")
+	tenantQueueCap = flag.Int("tenant-queue-cap", 0, "per-tenant share of each queue (0 = half the queue)")
+	maxBatch       = flag.Int("max-batch", 16, "max requests served by one session batch")
+	minSize        = flag.Int("min-size", 2, "smallest served instance size")
+	maxSize        = flag.Int("max-size", 512, "largest served instance size")
+	workers        = flag.Int("workers", 0, "session worker goroutines (0 = GOMAXPROCS)")
+	drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown deadline")
+)
 
+// config is the service plane the flags describe. A zero -budget-mb is
+// unbounded, which serve.Config spells as a negative budget (its zero is
+// the 256 MiB default).
+func config() serve.Config {
+	budget := *budgetMB << 20
+	if budget == 0 {
+		budget = -1
+	}
 	var sessOpts []cc.SessionOption
 	if *workers > 0 {
 		sessOpts = append(sessOpts, cc.WithWorkers(*workers))
 	}
-	srv := serve.New(serve.Config{
-		MemoryBudget:   *budgetMB << 20,
+	return serve.Config{
+		MemoryBudget:   budget,
 		QueueCap:       *queueCap,
 		TenantQueueCap: *tenantQueueCap,
 		MaxBatch:       *maxBatch,
-		MaxWait:        *maxWait,
 		MinSize:        *minSize,
 		MaxSize:        *maxSize,
 		SessionOptions: sessOpts,
-	})
+	}
+}
+
+func main() {
+	flag.Parse()
+	srv := serve.New(config())
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("ccserve listening on %s (budget %d MiB, queues %d deep, batches ≤%d/%v, sizes %d–%d)",
-		*addr, *budgetMB, *queueCap, *maxBatch, *maxWait, *minSize, *maxSize)
+	log.Printf("ccserve listening on %s (budget %d MiB, queues %d deep, work-conserving batches ≤%d, sizes %d–%d)",
+		*addr, *budgetMB, *queueCap, *maxBatch, *minSize, *maxSize)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

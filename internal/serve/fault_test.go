@@ -19,7 +19,7 @@ import (
 // sessions are discarded — never re-pooled — and the dispatcher survives
 // to serve the next batch.
 func TestPoisonedSessionNeverRepooled(t *testing.T) {
-	s := New(Config{MaxBatch: 4, MaxWait: time.Second})
+	s, release := heldServer(Config{MaxBatch: 4})
 	defer s.Shutdown(context.Background())
 	ctx := context.Background()
 
@@ -40,6 +40,10 @@ func TestPoisonedSessionNeverRepooled(t *testing.T) {
 			results[i] = s.Do(ctx, req)
 		}(i)
 	}
+	// All four queue behind the held dispatcher and are served as one
+	// batch.
+	waitAdmitted(t, s, 4)
+	release()
 	wg.Wait()
 
 	var spe *SessionPanicError
@@ -58,9 +62,9 @@ func TestPoisonedSessionNeverRepooled(t *testing.T) {
 		}
 	}
 
-	// Two sessions were poisoned (the coalesced batch's, then the solo
-	// retry that isolated the guilty request); both must be gone from the
-	// pool, not cached.
+	// Two sessions were poisoned (the batch's, then the solo retry's that
+	// isolated the guilty request); both must be gone from the pool, not
+	// cached.
 	st := s.Pool()
 	if st.Discards != 2 {
 		t.Fatalf("pool discards = %d, want 2: %+v", st.Discards, st)
@@ -90,7 +94,7 @@ func TestPoisonedSessionNeverRepooled(t *testing.T) {
 // session is discarded, and the requests behind it in the same drained
 // batch are served on a fresh session.
 func TestPoisonedGraphOpSession(t *testing.T) {
-	s := New(Config{MaxBatch: 4, MaxWait: time.Second})
+	s, release := heldServer(Config{MaxBatch: 4})
 	defer s.Shutdown(context.Background())
 	ctx := context.Background()
 
@@ -119,6 +123,8 @@ func TestPoisonedGraphOpSession(t *testing.T) {
 			results[i] = s.Do(ctx, req)
 		}(i)
 	}
+	waitAdmitted(t, s, 3)
+	release()
 	wg.Wait()
 
 	var spe *SessionPanicError
@@ -158,7 +164,8 @@ func TestPoisonedGraphOpSession(t *testing.T) {
 // fault-plane error — never a silently wrong product, and no admitted
 // request is lost.
 func TestServeChaosCertifiedRequests(t *testing.T) {
-	s := New(Config{MaxBatch: 4, MaxWait: 20 * time.Millisecond})
+	// Held until all twelve are queued: three full batches of four.
+	s, release := heldServer(Config{MaxBatch: 4})
 	defer s.Shutdown(context.Background())
 	ctx := context.Background()
 
@@ -181,6 +188,8 @@ func TestServeChaosCertifiedRequests(t *testing.T) {
 			})
 		}(i)
 	}
+	waitAdmitted(t, s, int64(len(results)))
+	release()
 	wg.Wait()
 
 	recovered := 0
@@ -261,24 +270,18 @@ func TestDoWithBackoff(t *testing.T) {
 	}
 	clean.Shutdown(ctx)
 
-	// MaxBatch 2 with a long window keeps the occupant queued; QueueCap 1
-	// makes the queue saturate under it.
-	s := New(Config{QueueCap: 1, TenantQueueCap: 1, MaxBatch: 2, MaxWait: 10 * time.Second})
+	// The held dispatcher keeps the occupant queued; QueueCap 1 makes the
+	// queue saturate under it.
+	s, _ := heldServer(Config{QueueCap: 1, TenantQueueCap: 1, MaxBatch: 2})
 	defer s.Shutdown(context.Background())
 
-	// Saturate the matmul queue: the occupant sits in the coalescing
-	// window until Shutdown drains it.
+	// Saturate the matmul queue: the occupant stays queued until Shutdown
+	// releases the dispatcher and drains it.
 	occupied := make(chan Result, 1)
 	go func() {
 		occupied <- s.Do(ctx, Request{Tenant: "hog", Op: OpMatMul, A: a, B: b})
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Tenants()["hog"].Admitted < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("occupant never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitAdmitted(t, s, 1)
 
 	start := time.Now()
 	res = DoWithBackoff(ctx, s, Request{Tenant: "late", Op: OpMatMul, A: a, B: b},

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"strconv"
 	"time"
 )
 
@@ -42,7 +43,7 @@ const maxBodyBytes = 1 << 28
 //	GET  /healthz   200 while serving, 503 while draining
 //
 // Query responses stream: the stats header fields are written first and
-// the result matrix follows row by row with periodic flushes, so a large
+// the result matrix follows, flushed every flushEvery rows, so a large
 // product starts arriving while later rows are still being encoded.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -133,9 +134,11 @@ func writeError(w http.ResponseWriter, status int, err error) {
 // streaming a matrix.
 const flushEvery = 64
 
-// writeResult streams one successful result. The scalar fields (stats,
-// timings, count) come first so a client can start consuming them while
-// the matrix rows — the O(n²) part — stream behind with periodic flushes.
+// writeResult streams one successful result from one buffer. The scalar
+// fields (stats, timings, count) come first and the matrix rows — the
+// O(n²) part — follow; the buffer is written and flushed every flushEvery
+// rows and at the end, so a large product starts arriving while later
+// rows are still being encoded and a small one is a single write.
 func writeResult(w http.ResponseWriter, op Op, res *Result) {
 	w.Header().Set("Content-Type", "application/json")
 	stats, err := json.Marshal(res.Stats)
@@ -143,37 +146,51 @@ func writeResult(w http.ResponseWriter, op Op, res *Result) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	flusher, _ := w.(http.Flusher)
-	fmt.Fprintf(w, `{"op":%q,"queue_wait_ms":%.3f,"service_ms":%.3f,"stats":%s`,
-		op, float64(res.QueueWait.Microseconds())/1000, float64(res.Service.Microseconds())/1000, stats)
+	n := len(res.Matrix) // served results are n×n
+	buf := make([]byte, 0, 128+len(stats)+min(n, flushEvery)*(4+8*n))
+	buf = append(buf, `{"op":`...)
+	buf = strconv.AppendQuote(buf, string(op))
+	buf = append(buf, `,"queue_wait_ms":`...)
+	buf = strconv.AppendFloat(buf, float64(res.QueueWait.Microseconds())/1000, 'f', 3, 64)
+	buf = append(buf, `,"service_ms":`...)
+	buf = strconv.AppendFloat(buf, float64(res.Service.Microseconds())/1000, 'f', 3, 64)
+	buf = append(buf, `,"stats":`...)
+	buf = append(buf, stats...)
 	if op == OpTriangles {
-		fmt.Fprintf(w, `,"count":%d`, res.Count)
+		buf = append(buf, `,"count":`...)
+		buf = strconv.AppendInt(buf, res.Count, 10)
 	}
 	if res.Matrix != nil {
-		fmt.Fprint(w, `,"result":[`)
-		if flusher != nil {
-			flusher.Flush()
-		}
+		buf = append(buf, `,"result":[`...)
 		for i, row := range res.Matrix {
 			if i > 0 {
-				fmt.Fprint(w, ",")
+				buf = append(buf, ',')
 			}
-			fmt.Fprint(w, "\n")
-			raw, err := json.Marshal(row)
-			if err != nil {
-				return // headers are gone; nothing better to do mid-stream
+			buf = append(buf, '\n', '[')
+			for j, v := range row {
+				if j > 0 {
+					buf = append(buf, ',')
+				}
+				buf = strconv.AppendInt(buf, v, 10)
 			}
-			w.Write(raw)
-			if flusher != nil && (i+1)%flushEvery == 0 {
-				flusher.Flush()
+			buf = append(buf, ']')
+			if (i+1)%flushEvery == 0 {
+				buf = flushBuf(w, buf)
 			}
 		}
-		fmt.Fprint(w, "\n]")
+		buf = append(buf, "\n]"...)
 	}
-	fmt.Fprint(w, "}\n")
-	if flusher != nil {
-		flusher.Flush()
+	flushBuf(w, append(buf, "}\n"...))
+}
+
+// flushBuf writes buf and flushes it to the client, returning buf emptied
+// for reuse.
+func flushBuf(w http.ResponseWriter, buf []byte) []byte {
+	w.Write(buf)
+	if f, ok := w.(http.Flusher); ok {
+		f.Flush()
 	}
+	return buf[:0]
 }
 
 // serverStats is the /stats document.

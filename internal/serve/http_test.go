@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -231,6 +234,119 @@ func TestHTTPDeadlines(t *testing.T) {
 		resp, body := post(t, srv, "/v1/triangles", map[string]any{"tenant": "t", "a": path, "deadline_ms": c.ms})
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("%s (deadline_ms %d): status %d: %s", c.name, c.ms, resp.StatusCode, body)
+		}
+	}
+}
+
+// writeResultReference is the writer writeResult replaced — json.Marshal
+// and fmt once per row, one flush after the header — kept as the reference
+// for the wire format.
+func writeResultReference(w http.ResponseWriter, op Op, res *Result) {
+	w.Header().Set("Content-Type", "application/json")
+	stats, err := json.Marshal(res.Stats)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	flusher, _ := w.(http.Flusher)
+	fmt.Fprintf(w, `{"op":%q,"queue_wait_ms":%.3f,"service_ms":%.3f,"stats":%s`,
+		op, float64(res.QueueWait.Microseconds())/1000, float64(res.Service.Microseconds())/1000, stats)
+	if op == OpTriangles {
+		fmt.Fprintf(w, `,"count":%d`, res.Count)
+	}
+	if res.Matrix != nil {
+		fmt.Fprint(w, `,"result":[`)
+		if flusher != nil {
+			flusher.Flush()
+		}
+		for i, row := range res.Matrix {
+			if i > 0 {
+				fmt.Fprint(w, ",")
+			}
+			fmt.Fprint(w, "\n")
+			raw, err := json.Marshal(row)
+			if err != nil {
+				return // headers are gone; nothing better to do mid-stream
+			}
+			w.Write(raw)
+			if flusher != nil && (i+1)%flushEvery == 0 {
+				flusher.Flush()
+			}
+		}
+		fmt.Fprint(w, "\n]")
+	}
+	fmt.Fprint(w, "}\n")
+	if flusher != nil {
+		flusher.Flush()
+	}
+}
+
+// flushRecorder is a ResponseWriter that records the body length at every
+// Flush.
+type flushRecorder struct {
+	bytes.Buffer
+	header  http.Header
+	flushes []int
+}
+
+func (r *flushRecorder) Header() http.Header {
+	if r.header == nil {
+		r.header = http.Header{}
+	}
+	return r.header
+}
+func (r *flushRecorder) WriteHeader(int) {}
+func (r *flushRecorder) Flush()          { r.flushes = append(r.flushes, r.Len()) }
+
+// TestWriteResultMatchesReference: the one-buffer writer puts the same
+// bytes on the wire as the json.Marshal writer it replaced, and flushes at
+// the same points — every flushEvery rows and at the end — except the
+// reference's flush right after the header, which is gone on purpose.
+func TestWriteResultMatchesReference(t *testing.T) {
+	stats := cc.Stats{N: 64, PaddedFrom: 63, Rounds: 17, Words: 12345, Attempts: 1, Certified: true, Routing: "dense",
+		Phases: []cc.PhaseStat{{Name: "spread", Rounds: 9, Words: 10000}, {Name: "gather \"q\" <&>", Rounds: 8, Words: 2345}}}
+	mat := func(n int) [][]int64 {
+		m := testMat(n, int64(n))
+		for i := range m {
+			m[i][(i*7)%n] = cc.Inf
+			m[i][(i*3+1)%n] = -int64(i*1000 + 1)
+		}
+		m[0][0] = math.MinInt64
+		return m
+	}
+	cases := []struct {
+		name string
+		op   Op
+		res  Result
+	}{
+		{"triangles, nil matrix", OpTriangles, Result{Count: 123456789, Stats: stats, QueueWait: 1500 * time.Microsecond, Service: 42 * time.Microsecond}},
+		{"empty result", OpMatMul, Result{Matrix: [][]int64{}, Stats: stats}},
+		{"no matrix", OpMatMul, Result{Stats: stats}},
+	}
+	for _, n := range []int{1, 2, 63, 64, 65, 130} {
+		cases = append(cases, struct {
+			name string
+			op   Op
+			res  Result
+		}{fmt.Sprintf("n=%d", n), OpDistanceProduct, Result{Matrix: mat(n), Stats: stats, QueueWait: time.Duration(n) * time.Millisecond, Service: 999 * time.Nanosecond}})
+	}
+	for _, c := range cases {
+		ref, got := &flushRecorder{}, &flushRecorder{}
+		writeResultReference(ref, c.op, &c.res)
+		writeResult(got, c.op, &c.res)
+		if !bytes.Equal(got.Bytes(), ref.Bytes()) {
+			t.Errorf("%s: bytes differ from the reference writer\ngot  %.300q\nwant %.300q", c.name, got.Bytes(), ref.Bytes())
+			continue
+		}
+		want := ref.flushes
+		if c.res.Matrix != nil {
+			want = want[1:] // the reference's header flush
+		}
+		if !slices.Equal(got.flushes, want) {
+			t.Errorf("%s: flushes at body offsets %v, want %v (reference %v)", c.name, got.flushes, want, ref.flushes)
+		}
+		if !json.Valid(got.Bytes()) {
+			t.Errorf("%s: body is not valid JSON", c.name)
 		}
 	}
 }

@@ -38,7 +38,6 @@ type queue struct {
 	tenants map[string]*tenantq
 	ring    []*tenantq // round-robin order over tenants with waiting requests
 	next    int        // ring cursor
-	oldest  time.Time  // enqueue time of the oldest waiting request
 	wake    chan struct{}
 }
 
@@ -77,9 +76,6 @@ func (q *queue) admit(r *Request) error {
 		q.ring = append(q.ring, tq)
 	}
 	tq.reqs = append(tq.reqs, r)
-	if q.size == 0 {
-		q.oldest = r.enqueued
-	}
 	q.size++
 	q.mu.Unlock()
 	select {
@@ -127,16 +123,6 @@ func (q *queue) state() (size int, sealed bool) {
 	return
 }
 
-// age returns how long the oldest waiting request has been queued.
-func (q *queue) age(now time.Time) time.Duration {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.size == 0 {
-		return 0
-	}
-	return now.Sub(q.oldest)
-}
-
 // seal rejects all future admissions; already-queued requests stay and
 // must be drained.
 func (q *queue) seal() {
@@ -177,15 +163,5 @@ func (q *queue) take(max int) []*Request {
 		}
 	}
 	q.size -= len(batch)
-	if q.size > 0 {
-		// The oldest remaining request sets the next coalescing window.
-		oldest := time.Time{}
-		for _, tq := range q.ring {
-			if len(tq.reqs) > 0 && (oldest.IsZero() || tq.reqs[0].enqueued.Before(oldest)) {
-				oldest = tq.reqs[0].enqueued
-			}
-		}
-		q.oldest = oldest
-	}
 	return batch
 }

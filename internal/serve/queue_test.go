@@ -114,25 +114,3 @@ func TestQueueTakeRoundRobinAcrossTenants(t *testing.T) {
 		t.Fatalf("queue size = %d after draining, want 0", size)
 	}
 }
-
-func TestQueueOldestTracksRemainder(t *testing.T) {
-	q := newQueue(qkey{n: 8, op: OpMatMul}, 16, 16, 16)
-	t0 := time.Now()
-	for i := 0; i < 4; i++ {
-		if err := q.admit(req("a", t0.Add(time.Duration(i)*time.Millisecond))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := q.age(t0.Add(10 * time.Millisecond)); got != 10*time.Millisecond {
-		t.Fatalf("age = %v, want 10ms", got)
-	}
-	q.take(2)
-	// The oldest remaining request was enqueued at t0+2ms.
-	if got := q.age(t0.Add(10 * time.Millisecond)); got != 8*time.Millisecond {
-		t.Fatalf("age after take = %v, want 8ms", got)
-	}
-	q.take(16)
-	if got := q.age(t0.Add(10 * time.Millisecond)); got != 0 {
-		t.Fatalf("age of empty queue = %v, want 0", got)
-	}
-}

@@ -5,12 +5,14 @@
 //  1. admission: bounded per-(size, op) queues with per-tenant quotas;
 //     full queues reject immediately with a Retry-After estimate
 //     (*OverloadError → HTTP 429) instead of building unbounded backlog;
-//  2. batching: a dispatcher per active queue coalesces compatible
-//     requests, up to MaxBatch or until the oldest has waited MaxWait,
-//     into the session batch entry points (MatMulBatch and friends), so
-//     plan resolution, scratch pools, and network arming amortise across
-//     requests from different tenants; batches are composed round-robin
-//     across tenants, so one tenant's backlog cannot starve the rest;
+//  2. batching: a dispatcher per active queue is work-conserving — an
+//     idle one takes what is queued at once, so a batch is whatever
+//     arrived while the previous batch was in service, up to MaxBatch —
+//     and runs it through the session batch entry points (MatMulBatch and
+//     friends), so plan resolution, scratch pools, and network arming
+//     amortise across requests from different tenants; batches are
+//     composed round-robin across tenants, so one tenant's backlog cannot
+//     starve the rest;
 //  3. execution: a warm session checked out of the Pool runs the batch,
 //     each request under its own cancellation context; expired requests
 //     are answered without ever touching a session.
@@ -34,17 +36,17 @@ import (
 // (Config).withDefaults or use DefaultConfig.
 type Config struct {
 	// MemoryBudget bounds the session pool's estimated footprint in
-	// bytes (≤ 0: unbounded). Under pressure the pool Trims idle
-	// sessions first, then evicts them LRU.
+	// bytes (0 = the 256 MiB default, < 0 = unbounded). Under pressure
+	// the pool Trims idle sessions first, then evicts them LRU.
 	MemoryBudget int64
 	// QueueCap bounds each (size, op) admission queue; TenantQueueCap
 	// bounds one tenant's share of it (defaults to half).
 	QueueCap       int
 	TenantQueueCap int
-	// MaxBatch caps how many requests coalesce into one session batch;
-	// MaxWait is how long the oldest request may wait for co-batchers.
+	// MaxBatch caps how many requests one session batch takes. No request
+	// waits for co-batchers: a batch is what queued while the previous
+	// one was in service.
 	MaxBatch int
-	MaxWait  time.Duration
 	// MinSize and MaxSize bound the served instance sizes.
 	MinSize, MaxSize int
 	// SessionOptions configure every pooled session (engine, workers,
@@ -53,7 +55,7 @@ type Config struct {
 }
 
 // DefaultConfig is the served default: a 256 MiB pool, 64-deep queues,
-// 16-request batches coalescing for at most 2ms, sizes 2–512.
+// batches of at most 16 requests, sizes 2–512.
 func DefaultConfig() Config { return Config{}.withDefaults() }
 
 func (c Config) withDefaults() Config {
@@ -68,9 +70,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
 	}
 	if c.MinSize <= 0 {
 		c.MinSize = 2
@@ -94,6 +93,12 @@ type Server struct {
 	stopc       chan struct{}
 	drained     chan struct{}
 	dispatchers sync.WaitGroup
+
+	// hold is a test seam, nil in production: while it is open, a
+	// dispatcher with requests pending waits before taking them, so
+	// whatever is admitted meanwhile forms its next batch. Closing it, or
+	// Shutdown, releases every dispatcher.
+	hold chan struct{}
 }
 
 // New builds a server; it owns a fresh session pool.
@@ -211,16 +216,25 @@ func (s *Server) queueFor(key qkey) (*queue, error) {
 	return q, nil
 }
 
-// dispatch is one queue's service loop: wait for pending requests,
-// coalesce up to MaxBatch / MaxWait, serve the batch on a pooled session.
-// It exits once the queue is sealed and empty.
+// dispatch is one queue's service loop: wait for pending requests, take
+// up to MaxBatch of them at once, serve the batch on a pooled session. No
+// timer holds a request back for co-batchers — with nothing batching
+// (one request per queue at a time, the common case at moderate load) a
+// window would be pure latency — so a batch is whatever queued while the
+// previous one was in service. It exits once the queue is sealed and
+// empty.
 func (s *Server) dispatch(q *queue) {
 	defer s.dispatchers.Done()
 	for {
 		if !s.waitPending(q) {
 			return
 		}
-		s.coalesce(q)
+		if s.hold != nil {
+			select {
+			case <-s.hold:
+			case <-s.stopc:
+			}
+		}
 		if batch := q.take(q.maxBatch); len(batch) > 0 {
 			s.serveBatch(q, batch)
 		}
@@ -243,32 +257,6 @@ func (s *Server) waitPending(q *queue) bool {
 		case <-s.stopc:
 			// Sealing happens before stopc closes; loop once more and
 			// exit when the queue reads empty.
-		}
-	}
-}
-
-// coalesce holds the batch window open: it returns when the queue holds a
-// full batch, the oldest request has waited MaxWait, or the server is
-// draining (drain batches as fast as possible).
-func (s *Server) coalesce(q *queue) {
-	for {
-		size, sealed := q.state()
-		if sealed || size >= q.maxBatch {
-			return
-		}
-		wait := s.cfg.MaxWait - q.age(time.Now())
-		if wait <= 0 {
-			return
-		}
-		timer := time.NewTimer(wait)
-		select {
-		case <-timer.C:
-			return
-		case <-q.wake:
-			timer.Stop()
-		case <-s.stopc:
-			timer.Stop()
-			return
 		}
 	}
 }

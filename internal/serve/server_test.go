@@ -58,6 +58,114 @@ func matEq(a, b [][]int64) bool {
 	return true
 }
 
+// heldServer builds a server whose dispatchers leave every request queued
+// until release is called or Shutdown begins, so a test decides which
+// requests are waiting together when a dispatcher takes its next batch.
+func heldServer(cfg Config) (s *Server, release func()) {
+	s = New(cfg)
+	s.hold = make(chan struct{})
+	var once sync.Once
+	return s, func() { once.Do(func() { close(s.hold) }) }
+}
+
+// waitAdmitted waits until the server has admitted want requests over all
+// tenants.
+func waitAdmitted(t *testing.T, s *Server, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var admitted int64
+		for _, ts := range s.Tenants() {
+			admitted += ts.Admitted
+		}
+		if admitted >= want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d requests admitted after 5s: %+v", admitted, want, s.Tenants())
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// orderCtx logs its tenant the first time its Err is read. serveBatch reads
+// every request's context once, in batch order, before anything else does,
+// so the log is the order the batches were composed in.
+type orderCtx struct {
+	context.Context
+	tenant string
+	log    *orderLog
+	once   sync.Once
+}
+
+func (c *orderCtx) Err() error {
+	c.once.Do(func() { c.log.add(c.tenant) })
+	return c.Context.Err()
+}
+
+type orderLog struct {
+	mu      sync.Mutex
+	tenants string
+}
+
+func (l *orderLog) add(tenant string) {
+	l.mu.Lock()
+	l.tenants += tenant
+	l.mu.Unlock()
+}
+
+// TestDispatchBatchesWhatArrivedInService pins the dispatch rule: a batch
+// is what queued while the dispatcher was busy, up to MaxBatch, composed
+// round-robin across tenants. The requests are admitted one at a time
+// while the dispatcher is held, each tenant's in a run, so FIFO order
+// and round-robin order differ.
+func TestDispatchBatchesWhatArrivedInService(t *testing.T) {
+	const maxBatch = 4
+	a, b := testMat(8, 1), testMat(8, 2)
+	want := naiveMul(a, b)
+	for _, c := range []struct {
+		admitted string // one tenant letter per request, in admission order
+		batches  int64
+		served   string // tenants in the order the batches hold them
+	}{
+		{admitted: "abc", batches: 1, served: "abc"},
+		{admitted: "aabc", batches: 1, served: "abca"},
+		// 2·MaxBatch + 1: [a b c a] [b c a a] [a].
+		{admitted: "aaaaabbcc", batches: 3, served: "abcabcaaa"},
+	} {
+		s, release := heldServer(Config{MaxBatch: maxBatch})
+		log := &orderLog{}
+		var wg sync.WaitGroup
+		results := make([]Result, len(c.admitted))
+		for i, tenant := range c.admitted {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ctx := &orderCtx{Context: context.Background(), tenant: string(tenant), log: log}
+				results[i] = s.Do(ctx, Request{Tenant: string(tenant), Op: OpMatMul, A: a, B: b})
+			}()
+			waitAdmitted(t, s, int64(i+1))
+		}
+		if st := s.Pool(); st.Hits+st.Misses != 0 {
+			t.Fatalf("%s: a held dispatcher checked out a session: %+v", c.admitted, st)
+		}
+		release()
+		wg.Wait()
+		for i, r := range results {
+			if r.Err != nil || !matEq(r.Matrix, want) {
+				t.Fatalf("%s: request %d: err %v or a wrong product", c.admitted, i, r.Err)
+			}
+		}
+		if st := s.Pool(); st.Hits+st.Misses != c.batches {
+			t.Errorf("%s: %d pool gets, want %d batches", c.admitted, st.Hits+st.Misses, c.batches)
+		}
+		if log.tenants != c.served {
+			t.Errorf("%s: served in order %s, want round-robin %s", c.admitted, log.tenants, c.served)
+		}
+		s.Shutdown(context.Background())
+	}
+}
+
 func TestServerMatMulRoundTrip(t *testing.T) {
 	s := New(Config{})
 	defer s.Shutdown(context.Background())
@@ -143,13 +251,12 @@ func TestServerExpiredRequestNeverReachesSession(t *testing.T) {
 }
 
 func TestServerTenantQuotaUnderHog(t *testing.T) {
-	// A long coalescing window keeps the hog's requests queued while the
-	// quota and the other tenant's admission are probed.
-	s := New(Config{
+	// The held dispatcher keeps the hog's requests queued while the quota
+	// and the other tenant's admission are probed.
+	s, release := heldServer(Config{
 		QueueCap:       8,
 		TenantQueueCap: 4,
 		MaxBatch:       16,
-		MaxWait:        time.Second,
 	})
 	defer s.Shutdown(context.Background())
 
@@ -166,14 +273,7 @@ func TestServerTenantQuotaUnderHog(t *testing.T) {
 			hogRes[i] = s.Do(ctx, Request{Tenant: "hog", Op: OpMatMul, A: a, B: b})
 		}(i)
 	}
-	// Wait until all four occupy the queue (the batch window holds them).
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Tenants()["hog"].Admitted < 4 {
-		if time.Now().After(deadline) {
-			t.Fatalf("hog backlog never formed: %+v", s.Tenants()["hog"])
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitAdmitted(t, s, 4)
 
 	res := s.Do(ctx, Request{Tenant: "hog", Op: OpMatMul, A: a, B: b})
 	if !errors.Is(res.Err, errTenantQuota) {
@@ -184,11 +284,15 @@ func TestServerTenantQuotaUnderHog(t *testing.T) {
 		t.Fatalf("hog's 5th request = %#v, want *OverloadError{Tenant: true}", res.Err)
 	}
 
-	// The other tenant still gets in: the hog exhausted its quota, not
-	// the queue.
-	mouse := s.Do(ctx, Request{Tenant: "mouse", Op: OpMatMul, A: a, B: b})
+	// The other tenant still gets in while the hog's backlog is queued:
+	// the hog exhausted its quota, not the queue.
+	mousec := make(chan Result, 1)
+	go func() { mousec <- s.Do(ctx, Request{Tenant: "mouse", Op: OpMatMul, A: a, B: b}) }()
+	waitAdmitted(t, s, 5)
+	release()
+	mouse := <-mousec
 	if mouse.Err != nil {
-		t.Fatalf("mouse request rejected while only the hog was over quota: %v", mouse.Err)
+		t.Fatalf("mouse request failed while only the hog was over quota: %v", mouse.Err)
 	}
 	if !matEq(mouse.Matrix, want) {
 		t.Fatal("mouse got a wrong product")
@@ -209,7 +313,9 @@ func TestServerTenantQuotaUnderHog(t *testing.T) {
 }
 
 func TestServerGracefulDrainLosesNothing(t *testing.T) {
-	s := New(Config{MaxWait: 20 * time.Millisecond, MaxBatch: 8})
+	// Held dispatchers keep whatever is admitted queued until Shutdown
+	// releases them, so the drain has a backlog to answer.
+	s, _ := heldServer(Config{MaxBatch: 8})
 
 	tenants := []string{"alpha", "beta", "gamma", "delta"}
 	ops := []Op{OpMatMul, OpMatMulBool, OpDistanceProduct, OpTriangles}
