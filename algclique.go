@@ -132,8 +132,10 @@ type Stats struct {
 	// (the census chose the resolved dense engine), or "dense-fallback"
 	// (sparse was predicted but the engine's exact Σ ca·rb bound failed
 	// mid-call, so the dense engine ran). Empty when no census ran — a
-	// forced engine, a disabled threshold (WithSparseThreshold(0)), or
-	// an operation without a single routed product.
+	// forced engine, a disabled threshold (WithSparseThreshold(0)), a
+	// CSR product above the densification cap (which runs the sparse
+	// engine without one), or an operation without a single routed
+	// product.
 	Routing string
 	// Phases breaks the cost down by algorithm phase.
 	Phases []PhaseStat

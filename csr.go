@@ -18,8 +18,9 @@ import (
 // exists to do), routes sparse when the predicted sparse schedule wins,
 // and otherwise densifies through the session's pooled buffers — except
 // above the densification cap, where falling back would allocate exactly
-// the Θ(n²) state the CSR plane exists to avoid, and the product errors
-// with ErrSparseTooDense instead.
+// the Θ(n²) state the CSR plane exists to avoid: there the product skips
+// the census and runs the sparse engine, and errors with
+// ErrSparseTooDense if that engine refuses the operands.
 
 // CSR is an n×n sparse matrix in compressed-sparse-row form: row v's
 // entries are Col[RowPtr[v]:RowPtr[v+1]] (strictly increasing column
@@ -201,9 +202,9 @@ func (s *Clique) csrProduct(op string, spec *productSpec, a, b *CSR, opts []Call
 // MatMulCSR multiplies two n×n integer matrices given as compressed
 // sparse rows, never materialising a dense operand unless the density
 // census routes the product to a dense engine (Stats.Routing reports the
-// decision; above the densification cap a too-dense product returns
-// ErrSparseTooDense instead). The result is sparse whenever the product
-// ran on the CSR plane.
+// decision; above the densification cap no census runs, the product runs
+// sparse, and a too-dense one returns ErrSparseTooDense). The result is
+// sparse whenever the product ran on the CSR plane.
 func (s *Clique) MatMulCSR(a, b *CSR, opts ...CallOption) (CSRProduct, Stats, error) {
 	return s.csrProduct("MatMulCSR", &matMulSpec, a, b, opts)
 }

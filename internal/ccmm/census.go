@@ -187,12 +187,14 @@ type operands[P any] struct {
 	sparse func(sc *Scratch) (P, error)
 	dense  func(sc *Scratch, e Engine) (P, error)
 	// densifyCap, when positive, is the largest clique on which dense may
-	// run at all (see csrDensifyCap).
+	// run at all (see csrDensifyCap); above it an Auto plan runs sparse
+	// without a census.
 	densifyCap int
 }
 
 // route is the routed product — the one body behind every Mul*Routed entry
-// point: plan and operand checks, the forced-sparse short-cut, the census
+// point: plan and operand checks, the sparse short-cut (forced, or above
+// the densify cap), the census
 // on the operands the sparse engine would see, the sparse-vs-dense decision
 // from the predictors, the sparse run with transparent fallback on
 // ErrTooDense, and otherwise the plan's resolved dense engine. The Route
@@ -208,7 +210,11 @@ func route[T, P any](net *clique.Network, p *Plan, sc *Scratch, a *algebra[T], o
 		return none, Route{}, err
 	}
 	sc = sc.orOf(net)
-	if p.Requested == EngineSparse {
+	// A forced sparse plan runs the engine as it stands. So does a routed
+	// product above the densify cap: no dense engine may run there, so there
+	// is nothing to decide — no census, no prediction — and the engine's
+	// exact Σ ca·rb bound is the only refusal.
+	if p.Requested == EngineSparse || ops.densifyCap > 0 && n > ops.densifyCap && p.censusApplies(net) {
 		out, err = ops.sparse(sc)
 		return out, Route{Engine: EngineSparse}, err
 	}

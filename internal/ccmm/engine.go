@@ -27,7 +27,7 @@ const (
 	// EngineNaive forces the learn-everything baseline.
 	EngineNaive
 	// EngineSparse forces the density-aware sparse tile engine (the §1.2
-	// remark generalised; see sparse.go). It works over any semiring and
+	// remark generalised; see sparsemul.go). It works over any semiring and
 	// any n ≥ 8, but only on operands with Σ ca(y)·rb(y) < 2n²
 	// (ErrTooDense otherwise). Under EngineAuto the planner routes
 	// products through it dynamically when the one-round density census

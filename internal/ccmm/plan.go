@@ -164,6 +164,20 @@ func mulDense[T any](net *clique.Network, p *Plan, sc *Scratch, e Engine, sr rin
 	return nil, fmt.Errorf("ccmm: engine %v cannot multiply over %T: %w", e, sr, ErrSize)
 }
 
+// countRowNNZ fills counts[v] with the number of entries of m.Rows[v] not
+// equal to the semiring zero, parallelised over the worker pool.
+func countRowNNZ[T any](net *clique.Network, sr ring.Semiring[T], zero T, m *RowMat[T], counts []int) {
+	net.ForEach(func(v int) {
+		var k int
+		for _, x := range m.Rows[v] {
+			if !sr.Equal(x, zero) {
+				k++
+			}
+		}
+		counts[v] = k
+	})
+}
+
 // mulRowMat is the RowMat operand form of the routed product: the census
 // scans each row for entries different from the algebra's zero.
 func mulRowMat[T any](net *clique.Network, p *Plan, sc *Scratch, a *algebra[T], s, t *RowMat[T]) (*RowMat[T], Route, error) {

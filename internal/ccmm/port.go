@@ -1,6 +1,7 @@
 package ccmm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"reflect"
@@ -21,19 +22,20 @@ import (
 //     would occupy are charged analytically from the wire format's
 //     EncodedLen (see internal/clique/payload.go);
 //   - wire: each node encodes its messages chunk by chunk into words, the
-//     words move through the link queues, and each receiver decodes its
-//     arrivals into a pooled receive arena, so the engine reads the same
-//     typed shapes either way.
+//     words move through the network — through the link queues at the
+//     message-matrix level, as word vectors at the link level — and each
+//     receiver decodes its arrivals into a pooled receive arena, so the
+//     engine reads the same typed shapes either way.
 //
 // Both sides resolve routing.Auto from the same per-link word lengths
-// through the same memoised routing.PlanCosts, so the ledger — rounds,
-// words, flushes, phases — is identical by construction. The port has two
-// levels: a message-matrix exchange routed through routing.Auto (the dense
-// engines, the 3D engine's virtual-cube multiplexing, the RowMat sparse
-// engine) and a link-level send/read pair for the CSR engine, which must
-// never hold n×n state. TransportVerify is decided here as well:
-// runProduct runs the one body on the caller's network, again on a wire
-// shadow, and diffs products and ledgers.
+// through the same routing.TwoPhaseCosts, so the ledger — rounds, words,
+// flushes, phases — is identical by construction. The port has two levels:
+// a message-matrix exchange (the dense engines, the 3D engine's
+// virtual-cube multiplexing), and a link level — send, flush, each, from —
+// for the sparse tile engine, which must never hold n×n state. Both are
+// balanced: every exchange resolves routing.Auto. TransportVerify is
+// decided here as well: runProduct runs the one body on the caller's
+// network, again on a wire shadow, and diffs products and ledgers.
 
 // ErrTransportDiverged reports that the direct and wire transports
 // disagreed on a product's result or accounting under TransportVerify —
@@ -201,11 +203,18 @@ type port[E any] struct {
 	wire bool
 }
 
-// newPort opens the product's port for E. It truncates E's receive arenas,
-// so it must precede the product's first exchange; further formats over
-// the same element type come from with.
+// newPort opens the product's port for E. It truncates E's receive arenas
+// and link-level queues, whatever an aborted product left in them, so it
+// must precede the product's first exchange; further formats over the same
+// element type come from with.
 func newPort[E any](net *clique.Network, sc *Scratch, f wireFormat[E]) port[E] {
 	p := port[E]{net: net, sc: sc, ts: typedFrom[E](sc), f: f, wire: net.Transport() == clique.TransportWire}
+	for side := range p.ts.outbox {
+		growBufs(&p.ts.outbox[side], net.N())
+		for v, q := range p.ts.outbox[side] {
+			p.ts.outbox[side][v] = q[:0]
+		}
+	}
 	if p.wire {
 		n := net.N()
 		growBufs(&p.ts.recv, n)
@@ -403,17 +412,16 @@ func (p port[E]) exchangeCube(vmsgs, vin [][][]E) {
 			}
 		}
 	}
-	// Resolve Auto exactly as the encoded exchange does (direct cost = max
-	// non-self link lens, two-phase cost = sum of the schedule maxima),
-	// reusing the memoised schedule aggregates for the analytic charge.
-	maxA, totalA, maxB, totalB, direct := routing.PlanCosts(n, p.sc.rt, loads)
+	// Resolve Auto exactly as the encoded exchange does, reusing the
+	// memoised schedule aggregates for the analytic charge.
+	c := routing.PlanCosts(n, p.sc.rt, loads)
 	var mail *clique.Mail
-	if maxA+maxB < direct {
+	if c.TwoPhase() {
 		// The word loads of both Lenzen phases are charged analytically;
 		// the payloads ride the final flush with zero additional words.
-		p.net.FlushAnalytic(maxA, totalA)
+		p.net.FlushAnalytic(c.MaxA, c.TotalA)
 		send(false)
-		mail = p.net.FlushAnalytic(maxB, totalB)
+		mail = p.net.FlushAnalytic(c.MaxB, c.TotalB)
 	} else {
 		send(true)
 		mail = p.net.Flush()
@@ -460,59 +468,109 @@ func (p port[E]) allGather(rows [][]E) [][]E {
 	return out
 }
 
-// send enqueues the message *msg on the link src→dst for the network's next
-// Flush. The direct transport ships the pointer, so msg must be a stable
-// slot whose contents stay untouched until the product ends. Single-threaded,
-// like every payload enqueue.
+// outMsg is one message queued at the port's link level, under the node
+// that sends it, with its length in words.
+type outMsg[E any] struct {
+	dst, words int32
+	msg        []E
+}
+
+func byDst[E any](a, b outMsg[E]) int { return cmp.Compare(a.dst, b.dst) }
+
+// send queues msg on the link src→dst for the port's next flush; a link
+// carries at most one message per flush. msg must stay untouched until its
+// receiver has read it. Safe from src's ForEach worker.
 //
 //cc:hotpath
-func (p port[E]) send(src, dst int, msg *[]E) {
+func (p port[E]) send(src, dst int, msg []E) {
+	ob := p.ts.outbox[p.ts.side]
+	ob[src] = append(ob[src], outMsg[E]{dst: int32(dst), words: int32(p.f.EncodedLen(len(msg))), msg: msg})
+}
+
+// flush delivers everything sent since the port's last flush as one
+// exchange and resolves routing.Auto for it from the links it touched:
+// their word lengths (the format's EncodedLen, on either transport) go
+// through routing.TwoPhaseCosts, and a two-phase choice charges both Lenzen
+// phases analytically with the messages riding the second flush for free,
+// exactly as routing.ExchangePayload charges a message matrix. The work is
+// proportional to n plus the traffic; nothing is n×n.
+//
+// Each message travels as a payload: on the direct transport a pointer to
+// its queue entry, on the wire transport its encoded words, which the
+// receiver decodes. A delivery must be read before the port's next flush.
+// Sends for that flush may interleave with the reads: the queue has two
+// sides, and each flush switches to the other.
+//
+//cc:hotpath
+func (p port[E]) flush() *clique.Mail {
+	ob := p.ts.outbox[p.ts.side]
+	p.ts.side ^= 1
+	links, words, maxWords := p.sc.links[:0], 0, 0
+	for src, msgs := range ob {
+		slices.SortFunc(msgs, byDst[E])
+		for _, m := range msgs {
+			links = append(links, routing.Link{Src: int32(src), Dst: m.dst, Words: int64(m.words)})
+			words += int(m.words)
+			maxWords = max(maxWords, int(m.words))
+		}
+	}
+	p.sc.links = links
 	if p.wire {
 		p.ts.live++ // link-level arrivals are never released: their windows pin the arenas
-		p.sc.wbuf = p.f.encode(p.sc.wbuf[:0], *msg, src)
-		p.net.SendVec(src, dst, p.sc.wbuf)
-		return
+		// One arena sized up front, so no window moves while others are cut.
+		buf, wins := slices.Grow(p.sc.wbuf[:0], words), p.sc.wwins[:0]
+		for src, msgs := range ob {
+			for _, m := range msgs {
+				start := len(buf)
+				buf = p.f.encode(buf, m.msg, src)
+				wins = append(wins, buf[start:len(buf):len(buf)])
+			}
+		}
+		p.sc.wbuf, p.sc.wwins = buf, wins
 	}
-	p.net.SendPayload(src, dst, int64(p.f.EncodedLen(len(*msg))), msg)
+	// Two-phase needs two rounds as soon as any word leaves its node, so
+	// it can only win against a direct schedule of three rounds or more.
+	var c routing.Costs
+	if maxWords > 2 {
+		c = routing.TwoPhaseCosts(p.net.N(), p.sc.rt, links)
+	}
+	twoPhase := c.TwoPhase()
+	if twoPhase {
+		p.net.FlushAnalytic(c.MaxA, c.TotalA)
+	}
+	k := 0
+	for src, msgs := range ob {
+		for i := range msgs {
+			var w int64
+			if !twoPhase {
+				w = links[k].Words
+			}
+			var pl clique.Payload = &msgs[i].msg
+			if p.wire {
+				pl = &p.sc.wwins[k]
+			}
+			p.net.SendPayload(src, int(msgs[i].dst), w, pl)
+			k++
+		}
+		ob[src] = msgs[:0] // the entries stay readable until this side refills
+	}
+	if twoPhase {
+		return p.net.FlushAnalytic(c.MaxB, c.TotalB)
+	}
+	return p.net.Flush()
 }
 
-// sendVal is send for a one-element message living at *v (an operand
-// entry, say), read back with eachVal.
-//
-//cc:hotpath
-func (p port[E]) sendVal(src, dst int, v *E) {
-	if p.wire {
-		p.ts.live++ // as in send
-		p.ts.cell[0] = *v
-		p.sc.wbuf = p.f.encode(p.sc.wbuf[:0], p.ts.cell[:], src)
-		p.net.SendVec(src, dst, p.sc.wbuf)
-		return
-	}
-	p.net.SendPayload(src, dst, int64(p.f.EncodedLen(1)), v)
-}
-
-// each calls f for every message dst received over the links in mail's
-// flush, in increasing source order, at a cost proportional to dst's
-// traffic rather than to n. Safe from dst's ForEach worker.
+// each calls f for every message dst received in mail's flush, in
+// increasing source order, at a cost proportional to dst's traffic rather
+// than to n. Safe from dst's ForEach worker.
 //
 //cc:hotpath
 func (p port[E]) each(mail *clique.Mail, dst int, f func(src int, msg []E)) {
 	if p.wire {
-		mail.Each(dst, func(src int, ws []clique.Word) { f(src, p.recvMsg(dst, ws)) })
+		mail.EachPayload(dst, func(src int, ps []clique.Payload) { f(src, p.recvMsg(dst, *(ps[0].(*[]clique.Word)))) })
 		return
 	}
 	mail.EachPayload(dst, func(src int, ps []clique.Payload) { f(src, *(ps[0].(*[]E))) })
-}
-
-// eachVal is each for the one-element messages of sendVal.
-//
-//cc:hotpath
-func (p port[E]) eachVal(mail *clique.Mail, dst int, f func(src int, v E)) {
-	if p.wire {
-		mail.Each(dst, func(src int, ws []clique.Word) { f(src, p.recvMsg(dst, ws)[0]) })
-		return
-	}
-	mail.EachPayload(dst, func(src int, ps []clique.Payload) { f(src, *(ps[0].(*E))) })
 }
 
 // from returns the message dst received from src in mail's flush (nil if
@@ -520,16 +578,14 @@ func (p port[E]) eachVal(mail *clique.Mail, dst int, f func(src int, v E)) {
 //
 //cc:hotpath
 func (p port[E]) from(mail *clique.Mail, dst, src int) []E {
-	if p.wire {
-		if ws := mail.From(dst, src); len(ws) > 0 {
-			return p.recvMsg(dst, ws)
-		}
+	ps := mail.PayloadsFrom(dst, src)
+	switch {
+	case len(ps) == 0:
 		return nil
+	case p.wire:
+		return p.recvMsg(dst, *(ps[0].(*[]clique.Word)))
 	}
-	if ps := mail.PayloadsFrom(dst, src); len(ps) > 0 {
-		return *(ps[0].(*[]E))
-	}
-	return nil
+	return *(ps[0].(*[]E))
 }
 
 // Transpose gives every node v column v of a row-distributed int64 matrix,
@@ -565,4 +621,23 @@ func Transpose(net *clique.Network, sc *Scratch, m *RowMat[int64]) *RowMat[int64
 		}
 	})
 	return col
+}
+
+// Learn is the "learn everything" step of Dolev et al. for a structure the
+// nodes hold one row each of: every node learns every row, through
+// routing.AllGather. lens[v] is the length of row v in words, which row(v)
+// builds only where words really travel. On the wire transport the rows
+// are gathered and handed to rebuild, whose result every node then holds;
+// the direct transport charges the same ledger from lens and returns local,
+// which every node reads in place.
+func Learn[G any](net *clique.Network, local G, lens []int64, row func(v int) []clique.Word, rebuild func(all [][]clique.Word) G) G {
+	if net.Transport() != clique.TransportWire {
+		routing.ChargeAllGather(net, lens)
+		return local
+	}
+	vecs := make([][]clique.Word, len(lens))
+	for v := range vecs {
+		vecs[v] = row(v)
+	}
+	return rebuild(routing.AllGather(net, vecs))
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -47,7 +48,8 @@ func gnpMat(rng *rand.Rand, n int, deg float64, zero, maxVal int64) *ccmm.RowMat
 
 // parityCase runs one product as RowMat and as CSR on fresh networks armed
 // by arm (nil leaves them unarmed) and requires equal routes, equal errors
-// up to errors.Is on want, and equal products.
+// up to errors.Is on want, equal ledgers — rounds, words, flushes and every
+// phase — and equal products.
 func parityCase(t *testing.T, alg parityAlgebra, e ccmm.Engine, arm func(*clique.Network), s, u *ccmm.RowMat[int64], want error) ccmm.Route {
 	t.Helper()
 	n := s.N()
@@ -67,6 +69,9 @@ func parityCase(t *testing.T, alg parityAlgebra, e ccmm.Engine, arm func(*clique
 	}
 	if rt != rtCSR {
 		t.Fatalf("routes differ: RowMat %+v, CSR %+v", rt, rtCSR)
+	}
+	if st, stCSR := nets[0].Stats(), nets[1].Stats(); !reflect.DeepEqual(st, stCSR) {
+		t.Fatalf("ledgers differ on route %+v:\nRowMat %+v\nCSR    %+v", rt, st, stCSR)
 	}
 	if want != nil {
 		return rt
@@ -94,9 +99,10 @@ func parityCase(t *testing.T, alg parityAlgebra, e ccmm.Engine, arm func(*clique
 }
 
 // TestRouteParity is the router's one property: the same operands as RowMat
-// and as CSR take the same route — engine, census, ρ_A, ρ_B, fallback — and
-// give the same product, for every algebra, across clique sizes and
-// densities from empty to n/2 per row, and on every rung of the ladder.
+// and as CSR take the same route — engine, census, ρ_A, ρ_B, fallback —
+// charge the same ledger and give the same product, for every algebra,
+// across clique sizes and densities from empty to n/2 per row, and on every
+// rung of the ladder.
 func TestRouteParity(t *testing.T) {
 	for _, alg := range parityAlgebras {
 		for _, n := range []int{8, 27, 64, 100, 144} {
@@ -167,17 +173,61 @@ func TestRouteParity(t *testing.T) {
 		}
 	}
 
-	// The densify cap is the one rung only the CSR form has: above it a
-	// product that cannot stay sparse errors instead of allocating Θ(n²).
+	// The densify cap is the one rung only the CSR form has. Above it no
+	// dense engine may run: with the census off the product errors instead
+	// of allocating Θ(n²), and with any positive threshold — however small,
+	// so the prediction would have said dense — it skips the census and runs
+	// the sparse engine.
 	t.Run("densify-cap", func(t *testing.T) {
 		const n = 8200 // above the 8192 cap; sparse-link network, so cheap
+		p := ccmm.PlanFor(n, ccmm.EngineAuto)
 		net := clique.New(n)
 		defer net.Close()
 		net.SetSparseThreshold(0) // census off → dense route
 		empty := matrix.NewCSR[int64](n)
-		_, rt, err := ccmm.PlanFor(n, ccmm.EngineAuto).MulIntCSRRouted(net, nil, empty, empty)
+		_, rt, err := p.MulIntCSRRouted(net, nil, empty, empty)
 		if !errors.Is(err, ccmm.ErrTooDense) || rt.Census {
 			t.Fatalf("densify above cap: route %+v, err %v, want ErrTooDense without census", rt, err)
+		}
+
+		// A 100-entry operand whose square has 100 entries of its own:
+		// A[i][(7i+1) mod n] = i+1 for i < 100, so A² holds (i+1)·(j+1) at
+		// (i, (7j+1) mod n) exactly when j = (7i+1) mod n is below 100.
+		a := matrix.NewCSR[int64](n)
+		for i := 0; i < n; i++ {
+			if i < 100 {
+				a.Col = append(a.Col, int32((7*i+1)%n))
+				a.Val = append(a.Val, int64(i+1))
+			}
+			a.RowPtr[i+1] = int64(len(a.Col))
+		}
+		want := map[[2]int]int64{}
+		for i := 0; i < 100; i++ {
+			if j := (7*i + 1) % n; j < 100 {
+				want[[2]int{i, (7*j + 1) % n}] = int64(i+1) * int64(j+1)
+			}
+		}
+		net.Reset()
+		net.SetSparseThreshold(1e-6)
+		got, rt, err := p.MulIntCSRRouted(net, nil, a, a)
+		if err != nil || rt != (ccmm.Route{Engine: ccmm.EngineSparse}) || !got.IsSparse() {
+			t.Fatalf("above the cap: route %+v, err %v, want the sparse engine without a census", rt, err)
+		}
+		if got.Sparse.NNZ() != int64(len(want)) {
+			t.Fatalf("above the cap: %d entries, want %d", got.Sparse.NNZ(), len(want))
+		}
+		for x := 0; x < n; x++ {
+			cols, vals := got.Sparse.Row(x)
+			for k, z := range cols {
+				if w := want[[2]int{x, int(z)}]; vals[k] != w {
+					t.Fatalf("above the cap: A²[%d][%d] = %d, want %d", x, z, vals[k], w)
+				}
+			}
+		}
+		for _, ph := range net.Stats().Phases {
+			if ph.Name == "mmplan/census" {
+				t.Fatalf("above the cap: the planner's census ran (%+v)", ph)
+			}
 		}
 	})
 }

@@ -53,7 +53,9 @@ type Scratch struct {
 	wmsgs  [][][]clique.Word // n×n encoded-word message matrix nodes post into (wire port): windows of wout
 	wout   [][]clique.Word   // per-node word arenas behind wmsgs
 	wgot   [][][]clique.Word // the last wire exchange's delivery, until its receivers open it
-	wbuf   []clique.Word     // link-level encode staging (wire port, single-threaded sends)
+	wbuf   []clique.Word     // one link-level flush's encoded messages (wire port)
+	wwins  [][]clique.Word   // the windows of wbuf, one per message of the flush
+	links  []routing.Link    // one link-level flush's per-link word lengths
 	offs   []int             // per-link cursors of the port's exchanges
 	wloads []int64           // per-link analytic word loads (direct transport)
 	rt     *routing.Scratch  // delivery-layer pools
@@ -160,9 +162,9 @@ func (sc *Scratch) linkWords(k int) []int64 {
 // ring and the min-plus semiring — so everything in it is either fully
 // overwritten per use or explicitly refilled (zero rows).
 type typedScratch[T any] struct {
-	bufs    []([]T) // per-node buffers (sparse engines' A-side lists; tuple formats' value staging)
-	bufs2   []([]T) // second per-node buffer (sparse engines' B-side lists, then accumulators)
-	bufs3   []([]T) // third per-node buffer (CSR engine's spread send arenas)
+	bufs    []([]T) // per-node buffers (tile engine's A-side lists, then gather arenas; tuple formats' value staging)
+	bufs2   []([]T) // second per-node buffer (tile engine's B-side lists, then received rows; transpose value staging)
+	bufs3   []([]T) // third per-node buffer (tile engine's spread arenas)
 	zeroRow []T     // one semiring-zero row, refilled per product
 
 	// 3D engine state.
@@ -179,20 +181,21 @@ type typedScratch[T any] struct {
 	// Wire-port receive state: per-node arenas the port decodes arriving
 	// messages into (append-only while any delivery is outstanding, so
 	// every window handed out stays valid; truncated when a product opens
-	// its port and whenever all live deliveries have been released), and
-	// the one-element staging cell of single-value sends.
+	// its port and whenever all live deliveries have been released).
 	recv []([]T)
 	live int     // deliveries taken and not yet released (link-level arrivals never are)
 	sent [][][]T // the last wire exchange's messages, until its receivers open the delivery
-	cell [1]T
 
-	// CSR engine state: per-node tables of borrowed windows into the
-	// arena buffers above (bufs/bufs2/bufs3). Window entries are
-	// reassigned every product, never appended into; the tables
-	// themselves keep their capacity.
-	slots  []([][]T) // per-node received combined-chunk windows
-	slots2 []([][]T) // per-node forwarded A-part windows
-	slots3 []([][]T) // per-node outgoing gather-chunk windows
+	// Link-level queues: per sending node, the messages of the port's next
+	// flush, on one of two sides that alternate per flush (see port.flush).
+	outbox [2][][]outMsg[T]
+	side   int
+
+	// Tile engine state: per-node tables of borrowed windows into received
+	// spread chunks. Window entries are reassigned every product, never
+	// appended into; the tables themselves keep their capacity.
+	slots  []([][]T) // per-node A-part windows, one per tile the node forwards for
+	slots2 []([][]T) // per-node B-part windows, one per tile the node gathers for
 
 	// Free row matrices: engine results, algebra conversions (witness
 	// tagging, Boolean packing), padded operands, and the reductions'

@@ -8,6 +8,7 @@ import (
 
 	"github.com/algebraic-clique/algclique/internal/ccmm"
 	"github.com/algebraic-clique/algclique/internal/clique"
+	"github.com/algebraic-clique/algclique/internal/matrix"
 	"github.com/algebraic-clique/algclique/internal/ring"
 )
 
@@ -35,9 +36,10 @@ func mapMat[T any](m *ccmm.RowMat[int64], f func(int64) T) *ccmm.RowMat[T] {
 	return out
 }
 
-// diffSparse runs the forced sparse engine on all three transports against
-// the dense 3D reference and asserts bit-identical products plus
-// bit-identical direct/wire ledgers.
+// diffSparse runs the forced sparse engine on both operand forms and all
+// three transports against the dense 3D reference: the RowMat product must
+// be bit-identical to it and the CSR product to its compression, and all
+// six runs must charge one ledger — rounds, words, flushes and every phase.
 func diffSparse[T any](t *testing.T, name string, n int, sr ring.Semiring[T], codec ring.Codec[T], s, tm *ccmm.RowMat[T]) {
 	t.Helper()
 	refNet := clique.New(n)
@@ -46,49 +48,42 @@ func diffSparse[T any](t *testing.T, name string, n int, sr ring.Semiring[T], co
 	if err != nil {
 		t.Fatalf("%s n=%d: dense reference: %v", name, n, err)
 	}
-
-	direct := clique.New(n)
-	defer direct.Close()
-	gotD, err := ccmm.SparseMul[T](direct, nil, sr, codec, s, tm)
-	if err != nil {
-		t.Fatalf("%s n=%d: sparse direct: %v", name, n, err)
-	}
-	wire := clique.New(n, clique.WithTransport(clique.TransportWire))
-	defer wire.Close()
-	gotW, err := ccmm.SparseMul[T](wire, nil, sr, codec, s, tm)
-	if err != nil {
-		t.Fatalf("%s n=%d: sparse wire: %v", name, n, err)
-	}
-	if !reflect.DeepEqual(gotD.Rows, want.Rows) {
-		t.Fatalf("%s n=%d: sparse direct product differs from dense 3D", name, n)
-	}
-	if !reflect.DeepEqual(gotW.Rows, want.Rows) {
-		t.Fatalf("%s n=%d: sparse wire product differs from dense 3D", name, n)
-	}
-	ds, ws := direct.Stats(), wire.Stats()
-	if ds.Rounds != ws.Rounds || ds.Words != ws.Words || ds.Flushes != ws.Flushes {
-		t.Fatalf("%s n=%d: ledgers diverge: direct %d rounds / %d words / %d flushes, wire %d / %d / %d",
-			name, n, ds.Rounds, ds.Words, ds.Flushes, ws.Rounds, ws.Words, ws.Flushes)
-	}
-	if !reflect.DeepEqual(ds.Phases, ws.Phases) {
-		t.Fatalf("%s n=%d: phase ledgers diverge:\ndirect %+v\nwire   %+v", name, n, ds.Phases, ws.Phases)
-	}
-
-	verify := clique.New(n, clique.WithTransport(clique.TransportVerify))
-	defer verify.Close()
-	gotV, err := ccmm.SparseMul[T](verify, nil, sr, codec, s, tm)
-	if err != nil {
-		t.Fatalf("%s n=%d: transport verification failed: %v", name, n, err)
-	}
-	if !reflect.DeepEqual(gotV.Rows, want.Rows) {
-		t.Fatalf("%s n=%d: verified product differs from dense 3D", name, n)
+	zero := sr.Zero()
+	keep := func(x T) bool { return !sr.Equal(x, zero) }
+	wantCSR, sc, tc := csrOf(want, keep), csrOf(s, keep), csrOf(tm, keep)
+	var first clique.Stats
+	for i, tr := range []clique.Transport{clique.TransportDirect, clique.TransportWire, clique.TransportVerify} {
+		net, csrNet := clique.New(n, clique.WithTransport(tr)), clique.New(n, clique.WithTransport(tr))
+		got, err := ccmm.SparseMul[T](net, nil, sr, codec, s, tm)
+		if err != nil {
+			t.Fatalf("%s n=%d: RowMat on %v: %v", name, n, tr, err)
+		}
+		gotCSR, err := ccmm.SparseMulCSR[T](csrNet, nil, sr, codec, sc, tc)
+		if err != nil {
+			t.Fatalf("%s n=%d: CSR on %v: %v", name, n, tr, err)
+		}
+		if !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Fatalf("%s n=%d: RowMat product on %v differs from dense 3D", name, n, tr)
+		}
+		if !reflect.DeepEqual(gotCSR, wantCSR) {
+			t.Fatalf("%s n=%d: CSR product on %v differs from compressed dense 3D", name, n, tr)
+		}
+		st, stCSR := net.Stats(), csrNet.Stats()
+		net.Close()
+		csrNet.Close()
+		if i == 0 {
+			first = st
+		}
+		if !reflect.DeepEqual(st, first) || !reflect.DeepEqual(stCSR, first) {
+			t.Fatalf("%s n=%d: ledgers diverge on %v:\ndirect RowMat %+v\nRowMat        %+v\nCSR           %+v", name, n, tr, first, st, stCSR)
+		}
 	}
 }
 
 // TestSparseMatchesDenseAllAlgebras is the differential suite of the
 // sparse engine: for every shipped algebra and a sample of clique sizes,
-// the forced sparse product must be bit-identical to the dense 3D engine
-// on both transport planes, with bit-identical direct/wire ledgers.
+// the forced sparse product on either operand form must be bit-identical to
+// the dense 3D engine on every transport, with one ledger for all of them.
 func TestSparseMatchesDenseAllAlgebras(t *testing.T) {
 	for _, n := range []int{8, 9, 13, 16, 27, 33, 64, 100} {
 		rng := rand.New(rand.NewPCG(uint64(n), 99))
@@ -126,36 +121,40 @@ func TestSparseMatchesDenseAllAlgebras(t *testing.T) {
 	}
 }
 
-// TestSparseScratchReuse runs several distinct products through one shared
-// scratch and asserts each matches a fresh-scratch run — pooled state must
-// never leak between products.
+// TestSparseScratchReuse runs several distinct products on either operand
+// form through one shared scratch and asserts each matches a fresh-scratch
+// run — pooled state must never leak between products, nor between the
+// forms that share it.
 func TestSparseScratchReuse(t *testing.T) {
 	const n = 33
 	r := ring.Int64{}
+	keep := func(x int64) bool { return x != 0 }
 	sc := ccmm.NewScratch()
 	for trial := 0; trial < 4; trial++ {
 		rng := rand.New(rand.NewPCG(5, uint64(trial)))
 		a := sparseIntMat(rng, n, 1+trial, 20)
 		b := sparseIntMat(rng, n, 2, 20)
-		shared := clique.New(n)
-		got, err := ccmm.SparseMul[int64](shared, sc, r, r, a, b)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+		run := func(sc *ccmm.Scratch) (*ccmm.RowMat[int64], *matrix.CSR[int64], clique.Stats) {
+			net := clique.New(n)
+			defer net.Close()
+			p, err := ccmm.SparseMul[int64](net, sc, r, r, a, b)
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			q, err := ccmm.SparseMulCSR[int64](net, sc, r, r, csrOf(a, keep), csrOf(b, keep))
+			if err != nil {
+				t.Fatalf("trial %d CSR: %v", trial, err)
+			}
+			return p, q, net.Stats()
 		}
-		fresh := clique.New(n)
-		want, err := ccmm.SparseMul[int64](fresh, nil, r, r, a, b)
-		if err != nil {
-			t.Fatalf("trial %d fresh: %v", trial, err)
+		got, gotCSR, shared := run(sc)
+		want, wantCSR, fresh := run(nil)
+		if !reflect.DeepEqual(got.Rows, want.Rows) || !reflect.DeepEqual(gotCSR, wantCSR) {
+			t.Fatalf("trial %d: shared-scratch products differ from fresh-scratch products", trial)
 		}
-		if !reflect.DeepEqual(got.Rows, want.Rows) {
-			t.Fatalf("trial %d: shared-scratch product differs from fresh-scratch product", trial)
+		if !reflect.DeepEqual(shared, fresh) {
+			t.Fatalf("trial %d: shared-scratch ledger %+v differs from fresh %+v", trial, shared, fresh)
 		}
-		if shared.Rounds() != fresh.Rounds() || shared.Words() != fresh.Words() {
-			t.Fatalf("trial %d: shared-scratch ledger %d/%d differs from fresh %d/%d",
-				trial, shared.Rounds(), shared.Words(), fresh.Rounds(), fresh.Words())
-		}
-		shared.Close()
-		fresh.Close()
 	}
 }
 
@@ -203,17 +202,27 @@ func withColRowCounts(n int, cas, rbs []int) (s, tm *ccmm.RowMat[int64]) {
 	return s, tm
 }
 
-// TestSparseDensityBoundary pins the census threshold exactly:
-// Σ ca·rb = 2n²−1 is accepted, 2n² is rejected with ErrTooDense.
+// TestSparseDensityBoundary pins the census threshold exactly, on both
+// operand forms: Σ ca·rb = 2n²−1 is accepted, 2n² is rejected with
+// ErrTooDense.
 func TestSparseDensityBoundary(t *testing.T) {
 	const n = 8 // 2n² = 128
 	r := ring.Int64{}
+	keep := func(x int64) bool { return x != 0 }
+	mul := func(s, tm *ccmm.RowMat[int64]) (*ccmm.RowMat[int64], error) {
+		net := clique.New(n)
+		defer net.Close()
+		p, err := ccmm.SparseMul[int64](net, nil, r, r, s, tm)
+		q, errCSR := ccmm.SparseMulCSR[int64](net, nil, r, r, csrOf(s, keep), csrOf(tm, keep))
+		if (err == nil) != (errCSR == nil) || err == nil && !reflect.DeepEqual(q, csrOf(p, keep)) {
+			t.Fatalf("operand forms disagree: RowMat %v, CSR %v", err, errCSR)
+		}
+		return p, err
+	}
 
 	// 8·8 + 8·7 + 7·1 = 127 = 2n²−1: accepted, and correct.
 	s, tm := withColRowCounts(n, []int{8, 8, 7}, []int{8, 7, 1})
-	net := clique.New(n)
-	defer net.Close()
-	got, err := ccmm.SparseMul[int64](net, nil, r, r, s, tm)
+	got, err := mul(s, tm)
 	if err != nil {
 		t.Fatalf("Σ = 2n²−1 rejected: %v", err)
 	}
@@ -229,9 +238,7 @@ func TestSparseDensityBoundary(t *testing.T) {
 
 	// 8·8 + 8·7 + 8·1 = 128 = 2n²: rejected.
 	s, tm = withColRowCounts(n, []int{8, 8, 8}, []int{8, 7, 1})
-	net2 := clique.New(n)
-	defer net2.Close()
-	if _, err := ccmm.SparseMul[int64](net2, nil, r, r, s, tm); !errors.Is(err, ccmm.ErrTooDense) {
+	if _, err := mul(s, tm); !errors.Is(err, ccmm.ErrTooDense) {
 		t.Fatalf("Σ = 2n² err = %v, want ErrTooDense", err)
 	}
 }

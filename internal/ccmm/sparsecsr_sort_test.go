@@ -36,9 +36,9 @@ func refFold(sr ring.Semiring[int64], zero int64, acc []ring.Tuple[int64]) []rin
 }
 
 // TestCSRSortsMatchStdlibStableOrder is the property behind replacing
-// sort.SliceStable in the CSR engine: on inputs with many equal keys —
+// sort.SliceStable in the tile engine: on inputs with many equal keys —
 // the shape the gather really has, one key per partial product of an
-// output cell — csrFold and csrGatherRuns produce exactly what the
+// output cell — csrFold and gatherRuns produce exactly what the
 // reflection-based stable sort produced.
 func TestCSRSortsMatchStdlibStableOrder(t *testing.T) {
 	rng := rand.New(rand.NewPCG(16, 4096))
@@ -78,18 +78,19 @@ func TestCSRSortsMatchStdlibStableOrder(t *testing.T) {
 			wantRuns[len(wantRuns)-1] = append(wantRuns[len(wantRuns)-1], p.Val)
 		}
 
-		sc := NewScratch()
-		tts, xts := typedFrom[ring.Tuple[int64]](sc), typedFrom[int32](sc)
-		growBufs(&tts.slots3, 1)
-		growBufs(&xts.bufs, 1)
-		csrGatherRuns[int64](tts, xts, 0, pairs, make([]ring.Tuple[int64], m))
-		if len(tts.slots3[0]) != len(wantRuns) || len(xts.bufs[0]) != len(wantRows) {
-			t.Fatalf("trial %d: csrGatherRuns cut %d runs over %d rows, want %d", trial, len(tts.slots3[0]), len(xts.bufs[0]), len(wantRuns))
+		var gotRows []int32
+		var gotRuns [][]ring.Tuple[int64]
+		gatherRuns(pairs, make([]ring.Tuple[int64], m), func(x int, run []ring.Tuple[int64]) {
+			gotRows = append(gotRows, int32(x))
+			gotRuns = append(gotRuns, run)
+		})
+		if len(gotRuns) != len(wantRuns) {
+			t.Fatalf("trial %d: gatherRuns cut %d runs, want %d", trial, len(gotRuns), len(wantRuns))
 		}
 		for r := range wantRuns {
-			if xts.bufs[0][r] != wantRows[r] || !reflect.DeepEqual(tts.slots3[0][r], wantRuns[r]) {
+			if gotRows[r] != wantRows[r] || !reflect.DeepEqual(gotRuns[r], wantRuns[r]) {
 				t.Fatalf("trial %d: run %d diverged from the stable-sort reference\n got row %d %v\nwant row %d %v",
-					trial, r, xts.bufs[0][r], tts.slots3[0][r], wantRows[r], wantRuns[r])
+					trial, r, gotRows[r], gotRuns[r], wantRows[r], wantRuns[r])
 			}
 		}
 	}

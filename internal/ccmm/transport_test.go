@@ -18,10 +18,12 @@ import (
 // reference on the direct transport, on the wire transport, under
 // TransportVerify, and on one and on four local workers, and every run
 // charges the identical ledger — rounds, words, flushes, per-phase
-// breakdown. For the commutative algebras (int64, Boolean, min-plus) two
+// breakdown. For the commutative algebras (int64, Boolean, min-plus) three
 // metamorphic rows follow: the product of transposed operands in swapped
-// order is the transposed product, (AB)ᵀ = BᵀAᵀ, and squaring a relabelled
-// operand relabels the square, (PAPᵀ)² = P·A²·Pᵀ. Engines register into
+// order is the transposed product, (AB)ᵀ = BᵀAᵀ; squaring a relabelled
+// operand relabels the square, (PAPᵀ)² = P·A²·Pᵀ; and products associate,
+// (AB)C = A(BC) — for the tile engine on both operand forms, RowMat
+// ("sparse") and CSR ("csr"). Engines register into
 // engineTable once; the per-algebra tests below only choose operands and
 // sizes. (What the shared schedules cost is pinned separately by
 // TestGoldenLedger.)
@@ -102,24 +104,31 @@ func relabelled[T any](m *RowMat[T], p []int) *RowMat[T] {
 	return &RowMat[T]{Rows: out}
 }
 
-// metamorphic asserts the two metamorphic rows for one engine on the
-// direct transport: mul(Bᵀ, Aᵀ) = want(AB)ᵀ and mul(PAPᵀ, PAPᵀ) =
-// P·square·Pᵀ, where square = A².
-func metamorphic[T any](t *testing.T, n int, p []int, a, b, want, square *RowMat[T],
+// metamorphic asserts the three metamorphic rows for one engine on the
+// direct transport: mul(Bᵀ, Aᵀ) = want(AB)ᵀ; mul(PAPᵀ, PAPᵀ) = P·square·Pᵀ,
+// where square = A²; and mul(mul(A, B), C) = mul(A, mul(B, C)) = abc, the
+// reference (AB)C.
+func metamorphic[T any](t *testing.T, n int, p []int, a, b, c, want, square, abc *RowMat[T],
 	mul func(net *clique.Network, sc *Scratch, s, t *RowMat[T]) (*RowMat[T], error)) {
 	t.Helper()
-	got, _ := mulOn[T](t, n, clique.TransportDirect, func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
-		return mul(net, sc, transposed(b), transposed(a))
-	})
-	if !reflect.DeepEqual(got.Rows, transposed(want).Rows) {
+	prod := func(s, u *RowMat[T]) *RowMat[T] {
+		got, _ := mulOn[T](t, n, clique.TransportDirect, func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
+			return mul(net, sc, s, u)
+		})
+		return got
+	}
+	if !reflect.DeepEqual(prod(transposed(b), transposed(a)).Rows, transposed(want).Rows) {
 		t.Fatalf("n=%d: BᵀAᵀ differs from (AB)ᵀ", n)
 	}
 	pa := relabelled(a, p)
-	got, _ = mulOn[T](t, n, clique.TransportDirect, func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
-		return mul(net, sc, pa, pa)
-	})
-	if !reflect.DeepEqual(got.Rows, relabelled(square, p).Rows) {
+	if !reflect.DeepEqual(prod(pa, pa).Rows, relabelled(square, p).Rows) {
 		t.Fatalf("n=%d: (PAPᵀ)² differs from P·A²·Pᵀ", n)
+	}
+	if !reflect.DeepEqual(prod(prod(a, b), c).Rows, abc.Rows) {
+		t.Fatalf("n=%d: (AB)C differs from the reference", n)
+	}
+	if !reflect.DeepEqual(prod(a, prod(b, c)).Rows, abc.Rows) {
+		t.Fatalf("n=%d: A(BC) differs from (AB)C", n)
 	}
 }
 
@@ -131,8 +140,9 @@ type engineCase[T any] struct {
 }
 
 // engineTable lists every engine that can multiply over (sr, codec) on an
-// n-node clique — including the naive, RowMat-sparse and CSR paths on the
-// wire transport, which no benchmark workload reaches.
+// n-node clique — including the naive engine and both operand forms of the
+// tile engine ("sparse" for RowMat, "csr") on the wire transport, which no
+// benchmark workload reaches.
 func engineTable[T any](n int, sr ring.Semiring[T], codec ring.Codec[T]) []engineCase[T] {
 	cases := []engineCase[T]{
 		{"naive", false, func(net *clique.Network, sc *Scratch, s, t *RowMat[T]) (*RowMat[T], error) {
@@ -190,7 +200,11 @@ func parityOver[T any](t *testing.T, sizes []int, seed uint64, sr ring.Semiring[
 			{randMat(rng, n, 2/float64(n), zero, gen), randMat(rng, n, 2/float64(n), zero, gen)},
 		}
 		perm := rng.Perm(n)
-		var want, square [2]*RowMat[T] // the schoolbook references AB and A², evaluated locally
+		// The third factor of the associativity row: as dense as A and B for
+		// the dense engines, one entry per row on average for the tile
+		// engines, so (AB)C stays inside their bound.
+		third := [2]*RowMat[T]{randMat(rng, n, 0.75, zero, gen), randMat(rng, n, 1/float64(n), zero, gen)}
+		var want, square, abc [2]*RowMat[T] // the schoolbook references AB, A² and (AB)C, evaluated locally
 		for _, e := range engineTable(n, sr, codec) {
 			name := label(e.name)
 			if name == "" {
@@ -205,6 +219,7 @@ func parityOver[T any](t *testing.T, sizes []int, seed uint64, sr ring.Semiring[
 				want[k] = Distribute(matrix.Mul(sr, a.Collect(), b.Collect()))
 				if commutes {
 					square[k] = Distribute(matrix.Mul(sr, a.Collect(), a.Collect()))
+					abc[k] = Distribute(matrix.Mul(sr, want[k].Collect(), third[k].Collect()))
 				}
 			}
 			t.Run(name, func(t *testing.T) {
@@ -212,7 +227,7 @@ func parityOver[T any](t *testing.T, sizes []int, seed uint64, sr ring.Semiring[
 					return e.mul(net, sc, a, b)
 				})
 				if commutes {
-					metamorphic(t, n, perm, a, b, want[k], square[k], e.mul)
+					metamorphic(t, n, perm, a, b, third[k], want[k], square[k], abc[k], e.mul)
 				}
 			})
 		}
@@ -445,6 +460,37 @@ func TestWireScratchSurvivesAbort(t *testing.T) {
 			}
 		}
 		net.Close()
+	}
+}
+
+// TestLinkFlushResolvesAuto pins the link level's Auto choice at its
+// boundary, on both transports: a lone 2-word message rides its own link
+// (one flush, two rounds, two words), while a lone 3-word one is cheaper
+// striped over three intermediaries (two flushes of one round each, its
+// words charged per hop: 2 in phase A — the first lands on the sender —
+// and 3 in phase B) — and arrives intact either way.
+func TestLinkFlushResolvesAuto(t *testing.T) {
+	const n = 8 // node 0's stripe starts at intermediary 0
+	for _, tr := range []clique.Transport{clique.TransportDirect, clique.TransportWire} {
+		for _, c := range []struct {
+			k                      int
+			rounds, words, flushes int64
+		}{{2, 2, 2, 1}, {3, 2, 5, 2}} {
+			net := clique.New(n, clique.WithTransport(tr))
+			p := newPort[int64](net, NewScratch(), chunks[int64]{ring.AsBulk[int64](ring.Int64{}), 1})
+			msg := []int64{10, 11, 12}[:c.k]
+			p.send(0, 5, msg)
+			got := p.from(p.flush(), 5, 0)
+			st := net.Stats()
+			net.Close()
+			if !reflect.DeepEqual(got, msg) {
+				t.Fatalf("%v, %d words: delivered %v, sent %v", tr, c.k, got, msg)
+			}
+			if st.Rounds != c.rounds || st.Words != c.words || st.Flushes != c.flushes {
+				t.Fatalf("%v, %d words: charged %d rounds, %d words, %d flushes; want %d, %d, %d",
+					tr, c.k, st.Rounds, st.Words, st.Flushes, c.rounds, c.words, c.flushes)
+			}
+		}
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"github.com/algebraic-clique/algclique/internal/ccmm"
 	"github.com/algebraic-clique/algclique/internal/clique"
 	"github.com/algebraic-clique/algclique/internal/graphs"
-	"github.com/algebraic-clique/algclique/internal/routing"
 	"github.com/algebraic-clique/algclique/internal/subgraph"
 )
 
@@ -85,46 +84,10 @@ func Undirected(net *clique.Network, engine ccmm.Engine, g *graphs.Graph, opts O
 		// All randomised detections missed (probability n^{-Ω(1)} with
 		// default colourings): fall back to the exact gather.
 	}
-	return gatherGirth(net, g)
-}
-
-// gatherGirth ships the whole graph to every node (Dolev et al. style) and
-// computes the girth locally; used by the sparse branch of Theorem 15. On
-// the direct transport the gather is charged analytically — one word per
-// v < u edge, exactly what the encoded path ships — and the girth is
-// computed on the shared graph in place.
-func gatherGirth(net *clique.Network, g *graphs.Graph) (int, bool, error) {
+	// Sparse: every node learns the whole graph and computes the girth
+	// locally (Dolev et al.).
 	net.Phase("girth/gather")
-	n := net.N()
-	if net.Transport() != clique.TransportWire {
-		lens := make([]int64, n)
-		for v := 0; v < n; v++ {
-			for _, u := range g.Neighbors(v) {
-				if u > v {
-					lens[v]++
-				}
-			}
-		}
-		routing.ChargeAllGather(net, lens)
-		girth, ok := graphs.GirthRef(g)
-		return girth, ok, nil
-	}
-	vecs := make([][]clique.Word, n)
-	for v := 0; v < n; v++ {
-		for _, u := range g.Neighbors(v) {
-			if u > v {
-				vecs[v] = append(vecs[v], clique.Word(u))
-			}
-		}
-	}
-	all := routing.AllGather(net, vecs)
-	rebuilt := graphs.NewGraph(n, false)
-	for v := 0; v < n; v++ {
-		for _, w := range all[v] {
-			rebuilt.AddEdge(v, int(w))
-		}
-	}
-	girth, ok := graphs.GirthRef(rebuilt)
+	girth, ok = graphs.GirthRef(subgraph.LearnGraph(net, g))
 	return girth, ok, nil
 }
 

@@ -9,124 +9,218 @@ import (
 
 // This file is the routing layer's direct (data-plane) side: the same
 // deterministic schedules as Exchange and AllGather, with the words
-// charged analytically from a LinkLens and the actual data moved as typed
+// charged analytically from per-link word lengths and the actual data moved as typed
 // payloads by reference (or not at all, when the receiver can read the
 // sender's structure directly). Every function here reproduces its encoded
 // counterpart's ledger — rounds, words, flushes, strategy choice — exactly.
 
-// TwoPhaseCosts reduces the two-phase schedule for the given traffic to
-// its four charged aggregates: the non-self per-link load maximum and word
-// total of each phase. The striping matches exchangeTwoPhase word for
-// word — sender src's flat word stream rides links (off+p) mod n in
-// order, so each phase-A link carries ⌊flat/n⌋ full laps plus one
-// contiguous arc, reduced here to closed-form per-sender arithmetic —
-// while phase B runs one O(n²) pass over a per-(intermediary,
-// destination) tally. This is the single implementation of the Lenzen
-// striping arithmetic: the encoded Auto resolution (estimateCosts), the
-// direct transport's analytic charges, and the strategy decisions all
-// read these aggregates, which is what keeps the two planes' ledgers and
-// schedule choices bit-identical (the per-link reference implementation
-// lives in the tests).
-func TwoPhaseCosts(n int, sc *Scratch, lens LinkLens) (maxA, totalA, maxB, totalB int64) {
-	var loadB []int64
-	if sc != nil {
-		loadB = sc.linkLoads(n * n)
-	} else {
-		loadB = make([]int64, n*n)
+// Link is the traffic of one directed link: Words words from Src to Dst.
+type Link struct {
+	Src, Dst int32
+	Words    int64
+}
+
+// Costs are the charged aggregates of the two schedules Auto chooses
+// between for one traffic pattern: the non-self per-link load maximum and
+// word total of each phase of the two-phase (Lenzen) schedule, and the
+// direct schedule's non-self per-link maximum.
+type Costs struct {
+	MaxA, TotalA, MaxB, TotalB, Direct int64
+}
+
+// TwoPhase is Auto's choice, the one comparison every exchange resolves it
+// with: two-phase when the sum of its phase maxima — its rounds — beats
+// the direct schedule's.
+func (c Costs) TwoPhase() bool { return c.MaxA+c.MaxB < c.Direct }
+
+// TwoPhaseCosts reduces both schedules for the traffic on links to their
+// charged aggregates. links lists every link that carries words, self-links
+// included, sorted by (Src, Dst) with each link once; the work and memory
+// are O(n + len(links)), never n×n.
+//
+// The striping matches exchangeTwoPhase word for word: sender src's flat
+// word stream — its messages in destination order — rides intermediaries
+// (off+p) mod n in turn. So each phase-A link of src carries ⌊flat/n⌋ full
+// laps plus at most one more word, closed-form per sender; and in phase B
+// an l-word message to dst puts ⌊l/n⌋ words on every intermediary's link to
+// dst plus one on each intermediary of an arc of l mod n consecutive ones,
+// so the heaviest link into dst carries the laps plus the deepest overlap
+// of those arcs away from dst itself. This is the single implementation of
+// the Lenzen striping arithmetic: the encoded Auto resolution, the direct
+// transport's analytic charges and the port's link-level exchanges all read
+// these aggregates, which is what keeps the two planes' ledgers and schedule
+// choices bit-identical (the per-link reference implementation lives in the
+// tests).
+func TwoPhaseCosts(n int, sc *Scratch, links []Link) (c Costs) {
+	if n <= 1 {
+		return c // every link is the free self-link
 	}
-	for src := 0; src < n; src++ {
-		off := stripeOffset(src, n)
+	ws := &twoPhaseWork{}
+	if sc != nil {
+		ws = &sc.tp
+	}
+	nn := int64(n)
+	laps := zeroedLoads(ws.laps, n)
+	evs := ws.evs[:0]
+	for i := 0; i < len(links); {
+		src := links[i].Src
+		off := int64(stripeOffset(int(src), n))
+		// flat counts src's words so far; pos = (off + flat) mod n is the
+		// intermediary of its next word. Messages are mostly shorter than n,
+		// so the loop keeps both without dividing.
 		var flat int64
-		for dst := 0; dst < n; dst++ {
-			l := lens(src, dst)
-			if l == 0 {
+		pos := off
+		for ; i < len(links) && links[i].Src == src; i++ {
+			l := links[i]
+			if l.Words <= 0 {
 				continue
 			}
-			laps := l / int64(n)
-			rem := int(l % int64(n))
-			if laps > 0 {
-				for inter := 0; inter < n; inter++ {
-					loadB[inter*n+dst] += laps
+			if l.Src != l.Dst && l.Words > c.Direct {
+				c.Direct = l.Words
+			}
+			lp, rem := int64(0), l.Words
+			if rem >= nn {
+				lp, rem = rem/nn, rem%nn
+			}
+			laps[l.Dst] += lp
+			self := lp // the message's words that land on dst as intermediary: free
+			if rem > 0 {
+				// The arc [pos, pos+rem) as start (key pos<<1 | 1) and end
+				// (key end<<1) events, split where it wraps past n-1.
+				if d := int64(l.Dst) - pos; d >= 0 && d < rem || d < 0 && d+nn < rem {
+					self++
+				}
+				s, e := int32(pos)<<1|1, int32(pos+rem)<<1
+				if pos += rem; pos >= nn {
+					pos -= nn
+					evs = append(evs, event{l.Dst, s}, event{l.Dst, int32(n) << 1}, event{l.Dst, 1}, event{l.Dst, int32(pos) << 1})
+				} else {
+					evs = append(evs, event{l.Dst, s}, event{l.Dst, e})
 				}
 			}
-			start := (off + int(flat%int64(n))) % n
-			for j := 0; j < rem; j++ {
-				inter := start + j
-				if inter >= n {
-					inter -= n
-				}
-				loadB[inter*n+dst]++
-			}
-			flat += l
+			c.TotalB += l.Words - self
+			flat += l.Words
 		}
-		if flat > 0 && n > 1 {
-			laps := flat / int64(n)
-			rem := int(flat % int64(n))
-			selfIdx := (src - off + n) % n
-			selfLoad := laps
+		if flat > 0 {
+			lp, rem := flat/nn, flat%nn
+			selfIdx := int64(src) - off
+			if selfIdx < 0 {
+				selfIdx += nn
+			}
+			selfLoad, ma := lp, lp
 			if selfIdx < rem {
 				selfLoad++
 			}
-			ma := laps
 			if rem > 0 && (rem >= 2 || selfIdx != 0) {
-				ma = laps + 1
+				ma++
 			}
-			if ma > maxA {
-				maxA = ma
-			}
-			totalA += flat - selfLoad
+			c.MaxA = max(c.MaxA, ma)
+			c.TotalA += flat - selfLoad
 		}
 	}
-	for inter := 0; inter < n; inter++ {
-		row := loadB[inter*n : (inter+1)*n]
-		for dst, w := range row {
-			if inter == dst || w == 0 {
-				continue
-			}
-			totalB += w
-			if w > maxB {
-				maxB = w
-			}
-		}
+	// Order the events by (dst, key) with two stable counting passes, key
+	// first; ends[d] is then the end of d's run.
+	byKey, byDst := resize(ws.byKey, len(evs)), resize(ws.byDst, len(evs))
+	cnt := zeroedLoads(ws.cnt, 2*n+2)
+	for _, e := range evs {
+		cnt[e.key+1]++
 	}
-	return maxA, totalA, maxB, totalB
+	for k := 1; k < len(cnt); k++ {
+		cnt[k] += cnt[k-1]
+	}
+	for _, e := range evs {
+		byKey[cnt[e.key]] = e
+		cnt[e.key]++
+	}
+	ends := zeroedLoads(ws.ends, n+1)
+	for _, e := range byKey {
+		ends[e.dst+1]++
+	}
+	for d := 0; d < n; d++ {
+		ends[d+1] += ends[d]
+	}
+	for _, e := range byKey {
+		byDst[ends[e.dst]] = e
+		ends[e.dst]++
+	}
+	var lo int64
+	for d := 0; d < n; d++ {
+		c.MaxB = max(c.MaxB, laps[d]+deepest(byDst[lo:ends[d]], int32(d), int32(n)))
+		lo = ends[d]
+	}
+	ws.laps, ws.evs, ws.byKey, ws.byDst, ws.cnt, ws.ends = laps, evs, byKey, byDst, cnt, ends
+	return c
 }
 
-// PlanCosts returns the charged aggregates of both schedules for a
-// materialised lens array: the two-phase phase maxima and totals plus the
-// direct schedule's non-self maximum. With a Scratch the result is
-// memoised on the lens contents (see exchangePlan); the aggregates are a
-// pure function of the lens array, so replayed oblivious patterns skip
-// the striping arithmetic entirely.
-func PlanCosts(n int, sc *Scratch, lensBuf []int64) (maxA, totalA, maxB, totalB, direct int64) {
+// event is one end of a phase-B arc bound for dst: key is position<<1 | 1
+// where the arc starts covering intermediaries and position<<1 where it
+// stops.
+type event struct{ dst, key int32 }
+
+// twoPhaseWork is TwoPhaseCosts' working set, kept in a Scratch between
+// calls: per-destination laps, the arc events in sender order and sorted,
+// and the counting sorts' tallies.
+type twoPhaseWork struct {
+	laps, cnt, ends   []int64
+	evs, byKey, byDst []event
+}
+
+// deepest returns how many arcs cover the most-covered intermediary other
+// than dst, given the arcs' events in position order.
+func deepest(ev []event, dst, n int32) (best int64) {
+	var cov int64
+	for i := 0; i < len(ev); {
+		pos := ev[i].key >> 1
+		for ; i < len(ev) && ev[i].key>>1 == pos; i++ {
+			if ev[i].key&1 == 1 {
+				cov++
+			} else {
+				cov--
+			}
+		}
+		next := n
+		if i < len(ev) {
+			next = ev[i].key >> 1
+		}
+		// [pos, next) is covered cov deep; it counts unless it is dst alone.
+		if cov > best && next > pos && (next-pos > 1 || pos != dst) {
+			best = cov
+		}
+	}
+	return best
+}
+
+// PlanCosts is TwoPhaseCosts for a materialised n×n lens array
+// (lensBuf[src*n+dst]), the form the message-matrix exchanges hold. With a
+// Scratch the result is memoised on the lens contents (see exchangePlan):
+// the aggregates are a pure function of the lens array, so replayed
+// oblivious patterns skip the striping arithmetic entirely.
+func PlanCosts(n int, sc *Scratch, lensBuf []int64) Costs {
+	var links []Link
 	if sc != nil {
 		for i := range sc.plans {
-			p := &sc.plans[i]
-			if slices.Equal(p.lens, lensBuf) {
-				return p.maxA, p.totalA, p.maxB, p.totalB, p.direct
+			if p := &sc.plans[i]; slices.Equal(p.lens, lensBuf) {
+				return p.c
 			}
 		}
+		links = sc.links[:0]
 	}
-	lens := func(src, dst int) int64 { return lensBuf[src*n+dst] }
-	maxA, totalA, maxB, totalB = TwoPhaseCosts(n, sc, lens)
 	for src := 0; src < n; src++ {
-		base := src * n
-		for dst := 0; dst < n; dst++ {
-			if src != dst && lensBuf[base+dst] > direct {
-				direct = lensBuf[base+dst]
+		for dst, l := range lensBuf[src*n : (src+1)*n] {
+			if l > 0 {
+				links = append(links, Link{Src: int32(src), Dst: int32(dst), Words: l})
 			}
 		}
 	}
+	c := TwoPhaseCosts(n, sc, links)
 	if sc != nil {
+		sc.links = links
 		if len(sc.plans) >= maxExchangePlans {
 			sc.plans = sc.plans[:0]
 		}
-		sc.plans = append(sc.plans, exchangePlan{
-			lens: append([]int64(nil), lensBuf...),
-			maxA: maxA, totalA: totalA, maxB: maxB, totalB: totalB, direct: direct,
-		})
+		sc.plans = append(sc.plans, exchangePlan{lens: append([]int64(nil), lensBuf...), c: c})
 	}
-	return maxA, totalA, maxB, totalB, direct
+	return c
 }
 
 // ChargeAllGather charges the exact ledger of AllGather for per-node
@@ -234,21 +328,18 @@ func ExchangePayload[T any](net *clique.Network, strategy Strategy, sc *Scratch,
 		}
 	}
 	twoPhase := strategy == TwoPhase
-	var maxA, totalA, maxB, totalB int64
+	var c Costs
 	if strategy != Direct {
-		// Resolve Auto with the same comparison the encoded Exchange uses —
-		// the direct round cost is the maximum non-self lens, the two-phase
-		// cost the sum of the two schedule maxima — reusing the (memoised)
-		// schedule aggregates for the charge itself.
-		var direct int64
-		maxA, totalA, maxB, totalB, direct = PlanCosts(n, sc, lensBuf)
+		// Resolve Auto with the comparison the encoded Exchange uses,
+		// reusing the (memoised) schedule aggregates for the charge itself.
+		c = PlanCosts(n, sc, lensBuf)
 		if strategy == Auto {
-			twoPhase = maxA+maxB < direct
+			twoPhase = c.TwoPhase()
 		}
 	}
 	var mail *clique.Mail
 	if twoPhase {
-		net.FlushAnalytic(maxA, totalA)
+		net.FlushAnalytic(c.MaxA, c.TotalA)
 		for src := 0; src < n; src++ {
 			row := pays[src]
 			for dst := range row {
@@ -257,7 +348,7 @@ func ExchangePayload[T any](net *clique.Network, strategy Strategy, sc *Scratch,
 				}
 			}
 		}
-		mail = net.FlushAnalytic(maxB, totalB)
+		mail = net.FlushAnalytic(c.MaxB, c.TotalB)
 	} else {
 		for src := 0; src < n; src++ {
 			row := pays[src]

@@ -147,7 +147,7 @@ func TestChargeAllGatherMatchesAllGather(t *testing.T) {
 // the free self-links, striped exactly as exchangeTwoPhase sends them —
 // word for word. TwoPhaseCosts must reduce to its maxima and non-self
 // totals.
-func refTwoPhaseLinkLoads(n int, lens LinkLens) (loadA, loadB []int64) {
+func refTwoPhaseLinkLoads(n int, lens func(src, dst int) int64) (loadA, loadB []int64) {
 	loadA, loadB = make([]int64, n*n), make([]int64, n*n)
 	for src := 0; src < n; src++ {
 		off := stripeOffset(src, n)
@@ -192,47 +192,70 @@ func refTwoPhaseLinkLoads(n int, lens LinkLens) (loadA, loadB []int64) {
 	return loadA, loadB
 }
 
-// TestTwoPhaseLinkLoadsMatchSchedule cross-checks the analytic per-link
-// loads against the estimator's exact round costs.
+// refCosts reduces the reference per-link loads of a pattern to the
+// aggregates TwoPhaseCosts must return.
+func refCosts(n int, lens func(src, dst int) int64) Costs {
+	loadA, loadB := refTwoPhaseLinkLoads(n, lens)
+	var c Costs
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			if src == dst {
+				continue
+			}
+			i := src*n + dst
+			c.MaxA, c.MaxB = max(c.MaxA, loadA[i]), max(c.MaxB, loadB[i])
+			c.TotalA += loadA[i]
+			c.TotalB += loadB[i]
+			c.Direct = max(c.Direct, lens(src, dst))
+		}
+	}
+	return c
+}
+
+// linksOf lists a pattern's links as TwoPhaseCosts takes them.
+func linksOf(n int, lens func(src, dst int) int64) []Link {
+	var links []Link
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			if l := lens(src, dst); l > 0 {
+				links = append(links, Link{Src: int32(src), Dst: int32(dst), Words: l})
+			}
+		}
+	}
+	return links
+}
+
+// TestTwoPhaseLinkLoadsMatchSchedule cross-checks TwoPhaseCosts against the
+// per-link reference loads: on dense random patterns (at n = 41 enough
+// messages reach one destination for the endpoint sweep), and on sparse
+// ones — a few links per destination, lengths on both sides of n, so arcs
+// overlap, wrap past node n-1 and land on their own destination, counted
+// at their candidates. One Scratch serves every pattern, so no call may
+// read another's leftovers.
 func TestTwoPhaseLinkLoadsMatchSchedule(t *testing.T) {
-	for _, n := range []int{3, 8, 15} {
+	sc := NewScratch()
+	check := func(name string, n int, lens func(src, dst int) int64) {
+		t.Helper()
+		want := refCosts(n, lens)
+		for _, s := range []*Scratch{nil, sc} {
+			if got := TwoPhaseCosts(n, s, linksOf(n, lens)); got != want {
+				t.Fatalf("%s n=%d: TwoPhaseCosts %+v, per-link reference %+v", name, n, got, want)
+			}
+		}
+	}
+	for _, n := range []int{3, 8, 15, 41} {
 		rng := rand.New(rand.NewPCG(99, uint64(n)))
 		pays := randPattern(rng, n)
-		lens := func(src, dst int) int64 { return int64(len(pays[src][dst])) }
-		loadA, loadB := refTwoPhaseLinkLoads(n, lens)
-		_, wantTwoPhase := estimateCosts(n, nil, lens)
-		var maxA, maxB int64
-		for src := 0; src < n; src++ {
-			for dst := 0; dst < n; dst++ {
-				if src == dst {
-					continue
-				}
-				if loadA[src*n+dst] > maxA {
-					maxA = loadA[src*n+dst]
-				}
-				if loadB[src*n+dst] > maxB {
-					maxB = loadB[src*n+dst]
-				}
+		check("dense", n, func(src, dst int) int64 { return int64(len(pays[src][dst])) })
+	}
+	for _, n := range []int{2, 5, 16, 41, 97} {
+		for trial := 0; trial < 20; trial++ {
+			rng := rand.New(rand.NewPCG(uint64(n), uint64(trial)))
+			lens := make([]int64, n*n)
+			for k := rng.IntN(3 * n); k > 0; k-- {
+				lens[rng.IntN(n)*n+rng.IntN(n)] = 1 + rng.Int64N(int64(2*n))
 			}
-		}
-		if maxA+maxB != wantTwoPhase {
-			t.Fatalf("n=%d: analytic loads give %d+%d rounds, estimator says %d", n, maxA, maxB, wantTwoPhase)
-		}
-		// The fused aggregate form must agree with the per-link arrays on
-		// maxima and on the non-self totals.
-		fmA, ftA, fmB, ftB := TwoPhaseCosts(n, nil, lens)
-		var totA, totB int64
-		for src := 0; src < n; src++ {
-			for dst := 0; dst < n; dst++ {
-				if src != dst {
-					totA += loadA[src*n+dst]
-					totB += loadB[src*n+dst]
-				}
-			}
-		}
-		if fmA != maxA || fmB != maxB || ftA != totA || ftB != totB {
-			t.Fatalf("n=%d: TwoPhaseCosts (%d,%d,%d,%d) disagrees with link loads (%d,%d,%d,%d)",
-				n, fmA, ftA, fmB, ftB, maxA, totA, maxB, totB)
+			check("sparse", n, func(src, dst int) int64 { return lens[src*n+dst] })
 		}
 	}
 }

@@ -66,8 +66,7 @@ func Exchange(net *clique.Network, strategy Strategy, msgs [][][]clique.Word) []
 func ExchangeOwned(net *clique.Network, strategy Strategy, msgs [][][]clique.Word) [][][]clique.Word {
 	n := net.N()
 	validateShape(n, msgs)
-	strategy = ResolveStrategy(n, nil, strategy, lensOf(msgs))
-	if strategy == TwoPhase {
+	if strategy == TwoPhase || strategy == Auto && autoTwoPhase(n, nil, msgs) {
 		// Ownership is irrelevant two-phase: words travel individually.
 		return exchangeTwoPhase(net, nil, msgs)
 	}
@@ -117,23 +116,23 @@ func ExchangeScratch(net *clique.Network, strategy Strategy, sc *Scratch, msgs [
 	}
 }
 
-// autoTwoPhase resolves Auto for a materialised message matrix. With a
-// Scratch it goes through the same memoised PlanCosts the payload exchange
-// uses, so a session replaying an oblivious pattern pays the striping
-// arithmetic once per shape on either transport; the comparison is
-// ResolveStrategy's.
+// autoTwoPhase resolves Auto for a materialised message matrix through the
+// same PlanCosts the payload exchange uses — memoised with a Scratch, so a
+// session replaying an oblivious pattern pays the striping arithmetic once
+// per shape on either transport.
 func autoTwoPhase(n int, sc *Scratch, msgs [][][]clique.Word) bool {
-	if sc == nil {
-		return ResolveStrategy(n, nil, Auto, lensOf(msgs)) == TwoPhase
+	var lens []int64
+	if sc != nil {
+		lens = sc.payLens(n * n)
+	} else {
+		lens = make([]int64, n*n)
 	}
-	lens := sc.payLens(n * n)
 	for src, row := range msgs {
 		for dst, vec := range row {
 			lens[src*n+dst] = int64(len(vec))
 		}
 	}
-	maxA, _, maxB, _, direct := PlanCosts(n, sc, lens)
-	return maxA+maxB < direct
+	return PlanCosts(n, sc, lens).TwoPhase()
 }
 
 // validateShape panics unless msgs is an n×n message matrix — the shared
@@ -147,54 +146,6 @@ func validateShape(n int, msgs [][][]clique.Word) {
 			panic(fmt.Sprintf("routing: source %d has %d destination slots, want %d", src, len(msgs[src]), n))
 		}
 	}
-}
-
-// LinkLens reports the word length of the message from src to dst. It is
-// the accounting-plane view of a traffic pattern: the encoded path derives
-// it from materialised vectors (lensOf), the direct path computes it
-// analytically from codec EncodedLen sums, and both feed the same
-// scheduling and charging code — which is what keeps the two transports'
-// ledgers bit-identical.
-type LinkLens func(src, dst int) int64
-
-// lensOf is the LinkLens of a materialised message matrix.
-func lensOf(msgs [][][]clique.Word) LinkLens {
-	return func(src, dst int) int64 { return int64(len(msgs[src][dst])) }
-}
-
-// ResolveStrategy resolves Auto to the cheaper of Direct and TwoPhase for
-// the given traffic shape, using the exact deterministic round costs of
-// both schedules; non-Auto strategies pass through unchanged.
-func ResolveStrategy(n int, sc *Scratch, strategy Strategy, lens LinkLens) Strategy {
-	if strategy != Auto {
-		return strategy
-	}
-	direct, twoPhase := estimateCosts(n, sc, lens)
-	if twoPhase < direct {
-		return TwoPhase
-	}
-	return Direct
-}
-
-// estimateCosts returns the exact round cost of Direct and TwoPhase for
-// the given traffic (both are deterministic schedules): the direct cost is
-// the maximum non-self link lens, the two-phase cost the sum of the two
-// schedule maxima from TwoPhaseCosts — the single implementation of the
-// Lenzen striping arithmetic both transports share.
-func estimateCosts(n int, sc *Scratch, lens LinkLens) (direct, twoPhase int64) {
-	maxA, _, maxB, _ := TwoPhaseCosts(n, sc, lens)
-	twoPhase = maxA + maxB
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if src == dst {
-				continue
-			}
-			if l := lens(src, dst); l > direct {
-				direct = l
-			}
-		}
-	}
-	return direct, twoPhase
 }
 
 //cc:hotpath

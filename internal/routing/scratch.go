@@ -22,8 +22,9 @@ type Scratch struct {
 	ownedIdx  int
 	heldMeta  [][]routedMeta
 	heldWord  [][]clique.Word
-	loads     []int64
 	lens      []int64
+	links     []Link
+	tp        twoPhaseWork
 	plans     []exchangePlan
 }
 
@@ -33,8 +34,8 @@ type Scratch struct {
 // product, and the two-phase striping arithmetic needs to run once per
 // shape rather than once per exchange.
 type exchangePlan struct {
-	lens                               []int64
-	maxA, totalA, maxB, totalB, direct int64
+	lens []int64
+	c    Costs
 }
 
 // maxExchangePlans bounds the memo (an engine uses ≤ 4 shapes; a few
@@ -99,15 +100,8 @@ func (sc *Scratch) held(n int) ([][]routedMeta, [][]clique.Word) {
 	return hm, hw
 }
 
-// linkLoads returns a zeroed length-k load tally.
-func (sc *Scratch) linkLoads(k int) []int64 {
-	sc.loads = zeroedLoads(sc.loads, k)
-	return sc.loads[:k]
-}
-
-// payLens is a second, independent zeroed tally: the materialised analytic
-// lens of a payload exchange, alive across the strategy and schedule
-// passes that reuse linkLoads.
+// payLens returns a zeroed length-k tally: the materialised analytic lens
+// of a message-matrix exchange.
 func (sc *Scratch) payLens(k int) []int64 {
 	sc.lens = zeroedLoads(sc.lens, k)
 	return sc.lens[:k]
@@ -125,9 +119,9 @@ func zeroedLoads(b []int64, k int) []int64 {
 }
 
 // resize returns b with length k, reusing its capacity.
-func resize(b []clique.Word, k int) []clique.Word {
+func resize[T any](b []T, k int) []T {
 	if cap(b) < k {
-		return make([]clique.Word, k)
+		return make([]T, k)
 	}
 	return b[:k]
 }

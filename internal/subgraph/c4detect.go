@@ -65,7 +65,10 @@ func DetectC4(net *clique.Network, g *graphs.Graph) (bool, error) {
 	}
 	n := net.N()
 	if n < 8 {
-		return detectC4Small(net, g)
+		// Below the Lemma 12 packing threshold every node learns the whole
+		// (constant-size) graph: still O(1) rounds.
+		net.Phase("c4detect/small")
+		return graphs.HasC4Ref(LearnGraph(net, g)), nil
 	}
 
 	// Phase 1: degree broadcast and the pigeonhole shortcut.
@@ -184,37 +187,4 @@ func DetectC4(net *clique.Network, g *graphs.Graph) (bool, error) {
 		}
 	})
 	return orBroadcast(net, found), nil
-}
-
-// detectC4Small handles cliques below the Lemma 12 packing threshold by
-// learning the whole (constant-size) graph: still O(1) rounds. On the
-// direct transport the gather is charged analytically and the reference
-// check runs on the shared graph in place.
-func detectC4Small(net *clique.Network, g *graphs.Graph) (bool, error) {
-	net.Phase("c4detect/small")
-	n := net.N()
-	if net.Transport() != clique.TransportWire {
-		lens := make([]int64, n)
-		for v := 0; v < n; v++ {
-			lens[v] = int64(len(g.Neighbors(v)))
-		}
-		routing.ChargeAllGather(net, lens)
-		return graphs.HasC4Ref(g), nil
-	}
-	vecs := make([][]clique.Word, n)
-	for v := 0; v < n; v++ {
-		for _, u := range g.Neighbors(v) {
-			vecs[v] = append(vecs[v], clique.Word(u))
-		}
-	}
-	all := routing.AllGather(net, vecs)
-	rebuilt := graphs.NewGraph(n, false)
-	for v := 0; v < n; v++ {
-		for _, w := range all[v] {
-			if int(w) != v && !rebuilt.HasEdge(v, int(w)) {
-				rebuilt.AddEdge(v, int(w))
-			}
-		}
-	}
-	return graphs.HasC4Ref(rebuilt), nil
 }

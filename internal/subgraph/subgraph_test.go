@@ -2,6 +2,7 @@ package subgraph_test
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"github.com/algebraic-clique/algclique/internal/ccmm"
@@ -196,6 +197,32 @@ func TestDetectC4SmallFallback(t *testing.T) {
 	got, err = subgraph.DetectC4(net2, g2)
 	if err != nil || got {
 		t.Errorf("small path: got (%v, %v)", got, err)
+	}
+}
+
+// TestLearnGraphTransportsAgree: every node ends up with the same graph, for
+// the same ledger, on either transport — the direct one hands back the
+// caller's graph, the wire one rebuilds it from the edges that travelled.
+func TestLearnGraphTransportsAgree(t *testing.T) {
+	for _, n := range []int{6, 30} {
+		g := graphs.GNP(n, 0.3, false, uint64(n))
+		direct, wire := clique.New(n), clique.New(n, clique.WithTransport(clique.TransportWire))
+		if got := subgraph.LearnGraph(direct, g); got != g {
+			t.Fatalf("n=%d: the direct transport rebuilt the graph", n)
+		}
+		got := subgraph.LearnGraph(wire, g)
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if got.HasEdge(u, v) != g.HasEdge(u, v) {
+					t.Fatalf("n=%d: edge (%d, %d) learned as %v", n, u, v, got.HasEdge(u, v))
+				}
+			}
+		}
+		if ds, ws := direct.Stats(), wire.Stats(); !reflect.DeepEqual(ds, ws) {
+			t.Fatalf("n=%d: ledgers differ:\ndirect %+v\nwire   %+v", n, ds, ws)
+		}
+		direct.Close()
+		wire.Close()
 	}
 }
 
