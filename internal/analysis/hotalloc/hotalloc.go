@@ -1,23 +1,14 @@
 // Package hotalloc defines the cliquevet analyzer enforcing the scratch-
 // pool allocation discipline on the simulator's hot paths.
 //
-// Two rules:
-//
-//  1. Functions whose doc comment carries the //cc:hotpath marker (see
-//     DESIGN.md "Enforced invariants") must be allocation-free in steady
-//     state: make/new, slice/map composite literals, &T{…} literals,
-//     fmt.Sprint*-family formatting, and implicit boxing of non-pointer
-//     values into interfaces are flagged. Cold sub-paths — capacity
-//     growth, panics — are exempt: anything inside a panic(...) argument
-//     is ignored, and a deliberate slow-path allocation is annotated
-//     //cc:hotalloc-ok(reason) on its line.
-//
-//  2. Functions threading a ccmm/routing *Scratch parameter must draw
-//     message matrices from the pool rather than allocating them: a
-//     make() of a three-level slice shape (the [][][]T message/view
-//     matrices the pools exist for) is flagged unless the function is a
-//     method of the scratch types themselves. The nil-scratch transient
-//     fallbacks annotate the make with //cc:hotalloc-ok.
+// Functions whose doc comment carries the //cc:hotpath marker (see
+// DESIGN.md "Enforced invariants") must be allocation-free in steady
+// state: make/new, slice/map composite literals, &T{…} literals,
+// fmt.Sprint*-family formatting, and implicit boxing of non-pointer values
+// into interfaces are flagged. Cold sub-paths — capacity growth, panics —
+// are exempt: anything inside a panic(...) argument is ignored, and a
+// deliberate slow-path allocation is annotated //cc:hotalloc-ok(reason) on
+// its line.
 package hotalloc
 
 import (
@@ -31,7 +22,7 @@ import (
 // Analyzer is the hotalloc check.
 var Analyzer = &framework.Analyzer{
 	Name: "hotalloc",
-	Doc:  "flag allocations, fmt formatting, and interface boxing in //cc:hotpath functions, and pooled-shape make() in *Scratch-threading functions",
+	Doc:  "flag allocations, fmt formatting, and interface boxing in //cc:hotpath functions",
 	Run:  run,
 }
 
@@ -44,9 +35,6 @@ func run(pass *framework.Pass) error {
 			}
 			if framework.HasMarker(fd.Doc, "cc:hotpath") {
 				checkHotpath(pass, fd)
-			}
-			if threadsScratch(pass, fd) && !isScratchMethod(pass, fd) {
-				checkPooledShapes(pass, fd)
 			}
 		}
 	}
@@ -165,92 +153,4 @@ func isPanic(pass *framework.Pass, call *ast.CallExpr) bool {
 	}
 	obj := pass.TypesInfo.Uses[id]
 	return obj == nil || obj.Parent() == types.Universe
-}
-
-// threadsScratch reports whether the function takes a ccmm or routing
-// Scratch pointer parameter (including generic typedScratch pointers).
-func threadsScratch(pass *framework.Pass, fd *ast.FuncDecl) bool {
-	if fd.Type.Params == nil {
-		return false
-	}
-	for _, field := range fd.Type.Params.List {
-		tv, ok := pass.TypesInfo.Types[field.Type]
-		if !ok {
-			continue
-		}
-		if isScratchType(tv.Type) {
-			return true
-		}
-	}
-	return false
-}
-
-// isScratchType matches *P where P's name contains "Scratch" (Scratch,
-// typedScratch[T], routing.Scratch).
-func isScratchType(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
-	return strings.Contains(named.Obj().Name(), "Scratch")
-}
-
-// isScratchMethod exempts the pool implementation itself.
-func isScratchMethod(pass *framework.Pass, fd *ast.FuncDecl) bool {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return false
-	}
-	tv, ok := pass.TypesInfo.Types[fd.Recv.List[0].Type]
-	if !ok {
-		return false
-	}
-	return isScratchType(tv.Type)
-}
-
-// checkPooledShapes flags make() of three-level slice shapes in scratch-
-// threading functions: those are the message/view matrices the pools
-// provide via getPay/getViews.
-func checkPooledShapes(pass *framework.Pass, fd *ast.FuncDecl) {
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		id, ok := call.Fun.(*ast.Ident)
-		if !ok || id.Name != "make" || len(call.Args) == 0 {
-			return true
-		}
-		if obj := pass.TypesInfo.Uses[id]; obj != nil && obj.Parent() != types.Universe {
-			return true
-		}
-		tv, ok := pass.TypesInfo.Types[call.Args[0]]
-		if !ok {
-			return true
-		}
-		if sliceDepth(tv.Type) >= 3 {
-			pass.Reportf(call.Pos(), "make of message-matrix shape %s in a *Scratch-threading function: draw it from the pool (getPay/getViews) instead",
-				types.TypeString(tv.Type, types.RelativeTo(pass.Pkg)))
-		}
-		return true
-	})
-}
-
-// sliceDepth counts structural (unnamed) slice nesting. Named element
-// types stop the count: a [][]PolyElem operand row matrix is a fresh
-// engine input, not a pooled [][][]Word message matrix, even when the
-// named type is itself a slice.
-func sliceDepth(t types.Type) int {
-	depth := 0
-	for {
-		sl, ok := t.(*types.Slice)
-		if !ok {
-			return depth
-		}
-		depth++
-		t = sl.Elem()
-	}
 }

@@ -1,5 +1,5 @@
 // Fixture for the hotalloc analyzer: allocation discipline in //cc:hotpath
-// functions and pooled-shape allocation in *Scratch-threading functions.
+// functions.
 package a
 
 import "fmt"
@@ -59,18 +59,4 @@ func orRow(dst, src []uint64) {
 	for j := range dst {
 		dst[j] |= src[j]
 	}
-}
-
-type Scratch struct{ pool [][][]uint64 }
-
-func fills(sc *Scratch, n int) [][][]uint64 {
-	return make([][][]uint64, n) // want "make of message-matrix shape"
-}
-
-func flat(sc *Scratch, n int) []uint64 {
-	return make([]uint64, n) // flatter shapes are not what the pools provide
-}
-
-func (sc *Scratch) get(n int) [][][]uint64 {
-	return make([][][]uint64, n) // the pool implementation itself is exempt
 }

@@ -2,6 +2,7 @@ package ccmm
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/algebraic-clique/algclique/internal/bilinear"
 	"github.com/algebraic-clique/algclique/internal/clique"
@@ -20,13 +21,13 @@ import (
 // A nil scheme selects bilinear.Pick(n). The scheme must satisfy m ≤ n and
 // d | q.
 //
-// Message buffers, the assembled grids, the per-multiplication combination
-// pieces, the block products, and the result all come from sc (see Scratch)
-// and persist there across products; a nil sc is the network's own. Row and
-// piece chunks are typed messages handed to the exchange port (the step-7
-// output rows as zero-copy views): by reference with the words charged
-// analytically from EncodedLen on the direct transport, one bulk-codec
-// chunk each on the wire.
+// Message arenas, the assembled grids, the per-multiplication combination
+// pieces, the block products, and the result all come from sc (see
+// Scratch) and persist there across products; a nil sc is the network's
+// own. Row and piece chunks are typed messages sent through the exchange
+// port (the step-7 output rows as rows of the accumulators): by reference
+// with the words charged analytically from EncodedLen on the direct
+// transport, one bulk-codec chunk each on the wire.
 func FastBilinear[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T], codec ring.Codec[T], scheme *bilinear.Scheme, s, t *RowMat[T]) (*RowMat[T], error) {
 	return runProduct(net, sc, func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
 		return fastBilinear[T](net, sc, rg, codec, scheme, s, t)
@@ -34,9 +35,11 @@ func FastBilinear[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T], code
 }
 
 // fastBilinear is the engine body: the seven steps of Lemma 10, every
-// chunk a typed element slice — gathered rows append straight into message
-// buffers, received chunks copy (or alias) straight into the grids, full
-// operands, and output rows.
+// chunk a typed element slice — gathered rows append straight into
+// per-node message arenas, received chunks copy straight into the grids,
+// full operands, and output rows. Every link carries at most one message
+// per step, and each node's arena is refilled only in a step after the one
+// that read its messages.
 func fastBilinear[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T], codec ring.Codec[T], scheme *bilinear.Scheme, s, t *RowMat[T]) (*RowMat[T], error) {
 	n := net.N()
 	if err := validatePair(n, s, t); err != nil {
@@ -72,6 +75,7 @@ func fastBilinear[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T], code
 	for x := 0; x < q; x++ {
 		groups[x] = lay.groupSet(x)
 	}
+	growBufs(&ts.bufs, n)
 	growSlots(&ts.gridS, n)
 	growSlots(&ts.gridT, n)
 	growHat(&ts.hatS, n)
@@ -85,18 +89,19 @@ func fastBilinear[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T], code
 	// Step 1: node v sends S[v, ∗x2∗] and T[v, ∗x2∗] to the node labelled
 	// (v2, x2), for every x2 ∈ [q] — one message of two row chunks.
 	net.Phase("mmfast/distribute")
-	pays := ts.getPay(n)
 	net.ForEach(func(v int) {
 		_, v2, _ := lay.split(v)
 		srow, trow := s.Rows[v], t.Rows[v]
+		arena := slices.Grow(ts.bufs[v][:0], 2*q*q)
 		for x2 := 0; x2 < q; x2++ {
-			u := lay.nodeAt(v2, x2)
-			msg := appendCols(pays[v][u][:0], srow, groups[x2], n, zero)
-			pays[v][u] = appendCols(msg, trow, groups[x2], n, zero)
+			start := len(arena)
+			arena = appendCols(arena, srow, groups[x2], n, zero)
+			arena = appendCols(arena, trow, groups[x2], n, zero)
+			rows.send(v, lay.nodeAt(v2, x2), arena[start:len(arena):len(arena)])
 		}
-		rows.post(pays, v)
+		ts.bufs[v] = arena
 	})
-	in := rows.exchange(pays)
+	mail := rows.flush()
 
 	// Step 2: node (x1, x2) assembles S[∗x1∗, ∗x2∗] and T[∗x1∗, ∗x2∗]
 	// (q×q, block-row order) straight from the received chunks and computes
@@ -105,14 +110,13 @@ func fastBilinear[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T], code
 	// copies.
 	net.Phase("mmfast/encode")
 	net.ForEach(func(v int) {
-		rows.open(in, v)
 		x1, _ := lay.label(v)
 		sg := slotAt(ts.gridS, v, q, q)
 		tg := slotAt(ts.gridT, v, q, q)
 		for pos, sender := range groups[x1] {
-			ws := in[v][sender]
+			ws := rows.from(mail, v, sender, 0)
 			sg.SetRow(pos, ws[:q])
-			tg.SetRow(pos, ws[q:])
+			tg.SetRow(pos, ws[q:2*q])
 		}
 		hs, ht := hatAt(ts.hatS, v, m, qd), hatAt(ts.hatT, v, m, qd)
 		for w := 0; w < m; w++ {
@@ -128,28 +132,26 @@ func fastBilinear[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T], code
 			}
 		}
 	})
-	rows.release(in)
-	ts.putPay(pays)
 
 	// Step 3: every node sends its (q/d)² pieces of Ŝ(w), T̂(w) to node w,
 	// one row chunk at a time.
 	net.Phase("mmfast/combine")
-	pays = ts.getPay(n)
 	net.ForEach(func(v int) {
+		arena := slices.Grow(ts.bufs[v][:0], 2*m*qd*qd)
 		for w := 0; w < m; w++ {
-			msg := pays[v][w][:0]
+			start := len(arena)
 			sp, tp := &ts.hatS[v][w], &ts.hatT[v][w]
 			for i := 0; i < qd; i++ {
-				msg = append(msg, sp.Row(i)...)
+				arena = append(arena, sp.Row(i)...)
 			}
 			for i := 0; i < qd; i++ {
-				msg = append(msg, tp.Row(i)...)
+				arena = append(arena, tp.Row(i)...)
 			}
-			pays[v][w] = msg
+			pieces.send(v, w, arena[start:len(arena):len(arena)])
 		}
-		pieces.post(pays, v)
+		ts.bufs[v] = arena
 	})
-	in = pieces.exchange(pays)
+	mail = pieces.flush()
 
 	// Step 4: node w < m assembles Ŝ(w), T̂(w) ((n/d)×(n/d)), copying each
 	// chunk straight into its row window, and multiplies.
@@ -159,12 +161,11 @@ func fastBilinear[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T], code
 		if w >= m {
 			return
 		}
-		pieces.open(in, w)
 		sfull := slotAt(ts.fullA, w, nd, nd)
 		tfull := slotAt(ts.fullB, w, nd, nd)
 		for x1 := 0; x1 < q; x1++ {
 			for x2 := 0; x2 < q; x2++ {
-				ws := in[w][lay.nodeAt(x1, x2)]
+				ws := pieces.from(mail, w, lay.nodeAt(x1, x2), 0)
 				for i := 0; i < qd; i++ {
 					copy(sfull.Row(x1*qd + i)[x2*qd:(x2+1)*qd], ws[i*qd:(i+1)*qd])
 					copy(tfull.Row(x1*qd + i)[x2*qd:(x2+1)*qd], ws[(qd+i)*qd:(qd+i+1)*qd])
@@ -173,41 +174,37 @@ func fastBilinear[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T], code
 		}
 		matrix.MulInto(rg, slotAt(ts.fullP, w, nd, nd), sfull, tfull)
 	})
-	rows.release(in)
-	ts.putPay(pays)
 
 	// Step 5: node w returns P̂(w)[x1∗, x2∗] to the node labelled (x1, x2).
 	net.Phase("mmfast/products")
-	pays = ts.getPay(n)
 	net.ForEach(func(w int) {
 		if w >= m {
 			return
 		}
 		phat := ts.fullP[w]
+		arena := slices.Grow(ts.bufs[w][:0], n*qd*qd)
 		for x1 := 0; x1 < q; x1++ {
 			for x2 := 0; x2 < q; x2++ {
-				u := lay.nodeAt(x1, x2)
-				msg := pays[w][u][:0]
+				start := len(arena)
 				for i := 0; i < qd; i++ {
-					msg = append(msg, phat.Row(x1*qd + i)[x2*qd:(x2+1)*qd]...)
+					arena = append(arena, phat.Row(x1*qd + i)[x2*qd:(x2+1)*qd]...)
 				}
-				pays[w][u] = msg
+				pieces.send(w, lay.nodeAt(x1, x2), arena[start:len(arena):len(arena)])
 			}
 		}
-		pieces.post(pays, w)
+		ts.bufs[w] = arena
 	})
-	in = pieces.exchange(pays)
+	mail = pieces.flush()
 
 	// Step 6: node (x1, x2) reads the m pieces in place and accumulates
 	// P[i·x1∗, j·x2∗] = Σ_w λ_ijw P̂(w)[x1∗, x2∗], yielding P[∗x1∗, ∗x2∗].
 	net.Phase("mmfast/decode")
 	net.ForEach(func(v int) {
-		pieces.open(in, v)
 		out := slotAt(ts.acc, v, q, q)
 		out.Fill(zero)
 		piece := slotAt(ts.piece, v, qd, qd)
 		for w := 0; w < m; w++ {
-			ws := in[v][w]
+			ws := pieces.from(mail, v, w, 0)
 			for i := 0; i < qd; i++ {
 				piece.SetRow(i, ws[i*qd:(i+1)*qd])
 			}
@@ -216,36 +213,29 @@ func fastBilinear[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T], code
 			}
 		}
 	})
-	rows.release(in)
-	ts.putPay(pays)
 
 	// Step 7: node (x1, x2) sends P[u, ∗x2∗] to each row owner u ∈ ∗x1∗ as
-	// views of its accumulator rows.
+	// rows of its accumulator.
 	net.Phase("mmfast/assemble")
-	vout := ts.getViews(n)
 	net.ForEach(func(v int) {
 		x1, _ := lay.label(v)
 		out := ts.acc[v]
 		for pos, u := range groups[x1] {
-			vout[v][u] = out.Row(pos)
+			rows.send(v, u, out.Row(pos))
 		}
-		rows.post(vout, v)
 	})
-	in = rows.exchange(vout)
+	mail = rows.flush()
 
 	p := GetMat[T](sc, n) // every column lies in exactly one group, so every entry is written
 	net.ForEach(func(u int) {
-		rows.open(in, u)
 		_, u2, _ := lay.split(u)
 		row := p.Rows[u]
 		for x2 := 0; x2 < q; x2++ {
-			ws := in[u][lay.nodeAt(u2, x2)]
+			ws := rows.from(mail, u, lay.nodeAt(u2, x2), 0)
 			for i, col := range groups[x2] {
 				row[col] = ws[i]
 			}
 		}
 	})
-	rows.release(in)
-	ts.putViews(vout)
 	return p, nil
 }

@@ -11,8 +11,8 @@ import (
 
 // TestNetworkTrimReleasesWorkingSet checks the network's own working set —
 // what a nil scratch resolves to — is one object across products, holds
-// what a product accumulated (typed arms, link tallies, the wire port's
-// word matrices), goes with Network.Trim, and rebuilds into a correct
+// what a product accumulated (typed arms, link lists, the wire port's
+// receive arenas), goes with Network.Trim, and rebuilds into a correct
 // product afterwards.
 func TestNetworkTrimReleasesWorkingSet(t *testing.T) {
 	const n = 27
@@ -33,7 +33,7 @@ func TestNetworkTrimReleasesWorkingSet(t *testing.T) {
 		if net.EngineState() != any(sc) || ScratchOf(net) != sc {
 			t.Fatalf("%v: ScratchOf is not the one object in the network's slot", tr)
 		}
-		if len(sc.typed) == 0 || (tr == clique.TransportWire && sc.wmsgs == nil) {
+		if len(sc.typed) == 0 || (tr == clique.TransportWire && len(typedFrom[int64](sc).recv) == 0) {
 			t.Fatalf("%v sanity: a nil-scratch product left nothing in the network's working set", tr)
 		}
 		PutMat(sc, first)
@@ -55,22 +55,5 @@ func TestNetworkTrimReleasesWorkingSet(t *testing.T) {
 		if !reflect.DeepEqual(first.Rows, again.Rows) {
 			t.Fatalf("%v: product changed after Trim", tr)
 		}
-	}
-}
-
-// TestPayloadPoolCapsSpikes checks the typed payload pool releases entries
-// that ballooned past the high-water capacity while keeping modest ones.
-func TestPayloadPoolCapsSpikes(t *testing.T) {
-	ts := &typedScratch[int64]{}
-	m := ts.getPay(2)
-	m[0][1] = make([]int64, entryRetainCap+1)
-	m[1][0] = make([]int64, 16)
-	ts.putPay(m)
-	m2 := ts.getPay(2)
-	if cap(m2[0][1]) != 0 {
-		t.Fatalf("pool kept %d elements of spiked capacity, want 0", cap(m2[0][1]))
-	}
-	if cap(m2[1][0]) == 0 {
-		t.Fatalf("pool dropped the modest buffer's capacity")
 	}
 }

@@ -43,6 +43,19 @@ func CbrtCeil(n int) int {
 // the input lives at real node v, which is exactly virtual node v's host.
 func (l cubeLayout) real(v int) int { return v % l.n }
 
+// before counts the virtual nodes below v hosted on v's real node for which
+// f holds: the position of v's traffic among that node's, when real links
+// carry the hosted nodes' messages in increasing virtual order.
+func (l cubeLayout) before(v int, f func(w int) bool) int {
+	k := 0
+	for w := l.real(v); w < v; w += l.n {
+		if f(w) {
+			k++
+		}
+	}
+	return k
+}
+
 // liveDigits returns the number of digit values d whose group d∗∗ contains
 // a real matrix index (< n). All three digits of a subcube owner (u1, u2,
 // u3) select first-digit groups of matrix indices — output rows, middle

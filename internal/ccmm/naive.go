@@ -11,9 +11,9 @@ import (
 // baseline against which the 3D and bilinear algorithms are measured, and
 // works on any clique size and semiring.
 //
-// The gather goes through the exchange port: the direct transport charges
-// it analytically from the codec's EncodedLen — so a packing codec still
-// compresses it 64× on the ledger — and every node reads the right
+// The gather is Learn, the "learn everything" step: the direct transport
+// charges it analytically from the codec's EncodedLen — so a packing codec
+// still compresses it 64× on the ledger — and every node reads the right
 // operand's rows in place; the wire transport ships each row as one bulk
 // chunk. The result comes from sc's free list; a nil sc is the network's
 // own.
@@ -23,9 +23,21 @@ func NaiveGather[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], c
 		if err := validatePair(n, s, t); err != nil {
 			return nil, err
 		}
-		px := newPort[T](net, sc, chunks[T]{ring.AsBulk[T](codec), n})
+		f := chunks[T]{ring.AsBulk[T](codec), n} // one chunk per row
+		lens := make([]int64, n)
+		for v := range lens {
+			lens[v] = int64(f.EncodedLen(n))
+		}
 		net.Phase("mmnaive/gather")
-		trows := px.allGather(t.Rows)
+		trows := Learn(net, t.Rows, lens, func(v int) []clique.Word {
+			return f.encode(nil, t.Rows[v], v)
+		}, func(all [][]clique.Word) [][]T {
+			rows := NewRowMat[T](n).Rows
+			for v, ws := range all {
+				f.decode(rows[v], ws, v)
+			}
+			return rows
+		})
 
 		net.Phase("mmnaive/multiply")
 		return naiveMultiply(net, sc, sr, s, trows), nil

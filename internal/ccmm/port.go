@@ -21,21 +21,21 @@ import (
 //   - direct: messages travel by reference as payloads and the words they
 //     would occupy are charged analytically from the wire format's
 //     EncodedLen (see internal/clique/payload.go);
-//   - wire: each node encodes its messages chunk by chunk into words, the
-//     words move through the network — through the link queues at the
-//     message-matrix level, as word vectors at the link level — and each
+//   - wire: each sender encodes its messages into words as it queues them,
+//     the words travel to the receiver as a payload on their link, and each
 //     receiver decodes its arrivals into a pooled receive arena, so the
 //     engine reads the same typed shapes either way.
 //
-// Both sides resolve routing.Auto from the same per-link word lengths
-// through the same routing.TwoPhaseCosts, so the ledger — rounds, words,
-// flushes, phases — is identical by construction. The port has two levels:
-// a message-matrix exchange (the dense engines, the 3D engine's
-// virtual-cube multiplexing), and a link level — send, flush, each, from —
-// for the sparse tile engine, which must never hold n×n state. Both are
-// balanced: every exchange resolves routing.Auto. TransportVerify is
-// decided here as well: runProduct runs the one body on the caller's
-// network, again on a wire shadow, and diffs products and ledgers.
+// The port has one level, and it never holds n×n state: a node queues each
+// message on its link (send), flush delivers a phase as one exchange, and
+// the receiver reads its messages back (from, each). The flush resolves
+// routing.Auto through routing.TwoPhaseCosts from the word lengths of the
+// links the phase touched, which are the same on either transport, so the
+// ledger (rounds, words, flushes, phases) is identical by construction.
+// The 3D engine's padded cube rides the same level (onCube).
+// TransportVerify is decided here as well: runProduct runs the one body on
+// the caller's network, again on a wire shadow, and diffs products and
+// ledgers.
 
 // ErrTransportDiverged reports that the direct and wire transports
 // disagreed on a product's result or accounting under TransportVerify —
@@ -103,7 +103,7 @@ func diffLedger(before, after, wire clique.Stats) error {
 // wireFormat is the layout of one typed message in words. EncodedLen is the
 // accounting side — the direct transport charges it, the wire transport
 // occupies it — and must therefore be exact; CountFor inverts it for
-// link-level receivers, which learn a message's element count from the
+// receivers, which learn a message's element count from the
 // words that arrived. v names the node doing the work: formats that stage
 // through per-node buffers index them by it.
 type wireFormat[E any] interface {
@@ -176,77 +176,62 @@ func (f tuples[T]) decode(out []ring.Tuple[T], ws []clique.Word, v int) {
 }
 
 // port carries one product's messages of element type E, laid out as f,
-// over net's transport. Everything it hands back — view matrices from the
-// exchanges, message slices from the link-level reads — may alias sender
-// buffers (direct) or the scratch's receive arenas (wire) and stays valid
-// until the product ends, or until every delivery taken so far has been
-// released.
+// over net's transport. A phase is one exchange: nodes queue their
+// messages link by link — under ForEach, each from its own worker — the
+// flush delivers them, and each receiver reads its deliveries back under
+// the next ForEach:
 //
-// A matrix-level exchange is three calls, mirroring what the nodes do. Node
-// r builds its outgoing messages under ForEach and posts them; exchange
-// routes the traffic between the fan-outs; node r opens its deliveries
-// under the next ForEach before reading them:
+//	net.ForEach(func(v int) { …px.send(v, u, msg)… })
+//	mail := px.flush()
+//	net.ForEach(func(u int) { …px.from(mail, u, v, 0)… })
 //
-//	net.ForEach(func(r int) { …build msgs[r][·]…; px.post(msgs, r) })
-//	in := px.exchange(msgs)
-//	net.ForEach(func(r int) { px.open(in, r); …read in[r][·]… })
-//
-// post and open are free on the direct transport; on the wire they are
-// where node r encodes and decodes, on its own worker and while its
-// messages are hot. A delivery must be opened before the next exchange.
+// A message the port hands back is the sender's own slice on the direct
+// transport, valid while the sender leaves it untouched, and a window of
+// the receiver's arena on the wire, valid until the product ends.
 type port[E any] struct {
 	net  *clique.Network
 	sc   *Scratch
 	ts   *typedScratch[E]
 	f    wireFormat[E]
-	cube cubeLayout // set by over: messages are addressed between the cube's virtual nodes
+	cube bool // set by onCube: a self-send is a pair of virtual nodes on one real node
 	wire bool
 }
 
-// newPort opens the product's port for E. It truncates E's receive arenas
-// and link-level queues, whatever an aborted product left in them, so it
-// must precede the product's first exchange; further formats over the same
+// newPort opens the product's port for E. It truncates E's message
+// queues and receive arenas, whatever an aborted product left in them, so
+// it must precede the product's first send; further formats over the same
 // element type come from with.
 func newPort[E any](net *clique.Network, sc *Scratch, f wireFormat[E]) port[E] {
 	p := port[E]{net: net, sc: sc, ts: typedFrom[E](sc), f: f, wire: net.Transport() == clique.TransportWire}
+	n := net.N()
 	for side := range p.ts.outbox {
-		growBufs(&p.ts.outbox[side], net.N())
-		for v, q := range p.ts.outbox[side] {
-			p.ts.outbox[side][v] = q[:0]
-		}
+		truncBufs(&p.ts.outbox[side], n)
 	}
 	if p.wire {
-		n := net.N()
-		growBufs(&p.ts.recv, n)
-		p.truncateArenas()
-		p.ts.live = 0
-		sc.wireMsgs(n)
+		for side := range p.ts.words {
+			truncBufs(&p.ts.words[side], n)
+			truncBufs(&p.ts.wins[side], n)
+		}
+		truncBufs(&p.ts.recv, n)
 	}
 	return p
 }
 
-// with returns the port speaking format f (the arenas are shared).
+// with returns the port speaking format f (queues and arenas are shared).
 func (p port[E]) with(f wireFormat[E]) port[E] {
 	p.f = f
 	return p
 }
 
-// over returns the port addressing the virtual nodes of the padded cube l:
-// msgs[v][u] travels from virtual node v to virtual node u, i.e. from real
-// node v mod n to real node u mod n. Pairs hosted on the same real node
-// are delivered locally (free in the model, like any self-send); the rest
-// is multiplexed onto the real links in (virtual source, virtual
-// destination) order and split apart at the receiver. The 3D engine is
-// oblivious — every message length is fixed by (n, c) alone — so the split
-// points are globally computable and no headers travel.
-func (p port[E]) over(l cubeLayout) port[E] {
-	p.cube = l
+// onCube returns the port for the padded cube of the 3D engine, whose
+// virtual node v is hosted by real node v mod n: a message between two
+// virtual nodes hosted on one real node is a self-send, which the flush
+// delivers locally and by reference, free in the model and outside its
+// Auto resolution. (The other engines' self-messages take part in it.)
+func (p port[E]) onCube() port[E] {
+	p.cube = true
 	return p
 }
-
-// hosted reports whether the pair of real nodes never touches the network:
-// on the cube, a node's messages to the virtual nodes it hosts itself.
-func (p port[E]) hosted(rv, ru int) bool { return p.cube.vn > 0 && rv == ru }
 
 // reserve appends k elements of (stale) space to node v's receive arena
 // and returns the window. An arena that outgrows its capacity moves, but
@@ -264,8 +249,8 @@ func (p port[E]) reserve(v, k int) []E {
 	return a[off : off+k : off+k]
 }
 
-// recvMsg decodes one link-level arrival, whose element count comes from
-// the words delivered, into node v's arena.
+// recvMsg decodes one arrival, whose element count comes from the words
+// delivered, into node v's arena.
 func (p port[E]) recvMsg(v int, ws []clique.Word) []E {
 	k := p.f.CountFor(len(ws))
 	if k < 0 {
@@ -276,258 +261,84 @@ func (p port[E]) recvMsg(v int, ws []clique.Word) []E {
 	return out
 }
 
-// post hands real node r's outgoing messages to the port: row r of msgs,
-// plus the rows of the other virtual nodes r hosts on the cube. The wire
-// transport encodes them link by link into r's word arena, each link's
-// messages in the (source, destination) order the receivers split them by.
-//
-//cc:hotpath
-func (p port[E]) post(msgs [][][]E, r int) {
-	if !p.wire {
-		return
-	}
-	out, buf := p.sc.wmsgs[r], p.sc.wout[r][:0]
-	n := len(out)
-	for ru := range out {
-		start := len(buf)
-		if !p.hosted(r, ru) {
-			for v := r; v < len(msgs); v += n {
-				for u := ru; u < len(msgs); u += n {
-					if msg := msgs[v][u]; len(msg) > 0 {
-						buf = p.f.encode(buf, msg, r)
-					}
-				}
-			}
-		}
-		out[ru] = buf[start:len(buf):len(buf)] // a grown arena leaves earlier windows intact
-	}
-	p.sc.wout[r] = buf
-}
-
-// exchange delivers the posted msgs[src][dst] (empty entries carry nothing)
-// through routing.Auto and returns the view matrix in[dst][src]; entries
-// of idle pairs are nil.
-//
-//cc:hotpath
-func (p port[E]) exchange(msgs [][][]E) [][][]E {
-	n := p.net.N()
-	in := p.ts.getViews(len(msgs))
-	switch {
-	case p.wire:
-		if p.ts.live == 0 { // every earlier delivery was released: its windows are dead
-			p.truncateArenas()
-		}
-		p.ts.live++
-		p.sc.wgot, p.ts.sent = routing.ExchangeScratch(p.net, routing.Auto, p.sc.rt, p.sc.wmsgs), msgs
-		for _, row := range p.sc.wmsgs { // the network copied the words into its queues
-			clear(row)
-		}
-		p.sc.linkOffs(n * n) // open's consumed words per real link [dst*n + src]
-	case p.cube.vn == 0:
-		routing.ExchangePayload(p.net, routing.Auto, p.sc.rt, msgs,
-			func(elems int) int64 { return int64(p.f.EncodedLen(elems)) }, in)
-	default:
-		p.exchangeCube(msgs, in)
-	}
-	return in
-}
-
-// open makes real node r's deliveries in in readable: the wire transport
-// decodes the words that arrived on r's links into r's receive arena,
-// consuming each link in the order post filled it (the receiver knows the
-// senders' message lengths — the traffic is oblivious, or was announced by
-// a census).
-//
-//cc:hotpath
-func (p port[E]) open(in [][][]E, r int) {
-	if !p.wire {
-		return
-	}
-	n := p.net.N()
-	sent, got, offs := p.ts.sent, p.sc.wgot[r], p.sc.offs[r*n:(r+1)*n]
-	for v := range sent {
-		rv := v % n
-		for u := r; u < len(sent); u += n {
-			msg := sent[v][u]
-			switch {
-			case len(msg) == 0:
-			case p.hosted(rv, r):
-				in[u][v] = msg
-			default:
-				o, w := offs[rv], p.f.EncodedLen(len(msg))
-				in[u][v] = p.reserve(r, len(msg))
-				p.f.decode(in[u][v], got[rv][o:o+w], r)
-				offs[rv] = o + w
-			}
-		}
-	}
-}
-
-// release returns a consumed delivery's view matrix to the pool. Once no
-// delivery is outstanding, the wire transport's next exchange reuses the
-// receive arenas instead of growing them.
-func (p port[E]) release(in [][][]E) {
-	p.ts.putViews(in)
-	if p.wire {
-		p.ts.live--
-	}
-}
-
-func (p port[E]) truncateArenas() {
-	for v := range p.ts.recv {
-		p.ts.recv[v] = p.ts.recv[v][:0]
-	}
-}
-
-// exchangeCube is the direct transport's exchange over the cube: one
-// payload per virtual pair, multiplexed FIFO onto the real links, with the
-// per-link word loads — the EncodedLen sums the wire transport
-// concatenates — charged analytically.
-//
-//cc:hotpath
-func (p port[E]) exchangeCube(vmsgs, vin [][][]E) {
-	l := p.cube
-	n := l.n
-	loads := p.sc.linkWords(n * n)
-	for v := range vmsgs {
-		rv := l.real(v)
-		for u, msg := range vmsgs[v] {
-			if ru := l.real(u); ru != rv && len(msg) > 0 {
-				loads[rv*n+ru] += int64(p.f.EncodedLen(len(msg)))
-			}
-		}
-	}
-	send := func(charged bool) {
-		for v := range vmsgs {
-			rv := l.real(v)
-			row := vmsgs[v]
-			for u := range row {
-				if ru := l.real(u); ru != rv && len(row[u]) > 0 {
-					var w int64
-					if charged {
-						w = int64(p.f.EncodedLen(len(row[u])))
-					}
-					p.net.SendPayload(rv, ru, w, &row[u])
-				}
-			}
-		}
-	}
-	// Resolve Auto exactly as the encoded exchange does, reusing the
-	// memoised schedule aggregates for the analytic charge.
-	c := routing.PlanCosts(n, p.sc.rt, loads)
-	var mail *clique.Mail
-	if c.TwoPhase() {
-		// The word loads of both Lenzen phases are charged analytically;
-		// the payloads ride the final flush with zero additional words.
-		p.net.FlushAnalytic(c.MaxA, c.TotalA)
-		send(false)
-		mail = p.net.FlushAnalytic(c.MaxB, c.TotalB)
-	} else {
-		send(true)
-		mail = p.net.Flush()
-	}
-	idx := p.sc.linkOffs(n * n) // consumed payloads per real link [src*n + dst]
-	for v := range vmsgs {
-		rv := l.real(v)
-		for u, msg := range vmsgs[v] {
-			switch ru := l.real(u); {
-			case len(msg) == 0:
-			case ru == rv:
-				vin[u][v] = msg
-			default:
-				k := idx[rv*n+ru]
-				vin[u][v] = *(mail.PayloadsFrom(ru, rv)[k].(*[]E))
-				idx[rv*n+ru] = k + 1
-			}
-		}
-	}
-}
-
-// allGather makes every node learn every node's row — the "learn
-// everything" primitive behind the naive engine — and returns the rows
-// indexed by origin, shared and read-only. The direct transport charges
-// the encoded gather's exact ledger and hands back rows itself.
-func (p port[E]) allGather(rows [][]E) [][]E {
-	n := p.net.N()
-	if !p.wire {
-		lens := make([]int64, n)
-		for v, row := range rows {
-			lens[v] = int64(p.f.EncodedLen(len(row)))
-		}
-		routing.ChargeAllGather(p.net, lens)
-		return rows
-	}
-	vecs := make([][]clique.Word, n)
-	p.net.ForEach(func(v int) { vecs[v] = p.f.encode(nil, rows[v], v) })
-	all := routing.AllGather(p.net, vecs)
-	out := make([][]E, n)
-	p.net.ForEach(func(v int) {
-		out[v] = p.reserve(v, len(rows[v]))
-		p.f.decode(out[v], all[v], v)
-	})
-	return out
-}
-
-// outMsg is one message queued at the port's link level, under the node
-// that sends it, with its length in words.
+// outMsg is one message queued at the port, under the node that sends it,
+// with its length in words.
 type outMsg[E any] struct {
 	dst, words int32
 	msg        []E
 }
 
-func byDst[E any](a, b outMsg[E]) int { return cmp.Compare(a.dst, b.dst) }
+func byDst(a, b routing.Link) int { return cmp.Compare(a.Dst, b.Dst) }
 
-// send queues msg on the link src→dst for the port's next flush; a link
-// carries at most one message per flush. msg must stay untouched until its
-// receiver has read it. Safe from src's ForEach worker.
+// send queues msg on the link src→dst for the port's next flush, behind
+// whatever src queued there before: a link delivers its messages in send
+// order. msg must stay untouched until its receiver has read it. On the
+// wire transport src encodes msg here, on its own worker, into its word
+// arena, and queues the window beside the message. Safe from src's ForEach
+// worker.
 //
 //cc:hotpath
 func (p port[E]) send(src, dst int, msg []E) {
-	ob := p.ts.outbox[p.ts.side]
+	side := p.ts.side
+	if p.wire {
+		var win []clique.Word // a hosted pair's message travels by reference
+		if !(p.cube && src == dst) {
+			arena := p.ts.words[side]
+			start := len(arena[src])
+			arena[src] = p.f.encode(arena[src], msg, src)
+			win = arena[src][start:len(arena[src]):len(arena[src])] // a grown arena leaves earlier windows intact
+		}
+		p.ts.wins[side][src] = append(p.ts.wins[side][src], win)
+	}
+	ob := p.ts.outbox[side]
 	ob[src] = append(ob[src], outMsg[E]{dst: int32(dst), words: int32(p.f.EncodedLen(len(msg))), msg: msg})
 }
 
 // flush delivers everything sent since the port's last flush as one
 // exchange and resolves routing.Auto for it from the links it touched:
-// their word lengths (the format's EncodedLen, on either transport) go
-// through routing.TwoPhaseCosts, and a two-phase choice charges both Lenzen
-// phases analytically with the messages riding the second flush for free,
-// exactly as routing.ExchangePayload charges a message matrix. The work is
-// proportional to n plus the traffic; nothing is n×n.
+// each link's word length — the sum of its messages' EncodedLen, on either
+// transport — goes through routing.TwoPhaseCosts, and a two-phase choice
+// charges both Lenzen phases analytically with the messages riding the
+// second flush for free. The work is proportional to n plus the traffic;
+// nothing is n×n.
 //
-// Each message travels as a payload: on the direct transport a pointer to
-// its queue entry, on the wire transport its encoded words, which the
-// receiver decodes. A delivery must be read before the port's next flush.
-// Sends for that flush may interleave with the reads: the queue has two
-// sides, and each flush switches to the other.
+// Each message travels as a payload, in send order: on the direct
+// transport a pointer to its queue entry, on the wire transport its
+// encoded words, which the receiver decodes. A delivery must be read
+// before the port's next flush. Sends for that flush may interleave with
+// the reads: the queues have two sides, and each flush switches to the
+// other.
 //
 //cc:hotpath
 func (p port[E]) flush() *clique.Mail {
-	ob := p.ts.outbox[p.ts.side]
+	side := p.ts.side
+	ob := p.ts.outbox[side]
 	p.ts.side ^= 1
-	links, words, maxWords := p.sc.links[:0], 0, 0
+	links, maxWords := p.sc.links[:0], int64(0)
 	for src, msgs := range ob {
-		slices.SortFunc(msgs, byDst[E])
+		first := len(links)
 		for _, m := range msgs {
-			links = append(links, routing.Link{Src: int32(src), Dst: m.dst, Words: int64(m.words)})
-			words += int(m.words)
-			maxWords = max(maxWords, int(m.words))
-		}
-	}
-	p.sc.links = links
-	if p.wire {
-		p.ts.live++ // link-level arrivals are never released: their windows pin the arenas
-		// One arena sized up front, so no window moves while others are cut.
-		buf, wins := slices.Grow(p.sc.wbuf[:0], words), p.sc.wwins[:0]
-		for src, msgs := range ob {
-			for _, m := range msgs {
-				start := len(buf)
-				buf = p.f.encode(buf, m.msg, src)
-				wins = append(wins, buf[start:len(buf):len(buf)])
+			if !(p.cube && src == int(m.dst)) {
+				links = append(links, routing.Link{Src: int32(src), Dst: m.dst, Words: int64(m.words)})
 			}
 		}
-		p.sc.wbuf, p.sc.wwins = buf, wins
+		// One Link per link: the messages sharing one add up.
+		slices.SortFunc(links[first:], byDst)
+		k := first
+		for _, l := range links[first:] {
+			if k > first && links[k-1].Dst == l.Dst {
+				links[k-1].Words += l.Words
+				continue
+			}
+			links[k] = l
+			k++
+		}
+		links = links[:k]
 	}
+	for _, l := range links {
+		maxWords = max(maxWords, l.Words)
+	}
+	p.sc.links = links
 	// Two-phase needs two rounds as soon as any word leaves its node, so
 	// it can only win against a direct schedule of three rounds or more.
 	var c routing.Costs
@@ -538,21 +349,26 @@ func (p port[E]) flush() *clique.Mail {
 	if twoPhase {
 		p.net.FlushAnalytic(c.MaxA, c.TotalA)
 	}
-	k := 0
 	for src, msgs := range ob {
 		for i := range msgs {
+			m := &msgs[i]
 			var w int64
 			if !twoPhase {
-				w = links[k].Words
+				w = int64(m.words)
 			}
-			var pl clique.Payload = &msgs[i].msg
-			if p.wire {
-				pl = &p.sc.wwins[k]
+			var pl clique.Payload = &m.msg
+			if p.wire && !(p.cube && src == int(m.dst)) {
+				pl = &p.ts.wins[side][src][i]
 			}
-			p.net.SendPayload(src, int(msgs[i].dst), w, pl)
-			k++
+			p.net.SendPayload(src, int(m.dst), w, pl)
 		}
-		ob[src] = msgs[:0] // the entries stay readable until this side refills
+		// The entries, windows and words stay readable until this side
+		// refills.
+		ob[src] = msgs[:0]
+		if p.wire {
+			p.ts.wins[side][src] = p.ts.wins[side][src][:0]
+			p.ts.words[side][src] = p.ts.words[side][src][:0]
+		}
 	}
 	if twoPhase {
 		return p.net.FlushAnalytic(c.MaxB, c.TotalB)
@@ -560,9 +376,24 @@ func (p port[E]) flush() *clique.Mail {
 	return p.net.Flush()
 }
 
-// each calls f for every message dst received in mail's flush, in
-// increasing source order, at a cost proportional to dst's traffic rather
-// than to n. Safe from dst's ForEach worker.
+// from returns the k-th message dst received from src in mail's flush, in
+// send order (nil if there is none).
+//
+//cc:hotpath
+func (p port[E]) from(mail *clique.Mail, dst, src, k int) []E {
+	ps := mail.PayloadsFrom(dst, src)
+	switch {
+	case k >= len(ps):
+		return nil
+	case p.wire && !(p.cube && src == dst):
+		return p.recvMsg(dst, *(ps[k].(*[]clique.Word)))
+	}
+	return *(ps[k].(*[]E))
+}
+
+// each calls f with the first message dst received from every source in
+// mail's flush, in increasing source order, at a cost proportional to
+// dst's traffic rather than to n. Safe from dst's ForEach worker.
 //
 //cc:hotpath
 func (p port[E]) each(mail *clique.Mail, dst int, f func(src int, msg []E)) {
@@ -571,21 +402,6 @@ func (p port[E]) each(mail *clique.Mail, dst int, f func(src int, msg []E)) {
 		return
 	}
 	mail.EachPayload(dst, func(src int, ps []clique.Payload) { f(src, *(ps[0].(*[]E))) })
-}
-
-// from returns the message dst received from src in mail's flush (nil if
-// none).
-//
-//cc:hotpath
-func (p port[E]) from(mail *clique.Mail, dst, src int) []E {
-	ps := mail.PayloadsFrom(dst, src)
-	switch {
-	case len(ps) == 0:
-		return nil
-	case p.wire:
-		return p.recvMsg(dst, *(ps[0].(*[]clique.Word)))
-	}
-	return *(ps[0].(*[]E))
 }
 
 // Transpose gives every node v column v of a row-distributed int64 matrix,

@@ -7,10 +7,10 @@ import (
 )
 
 // Scratch holds the reusable working state of the distributed
-// multiplication engines: typed message matrices, local block operands and
-// products, the free list of n×n row matrices, and — for the wire transport
-// — the exchange port's encoded-word payload matrices and typed receive
-// arenas.
+// multiplication engines: the exchange port's per-node message queues and,
+// for the wire transport, its word and receive arenas; per-node message
+// arenas, local block operands and products; and the free list of n×n row
+// matrices.
 //
 // A Scratch belongs to the network it serves. ScratchOf(net) is that
 // network's one working set, built on the first product and kept in the
@@ -34,14 +34,13 @@ import (
 //   - A Scratch outlives aborted products (a round limit, a cancelled
 //     context, an injected crash unwinding an engine mid-exchange). Nothing
 //     in it is trusted across products: every slot is overwritten before it
-//     is read, each product's port opens by clearing what the last one may
-//     have left posted or undelivered, and a message or view matrix an
-//     aborted product never returned is simply gone from the pool.
-//   - Payload matrices hold message buffers owned by the scratch; entries
-//     are truncated (capacity kept) between uses and only ever appended
-//     into. View matrices hold borrowed slices — delivered payloads,
-//     product rows, receive-arena windows — and are nil-cleared between
-//     uses, never appended into.
+//     is read, and each product's port opens by truncating the queues and
+//     arenas the last one may have left filled.
+//   - Message arenas are per node and only ever appended into; a message is
+//     a window of its sender's arena (or a row of other scratch state, such
+//     as a product block) and stays untouched until its receiver has read
+//     it, so an engine refills an arena only in a phase after the one that
+//     read its messages.
 //   - Row matrices come from one free list per element type (GetMat /
 //     PutMat). Engines draw their results from it, with stale contents they
 //     overwrite entirely; whoever holds a result — a reduction, the session
@@ -50,17 +49,10 @@ import (
 //     on their own, and the matrix a reduction hands back to its caller is
 //     never on the list, so nothing a caller retains aliases scratch state.
 type Scratch struct {
-	wmsgs  [][][]clique.Word // n×n encoded-word message matrix nodes post into (wire port): windows of wout
-	wout   [][]clique.Word   // per-node word arenas behind wmsgs
-	wgot   [][][]clique.Word // the last wire exchange's delivery, until its receivers open it
-	wbuf   []clique.Word     // one link-level flush's encoded messages (wire port)
-	wwins  [][]clique.Word   // the windows of wbuf, one per message of the flush
-	links  []routing.Link    // one link-level flush's per-link word lengths
-	offs   []int             // per-link cursors of the port's exchanges
-	wloads []int64           // per-link analytic word loads (direct transport)
-	rt     *routing.Scratch  // delivery-layer pools
-	typed  []any             // one *typedScratch[T] per element type
-	sp     *sparseState      // sparse-engine census/tile tables
+	links []routing.Link   // one flush's per-link word lengths
+	rt    *routing.Scratch // delivery-layer pools
+	typed []any            // one *typedScratch[T] per element type
+	sp    *sparseState     // sparse-engine census/tile tables
 
 	recycled func(m any) // test seam: sees every matrix PutMat accepts (SetRecycleHook)
 }
@@ -112,47 +104,6 @@ func (sc *Scratch) orOf(net *clique.Network) *Scratch {
 // recycled matrix fails at once instead of when the slot is reused.
 func (sc *Scratch) SetRecycleHook(f func(m any)) { sc.recycled = f }
 
-// wireMsgs readies the wire port's n×n word message matrix and its
-// per-node arenas (kept across products on the same clique size) for a new
-// product: every entry empty, whatever an aborted product left posted.
-func (sc *Scratch) wireMsgs(n int) {
-	if len(sc.wmsgs) != n {
-		sc.wmsgs, sc.wout = make([][][]clique.Word, n), make([][]clique.Word, n)
-		for v := range sc.wmsgs {
-			sc.wmsgs[v] = make([][]clique.Word, n)
-		}
-		return
-	}
-	for _, row := range sc.wmsgs {
-		clear(row)
-	}
-}
-
-// linkOffs returns a zeroed length-k offset array.
-func (sc *Scratch) linkOffs(k int) []int {
-	if cap(sc.offs) < k {
-		sc.offs = make([]int, k)
-	}
-	o := sc.offs[:k]
-	for i := range o {
-		o[i] = 0
-	}
-	return o
-}
-
-// linkWords returns a zeroed length-k analytic word-load tally (the direct
-// transport's per-real-link accounting in the virtual exchange).
-func (sc *Scratch) linkWords(k int) []int64 {
-	if cap(sc.wloads) < k {
-		sc.wloads = make([]int64, k)
-	}
-	w := sc.wloads[:k]
-	for i := range w {
-		w[i] = 0
-	}
-	return w
-}
-
 // typedScratch is the element-typed arm of a Scratch: per-node buffers and
 // block matrices for one T. Slices indexed by node are pre-sized on the
 // engine's single-threaded path (growSlots/growBufs) so that ForEach
@@ -162,7 +113,7 @@ func (sc *Scratch) linkWords(k int) []int64 {
 // ring and the min-plus semiring — so everything in it is either fully
 // overwritten per use or explicitly refilled (zero rows).
 type typedScratch[T any] struct {
-	bufs    []([]T) // per-node buffers (tile engine's A-side lists, then gather arenas; tuple formats' value staging)
+	bufs    []([]T) // per-node buffers (dense engines' message arenas; tile engine's A-side lists, then gather arenas; tuple formats' value staging)
 	bufs2   []([]T) // second per-node buffer (tile engine's B-side lists, then received rows; transpose value staging)
 	bufs3   []([]T) // third per-node buffer (tile engine's spread arenas)
 	zeroRow []T     // one semiring-zero row, refilled per product
@@ -178,18 +129,19 @@ type typedScratch[T any] struct {
 	fullP        []*matrix.Dense[T]  // per node w: block product
 	acc, piece   []*matrix.Dense[T]  // per node: output accumulator and decode piece
 
-	// Wire-port receive state: per-node arenas the port decodes arriving
-	// messages into (append-only while any delivery is outstanding, so
-	// every window handed out stays valid; truncated when a product opens
-	// its port and whenever all live deliveries have been released).
-	recv []([]T)
-	live int     // deliveries taken and not yet released (link-level arrivals never are)
-	sent [][][]T // the last wire exchange's messages, until its receivers open the delivery
-
-	// Link-level queues: per sending node, the messages of the port's next
-	// flush, on one of two sides that alternate per flush (see port.flush).
+	// Port queues: per sending node, the messages of the port's next flush
+	// and, on the wire transport, their encodings — windows of the node's
+	// word arena, one per message — on one of two sides that alternate per
+	// flush (see port.flush).
 	outbox [2][][]outMsg[T]
+	words  [2][][]clique.Word
+	wins   [2][][][]clique.Word
 	side   int
+
+	// Wire-port receive arenas: per node, what the port decodes arrivals
+	// into; append-only within a product, so every window handed out stays
+	// valid, and truncated when the next product opens its port.
+	recv []([]T)
 
 	// Tile engine state: per-node tables of borrowed windows into received
 	// spread chunks. Window entries are reassigned every product, never
@@ -201,13 +153,6 @@ type typedScratch[T any] struct {
 	// tagging, Boolean packing), padded operands, and the reductions'
 	// intermediates all come from here and return here once dead.
 	mats []*RowMat[T]
-
-	// Message state: typed payload matrices (entries are scratch-owned
-	// append buffers holding algebra values) and typed view matrices
-	// (entries borrow rows of other scratch state, delivered payloads, or
-	// receive-arena windows; nil-cleared on return).
-	payFree  map[int][][][][]T
-	viewFree map[int][][][][]T
 }
 
 // typedFrom returns the scratch's typedScratch for T, creating it on first
@@ -228,6 +173,15 @@ func typedFrom[T any](sc *Scratch) *typedScratch[T] {
 func growBufs[T any](s *[]([]T), k int) {
 	for len(*s) < k {
 		*s = append(*s, nil)
+	}
+}
+
+// truncBufs pre-sizes a per-node buffer slice to k nodes and empties every
+// buffer, keeping its capacity (single-threaded).
+func truncBufs[T any](s *[]([]T), k int) {
+	growBufs(s, k)
+	for v, b := range *s {
+		(*s)[v] = b[:0]
 	}
 }
 
@@ -310,74 +264,6 @@ func (ts *typedScratch[T]) zeroRowFor(zero T, k int) []T {
 		ts.zeroRow[i] = zero
 	}
 	return ts.zeroRow
-}
-
-// entryRetainCap is the high-water capacity (elements) a pooled typed
-// message buffer may keep; spikes above it are released on return.
-const entryRetainCap = 1 << 14
-
-// getPay borrows a d×d typed payload matrix whose entries are truncated
-// but keep their capacity; callers build messages with
-// pay[v][u] = append(pay[v][u][:0], ...).
-func (ts *typedScratch[T]) getPay(d int) [][][]T {
-	if free := ts.payFree[d]; len(free) > 0 {
-		m := free[len(free)-1]
-		ts.payFree[d] = free[:len(free)-1]
-		return m
-	}
-	m := make([][][]T, d)
-	for i := range m {
-		m[i] = make([][]T, d)
-	}
-	return m
-}
-
-// putPay truncates every entry (releasing any above the high-water
-// capacity) and returns the matrix to the pool.
-func (ts *typedScratch[T]) putPay(m [][][]T) {
-	for _, row := range m {
-		for i := range row {
-			if cap(row[i]) > entryRetainCap {
-				row[i] = nil
-			} else {
-				row[i] = row[i][:0]
-			}
-		}
-	}
-	if ts.payFree == nil {
-		ts.payFree = make(map[int][][][][]T)
-	}
-	ts.payFree[len(m)] = append(ts.payFree[len(m)], m)
-}
-
-// getViews borrows a d×d typed view matrix of nil slices for borrowed
-// element windows (delivered payloads, product rows). Entries are
-// assigned, never appended into.
-func (ts *typedScratch[T]) getViews(d int) [][][]T {
-	if free := ts.viewFree[d]; len(free) > 0 {
-		m := free[len(free)-1]
-		ts.viewFree[d] = free[:len(free)-1]
-		return m
-	}
-	m := make([][][]T, d)
-	for i := range m {
-		m[i] = make([][]T, d)
-	}
-	return m
-}
-
-// putViews nil-clears every entry (releasing the borrowed slices) and
-// returns the matrix to the pool.
-func (ts *typedScratch[T]) putViews(m [][][]T) {
-	for _, row := range m {
-		for i := range row {
-			row[i] = nil
-		}
-	}
-	if ts.viewFree == nil {
-		ts.viewFree = make(map[int][][][][]T)
-	}
-	ts.viewFree[len(m)] = append(ts.viewFree[len(m)], m)
 }
 
 // maxFreeMats bounds a free list, so that it cannot grow with the number of

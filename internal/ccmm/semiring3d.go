@@ -1,6 +1,8 @@
 package ccmm
 
 import (
+	"slices"
+
 	"github.com/algebraic-clique/algclique/internal/clique"
 	"github.com/algebraic-clique/algclique/internal/matrix"
 	"github.com/algebraic-clique/algclique/internal/ring"
@@ -24,15 +26,15 @@ import (
 // are grouped by their *first* digit: row w of T is needed by exactly the
 // nodes u with u2 = w1, keeping both middle-index sets equal to v2∗∗.
 //
-// Message matrices, block operands, product subcubes, and the result come
+// Message arenas, block operands, product subcubes, and the result come
 // from sc and persist there across products (a nil sc is the network's
 // own), so a pipeline of repeated multiplications runs the engine
 // allocation-free in steady state once its results are returned to the
-// free list. Block rows are typed messages handed to the exchange port,
-// which moves them by reference (direct transport, words charged
-// analytically) or as bulk-codec chunks (wire transport). A packing codec
-// (ring.PackedBool) is honoured either way, since every cost and offset is
-// an EncodedLen sum of whole chunks.
+// free list. Block rows are typed messages between virtual nodes, sent
+// through the exchange port's cube mode (port.onCube), which moves them by
+// reference (direct transport, words charged analytically) or as bulk-codec
+// chunks (wire transport). A packing codec (ring.PackedBool) is honoured
+// either way, since every cost is an EncodedLen sum of whole chunks.
 func Semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
 	return runProduct(net, sc, func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
 		return semiring3D[T](net, sc, sr, codec, s, t)
@@ -40,9 +42,16 @@ func Semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], co
 }
 
 // semiring3D is the engine body: four phases over the padded cube, with
-// block rows gathered straight into message buffers, received rows copied
-// straight into the block operands, and the step-3 partial products shipped
-// as views of the product subcubes.
+// block rows gathered straight into per-node message arenas, received rows
+// copied straight into the block operands, and the step-3 partial products
+// shipped as rows of the product subcubes.
+//
+// Virtual node v's messages leave from real node v mod n and land on real
+// node u mod n; each real link carries them in (virtual source, virtual
+// destination) order. The schedule is oblivious — which virtual pairs
+// exchange a message follows from (n, c) alone — so a receiver knows which
+// of a link's messages is the one for its virtual node (cubeLayout.before)
+// and no headers travel.
 func semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
 	n := net.N()
 	if err := validatePair(n, s, t); err != nil {
@@ -52,7 +61,7 @@ func semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], co
 	lay := newCubeLayout(n)
 	c, vn := lay.c, lay.vn
 	c2 := c * c
-	px := newPort[T](net, sc, chunks[T]{ring.AsBulk[T](codec), c2}).over(lay) // every message is whole block rows
+	px := newPort[T](net, sc, chunks[T]{ring.AsBulk[T](codec), c2}).onCube() // every message is whole block rows
 	zero := sr.Zero()
 	live := lay.liveDigits()
 	// alive reports whether virtual node u's subcube touches real data;
@@ -67,6 +76,7 @@ func semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], co
 	for x := 0; x < c; x++ {
 		groups[x] = lay.firstDigitSet(x)
 	}
+	growBufs(&ts.bufs, n)
 	growSlots(&ts.cubeS, n)
 	growSlots(&ts.cubeT, n)
 	growSlots(&ts.cubeProd, vn)
@@ -77,47 +87,42 @@ func semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], co
 	// ≥ n read as the semiring zero. Virtual nodes v ≥ n own all-zero
 	// padding rows, which every node can synthesise locally, so they send
 	// nothing. When both an S and a T part go to the same recipient the S
-	// part precedes the T part.
+	// part precedes the T part. (v < n implies v1 < live, so every
+	// recipient is alive; dead subcubes get nothing.)
 	net.Phase("mm3d/distribute")
-	pmsgs := ts.getPay(vn)
 	net.ForEach(func(v int) {
 		// The sending virtual nodes are exactly v < n, each hosted by
-		// real node v itself: every real node ships its own row slices.
+		// real node v itself: every real node ships its own row slices,
+		// to its recipients in increasing order.
 		v1, _, _ := lay.split(v)
 		srow, trow := s.Rows[v], t.Rows[v]
-		// S parts go to u = (v1, u2, u3); the recipients with u2 = v1 get
-		// this sender's T part too, appended right after the S part.
-		// (v < n implies v1 < live, so every such u is alive.)
-		for u2 := 0; u2 < live; u2++ {
-			for u3 := 0; u3 < live; u3++ {
-				u := lay.join(v1, u2, u3)
-				msg := appendCols(pmsgs[v][u][:0], srow, groups[u2], n, zero)
-				if u2 == v1 {
-					msg = appendCols(msg, trow, groups[u3], n, zero)
-				}
-				pmsgs[v][u] = msg
-			}
-		}
-		// T parts to the remaining nodes with u2 = v1 (u1 ≠ v1); dead
-		// subcubes get no T rows.
+		arena := slices.Grow(ts.bufs[v][:0], 2*live*live*c2)
 		for u1 := 0; u1 < live; u1++ {
-			if u1 == v1 {
-				continue
-			}
-			for u3 := 0; u3 < live; u3++ {
-				u := lay.join(u1, v1, u3)
-				pmsgs[v][u] = appendCols(pmsgs[v][u][:0], trow, groups[u3], n, zero)
+			for u2 := 0; u2 < live; u2++ {
+				if u1 != v1 && u2 != v1 {
+					continue
+				}
+				for u3 := 0; u3 < live; u3++ {
+					start := len(arena)
+					if u1 == v1 {
+						arena = appendCols(arena, srow, groups[u2], n, zero)
+					}
+					if u2 == v1 {
+						arena = appendCols(arena, trow, groups[u3], n, zero)
+					}
+					px.send(v, lay.real(lay.join(u1, u2, u3)), arena[start:len(arena):len(arena)])
+				}
 			}
 		}
-		px.post(pmsgs, v)
+		ts.bufs[v] = arena
 	})
-	in := px.exchange(pmsgs)
+	mail := px.flush()
 
 	// Step 2: local multiplication of the received c²×c² blocks. Rows from
-	// padding senders (v ≥ n) are the semiring zero.
+	// padding senders (v ≥ n) are the semiring zero; the message from v
+	// carries its S part and, when u1 = u2, its T part after it.
 	net.Phase("mm3d/multiply")
 	net.ForEach(func(r int) {
-		px.open(in, r)
 		sblk := slotAt(ts.cubeS, r, c2, c2)
 		tblk := slotAt(ts.cubeT, r, c2, c2)
 		for u := r; u < vn; u += n {
@@ -125,36 +130,49 @@ func semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], co
 				continue
 			}
 			u1, u2, _ := lay.split(u)
+			// msg returns sender v's message to u: v reaches the nodes hosted
+			// with u in increasing order, skipping those it sends nothing.
+			msg := func(v int) []T {
+				v1, _, _ := lay.split(v)
+				k := lay.before(u, func(w int) bool {
+					w1, w2, _ := lay.split(w)
+					return alive(w) && (w1 == v1 || w2 == v1)
+				})
+				return px.from(mail, r, v, k)
+			}
 			for pos, v := range groups[u1] { // S row senders: v1 = u1
 				if v >= n {
 					sblk.SetRow(pos, zeroRow)
+					if u1 == u2 {
+						tblk.SetRow(pos, zeroRow)
+					}
 					continue
 				}
-				sblk.SetRow(pos, in[u][v][:c2])
+				ws := msg(v)
+				sblk.SetRow(pos, ws[:c2])
+				if u1 == u2 {
+					tblk.SetRow(pos, ws[c2:2*c2])
+				}
 			}
-			for pos, v := range groups[u2] { // T row senders: v1 = u2
-				if v >= n {
-					tblk.SetRow(pos, zeroRow)
-					continue
+			if u1 != u2 {
+				for pos, v := range groups[u2] { // T row senders: v1 = u2
+					if v >= n {
+						tblk.SetRow(pos, zeroRow)
+						continue
+					}
+					tblk.SetRow(pos, msg(v)[:c2])
 				}
-				ws := in[u][v]
-				if v1, _, _ := lay.split(v); v1 == u1 {
-					ws = ws[c2:] // the S part precedes on shared pairs
-				}
-				tblk.SetRow(pos, ws[:c2])
 			}
 			prod := slotAt(ts.cubeProd, u, c2, c2)
 			matrix.MulInto(sr, prod, sblk, tblk)
 		}
 	})
-	px.release(in)
 
 	// Step 3: distribute the partial products: virtual node u sends
 	// P^{(u2)}[x, u3∗∗] to each real row owner x ∈ u1∗∗ with x < n
 	// (padding rows of the output are discarded, so they never travel) —
-	// as zero-copy views of the product subcube rows.
+	// as rows of the product subcube.
 	net.Phase("mm3d/products")
-	vout := ts.getViews(vn)
 	net.ForEach(func(r int) {
 		for u := r; u < vn; u += n {
 			if !alive(u) {
@@ -164,13 +182,12 @@ func semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], co
 			prod := ts.cubeProd[u]
 			for pos, x := range groups[u1] {
 				if x < n {
-					vout[u][x] = prod.Row(pos)
+					px.send(r, x, prod.Row(pos))
 				}
 			}
 		}
-		px.post(vout, r)
 	})
-	in = px.exchange(vout)
+	mail = px.flush()
 
 	// Step 4: assemble P[x, ∗] = Σ_w P^{(w)}[x, ∗] by accumulating the
 	// received rows. Output row owners are the virtual nodes x < n, each
@@ -178,7 +195,6 @@ func semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], co
 	net.Phase("mm3d/assemble")
 	p := GetMat[T](sc, n)
 	net.ForEach(func(x int) {
-		px.open(in, x)
 		x1, _, _ := lay.split(x)
 		row := p.Rows[x]
 		for j := range row {
@@ -189,7 +205,13 @@ func semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], co
 				continue
 			}
 			_, _, u3 := lay.split(u)
-			piece := in[x][u]
+			// The nodes hosted with u send x a row each in increasing order,
+			// the live ones with first digit x1.
+			k := lay.before(u, func(w int) bool {
+				w1, _, _ := lay.split(w)
+				return alive(w) && w1 == x1
+			})
+			piece := px.from(mail, x, lay.real(u), k)
 			for i, col := range groups[u3] {
 				if col < n {
 					row[col] = sr.Add(row[col], piece[i])
@@ -197,9 +219,6 @@ func semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], co
 			}
 		}
 	})
-	px.release(in)
-	ts.putViews(vout)
-	ts.putPay(pmsgs)
 	return p, nil
 }
 

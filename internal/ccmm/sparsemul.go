@@ -58,10 +58,10 @@ import (
 // traffic — so a product on ρ-nonzero operands costs Θ(n + traffic) memory
 // instead of the Θ(n²) a RowMat forces.
 //
-// Every phase is one link-level exchange of the port (port.send and
-// port.flush): messages go out link by link, and the flush resolves
-// routing.Auto from the links the phase touched, so skewed loads fall back
-// to Lenzen-style two-phase delivery on either transport. All traffic
+// Every phase is one exchange of the port (port.send and port.flush):
+// messages go out link by link, and the flush resolves routing.Auto from
+// the links the phase touched, so skewed loads fall back to Lenzen-style
+// two-phase delivery on either transport. All traffic
 // after the census is oblivious — chunk sizes and tile placements follow
 // from the broadcast counts — except the gather, whose per-link lengths a
 // receiver learns from the words that arrived (ring.TupleCodec.CountFor).
@@ -473,7 +473,7 @@ func sparseMul[T, P any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], 
 			}
 			tl := sp.tiles[y]
 			for a := tl.Row; a < tl.Row+tl.F; a++ {
-				for _, at := range tups.from(mailF, b, a) {
+				for _, at := range tups.from(mailF, b, a, 0) {
 					for _, bt := range bchunk {
 						pairs = append(pairs, ring.Tuple[ring.Tuple[T]]{Idx: at.Idx, Val: ring.Tuple[T]{Idx: bt.Idx, Val: sr.Mul(at.Val, bt.Val)}})
 					}

@@ -463,32 +463,57 @@ func TestWireScratchSurvivesAbort(t *testing.T) {
 	}
 }
 
-// TestLinkFlushResolvesAuto pins the link level's Auto choice at its
+// TestLinkFlushResolvesAuto pins the port flush's Auto choice at its
 // boundary, on both transports: a lone 2-word message rides its own link
 // (one flush, two rounds, two words), while a lone 3-word one is cheaper
 // striped over three intermediaries (two flushes of one round each, its
 // words charged per hop: 2 in phase A — the first lands on the sender —
-// and 3 in phase B) — and arrives intact either way.
+// and 3 in phase B). Two messages of 2 + 1 words on one link are one
+// 3-word link to Auto. A self-send takes part in Auto — 8 words to itself
+// make the 3-word message ride directly — except on the cube, where it is
+// a hosted pair, charged nothing and left out. Every message arrives
+// intact, in send order.
 func TestLinkFlushResolvesAuto(t *testing.T) {
 	const n = 8 // node 0's stripe starts at intermediary 0
+	type msg struct {
+		dst  int
+		vals []int64
+	}
+	self := []int64{1, 2, 3, 4, 5, 6, 7, 8}
 	for _, tr := range []clique.Transport{clique.TransportDirect, clique.TransportWire} {
 		for _, c := range []struct {
-			k                      int
+			name                   string
+			cube                   bool
+			sends                  []msg
 			rounds, words, flushes int64
-		}{{2, 2, 2, 1}, {3, 2, 5, 2}} {
+		}{
+			{"2 words", false, []msg{{5, []int64{10, 11}}}, 2, 2, 1},
+			{"3 words", false, []msg{{5, []int64{10, 11, 12}}}, 2, 5, 2},
+			{"2+1 words on one link", false, []msg{{5, []int64{10, 11}}, {5, []int64{12}}}, 2, 5, 2},
+			{"self-send and 3 words", false, []msg{{0, self}, {5, []int64{10, 11, 12}}}, 3, 3, 1},
+			{"hosted pair and 3 words", true, []msg{{0, self}, {5, []int64{10, 11, 12}}}, 2, 5, 2},
+		} {
 			net := clique.New(n, clique.WithTransport(tr))
 			p := newPort[int64](net, NewScratch(), chunks[int64]{ring.AsBulk[int64](ring.Int64{}), 1})
-			msg := []int64{10, 11, 12}[:c.k]
-			p.send(0, 5, msg)
-			got := p.from(p.flush(), 5, 0)
+			if c.cube {
+				p = p.onCube()
+			}
+			for _, m := range c.sends {
+				p.send(0, m.dst, m.vals)
+			}
+			mail := p.flush()
+			k := map[int]int{}
+			for _, m := range c.sends {
+				if got := p.from(mail, m.dst, 0, k[m.dst]); !reflect.DeepEqual(got, m.vals) {
+					t.Fatalf("%v, %s: message %d to %d delivered %v, sent %v", tr, c.name, k[m.dst], m.dst, got, m.vals)
+				}
+				k[m.dst]++
+			}
 			st := net.Stats()
 			net.Close()
-			if !reflect.DeepEqual(got, msg) {
-				t.Fatalf("%v, %d words: delivered %v, sent %v", tr, c.k, got, msg)
-			}
 			if st.Rounds != c.rounds || st.Words != c.words || st.Flushes != c.flushes {
-				t.Fatalf("%v, %d words: charged %d rounds, %d words, %d flushes; want %d, %d, %d",
-					tr, c.k, st.Rounds, st.Words, st.Flushes, c.rounds, c.words, c.flushes)
+				t.Fatalf("%v, %s: charged %d rounds, %d words, %d flushes; want %d, %d, %d",
+					tr, c.name, st.Rounds, st.Words, st.Flushes, c.rounds, c.words, c.flushes)
 			}
 		}
 	}

@@ -47,7 +47,7 @@ func (c Costs) TwoPhase() bool { return c.MaxA+c.MaxB < c.Direct }
 // so the heaviest link into dst carries the laps plus the deepest overlap
 // of those arcs away from dst itself. This is the single implementation of
 // the Lenzen striping arithmetic: the encoded Auto resolution, the direct
-// transport's analytic charges and the port's link-level exchanges all read
+// transport's analytic charges and the engine port's exchanges all read
 // these aggregates, which is what keeps the two planes' ledgers and schedule
 // choices bit-identical (the per-link reference implementation lives in the
 // tests).

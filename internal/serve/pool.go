@@ -12,12 +12,13 @@ var ErrPoolClosed = errors.New("serve: session pool is closed")
 
 // sessionBytes estimates the live heap of a warm session for clique size n:
 // its networks' per-link queue and mailbox capacity and, on each network,
-// the engines' working set — message matrices, block operands and products
-// of every element type it has multiplied in, and the free list of row
-// matrices — all of which outlive the operation that grew them. Measured
+// the engines' working set — message queues and arenas, block operands
+// and products of every element type it has multiplied in, and the free
+// list of row matrices — all of which outlive the operation that grew
+// them. Measured
 // on a session that has served each of the six ops once (live HeapAlloc,
-// bytes per n² in brackets): n = 16 0.50 MB [1 968], n = 32 2.88 MB
-// [2 814], n = 64 6.70 MB [1 636], n = 144 50.0 MB [2 411]; the estimate
+// bytes per n² in brackets): n = 16 0.32 MB [1 259], n = 32 1.94 MB
+// [1 893], n = 64 5.25 MB [1 281], n = 144 30.1 MB [1 453]; the estimate
 // is 2 200 bytes per link. TestSessionFootprintEstimate holds it within a
 // factor of two of that table. The budget is a control knob driving
 // eviction order, not an accounting guarantee.
