@@ -59,7 +59,7 @@ func BenchmarkSessionMatMul(b *testing.B) {
 }
 
 // BenchmarkSessionAPSP measures the full witness-carrying APSP pipeline —
-// ⌈log n⌉ width-2 (value + witness) distance products per op — on a reused
+// ⌈log n⌉ witnessed distance products per op — on a reused
 // session.
 func BenchmarkSessionAPSP(b *testing.B) {
 	for _, n := range []int{27, 64} {

@@ -38,8 +38,9 @@ func BenchmarkSemiring3DAllocs(b *testing.B) {
 	}
 }
 
-// BenchmarkSemiring3DWitnessAllocs measures the width-2 (value + witness)
-// codec through the same engine — the algebra behind every APSP squaring.
+// BenchmarkSemiring3DWitnessAllocs measures the witnessed distance product
+// through the same engine — one-word operands, value + witness partial
+// products — the algebra behind every APSP squaring.
 func BenchmarkSemiring3DWitnessAllocs(b *testing.B) {
 	for _, n := range []int{27, 64, 100} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -150,7 +150,7 @@ type typedScratch[T any] struct {
 	slots2 []([][]T) // per-node B-part windows, one per tile the node gathers for
 
 	// Free row matrices: engine results, algebra conversions (witness
-	// tagging, Boolean packing), padded operands, and the reductions'
+	// untagging, Boolean packing), padded operands, and the reductions'
 	// intermediates all come from here and return here once dead.
 	mats []*RowMat[T]
 }

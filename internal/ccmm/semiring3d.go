@@ -37,13 +37,31 @@ import (
 // either way, since every cost is an EncodedLen sum of whole chunks.
 func Semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
 	return runProduct(net, sc, func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
-		return semiring3D[T](net, sc, sr, codec, s, t)
+		al := cubeAlgebra[T, T]{opZero: sr.Zero(), opCodec: codec, sr: sr, codec: codec, lift: copyRow[T]}
+		return semiring3D(net, sc, al, s, t)
 	})
 }
 
+// cubeAlgebra is what the 3D body multiplies over. Operands of type A
+// travel in the distribute phase, encoded by opCodec, with opZero for the
+// padding columns; at the multiplying virtual node lift turns each received
+// operand row into the product type P, in which the blocks multiply, the
+// partial products travel (encoded by codec) and the result is assembled.
+// lift's row is the operand row's index for a T row and −1 for an S row.
+// When A and P are one type the lift is copyRow.
+type cubeAlgebra[A, P any] struct {
+	opZero  A
+	opCodec ring.Codec[A]
+	sr      ring.Semiring[P]
+	codec   ring.Codec[P]
+	lift    func(dst []P, src []A, row int)
+}
+
+func copyRow[T any](dst, src []T, _ int) { copy(dst, src) }
+
 // semiring3D is the engine body: four phases over the padded cube, with
 // block rows gathered straight into per-node message arenas, received rows
-// copied straight into the block operands, and the step-3 partial products
+// lifted straight into the block operands, and the step-3 partial products
 // shipped as rows of the product subcubes.
 //
 // Virtual node v's messages leave from real node v mod n and land on real
@@ -52,16 +70,20 @@ func Semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], co
 // exchange a message follows from (n, c) alone — so a receiver knows which
 // of a link's messages is the one for its virtual node (cubeLayout.before)
 // and no headers travel.
-func semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
+func semiring3D[A, P any](net *clique.Network, sc *Scratch, al cubeAlgebra[A, P], s, t *RowMat[A]) (*RowMat[P], error) {
 	n := net.N()
 	if err := validatePair(n, s, t); err != nil {
 		return nil, err
 	}
-	ts := typedFrom[T](sc)
+	ta, tp := typedFrom[A](sc), typedFrom[P](sc)
 	lay := newCubeLayout(n)
 	c, vn := lay.c, lay.vn
 	c2 := c * c
-	px := newPort[T](net, sc, chunks[T]{ring.AsBulk[T](codec), c2}).onCube() // every message is whole block rows
+	// Every message is whole block rows: operand rows in the distribute
+	// phase, product rows in the products phase.
+	pa := newPort[A](net, sc, chunks[A]{ring.AsBulk[A](al.opCodec), c2}).onCube()
+	pp := newPort[P](net, sc, chunks[P]{ring.AsBulk[P](al.codec), c2}).onCube()
+	sr, opZero := al.sr, al.opZero
 	zero := sr.Zero()
 	live := lay.liveDigits()
 	// alive reports whether virtual node u's subcube touches real data;
@@ -76,11 +98,11 @@ func semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], co
 	for x := 0; x < c; x++ {
 		groups[x] = lay.firstDigitSet(x)
 	}
-	growBufs(&ts.bufs, n)
-	growSlots(&ts.cubeS, n)
-	growSlots(&ts.cubeT, n)
-	growSlots(&ts.cubeProd, vn)
-	zeroRow := ts.zeroRowFor(zero, c2)
+	growBufs(&ta.bufs, n)
+	growSlots(&tp.cubeS, n)
+	growSlots(&tp.cubeT, n)
+	growSlots(&tp.cubeProd, vn)
+	zeroRow := tp.zeroRowFor(zero, c2)
 
 	// Step 1: distribute entries. Virtual node v < n sends S[v, u2∗∗] to
 	// each u ∈ v1∗∗ and T[v, u3∗∗] to each u with u2 = v1; column indices
@@ -96,7 +118,7 @@ func semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], co
 		// to its recipients in increasing order.
 		v1, _, _ := lay.split(v)
 		srow, trow := s.Rows[v], t.Rows[v]
-		arena := slices.Grow(ts.bufs[v][:0], 2*live*live*c2)
+		arena := slices.Grow(ta.bufs[v][:0], 2*live*live*c2)
 		for u1 := 0; u1 < live; u1++ {
 			for u2 := 0; u2 < live; u2++ {
 				if u1 != v1 && u2 != v1 {
@@ -105,26 +127,27 @@ func semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], co
 				for u3 := 0; u3 < live; u3++ {
 					start := len(arena)
 					if u1 == v1 {
-						arena = appendCols(arena, srow, groups[u2], n, zero)
+						arena = appendCols(arena, srow, groups[u2], n, opZero)
 					}
 					if u2 == v1 {
-						arena = appendCols(arena, trow, groups[u3], n, zero)
+						arena = appendCols(arena, trow, groups[u3], n, opZero)
 					}
-					px.send(v, lay.real(lay.join(u1, u2, u3)), arena[start:len(arena):len(arena)])
+					pa.send(v, lay.real(lay.join(u1, u2, u3)), arena[start:len(arena):len(arena)])
 				}
 			}
 		}
-		ts.bufs[v] = arena
+		ta.bufs[v] = arena
 	})
-	mail := px.flush()
+	mail := pa.flush()
 
-	// Step 2: local multiplication of the received c²×c² blocks. Rows from
+	// Step 2: local multiplication of the received c²×c² blocks, each
+	// received row lifted into the product type on its way in. Rows from
 	// padding senders (v ≥ n) are the semiring zero; the message from v
 	// carries its S part and, when u1 = u2, its T part after it.
 	net.Phase("mm3d/multiply")
 	net.ForEach(func(r int) {
-		sblk := slotAt(ts.cubeS, r, c2, c2)
-		tblk := slotAt(ts.cubeT, r, c2, c2)
+		sblk := slotAt(tp.cubeS, r, c2, c2)
+		tblk := slotAt(tp.cubeT, r, c2, c2)
 		for u := r; u < vn; u += n {
 			if !alive(u) {
 				continue
@@ -132,13 +155,13 @@ func semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], co
 			u1, u2, _ := lay.split(u)
 			// msg returns sender v's message to u: v reaches the nodes hosted
 			// with u in increasing order, skipping those it sends nothing.
-			msg := func(v int) []T {
+			msg := func(v int) []A {
 				v1, _, _ := lay.split(v)
 				k := lay.before(u, func(w int) bool {
 					w1, w2, _ := lay.split(w)
 					return alive(w) && (w1 == v1 || w2 == v1)
 				})
-				return px.from(mail, r, v, k)
+				return pa.from(mail, r, v, k)
 			}
 			for pos, v := range groups[u1] { // S row senders: v1 = u1
 				if v >= n {
@@ -149,9 +172,9 @@ func semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], co
 					continue
 				}
 				ws := msg(v)
-				sblk.SetRow(pos, ws[:c2])
+				al.lift(sblk.Row(pos), ws[:c2], -1)
 				if u1 == u2 {
-					tblk.SetRow(pos, ws[c2:2*c2])
+					al.lift(tblk.Row(pos), ws[c2:2*c2], v)
 				}
 			}
 			if u1 != u2 {
@@ -160,10 +183,10 @@ func semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], co
 						tblk.SetRow(pos, zeroRow)
 						continue
 					}
-					tblk.SetRow(pos, msg(v)[:c2])
+					al.lift(tblk.Row(pos), msg(v)[:c2], v)
 				}
 			}
-			prod := slotAt(ts.cubeProd, u, c2, c2)
+			prod := slotAt(tp.cubeProd, u, c2, c2)
 			matrix.MulInto(sr, prod, sblk, tblk)
 		}
 	})
@@ -179,21 +202,21 @@ func semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], co
 				continue // the product subcube was never built
 			}
 			u1, _, _ := lay.split(u)
-			prod := ts.cubeProd[u]
+			prod := tp.cubeProd[u]
 			for pos, x := range groups[u1] {
 				if x < n {
-					px.send(r, x, prod.Row(pos))
+					pp.send(r, x, prod.Row(pos))
 				}
 			}
 		}
 	})
-	mail = px.flush()
+	pmail := pp.flush()
 
 	// Step 4: assemble P[x, ∗] = Σ_w P^{(w)}[x, ∗] by accumulating the
 	// received rows. Output row owners are the virtual nodes x < n, each
 	// hosted by real node x itself.
 	net.Phase("mm3d/assemble")
-	p := GetMat[T](sc, n)
+	p := GetMat[P](sc, n)
 	net.ForEach(func(x int) {
 		x1, _, _ := lay.split(x)
 		row := p.Rows[x]
@@ -211,7 +234,7 @@ func semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], co
 				w1, _, _ := lay.split(w)
 				return alive(w) && w1 == x1
 			})
-			piece := px.from(mail, x, lay.real(u), k)
+			piece := pp.from(pmail, x, lay.real(u), k)
 			for i, col := range groups[u3] {
 				if col < n {
 					row[col] = sr.Add(row[col], piece[i])
@@ -225,55 +248,58 @@ func semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], co
 // DistanceProduct3D computes the min-plus product P = S ⋆ T together with a
 // witness matrix Q: Q[u][v] = w certifies P[u][v] = S[u][w] + T[w][v]
 // (ring.NoWitness where P is infinite). This is the "easily modified"
-// semiring algorithm of §3.3: T's entries are tagged with their row index
-// and the tags ride through the min-plus algebra. The witness-tagged
-// operands and the tagged product are free-list matrices that go back
-// before the call returns, so iterated squaring (APSP) holds only p and q
-// — which are the caller's to return once dead. A nil sc is the network's
-// own.
+// semiring algorithm of §3.3, with the tagging moved to where it is needed:
+// the operands travel as one-word min-plus entries, and the virtual node
+// that multiplies tags the rows of T it received with their row index — it
+// knows it from the sender — before the blocks multiply over ring.MinPlusW.
+// Only the partial products carry a witness across the network. The tagged
+// product is a free-list matrix that goes back before the call returns, so
+// iterated squaring (APSP) holds only p and q — which are the caller's to
+// return once dead. A nil sc is the network's own.
 func DistanceProduct3D(net *clique.Network, sc *Scratch, s, t *RowMat[int64]) (p, q *RowMat[int64], err error) {
-	n := net.N()
-	if err := validatePair(n, s, t); err != nil {
-		return nil, nil, err
-	}
-	sc = sc.orOf(net)
-	sw := GetMat[ring.ValW](sc, n)
-	tw := GetMat[ring.ValW](sc, n)
-	defer PutMat(sc, sw)
-	defer PutMat(sc, tw)
-	// The witness-tagging and untagging conversions are free node-local
-	// work; run them on the worker pool like every other per-node step.
-	net.ForEach(func(v int) {
-		srow, trow := sw.Rows[v], tw.Rows[v]
-		for j := 0; j < n; j++ {
-			srow[j] = ring.ValW{V: s.Rows[v][j], W: ring.NoWitness}
-			tv := t.Rows[v][j]
-			if ring.IsInf(tv) {
-				trow[j] = ring.ValW{V: ring.Inf, W: ring.NoWitness}
+	pq, err := runProduct(net, sc, func(net *clique.Network, sc *Scratch) ([2]*RowMat[int64], error) {
+		pw, err := semiring3D(net, sc, witnessed, s, t)
+		if err != nil {
+			return [2]*RowMat[int64]{}, err
+		}
+		defer PutMat(sc, pw)
+		p, q := GetMat[int64](sc, net.N()), GetMat[int64](sc, net.N())
+		// Untagging is free node-local work; run it on the worker pool like
+		// every other per-node step.
+		net.ForEach(func(v int) {
+			prow, qrow := p.Rows[v], q.Rows[v]
+			for j, e := range pw.Rows[v] {
+				prow[j], qrow[j] = e.V, e.W
+				if ring.IsInf(e.V) {
+					prow[j], qrow[j] = ring.Inf, ring.NoWitness
+				}
+			}
+		})
+		return [2]*RowMat[int64]{p, q}, nil
+	})
+	return pq[0], pq[1], err
+}
+
+// witnessed is the distance product's cube algebra: min-plus operands,
+// lifted at the multiplying node into witness-tagged values — an S entry
+// untagged, a finite T entry tagged with its row index, an infinite entry
+// the MinPlusW zero.
+var witnessed = cubeAlgebra[int64, ring.ValW]{
+	opZero:  ring.Inf,
+	opCodec: ring.MinPlus{},
+	sr:      ring.MinPlusW{},
+	codec:   ring.MinPlusW{},
+	lift: func(dst []ring.ValW, src []int64, row int) {
+		w := ring.NoWitness
+		if row >= 0 {
+			w = int64(row)
+		}
+		for j, x := range src {
+			if ring.IsInf(x) {
+				dst[j] = ring.ValW{V: ring.Inf, W: ring.NoWitness}
 			} else {
-				trow[j] = ring.ValW{V: tv, W: int64(v)}
+				dst[j] = ring.ValW{V: x, W: w}
 			}
 		}
-	})
-	pw, err := Semiring3D[ring.ValW](net, sc, ring.MinPlusW{}, ring.MinPlusW{}, sw, tw)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer PutMat(sc, pw)
-	p = GetMat[int64](sc, n)
-	q = GetMat[int64](sc, n)
-	net.ForEach(func(v int) {
-		prow, qrow, pwrow := p.Rows[v], q.Rows[v], pw.Rows[v]
-		for j := 0; j < n; j++ {
-			e := pwrow[j]
-			if ring.IsInf(e.V) {
-				prow[j] = ring.Inf
-				qrow[j] = ring.NoWitness
-			} else {
-				prow[j] = e.V
-				qrow[j] = e.W
-			}
-		}
-	})
-	return p, q, nil
+	},
 }

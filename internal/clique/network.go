@@ -785,12 +785,10 @@ func (c *Network) BroadcastWord(vals []Word) []Word {
 	return out
 }
 
-// poolTask is one unit of ForEach work handed to a persistent worker.
+// poolTask is one unit of fan-out work handed to a persistent worker.
 type poolTask struct {
-	f   func(v int)
-	v   int
-	wg  *sync.WaitGroup
-	pan *panicCell
+	f func(v int)
+	v int
 }
 
 // panicCell carries the first panic of a fan-out back to the goroutine
@@ -812,10 +810,12 @@ func (p *panicCell) capture(v any) {
 	p.mu.Unlock()
 }
 
-// rethrow re-raises the captured panic, if any, on the calling goroutine.
+// rethrow re-raises the captured panic, if any, on the calling goroutine,
+// and empties the cell for the next fan-out.
 func (p *panicCell) rethrow() {
 	p.mu.Lock()
 	v, set := p.val, p.set
+	p.val, p.set = nil, false
 	p.mu.Unlock()
 	if set {
 		panic(v)
@@ -823,21 +823,26 @@ func (p *panicCell) rethrow() {
 }
 
 // workerPool is a set of persistent goroutines fed over a channel, so a
-// reused network pays goroutine startup once rather than per ForEach.
+// reused network pays goroutine startup once rather than per ForEach. Its
+// owner runs one fan-out at a time (a Network is single-caller and fan-outs
+// never nest), so the pool keeps the one fan-out's wait group and panic
+// cell itself and a fan-out allocates nothing.
 type workerPool struct {
 	tasks chan poolTask
 	stop  sync.Once
+	wg    sync.WaitGroup
+	pan   panicCell
 }
 
 // runTask executes one task, capturing a panic into the fan-out's cell so
 // the waiter can re-raise it; wg.Done always runs, so a panicking task can
 // never deadlock its fan-out.
-func runTask(t poolTask) {
+func (p *workerPool) runTask(t poolTask) {
 	defer func() {
 		if r := recover(); r != nil {
-			t.pan.capture(r)
+			p.pan.capture(r)
 		}
-		t.wg.Done()
+		p.wg.Done()
 	}()
 	t.f(t.v)
 }
@@ -847,11 +852,22 @@ func newWorkerPool(workers int) *workerPool {
 	for w := 0; w < workers; w++ {
 		go func() {
 			for t := range p.tasks {
-				runTask(t)
+				p.runTask(t)
 			}
 		}()
 	}
 	return p
+}
+
+// run fans f(0), …, f(tasks-1) out to the workers, waits for all of them,
+// and re-raises the first panic among them on the caller.
+func (p *workerPool) run(tasks int, f func(int)) {
+	p.wg.Add(tasks)
+	for t := 0; t < tasks; t++ {
+		p.tasks <- poolTask{f: f, v: t}
+	}
+	p.wg.Wait()
+	p.pan.rethrow()
 }
 
 // shutdown stops the workers; safe to call more than once.
@@ -862,29 +878,9 @@ func (p *workerPool) shutdown() { p.stop.Do(func() { close(p.tasks) }) }
 // send only from v. The pool is started lazily on first use and persists
 // across runs until Close (a cleanup also stops it when the network is
 // garbage collected, so unclosed networks do not leak goroutines forever).
+// A ForEach on a warm network allocates nothing of its own.
 func (c *Network) ForEach(f func(v int)) {
-	workers := c.workers
-	if workers > c.n {
-		workers = c.n
-	}
-	if workers <= 1 {
-		for v := 0; v < c.n; v++ {
-			f(v)
-		}
-		return
-	}
-	if c.pool == nil {
-		c.pool = newWorkerPool(workers)
-		runtime.AddCleanup(c, func(p *workerPool) { p.shutdown() }, c.pool)
-	}
-	var wg sync.WaitGroup
-	var pan panicCell
-	wg.Add(c.n)
-	for v := 0; v < c.n; v++ {
-		c.pool.tasks <- poolTask{f: f, v: v, wg: &wg, pan: &pan}
-	}
-	wg.Wait()
-	pan.rethrow()
+	c.RunLocal(c.n, f)
 }
 
 // RunLocal runs f(0), …, f(tasks-1) concurrently on the same persistent
@@ -897,10 +893,7 @@ func (c *Network) ForEach(f func(v int)) {
 // RunLocal must not be called from inside a ForEach or RunLocal task: the
 // pool's workers are already occupied and the nested wait can deadlock.
 func (c *Network) RunLocal(tasks int, f func(task int)) {
-	workers := c.workers
-	if workers > c.n {
-		workers = c.n
-	}
+	workers := min(c.workers, c.n)
 	if workers <= 1 || tasks <= 1 {
 		for t := 0; t < tasks; t++ {
 			f(t)
@@ -911,14 +904,7 @@ func (c *Network) RunLocal(tasks int, f func(task int)) {
 		c.pool = newWorkerPool(workers)
 		runtime.AddCleanup(c, func(p *workerPool) { p.shutdown() }, c.pool)
 	}
-	var wg sync.WaitGroup
-	var pan panicCell
-	wg.Add(tasks)
-	for t := 0; t < tasks; t++ {
-		c.pool.tasks <- poolTask{f: f, v: t, wg: &wg, pan: &pan}
-	}
-	wg.Wait()
-	pan.rethrow()
+	c.pool.run(tasks, f)
 }
 
 // Close releases the persistent worker pool and the engines' working set.
@@ -963,14 +949,7 @@ func (p *LocalPool) RunLocal(tasks int, f func(task int)) {
 		p.pool = newWorkerPool(p.workers)
 		runtime.AddCleanup(p, func(wp *workerPool) { wp.shutdown() }, p.pool)
 	}
-	var wg sync.WaitGroup
-	var pan panicCell
-	wg.Add(tasks)
-	for t := 0; t < tasks; t++ {
-		p.pool.tasks <- poolTask{f: f, v: t, wg: &wg, pan: &pan}
-	}
-	wg.Wait()
-	pan.rethrow()
+	p.pool.run(tasks, f)
 }
 
 // Close releases the pool's workers; the pool remains usable (a later

@@ -43,6 +43,25 @@ func TestRunLocalSharesForEachPool(t *testing.T) {
 	}
 }
 
+// TestWarmFanOutAllocatesNothing pins that the pool owns the fan-out's wait
+// group and panic cell: on a warm network a ForEach or RunLocal with a
+// pre-built closure allocates nothing, on the pool and on the serial path.
+func TestWarmFanOutAllocatesNothing(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		c := clique.New(144, clique.WithWorkers(workers))
+		var total atomic.Int64
+		f := func(int) { total.Add(1) }
+		c.ForEach(f) // starts the pool
+		if a := testing.AllocsPerRun(100, func() { c.ForEach(f) }); a != 0 {
+			t.Errorf("workers=%d: warm ForEach allocates %.1f times, want 0", workers, a)
+		}
+		if a := testing.AllocsPerRun(100, func() { c.RunLocal(7, f) }); a != 0 {
+			t.Errorf("workers=%d: warm RunLocal allocates %.1f times, want 0", workers, a)
+		}
+		c.Close()
+	}
+}
+
 // TestLocalPool checks the standalone pool: full coverage, concurrency no
 // wider than configured, reuse after Close, and the k<1 default.
 func TestLocalPool(t *testing.T) {
