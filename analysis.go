@@ -2,7 +2,6 @@ package algclique
 
 import (
 	"github.com/algebraic-clique/algclique/internal/baseline"
-	"github.com/algebraic-clique/algclique/internal/ccmm"
 )
 
 // TransitiveClosure computes reachability: out[u][v] = 1 iff a (directed)
@@ -63,31 +62,31 @@ func (s *Clique) Diameter(g *Graph, opts ...CallOption) (diam int64, connected b
 	return diam, connected, stats, nil
 }
 
+// broadcastOp is MatMulBroadcast's ledger name.
+const broadcastOp = "MatMulBroadcast"
+
 // MatMulBroadcast multiplies integer matrices on the *broadcast* congested
 // clique (each node sends one identical word to everyone per round), where
 // Ω̃(n) rounds are necessary for matrix multiplication (§4, Corollary 24).
 // Measured against MatMul it quantifies the unicast/broadcast separation
-// the paper's lower-bound section discusses. It goes through the same
-// option/stats machinery as every other entry point: round limits,
-// cancellation contexts, and per-phase breakdowns all apply.
+// the paper's lower-bound section discusses. It runs on the session's
+// network like every other entry point — its broadcasts are charged as
+// broadcast rounds — so round limits, cancellation contexts, and per-phase
+// breakdowns all apply. It refuses a fault plan: a broadcast never flushes,
+// so no fault could fire.
 func (s *Clique) MatMulBroadcast(a, b Mat, opts ...CallOption) (prod Mat, stats Stats, err error) {
 	orig, err := squareSize(a, b)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	r, err := s.beginBroadcast("MatMulBroadcast", orig, opts)
+	r, err := s.begin(broadcastOp, orig, anySize, opts)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	defer r.end(&stats, &err)
-	// A broadcast run has no engines and so no working set to borrow from.
-	pa, pb := ccmm.NewRowMat[int64](r.n), ccmm.NewRowMat[int64](r.n)
-	padMatInto(pa, a, 0)
-	padMatInto(pb, b, 0)
-	p, merr := baseline.BroadcastMatMul(r.bnet, s.localPool(), pa, pb)
-	if merr != nil {
-		err = merr
-		return
+	p, err := baseline.BroadcastMatMul(r.net, r.borrow(a, 0), r.borrow(b, 0))
+	if err != nil {
+		return nil, Stats{}, err
 	}
 	prod = truncateRows(p, orig)
 	return

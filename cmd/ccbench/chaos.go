@@ -90,6 +90,7 @@ func (rep *chaosReport) counters() []chaosRow {
 		{"serve_wave/poison_requests", int64(rep.Serve.Poisoned)},
 		{"serve_wave/completed", rep.Serve.Completed},
 		{"serve_wave/failed_typed", rep.Serve.Failed},
+		{"serve_wave/sessions_discarded", rep.Serve.Discards},
 	}
 }
 
@@ -345,12 +346,11 @@ func chaosServeWave(rep *chaosReport) {
 			admitted, completed, failed, expired))
 	}
 	pool := s.Pool()
-	// A poison alone in its batch costs one session, one that shared a
-	// batch two (the batch's, then its solo retry's); which did depends on
-	// how the goroutines arrived.
-	if pool.Discards < int64(poisons) || pool.Discards > 2*int64(poisons) {
-		check(fmt.Errorf("chaos: %d poison requests but %d sessions discarded, want between %d and %d",
-			poisons, pool.Discards, poisons, 2*poisons))
+	// Every request is one session call, so each poison costs exactly its
+	// own session, however the requests were drained.
+	if pool.Discards != int64(poisons) {
+		check(fmt.Errorf("chaos: %d poison requests but %d sessions discarded, want %d",
+			poisons, pool.Discards, poisons))
 	}
 	if int64(pool.Idle+pool.InUse) != pool.Misses-pool.Discards {
 		check(fmt.Errorf("chaos: a poisoned session was re-pooled: %+v", pool))

@@ -1,10 +1,10 @@
 // Command ccserve runs the multi-tenant service plane over warm clique
 // sessions: a JSON-over-HTTP API multiplexing many callers over a budgeted
 // pool of simulator sessions, with per-(size, op) admission queues,
-// request batching, and per-tenant accounting. Batching is
-// work-conserving: an idle queue's dispatcher serves a request at once,
-// and a batch is what queued while the previous one was in service (at
-// most -max-batch requests); no request waits for co-batchers.
+// work-conserving dispatch, and per-tenant accounting. An idle queue's
+// dispatcher serves a request at once; a busy one next drains what queued
+// while it was in service (at most -max-batch requests) and serves it on
+// one pooled session, one session call per request.
 //
 // Usage:
 //
@@ -44,7 +44,7 @@ var (
 	budgetMB       = flag.Int64("budget-mb", 256, "session pool memory budget in MiB (0 = unbounded)")
 	queueCap       = flag.Int("queue-cap", 64, "per-(size, op) admission queue capacity")
 	tenantQueueCap = flag.Int("tenant-queue-cap", 0, "per-tenant share of each queue (0 = half the queue)")
-	maxBatch       = flag.Int("max-batch", 16, "max requests served by one session batch")
+	maxBatch       = flag.Int("max-batch", 16, "max requests one dispatch drains onto a pooled session")
 	minSize        = flag.Int("min-size", 2, "smallest served instance size")
 	maxSize        = flag.Int("max-size", 512, "largest served instance size")
 	workers        = flag.Int("workers", 0, "session worker goroutines (0 = GOMAXPROCS)")
@@ -81,7 +81,7 @@ func main() {
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("ccserve listening on %s (budget %d MiB, queues %d deep, work-conserving batches ≤%d, sizes %d–%d)",
+	log.Printf("ccserve listening on %s (budget %d MiB, queues %d deep, work-conserving drains ≤%d, sizes %d–%d)",
 		*addr, *budgetMB, *queueCap, *maxBatch, *minSize, *maxSize)
 
 	sigc := make(chan os.Signal, 1)

@@ -113,6 +113,19 @@ func (m *CSR) validate() error {
 	return nil
 }
 
+// checkRange checks the stored entries of a validated min-plus operand
+// against lim.
+func (m *CSR) checkRange(lim int64) error {
+	for u := 0; u < m.N && m.Val != nil; u++ {
+		for k := m.RowPtr[u]; k < m.RowPtr[u+1]; k++ {
+			if err := checkRange(u, int(m.Col[k]), m.Val[k], lim); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // csrPairSize validates a CSR operand pair: each operand's structure, then
 // the sizes against each other.
 func csrPairSize(a, b *CSR) (int, error) {
@@ -182,6 +195,14 @@ func (s *Clique) csrProduct(op string, spec *productSpec, a, b *CSR, opts []Call
 	if err != nil {
 		return CSRProduct{}, Stats{}, err
 	}
+	if spec.class == minPlusSize {
+		if err := a.checkRange(entryLimit); err != nil {
+			return CSRProduct{}, Stats{}, err
+		}
+		if err := b.checkRange(entryLimit); err != nil {
+			return CSRProduct{}, Stats{}, err
+		}
+	}
 	r, err := s.begin(op, orig, spec.class, opts)
 	if err != nil {
 		return CSRProduct{}, Stats{}, err
@@ -220,7 +241,8 @@ func (s *Clique) MatMulBoolCSR(a, b *CSR, opts ...CallOption) (CSRProduct, Stats
 // DistanceProductCSR computes the min-plus product of CSR distance
 // matrices: unstored entries are +∞, so a sparse distance matrix stores
 // exactly its finite entries, and a nil Val means every stored edge has
-// weight 0.
+// weight 0. As for DistanceProduct, a finite entry x with |x| ≥ Inf/2 is
+// refused with ErrOutOfRange.
 func (s *Clique) DistanceProductCSR(a, b *CSR, opts ...CallOption) (CSRProduct, Stats, error) {
 	return s.csrProduct("DistanceProductCSR", &distanceProductSpec, a, b, opts)
 }
@@ -346,6 +368,11 @@ func (s *Clique) iterateCSR(op string, spec *productSpec, a *CSR, diag int64, ke
 	if err := a.validate(); err != nil {
 		return CSRProduct{}, Stats{}, err
 	}
+	if spec.class == minPlusSize {
+		if err := a.checkRange(weightLimit(a.N)); err != nil {
+			return CSRProduct{}, Stats{}, err
+		}
+	}
 	r, err := s.begin(op, a.N, spec.class, opts)
 	if err != nil {
 		return CSRProduct{}, Stats{}, err
@@ -365,7 +392,8 @@ func (s *Clique) iterateCSR(op string, spec *productSpec, a *CSR, diag int64, ke
 // squaring that stays CSR across iterations until fill-in forces
 // densification. Unstored result entries are +∞ — unreachable pairs cost
 // nothing, so on graphs whose components are small the whole computation
-// is sublinear in n². Distances only; use APSP for routing tables.
+// is sublinear in n². Distances only; use APSP for routing tables. As for
+// APSP, a weight w with 2(n−1)·|w| ≥ Inf is refused with ErrOutOfRange.
 func (s *Clique) APSPCSR(a *CSR, opts ...CallOption) (CSRProduct, Stats, error) {
 	return s.iterateCSR("APSPCSR", &distanceProductSpec, a, 0, true, opts)
 }

@@ -1,6 +1,7 @@
 package algclique
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/algebraic-clique/algclique/internal/baseline"
@@ -62,12 +63,71 @@ func truncateRows(m *ccmm.RowMat[int64], n int) [][]int64 {
 	return out
 }
 
+// ErrOutOfRange is wrapped by the error of a min-plus operation given a
+// finite value so large that a sum the algorithm forms could reach Inf and
+// come back as "no path": a distance-product entry x with |x| ≥ Inf/2, or
+// an edge weight w of an n-node APSP instance with 2(n−1)·|w| ≥ Inf.
+var ErrOutOfRange = errors.New("algclique: min-plus value out of range")
+
+// entryLimit bounds the finite entries of a distance-product operand: two
+// of them sum to less than Inf.
+const entryLimit = Inf/2 - 1
+
+// weightLimit bounds the finite edge weights of an n-node APSP instance:
+// every shortest path has at most n−1 edges, so with 2(n−1)·|w| < Inf the
+// sum of two path lengths stays below Inf.
+func weightLimit(n int) int64 {
+	if n < 2 {
+		return Inf - 1 // no edges
+	}
+	return (Inf - 1) / int64(2*(n-1))
+}
+
+// checkRange refuses the finite value x at (u, v) when |x| > lim.
+func checkRange(u, v int, x, lim int64) error {
+	if IsInf(x) || (x <= lim && x >= -lim) {
+		return nil
+	}
+	return fmt.Errorf("algclique: min-plus value %d at (%d, %d) exceeds ±%d: %w", x, u, v, lim, ErrOutOfRange)
+}
+
+// checkEntries checks every entry of dense distance-product operands.
+func checkEntries(ms ...Mat) error {
+	for _, m := range ms {
+		for u, row := range m {
+			for v, x := range row {
+				if err := checkRange(u, v, x, entryLimit); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// checkWeights checks the edge weights of an APSP instance.
+func checkWeights(g *Weighted) error {
+	lim := weightLimit(g.N())
+	for u := 0; u < g.N(); u++ {
+		for v := 0; v < g.N(); v++ {
+			if err := checkRange(u, v, g.Weight(u, v), lim); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // APSP computes exact all-pairs shortest paths and routing tables for
 // weighted directed graphs (integer weights, negative allowed, no negative
-// cycles) by min-plus iterated squaring on the 3D algorithm —
+// cycles; an edge weight w with 2(n−1)·|w| ≥ Inf is refused with
+// ErrOutOfRange) by min-plus iterated squaring on the 3D algorithm —
 // O(n^{1/3} log n) rounds (Corollary 6). The 3D algorithm runs on any
 // clique size, so the instance is simulated unpadded.
 func (s *Clique) APSP(g *Weighted, opts ...CallOption) (res *APSPResult, stats Stats, err error) {
+	if err := checkWeights(g); err != nil {
+		return nil, Stats{}, err
+	}
 	r, err := s.begin("APSP", g.N(), anySize, opts)
 	if err != nil {
 		return nil, Stats{}, err
@@ -149,8 +209,12 @@ func (s *Clique) APSPUnweightedWithRouting(g *Graph, opts ...CallOption) (res *A
 
 // APSPSmallWeights computes exact all-pairs shortest paths for directed
 // graphs with positive integer weights and weighted diameter U in
-// Õ(U·n^ρ) rounds (Corollary 8, via the Lemma 18 ring embedding).
+// Õ(U·n^ρ) rounds (Corollary 8, via the Lemma 18 ring embedding). Weights
+// are range-checked as for APSP.
 func (s *Clique) APSPSmallWeights(g *Weighted, opts ...CallOption) (res *APSPResult, stats Stats, err error) {
+	if err := checkWeights(g); err != nil {
+		return nil, Stats{}, err
+	}
 	r, err := s.begin("APSPSmallWeights", g.N(), ringSize, opts)
 	if err != nil {
 		return nil, Stats{}, err
@@ -170,8 +234,11 @@ func (s *Clique) APSPSmallWeights(g *Weighted, opts ...CallOption) (res *APSPRes
 // directed graphs with non-negative integer weights in O(n^{ρ+o(1)})
 // rounds (Theorem 9). The returned stretch is the proven bound
 // (1+δ)^⌈log₂ n⌉ for the δ in effect (see WithDelta); with the default δ
-// the stretch is 1+o(1).
+// the stretch is 1+o(1). Weights are range-checked as for APSP.
 func (s *Clique) APSPApprox(g *Weighted, opts ...CallOption) (res *APSPResult, stretch float64, stats Stats, err error) {
+	if err := checkWeights(g); err != nil {
+		return nil, 0, Stats{}, err
+	}
 	r, err := s.begin("APSPApprox", g.N(), ringSize, opts)
 	if err != nil {
 		return nil, 0, Stats{}, err
@@ -194,7 +261,11 @@ func (s *Clique) APSPApprox(g *Weighted, opts ...CallOption) (res *APSPResult, s
 // points it runs on the instance's own clique size (anySize never pads),
 // but the padded size is resolved through the same session machinery so
 // engine and padding options behave consistently across all APSP variants.
+// Weights are range-checked as for APSP.
 func (s *Clique) APSPNaive(g *Weighted, opts ...CallOption) (res *APSPResult, stats Stats, err error) {
+	if err := checkWeights(g); err != nil {
+		return nil, Stats{}, err
+	}
 	r, err := s.begin("APSPNaive", g.N(), anySize, opts)
 	if err != nil {
 		return nil, Stats{}, err

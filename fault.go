@@ -54,8 +54,8 @@ const DefaultCertificationRetries = 3
 // a silently wrong answer: a product that completes while data faults
 // fired is only returned when certification vouched for it.
 //
-// Fault injection requires the unicast simulator; broadcast-model
-// operations reject it. Disarmed operations (no plan) pay one nil check
+// MatMulBroadcast rejects a plan: its broadcasts never flush, so no fault
+// could fire. Disarmed operations (no plan) pay one nil check
 // per send and flush.
 func WithFaultInjection(plan FaultPlan) CallOption {
 	return callOpt(func(c *config) { p := plan; c.fault = &p })
@@ -75,7 +75,7 @@ func WithFaultInjection(plan FaultPlan) CallOption {
 // from first principles, and k = n audits every entry. k ≤ 0 disables
 // certification.
 //
-// Only MatMul, MatMulBool, DistanceProduct and their Batch forms certify.
+// Only MatMul, MatMulBool and DistanceProduct certify.
 // Every other operation has no certificate for its result yet and refuses
 // with an error wrapping ErrNotCertifiable before it runs, rather than
 // return an answer with Stats.Certified false.
@@ -88,8 +88,7 @@ func WithCertification(k int) CallOption {
 var ErrNotCertifiable = errors.New("algclique: operation cannot certify its result")
 
 // certifies reports whether the operation named op runs through runProduct,
-// the one place a result is certified: the three dense products, singly or
-// batched (a batch records under its product's name).
+// the one place a result is certified: the three dense products.
 func certifies(op string) bool {
 	return op == matMulSpec.op || op == matMulBoolSpec.op || op == distanceProductSpec.op
 }

@@ -271,9 +271,10 @@ func TestCertifiedDistanceAndBoolProducts(t *testing.T) {
 	}
 }
 
-// TestBatchPerItemFaultPlans: fault plans are per-item call options — a
-// faulted item fails typed while its batch siblings run clean, and the
-// injector never leaks into the next item.
+// TestBatchPerItemFaultPlans arms a fault plan on one call of a run of
+// calls on one session: the plan fires on that call alone, the clean calls
+// around it compute the right product and ledger no faults, and with
+// certification the faulted call recovers by retrying.
 func TestBatchPerItemFaultPlans(t *testing.T) {
 	n := 9
 	a, b := randMatT(20, n), randMatT(21, n)
@@ -284,47 +285,45 @@ func TestBatchPerItemFaultPlans(t *testing.T) {
 	}
 	defer s.Close()
 
-	items := []BatchItem{
-		{A: a, B: b},
-		{A: a, B: b, Opts: []CallOption{
-			WithFaultInjection(FaultPlan{Seed: 2, CorruptProb: 1, MaxFaults: 1})}},
-		{A: a, B: b},
+	plan := WithFaultInjection(FaultPlan{Seed: 2, CorruptProb: 1, MaxFaults: 1})
+	clean := func(label string) {
+		t.Helper()
+		got, st, err := s.MatMul(a, b)
+		if err != nil {
+			t.Fatalf("%s clean call: %v", label, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s clean call computed a wrong product", label)
+		}
+		if st.Faults.Fired() != 0 {
+			t.Errorf("%s clean call ledgered faults: %+v", label, st.Faults)
+		}
 	}
-	prods, stats, err := s.MatMulBatch(items)
+	clean("first")
+	_, _, err = s.MatMul(a, b, plan)
 	var fe *FaultError
 	if !errors.As(err, &fe) {
-		t.Fatalf("err = %v (%T), want *FaultError from item 1", err, err)
+		t.Fatalf("err = %v (%T), want *FaultError from the faulted call", err, err)
 	}
-	if len(prods) != 1 {
-		t.Fatalf("%d results before the failing item, want 1", len(prods))
-	}
-	if !reflect.DeepEqual(prods[0], want) {
-		t.Fatal("clean item 0 computed a wrong product")
-	}
-	if stats[0].Faults.Fired() != 0 {
-		t.Errorf("clean item ledgered faults: %+v", stats[0].Faults)
-	}
+	clean("second")
 
-	// Batch entry points recover per item too: with certification the
-	// faulted item retries inside the batch.
-	items[1].Opts = append(items[1].Opts, WithCertification(8), WithCertificationRetries(6))
-	prods, stats, err = s.MatMulBatch(items)
+	// Recovery is per call too: with certification the faulted call
+	// retries on the shared session.
+	got, st, err := s.MatMul(a, b, plan, WithCertification(8), WithCertificationRetries(6))
 	if err == nil {
-		if len(prods) != 3 {
-			t.Fatalf("%d results, want 3", len(prods))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatal("certified faulted call is wrong")
 		}
-		if !reflect.DeepEqual(prods[1], want) {
-			t.Fatal("certified faulted item is wrong")
-		}
-		if !stats[1].Certified {
-			t.Error("faulted item not marked certified")
+		if !st.Certified {
+			t.Error("faulted call not marked certified")
 		}
 	} else if !errors.As(err, &fe) {
 		var ce *CertificationError
 		if !errors.As(err, &ce) {
-			t.Fatalf("batch retry failed untyped: %v", err)
+			t.Fatalf("certified retry failed untyped: %v", err)
 		}
 	}
+	clean("third")
 }
 
 // TestFaultPlanDeterministicAcrossSessions: the same plan on the same
@@ -399,18 +398,8 @@ func TestCertifiesOrRefuses(t *testing.T) {
 	}
 	g := GNP(n, 0.2, false, 3)
 	w := RandomConnectedWeighted(n, 0.3, 9, true, 4)
-	items := []BatchItem{{A: a, B: b}, {A: b, B: a}}
-	boolItems := []BatchItem{{A: bits, B: bits}}
 
 	one := func(st Stats, err error) (bool, error) { return st.Certified, err }
-	all := func(sts []Stats, err error) (bool, error) {
-		for _, st := range sts {
-			if !st.Certified {
-				return false, err
-			}
-		}
-		return len(sts) > 0, err
-	}
 	ops := map[string]struct {
 		certifies bool
 		run       func(s *Clique, opts ...CallOption) (certified bool, err error)
@@ -426,18 +415,6 @@ func TestCertifiesOrRefuses(t *testing.T) {
 		"DistanceProduct": {true, func(s *Clique, o ...CallOption) (bool, error) {
 			_, st, err := s.DistanceProduct(a, b, o...)
 			return one(st, err)
-		}},
-		"MatMulBatch": {true, func(s *Clique, o ...CallOption) (bool, error) {
-			_, st, err := s.MatMulBatch(items, o...)
-			return all(st, err)
-		}},
-		"MatMulBoolBatch": {true, func(s *Clique, o ...CallOption) (bool, error) {
-			_, st, err := s.MatMulBoolBatch(boolItems, o...)
-			return all(st, err)
-		}},
-		"DistanceProductBatch": {true, func(s *Clique, o ...CallOption) (bool, error) {
-			_, st, err := s.DistanceProductBatch(items, o...)
-			return all(st, err)
 		}},
 		"MatMulCSR": {false, func(s *Clique, o ...CallOption) (bool, error) {
 			_, st, err := s.MatMulCSR(csr, csr, o...)

@@ -16,16 +16,18 @@ import (
 // optimal up to logarithmic factors — measured against the O(n^{1/3}) and
 // O(n^ρ) unicast algorithms it quantifies the models' separation.
 //
-// The local n×n product — by far the dominant cost, since every node holds
-// the full operands — fans out over w (the session's worker pool); a nil w
-// multiplies sequentially. Either way the result is bit-identical: the
-// parallel kernel only splits output rows.
-func BroadcastMatMul(bnet *clique.BroadcastNetwork, w matrix.Workers, s, t *ccmm.RowMat[int64]) (*ccmm.RowMat[int64], error) {
-	n := bnet.N()
+// The unicast network simulates the broadcast model exactly: it charges a
+// Broadcast as max-length rounds and length·(n−1) words, and nothing else
+// is sent. The local n×n product — by far the dominant cost, since every
+// node holds the full operands — fans out over the network's worker pool;
+// the parallel kernel only splits output rows, so the result is
+// bit-identical to a sequential multiply.
+func BroadcastMatMul(net *clique.Network, s, t *ccmm.RowMat[int64]) (*ccmm.RowMat[int64], error) {
+	n := net.N()
 	if s.N() != n || t.N() != n {
 		return nil, fmt.Errorf("baseline: matrices %d×· on %d-node broadcast clique: %w", s.N(), n, ccmm.ErrSize)
 	}
-	bnet.Phase("bcastmm/publish")
+	net.Phase("bcastmm/publish")
 	vecs := make([][]clique.Word, n)
 	for v := 0; v < n; v++ {
 		vec := make([]clique.Word, 0, 2*n)
@@ -37,9 +39,9 @@ func BroadcastMatMul(bnet *clique.BroadcastNetwork, w matrix.Workers, s, t *ccmm
 		}
 		vecs[v] = vec
 	}
-	all := bnet.Publish(vecs)
+	all := net.Broadcast(vecs)
 
-	bnet.Phase("bcastmm/multiply")
+	net.Phase("bcastmm/multiply")
 	a := matrix.New[int64](n, n)
 	b := matrix.New[int64](n, n)
 	for v := 0; v < n; v++ {
@@ -50,7 +52,7 @@ func BroadcastMatMul(bnet *clique.BroadcastNetwork, w matrix.Workers, s, t *ccmm
 			brow[j] = int64(vec[n+j])
 		}
 	}
-	prod := matrix.ParMul[int64](w, ring.Int64{}, a, b)
+	prod := matrix.ParMul[int64](net, ring.Int64{}, a, b)
 	out := ccmm.NewRowMat[int64](n)
 	for v := 0; v < n; v++ {
 		copy(out.Rows[v], prod.Row(v))

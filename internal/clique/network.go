@@ -920,9 +920,9 @@ func (c *Network) Close() {
 }
 
 // LocalPool is a standalone worker pool with the RunLocal contract of
-// Network, for contexts that have local compute to fan out but no unicast
-// network — broadcast-model runs foremost. It shares the workerPool
-// machinery: persistent goroutines started lazily on first use.
+// Network, for contexts that have local compute to fan out but no network.
+// It shares the workerPool machinery: persistent goroutines started lazily
+// on first use.
 type LocalPool struct {
 	workers int
 	pool    *workerPool

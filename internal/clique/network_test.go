@@ -3,6 +3,7 @@ package clique_test
 import (
 	"errors"
 	"math/rand/v2"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -98,6 +99,74 @@ func TestBroadcastCost(t *testing.T) {
 	c.Broadcast(vecs)
 	if c.Rounds() != 1+int64(n-1) {
 		t.Errorf("vector broadcast cost %d total rounds, want %d", c.Rounds(), 1+n-1)
+	}
+}
+
+// TestBroadcastNetworkRound pins one broadcast round of the broadcast
+// model: one word from each node to all n−1 others costs one round and
+// n·(n−1) words, and every node's word arrives intact.
+func TestBroadcastNetworkRound(t *testing.T) {
+	c := clique.New(4)
+	got := c.BroadcastWord([]clique.Word{1, 2, 3, 4})
+	if c.Rounds() != 1 {
+		t.Errorf("Rounds = %d, want 1", c.Rounds())
+	}
+	if c.Words() != 4*3 {
+		t.Errorf("Words = %d, want 12", c.Words())
+	}
+	for i, w := range got {
+		if w != clique.Word(i+1) {
+			t.Errorf("value %d corrupted", i)
+		}
+	}
+}
+
+// TestBroadcastNetworkPublish: publishing vectors of unequal length costs
+// the longest vector's length in rounds and each vector's length times
+// n−1 in words, and hands every node's vector back unchanged — the empty
+// one included.
+func TestBroadcastNetworkPublish(t *testing.T) {
+	c := clique.New(3)
+	all := c.Broadcast([][]clique.Word{{1, 2, 3}, {4}, nil})
+	if c.Rounds() != 3 {
+		t.Errorf("Publish cost %d rounds, want max length 3", c.Rounds())
+	}
+	if c.Words() != (3+1)*2 {
+		t.Errorf("Publish cost %d words, want 8", c.Words())
+	}
+	if len(all) != 3 || len(all[0]) != 3 || all[0][2] != 3 || all[1][0] != 4 || len(all[2]) != 0 {
+		t.Error("published vectors corrupted")
+	}
+}
+
+// TestBroadcastNetworkPanics: a misshapen broadcast panics before it
+// charges anything, so the ledger of a recovered caller is unchanged.
+func TestBroadcastNetworkPanics(t *testing.T) {
+	cases := []struct {
+		name string
+		f    func(c *clique.Network)
+	}{
+		{"word short", func(c *clique.Network) { c.BroadcastWord([]clique.Word{1}) }},
+		{"word long", func(c *clique.Network) { c.BroadcastWord(make([]clique.Word, 3)) }},
+		{"vectors short", func(c *clique.Network) { c.Broadcast([][]clique.Word{{1, 2}}) }},
+		{"vectors long", func(c *clique.Network) { c.Broadcast(make([][]clique.Word, 3)) }},
+	}
+	for _, tc := range cases {
+		c := clique.New(2)
+		c.Phase("p")
+		c.BroadcastWord([]clique.Word{5, 6})
+		before := c.Stats()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", tc.name)
+				}
+			}()
+			tc.f(c)
+		}()
+		if after := c.Stats(); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: ledger moved by a refused broadcast: %+v → %+v", tc.name, before, after)
+		}
 	}
 }
 

@@ -105,36 +105,42 @@ func TestWorkerPoolReuseAndClose(t *testing.T) {
 	c.Close()
 }
 
+// TestBroadcastNetworkAccounting runs the broadcast model through the
+// network's configuration plane: broadcast rounds land in the open phase,
+// trip the round limit, clear on Reset, and honour cancellation.
 func TestBroadcastNetworkAccounting(t *testing.T) {
-	b := clique.NewBroadcast(3)
-	b.Phase("p1")
-	b.Round([]clique.Word{1, 2, 3})
-	st := b.Stats()
-	if st.Rounds != 1 || len(st.Phases) != 1 || st.Phases[0].Rounds != 1 {
-		t.Fatalf("broadcast stats = %+v", st)
+	c := clique.New(3)
+	c.Phase("p1")
+	c.BroadcastWord([]clique.Word{1, 2, 3})
+	st := c.Stats()
+	if st.Rounds != 1 || st.Words != 6 || len(st.Phases) != 1 || st.Phases[0].Rounds != 1 || st.Phases[0].Words != 6 {
+		t.Fatalf("broadcast stats = %+v, want 1 round and 6 words in phase p1", st)
 	}
-	b.SetRoundLimit(1)
+	c.SetRoundLimit(1)
 	func() {
 		defer func() {
 			if _, ok := recover().(*clique.RoundLimitError); !ok {
 				t.Error("broadcast round limit did not trip")
 			}
 		}()
-		b.Round([]clique.Word{1, 2, 3})
+		c.BroadcastWord([]clique.Word{1, 2, 3})
 	}()
-	b.Reset()
-	if st := b.Stats(); st.Rounds != 0 || len(st.Phases) != 0 {
+	c.Reset()
+	if st := c.Stats(); st.Rounds != 0 || st.Words != 0 || len(st.Phases) != 0 {
 		t.Fatalf("broadcast stats after Reset = %+v", st)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	b.SetContext(ctx)
+	c.SetContext(ctx)
 	func() {
 		defer func() {
 			if _, ok := recover().(*clique.CanceledError); !ok {
 				t.Error("broadcast cancellation did not trip")
 			}
 		}()
-		b.Round([]clique.Word{1, 2, 3})
+		c.Broadcast([][]clique.Word{{1}, {2, 3}, nil})
 	}()
+	if c.Rounds() != 0 {
+		t.Errorf("a cancelled broadcast charged %d rounds, want 0", c.Rounds())
+	}
 }

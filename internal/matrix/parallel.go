@@ -7,7 +7,7 @@ import (
 // Workers abstracts a parallel task runner over which the local kernels fan
 // out. *clique.Network satisfies it (RunLocal reuses the session's
 // persistent worker pool, so WithWorkers governs local-kernel parallelism
-// too), as does *clique.LocalPool for contexts without a unicast network.
+// too), as does the standalone *clique.LocalPool.
 //
 // Determinism contract: implementations run f(0), …, f(tasks-1) exactly
 // once each, in any order and on any goroutine, and return after all calls

@@ -14,147 +14,103 @@ import (
 // suite exists to close: a request whose operation panics on its session
 // (an injected untyped panic, standing in for a buggy run) used to kill
 // the dispatcher and leave the session eligible for re-pooling. The
-// contract now: the guilty request is answered with *SessionPanicError,
-// its co-batched requests are re-served on fresh sessions, the poisoned
-// sessions are discarded — never re-pooled — and the dispatcher survives
-// to serve the next batch.
+// contract now, for every op: the guilty request is answered with
+// *SessionPanicError, the requests drained with it are served correctly —
+// those behind it on a fresh session — its session alone is discarded,
+// never re-pooled, and the dispatcher survives to serve the next batch.
 func TestPoisonedSessionNeverRepooled(t *testing.T) {
-	s, release := heldServer(Config{MaxBatch: 4})
-	defer s.Shutdown(context.Background())
-	ctx := context.Background()
-
-	a, b := testMat(8, 1), testMat(8, 2)
-	want := naiveMul(a, b)
-
-	var wg sync.WaitGroup
-	results := make([]Result, 4)
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			req := Request{Tenant: "t", Op: OpMatMul, A: a, B: b}
-			if i == 0 {
-				// The first flush of the product panics mid-operation.
-				req.Fault = &cc.FaultPlan{Seed: 7, PanicAtFlush: 1}
+	const n = 8
+	a, b := testMat(n, 1), testMat(n, 2)
+	// A directed path 0 → 1 → … → n−1 of unit weights: d(u, v) = v − u
+	// for u ≤ v, unreachable otherwise.
+	path, dist := make([][]int64, n), make([][]int64, n)
+	for u := range path {
+		path[u], dist[u] = make([]int64, n), make([]int64, n)
+		for v := range path[u] {
+			path[u][v], dist[u][v] = cc.Inf, cc.Inf
+			if v == u+1 {
+				path[u][v] = 1
 			}
-			results[i] = s.Do(ctx, req)
-		}(i)
-	}
-	// All four queue behind the held dispatcher and are served as one
-	// batch.
-	waitAdmitted(t, s, 4)
-	release()
-	wg.Wait()
-
-	var spe *SessionPanicError
-	if !errors.As(results[0].Err, &spe) {
-		t.Fatalf("poison request err = %v, want *SessionPanicError", results[0].Err)
-	}
-	if spe.Op != OpMatMul {
-		t.Fatalf("SessionPanicError.Op = %q, want %q", spe.Op, OpMatMul)
-	}
-	for i := 1; i < 4; i++ {
-		if results[i].Err != nil {
-			t.Fatalf("co-batched request %d failed: %v", i, results[i].Err)
-		}
-		if !matEq(results[i].Matrix, want) {
-			t.Fatalf("co-batched request %d got a wrong product after retry", i)
-		}
-	}
-
-	// Two sessions were poisoned (the batch's, then the solo retry's that
-	// isolated the guilty request); both must be gone from the pool, not
-	// cached.
-	st := s.Pool()
-	if st.Discards != 2 {
-		t.Fatalf("pool discards = %d, want 2: %+v", st.Discards, st)
-	}
-	if int64(st.Idle+st.InUse) != st.Misses-st.Discards {
-		t.Fatalf("pool caches %d sessions of %d built with %d discarded — a poisoned session was re-pooled: %+v",
-			st.Idle+st.InUse, st.Misses, st.Discards, st)
-	}
-
-	// The dispatcher survived: the same queue serves the next request.
-	res := s.Do(ctx, Request{Tenant: "t", Op: OpMatMul, A: a, B: b})
-	if res.Err != nil {
-		t.Fatalf("request after poisoning failed: %v", res.Err)
-	}
-	if !matEq(res.Matrix, want) {
-		t.Fatal("request after poisoning got a wrong product")
-	}
-
-	ts := s.Tenants()["t"]
-	if ts.Admitted != 5 || ts.Completed != 4 || ts.Failed != 1 {
-		t.Fatalf("tenant ledger = %+v, want 5 admitted / 4 completed / 1 failed", ts)
-	}
-}
-
-// TestPoisonedGraphOpSession is the graph-op (non-batchable) arm of the
-// poisoning contract: the panicking request gets the typed error, its
-// session is discarded, and the requests behind it in the same drained
-// batch are served on a fresh session.
-func TestPoisonedGraphOpSession(t *testing.T) {
-	s, release := heldServer(Config{MaxBatch: 4})
-	defer s.Shutdown(context.Background())
-	ctx := context.Background()
-
-	// A triangle plus an isolated path: exactly one triangle.
-	n := 8
-	adj := make([][]int64, n)
-	for i := range adj {
-		adj[i] = make([]int64, n)
-	}
-	edge := func(i, j int) { adj[i][j], adj[j][i] = 1, 1 }
-	edge(0, 1)
-	edge(1, 2)
-	edge(2, 0)
-	edge(4, 5)
-
-	var wg sync.WaitGroup
-	results := make([]Result, 3)
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			req := Request{Tenant: "g", Op: OpTriangles, A: adj}
-			if i == 0 {
-				req.Fault = &cc.FaultPlan{Seed: 3, PanicAtFlush: 1}
-			}
-			results[i] = s.Do(ctx, req)
-		}(i)
-	}
-	waitAdmitted(t, s, 3)
-	release()
-	wg.Wait()
-
-	var spe *SessionPanicError
-	poisoned, served := 0, 0
-	for _, res := range results {
-		switch {
-		case errors.As(res.Err, &spe):
-			poisoned++
-			if spe.Op != OpTriangles {
-				t.Fatalf("SessionPanicError.Op = %q, want %q", spe.Op, OpTriangles)
-			}
-		case res.Err != nil:
-			t.Fatalf("graph request failed with unexpected error: %v", res.Err)
-		default:
-			served++
-			if res.Count != 1 {
-				t.Fatalf("triangles = %d, want 1", res.Count)
+			if v >= u {
+				dist[u][v] = int64(v - u)
 			}
 		}
 	}
-	if poisoned != 1 || served != 2 {
-		t.Fatalf("poisoned %d / served %d, want 1 / 2", poisoned, served)
-	}
+	for _, tc := range []struct {
+		op   Op
+		a, b [][]int64
+		want [][]int64
+	}{
+		{OpMatMul, a, b, naiveMul(a, b)},
+		{OpAPSP, path, nil, dist},
+	} {
+		t.Run(string(tc.op), func(t *testing.T) {
+			s, release := heldServer(Config{MaxBatch: 4})
+			defer s.Shutdown(context.Background())
+			ctx := context.Background()
 
-	st := s.Pool()
-	if st.Discards != 1 {
-		t.Fatalf("pool discards = %d, want 1: %+v", st.Discards, st)
-	}
-	if int64(st.Idle+st.InUse) != st.Misses-st.Discards {
-		t.Fatalf("a poisoned session was re-pooled: %+v", st)
+			var wg sync.WaitGroup
+			results := make([]Result, 4)
+			for i := 0; i < 4; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					req := Request{Tenant: "t", Op: tc.op, A: tc.a, B: tc.b}
+					if i == 0 {
+						// The operation's first flush panics.
+						req.Fault = &cc.FaultPlan{Seed: 7, PanicAtFlush: 1}
+					}
+					results[i] = s.Do(ctx, req)
+				}(i)
+			}
+			// All four queue behind the held dispatcher and are drained
+			// together.
+			waitAdmitted(t, s, 4)
+			release()
+			wg.Wait()
+
+			var spe *SessionPanicError
+			if !errors.As(results[0].Err, &spe) {
+				t.Fatalf("poison request err = %v, want *SessionPanicError", results[0].Err)
+			}
+			if spe.Op != tc.op {
+				t.Fatalf("SessionPanicError.Op = %q, want %q", spe.Op, tc.op)
+			}
+			for i := 1; i < 4; i++ {
+				if results[i].Err != nil {
+					t.Fatalf("request %d drained with the poison failed: %v", i, results[i].Err)
+				}
+				if !matEq(results[i].Matrix, tc.want) {
+					t.Fatalf("request %d drained with the poison got a wrong answer", i)
+				}
+			}
+
+			// One poison, one poisoned session: gone from the pool, not
+			// cached.
+			st := s.Pool()
+			if st.Discards != 1 {
+				t.Fatalf("pool discards = %d, want 1: %+v", st.Discards, st)
+			}
+			if int64(st.Idle+st.InUse) != st.Misses-st.Discards {
+				t.Fatalf("pool caches %d sessions of %d built with %d discarded — a poisoned session was re-pooled: %+v",
+					st.Idle+st.InUse, st.Misses, st.Discards, st)
+			}
+
+			// The dispatcher survived: the same queue serves the next
+			// request.
+			res := s.Do(ctx, Request{Tenant: "t", Op: tc.op, A: tc.a, B: tc.b})
+			if res.Err != nil {
+				t.Fatalf("request after poisoning failed: %v", res.Err)
+			}
+			if !matEq(res.Matrix, tc.want) {
+				t.Fatal("request after poisoning got a wrong answer")
+			}
+
+			ts := s.Tenants()["t"]
+			if ts.Admitted != 5 || ts.Completed != 4 || ts.Failed != 1 {
+				t.Fatalf("tenant ledger = %+v, want 5 admitted / 4 completed / 1 failed", ts)
+			}
+		})
 	}
 }
 

@@ -40,14 +40,13 @@ func serveEachOpOnce(t *testing.T, sess *cc.Clique, n int) {
 			}
 		}
 	}
-	items := []cc.BatchItem{{A: a, B: a}}
-	if _, _, err := sess.MatMulBatch(items); err != nil {
+	if _, _, err := sess.MatMul(a, a); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sess.MatMulBoolBatch([]cc.BatchItem{{A: adj, B: adj}}); err != nil {
+	if _, _, err := sess.MatMulBool(adj, adj); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sess.DistanceProductBatch(items); err != nil {
+	if _, _, err := sess.DistanceProduct(a, a); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := sess.APSP(cc.RandomConnectedWeighted(n, 0.3, 50, true, uint64(n))); err != nil {

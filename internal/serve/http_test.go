@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -164,6 +165,27 @@ func TestHTTPErrorMapping(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("draining rejection carries no Retry-After")
+	}
+}
+
+// TestHTTPOutOfRangeWeights: an apsp body whose weights could overflow a
+// path sum (2(n−1)·|w| ≥ Inf) is refused with a 400 naming the range error,
+// instead of answering a reachable pair as unreachable.
+func TestHTTPOutOfRangeWeights(t *testing.T) {
+	s := New(Config{})
+	defer s.Shutdown(context.Background())
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	// The path 0 → 1 → 2 with weights (Inf−1, 1).
+	w := [][]int64{{0, cc.Inf - 1, cc.Inf}, {cc.Inf, 0, 1}, {cc.Inf, cc.Inf, 0}}
+	resp, body := post(t, srv, "/v1/apsp", map[string]any{"tenant": "t", "a": w})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, body)
+	}
+	var envelope wireError
+	if err := json.Unmarshal(body, &envelope); err != nil || !strings.Contains(envelope.Error, cc.ErrOutOfRange.Error()) {
+		t.Fatalf("error envelope = %q (%v), want it to carry %q", envelope.Error, err, cc.ErrOutOfRange)
 	}
 }
 

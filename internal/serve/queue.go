@@ -6,7 +6,7 @@ import (
 )
 
 // qkey identifies one admission queue: requests of one operation on one
-// instance size (the op fixes the algebra) coalesce into session batches.
+// instance size (the op fixes the algebra) are drained onto one session.
 type qkey struct {
 	n  int
 	op Op

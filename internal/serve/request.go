@@ -9,10 +9,8 @@ import (
 	cc "github.com/algebraic-clique/algclique"
 )
 
-// Op identifies a service operation. The three product ops are batchable:
-// the admission layer coalesces compatible requests into one session batch
-// call. The graph ops run one request at a time but still share one warm
-// session per drained batch.
+// Op identifies a service operation. Every request runs as one session
+// call; the requests one dispatch drains share one warm session.
 type Op string
 
 const (
@@ -37,10 +35,6 @@ func (o Op) binary() bool {
 	return false
 }
 
-// batchable reports whether requests of this op coalesce into a session
-// batch entry point.
-func (o Op) batchable() bool { return o.binary() }
-
 func (o Op) valid() bool {
 	for _, k := range Ops {
 		if o == k {
@@ -64,7 +58,8 @@ type Request struct {
 	// Fault, when set, arms a seeded chaos plan on the request's session
 	// operation (cc.WithFaultInjection): the op recovers to a certified
 	// bit-correct result or fails with a typed fault-plane error. Plans
-	// are per request; co-batched requests each get their own injector.
+	// are per request; requests drained together each get their own
+	// injector.
 	Fault *cc.FaultPlan
 	// Certify > 0 arms result certification with that many probes
 	// (cc.WithCertification), which also gives a faulted product its
@@ -82,7 +77,7 @@ type Request struct {
 }
 
 // callOptions assembles the session CallOptions a request carries into
-// its batch item or graph call.
+// its session call.
 func (r *Request) callOptions() []cc.CallOption {
 	opts := []cc.CallOption{cc.WithContext(r.ctx)}
 	if r.Seed != 0 {
@@ -108,7 +103,7 @@ type Result struct {
 	Stats cc.Stats
 	// QueueWait is the time the request spent queued before its batch
 	// started; Service the time from batch start to completion (a request
-	// late in a coalesced batch includes its predecessors' compute).
+	// late in a drained batch includes its predecessors' compute).
 	QueueWait time.Duration
 	Service   time.Duration
 	// Err is the request's failure, nil on success. Rejections

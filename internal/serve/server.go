@@ -5,17 +5,15 @@
 //  1. admission: bounded per-(size, op) queues with per-tenant quotas;
 //     full queues reject immediately with a Retry-After estimate
 //     (*OverloadError → HTTP 429) instead of building unbounded backlog;
-//  2. batching: a dispatcher per active queue is work-conserving — an
-//     idle one takes what is queued at once, so a batch is whatever
-//     arrived while the previous batch was in service, up to MaxBatch —
-//     and runs it through the session batch entry points (MatMulBatch and
-//     friends), so plan resolution, scratch pools, and network arming
-//     amortise across requests from different tenants; batches are
-//     composed round-robin across tenants, so one tenant's backlog cannot
-//     starve the rest;
-//  3. execution: a warm session checked out of the Pool runs the batch,
-//     each request under its own cancellation context; expired requests
-//     are answered without ever touching a session.
+//  2. dispatch: a dispatcher per active queue is work-conserving — an
+//     idle one takes what is queued at once, so a drained batch is
+//     whatever arrived while the previous one was in service, up to
+//     MaxBatch; batches are composed round-robin across tenants, so one
+//     tenant's backlog cannot starve the rest;
+//  3. execution: a warm session checked out of the Pool serves the batch,
+//     one session call per request, each under its own cancellation
+//     context; expired requests are answered without ever touching a
+//     session.
 //
 // Per-tenant ledgers aggregate the session Stats (rounds, words, routing
 // decisions) plus queue wait and service time. Shutdown seals admission
@@ -43,9 +41,9 @@ type Config struct {
 	// bounds one tenant's share of it (defaults to half).
 	QueueCap       int
 	TenantQueueCap int
-	// MaxBatch caps how many requests one session batch takes. No request
-	// waits for co-batchers: a batch is what queued while the previous
-	// one was in service.
+	// MaxBatch caps how many requests one dispatch drains onto a pooled
+	// session. No request waits for co-batchers: a batch is what queued
+	// while the previous one was in service.
 	MaxBatch int
 	// MinSize and MaxSize bound the served instance sizes.
 	MinSize, MaxSize int
@@ -277,12 +275,11 @@ func (e *SessionPanicError) Error() string {
 }
 
 // serveBatch answers one drained batch: expired requests immediately,
-// everything else on warm sessions — coalesced into one session batch
-// call for the batchable ops, one call per request for the graph ops.
-// The deferred guard is the dispatcher's last resort: the session-call
-// panics are recovered at the call sites below, so anything reaching it
-// is a bug in the serving path itself — it must still neither kill the
-// dispatcher nor strand an admitted request.
+// everything else on a warm session, one session call per request. The
+// deferred guard is the dispatcher's last resort: the session-call panics
+// are recovered in runOp, so anything reaching it is a bug in the serving
+// path itself — it must still neither kill the dispatcher nor strand an
+// admitted request.
 func (s *Server) serveBatch(q *queue, batch []*Request) {
 	start := time.Now()
 	defer func() {
@@ -310,11 +307,7 @@ func (s *Server) serveBatch(q *queue, batch []*Request) {
 	if len(live) == 0 {
 		return
 	}
-	if q.key.op.batchable() {
-		s.serveProducts(q, live, start)
-	} else {
-		s.serveGraphOps(q, live, start)
-	}
+	s.serveOps(q, live, start)
 	if dur := time.Since(start); len(live) > 0 {
 		q.observe(dur / time.Duration(len(live)))
 	}
@@ -331,117 +324,11 @@ func (s *Server) respond(q *queue, req *Request, start time.Time, res Result) {
 	req.done <- res
 }
 
-// serveProducts coalesces product requests into the session batch entry
-// points, each item under its own request context and per-request fault
-// and certification options. A batch call stops at its first failing
-// item; the failing request is answered with its error and the batch
-// resumes with the rest, so one cancelled or over-limit request cannot
-// fail its co-batchers.
-//
-// A panic escaping a session call poisons the session: it is discarded —
-// never re-pooled — and the unanswered requests re-run one per batch on a
-// fresh session until the guilty one panics alone and is answered with
-// *SessionPanicError. (A batch panic unwinds before the session can
-// report which item it was on, and any results computed earlier in that
-// call are lost with it; the ops are deterministic, so re-running the
-// survivors just re-derives the same answers.)
-func (s *Server) serveProducts(q *queue, reqs []*Request, start time.Time) {
-	remaining := reqs
-	solo := false
-	for len(remaining) > 0 {
-		sess, _, err := s.pool.Get(q.key.n)
-		if err != nil {
-			for _, req := range remaining {
-				s.respond(q, req, start, Result{Err: err})
-			}
-			return
-		}
-		poisoned := false
-		for len(remaining) > 0 {
-			batch := remaining
-			if solo {
-				batch = remaining[:1]
-			}
-			items := make([]cc.BatchItem, len(batch))
-			for i, req := range batch {
-				items[i] = cc.BatchItem{A: req.A, B: req.B, Opts: req.callOptions()}
-			}
-			prods, stats, err, panicked := runProducts(sess, q.key.op, items)
-			for i := range prods {
-				s.respond(q, batch[i], start, Result{Matrix: prods[i], Stats: stats[i]})
-			}
-			remaining = remaining[len(prods):]
-			switch {
-			case panicked:
-				poisoned = true
-				if len(batch) == 1 {
-					// Isolated on its own session, the panicking request
-					// is the guilty one: typed error, no more retries.
-					s.respond(q, remaining[0], start, Result{Err: err})
-					remaining = remaining[1:]
-					solo = false // survivors may coalesce again
-				} else {
-					// An unattributable batch panic: isolate the guilty
-					// request by re-running one per batch.
-					solo = true
-				}
-			case err == nil:
-				// Every item of this batch was served; a solo run keeps
-				// draining the rest on the same session.
-			case len(prods) < len(batch):
-				// The failing item: its error is its answer; resume with
-				// the rest.
-				s.respond(q, remaining[0], start, Result{Err: err})
-				remaining = remaining[1:]
-			default:
-				// A batch-level failure with nothing to pin it on (engine
-				// misconfiguration): everything left gets the error.
-				for _, req := range remaining {
-					s.respond(q, req, start, Result{Err: err})
-				}
-				remaining = nil
-			}
-			if poisoned {
-				break
-			}
-		}
-		if poisoned {
-			s.pool.Discard(sess)
-		} else {
-			s.pool.Put(sess)
-		}
-	}
-}
-
-// runProducts makes one session batch call, converting an escaping panic
-// — a poisoned session — into a typed error and a poisoned signal. This
-// recover (and its twin in runGraphOp) is what keeps a dispatcher alive
-// across a panicking run.
-func runProducts(sess *cc.Clique, op Op, items []cc.BatchItem) (prods []cc.Mat, stats []cc.Stats, err error, panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			prods, stats = nil, nil
-			err = &SessionPanicError{Op: op, Panic: r}
-			panicked = true
-		}
-	}()
-	switch op {
-	case OpMatMul:
-		prods, stats, err = sess.MatMulBatch(items)
-	case OpMatMulBool:
-		prods, stats, err = sess.MatMulBoolBatch(items)
-	case OpDistanceProduct:
-		prods, stats, err = sess.DistanceProductBatch(items)
-	default:
-		err = fmt.Errorf("serve: op %q is not batchable", op)
-	}
-	return
-}
-
-// serveGraphOps runs the non-batchable requests one session call each,
-// sharing one warm session until a call panics; the poisoned session is
-// discarded and the rest of the drained batch continues on a fresh one.
-func (s *Server) serveGraphOps(q *queue, reqs []*Request, start time.Time) {
+// serveOps runs the drained requests one session call each, sharing one
+// warm session until a call panics: the poisoned session is discarded —
+// never re-pooled — the guilty request is answered with
+// *SessionPanicError, and the rest of the drain continues on a fresh one.
+func (s *Server) serveOps(q *queue, reqs []*Request, start time.Time) {
 	remaining := reqs
 	for len(remaining) > 0 {
 		sess, _, err := s.pool.Get(q.key.n)
@@ -453,7 +340,7 @@ func (s *Server) serveGraphOps(q *queue, reqs []*Request, start time.Time) {
 		}
 		poisoned := false
 		for len(remaining) > 0 {
-			res, panicked := runGraphOp(sess, remaining[0])
+			res, panicked := runOp(sess, remaining[0])
 			s.respond(q, remaining[0], start, res)
 			remaining = remaining[1:]
 			if panicked {
@@ -469,9 +356,10 @@ func (s *Server) serveGraphOps(q *queue, reqs []*Request, start time.Time) {
 	}
 }
 
-// runGraphOp executes one non-batchable request on a session, converting
-// an escaping panic into *SessionPanicError and a poisoned signal.
-func runGraphOp(sess *cc.Clique, req *Request) (res Result, panicked bool) {
+// runOp executes one request on a session, converting an escaping panic
+// into *SessionPanicError and a poisoned signal. This recover is what
+// keeps a dispatcher alive across a panicking run.
+func runOp(sess *cc.Clique, req *Request) (res Result, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = Result{Err: &SessionPanicError{Op: req.Op, Panic: r}}
@@ -480,6 +368,15 @@ func runGraphOp(sess *cc.Clique, req *Request) (res Result, panicked bool) {
 	}()
 	opts := req.callOptions()
 	switch req.Op {
+	case OpMatMul:
+		prod, stats, err := sess.MatMul(req.A, req.B, opts...)
+		return Result{Matrix: prod, Stats: stats, Err: err}, false
+	case OpMatMulBool:
+		prod, stats, err := sess.MatMulBool(req.A, req.B, opts...)
+		return Result{Matrix: prod, Stats: stats, Err: err}, false
+	case OpDistanceProduct:
+		prod, stats, err := sess.DistanceProduct(req.A, req.B, opts...)
+		return Result{Matrix: prod, Stats: stats, Err: err}, false
 	case OpAPSP:
 		apsp, stats, err := sess.APSP(weightedOf(req.A), opts...)
 		if err != nil {

@@ -166,6 +166,113 @@ func TestDispatchBatchesWhatArrivedInService(t *testing.T) {
 	}
 }
 
+// TestBatchMatchesSingleCalls pins a drained batch to the call-by-call
+// results: for each product op, the requests one dispatch serves on a
+// shared pooled session get the products and the charged rounds and words
+// of the same calls each on a fresh session.
+func TestBatchMatchesSingleCalls(t *testing.T) {
+	const n, k = 8, 3
+	for _, op := range []Op{OpMatMul, OpMatMulBool, OpDistanceProduct} {
+		t.Run(string(op), func(t *testing.T) {
+			s, release := heldServer(Config{MaxBatch: k})
+			defer s.Shutdown(context.Background())
+			reqs := make([]Request, k)
+			results := make([]Result, k)
+			var wg sync.WaitGroup
+			for i := range reqs {
+				reqs[i] = Request{Tenant: "t", Op: op, A: testMat(n, int64(10+2*i)), B: testMat(n, int64(11+2*i))}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					results[i] = s.Do(context.Background(), reqs[i])
+				}()
+				waitAdmitted(t, s, int64(i+1))
+			}
+			release()
+			wg.Wait()
+			if st := s.Pool(); st.Hits+st.Misses != 1 {
+				t.Fatalf("%d pool gets, want the %d requests served on one session", st.Hits+st.Misses, k)
+			}
+			for i, req := range reqs {
+				fresh, err := cc.NewClique(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want cc.Mat
+				var wantSt cc.Stats
+				switch op {
+				case OpMatMul:
+					want, wantSt, err = fresh.MatMul(req.A, req.B)
+				case OpMatMulBool:
+					want, wantSt, err = fresh.MatMulBool(req.A, req.B)
+				case OpDistanceProduct:
+					want, wantSt, err = fresh.DistanceProduct(req.A, req.B)
+				}
+				fresh.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := results[i]
+				if got.Err != nil {
+					t.Fatalf("request %d: %v", i, got.Err)
+				}
+				if !matEq(got.Matrix, want) {
+					t.Errorf("request %d: drained product differs from the single call", i)
+				}
+				if got.Stats.Rounds != wantSt.Rounds || got.Stats.Words != wantSt.Words {
+					t.Errorf("request %d: %d rounds / %d words in the drain, %d / %d as a single call",
+						i, got.Stats.Rounds, got.Stats.Words, wantSt.Rounds, wantSt.Words)
+				}
+			}
+		})
+	}
+}
+
+// TestBatchPerItemContext cancels one request of a drained batch while it
+// waits: that request alone expires, and the others are served on the
+// drain's one session.
+func TestBatchPerItemContext(t *testing.T) {
+	const n = 8
+	a, b := testMat(n, 1), testMat(n, 2)
+	want := naiveMul(a, b)
+	s, release := heldServer(Config{MaxBatch: 4})
+	defer s.Shutdown(context.Background())
+
+	ctx, cancel := context.WithCancel(context.Background())
+	results := make([]Result, 3)
+	var wg sync.WaitGroup
+	for i := range results {
+		reqCtx := context.Background()
+		if i == 1 {
+			reqCtx = ctx
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i] = s.Do(reqCtx, Request{Tenant: "t", Op: OpMatMul, A: a, B: b})
+		}()
+		waitAdmitted(t, s, int64(i+1))
+	}
+	cancel() // the middle request expires in the queue
+	release()
+	wg.Wait()
+
+	if !errors.Is(results[1].Err, context.Canceled) {
+		t.Fatalf("cancelled request: err = %v, want context.Canceled", results[1].Err)
+	}
+	for _, i := range []int{0, 2} {
+		if results[i].Err != nil || !matEq(results[i].Matrix, want) {
+			t.Fatalf("request %d drained with the cancelled one: err %v or a wrong product", i, results[i].Err)
+		}
+	}
+	if st := s.Pool(); st.Hits+st.Misses != 1 {
+		t.Errorf("%d pool gets, want the two live requests served on one session", st.Hits+st.Misses)
+	}
+	if ts := s.Tenants()["t"]; ts.Admitted != 3 || ts.Completed != 2 || ts.Expired != 1 {
+		t.Errorf("tenant ledger = %+v, want 3 admitted / 2 completed / 1 expired", ts)
+	}
+}
+
 func TestServerMatMulRoundTrip(t *testing.T) {
 	s := New(Config{})
 	defer s.Shutdown(context.Background())

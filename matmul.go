@@ -22,7 +22,8 @@ func (s *Clique) MatMul(a, b Mat, opts ...CallOption) (Mat, Stats, error) {
 // any instance size — O(n^{1/3}) rounds on the instance's own clique
 // (tiny instances below 8 nodes use the naive engine); for bounded entries
 // the ring-embedded fast product is used by the small-weight APSP entry
-// points.
+// points. A finite entry x with |x| ≥ Inf/2 is refused with ErrOutOfRange:
+// the sum of two could reach Inf.
 func (s *Clique) DistanceProduct(a, b Mat, opts ...CallOption) (Mat, Stats, error) {
 	return s.product(&distanceProductSpec, a, b, opts)
 }
@@ -40,12 +41,17 @@ func (s *Clique) product(spec *productSpec, a, b Mat, opts []CallOption) (prod M
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	if spec.class == minPlusSize {
+		if err := checkEntries(a, b); err != nil {
+			return nil, Stats{}, err
+		}
+	}
 	r, err := s.begin(spec.op, orig, spec.class, opts)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	defer r.end(&stats, &err)
-	prod, err = r.runProduct(r.cfg, spec, a, b)
+	prod, err = r.runProduct(spec, a, b)
 	return
 }
 

@@ -1,7 +1,6 @@
 package algclique
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -51,8 +50,6 @@ type Clique struct {
 	ringErr error
 
 	nets   map[int]*clique.Network
-	bnet   *clique.BroadcastNetwork
-	lpool  *clique.LocalPool
 	closed bool
 
 	ledger      []OpStats
@@ -121,9 +118,6 @@ func (s *Clique) Close() error {
 	s.closed = true
 	for _, net := range s.nets {
 		net.Close()
-	}
-	if s.lpool != nil {
-		s.lpool.Close()
 	}
 	return nil
 }
@@ -216,28 +210,6 @@ func (s *Clique) networkFor(n int) *clique.Network {
 	return net
 }
 
-// localPool returns the session's local-compute worker pool (mu held),
-// built on first use. It is how broadcast-model runs — which have no
-// unicast network and hence no ForEach pool — fan local kernels out;
-// WithWorkers governs its size exactly as it governs the network pools, so
-// one option rules all of a session's parallelism.
-func (s *Clique) localPool() *clique.LocalPool {
-	if s.lpool == nil {
-		s.lpool = clique.NewLocalPool(s.cfg.workers)
-	}
-	return s.lpool
-}
-
-// simNetwork is the accounting/abort surface shared by the unicast and
-// broadcast simulators, which lets one run harness serve both.
-type simNetwork interface {
-	Stats() clique.Stats
-	Reset()
-	SetRoundLimit(limit int64)
-	SetContext(ctx context.Context)
-	SetTransport(t clique.Transport)
-}
-
 // opRun is the per-operation harness: it holds the session lock, the reset
 // network, the merged per-call config, and the buffers borrowed for the
 // run. begin acquires it; end (deferred) converts abort panics to errors,
@@ -247,11 +219,9 @@ type opRun struct {
 	s        *Clique
 	op       string
 	cfg      config
-	sim      simNetwork
-	net      *clique.Network          // non-nil for unicast runs
-	bnet     *clique.BroadcastNetwork // non-nil for broadcast runs
+	net      *clique.Network
 	plan     *ccmm.Plan
-	sc       *ccmm.Scratch // net's working set (unicast runs)
+	sc       *ccmm.Scratch // net's working set
 	n        int           // padded clique size for this run
 	orig     int           // original instance size
 	route    ccmm.Route    // density-aware routing decision, when one ran
@@ -264,7 +234,8 @@ type opRun struct {
 
 // acquire locks the session and merges op's per-call config; on error the
 // lock is released. An operation without a certificate refuses
-// certification here, before anything runs.
+// certification here, before anything runs, and MatMulBroadcast refuses a
+// fault plan.
 func (s *Clique) acquire(op string, orig int, opts []CallOption) (config, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -283,6 +254,10 @@ func (s *Clique) acquire(op string, orig int, opts []CallOption) (config, error)
 		s.mu.Unlock()
 		return config{}, fmt.Errorf("algclique: %s under WithCertification: %w", op, ErrNotCertifiable)
 	}
+	if cfg.fault != nil && op == broadcastOp {
+		s.mu.Unlock()
+		return config{}, fmt.Errorf("algclique: fault injection cannot reach %s: a broadcast never flushes", op)
+	}
 	return cfg, nil
 }
 
@@ -295,46 +270,32 @@ func (s *Clique) beginAt(op string, orig, n int, opts []CallOption) (*opRun, err
 	return s.newRun(op, cfg, orig, n), nil
 }
 
-// newRun builds and arms the per-operation harness (mu held).
+// newRun builds the per-operation harness and arms its network (mu held):
+// a reset, the per-call abort settings, the session's transport (direct by
+// default; WithWireTransport and WithTransportVerification override), the
+// session's sparse threshold — the one place the planner reads it from, so
+// every matrix product the operation performs, including ones graph
+// algorithms resolve internally, honours WithSparseThreshold — and the
+// fault injector. The injector survives Reset like the round limit, so
+// every operation sets it, including to nil: a panic escaping a faulted
+// run skips end's disarm, and the next operation must not inherit its
+// chaos.
 func (s *Clique) newRun(op string, cfg config, orig, n int) *opRun {
 	net := s.networkFor(n)
-	r := &opRun{s: s, op: op, cfg: cfg, sim: net, net: net,
+	r := &opRun{s: s, op: op, cfg: cfg, net: net,
 		plan: ccmm.PlanFor(n, cfg.engine.internal()),
 		sc:   ccmm.ScratchOf(net),
 		n:    n, orig: orig}
-	r.arm()
-	return r
-}
-
-// arm resets the run's simulator and applies the per-call abort settings
-// and the session's transport (direct by default; WithWireTransport and
-// WithTransportVerification override). Unicast runs also arm the
-// session's sparse threshold on the network — the one place the planner
-// reads it from — so every matrix product the operation performs,
-// including ones graph algorithms resolve internally, honours
-// WithSparseThreshold.
-func (r *opRun) arm() {
-	r.sim.Reset()
-	r.sim.SetRoundLimit(r.cfg.roundLimit)
-	r.sim.SetContext(r.cfg.ctx)
-	r.sim.SetTransport(r.cfg.transport)
-	if r.net != nil {
-		r.net.SetSparseThreshold(r.cfg.sparseThreshold)
-		r.armFault(r.cfg)
-	}
-}
-
-// armFault builds and arms the operation's fault injector from its merged
-// config — or disarms a stale one: the injector survives Reset like the
-// round limit, so every operation must set it, including to nil (a panic
-// escaping a faulted run skips end's disarm, and the next operation must
-// not inherit its chaos).
-func (r *opRun) armFault(cfg config) {
-	r.fi = nil
+	net.Reset()
+	net.SetRoundLimit(cfg.roundLimit)
+	net.SetContext(cfg.ctx)
+	net.SetTransport(cfg.transport)
+	net.SetSparseThreshold(cfg.sparseThreshold)
 	if cfg.fault != nil {
 		r.fi = clique.NewFaultInjector(*cfg.fault, ccmm.PayloadCorrupters...)
 	}
-	r.net.SetFaultInjector(r.fi)
+	net.SetFaultInjector(r.fi)
+	return r
 }
 
 // begin starts an operation whose clique size follows from the algorithm's
@@ -376,25 +337,19 @@ func (r *opRun) end(stats *Stats, err *error) {
 		*err = &clique.FaultError{Kind: clique.FaultDisrupt, Node: -1,
 			Round: stats.Rounds, Injected: r.fi.Stats()}
 	}
-	r.disarm()
+	// The abort settings and the fault injector survive Reset; clear them
+	// so the next operation starts clean.
+	r.net.SetContext(nil)
+	r.net.SetRoundLimit(0)
+	r.net.SetFaultInjector(nil)
 	s.mu.Unlock()
 }
 
-// disarm clears the per-call abort settings and the fault injector, which
-// all survive Reset, so the next operation starts clean.
-func (r *opRun) disarm() {
-	r.sim.SetContext(nil)
-	r.sim.SetRoundLimit(0)
-	if r.net != nil {
-		r.net.SetFaultInjector(nil)
-	}
-}
-
-// settle closes the books on the run's current product or operation: it
-// snapshots the Stats, returns the borrowed buffers to the working set's
-// free list, and records the ledger entry (mu held).
+// settle closes the books on the operation: it snapshots the Stats,
+// returns the borrowed buffers to the working set's free list, and records
+// the ledger entry (mu held).
 func (r *opRun) settle() Stats {
-	st := statsFrom(r.sim.Stats(), r.orig)
+	st := statsFrom(r.net.Stats(), r.orig)
 	st.Routing = r.route.Decision()
 	st.Attempts = r.attempts
 	st.Certified = r.certified
@@ -435,37 +390,8 @@ func (r *opRun) recycle(m *ccmm.RowMat[int64]) {
 // cache).
 func (r *opRun) engine() ccmm.Engine { return r.cfg.engine.internal() }
 
-// beginBroadcast starts an operation on the session's broadcast-model
-// network (built on first use; broadcast algorithms never pad).
-func (s *Clique) beginBroadcast(op string, orig int, opts []CallOption) (*opRun, error) {
-	cfg, err := s.acquire(op, orig, opts)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.fault != nil {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("algclique: fault injection requires the unicast simulator; %s runs on the broadcast model", op)
-	}
-	if s.bnet == nil {
-		s.bnet = clique.NewBroadcast(s.n)
-	}
-	r := &opRun{s: s, op: op, cfg: cfg, sim: s.bnet, bnet: s.bnet, n: s.n, orig: orig}
-	r.arm()
-	return r, nil
-}
-
-// BatchItem is one product in a batched session call. Opts are per-item
-// call options merged over the batch-level options — a serving layer
-// coalescing independent requests into one batch threads each request's
-// cancellation context (WithContext) and round budget through here while
-// the batch shares one resolved plan and one armed network.
-type BatchItem struct {
-	A, B Mat
-	Opts []CallOption
-}
-
-// productSpec is one row of the product table: everything the dense,
-// batched and CSR entry points of one algebra share — the ledger name of
+// productSpec is one row of the product table: everything the dense and
+// CSR entry points of one algebra share — the ledger name of
 // the dense form, the clique-size class, the padding zero, the routed plan
 // products on either operand form, and the certification check matching
 // the algebra (Freivalds for rings, spot-checks for semirings).
@@ -493,7 +419,8 @@ var (
 // It returns the truncated product or a typed error; a completed product
 // that data faults touched is only returned when certification vouched
 // for it.
-func (r *opRun) runProduct(cfg config, spec *productSpec, a, b Mat) (Mat, error) {
+func (r *opRun) runProduct(spec *productSpec, a, b Mat) (Mat, error) {
+	cfg := r.cfg
 	retries := cfg.certifyRetries
 	if retries < 0 {
 		if cfg.certifyProbes > 0 {
@@ -610,103 +537,4 @@ func (r *opRun) faults() clique.FaultStats {
 		return clique.FaultStats{}
 	}
 	return r.fi.Stats()
-}
-
-// endBatch releases the batch harness. Per-item aborts were already
-// converted by runItem; anything else propagates once the lock is safely
-// released.
-func (r *opRun) endBatch() {
-	s := r.s
-	if rec := recover(); rec != nil {
-		s.mu.Unlock()
-		panic(rec)
-	}
-	r.disarm()
-	s.mu.Unlock()
-}
-
-// runItem executes one product of a batch on the already-armed run: the
-// simulator is reset (warm capacity kept) so the item gets its own Stats
-// and ledger entry, and only the per-call abort settings — the item's
-// context and round limit — are re-armed. Plan, scratch, transport, and
-// sparse threshold carry over from the batch's begin.
-func (r *opRun) runItem(spec *productSpec, it *BatchItem) (prod Mat, st Stats, err error) {
-	orig, err := squareSize(it.A, it.B)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	if orig != r.orig {
-		return nil, Stats{}, fmt.Errorf("algclique: instance size %d on a session for n=%d: %w", orig, r.orig, ccmm.ErrSize)
-	}
-	cfg := r.cfg
-	for _, o := range it.Opts {
-		o.apply(&cfg)
-	}
-	r.sim.Reset()
-	r.sim.SetRoundLimit(cfg.roundLimit)
-	r.sim.SetContext(cfg.ctx)
-	r.armFault(cfg) // per-item injector: each item gets a fresh fault ledger
-	r.route = ccmm.Route{}
-	r.attempts, r.certified = 0, false
-	defer func() {
-		if rec := recover(); rec != nil {
-			e, ok := clique.AsAbort(rec)
-			if !ok {
-				panic(rec) // endBatch unlocks and re-raises
-			}
-			err = e
-		}
-		st = r.settle()
-	}()
-	prod, err = r.runProduct(cfg, spec, it.A, it.B)
-	return prod, st, err
-}
-
-// runBatch runs every item of a batch inside one per-operation harness —
-// one lock acquisition, one merged config, one memoised plan and scratch
-// resolution, and one arming of the session-scoped network settings
-// (transport, sparse threshold) shared by all items; it stops at the first
-// error, returning the already-computed results alongside it.
-func (s *Clique) runBatch(spec *productSpec, items []BatchItem, opts []CallOption) ([]Mat, []Stats, error) {
-	if len(items) == 0 {
-		return nil, nil, nil
-	}
-	r, err := s.begin(spec.op, s.n, spec.class, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer r.endBatch()
-	prods := make([]Mat, 0, len(items))
-	stats := make([]Stats, 0, len(items))
-	for i := range items {
-		p, st, err := r.runItem(spec, &items[i])
-		if err != nil {
-			return prods, stats, err
-		}
-		prods = append(prods, p)
-		stats = append(stats, st)
-	}
-	return prods, stats, nil
-}
-
-// MatMulBatch runs a batch of integer matrix products on the session. The
-// plan, scratch pools, and session-scoped network configuration are
-// resolved and armed once for the whole batch (not per pair); each item
-// still gets its own Stats, ledger entry, and per-item call options. It
-// stops at the first error: the returned slices hold the results of the
-// items before the failing one (whose index is len of the result slice).
-func (s *Clique) MatMulBatch(items []BatchItem, opts ...CallOption) ([]Mat, []Stats, error) {
-	return s.runBatch(&matMulSpec, items, opts)
-}
-
-// MatMulBoolBatch is MatMulBatch over the Boolean semiring (see
-// MatMulBool).
-func (s *Clique) MatMulBoolBatch(items []BatchItem, opts ...CallOption) ([]Mat, []Stats, error) {
-	return s.runBatch(&matMulBoolSpec, items, opts)
-}
-
-// DistanceProductBatch is MatMulBatch for min-plus products (see
-// DistanceProduct).
-func (s *Clique) DistanceProductBatch(items []BatchItem, opts ...CallOption) ([]Mat, []Stats, error) {
-	return s.runBatch(&distanceProductSpec, items, opts)
 }

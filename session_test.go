@@ -181,41 +181,77 @@ func TestSessionRoundLimitPerCall(t *testing.T) {
 	}
 }
 
+// TestSessionBatchedDistanceProducts runs a batch of distance products as
+// consecutive calls on one session: each product equals a fresh session's,
+// and the session ledger holds one op per call with their rounds summed.
 func TestSessionBatchedDistanceProducts(t *testing.T) {
-	const n = 20
-	items := make([]cc.BatchItem, 4)
-	for i := range items {
-		items[i] = cc.BatchItem{A: sessionTestMat(n, int64(10+i)), B: sessionTestMat(n, int64(20+i))}
-	}
+	const n, k = 20, 4
 	sess, err := cc.NewClique(n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	prods, stats, err := sess.DistanceProductBatch(items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prods) != len(items) || len(stats) != len(items) {
-		t.Fatalf("got %d products / %d stats, want %d", len(prods), len(stats), len(items))
-	}
 	var wantRounds int64
-	for i, it := range items {
-		want, st, err := openSession(t, n).DistanceProduct(it.A, it.B)
+	for i := 0; i < k; i++ {
+		a, b := sessionTestMat(n, int64(10+i)), sessionTestMat(n, int64(20+i))
+		got, st, err := sess.DistanceProduct(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(prods[i], want) {
-			t.Fatalf("batched product %d differs from a fresh session's", i)
+		want, wantSt, err := openSession(t, n).DistanceProduct(a, b)
+		if err != nil {
+			t.Fatal(err)
 		}
-		wantRounds += st.Rounds
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("product %d on the shared session differs from a fresh session's", i)
+		}
+		if st.Rounds != wantSt.Rounds || st.Words != wantSt.Words {
+			t.Errorf("product %d: %d rounds / %d words on the shared session, %d / %d on a fresh one",
+				i, st.Rounds, st.Words, wantSt.Rounds, wantSt.Words)
+		}
+		wantRounds += wantSt.Rounds
 	}
 	ledger := sess.Stats()
-	if len(ledger.Ops) != len(items) {
-		t.Fatalf("ledger has %d ops, want %d", len(ledger.Ops), len(items))
+	if len(ledger.Ops) != k {
+		t.Fatalf("ledger has %d ops, want %d", len(ledger.Ops), k)
 	}
 	if ledger.Rounds != wantRounds {
 		t.Errorf("ledger rounds = %d, want %d", ledger.Rounds, wantRounds)
+	}
+}
+
+// TestBatchWrongSizeItem: a mis-sized call in the middle of a run of calls
+// on one session is refused without touching the result returned before
+// it, and the session serves the next call.
+func TestBatchWrongSizeItem(t *testing.T) {
+	const n = 16
+	a, b := sessionTestMat(n, 100), sessionTestMat(n, 101)
+	sess, err := cc.NewClique(n, cc.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	first, _, err := sess.MatMul(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := make(cc.Mat, n)
+	for i := range first {
+		kept[i] = append([]int64(nil), first[i]...)
+	}
+	bad := sessionTestMat(n-1, 9)
+	if _, _, err := sess.MatMul(bad, bad); err == nil {
+		t.Fatal("mis-sized call accepted")
+	}
+	if !reflect.DeepEqual(first, kept) {
+		t.Fatal("the mis-sized call overwrote the result returned before it")
+	}
+	again, _, err := sess.MatMul(a, b)
+	if err != nil {
+		t.Fatalf("session unusable after the mis-sized call: %v", err)
+	}
+	if !reflect.DeepEqual(again, kept) {
+		t.Fatal("the call after the mis-sized one returned a wrong product")
 	}
 }
 
@@ -418,8 +454,8 @@ func TestSessionConcurrentUse(t *testing.T) {
 	}
 }
 
-// MatMulBroadcast now rides the same option/stats machinery as every other
-// entry point: round limits and phase breakdowns apply.
+// MatMulBroadcast rides the same harness as every other entry point: its
+// ledger is pinned exactly, and round limits and cancellation apply.
 func TestBroadcastThroughConfigPath(t *testing.T) {
 	const n = 8
 	a, b := sessionTestMat(n, 1), sessionTestMat(n, 2)
@@ -435,16 +471,26 @@ func TestBroadcastThroughConfigPath(t *testing.T) {
 	if !reflect.DeepEqual(p, want) {
 		t.Fatal("broadcast product differs from unicast product")
 	}
-	if len(stats.Phases) == 0 {
-		t.Error("broadcast stats have no phase breakdown")
+	// Every node broadcasts its two rows, one word per round: 2n rounds and
+	// 2n·n·(n−1) words, all in the publish phase.
+	wantPhases := []cc.PhaseStat{
+		{Name: "bcastmm/publish", Rounds: 2 * n, Words: 2 * n * n * (n - 1)},
+		{Name: "bcastmm/multiply"},
 	}
-	if stats.N != n || stats.Rounds < int64(n) {
-		t.Errorf("broadcast stats = %+v, want N=%d and ≥ %d rounds", stats, n, n)
+	if stats.N != n || stats.Rounds != 16 || stats.Words != 896 || !reflect.DeepEqual(stats.Phases, wantPhases) {
+		t.Errorf("broadcast stats = %+v, want N=%d, 16 rounds, 896 words, phases %+v", stats, n, wantPhases)
 	}
 	_, _, err = s.MatMulBroadcast(a, b, cc.WithRoundLimit(3))
 	var lim *clique.RoundLimitError
 	if !errors.As(err, &lim) {
 		t.Errorf("broadcast round limit: err = %v, want *clique.RoundLimitError", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, _, err = s.MatMulBroadcast(a, b, cc.WithContext(ctx))
+	var canc *clique.CanceledError
+	if !errors.As(err, &canc) || !errors.Is(err, context.Canceled) {
+		t.Errorf("broadcast under a cancelled context: err = %v, want *clique.CanceledError", err)
 	}
 }
 
