@@ -41,7 +41,7 @@ import (
 // n×n matrices. One matrix (32 MB at n = 2000) holds the c = 2 row but is
 // no ceiling for c = 8, whose output is 3 % dense: its cold tuple streams
 // are 21 MB and the links it touches 14 MB more. Two matrices hold both,
-// and the flat-array link state the gate exists to catch is 24.
+// and the flat link records the gate exists to catch (64 B a link) are 8.
 const (
 	csrLinkFloor   = 4096
 	csrSmallBudget = 2

@@ -76,8 +76,7 @@ func RandomConnectedWeighted(n int, p float64, maxW int64, directed bool, seed u
 // ReadGraph parses the plain edge-list format written by WriteGraph:
 // a "n <count> directed|undirected" header followed by "<u> <v>" lines
 // ('#' comments allowed). A count above 16384 (graphs.MaxReadNodes) is an
-// error, here and in ReadWeightedGraph: the adjacency is allocated from the
-// header alone.
+// error: the adjacency is allocated from the header alone.
 func ReadGraph(r io.Reader) (*Graph, error) { return graphs.ReadEdgeList(r) }
 
 // WriteGraph serialises a graph in the ReadGraph format.
@@ -85,7 +84,8 @@ func WriteGraph(w io.Writer, g *Graph) error { return graphs.WriteEdgeList(w, g)
 
 // ReadWeightedGraph parses the weighted edge-list format written by
 // WriteWeightedGraph ("n <count> <kind> weighted" header, "<u> <v> <w>"
-// lines).
+// lines). A count above 2048 (graphs.MaxReadWeightedNodes, a 32 MiB
+// weight matrix) is an error.
 func ReadWeightedGraph(r io.Reader) (*Weighted, error) { return graphs.ReadWeightedEdgeList(r) }
 
 // WriteWeightedGraph serialises a weighted graph in the ReadWeightedGraph

@@ -2,15 +2,15 @@ package clique
 
 import "testing"
 
-// NewDense returns an n-node network already moved to the flat-array form
+// NewDense returns an n-node network already moved to flat link storage
 // (one flush with load on every link, then Reset), for tests that compare
-// the two link forms or inspect the dense queues and mailboxes.
+// the two storage forms.
 func NewDense(t testing.TB, n int, opts ...Option) *Network {
 	t.Helper()
 	c := New(n, opts...)
 	for src := 0; src < n; src++ {
 		for dst := 0; dst < n; dst++ {
-			c.ChargeLink(src, dst, 1)
+			c.SendPayload(src, dst, 1, nil)
 		}
 	}
 	c.Flush()

@@ -324,58 +324,41 @@ func (fi *FaultInjector) straggle(flush uint64) int64 {
 	return fi.plan.StraggleSkew
 }
 
-// delivered is one link's delivery of one flush as the fault plane sees it:
-// the word and payload vectors just filled, in whichever mailbox form holds
-// them; nil where that plane delivered nothing on the link.
-type delivered struct {
-	ws *[]Word
-	ps *[]Payload
-}
-
-// perturb decides and applies this flush's faults on one link's delivery and
-// reports whether the delivery must be withheld (how is the mailbox form's
-// business). Faults mutate delivered data only — the charge for the link was
-// computed from what was *sent*, so the ledger (and with it the determinism
-// of round counts) is unchanged by corrupt/drop/duplicate; only straggle
-// stretches rounds.
-func (fi *FaultInjector) perturb(d delivered, src, dst int, seq uint64) (withhold bool) {
-	if fi.crashed && src == fi.plan.CrashNode {
-		// Fail-stop: anything the node had in flight is withheld.
-		if d.ws != nil || d.ps != nil {
-			fi.stats.Dropped++
-			return true
-		}
-		return false
-	}
-	if fi.dataCapped() {
-		return false
+// link decides and applies this flush's faults on one link's delivery: e is
+// the mailbox entry just filled from src, holding words, payloads or both.
+// Faults mutate delivered data only — the charge for the link was computed
+// from what was *sent*, so the ledger (and with it the determinism of round
+// counts) is unchanged by corrupt/drop/duplicate; only straggle stretches
+// rounds. A withheld entry is emptied in place — reads skip entries that
+// deliver nothing — and keeps its word buffer for the next fill.
+func (fi *FaultInjector) link(e *mailEntry, src, dst int, seq uint64) {
+	// Fail-stop: anything a crashed node had in flight is withheld.
+	crashed := fi.crashed && src == fi.plan.CrashNode
+	if !crashed && fi.dataCapped() {
+		return
 	}
 	p := &fi.plan
-	if fi.roll(seq, src, dst, saltDrop, p.DropProb) {
+	if crashed || fi.roll(seq, src, dst, saltDrop, p.DropProb) {
 		fi.stats.Dropped++
-		return true
+		e.ws = e.ws[:0]
+		e.ps = trimPayloads(e.ps)
+		return
 	}
 	if fi.roll(seq, src, dst, saltDup, p.DupProb) {
-		if d.ws != nil {
-			*d.ws = append(*d.ws, *d.ws...)
-		}
-		if d.ps != nil {
-			*d.ps = append(*d.ps, *d.ps...)
-		}
+		e.ws = append(e.ws, e.ws...)
+		e.ps = append(e.ps, e.ps...)
 		fi.stats.Duplicated++
 		if fi.dataCapped() {
-			return false
+			return
 		}
 	}
 	if fi.roll(seq, src, dst, saltCorrupt, p.CorruptProb) {
 		h := fi.draw(seq, src, dst, saltCorruptPick)
-		if d.ws != nil && len(*d.ws) > 0 {
-			buf := *d.ws
-			buf[h%uint64(len(buf))] ^= 1 << ((h >> 32) & 63)
+		if len(e.ws) > 0 {
+			e.ws[h%uint64(len(e.ws))] ^= 1 << ((h >> 32) & 63)
 			fi.stats.Corrupted++
-		} else if d.ps != nil && len(*d.ps) > 0 {
-			pq := *d.ps
-			pick := pq[h%uint64(len(pq))]
+		} else if len(e.ps) > 0 {
+			pick := e.ps[h%uint64(len(e.ps))]
 			for _, co := range fi.corrupters {
 				if co(pick, h) {
 					fi.stats.Corrupted++
@@ -383,44 +366,5 @@ func (fi *FaultInjector) perturb(d delivered, src, dst int, seq uint64) (withhol
 				}
 			}
 		}
-	}
-	return false
-}
-
-// link perturbs one link's delivery sitting in a flat-array mail at slot ri
-// (dst*n+src), already filled for generation seq. A withheld link is erased
-// by clearing its generation stamps: stamp-gated reads (From, PayloadsFrom)
-// see an idle link, the buffers stay allocated for the next legitimate
-// delivery, and stamp 0 never matches (flush generations start at 1).
-func (fi *FaultInjector) link(m *Mail, src, dst, ri int, seq uint64) {
-	var d delivered
-	if m.wstamp[ri] == seq {
-		d.ws = &m.bufs[ri]
-	}
-	if m.pstamp != nil && m.pstamp[ri] == seq {
-		d.ps = &m.pbufs[ri]
-	}
-	if fi.perturb(d, src, dst, seq) {
-		m.wstamp[ri] = 0
-		if m.pstamp != nil {
-			m.pstamp[ri] = 0
-		}
-	}
-}
-
-// linkSparse is link for a sparse-form mailbox entry just filled from src.
-// A withheld entry is emptied in place — reads skip entries that deliver
-// nothing — and keeps its word buffer for the next fill.
-func (fi *FaultInjector) linkSparse(e *mailEntry, src, dst int, seq uint64) {
-	var d delivered
-	if len(e.ws) > 0 {
-		d.ws = &e.ws
-	}
-	if len(e.ps) > 0 {
-		d.ps = &e.ps
-	}
-	if fi.perturb(d, src, dst, seq) {
-		e.ws = e.ws[:0]
-		e.ps = trimPayloads(e.ps)
 	}
 }

@@ -205,8 +205,8 @@ func TestFaultCrashWithholdsPendingDeliveries(t *testing.T) {
 	ringExchange(c) // crashes node 0 at round 1
 	// Traffic enqueued by node 0 before the crash check runs at the next
 	// flush is withheld; the healthy link delivers.
-	c.queues[0][1] = append(c.queues[0][1], 9) // bypass the send-side panic
-	c.touch(0, 1)
+	l := c.linkFor(0, 1) // bypass the send-side panic
+	l.q = append(l.q, 9)
 	c.Send(2, 1, 8)
 	mail := c.Flush()
 	if ws := mail.From(1, 0); ws != nil {

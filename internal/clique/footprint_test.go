@@ -7,73 +7,81 @@ import "testing"
 // delivery and the spiked mail buffer at the next Reset, while modest
 // capacity stays warm.
 func TestResetTrimsOversizedBuffers(t *testing.T) {
-	c := NewDense(t, 3)
-	defer c.Close()
-	big := make([]Word, linkRetainCap+1)
-	c.SendVec(0, 1, big)
-	c.Send(0, 2, 7) // modest traffic: capacity should survive Reset
-	c.Flush()
-	if got := cap(c.queues[0][1]); got != 0 {
-		t.Fatalf("Flush kept %d words of spiked queue capacity, want 0", got)
-	}
-	c.Reset()
-	if got := cap(c.queues[0][2]); got == 0 {
-		t.Fatalf("Reset dropped the modest queue's capacity, want it kept warm")
-	}
+	EachForm(t, 3, func(t *testing.T, c *Network) {
+		defer c.Close()
+		big := make([]Word, linkRetainCap+1)
+		c.SendVec(0, 1, big)
+		c.Send(0, 2, 7) // modest traffic: capacity should survive Reset
+		c.Flush()
+		if got := cap(c.at(0, 1).q); got != 0 {
+			t.Fatalf("Flush kept %d words of spiked queue capacity, want 0", got)
+		}
+		c.Reset()
+		if got := cap(c.at(0, 2).q); got == 0 {
+			t.Fatalf("Reset dropped the modest queue's capacity, want it kept warm")
+		}
+		eachEntry(c, func(dst int, e *mailEntry) {
+			if got := cap(e.ws); got > linkRetainCap {
+				t.Fatalf("Reset kept %d words of spiked delivery capacity at %d←%d", got, dst, e.src)
+			}
+		})
+		// An aborted run (queued traffic never flushed) is trimmed by Reset.
+		c.SendVec(0, 1, big)
+		c.Reset()
+		if got := cap(c.at(0, 1).q); got != 0 {
+			t.Fatalf("Reset kept %d words of unflushed spiked queue capacity, want 0", got)
+		}
+	})
+}
+
+// eachEntry visits every mailbox entry of both of c's mails, stale or not.
+func eachEntry(c *Network, f func(dst int, e *mailEntry)) {
 	for _, mail := range c.mails {
 		if mail == nil {
 			continue
 		}
-		if got := cap(mail.bufs[1*c.n+0]); got != 0 {
-			t.Fatalf("Reset kept %d words of spiked delivery capacity, want 0", got)
+		for dst, box := range mail.box {
+			for i := range box[:cap(box)] {
+				f(dst, &box[:cap(box)][i])
+			}
 		}
-	}
-	// An aborted run (queued traffic never flushed) is trimmed by Reset.
-	c.SendVec(0, 1, big)
-	c.Reset()
-	if got := cap(c.queues[0][1]); got != 0 {
-		t.Fatalf("Reset kept %d words of unflushed spiked queue capacity, want 0", got)
 	}
 }
 
 // TestResetClearsPayloadState checks payload queues, loads, and delivered
 // references are dropped by Reset.
 func TestResetClearsPayloadState(t *testing.T) {
-	c := NewDense(t, 2)
-	defer c.Close()
-	vec := []int64{1, 2, 3}
-	c.SendPayload(0, 1, 3, &vec)
-	mail := c.Flush()
-	if got := len(mail.PayloadsFrom(1, 0)); got != 1 {
-		t.Fatalf("delivered %d payloads, want 1", got)
-	}
-	if c.Words() != 3 || c.Rounds() != 3 {
-		t.Fatalf("payload flush charged %d words / %d rounds, want 3 / 3", c.Words(), c.Rounds())
-	}
-	c.Reset()
-	if got := c.PendingWords(0); got != 0 {
-		t.Fatalf("pending words after Reset = %d, want 0", got)
-	}
-	for _, mail := range c.mails {
-		if mail == nil {
-			continue
+	EachForm(t, 2, func(t *testing.T, c *Network) {
+		defer c.Close()
+		vec := []int64{1, 2, 3}
+		c.SendPayload(0, 1, 3, &vec)
+		mail := c.Flush()
+		if got := len(mail.PayloadsFrom(1, 0)); got != 1 {
+			t.Fatalf("delivered %d payloads, want 1", got)
+		}
+		if c.Words() != 3 || c.Rounds() != 3 {
+			t.Fatalf("payload flush charged %d words / %d rounds, want 3 / 3", c.Words(), c.Rounds())
+		}
+		c.Reset()
+		if got := c.PendingWords(0); got != 0 {
+			t.Fatalf("pending words after Reset = %d, want 0", got)
 		}
 		if mail.PayloadsFrom(1, 0) != nil {
 			t.Fatalf("Reset left a delivered payload readable")
 		}
-		for _, pb := range mail.pbufs {
-			for _, p := range pb {
+		eachEntry(c, func(dst int, e *mailEntry) {
+			for _, p := range e.ps[:cap(e.ps)] {
 				if p != nil {
-					t.Fatalf("Reset left a delivered payload reference behind")
+					t.Fatalf("Reset left a delivered payload reference behind at %d←%d", dst, e.src)
 				}
 			}
-		}
-	}
+		})
+	})
 }
 
 // TestTrimReleasesEverything checks the aggressive release used by
-// session Trim — the flat arrays go, the network is newborn (sparse form)
-// again — and that the network stays usable afterwards.
+// session Trim — the flat link records go, the network is newborn (sparse
+// storage) again — and that the network stays usable afterwards.
 func TestTrimReleasesEverything(t *testing.T) {
 	c := NewDense(t, 2)
 	defer c.Close()
@@ -82,13 +90,10 @@ func TestTrimReleasesEverything(t *testing.T) {
 	c.SendPayload(1, 0, 1, &vec)
 	c.Flush()
 	c.Trim()
-	if c.pqueues != nil || c.ploads != nil {
-		t.Fatalf("Trim kept payload-plane state")
+	if c.dense != nil || c.mails != [2]*Mail{} {
+		t.Fatalf("Trim kept flat link records or mailboxes")
 	}
-	if c.queues != nil || c.tstamp != nil || c.touched != nil || c.mails != [2]*Mail{} || c.retired != [2]*Mail{} {
-		t.Fatalf("Trim kept flat-array link state")
-	}
-	if !c.SparseLinks() || len(c.slinks[0]) != 0 {
+	if !c.SparseLinks() || len(c.sparse[0]) != 0 {
 		t.Fatalf("Trim did not return the network to the newborn sparse form")
 	}
 	// Still usable: a fresh send/flush cycle works.
@@ -133,14 +138,14 @@ func TestSendAfterResetWithPendingTraffic(t *testing.T) {
 
 // TestPayloadChargingMatchesWords checks that analytic loads and real
 // words on the same link add up in the flush accounting, and that
-// ChargeLink on a self-link stays free.
+// an analytic load on a self-link stays free.
 func TestPayloadChargingMatchesWords(t *testing.T) {
 	c := New(3)
 	defer c.Close()
 	c.Send(0, 1, 1)
 	c.Send(0, 1, 2)
-	c.ChargeLink(0, 1, 5) // mixed-plane link: 2 real + 5 analytic
-	c.ChargeLink(2, 2, 99)
+	c.SendPayload(0, 1, 5, nil) // mixed-plane link: 2 real + 5 analytic
+	c.SendPayload(2, 2, 99, nil)
 	c.Flush()
 	if c.Rounds() != 7 {
 		t.Fatalf("rounds = %d, want 7 (max link load 2+5; self-link free)", c.Rounds())

@@ -109,33 +109,26 @@ func WithRoundLimit(limit int64) Option {
 // Network is a simulated congested clique. It is not safe for concurrent
 // use except as documented on ForEach and Send.
 type Network struct {
-	n           int
-	queues      [][][]Word       // queues[src][dst], dst == src used for free local delivery
-	pqueues     [][]Payload      // data-plane payload queues, flat [src*n+dst] (lazy)
-	ploads      []int64          // analytic word load per link, flat [src*n+dst] (lazy)
-	touched     [][]int          // per-source destinations with traffic or load since last Flush
-	tstamp      []uint64         // per-link touch generation backing the touched lists
-	sparseLinks bool             // current link form: per-link state on demand, no Θ(n²) arrays
-	pinSparse   bool             // never leave the sparse form (WithSparseLinks, n ≥ sparseLinkFloor)
-	slinks      []map[int]*slink // sparse form: per-source link state, materialised on first send
-	stouched    [][]int          // sparse form: per-source touched destinations (replaces touched)
-	retired     [2]*Mail         // sparse-form mails still in their lifetime when the form switched
-	flushSeq    uint64           // monotone flush generation; never reset (stamps depend on it)
-	spiked      bool             // a delivery exceeded linkRetainCap since the last sweep
-	mails       [2]*Mail         // double-buffered delivery state, alternated by Flush
-	rounds      int64
-	words       int64
-	flushes     int64
-	phases      []PhaseStat
-	workers     int
-	roundLimit  int64
-	fault       *FaultInjector
-	transport   Transport
-	sparseTh    float64 // planner sparse-threshold override (armed per op)
-	sparseThOn  bool
-	ctx         context.Context
-	pool        *workerPool
-	engine      any // the multiplication engines' working set for this network (see EngineState)
+	n          int
+	dense      []link          // dense storage: flat [src*n+dst] link records (nil while sparse)
+	sparse     []map[int]*link // sparse storage: per-source link records, materialised on first send
+	touched    [][]int         // per-source destinations registered since the last Flush
+	pinSparse  bool            // never leave the sparse storage (WithSparseLinks, n ≥ sparseLinkFloor)
+	flushSeq   uint64          // monotone flush generation; never reset (stamps depend on it)
+	mails      [2]*Mail        // double-buffered delivery state, alternated by Flush
+	rounds     int64
+	words      int64
+	flushes    int64
+	phases     []PhaseStat
+	workers    int
+	roundLimit int64
+	fault      *FaultInjector
+	transport  Transport
+	sparseTh   float64 // planner sparse-threshold override (armed per op)
+	sparseThOn bool
+	ctx        context.Context
+	pool       *workerPool
+	engine     any // the multiplication engines' working set for this network (see EngineState)
 }
 
 // New returns a network of n ≥ 1 nodes.
@@ -153,27 +146,19 @@ func New(n int, opts ...Option) *Network {
 	if n >= sparseLinkFloor {
 		c.pinSparse = true
 	}
-	// Every network is born in the sparse-link form: per-link state
-	// materialises on demand, so construction is proportional to the nodes,
+	// Every network is born with sparse link storage: link records
+	// materialise on demand, so construction is proportional to the nodes,
 	// never to the n² links. Below sparseLinkFloor the first flush that
-	// shows dense traffic moves it to the flat arrays (see sparselinks.go).
+	// shows dense traffic moves it to flat storage (see sparselinks.go).
 	c.newborn()
 	return c
 }
 
-// newborn installs the empty sparse-link form New and Trim leave behind.
+// newborn installs the empty sparse storage New and Trim leave behind.
 func (c *Network) newborn() {
-	c.sparseLinks = true
-	c.slinks = make([]map[int]*slink, c.n)
-	c.stouched = make([][]int, c.n)
-}
-
-func newQueues(n int) [][][]Word {
-	q := make([][][]Word, n)
-	for i := range q {
-		q[i] = make([][]Word, n)
-	}
-	return q
+	c.dense = nil
+	c.sparse = make([]map[int]*link, c.n)
+	c.touched = make([][]int, c.n)
 }
 
 // N returns the number of nodes.
@@ -281,24 +266,9 @@ func trimPayloads(b []Payload) []Payload {
 // memory; the per-run context is detached. Mail values from before the
 // Reset are invalidated, and the payload references they held are
 // dropped. The walk is proportional to the traffic actually pending or
-// spiked, not to the n² links.
+// delivered, not to the n² links.
 func (c *Network) Reset() {
 	c.DropPending()
-	if c.spiked {
-		// A past delivery exceeded the high-water mark; sweep the mail
-		// buffers once to release it.
-		for _, mail := range c.mails {
-			if mail == nil {
-				continue
-			}
-			for i := range mail.bufs {
-				if cap(mail.bufs[i]) > linkRetainCap {
-					mail.bufs[i] = nil
-				}
-			}
-		}
-		c.spiked = false
-	}
 	c.rounds, c.words, c.flushes = 0, 0, 0
 	c.phases = c.phases[:0]
 	c.ctx = nil
@@ -311,65 +281,44 @@ func (c *Network) Reset() {
 // must not leak into the retry's first Flush, but the aborted attempt's
 // cost legitimately stays on the ledger. Reset builds on it.
 func (c *Network) DropPending() {
-	if c.sparseLinks {
-		c.dropPendingSparse()
-		c.flushSeq++ // see the dense branch's comment below
-		invalidate(&c.mails)
-		return
-	}
-	n := c.n
 	for src, list := range c.touched {
-		qrow := c.queues[src]
 		for _, dst := range list {
-			qrow[dst] = trimWords(qrow[dst])
-			if c.pqueues != nil {
-				i := src*n + dst
-				c.pqueues[i] = trimPayloads(c.pqueues[i])
-				c.ploads[i] = 0
-			}
+			l := c.at(src, dst)
+			l.q = trimWords(l.q)
+			l.pq = trimPayloads(l.pq)
+			l.load = 0
 		}
 		c.touched[src] = list[:0]
 	}
-	// Advance the flush generation: the cleared lists' touch stamps were
+	// Advance the flush generation: the cleared links' touch stamps were
 	// armed for seq+1, and without this bump a post-Reset send on such a
 	// link would be deduplicated as already registered and silently
 	// dropped by the next Flush.
 	c.flushSeq++
-	invalidate(&c.mails)
-	// Mails the form switch retired are invalidated with the rest and let
-	// go: nothing refills them.
-	invalidate(&c.retired)
-	c.retired = [2]*Mail{}
-}
-
-// invalidate ends the lifetime of a mail pair: the payload references they
-// hold are dropped and no stamp matches any more, so everything reads as
-// undelivered.
-func invalidate(mails *[2]*Mail) {
-	for _, mail := range mails {
-		if mail == nil {
-			continue
+	// End both mails' lifetimes: the payload references (and spiked word
+	// buffers) they hold are dropped and no stamp matches any more, so
+	// everything reads as undelivered.
+	for _, mail := range c.mails {
+		if mail != nil {
+			mail.release()
+			mail.id = 0
 		}
-		mail.releasePayloads()
-		mail.id = 0
 	}
 }
 
 // Trim returns the network to its newborn state: all recycled queue,
 // mailbox, and payload capacity is released regardless of size and, below
-// sparseLinkFloor, the flat arrays go with it — the network is in the
-// sparse-link form again and the next dense traffic switches it back. It is
+// sparseLinkFloor, the flat link records go with it — the network is back
+// on sparse storage and the next dense traffic switches it again. It is
 // the aggressive form of Reset's high-water trimming, for callers parking a
 // network they may not use again soon; it costs O(n) and leaves the
 // accounting untouched. The engines' working set (EngineState) is let go as
 // well and rebuilds on the next product.
 func (c *Network) Trim() {
 	c.engine = nil
-	c.queues, c.touched, c.tstamp = nil, nil, nil
-	c.pqueues, c.ploads = nil, nil
-	c.mails, c.retired = [2]*Mail{}, [2]*Mail{}
+	c.mails = [2]*Mail{}
 	c.newborn()
-	c.flushSeq++ // invalidate the discarded links' touch stamps (see Reset)
+	c.flushSeq++ // invalidate the discarded links' touch stamps (see DropPending)
 }
 
 // Phase begins a named accounting phase; subsequent costs are attributed to
@@ -405,69 +354,39 @@ func (c *Network) checkNode(v int) {
 	}
 }
 
-// touch registers the link src→dst as carrying traffic or load for the
-// upcoming Flush; the stamp deduplicates so each link appears in its
-// source's touched list once per flush cycle. The lists and stamps are
-// partitioned by source, so concurrent ForEach senders — each restricted
-// to its own source, per the Send contract — never share a slot and no
-// locking is needed.
-//
-//cc:hotpath
-func (c *Network) touch(src, dst int) {
-	i := src*c.n + dst
-	if c.tstamp[i] != c.flushSeq+1 {
-		c.tstamp[i] = c.flushSeq + 1
-		c.touched[src] = append(c.touched[src], dst)
-	}
-}
-
-// Send enqueues one word from src to dst for the next Flush. Sending to
-// oneself is legal and free. Send may be called concurrently from ForEach
-// workers provided each worker sends only from its own node.
-//
-// Note: concurrent ForEach senders touch disjoint per-source state — the
-// queue row, and distinct touched-list slots via the per-source stamp row —
-// so the registration below is safe under the documented discipline.
-//
-//cc:hotpath
-func (c *Network) Send(src, dst int, w Word) {
+// open is every send's precondition: both endpoints exist and src has not
+// fail-stopped.
+func (c *Network) open(src, dst int) {
 	c.checkNode(src)
 	c.checkNode(dst)
 	if c.fault != nil {
 		c.fault.checkSend(src, c.rounds)
 	}
-	if c.sparseLinks {
-		sl := c.slinkFor(src, dst)
-		sl.q = append(sl.q, w)
-		return
-	}
-	if len(c.queues[src][dst]) == 0 {
-		c.touch(src, dst)
-	}
-	c.queues[src][dst] = append(c.queues[src][dst], w)
+}
+
+// Send enqueues one word from src to dst for the next Flush. Sending to
+// oneself is legal and free. Send may be called concurrently from ForEach
+// workers provided each worker sends only from its own node: the link
+// records and touched lists are partitioned by source (see linkFor), so
+// such senders never share state.
+//
+//cc:hotpath
+func (c *Network) Send(src, dst int, w Word) {
+	c.open(src, dst)
+	l := c.linkFor(src, dst)
+	l.q = append(l.q, w)
 }
 
 // SendVec enqueues a vector of words from src to dst (copied).
 //
 //cc:hotpath
 func (c *Network) SendVec(src, dst int, ws []Word) {
-	c.checkNode(src)
-	c.checkNode(dst)
-	if c.fault != nil {
-		c.fault.checkSend(src, c.rounds)
-	}
+	c.open(src, dst)
 	if len(ws) == 0 {
 		return
 	}
-	if c.sparseLinks {
-		sl := c.slinkFor(src, dst)
-		sl.q = append(sl.q, ws...)
-		return
-	}
-	if len(c.queues[src][dst]) == 0 {
-		c.touch(src, dst)
-	}
-	c.queues[src][dst] = append(c.queues[src][dst], ws...)
+	l := c.linkFor(src, dst)
+	l.q = append(l.q, ws...)
 }
 
 // SendOwnedVec enqueues a vector of words from src to dst, taking
@@ -480,91 +399,113 @@ func (c *Network) SendVec(src, dst int, ws []Word) {
 //
 //cc:hotpath
 func (c *Network) SendOwnedVec(src, dst int, ws []Word) {
-	c.checkNode(src)
-	c.checkNode(dst)
-	if c.fault != nil {
-		c.fault.checkSend(src, c.rounds)
-	}
+	c.open(src, dst)
 	if len(ws) == 0 {
 		return
 	}
-	if c.sparseLinks {
-		sl := c.slinkFor(src, dst)
-		if len(sl.q) > 0 {
-			sl.q = append(sl.q, ws...)
-		} else {
-			sl.q = ws
-		}
-		return
+	l := c.linkFor(src, dst)
+	if len(l.q) > 0 {
+		l.q = append(l.q, ws...)
+	} else {
+		l.q = ws
 	}
-	if q := c.queues[src][dst]; len(q) > 0 {
-		c.queues[src][dst] = append(q, ws...)
-		return
-	}
-	c.touch(src, dst)
-	c.queues[src][dst] = ws
 }
 
 // Mail is the result of a Flush: all words and payloads delivered in this
 // exchange, indexed by destination and source, in FIFO order per link.
+// Each destination keeps a mailbox of entries in ascending source order,
+// one per delivering source, so a receive walk visits exactly the sources
+// that delivered.
 //
 // Mail is double-buffered by the network: a Mail and its vectors are valid
 // until the second-next Flush on the same network (and until Reset), which
-// reuses the same per-link delivery buffers. Consume a flush's delivery
-// before the one after next — every phase-structured algorithm does so
-// naturally — or copy the words out. Deliveries are stamp-gated rather
-// than cleared, so an idle link reads as empty without any per-flush
-// sweep over the n² links.
+// reuses the same mailbox entries and delivery buffers. Consume a flush's
+// delivery before the one after next — every phase-structured algorithm
+// does so naturally — or copy the words out. Mailboxes are stamp-gated per
+// destination rather than cleared, so an idle destination reads as empty
+// without any per-flush sweep.
 type Mail struct {
-	n      int
-	id     uint64      // generation of the Flush that filled this mail
-	bufs   [][]Word    // flat [dst*n+src] persistent delivery buffers
-	wstamp []uint64    // generation each word entry was written
-	pbufs  [][]Payload // flat [dst*n+src] persistent payload buffers (lazy)
-	pstamp []uint64    // generation each payload entry was written (lazy)
-	plinks []int       // entries of pbufs holding references from the last fill
+	id    uint64        // generation of the Flush that filled this mail
+	box   [][]mailEntry // per-destination deliveries, ascending source order
+	stamp []uint64      // generation each destination's box was filled
+	dirty []int         // destinations the last fill touched
+}
 
-	// Sparse-link mode (see sparselinks.go): per-destination entry lists in
-	// ascending source order, stamp-gated per destination. A Mail has
-	// either the flat arrays above or the lists below, never both.
-	sbox   [][]mailEntry
-	sstamp []uint64
-	sdirty []int // destinations the last fill touched
+// mailEntry is one delivery (src, words, payloads) in a destination's
+// mailbox. Entries are revived in place across flushes so their word and
+// payload buffers recycle.
+type mailEntry struct {
+	src int
+	ws  []Word
+	ps  []Payload
 }
 
 func newMail(n int) *Mail {
-	return &Mail{n: n, bufs: make([][]Word, n*n), wstamp: make([]uint64, n*n)}
+	return &Mail{box: make([][]mailEntry, n), stamp: make([]uint64, n)}
 }
 
-// releasePayloads drops the payload references the mail holds — called
-// when its two-flush lifetime ends (refill or Reset), so delivered data
-// is pinned no longer than the contract promises.
-func (m *Mail) releasePayloads() {
-	if m.sbox != nil {
-		m.releaseSparse()
-		return
+// release drops the payload references (and spiked word buffers) the
+// mailboxes hold — called when the mail's two-flush lifetime ends (refill
+// or DropPending), so delivered data is pinned no longer than the contract
+// promises. It walks only the destinations the last fill touched; the
+// entries themselves stay, capacity warm, gated stale by the stamp until
+// the next fill revives them.
+func (m *Mail) release() {
+	for _, dst := range m.dirty {
+		box := m.box[dst]
+		for i := range box {
+			box[i].ps = trimPayloads(box[i].ps)
+			if cap(box[i].ws) > linkRetainCap {
+				box[i].ws = nil
+			}
+		}
 	}
-	for _, ri := range m.plinks {
-		m.pbufs[ri] = trimPayloads(m.pbufs[ri])
+	m.dirty = m.dirty[:0]
+}
+
+// entry returns dst's delivery from src, nil if none. The probe at index
+// src hits whenever every lower source delivered to dst — a dense
+// exchange; otherwise a binary search over the entries up to it (sources
+// ascend, so src's entry cannot sit above index src) resolves it.
+//
+//cc:hotpath
+func (m *Mail) entry(dst, src int) *mailEntry {
+	if m.stamp[dst] != m.id {
+		return nil
 	}
-	m.plinks = m.plinks[:0]
+	box := m.box[dst]
+	if len(box) > src+1 {
+		box = box[:src+1]
+	}
+	if len(box) == 0 {
+		return nil
+	}
+	if e := &box[len(box)-1]; e.src == src {
+		return e
+	}
+	lo, hi := 0, len(box)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if box[mid].src < src {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(box) && box[lo].src == src {
+		return &box[lo]
+	}
+	return nil
 }
 
 // From returns the words dst received from src (nil if none).
 //
 //cc:hotpath
 func (m *Mail) From(dst, src int) []Word {
-	if m.sbox != nil {
-		if e := m.sparseEntry(dst, src); e != nil && len(e.ws) > 0 {
-			return e.ws
-		}
-		return nil
+	if e := m.entry(dst, src); e != nil && len(e.ws) > 0 {
+		return e.ws
 	}
-	i := dst*m.n + src
-	if m.wstamp[i] != m.id {
-		return nil
-	}
-	return m.bufs[i]
+	return nil
 }
 
 // Each calls f for every non-empty (src, words) pair delivered to dst, in
@@ -572,37 +513,28 @@ func (m *Mail) From(dst, src int) []Word {
 //
 //cc:hotpath
 func (m *Mail) Each(dst int, f func(src int, words []Word)) {
-	if m.sbox != nil {
-		if m.sstamp[dst] != m.id {
-			return
-		}
-		for i := range m.sbox[dst] {
-			if e := &m.sbox[dst][i]; len(e.ws) > 0 {
-				f(e.src, e.ws)
-			}
-		}
+	if m.stamp[dst] != m.id {
 		return
 	}
-	base := dst * m.n
-	for src := 0; src < m.n; src++ {
-		if m.wstamp[base+src] == m.id && len(m.bufs[base+src]) > 0 {
-			f(src, m.bufs[base+src])
+	for i := range m.box[dst] {
+		if e := &m.box[dst][i]; len(e.ws) > 0 {
+			f(e.src, e.ws)
 		}
 	}
 }
 
 // Flush delivers every queued word and payload. The charged cost is the
 // maximum link load — per link, the queued words plus the analytic word
-// load declared by SendPayload/ChargeLink — delivered one word per link
-// per round in parallel across links, exactly as the synchronous model
-// allows. The two planes share one ledger, so a protocol charges the same
-// rounds and words whichever plane carries it.
+// load declared by SendPayload — delivered one word per link per round in
+// parallel across links, exactly as the synchronous model allows. The two
+// planes share one ledger, so a protocol charges the same rounds and words
+// whichever plane carries it.
 //
 // Delivery is allocation-free in steady state and proportional to the
 // links actually used: the network tracks touched links, so a flush walks
 // its own traffic, not all n² pairs. The network owns two Mail buffers
-// used alternately, each with persistent per-link delivery arrays; words
-// move from the (equally persistent) link queues by copy, payloads move as
+// used alternately, each with persistent mailbox entries; words move from
+// the (equally persistent) link queues by copy, payloads move as
 // references. See Mail for the resulting lifetime contract.
 //
 //cc:hotpath
@@ -615,30 +547,26 @@ func (c *Network) Flush() *Mail {
 // load maxLoad and totalWords words in total (the caller computed both
 // from a schedule's per-link loads without registering them link by link).
 // The charged cost is max(maxLoad, observed per-link maximum) rounds and
-// the sum of both totals — exactly what registering the same loads through
-// ChargeLink and calling Flush would charge, at O(1) instead of O(links).
+// the sum of both totals — exactly what declaring the same loads through
+// SendPayload and calling Flush would charge, at O(1) instead of O(links).
+// The walk is over the touched links only; each destination's mailbox
+// receives its entries in ascending source order because the outer loop
+// ascends sources.
 //
 //cc:hotpath
 func (c *Network) FlushAnalytic(maxLoad, totalWords int64) *Mail {
-	if c.sparseLinks {
-		return c.flushSparse(maxLoad, totalWords)
-	}
 	n := c.n
 	if c.fault != nil {
 		c.fault.checkFlush(c.flushes + 1)
 	}
 	mail := c.mails[c.flushSeq&1]
 	if mail == nil {
-		mail = newMail(n)
+		mail = newMail(n) //cc:hotalloc-ok(lazy one-time mailbox init)
 		c.mails[c.flushSeq&1] = mail
 	}
-	if c.pqueues != nil && mail.pbufs == nil {
-		mail.pbufs = make([][]Payload, n*n) //cc:hotalloc-ok(lazy one-time payload-plane init)
-		mail.pstamp = make([]uint64, n*n)   //cc:hotalloc-ok(lazy one-time payload-plane init)
-	}
 	// This mail's previous deliveries reach the end of their two-flush
-	// lifetime here; drop the payload references they pinned.
-	mail.releasePayloads()
+	// lifetime here; drop the references they pinned.
+	mail.release()
 	seq := c.flushSeq + 1
 	mail.id = seq
 	total := totalWords
@@ -646,55 +574,55 @@ func (c *Network) FlushAnalytic(maxLoad, totalWords int64) *Mail {
 	// deliveries right now (inert probabilities, exhausted MaxFaults)
 	// costs nothing on the per-link walk below.
 	faultLinks := c.fault != nil && c.fault.linkActive()
+	links := 0
 	for src := 0; src < n; src++ {
 		list := c.touched[src]
-		if len(list) == 0 {
-			continue
-		}
-		qrow := c.queues[src]
-		base := src * n
+		links += len(list)
 		for _, dst := range list {
-			i := base + dst
-			ri := dst*n + src
-			var load int64
-			if q := qrow[dst]; len(q) > 0 {
-				buf := mail.bufs[ri]
-				if cap(buf) < len(q) {
-					buf = make([]Word, len(q)) //cc:hotalloc-ok(capacity growth; steady state reuses the buffer)
-				} else {
-					buf = buf[:len(q)]
+			l := c.at(src, dst)
+			load := int64(len(l.q)) + l.load
+			l.load = 0
+			if len(l.q) > 0 || len(l.pq) > 0 {
+				box := mail.box[dst]
+				if mail.stamp[dst] != seq {
+					box = box[:0]
+					mail.stamp[dst] = seq
+					mail.dirty = append(mail.dirty, dst) //cc:hotalloc-ok(dirty-list growth; steady state reuses the array)
 				}
-				copy(buf, q)
-				mail.bufs[ri] = buf
-				mail.wstamp[ri] = seq
-				if len(q) > linkRetainCap {
-					// The spiked queue is released now; the spiked mail
-					// buffer is swept at the next Reset.
-					qrow[dst] = nil
-					c.spiked = true
+				var e *mailEntry
+				if len(box) < cap(box) {
+					box = box[:len(box)+1]
+					e = &box[len(box)-1] // revive: keep the buffers it held
+					e.src = src
 				} else {
-					qrow[dst] = q[:0] // the queue keeps its own array
+					box = append(box, mailEntry{src: src}) //cc:hotalloc-ok(mailbox growth; steady state revives entries)
+					e = &box[len(box)-1]
 				}
-				load += int64(len(q))
-			}
-			if c.ploads != nil {
-				load += c.ploads[i]
-				c.ploads[i] = 0
-			}
-			if c.pqueues != nil {
-				if pq := c.pqueues[i]; len(pq) > 0 {
-					pbuf := append(mail.pbufs[ri][:0], pq...)
-					mail.pbufs[ri] = pbuf
-					mail.pstamp[ri] = seq
-					mail.plinks = append(mail.plinks, ri)
-					for k := range pq {
-						pq[k] = nil // release the queued references
+				mail.box[dst] = box
+				e.ws = append(e.ws[:0], l.q...) //cc:hotalloc-ok(capacity growth; steady state reuses the buffer)
+				if len(l.q) > linkRetainCap {
+					l.q = nil // spiked queue released now; the mail copy at the next release
+				} else {
+					l.q = l.q[:0] // the queue keeps its own array
+				}
+				if len(l.pq) > 0 {
+					e.ps = append(e.ps[:0], l.pq...) //cc:hotalloc-ok(capacity growth; steady state reuses the buffer)
+					for k := range l.pq {
+						l.pq[k] = nil // release the queued references
 					}
-					if cap(pq) > payloadRetainCap {
-						c.pqueues[i] = nil
+					if cap(l.pq) > payloadRetainCap {
+						l.pq = nil
 					} else {
-						c.pqueues[i] = pq[:0]
+						l.pq = l.pq[:0]
 					}
+				} else {
+					e.ps = trimPayloads(e.ps)
+				}
+				// Fault application point: perturb what was just delivered
+				// on this link. The charge reflects what was *sent*, so the
+				// ledger stays deterministic; only delivered data changes.
+				if faultLinks && src != dst {
+					c.fault.link(e, src, dst, seq)
 				}
 			}
 			if src != dst && load > 0 {
@@ -703,18 +631,14 @@ func (c *Network) FlushAnalytic(maxLoad, totalWords int64) *Mail {
 				}
 				total += load
 			}
-			// Fault application point: perturb what was just delivered on
-			// this link. The charge above reflects what was *sent*, so the
-			// ledger stays deterministic; only delivered data changes.
-			if faultLinks && src != dst &&
-				(mail.wstamp[ri] == seq || (mail.pstamp != nil && mail.pstamp[ri] == seq)) {
-				c.fault.link(mail, src, dst, ri, seq)
-			}
 		}
 		c.touched[src] = list[:0]
 	}
 	c.flushSeq = seq
 	c.flushes++
+	if c.dense == nil && !c.pinSparse && links*denseSwitchDiv >= n*n {
+		c.switchDense()
+	}
 	if c.fault != nil {
 		maxLoad += c.fault.straggle(seq)
 	}
@@ -724,29 +648,15 @@ func (c *Network) FlushAnalytic(maxLoad, totalWords int64) *Mail {
 
 // PendingWords reports the number of words currently queued from src —
 // materialised words plus the analytic load of pending payloads
-// (diagnostics and tests).
+// (diagnostics and tests). Anything pending was queued since the last
+// flush, so the touched list covers it.
 func (c *Network) PendingWords(src int) int {
 	c.checkNode(src)
 	total := 0
-	if c.sparseLinks {
-		// Anything pending was queued since the last flush, so the touched
-		// list covers it (queues drain at flush); walking it — not the link
-		// map — keeps the order deterministic.
-		for _, dst := range c.stouched[src] {
-			if dst == src {
-				continue
-			}
-			sl := c.slinks[src][dst]
-			total += len(sl.q) + int(sl.pload)
-		}
-		return total
-	}
-	for dst, q := range c.queues[src] {
+	for _, dst := range c.touched[src] {
 		if dst != src {
-			total += len(q)
-			if c.ploads != nil {
-				total += int(c.ploads[src*c.n+dst])
-			}
+			l := c.at(src, dst)
+			total += len(l.q) + int(l.load)
 		}
 	}
 	return total

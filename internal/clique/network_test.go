@@ -293,41 +293,92 @@ func TestMisusePanics(t *testing.T) {
 	}
 }
 
+// TestRandomTrafficConservation holds the mailbox against a reference, in
+// each storage form: random words (Send) and payloads (SendPayload) on
+// random links are delivered exactly once and in FIFO order through every
+// read path — From, PayloadsFrom, Each, EachPayload — an unsent (dst, src)
+// pair reads nil, and the flush charges the maximum and the sum of the
+// per-link loads. Destination 0 hears from sources {0, 1, 3, 4} only, so
+// its mailbox has a gap: source 2 reads nil, and source 3, whose entry is
+// not at index 3, is found by the search.
 func TestRandomTrafficConservation(t *testing.T) {
-	// Property: every word sent is delivered exactly once, and the charged
-	// rounds equal the maximum per-link count.
-	rng := rand.New(rand.NewPCG(42, 7))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.IntN(10)
-		c := clique.New(n)
-		sent := make(map[[2]int][]clique.Word)
-		var wantMax int64
-		for m := 0; m < 200; m++ {
-			src, dst := rng.IntN(n), rng.IntN(n)
-			w := clique.Word(rng.Uint64())
-			c.Send(src, dst, w)
-			sent[[2]int{src, dst}] = append(sent[[2]int{src, dst}], w)
-		}
-		for k, ws := range sent {
-			if k[0] != k[1] && int64(len(ws)) > wantMax {
-				wantMax = int64(len(ws))
+	for trial := uint64(0); trial < 20; trial++ {
+		n := 5 + int(trial%8)
+		clique.EachForm(t, n, func(t *testing.T, c *clique.Network) {
+			rng := rand.New(rand.NewPCG(42, trial))
+			words := make(map[[2]int][]clique.Word) // keyed (dst, src)
+			payloads := make(map[[2]int][]clique.Payload)
+			load := make(map[[2]int]int64)
+			send := func(src, dst int) {
+				k := [2]int{dst, src}
+				if rng.IntN(2) == 0 {
+					w := clique.Word(rng.Uint64())
+					c.Send(src, dst, w)
+					words[k] = append(words[k], w)
+					load[k]++
+					return
+				}
+				p, cost := new(int64), 1+rng.Int64N(3)
+				*p = int64(len(payloads[k]))<<32 | int64(dst)<<16 | int64(src)
+				c.SendPayload(src, dst, cost, p)
+				payloads[k] = append(payloads[k], p)
+				load[k] += cost
 			}
-		}
-		mail := c.Flush()
-		if c.Rounds() != wantMax {
-			t.Fatalf("rounds = %d, want %d", c.Rounds(), wantMax)
-		}
-		for k, ws := range sent {
-			got := mail.From(k[1], k[0])
-			if len(got) != len(ws) {
-				t.Fatalf("link %v delivered %d of %d words", k, len(got), len(ws))
+			for _, src := range []int{0, 1, 3, 4} {
+				send(src, 0)
 			}
-			for i := range ws {
-				if got[i] != ws[i] {
-					t.Fatalf("link %v word %d corrupted", k, i)
+			for m := 0; m < 200; m++ {
+				send(rng.IntN(n), 1+rng.IntN(n-1))
+			}
+			var wantMax, wantWords int64
+			for k, l := range load {
+				if k[0] != k[1] {
+					wantMax = max(wantMax, l)
+					wantWords += l
 				}
 			}
-		}
+			mail := c.Flush()
+			if c.Rounds() != wantMax || c.Words() != wantWords {
+				t.Fatalf("charged %d rounds / %d words, want %d / %d", c.Rounds(), c.Words(), wantMax, wantWords)
+			}
+			for dst := 0; dst < n; dst++ {
+				eachWords := make(map[int][]clique.Word)
+				eachPayloads := make(map[int][]clique.Payload)
+				last := -1
+				mail.Each(dst, func(src int, ws []clique.Word) {
+					if src <= last || len(ws) == 0 {
+						t.Fatalf("Each(%d) visited source %d (%d words) after %d", dst, src, len(ws), last)
+					}
+					last, eachWords[src] = src, ws
+				})
+				last = -1
+				mail.EachPayload(dst, func(src int, ps []clique.Payload) {
+					if src <= last || len(ps) == 0 {
+						t.Fatalf("EachPayload(%d) visited source %d (%d payloads) after %d", dst, src, len(ps), last)
+					}
+					last, eachPayloads[src] = src, ps
+				})
+				for src := 0; src < n; src++ {
+					k := [2]int{dst, src}
+					for path, got := range map[string][]clique.Word{"From": mail.From(dst, src), "Each": eachWords[src]} {
+						if !reflect.DeepEqual(got, words[k]) {
+							t.Fatalf("%s(%d, %d) = %v, sent %v", path, dst, src, got, words[k])
+						}
+					}
+					for path, got := range map[string][]clique.Payload{"PayloadsFrom": mail.PayloadsFrom(dst, src), "EachPayload": eachPayloads[src]} {
+						if !reflect.DeepEqual(got, payloads[k]) {
+							t.Fatalf("%s(%d, %d) = %v, sent %v", path, dst, src, got, payloads[k])
+						}
+					}
+				}
+			}
+			if mail.From(0, 2) != nil || mail.PayloadsFrom(0, 2) != nil {
+				t.Fatal("the gap in destination 0's senders reads as a delivery")
+			}
+			if mail.From(0, 3) == nil && mail.PayloadsFrom(0, 3) == nil {
+				t.Fatal("source 3 behind the gap is lost")
+			}
+		})
 	}
 }
 

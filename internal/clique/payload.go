@@ -87,77 +87,23 @@ func (c *Network) Shadow(t Transport) *Network {
 // slot) rather than a slice header.
 type Payload = any
 
-// ensurePayloads lazily builds the payload-plane queues, so wire-only
-// networks never pay for them. Payload senders are single-threaded (the
-// engines' exchange loops run between ForEach phases), so no locking
-// beyond the shared touch registration is needed.
-func (c *Network) ensurePayloads() {
-	if c.pqueues == nil {
-		c.pqueues = make([][]Payload, c.n*c.n)
-		c.ploads = make([]int64, c.n*c.n)
-	}
-}
-
 // SendPayload enqueues an opaque payload from src to dst for the next
 // Flush, charging `words` analytic wire words on the link (the number of
 // words the payload would occupy encoded — callers compute it from
 // ring.BulkCodec.EncodedLen, chunk by chunk). Sending to oneself is legal
 // and free, like any self-send. The payload itself adds no further cost,
 // so traffic whose words were already charged elsewhere (two-phase
-// schedules) rides with words = 0.
+// schedules) rides with words = 0. Payload senders are single-threaded
+// (the engines' exchange loops run between ForEach phases).
 //
 //cc:hotpath
 func (c *Network) SendPayload(src, dst int, words int64, p Payload) {
-	c.checkNode(src)
-	c.checkNode(dst)
-	if c.fault != nil {
-		c.fault.checkSend(src, c.rounds)
-	}
-	if c.sparseLinks {
-		sl := c.slinkFor(src, dst)
-		sl.pq = append(sl.pq, p)
-		if words > 0 {
-			sl.pload += words
-		}
-		return
-	}
-	c.ensurePayloads()
-	i := src*c.n + dst
-	if len(c.pqueues[i]) == 0 && c.ploads[i] == 0 {
-		c.touch(src, dst)
-	}
-	c.pqueues[i] = append(c.pqueues[i], p)
+	c.open(src, dst)
+	l := c.linkFor(src, dst)
+	l.pq = append(l.pq, p)
 	if words > 0 {
-		c.ploads[i] += words
+		l.load += words
 	}
-}
-
-// ChargeLink adds analytic word load to a directed link for the next
-// Flush, delivering nothing: it is how the direct transport reproduces a
-// wire schedule's per-link loads (e.g. the two phases of Lenzen routing)
-// without materialising the words. Self-links are accounted exactly like
-// real self-sends: free.
-//
-//cc:hotpath
-func (c *Network) ChargeLink(src, dst int, words int64) {
-	c.checkNode(src)
-	c.checkNode(dst)
-	if c.fault != nil {
-		c.fault.checkSend(src, c.rounds)
-	}
-	if words <= 0 {
-		return
-	}
-	if c.sparseLinks {
-		c.slinkFor(src, dst).pload += words
-		return
-	}
-	c.ensurePayloads()
-	i := src*c.n + dst
-	if c.ploads[i] == 0 && len(c.pqueues[i]) == 0 {
-		c.touch(src, dst)
-	}
-	c.ploads[i] += words
 }
 
 // ChargeBroadcast charges exactly what Broadcast would for per-node vector
@@ -179,32 +125,19 @@ func (c *Network) ChargeBroadcast(lens []int64) {
 }
 
 // EachPayload calls f for every (src, payloads) pair delivered to dst, in
-// increasing source order — the payload-plane twin of Each. In sparse-link
-// mode the walk visits only the sources that actually delivered, so a
-// receiver's cost is proportional to its traffic, not to n; engines
-// running at sparse-link scale must use it instead of probing all n
-// sources with PayloadsFrom.
+// increasing source order — the payload-plane twin of Each. The walk
+// visits only the sources that actually delivered, so a receiver's cost is
+// proportional to its traffic, not to n; engines running at sparse-link
+// scale must use it instead of probing all n sources with PayloadsFrom.
 //
 //cc:hotpath
 func (m *Mail) EachPayload(dst int, f func(src int, ps []Payload)) {
-	if m.sbox != nil {
-		if m.sstamp[dst] != m.id {
-			return
-		}
-		for i := range m.sbox[dst] {
-			if e := &m.sbox[dst][i]; len(e.ps) > 0 {
-				f(e.src, e.ps)
-			}
-		}
+	if m.stamp[dst] != m.id {
 		return
 	}
-	if m.pstamp == nil {
-		return
-	}
-	base := dst * m.n
-	for src := 0; src < m.n; src++ {
-		if m.pstamp[base+src] == m.id && len(m.pbufs[base+src]) > 0 {
-			f(src, m.pbufs[base+src])
+	for i := range m.box[dst] {
+		if e := &m.box[dst][i]; len(e.ps) > 0 {
+			f(e.src, e.ps)
 		}
 	}
 }
@@ -215,18 +148,8 @@ func (m *Mail) EachPayload(dst int, f func(src int, ps []Payload)) {
 //
 //cc:hotpath
 func (m *Mail) PayloadsFrom(dst, src int) []Payload {
-	if m.sbox != nil {
-		if e := m.sparseEntry(dst, src); e != nil && len(e.ps) > 0 {
-			return e.ps
-		}
-		return nil
+	if e := m.entry(dst, src); e != nil && len(e.ps) > 0 {
+		return e.ps
 	}
-	if m.pstamp == nil {
-		return nil
-	}
-	i := dst*m.n + src
-	if m.pstamp[i] != m.id {
-		return nil
-	}
-	return m.pbufs[i]
+	return nil
 }

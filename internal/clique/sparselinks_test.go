@@ -11,7 +11,7 @@ import (
 
 // linkOp is one scripted enqueue for the differential tests below.
 type linkOp struct {
-	kind     int // 0 Send, 1 SendVec, 2 SendPayload, 3 ChargeLink
+	kind     int // 0 Send, 1 SendVec, 2 SendPayload, 3 SendPayload with a light load
 	src, dst int
 	val      uint64
 }
@@ -48,7 +48,8 @@ func applyOps(c *clique.Network, ops []linkOp) (refused int) {
 				v := []int64{int64(op.val), int64(op.src) - int64(op.dst)}
 				c.SendPayload(op.src, op.dst, 2, &v)
 			default:
-				c.ChargeLink(op.src, op.dst, int64(op.val%5))
+				v := []int64{int64(op.val)}
+				c.SendPayload(op.src, op.dst, int64(op.val%5), &v)
 			}
 		}()
 	}
@@ -202,7 +203,7 @@ func TestSparseLinksPendingWords(t *testing.T) {
 	c := clique.New(5, clique.WithSparseLinks())
 	c.Send(3, 0, 1)
 	c.SendVec(3, 1, []clique.Word{2, 3})
-	c.ChargeLink(3, 4, 7)
+	c.SendPayload(3, 4, 7, nil)
 	c.Send(3, 3, 9) // self-delivery is free and uncounted
 	if got := c.PendingWords(3); got != 10 {
 		t.Fatalf("PendingWords = %d, want 10", got)

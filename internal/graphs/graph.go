@@ -167,7 +167,10 @@ func (g *Weighted) N() int { return g.n }
 func (g *Weighted) Directed() bool { return g.directed }
 
 // SetEdge sets the weight of edge (u, v); undirected graphs set both
-// directions. Self-loops panic, as do negative "infinite" weights.
+// directions. Self-loops panic. Any weight is stored as given: one at or
+// above ring.Inf means no edge (HasEdge reports false and
+// WriteWeightedEdgeList omits it), and a negative weight of any size is an
+// ordinary edge.
 func (g *Weighted) SetEdge(u, v int, weight int64) {
 	if u == v {
 		panic(fmt.Sprintf("graphs: self-loop at %d", u))

@@ -8,21 +8,25 @@ import (
 	"strings"
 )
 
-// MaxReadNodes is the largest node count the readers accept in a header.
+// MaxReadNodes is the largest node count ReadEdgeList accepts in a header.
 // A header is a few bytes, and what it asks for is allocated before the
-// first edge is read: a Graph's bitset adjacency costs n²/8 bytes (32 MiB
-// at the bound) and a Weighted's matrix 8n² (2 GiB), so an unbounded count
-// lets a one-line file take the process down.
+// first edge is read: a Graph's bitset adjacency costs n²/8 bytes, 32 MiB
+// at the bound, so an unbounded count lets a one-line file take the
+// process down.
 const MaxReadNodes = 1 << 14
 
+// MaxReadWeightedNodes is ReadWeightedEdgeList's bound: a Weighted's matrix
+// costs 8n² bytes, the same 32 MiB at this bound.
+const MaxReadWeightedNodes = 1 << 11
+
 // readNodeCount parses the <count> field of a header line.
-func readNodeCount(line int, field string) (int, error) {
+func readNodeCount(line int, field string, limit int) (int, error) {
 	n, err := strconv.Atoi(field)
 	if err != nil || n < 0 {
 		return 0, fmt.Errorf("graphs: line %d: bad node count %q", line, field)
 	}
-	if n > MaxReadNodes {
-		return 0, fmt.Errorf("graphs: line %d: node count %d exceeds the readers' limit of %d", line, n, MaxReadNodes)
+	if n > limit {
+		return 0, fmt.Errorf("graphs: line %d: node count %d exceeds the reader's limit of %d", line, n, limit)
 	}
 	return n, nil
 }
@@ -74,7 +78,7 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			if len(fields) != 3 {
 				return nil, fmt.Errorf("graphs: line %d: header wants 'n <count> <kind>'", line)
 			}
-			n, err := readNodeCount(line, fields[1])
+			n, err := readNodeCount(line, fields[1], MaxReadNodes)
 			if err != nil {
 				return nil, err
 			}
@@ -141,7 +145,9 @@ func WriteWeightedEdgeList(w io.Writer, g *Weighted) error {
 }
 
 // ReadWeightedEdgeList parses the WriteWeightedEdgeList format. Node counts
-// above MaxReadNodes are rejected.
+// above MaxReadWeightedNodes are rejected. Weights are stored as given (see
+// Weighted.SetEdge), and a later line for the same edge overrides an
+// earlier one.
 func ReadWeightedEdgeList(r io.Reader) (*Weighted, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -160,7 +166,7 @@ func ReadWeightedEdgeList(r io.Reader) (*Weighted, error) {
 			if len(fields) != 4 || fields[3] != "weighted" {
 				return nil, fmt.Errorf("graphs: line %d: header wants 'n <count> <kind> weighted'", line)
 			}
-			n, err := readNodeCount(line, fields[1])
+			n, err := readNodeCount(line, fields[1], MaxReadWeightedNodes)
 			if err != nil {
 				return nil, err
 			}

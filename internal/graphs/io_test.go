@@ -90,6 +90,7 @@ func TestReadEdgeListCommentsAndErrors(t *testing.T) {
 		"n 4 undirected weighted\n0 1 x\n", // bad weight
 		"n 4000000000000 undirected weighted\n",
 		"n 16385 undirected weighted\n",
+		"n 2049 undirected weighted\n", // just over MaxReadWeightedNodes
 	}
 	for _, s := range badW {
 		if _, err := graphs.ReadWeightedEdgeList(strings.NewReader(s)); err == nil {
@@ -135,6 +136,39 @@ func FuzzReadEdgeList(f *testing.F) {
 		for u := 0; u < g.N(); u++ {
 			if !slices.Equal(g.Neighbors(u), back.Neighbors(u)) {
 				t.Fatalf("row %d changed: %v → %v", u, g.Neighbors(u), back.Neighbors(u))
+			}
+		}
+	})
+}
+
+// FuzzReadWeightedEdgeList holds the weighted reader to FuzzReadEdgeList's
+// contract: whatever the bytes, ReadWeightedEdgeList returns an error or a
+// graph that WriteWeightedEdgeList and a second read reproduce — the same
+// size, kind, edges and edge weights — never a panic, and never an
+// allocation the header alone decides (MaxReadWeightedNodes).
+func FuzzReadWeightedEdgeList(f *testing.F) {
+	f.Add("# a comment\nn 4 directed weighted\n0 1 5\n\n2 3 -7\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		g, err := graphs.ReadWeightedEdgeList(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := graphs.WriteWeightedEdgeList(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		back, err := graphs.ReadWeightedEdgeList(&buf)
+		if err != nil {
+			t.Fatalf("own output rejected: %v", err)
+		}
+		if back.N() != g.N() || back.Directed() != g.Directed() {
+			t.Fatalf("header changed: n %d→%d, directed %v→%v", g.N(), back.N(), g.Directed(), back.Directed())
+		}
+		for u := 0; u < g.N(); u++ {
+			for v := 0; v < g.N(); v++ {
+				if g.HasEdge(u, v) != back.HasEdge(u, v) || (g.HasEdge(u, v) && g.Weight(u, v) != back.Weight(u, v)) {
+					t.Fatalf("edge (%d,%d) changed: weight %d → %d", u, v, g.Weight(u, v), back.Weight(u, v))
+				}
 			}
 		}
 	})

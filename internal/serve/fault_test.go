@@ -18,6 +18,9 @@ import (
 // *SessionPanicError, the requests drained with it are served correctly —
 // those behind it on a fresh session — its session alone is discarded,
 // never re-pooled, and the dispatcher survives to serve the next batch.
+// The last row queues the poison behind the others, so its answer is the
+// batch's last and the pool is read the moment it arrives: the session
+// must be discarded before the guilty request is answered.
 func TestPoisonedSessionNeverRepooled(t *testing.T) {
 	const n = 8
 	a, b := testMat(n, 1), testMat(n, 2)
@@ -40,27 +43,40 @@ func TestPoisonedSessionNeverRepooled(t *testing.T) {
 		op   Op
 		a, b [][]int64
 		want [][]int64
+		last bool // queue the poison after the three clean requests
 	}{
-		{OpMatMul, a, b, naiveMul(a, b)},
-		{OpAPSP, path, nil, dist},
+		{OpMatMul, a, b, naiveMul(a, b), false},
+		{OpAPSP, path, nil, dist, false},
+		{OpMatMul, a, b, naiveMul(a, b), true},
 	} {
-		t.Run(string(tc.op), func(t *testing.T) {
+		name, poison := string(tc.op), 0
+		if tc.last {
+			name, poison = name+" poison queued last", 3
+		}
+		t.Run(name, func(t *testing.T) {
 			s, release := heldServer(Config{MaxBatch: 4})
 			defer s.Shutdown(context.Background())
 			ctx := context.Background()
 
 			var wg sync.WaitGroup
 			results := make([]Result, 4)
+			var atAnswer PoolStats // the pool as the poison's caller first sees it
 			for i := 0; i < 4; i++ {
+				if i == poison && tc.last {
+					waitAdmitted(t, s, 3)
+				}
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
 					req := Request{Tenant: "t", Op: tc.op, A: tc.a, B: tc.b}
-					if i == 0 {
+					if i == poison {
 						// The operation's first flush panics.
 						req.Fault = &cc.FaultPlan{Seed: 7, PanicAtFlush: 1}
 					}
 					results[i] = s.Do(ctx, req)
+					if i == poison {
+						atAnswer = s.Pool()
+					}
 				}(i)
 			}
 			// All four queue behind the held dispatcher and are drained
@@ -70,13 +86,16 @@ func TestPoisonedSessionNeverRepooled(t *testing.T) {
 			wg.Wait()
 
 			var spe *SessionPanicError
-			if !errors.As(results[0].Err, &spe) {
-				t.Fatalf("poison request err = %v, want *SessionPanicError", results[0].Err)
+			if !errors.As(results[poison].Err, &spe) {
+				t.Fatalf("poison request err = %v, want *SessionPanicError", results[poison].Err)
 			}
 			if spe.Op != tc.op {
 				t.Fatalf("SessionPanicError.Op = %q, want %q", spe.Op, tc.op)
 			}
-			for i := 1; i < 4; i++ {
+			for i := 0; i < 4; i++ {
+				if i == poison {
+					continue
+				}
 				if results[i].Err != nil {
 					t.Fatalf("request %d drained with the poison failed: %v", i, results[i].Err)
 				}
@@ -86,7 +105,10 @@ func TestPoisonedSessionNeverRepooled(t *testing.T) {
 			}
 
 			// One poison, one poisoned session: gone from the pool, not
-			// cached.
+			// cached — already when the guilty request is answered.
+			if atAnswer.Discards != 1 {
+				t.Fatalf("pool discards when the poison was answered = %d, want 1: %+v", atAnswer.Discards, atAnswer)
+			}
 			st := s.Pool()
 			if st.Discards != 1 {
 				t.Fatalf("pool discards = %d, want 1: %+v", st.Discards, st)

@@ -17,12 +17,13 @@ var ErrPoolClosed = errors.New("serve: session pool is closed")
 // list of row matrices — all of which outlive the operation that grew
 // them. Measured
 // on a session that has served each of the six ops once (live HeapAlloc,
-// bytes per n² in brackets): n = 16 0.32 MB [1 259], n = 32 1.94 MB
-// [1 893], n = 64 5.25 MB [1 281], n = 144 30.1 MB [1 453]; the estimate
-// is 2 200 bytes per link. TestSessionFootprintEstimate holds it within a
-// factor of two of that table. The budget is a control knob driving
-// eviction order, not an accounting guarantee.
-func sessionBytes(n int) int64 { return 2200 * int64(n) * int64(n) }
+// bytes per n² in brackets): n = 16 0.29 MB [1 121], n = 32 1.68 MB
+// [1 643], n = 64 4.49 MB [1 096], n = 144 25.0 MB [1 205]; the estimate
+// is 1 350 bytes per link, near the middle of the factor-two band that
+// table allows. TestSessionFootprintEstimate holds it within a factor of
+// two of every row. The budget is a control knob driving eviction order,
+// not an accounting guarantee.
+func sessionBytes(n int) int64 { return 1350 * int64(n) * int64(n) }
 
 // trimmedBytes is the post-Trim residual. Trim releases the networks' link
 // state and, with it, their working sets (everything rebuilds lazily on the

@@ -339,18 +339,19 @@ func (s *Server) serveOps(q *queue, reqs []*Request, start time.Time) {
 			return
 		}
 		poisoned := false
-		for len(remaining) > 0 {
-			res, panicked := runOp(sess, remaining[0])
-			s.respond(q, remaining[0], start, res)
+		for len(remaining) > 0 && !poisoned {
+			req := remaining[0]
 			remaining = remaining[1:]
-			if panicked {
-				poisoned = true
-				break
+			var res Result
+			res, poisoned = runOp(sess, req)
+			if poisoned {
+				// Discard before answering: a caller holding the
+				// *SessionPanicError must find the session already gone.
+				s.pool.Discard(sess)
 			}
+			s.respond(q, req, start, res)
 		}
-		if poisoned {
-			s.pool.Discard(sess)
-		} else {
+		if !poisoned {
 			s.pool.Put(sess)
 		}
 	}
