@@ -2,12 +2,16 @@ package algclique
 
 import (
 	"github.com/algebraic-clique/algclique/internal/baseline"
+	"github.com/algebraic-clique/algclique/internal/distance"
 )
 
 // TransitiveClosure computes reachability: out[u][v] = 1 iff a (directed)
-// path u→v exists or u = v, by ⌈log₂ n⌉ Boolean squarings of A ∨ I —
-// O(n^ρ log n) rounds. This is the reachability step of Corollary 8,
-// exposed on its own.
+// path u→v exists or u = v, by at most ⌈log₂ n⌉ Boolean squarings of
+// A ∨ I — O(n^ρ log n) rounds. The squaring stops at its fixed point: after
+// every squaring but the last, one round tells every node whether any row
+// changed, so when every reachable pair is at most h hops apart it runs
+// min(⌈log₂ n⌉, ⌈log₂ h⌉ + 1) products. This is the reachability step of
+// Corollary 8, exposed on its own.
 func (s *Clique) TransitiveClosure(g *Graph, opts ...CallOption) (reach Mat, stats Stats, err error) {
 	r, err := s.begin("TransitiveClosure", g.N(), ringSize, opts)
 	if err != nil {
@@ -25,14 +29,19 @@ func (s *Clique) TransitiveClosure(g *Graph, opts ...CallOption) (reach Mat, sta
 		padded.Row(v).ForEach(func(u int) { row[u] = 1 })
 	}
 	cur := mat
-	for iter := 0; 1<<iter < r.n; iter++ {
+	depth := distance.SquaringCap(r.orig)
+	for iter := 0; iter < depth; iter++ {
 		next, _, merr := r.plan.MulBoolRouted(r.net, r.sc, cur, cur)
 		if merr != nil {
 			err = merr
 			return
 		}
 		r.recycle(next)
+		settled := iter+1 < depth && distance.Settled(r.net, cur, next)
 		cur = next
+		if settled {
+			break
+		}
 	}
 	reach = truncateRows(cur, r.orig)
 	return
@@ -84,7 +93,7 @@ func (s *Clique) MatMulBroadcast(a, b Mat, opts ...CallOption) (prod Mat, stats 
 		return nil, Stats{}, err
 	}
 	defer r.end(&stats, &err)
-	p, err := baseline.BroadcastMatMul(r.net, r.borrow(a, 0), r.borrow(b, 0))
+	p, err := baseline.BroadcastMatMul(r.net, r.borrow(a, &matMulSpec), r.borrow(b, &matMulSpec))
 	if err != nil {
 		return nil, Stats{}, err
 	}

@@ -2,10 +2,10 @@ package algclique
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"github.com/algebraic-clique/algclique/internal/ccmm"
+	"github.com/algebraic-clique/algclique/internal/distance"
 	"github.com/algebraic-clique/algclique/internal/matrix"
 )
 
@@ -300,70 +300,62 @@ func withDiagonal(m *matrix.CSR[int64], n int, diag int64, keepVal bool) *matrix
 	return out
 }
 
-// squaringIters is the iterated-squaring depth: distances and
-// reachability stabilise after ⌈log₂ n⌉ squarings.
-func squaringIters(n int) int {
-	if n <= 1 {
-		return 1
+// rowChanged is the per-row test of the fixed-point rule on the CSR plane:
+// node v compares its row of the new iterate with its row of the old one,
+// entries and values. A step that switched the iterate from CSR to dense
+// changed it.
+func rowChanged(old, cur ccmm.CSRProduct[int64], v int) bool {
+	switch {
+	case old.Sparse != nil && cur.Sparse != nil:
+		oc, ov := old.Sparse.Row(v)
+		cc, cv := cur.Sparse.Row(v)
+		return !slices.Equal(oc, cc) || !slices.Equal(ov, cv)
+	case old.Dense != nil && cur.Dense != nil:
+		return !slices.Equal(old.Dense.Rows[v], cur.Dense.Rows[v])
 	}
-	return bits.Len(uint(n - 1))
-}
-
-// csrEqual reports whether two iterates store the same entries; a nil and
-// an empty array are the same array here.
-func csrEqual(a, b *matrix.CSR[int64]) bool {
-	return a.N == b.N && slices.Equal(a.RowPtr, b.RowPtr) && slices.Equal(a.Col, b.Col) && slices.Equal(a.Val, b.Val)
+	return true
 }
 
 // iterateSquaring drives an iterated-squaring loop that stays CSR until
 // fill-in forces densification: each squaring runs through spec's routed
 // CSR product, and the first dense result switches the loop to its dense
-// product for the remaining iterations. Either representation exits early
-// at a fixed point.
-func (r *opRun) iterateSquaring(spec *productSpec, d *matrix.CSR[int64], iters int) (ccmm.CSRProduct[int64], error) {
-	var dd *ccmm.RowMat[int64]
-	for i := 0; i < iters; i++ {
-		if dd == nil {
-			p, route, err := spec.mulCSR(r.plan, r.net, r.sc, d, d)
-			r.route = route
-			if err != nil {
-				return ccmm.CSRProduct[int64]{}, err
-			}
-			if p.Sparse != nil {
-				if csrEqual(p.Sparse, d) {
-					break
-				}
-				d = p.Sparse
-				continue
-			}
-			dd = p.Dense // fill-in densified the iterate; stay dense from here
-			continue
+// product for the remaining iterations. It squares at most
+// distance.SquaringCap(n) times and stops at the fixed point by the rule
+// every squaring loop shares (distance.Settled): after every squaring but
+// the last, one round of Network.Any tells every node whether any row
+// changed.
+func (r *opRun) iterateSquaring(spec *productSpec, d *matrix.CSR[int64], n int) (ccmm.CSRProduct[int64], error) {
+	it := ccmm.CSRProduct[int64]{Sparse: d}
+	depth := distance.SquaringCap(n)
+	for iter := 0; iter < depth; iter++ {
+		var next ccmm.CSRProduct[int64]
+		var err error
+		if it.Dense == nil {
+			next, r.route, err = spec.mulCSR(r.plan, r.net, r.sc, it.Sparse, it.Sparse)
+		} else {
+			next.Dense, r.route, err = spec.mul(r.plan, r.net, r.sc, it.Dense, it.Dense)
 		}
-		next, route, err := spec.mul(r.plan, r.net, r.sc, dd, dd)
-		r.route = route
 		if err != nil {
 			return ccmm.CSRProduct[int64]{}, err
 		}
-		if slices.EqualFunc(next.Rows, dd.Rows, slices.Equal[[]int64]) {
-			r.recycle(next)
+		settled := iter+1 < depth && !r.net.Any(func(v int) bool { return rowChanged(it, next, v) })
+		r.recycle(it.Dense)
+		it = next
+		if settled {
 			break
 		}
-		r.recycle(dd)
-		dd = next
 	}
-	if dd != nil {
-		return ccmm.CSRProduct[int64]{Dense: dd}, nil
-	}
-	// The iterate may still be the caller's seeded view; products are
+	// A sparse iterate may still be the caller's seeded view; products are
 	// always fresh, so this aliases no pooled state.
-	return ccmm.CSRProduct[int64]{Sparse: d}, nil
+	return it, nil
 }
 
 // iterateCSR is the shared harness of the iterated-squaring CSR entry
 // points: seed the iterate with the operand plus diag on the diagonal —
 // values kept (min-plus) or dropped, since a Boolean iterate is
 // structure-only and successive iterates come back value-free — and square
-// it to a fixed point with spec's products.
+// it to its fixed point, within ⌈log₂ n⌉ squarings of the instance size,
+// with spec's products.
 func (s *Clique) iterateCSR(op string, spec *productSpec, a *CSR, diag int64, keepVal bool, opts []CallOption) (prod CSRProduct, stats Stats, err error) {
 	if err := a.validate(); err != nil {
 		return CSRProduct{}, Stats{}, err
@@ -380,7 +372,7 @@ func (s *Clique) iterateCSR(op string, spec *productSpec, a *CSR, diag int64, ke
 	defer r.end(&stats, &err)
 	d := withDiagonal(padCSRTo(a, r.n), r.n, diag, keepVal)
 	var p ccmm.CSRProduct[int64]
-	if p, err = r.iterateSquaring(spec, d, squaringIters(a.N)); err == nil {
+	if p, err = r.iterateSquaring(spec, d, a.N); err == nil {
 		prod = r.publicProduct(p)
 	}
 	return

@@ -100,7 +100,7 @@ func CertifyFreivalds[T any](net *clique.Network, rg ring.Ring[T], cd ring.Codec
 		vecs[v] = enc[v*w : (v+1)*w]
 	}
 	y := make([]T, n)
-	bad := make([]clique.Word, n)
+	bad := make([]bool, n)
 	for p := 0; p < probes; p++ {
 		// y_v = (B·x)_v is local to node v, which owns row v of B.
 		net.ForEach(func(v int) {
@@ -127,16 +127,10 @@ func CertifyFreivalds[T any](net *clique.Network, rg ring.Ring[T], cd ring.Codec
 					rhs = rg.Add(rhs, crow[j])
 				}
 			}
-			if rg.Equal(lhs, rhs) {
-				bad[v] = 0
-			} else {
-				bad[v] = 1
-			}
+			bad[v] = !rg.Equal(lhs, rhs)
 		})
-		for _, f := range net.BroadcastWord(bad) {
-			if f != 0 {
-				return false, nil
-			}
+		if net.Any(func(v int) bool { return bad[v] }) {
+			return false, nil
 		}
 	}
 	return true, nil
@@ -189,9 +183,8 @@ func CertifySpotCheck[T any](net *clique.Network, sr ring.Semiring[T], cd ring.C
 		}
 	}
 	mail := net.Flush()
-	bad := make([]clique.Word, n)
+	bad := make([]bool, n)
 	net.ForEach(func(v int) {
-		bad[v] = 0
 		for i, j := range cols[v] {
 			acc := sr.Zero()
 			for k := 0; k < n; k++ {
@@ -203,7 +196,7 @@ func CertifySpotCheck[T any](net *clique.Network, sr ring.Semiring[T], cd ring.C
 					if len(vec) < (i+1)*w {
 						// A dropped delivery fails the check rather than
 						// vouching for entries it cannot recompute.
-						bad[v] = 1
+						bad[v] = true
 						return
 					}
 					bkj = cd.Decode(vec[i*w : (i+1)*w])
@@ -211,15 +204,13 @@ func CertifySpotCheck[T any](net *clique.Network, sr ring.Semiring[T], cd ring.C
 				acc = sr.Add(acc, sr.Mul(a.Rows[v][k], bkj))
 			}
 			if !sr.Equal(acc, c.Rows[v][j]) {
-				bad[v] = 1
+				bad[v] = true
 				return
 			}
 		}
 	})
-	for _, f := range net.BroadcastWord(bad) {
-		if f != 0 {
-			return false, nil
-		}
+	if net.Any(func(v int) bool { return bad[v] }) {
+		return false, nil
 	}
 	return true, nil
 }

@@ -91,6 +91,9 @@ type algebra[T any] struct {
 	entryWords func(e Engine, n int) float64
 	// tupleWords is the wire width of one tuple of the sparse engine.
 	tupleWords int
+	// valueFree reads a CSR operand by its structure alone: every stored
+	// entry is the one, whatever its value (the Boolean algebra).
+	valueFree bool
 	// sparse and sparseCSR run the forced sparse tile engine on either
 	// operand form; dense runs the resolved dense engine e. None of them
 	// censuses or routes.
@@ -142,6 +145,7 @@ var (
 			return float64(ring.PackedBool{}.EncodedLen(n)) / float64(n)
 		},
 		tupleWords: ring.TupleCodec[bool]{Val: ring.PackedBool{}}.EncodedLen(1),
+		valueFree:  true,
 		sparse:     mulBoolSparse,
 		sparseCSR:  mulBoolSparseCSR,
 		dense:      mulBoolDense,
@@ -200,7 +204,9 @@ func mulRowMat[T any](net *clique.Network, p *Plan, sc *Scratch, a *algebra[T], 
 // costs exactly its broadcast, the "census is free" property the CSR plane
 // is built around. Sparse products stay CSR; a product the router sends to
 // a dense engine densifies its operands through the pool and comes back as
-// the dense row matrix that engine produced — up to csrDensifyCap.
+// the dense row matrix that engine produced — up to csrDensifyCap. A
+// value-free algebra densifies its operands value-free, as its sparse
+// engine reads them.
 func mulCSR[T any](net *clique.Network, p *Plan, sc *Scratch, a *algebra[T], s, t *matrix.CSR[T]) (CSRProduct[T], Route, error) {
 	return route(net, p, sc, a, operands[CSRProduct[T]]{
 		validate: func(n int) error {
@@ -220,7 +226,12 @@ func mulCSR[T any](net *clique.Network, p *Plan, sc *Scratch, a *algebra[T], s, 
 			return CSRProduct[T]{Sparse: m}, err
 		},
 		dense: func(sc *Scratch, e Engine) (CSRProduct[T], error) {
-			sd, td, release := densifyPair(net, sc, a.sr.Zero(), a.sr.One(), s, t)
+			ds, dt := s, t
+			if a.valueFree {
+				ds = &matrix.CSR[T]{N: s.N, RowPtr: s.RowPtr, Col: s.Col}
+				dt = &matrix.CSR[T]{N: t.N, RowPtr: t.RowPtr, Col: t.Col}
+			}
+			sd, td, release := densifyPair(net, sc, a.sr.Zero(), a.sr.One(), ds, dt)
 			defer release()
 			m, err := a.dense(net, p, sc, e, sd, td)
 			return CSRProduct[T]{Dense: m}, err
@@ -265,12 +276,11 @@ func (p *Plan) MulIntCSRRouted(net *clique.Network, sc *Scratch, s, t *matrix.CS
 }
 
 // MulBoolCSRRouted computes the Boolean product of CSR operands. Stored
-// entries are treated as true regardless of value — Boolean CSR operands
-// must store only true entries (the canonical form; a nil Val is the usual
-// adjacency encoding) — so the Boolean view shares the structure arrays
-// with no conversion pass, and the sparse tuple streams carry bit-packed
-// values. Sparse results come back value-free (nil Val: every stored entry
-// is 1).
+// entries are true whatever their value, on either route — a nil Val is
+// the usual adjacency encoding — so the Boolean view shares the structure
+// arrays with no conversion pass, a dense route densifies value-free, and
+// the sparse tuple streams carry bit-packed values. Sparse results come
+// back value-free (nil Val: every stored entry is 1).
 func (p *Plan) MulBoolCSRRouted(net *clique.Network, sc *Scratch, s, t *matrix.CSR[int64]) (CSRProduct[int64], Route, error) {
 	return mulCSR(net, p, sc, &boolAlgebra, s, t)
 }

@@ -695,6 +695,23 @@ func (c *Network) BroadcastWord(vals []Word) []Word {
 	return out
 }
 
+// Any is the distributed OR of one bit per node: node v holds pred(v), and
+// one broadcast round tells every node whether some node's bit is set. It
+// charges exactly what BroadcastWord charges — one round, n(n−1) words —
+// and allocates nothing, since no node needs the other bits, only their OR.
+// pred is each node's local test, evaluated in node order; it must not
+// touch the network, and once one node's bit is set the rest are not
+// evaluated.
+func (c *Network) Any(pred func(v int) bool) bool {
+	c.charge(1, int64(c.n)*int64(c.n-1))
+	for v := 0; v < c.n; v++ {
+		if pred(v) {
+			return true
+		}
+	}
+	return false
+}
+
 // poolTask is one unit of fan-out work handed to a persistent worker.
 type poolTask struct {
 	f func(v int)

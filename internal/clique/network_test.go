@@ -395,3 +395,31 @@ func TestPendingWords(t *testing.T) {
 		t.Errorf("PendingWords after flush = %d", got)
 	}
 }
+
+// TestAnyChargesLikeBroadcastWord: the distributed OR charges what the
+// one-word broadcast it replaces charges — one round, n(n−1) words, in the
+// current phase — answers the OR of the node bits, and allocates nothing.
+func TestAnyChargesLikeBroadcastWord(t *testing.T) {
+	const n = 9
+	ref, c := clique.New(n), clique.New(n)
+	ref.Phase("or")
+	c.Phase("or")
+	for _, set := range [][]int{nil, {0}, {n - 1}, {2, 5}} {
+		bits := make([]bool, n)
+		words := make([]clique.Word, n)
+		for _, v := range set {
+			bits[v], words[v] = true, 1
+		}
+		ref.BroadcastWord(words)
+		if got := c.Any(func(v int) bool { return bits[v] }); got != (len(set) > 0) {
+			t.Errorf("Any over bits %v = %v", set, got)
+		}
+	}
+	if got, want := c.Stats(), ref.Stats(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Any charged %+v, BroadcastWord %+v", got, want)
+	}
+	bits := make([]bool, n)
+	if allocs := testing.AllocsPerRun(100, func() { c.Any(func(v int) bool { return bits[v] }) }); allocs != 0 {
+		t.Errorf("Any allocates %v objects per call, want 0", allocs)
+	}
+}

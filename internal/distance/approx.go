@@ -92,7 +92,7 @@ func APSPApprox(net *clique.Network, engine ccmm.Engine, g *graphs.Weighted, opt
 		return nil, 0, err
 	}
 	n := net.N()
-	iters := log2Ceil(n)
+	iters := SquaringCap(n)
 	delta := opts.Delta
 	if delta == 0 {
 		l := float64(iters)

@@ -16,6 +16,8 @@ package distance
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"github.com/algebraic-clique/algclique/internal/ccmm"
 	"github.com/algebraic-clique/algclique/internal/clique"
@@ -56,11 +58,25 @@ func checkWeightedSize(net *clique.Network, g *graphs.Weighted) error {
 
 // log2Ceil returns ⌈log₂ n⌉ for n ≥ 1.
 func log2Ceil(n int) int {
-	k := 0
-	for 1<<k < n {
-		k++
-	}
-	return k
+	return bits.Len(uint(n - 1))
+}
+
+// SquaringCap is the one depth cap of every iterated-squaring loop: on an
+// n-node instance a shortest path or a reachability witness has at most
+// n−1 hops, so ⌈log₂ n⌉ squarings settle any iterate.
+func SquaringCap(n int) int { return log2Ceil(n) }
+
+// Settled is the fixed-point rule of the iterated-squaring loops. Every
+// node compares its row of the new iterate cur with its row of the old one,
+// and Network.Any — one charged round — tells every node whether any row
+// changed. A deterministic squaring map that leaves its iterate unchanged
+// leaves it unchanged for ever, so a loop stops when Settled reports true
+// and returns exactly what the capped run would. Loops ask after every
+// squaring but the last one the cap allows, so when every shortest path
+// (or reachability witness) needs at most h hops the loop stops after
+// min(SquaringCap(n), ⌈log₂ h⌉ + 1) squarings.
+func Settled(net *clique.Network, old, cur *ccmm.RowMat[int64]) bool {
+	return !net.Any(func(v int) bool { return !slices.Equal(old.Rows[v], cur.Rows[v]) })
 }
 
 // ValidateRouting is a centralised test helper: it walks every routing-table

@@ -75,19 +75,7 @@ func seidelRec(net *clique.Network, engine ccmm.Engine, sc *ccmm.Scratch, a *ccm
 	})
 	ccmm.PutMat(sc, a2)
 	// One broadcast round agrees on the fixpoint globally.
-	flags := make([]clique.Word, n)
-	for v := 0; v < n; v++ {
-		if !fixpoint[v] {
-			flags[v] = 1
-		}
-	}
-	changed := false
-	for _, f := range net.BroadcastWord(flags) {
-		if f != 0 {
-			changed = true
-			break
-		}
-	}
+	changed := net.Any(func(v int) bool { return !fixpoint[v] })
 	if !changed {
 		// G is a disjoint union of cliques: distance 1 to neighbours,
 		// infinity across components.

@@ -11,10 +11,13 @@ import (
 
 // APSPSemiring computes exact all-pairs shortest paths and routing tables
 // for weighted directed graphs by iterated squaring of the weight matrix
-// over the min-plus semiring (Corollary 6): ⌈log₂ n⌉ distance products on
-// the 3D algorithm, each O(n^{1/3}) rounds on any clique size (the padded
-// cube layout), witnesses riding in-band. Weights may be negative;
-// negative cycles are detected and rejected.
+// over the min-plus semiring (Corollary 6): at most ⌈log₂ n⌉ distance
+// products on the 3D algorithm, each O(n^{1/3}) rounds on any clique size
+// (the padded cube layout), witnesses riding in-band. The squaring stops at
+// its fixed point (Settled: one round after every squaring but the last),
+// so when every shortest path needs at most h hops it runs
+// min(⌈log₂ n⌉, ⌈log₂ h⌉ + 1) products. Weights may be negative; negative
+// cycles are detected and rejected.
 func APSPSemiring(net *clique.Network, g *graphs.Weighted) (*Result, error) {
 	if err := checkWeightedSize(net, g); err != nil {
 		return nil, err
@@ -46,7 +49,8 @@ func APSPSemiring(net *clique.Network, g *graphs.Weighted) (*Result, error) {
 		}
 	}
 
-	for iter := 0; iter < log2Ceil(n); iter++ {
+	depth := SquaringCap(n)
+	for iter := 0; iter < depth; iter++ {
 		net.Phase(fmt.Sprintf("apsp3d/square-%d", iter))
 		w2, q, err := ccmm.DistanceProduct3D(net, sc, w, w)
 		if err != nil {
@@ -68,23 +72,22 @@ func APSPSemiring(net *clique.Network, g *graphs.Weighted) (*Result, error) {
 				}
 			}
 		})
+		// The routing table moves only where the distances strictly
+		// improved, so unchanged distances are a fixed point of both.
+		settled := iter+1 < depth && Settled(net, w, w2)
 		ccmm.PutMat(sc, w)
 		ccmm.PutMat(sc, q)
 		ccmm.PutMat(sc, next)
 		w, next = w2, next2
+		if settled {
+			break
+		}
 	}
 
-	// Negative-cycle check: any negative diagonal entry is broadcast.
-	diag := make([]clique.Word, n)
-	for v := 0; v < n; v++ {
-		if w.Rows[v][v] < 0 {
-			diag[v] = 1
-		}
-	}
-	for _, flag := range net.BroadcastWord(diag) {
-		if flag != 0 {
-			return nil, fmt.Errorf("distance: graph contains a negative cycle")
-		}
+	// Negative-cycle check: one node's negative diagonal entry is enough,
+	// and one round tells everyone.
+	if net.Any(func(v int) bool { return w.Rows[v][v] < 0 }) {
+		return nil, fmt.Errorf("distance: graph contains a negative cycle")
 	}
 	return &Result{Dist: w, Next: next}, nil
 }

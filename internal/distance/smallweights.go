@@ -70,8 +70,10 @@ func DistanceProductSmall(net *clique.Network, engine ccmm.Engine, s, t *ccmm.Ro
 // APSPBounded computes all-pairs shortest paths up to distance M
 // (Lemma 19): iterated squaring where entries above M are truncated to ∞
 // before every product, so every product stays within the Lemma 18 regime.
-// Output entries are exact distances ≤ M; pairs farther apart (or
-// unreachable) are ∞.
+// The map "square, then truncate above M" is deterministic, so the loop
+// stops at its fixed point (Settled) within the ⌈log₂ n⌉ cap. Output
+// entries are exact distances ≤ M; pairs farther apart (or unreachable)
+// are ∞.
 func APSPBounded(net *clique.Network, engine ccmm.Engine, w *ccmm.RowMat[int64], m int64) (*ccmm.RowMat[int64], error) {
 	if m < 1 {
 		return nil, fmt.Errorf("distance: distance bound M = %d must be ≥ 1: %w", m, ccmm.ErrSize)
@@ -79,15 +81,21 @@ func APSPBounded(net *clique.Network, engine ccmm.Engine, w *ccmm.RowMat[int64],
 	n := net.N()
 	sc := ccmm.ScratchOf(net)
 	cur := truncateAbove(sc, w, m)
-	for iter := 0; iter < log2Ceil(n); iter++ {
+	depth := SquaringCap(n)
+	for iter := 0; iter < depth; iter++ {
 		net.Phase(fmt.Sprintf("apsp-bounded/square-%d", iter))
 		next, err := DistanceProductSmall(net, engine, cur, cur, m)
 		if err != nil {
 			return nil, err
 		}
-		ccmm.PutMat(sc, cur)
-		cur = truncateAbove(sc, next, m)
+		trunc := truncateAbove(sc, next, m)
 		ccmm.PutMat(sc, next)
+		settled := iter+1 < depth && Settled(net, cur, trunc)
+		ccmm.PutMat(sc, cur)
+		cur = trunc
+		if settled {
+			break
+		}
 	}
 	return cur, nil
 }
@@ -111,7 +119,8 @@ func truncateAbove(sc *ccmm.Scratch, w *ccmm.RowMat[int64], m int64) *ccmm.RowMa
 
 // APSPSmallWeights computes exact APSP for directed graphs with positive
 // integer weights and (unknown) weighted diameter U in O~(U·n^ρ) rounds
-// (Corollary 8): first the reachability closure via Boolean squaring, then
+// (Corollary 8): first the reachability closure via Boolean squaring
+// (stopping at its fixed point, as every squaring loop does), then
 // APSPBounded under a doubling guess for U until every reachable pair has a
 // finite distance.
 func APSPSmallWeights(net *clique.Network, engine ccmm.Engine, g *graphs.Weighted) (*ccmm.RowMat[int64], error) {
@@ -152,13 +161,18 @@ func APSPSmallWeights(net *clique.Network, engine ccmm.Engine, g *graphs.Weighte
 			}
 		}
 	}
-	for iter := 0; iter < log2Ceil(n); iter++ {
+	depth := SquaringCap(n)
+	for iter := 0; iter < depth; iter++ {
 		next, err := ccmm.MulBoolWith(net, engine, sc, reach, reach)
 		if err != nil {
 			return nil, err
 		}
+		settled := iter+1 < depth && Settled(net, reach, next)
 		ccmm.PutMat(sc, reach)
 		reach = next
+		if settled {
+			break
+		}
 	}
 
 	// Doubling search over U: at most log₂(n·maxW)+1 guesses.
@@ -171,25 +185,16 @@ func APSPSmallWeights(net *clique.Network, engine ccmm.Engine, g *graphs.Weighte
 		if err != nil {
 			return nil, err
 		}
-		// All-reachable check: one broadcast round.
-		ok := make([]clique.Word, n)
-		for v := 0; v < n; v++ {
-			complete := clique.Word(1)
-			for j := 0; j < n; j++ {
-				if reach.Rows[v][j] != 0 && ring.IsInf(d.Rows[v][j]) {
-					complete = 0
-					break
+		// All-reachable check: one round tells everyone whether some node
+		// still has a reachable pair at distance ∞.
+		done := !net.Any(func(v int) bool {
+			for j, r := range reach.Rows[v] {
+				if r != 0 && ring.IsInf(d.Rows[v][j]) {
+					return true
 				}
 			}
-			ok[v] = complete
-		}
-		done := true
-		for _, f := range net.BroadcastWord(ok) {
-			if f == 0 {
-				done = false
-				break
-			}
-		}
+			return false
+		})
 		if done {
 			return d, nil
 		}

@@ -3,6 +3,7 @@ package distance
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"github.com/algebraic-clique/algclique/internal/ccmm"
 	"github.com/algebraic-clique/algclique/internal/clique"
@@ -350,24 +351,7 @@ func verifyAndMergeDirect(net *clique.Network, s, p *ccmm.RowMat[int64], tcol []
 // allResolved agrees globally (one broadcast round) on whether every pair
 // has a witness.
 func allResolved(net *clique.Network, resolved [][]bool) bool {
-	n := net.N()
-	flags := make([]clique.Word, n)
-	for u := 0; u < n; u++ {
-		done := clique.Word(1)
-		for v := 0; v < n; v++ {
-			if !resolved[u][v] {
-				done = 0
-				break
-			}
-		}
-		flags[u] = done
-	}
-	for _, f := range net.BroadcastWord(flags) {
-		if f == 0 {
-			return false
-		}
-	}
-	return true
+	return !net.Any(func(u int) bool { return slices.Contains(resolved[u], false) })
 }
 
 // RoutingFromDistances reconstructs a routing table from exact distances:

@@ -117,18 +117,7 @@ func Directed(net *clique.Network, engine ccmm.Engine, g *graphs.Graph) (girth i
 	})
 
 	diagSet := func(b *ccmm.RowMat[int64]) bool {
-		flags := make([]clique.Word, n)
-		for v := 0; v < n; v++ {
-			if b.Rows[v][v] != 0 {
-				flags[v] = 1
-			}
-		}
-		for _, f := range net.BroadcastWord(flags) {
-			if f != 0 {
-				return true
-			}
-		}
-		return false
+		return net.Any(func(v int) bool { return b.Rows[v][v] != 0 })
 	}
 	orA := func(b *ccmm.RowMat[int64]) {
 		net.ForEach(func(v int) {

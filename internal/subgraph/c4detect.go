@@ -88,7 +88,7 @@ func DetectC4(net *clique.Network, g *graphs.Graph) (bool, error) {
 		g.Row(x).ForEach(func(y int) { walks += int64(degs[y]) })
 		flags[x] = walks >= int64(2*n-1)
 	})
-	if orBroadcast(net, flags) {
+	if net.Any(func(v int) bool { return flags[v] }) {
 		return true, nil
 	}
 
@@ -186,5 +186,5 @@ func DetectC4(net *clique.Network, g *graphs.Graph) (bool, error) {
 			}
 		}
 	})
-	return orBroadcast(net, found), nil
+	return net.Any(func(v int) bool { return found[v] }), nil
 }

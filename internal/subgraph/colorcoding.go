@@ -133,7 +133,7 @@ func DetectKCycleColourful(net *clique.Network, engine ccmm.Engine, g *graphs.Gr
 			}
 		}
 	})
-	return orBroadcast(net, flags), nil
+	return net.Any(func(v int) bool { return flags[v] }), nil
 }
 
 // KCycleOpts configures the randomised colour-coding search of Theorem 3.

@@ -44,24 +44,6 @@ func sumBroadcast(net *clique.Network, partial []int64) int64 {
 	return total
 }
 
-// orBroadcast ORs per-node flags via a single broadcast round.
-func orBroadcast(net *clique.Network, flags []bool) bool {
-	n := net.N()
-	vals := make([]clique.Word, n)
-	for v := 0; v < n; v++ {
-		if flags[v] {
-			vals[v] = 1
-		}
-	}
-	got := net.BroadcastWord(vals)
-	for _, w := range got {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // LearnGraph makes every node learn the whole undirected graph g, each
 // edge shipped once — as the word u from its endpoint v < u — and returns
 // the graph every node then holds (ccmm.Learn): on the wire transport the

@@ -28,8 +28,10 @@ func (s *Clique) DistanceProduct(a, b Mat, opts ...CallOption) (Mat, Stats, erro
 	return s.product(&distanceProductSpec, a, b, opts)
 }
 
-// MatMulBool computes the Boolean matrix product of 0/1 matrices
-// (reachability composition), over the integers on the fast engine.
+// MatMulBool computes the Boolean matrix product (reachability
+// composition): every nonzero entry of an operand is true, whatever its
+// value and whichever engine runs, and the product is a 0/1 matrix. It
+// multiplies over the integers on the fast engine.
 func (s *Clique) MatMulBool(a, b Mat, opts ...CallOption) (Mat, Stats, error) {
 	return s.product(&matMulBoolSpec, a, b, opts)
 }
@@ -75,16 +77,26 @@ func squareSize(a, b Mat) (int, error) {
 
 // padMatInto embeds rows into an existing n×n distributed matrix, filling
 // all other entries with the algebra's zero (0 for rings, Inf for min-plus)
-// so the padded product restricted to the original block is unchanged.
-// Every entry is overwritten, so pooled buffers with stale contents are
-// safe.
-func padMatInto(dst *ccmm.RowMat[int64], rows Mat, zero int64) {
+// so the padded product restricted to the original block is unchanged; a
+// Boolean copy writes every nonzero entry as 1. Every entry is overwritten,
+// so pooled buffers with stale contents are safe.
+func padMatInto(dst *ccmm.RowMat[int64], rows Mat, zero int64, boolean bool) {
 	for v, r := range dst.Rows {
 		var src []int64
 		if v < len(rows) {
 			src = rows[v]
 		}
-		k := copy(r, src)
+		k := len(src)
+		if boolean {
+			for j, x := range src {
+				r[j] = 0
+				if x != 0 {
+					r[j] = 1
+				}
+			}
+		} else {
+			k = copy(r, src)
+		}
 		for j := k; j < len(r); j++ {
 			r[j] = zero
 		}

@@ -370,10 +370,11 @@ func (r *opRun) getMat() *ccmm.RowMat[int64] {
 }
 
 // borrow pads rows into a getMat matrix, filling missing entries with the
-// algebra's zero.
-func (r *opRun) borrow(rows Mat, zero int64) *ccmm.RowMat[int64] {
+// spec's zero; a Boolean spec's copy writes every nonzero entry as 1, so
+// every engine reads the same truth values.
+func (r *opRun) borrow(rows Mat, spec *productSpec) *ccmm.RowMat[int64] {
 	m := r.getMat()
-	padMatInto(m, rows, zero)
+	padMatInto(m, rows, spec.zero, spec.boolean)
 	return m
 }
 
@@ -399,6 +400,7 @@ type productSpec struct {
 	op      string
 	class   sizeClass
 	zero    int64
+	boolean bool // every nonzero operand entry is true
 	mul     func(p *ccmm.Plan, net *clique.Network, sc *ccmm.Scratch, a, b *ccmm.RowMat[int64]) (*ccmm.RowMat[int64], ccmm.Route, error)
 	mulCSR  func(p *ccmm.Plan, net *clique.Network, sc *ccmm.Scratch, a, b *matrix.CSR[int64]) (ccmm.CSRProduct[int64], ccmm.Route, error)
 	certify func(net *clique.Network, a, b, c *ccmm.RowMat[int64], k int, seed uint64) (bool, error)
@@ -407,7 +409,7 @@ type productSpec struct {
 var (
 	matMulSpec = productSpec{op: "MatMul", class: ringSize, zero: 0,
 		mul: (*ccmm.Plan).MulIntRouted, mulCSR: (*ccmm.Plan).MulIntCSRRouted, certify: ccmm.CertifyIntProduct}
-	matMulBoolSpec = productSpec{op: "MatMulBool", class: ringSize, zero: 0,
+	matMulBoolSpec = productSpec{op: "MatMulBool", class: ringSize, zero: 0, boolean: true,
 		mul: (*ccmm.Plan).MulBoolRouted, mulCSR: (*ccmm.Plan).MulBoolCSRRouted, certify: ccmm.CertifyBoolProduct}
 	distanceProductSpec = productSpec{op: "DistanceProduct", class: minPlusSize, zero: Inf,
 		mul: (*ccmm.Plan).MulMinPlusRouted, mulCSR: (*ccmm.Plan).MulMinPlusCSRRouted, certify: ccmm.CertifyMinPlusProduct}
@@ -446,7 +448,7 @@ func (r *opRun) runProduct(spec *productSpec, a, b Mat) (Mat, error) {
 		}
 		// Re-pad per attempt: cheap insurance that every attempt starts
 		// from pristine operands whatever the previous one garbled.
-		pa, pb := r.borrow(a, spec.zero), r.borrow(b, spec.zero)
+		pa, pb := r.borrow(a, spec), r.borrow(b, spec)
 		p, err := r.attemptProduct(spec, pa, pb, before)
 		if err == nil && cfg.certifyProbes > 0 {
 			ok, cerr := spec.certify(r.net, pa, pb, p, cfg.certifyProbes, certSeed(cfg.seed, attempt))
