@@ -290,7 +290,7 @@ const (
 // handles arbitrary n. Ring products pad only for the bilinear engine,
 // whose two-level grid needs a scheme-compatible perfect square; under
 // EngineAuto the smaller of the scheme padding and the cube padding wins
-// (on a cube the 3D engine runs with no multiplexing overhead).
+// (on a perfect cube the 3D engine's index groups need no padding).
 func (c config) paddedSize(n int, class sizeClass) (int, error) {
 	if n < 1 {
 		return 0, fmt.Errorf("algclique: empty instance: %w", ccmm.ErrSize)

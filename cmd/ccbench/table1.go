@@ -281,8 +281,8 @@ func table1Bench() {
 	t.exponent(tiles, false, 0)
 	t.beats(tiles, t.ladder("§1.2 sparse A²", cc.Fast, []int{64, 256, 1024}, sparseSquare))
 
-	// The padded cube layout keeps the 3D engine ahead of the naive gather
-	// on non-cube n.
+	// The balanced cube layout keeps the 3D engine ahead of the naive
+	// gather on non-cube n.
 	minPlus := func(s *cc.Clique, n int) (string, cc.Stats, error) {
 		p, st, err := s.DistanceProduct(randSquare(n, 41), randSquare(n, 42))
 		return digest(p), st, err

@@ -100,9 +100,9 @@ func log2Ceil(n int) int { return bits.Len(uint(n - 1)) }
 // path of fixedPointGraphs when every loop ran all ⌈log₂ n⌉ squarings: the
 // fixed-point rule adds one round per squaring but the last.
 var cappedPathRounds = map[int]struct{ apsp, closure int64 }{
-	16:  {117, 80},
+	16:  {97, 80},
 	64:  {223, 120},
-	144: {473, 229},
+	144: {457, 229},
 }
 
 // TestSquaringStopsAtFixedPoint: every iterated-squaring loop stops one

@@ -107,8 +107,9 @@ func TestSemiring3DRoundScaling(t *testing.T) {
 			t.Errorf("n=%d: %d rounds exceeds O(n^{1/3}) budget %d", n, net.Rounds(), bound)
 		}
 	}
-	// Non-cube sizes pay a constant multiplexing factor (≤ ⌈c³/n⌉ virtual
-	// nodes per real node) but must keep the O(n^{1/3}) shape.
+	// Non-cube sizes pay a constant factor for the smaller cube (wider
+	// blocks, padded by at most one entry) but must keep the O(n^{1/3})
+	// shape.
 	for _, n := range []int{28, 60, 100, 150, 200} {
 		a, b := randIntMat(rng, n, 5), randIntMat(rng, n, 5)
 		net := clique.New(n)
@@ -123,7 +124,7 @@ func TestSemiring3DRoundScaling(t *testing.T) {
 	}
 }
 
-// awkwardSizes are the clique sizes the padded cube layout must handle:
+// awkwardSizes are the clique sizes the balanced cube layout must handle:
 // tiny, just-below/at/above a cube, and the acceptance sizes 60 and 100.
 var awkwardSizes = []int{2, 5, 7, 26, 27, 28, 60, 100}
 

@@ -133,9 +133,10 @@ func predictSparseRounds(n int, rhoA, rhoB int64, tupleWords int) float64 {
 // an n-clique product whose elements occupy wd words each (fractional for
 // packing transports: wd = EncodedLen(n)/n). The constants are calibrated
 // against the simulator's measured schedules — the 3D engine moves
-// Θ(c⁴/n) words per link, the bilinear engine Θ(n/d²), the naive gather
-// Θ(n) — and deliberately stay on the low side for small wd so the
-// planner never abandons a cheap packed dense product.
+// Θ(b²/n) words per link for its block side b (cubeLayout), the bilinear
+// engine Θ(n/d²), the naive gather Θ(n) — and deliberately stay on the low
+// side for small wd so the planner never abandons a cheap packed dense
+// product.
 func (p *Plan) predictDenseRounds(e Engine, wd float64) float64 {
 	n := float64(p.N)
 	switch e {
@@ -146,8 +147,8 @@ func (p *Plan) predictDenseRounds(e Engine, wd float64) float64 {
 		}
 		return 4*wd*n/(d*d) + 4
 	case Engine3D:
-		c := float64(CbrtCeil(p.N))
-		return math.Max(3, 7*wd*c*c*c*c/n)
+		b := float64(newCubeLayout(p.N).b)
+		return math.Max(3, 7*wd*b*b/n)
 	default: // EngineNaive
 		return wd*n + 2
 	}

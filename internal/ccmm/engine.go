@@ -17,7 +17,7 @@ type Engine int
 
 const (
 	// EngineAuto picks FastBilinear when a scheme fits the clique size,
-	// then Semiring3D (which runs on any n via the padded cube layout)
+	// then Semiring3D (which runs on any n via the balanced cube layout)
 	// for n ≥ 8, then NaiveGather for tiny cliques.
 	EngineAuto Engine = iota
 	// EngineFast forces the bilinear-scheme algorithm (§2.2).
@@ -56,9 +56,9 @@ func (e Engine) String() string {
 // Resolve maps EngineAuto to the best concrete engine for an n-node clique.
 // ringAlgebra reports whether the product algebra is a ring (only rings may
 // use the bilinear engine). Semiring3D handles every clique size via the
-// padded cube layout, so the O(n)-round NaiveGather is chosen only for
-// cliques too small (n < 8, other than the trivial cube n = 1) for the 3D
-// multiplexing overhead to pay off.
+// balanced cube layout, so the O(n)-round NaiveGather is chosen only for
+// cliques too small (n < 8, other than the trivial cube n = 1) for a cube
+// of side two to fit.
 //
 // EngineSparse never comes out of a static resolution: its worth depends
 // on the operands' density, which only the per-product census can see, so

@@ -11,7 +11,7 @@ import (
 )
 
 // TestResolveNeverNaiveForLargeCliques is the regression test for the
-// silent perf cliff the padded cube layout removes: before it, EngineAuto
+// silent perf cliff the cube layout for any n removes: before it, EngineAuto
 // resolved every product on a non-cube clique with no bilinear scheme to
 // the O(n)-round NaiveGather. Now Semiring3D covers every size, so Auto
 // falls back to Naive only below n = 8.

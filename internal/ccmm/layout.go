@@ -6,25 +6,35 @@ import (
 )
 
 // cubeLayout realises the §2.1 index scheme on an arbitrary n-node clique
-// by padding to the next cube: with c = ⌈n^{1/3}⌉ the layout addresses
-// vn = c³ ≥ n virtual nodes, each the base-c three-digit tuple (v1, v2, v3),
-// and real node v mod n simulates virtual node v (≤ ⌈c³/n⌉ ≤ 8 virtual
-// nodes per real node, so the asymptotic round bound is unchanged). On a
-// perfect cube the layout is the paper's: vn = n and every node simulates
-// exactly itself.
+// on the largest balanced cube that fits. The cube side is
+// c = min(⌊n^{1/3}⌋, ⌈n/⌈n^{1/3}⌉²⌉): the first term keeps c³ ≤ n, so every
+// subcube has a real node of its own, and the second never exceeds the
+// number of index groups the next cube up would fill, so no entry is
+// replicated more often than there. The indices [0, n) split into c
+// contiguous groups [lo(x), lo(x+1)) with lo(x) = ⌊x·n/c⌋, each ⌊n/c⌋ or
+// ⌈n/c⌉ = b wide; block rows are padded with the semiring zero up to b
+// entries. Subcube (u1, u2, u3) lives on real node lo(u1) + u2·c + u3,
+// inside its own row group (every group holds at least ⌊n/c⌋ ≥ c² indices).
+// On a perfect cube the layout is the paper's: groups of c² and node
+// v = (v1, v2, v3) in base c owning subcube (v1, v2, v3).
 type cubeLayout struct {
-	c  int // ⌈n^{1/3}⌉, the cube side
-	n  int // real clique size
-	vn int // c³ virtual nodes
+	c int // cube side
+	n int // clique size
+	b int // ⌈n/c⌉, the widest group and the padded block side
 }
 
-// newCubeLayout returns the (possibly padded) layout for clique size n ≥ 1.
+// newCubeLayout returns the balanced layout for clique size n ≥ 1.
 func newCubeLayout(n int) cubeLayout {
 	if n < 1 {
 		panic(fmt.Sprintf("ccmm: clique size %d < 1", n))
 	}
-	c := CbrtCeil(n)
-	return cubeLayout{c: c, n: n, vn: c * c * c}
+	up := CbrtCeil(n)
+	down := up
+	if down*down*down > n {
+		down--
+	}
+	c := min(down, (n+up*up-1)/(up*up))
+	return cubeLayout{c: c, n: n, b: (n + c - 1) / c}
 }
 
 // CbrtCeil returns ⌈n^{1/3}⌉ for n ≥ 1 — the side of the smallest cube
@@ -38,54 +48,24 @@ func CbrtCeil(n int) int {
 	return c
 }
 
-// real returns the real node simulating virtual node v. Virtual nodes
-// v < n are simulated by themselves, so matrix rows never move: row v of
-// the input lives at real node v, which is exactly virtual node v's host.
-func (l cubeLayout) real(v int) int { return v % l.n }
+// lo returns the first index of group x; lo(c) = n.
+func (l cubeLayout) lo(x int) int { return x * l.n / l.c }
 
-// before counts the virtual nodes below v hosted on v's real node for which
-// f holds: the position of v's traffic among that node's, when real links
-// carry the hosted nodes' messages in increasing virtual order.
-func (l cubeLayout) before(v int, f func(w int) bool) int {
-	k := 0
-	for w := l.real(v); w < v; w += l.n {
-		if f(w) {
-			k++
-		}
+// group returns the group holding index v: the largest x with lo(x) ≤ v.
+func (l cubeLayout) group(v int) int { return ((v+1)*l.c - 1) / l.n }
+
+// host returns the real node that owns subcube (u1, u2, u3).
+func (l cubeLayout) host(u1, u2, u3 int) int { return l.lo(u1) + u2*l.c + u3 }
+
+// subcube returns the subcube real node r owns, if it owns one: the
+// inverse of host.
+func (l cubeLayout) subcube(r int) (u1, u2, u3 int, ok bool) {
+	u1 = l.group(r)
+	off := r - l.lo(u1)
+	if off >= l.c*l.c {
+		return 0, 0, 0, false
 	}
-	return k
-}
-
-// liveDigits returns the number of digit values d whose group d∗∗ contains
-// a real matrix index (< n). All three digits of a subcube owner (u1, u2,
-// u3) select first-digit groups of matrix indices — output rows, middle
-// indices, and output columns respectively — so a subcube carries real
-// data only when every digit is below this bound: a dead u1 means all its
-// output rows are padding, a dead u2 means the S columns/T rows are all
-// zero (the block product is the zero matrix), and a dead u3 means every
-// output column is discarded. Dead subcubes are neither fed nor computed.
-func (l cubeLayout) liveDigits() int {
-	c2 := l.c * l.c
-	return (l.n + c2 - 1) / c2
-}
-
-func (l cubeLayout) split(v int) (v1, v2, v3 int) {
-	return v / (l.c * l.c), (v / l.c) % l.c, v % l.c
-}
-
-func (l cubeLayout) join(v1, v2, v3 int) int {
-	return v1*l.c*l.c + v2*l.c + v3
-}
-
-// firstDigitSet returns x∗∗ = {v : v1 = x}, in increasing node order.
-func (l cubeLayout) firstDigitSet(x int) []int {
-	out := make([]int, 0, l.c*l.c)
-	for v2 := 0; v2 < l.c; v2++ {
-		for v3 := 0; v3 < l.c; v3++ {
-			out = append(out, l.join(x, v2, v3))
-		}
-	}
-	return out
+	return u1, off / l.c, off % l.c, true
 }
 
 // gridLayout realises the §2.2 two-level index scheme on an n = q² clique

@@ -1,83 +1,86 @@
 package ccmm
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
+
+	"github.com/algebraic-clique/algclique/internal/clique"
+	"github.com/algebraic-clique/algclique/internal/ring"
 )
 
-// TestCubeLayoutBijection reproduces the Figure 1 index structure on the
-// padded cube: the virtual node ↔ (v1, v2, v3) mapping is a bijection over
-// the c³ virtual nodes and the digit groups x∗∗ partition them. Non-cube
-// sizes exercise the padding.
+// TestCubeLayoutBijection pins the balanced cube's index structure: the
+// cube fits (c³ ≤ n), the c groups partition [0, n) contiguously with
+// sizes ⌊n/c⌋ or ⌈n/c⌉ = b, group inverts lo, and c never exceeds the
+// number of groups the next cube up fills (⌈n/⌈n^{1/3}⌉²⌉), so no entry is
+// replicated more often than on that cube.
 func TestCubeLayoutBijection(t *testing.T) {
-	for _, n := range []int{1, 2, 5, 8, 26, 27, 28, 64, 100, 125} {
+	for n := 1; n <= 1100; n++ {
 		lay := newCubeLayout(n)
-		if lay.vn != lay.c*lay.c*lay.c || lay.vn < n || (lay.c-1)*(lay.c-1)*(lay.c-1) >= n {
-			t.Fatalf("n=%d: bad padded cube c=%d vn=%d", n, lay.c, lay.vn)
+		c := lay.c
+		up := CbrtCeil(n)
+		if c < 1 || c*c*c > n || c > (n+up*up-1)/(up*up) {
+			t.Fatalf("n=%d: bad cube side c=%d", n, c)
 		}
-		seen := make([]bool, lay.vn)
-		for v := 0; v < lay.vn; v++ {
-			v1, v2, v3 := lay.split(v)
-			if v1 < 0 || v1 >= lay.c || v2 < 0 || v2 >= lay.c || v3 < 0 || v3 >= lay.c {
-				t.Fatalf("n=%d: split(%d) digits out of range", n, v)
-			}
-			if lay.join(v1, v2, v3) != v {
-				t.Fatalf("n=%d: join(split(%d)) != %d", n, v, v)
-			}
-			seen[v] = true
+		if lay.b != (n+c-1)/c {
+			t.Fatalf("n=%d: b = %d, want ⌈n/c⌉ = %d", n, lay.b, (n+c-1)/c)
 		}
-		for v, s := range seen {
-			if !s {
-				t.Fatalf("virtual node %d unmapped", v)
-			}
+		if lay.lo(0) != 0 || lay.lo(c) != n {
+			t.Fatalf("n=%d: groups span [%d, %d), want [0, n)", n, lay.lo(0), lay.lo(c))
 		}
-		// Digit groups partition the virtual cube.
-		covered := make([]bool, lay.vn)
-		for x := 0; x < lay.c; x++ {
-			set := lay.firstDigitSet(x)
-			if len(set) != lay.c*lay.c {
-				t.Fatalf("|%d∗∗| = %d, want c²", x, len(set))
+		for x := 0; x < c; x++ {
+			if size := lay.lo(x+1) - lay.lo(x); size != n/c && size != lay.b {
+				t.Fatalf("n=%d: group %d has %d indices, want %d or %d", n, x, size, n/c, lay.b)
 			}
-			for _, v := range set {
-				if covered[v] {
-					t.Fatalf("node %d in two digit groups", v)
-				}
-				covered[v] = true
-				if v1, _, _ := lay.split(v); v1 != x {
-					t.Fatalf("node %d in wrong group %d", v, x)
+			for v := lay.lo(x); v < lay.lo(x+1); v++ {
+				if lay.group(v) != x {
+					t.Fatalf("n=%d: group(%d) = %d, want %d", n, v, lay.group(v), x)
 				}
 			}
 		}
-		for v, c := range covered {
-			if !c {
-				t.Fatalf("node %d uncovered by digit groups", v)
-			}
+	}
+	// A perfect cube is the paper's layout: groups of c² indices.
+	for _, n := range []int{8, 27, 64, 125, 216} {
+		lay := newCubeLayout(n)
+		if lay.c*lay.c*lay.c != n || lay.b != lay.c*lay.c {
+			t.Fatalf("n=%d: c=%d b=%d, want the perfect cube", n, lay.c, lay.b)
 		}
 	}
 }
 
-// TestCubeLayoutHostAssignment pins the virtual → real simulation map:
-// virtual nodes below n host themselves (input rows never move), every real
-// node simulates at most ⌈c³/n⌉ virtual nodes, and every virtual node has a
-// valid host.
+// TestCubeLayoutHostAssignment pins the subcube → real node map: hosts are
+// distinct real nodes, host(u1, ·, ·) lies in group u1 (so a node's row
+// block to its own subcube is a free self-send), and subcube inverts host
+// on exactly the c³ hosting nodes.
 func TestCubeLayoutHostAssignment(t *testing.T) {
-	for _, n := range []int{1, 2, 5, 7, 26, 28, 60, 100} {
+	for n := 1; n <= 1100; n++ {
 		lay := newCubeLayout(n)
-		load := make([]int, n)
-		for v := 0; v < lay.vn; v++ {
-			r := lay.real(v)
-			if r < 0 || r >= n {
-				t.Fatalf("n=%d: virtual %d hosted by out-of-range %d", n, v, r)
-			}
-			if v < n && r != v {
-				t.Fatalf("n=%d: virtual %d < n hosted by %d, want itself", n, v, r)
-			}
-			load[r]++
+		c := lay.c
+		owner := make([]int, n)
+		for r := range owner {
+			owner[r] = -1
 		}
-		maxLoad := (lay.vn + n - 1) / n
-		for r, l := range load {
-			if l > maxLoad {
-				t.Fatalf("n=%d: real node %d simulates %d virtual nodes, max ⌈c³/n⌉ = %d", n, r, l, maxLoad)
+		for u1 := 0; u1 < c; u1++ {
+			for u2 := 0; u2 < c; u2++ {
+				for u3 := 0; u3 < c; u3++ {
+					r := lay.host(u1, u2, u3)
+					if r < 0 || r >= n {
+						t.Fatalf("n=%d: subcube (%d,%d,%d) hosted by out-of-range %d", n, u1, u2, u3, r)
+					}
+					if owner[r] >= 0 {
+						t.Fatalf("n=%d: node %d hosts two subcubes", n, r)
+					}
+					owner[r] = (u1*c+u2)*c + u3
+					if lay.group(r) != u1 {
+						t.Fatalf("n=%d: host %d of subcube (%d,%d,%d) lies in group %d", n, r, u1, u2, u3, lay.group(r))
+					}
+				}
+			}
+		}
+		for r, o := range owner {
+			u1, u2, u3, ok := lay.subcube(r)
+			if ok != (o >= 0) || ok && (u1*c+u2)*c+u3 != o {
+				t.Fatalf("n=%d: subcube(%d) = (%d,%d,%d,%v), want owner %d", n, r, u1, u2, u3, ok, o)
 			}
 		}
 	}
@@ -165,5 +168,48 @@ func TestGridLayoutQuick(t *testing.T) {
 	}
 	if err := quick.Check(roundTrip, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPredictDense3DWithinFactorTwo grades the planner's 3D price against
+// the ledger: predictDenseRounds(Engine3D) must land within a factor of two
+// of the rounds the engine charges, for min-plus products (one word per
+// entry) and packed Boolean ones, on cubes and non-cubes alike.
+func TestPredictDense3DWithinFactorTwo(t *testing.T) {
+	rng := rand.New(rand.NewPCG(36, 1))
+	for _, n := range []int{16, 24, 32, 64, 100, 144, 256, 300} {
+		mp := NewRowMat[int64](n)
+		bl := NewRowMat[bool](n)
+		for v := range n {
+			for j := range n {
+				mp.Rows[v][j] = rng.Int64N(100)
+				bl.Rows[v][j] = rng.IntN(3) == 0
+			}
+		}
+		plan := PlanFor(n, Engine3D)
+		for _, tc := range []struct {
+			name string
+			run  func(net *clique.Network) error
+			wd   float64
+		}{
+			{"min-plus", func(net *clique.Network) error {
+				_, err := Semiring3D[int64](net, nil, ring.MinPlus{}, ring.MinPlus{}, mp, mp)
+				return err
+			}, minPlusAlgebra.entryWords(Engine3D, n)},
+			{"packed-bool", func(net *clique.Network) error {
+				_, err := Semiring3D[bool](net, nil, ring.Bool{}, ring.PackedBool{}, bl, bl)
+				return err
+			}, boolAlgebra.entryWords(Engine3D, n)},
+		} {
+			net := clique.New(n)
+			if err := tc.run(net); err != nil {
+				t.Fatalf("%s n=%d: %v", tc.name, n, err)
+			}
+			pred, got := plan.predictDenseRounds(Engine3D, tc.wd), float64(net.Rounds())
+			t.Logf("%s n=%d: predicted %.1f, charged %.0f (%.2f)", tc.name, n, pred, got, pred/got)
+			if pred < got/2 || pred > 2*got {
+				t.Errorf("%s n=%d: predicted %.1f rounds, charged %.0f: outside [½, 2]", tc.name, n, pred, got)
+			}
+		}
 	}
 }

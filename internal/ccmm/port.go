@@ -32,7 +32,7 @@ import (
 // routing.Auto through routing.TwoPhaseCosts from the word lengths of the
 // links the phase touched, which are the same on either transport, so the
 // ledger (rounds, words, flushes, phases) is identical by construction.
-// The 3D engine's padded cube rides the same level (onCube).
+// The 3D engine's cube rides the same level (onCube).
 // TransportVerify is decided here as well: runProduct runs the one body on
 // the caller's network, again on a wire shadow, and diffs products and
 // ledgers.
@@ -193,7 +193,7 @@ type port[E any] struct {
 	sc   *Scratch
 	ts   *typedScratch[E]
 	f    wireFormat[E]
-	cube bool // set by onCube: a self-send is a pair of virtual nodes on one real node
+	cube bool // set by onCube: a self-send is free and outside Auto
 	wire bool
 }
 
@@ -223,11 +223,11 @@ func (p port[E]) with(f wireFormat[E]) port[E] {
 	return p
 }
 
-// onCube returns the port for the padded cube of the 3D engine, whose
-// virtual node v is hosted by real node v mod n: a message between two
-// virtual nodes hosted on one real node is a self-send, which the flush
-// delivers locally and by reference, free in the model and outside its
-// Auto resolution. (The other engines' self-messages take part in it.)
+// onCube returns the port for the cube of the 3D engine, whose subcube
+// hosts lie inside their own row groups, so a node often feeds the subcube
+// it hosts: such a self-send is delivered locally and by reference, free
+// in the model and outside the flush's Auto resolution. (The other
+// engines' self-messages take part in it.)
 func (p port[E]) onCube() port[E] {
 	p.cube = true
 	return p
@@ -281,7 +281,7 @@ func byDst(a, b routing.Link) int { return cmp.Compare(a.Dst, b.Dst) }
 func (p port[E]) send(src, dst int, msg []E) {
 	side := p.ts.side
 	if p.wire {
-		var win []clique.Word // a hosted pair's message travels by reference
+		var win []clique.Word // a cube self-send travels by reference
 		if !(p.cube && src == dst) {
 			arena := p.ts.words[side]
 			start := len(arena[src])

@@ -2,7 +2,7 @@
 // multiplication algorithms (Theorem 1):
 //
 //   - Semiring3D: the "3D" algorithm — O(n^{1/3}) rounds over any semiring
-//     and any clique size via the padded cube layout (§2.1), with a
+//     and any clique size via the balanced cube layout (§2.1), with a
 //     witness-producing variant for distance products.
 //   - FastBilinear: the bilinear-scheme simulation — O(n^{1-2/σ}) rounds
 //     over rings for a scheme with O(n^σ) multiplications (§2.2, Lemma 10).

@@ -119,8 +119,8 @@ type typedScratch[T any] struct {
 	zeroRow []T     // one semiring-zero row, refilled per product
 
 	// 3D engine state.
-	cubeS, cubeT []*matrix.Dense[T] // per real node: received c²×c² operand blocks
-	cubeProd     []*matrix.Dense[T] // per virtual node: product subcube
+	cubeS, cubeT []*matrix.Dense[T] // per hosting node: received b×b operand blocks
+	cubeProd     []*matrix.Dense[T] // per hosting node: product subcube
 
 	// Fast bilinear engine state.
 	gridS, gridT []*matrix.Dense[T]  // per node: assembled q×q operand grids

@@ -10,31 +10,32 @@ import (
 
 // Semiring3D computes the distributed product P = S·T over an arbitrary
 // semiring on an n-node clique for any n ≥ 1, following the 3D algorithm of
-// §2.1. The index cube has side c = ⌈n^{1/3}⌉: the c³ virtual nodes each own
-// one c²×c² product subcube, and real node v mod n simulates virtual node v
-// (≤ ⌈c³/n⌉ ≤ 8 virtual nodes per real node). Rows and columns beyond n are
-// padded with the semiring zero, which annihilates under multiplication, so
-// the product restricted to the real n×n block is unchanged — and all-zero
-// rows are never transmitted. Each real node sends and receives O(n^{4/3})
-// words, which the routing layer delivers in O(n^{1/3}) rounds; on a perfect
-// cube the virtual and real cliques coincide and the algorithm is exactly
-// the paper's.
+// §2.1 on the largest balanced cube that fits (cubeLayout): c ≤ n^{1/3}
+// contiguous index groups of ⌊n/c⌋ or ⌈n/c⌉ = b indices, and c³ product
+// subcubes, each of b×b blocks and each owned by a real node of its own.
+// Block rows are padded with the semiring zero up to b entries, which
+// annihilates under multiplication, so the product restricted to the real
+// n×n block is unchanged. Each real node sends and receives O(n^{4/3})
+// words, which the routing layer delivers in O(n^{1/3}) rounds; on a
+// perfect cube the groups are the paper's digit groups and the algorithm
+// is exactly the paper's.
 //
-// Virtual node v's subcube is v1∗∗ × v2∗∗ × v3∗∗ in the paper's notation;
-// the paper's step-1 description contains a small index slip for T
-// (receiving rows ∗v2∗ would not match the S columns v2∗∗), so T rows here
-// are grouped by their *first* digit: row w of T is needed by exactly the
-// nodes u with u2 = w1, keeping both middle-index sets equal to v2∗∗.
+// Subcube (u1, u2, u3) is the product of the S block rows u1, columns u2
+// with the T block rows u2, columns u3 — v1∗∗ × v2∗∗ × v3∗∗ in the paper's
+// notation; the paper's step-1 description contains a small index slip for
+// T (receiving rows ∗v2∗ would not match the S columns v2∗∗), so T rows
+// here are grouped like S rows: row w of T is needed by exactly the
+// subcubes with u2 = group(w), keeping both middle-index sets equal.
 //
 // Message arenas, block operands, product subcubes, and the result come
 // from sc and persist there across products (a nil sc is the network's
 // own), so a pipeline of repeated multiplications runs the engine
 // allocation-free in steady state once its results are returned to the
-// free list. Block rows are typed messages between virtual nodes, sent
-// through the exchange port's cube mode (port.onCube), which moves them by
-// reference (direct transport, words charged analytically) or as bulk-codec
-// chunks (wire transport). A packing codec (ring.PackedBool) is honoured
-// either way, since every cost is an EncodedLen sum of whole chunks.
+// free list. Block rows are typed messages, sent through the exchange
+// port's cube mode (port.onCube), which moves them by reference (direct
+// transport, words charged analytically) or as bulk-codec chunks (wire
+// transport). A packing codec (ring.PackedBool) is honoured either way,
+// since every cost is an EncodedLen sum of whole chunks.
 func Semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
 	return runProduct(net, sc, func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
 		al := cubeAlgebra[T, T]{opZero: sr.Zero(), opCodec: codec, sr: sr, codec: codec, lift: copyRow[T]}
@@ -44,7 +45,7 @@ func Semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], co
 
 // cubeAlgebra is what the 3D body multiplies over. Operands of type A
 // travel in the distribute phase, encoded by opCodec, with opZero for the
-// padding columns; at the multiplying virtual node lift turns each received
+// padding columns; at the multiplying node lift turns each received
 // operand row into the product type P, in which the blocks multiply, the
 // partial products travel (encoded by codec) and the result is assembled.
 // lift's row is the operand row's index for a T row and −1 for an S row.
@@ -59,17 +60,25 @@ type cubeAlgebra[A, P any] struct {
 
 func copyRow[T any](dst, src []T, _ int) { copy(dst, src) }
 
-// semiring3D is the engine body: four phases over the padded cube, with
+// appendPadded appends src and then the semiring zero up to b elements in
+// all onto a typed message buffer: one padded block row.
+func appendPadded[T any](dst, src []T, b int, zero T) []T {
+	dst = append(dst, src...)
+	for range b - len(src) {
+		dst = append(dst, zero)
+	}
+	return dst
+}
+
+// semiring3D is the engine body: four phases over the balanced cube, with
 // block rows gathered straight into per-node message arenas, received rows
 // lifted straight into the block operands, and the step-3 partial products
 // shipped as rows of the product subcubes.
 //
-// Virtual node v's messages leave from real node v mod n and land on real
-// node u mod n; each real link carries them in (virtual source, virtual
-// destination) order. The schedule is oblivious — which virtual pairs
-// exchange a message follows from (n, c) alone — so a receiver knows which
-// of a link's messages is the one for its virtual node (cubeLayout.before)
-// and no headers travel.
+// Subcube hosts are distinct real nodes, so every link carries at most one
+// message per phase and a receiver reads each sender's first message; the
+// schedule is oblivious — who exchanges with whom follows from n alone —
+// so no headers travel.
 func semiring3D[A, P any](net *clique.Network, sc *Scratch, al cubeAlgebra[A, P], s, t *RowMat[A]) (*RowMat[P], error) {
 	n := net.N()
 	if err := validatePair(n, s, t); err != nil {
@@ -77,62 +86,42 @@ func semiring3D[A, P any](net *clique.Network, sc *Scratch, al cubeAlgebra[A, P]
 	}
 	ta, tp := typedFrom[A](sc), typedFrom[P](sc)
 	lay := newCubeLayout(n)
-	c, vn := lay.c, lay.vn
-	c2 := c * c
-	// Every message is whole block rows: operand rows in the distribute
-	// phase, product rows in the products phase.
-	pa := newPort[A](net, sc, chunks[A]{ring.AsBulk[A](al.opCodec), c2}).onCube()
-	pp := newPort[P](net, sc, chunks[P]{ring.AsBulk[P](al.codec), c2}).onCube()
+	c, b := lay.c, lay.b
+	// Every message is whole padded block rows: operand rows in the
+	// distribute phase, product rows in the products phase.
+	pa := newPort[A](net, sc, chunks[A]{ring.AsBulk[A](al.opCodec), b}).onCube()
+	pp := newPort[P](net, sc, chunks[P]{ring.AsBulk[P](al.codec), b}).onCube()
 	sr, opZero := al.sr, al.opZero
 	zero := sr.Zero()
-	live := lay.liveDigits()
-	// alive reports whether virtual node u's subcube touches real data;
-	// dead subcubes receive nothing and compute nothing (see liveDigits).
-	alive := func(u int) bool {
-		u1, u2, u3 := lay.split(u)
-		return u1 < live && u2 < live && u3 < live
-	}
-
-	// Precompute the c index groups x∗∗ (shared, read-only).
-	groups := make([][]int, c)
-	for x := 0; x < c; x++ {
-		groups[x] = lay.firstDigitSet(x)
-	}
 	growBufs(&ta.bufs, n)
 	growSlots(&tp.cubeS, n)
 	growSlots(&tp.cubeT, n)
-	growSlots(&tp.cubeProd, vn)
-	zeroRow := tp.zeroRowFor(zero, c2)
+	growSlots(&tp.cubeProd, n)
+	zeroRow := tp.zeroRowFor(zero, b)
 
-	// Step 1: distribute entries. Virtual node v < n sends S[v, u2∗∗] to
-	// each u ∈ v1∗∗ and T[v, u3∗∗] to each u with u2 = v1; column indices
-	// ≥ n read as the semiring zero. Virtual nodes v ≥ n own all-zero
-	// padding rows, which every node can synthesise locally, so they send
-	// nothing. When both an S and a T part go to the same recipient the S
-	// part precedes the T part. (v < n implies v1 < live, so every
-	// recipient is alive; dead subcubes get nothing.)
+	// Step 1: distribute entries. Node v, in group v1, sends S[v, group u2]
+	// to subcube (v1, u2, u3) and T[v, group u3] to subcube (u1, v1, u3);
+	// when both go to one subcube (u1 = u2 = v1) the S part precedes the T
+	// part in one message.
 	net.Phase("mm3d/distribute")
 	net.ForEach(func(v int) {
-		// The sending virtual nodes are exactly v < n, each hosted by
-		// real node v itself: every real node ships its own row slices,
-		// to its recipients in increasing order.
-		v1, _, _ := lay.split(v)
+		v1 := lay.group(v)
 		srow, trow := s.Rows[v], t.Rows[v]
-		arena := slices.Grow(ta.bufs[v][:0], 2*live*live*c2)
-		for u1 := 0; u1 < live; u1++ {
-			for u2 := 0; u2 < live; u2++ {
+		arena := slices.Grow(ta.bufs[v][:0], 2*c*c*b)
+		for u1 := 0; u1 < c; u1++ {
+			for u2 := 0; u2 < c; u2++ {
 				if u1 != v1 && u2 != v1 {
 					continue
 				}
-				for u3 := 0; u3 < live; u3++ {
+				for u3 := 0; u3 < c; u3++ {
 					start := len(arena)
 					if u1 == v1 {
-						arena = appendCols(arena, srow, groups[u2], n, opZero)
+						arena = appendPadded(arena, srow[lay.lo(u2):lay.lo(u2+1)], b, opZero)
 					}
 					if u2 == v1 {
-						arena = appendCols(arena, trow, groups[u3], n, opZero)
+						arena = appendPadded(arena, trow[lay.lo(u3):lay.lo(u3+1)], b, opZero)
 					}
-					pa.send(v, lay.real(lay.join(u1, u2, u3)), arena[start:len(arena):len(arena)])
+					pa.send(v, lay.host(u1, u2, u3), arena[start:len(arena):len(arena)])
 				}
 			}
 		}
@@ -140,104 +129,79 @@ func semiring3D[A, P any](net *clique.Network, sc *Scratch, al cubeAlgebra[A, P]
 	})
 	mail := pa.flush()
 
-	// Step 2: local multiplication of the received c²×c² blocks, each
-	// received row lifted into the product type on its way in. Rows from
-	// padding senders (v ≥ n) are the semiring zero; the message from v
-	// carries its S part and, when u1 = u2, its T part after it.
+	// Step 2: local multiplication of the received b×b blocks, each
+	// received row lifted into the product type on its way in; a group
+	// narrower than b leaves one padding row, the semiring zero. The
+	// message from v carries its S part and, when u1 = u2, its T part
+	// after it.
 	net.Phase("mm3d/multiply")
 	net.ForEach(func(r int) {
-		sblk := slotAt(tp.cubeS, r, c2, c2)
-		tblk := slotAt(tp.cubeT, r, c2, c2)
-		for u := r; u < vn; u += n {
-			if !alive(u) {
+		u1, u2, _, ok := lay.subcube(r)
+		if !ok {
+			return
+		}
+		sblk := slotAt(tp.cubeS, r, b, b)
+		tblk := slotAt(tp.cubeT, r, b, b)
+		for pos := range b {
+			v := lay.lo(u1) + pos
+			if v >= lay.lo(u1+1) {
+				sblk.SetRow(pos, zeroRow)
+				if u1 == u2 {
+					tblk.SetRow(pos, zeroRow)
+				}
 				continue
 			}
-			u1, u2, _ := lay.split(u)
-			// msg returns sender v's message to u: v reaches the nodes hosted
-			// with u in increasing order, skipping those it sends nothing.
-			msg := func(v int) []A {
-				v1, _, _ := lay.split(v)
-				k := lay.before(u, func(w int) bool {
-					w1, w2, _ := lay.split(w)
-					return alive(w) && (w1 == v1 || w2 == v1)
-				})
-				return pa.from(mail, r, v, k)
+			ws := pa.from(mail, r, v, 0)
+			al.lift(sblk.Row(pos), ws[:b], -1)
+			if u1 == u2 {
+				al.lift(tblk.Row(pos), ws[b:2*b], v)
 			}
-			for pos, v := range groups[u1] { // S row senders: v1 = u1
-				if v >= n {
-					sblk.SetRow(pos, zeroRow)
-					if u1 == u2 {
-						tblk.SetRow(pos, zeroRow)
-					}
+		}
+		if u1 != u2 {
+			for pos := range b {
+				v := lay.lo(u2) + pos
+				if v >= lay.lo(u2+1) {
+					tblk.SetRow(pos, zeroRow)
 					continue
 				}
-				ws := msg(v)
-				al.lift(sblk.Row(pos), ws[:c2], -1)
-				if u1 == u2 {
-					al.lift(tblk.Row(pos), ws[c2:2*c2], v)
-				}
+				al.lift(tblk.Row(pos), pa.from(mail, r, v, 0), v)
 			}
-			if u1 != u2 {
-				for pos, v := range groups[u2] { // T row senders: v1 = u2
-					if v >= n {
-						tblk.SetRow(pos, zeroRow)
-						continue
-					}
-					al.lift(tblk.Row(pos), msg(v)[:c2], v)
-				}
-			}
-			prod := slotAt(tp.cubeProd, u, c2, c2)
-			matrix.MulInto(sr, prod, sblk, tblk)
 		}
+		matrix.MulInto(sr, slotAt(tp.cubeProd, r, b, b), sblk, tblk)
 	})
 
-	// Step 3: distribute the partial products: virtual node u sends
-	// P^{(u2)}[x, u3∗∗] to each real row owner x ∈ u1∗∗ with x < n
-	// (padding rows of the output are discarded, so they never travel) —
-	// as rows of the product subcube.
+	// Step 3: distribute the partial products: subcube (u1, u2, u3) sends
+	// row x − lo(u1) of its product to each row owner x in group u1 — the
+	// padding row, if any, never travels.
 	net.Phase("mm3d/products")
 	net.ForEach(func(r int) {
-		for u := r; u < vn; u += n {
-			if !alive(u) {
-				continue // the product subcube was never built
-			}
-			u1, _, _ := lay.split(u)
-			prod := tp.cubeProd[u]
-			for pos, x := range groups[u1] {
-				if x < n {
-					pp.send(r, x, prod.Row(pos))
-				}
-			}
+		u1, _, _, ok := lay.subcube(r)
+		if !ok {
+			return
+		}
+		prod := tp.cubeProd[r]
+		for x := lay.lo(u1); x < lay.lo(u1+1); x++ {
+			pp.send(r, x, prod.Row(x-lay.lo(u1)))
 		}
 	})
 	pmail := pp.flush()
 
-	// Step 4: assemble P[x, ∗] = Σ_w P^{(w)}[x, ∗] by accumulating the
-	// received rows. Output row owners are the virtual nodes x < n, each
-	// hosted by real node x itself.
+	// Step 4: assemble P[x, ∗] = Σ_{u2} P^{(u2)}[x, ∗] by accumulating the
+	// rows x received from the subcubes (x1, u2, u3).
 	net.Phase("mm3d/assemble")
 	p := GetMat[P](sc, n)
 	net.ForEach(func(x int) {
-		x1, _, _ := lay.split(x)
+		x1 := lay.group(x)
 		row := p.Rows[x]
 		for j := range row {
 			row[j] = zero
 		}
-		for _, u := range groups[x1] { // senders: the live u with u1 = x1
-			if !alive(u) {
-				continue
-			}
-			_, _, u3 := lay.split(u)
-			// The nodes hosted with u send x a row each in increasing order,
-			// the live ones with first digit x1.
-			k := lay.before(u, func(w int) bool {
-				w1, _, _ := lay.split(w)
-				return alive(w) && w1 == x1
-			})
-			piece := pp.from(pmail, x, lay.real(u), k)
-			for i, col := range groups[u3] {
-				if col < n {
-					row[col] = sr.Add(row[col], piece[i])
+		for u2 := 0; u2 < c; u2++ {
+			for u3 := 0; u3 < c; u3++ {
+				piece := pp.from(pmail, x, lay.host(x1, u2, u3), 0)
+				lo := lay.lo(u3)
+				for i := range lay.lo(u3+1) - lo {
+					row[lo+i] = sr.Add(row[lo+i], piece[i])
 				}
 			}
 		}
@@ -249,8 +213,8 @@ func semiring3D[A, P any](net *clique.Network, sc *Scratch, al cubeAlgebra[A, P]
 // witness matrix Q: Q[u][v] = w certifies P[u][v] = S[u][w] + T[w][v]
 // (ring.NoWitness where P is infinite). This is the "easily modified"
 // semiring algorithm of §3.3, with the tagging moved to where it is needed:
-// the operands travel as one-word min-plus entries, and the virtual node
-// that multiplies tags the rows of T it received with their row index — it
+// the operands travel as one-word min-plus entries, and the node that
+// multiplies tags the rows of T it received with their row index — it
 // knows it from the sender — before the blocks multiply over ring.MinPlusW.
 // Only the partial products carry a witness across the network. The tagged
 // product is a free-list matrix that goes back before the call returns, so

@@ -328,7 +328,7 @@ func TestTransportDifferentialWitnessProduct(t *testing.T) {
 }
 
 // TestTransportDifferentialLarge pushes the property to n = 512, where the
-// 3D engine multiplexes a padded 8³ cube and the packed Boolean transport
+// 3D engine runs a perfect 8³ cube and the packed Boolean transport
 // compresses 64×.
 func TestTransportDifferentialLarge(t *testing.T) {
 	if testing.Short() {

@@ -76,7 +76,7 @@ func TestAPSPSemiringNegativeCycleRejected(t *testing.T) {
 	}
 }
 
-// TestAPSPSemiringNonCubeSize pins the padded-layout generalisation: the
+// TestAPSPSemiringNonCubeSize pins the any-size cube layout: the
 // semiring APSP runs on non-cube cliques (the seed rejected n = 10 with
 // ErrSize), while a graph/clique size mismatch is still an error.
 func TestAPSPSemiringNonCubeSize(t *testing.T) {
@@ -331,6 +331,32 @@ func randBoundedLarge(rng *rand.Rand, n int, m int64) *matrix.Dense[int64] {
 		}
 	}
 	return out
+}
+
+// TestAPSPApproxChargesMaxWeight: the largest edge weight, which sizes the
+// entry bound M, is learnt through one charged broadcast round — each node
+// sends its row maximum — before the first squaring, not read centrally.
+func TestAPSPApproxChargesMaxWeight(t *testing.T) {
+	g := graphs.RandomConnectedWeighted(16, 0.2, 30, true, 16)
+	n := g.N()
+	net := clique.New(n)
+	if _, _, err := distance.APSPApprox(net, ccmm.EngineFast, g, distance.ApproxOpts{Delta: 0.25}); err != nil {
+		t.Fatal(err)
+	}
+	st := net.Stats()
+	if len(st.Phases) == 0 || st.Phases[0].Name != "apsp-approx/max-weight" {
+		t.Fatalf("first phase %+v, want apsp-approx/max-weight", st.Phases)
+	}
+	if p := st.Phases[0]; p.Rounds != 1 || p.Words != int64(n*(n-1)) {
+		t.Fatalf("max-weight phase charged %d rounds, %d words; want 1 round, %d words", p.Rounds, p.Words, n*(n-1))
+	}
+	var squares int64
+	for _, p := range st.Phases[1:] {
+		squares += p.Rounds
+	}
+	if st.Rounds != 1+squares {
+		t.Fatalf("%d rounds, want the max-weight round + %d for the squarings", st.Rounds, squares)
+	}
 }
 
 func TestAPSPApproxStretch(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 // for weighted directed graphs by iterated squaring of the weight matrix
 // over the min-plus semiring (Corollary 6): at most ⌈log₂ n⌉ distance
 // products on the 3D algorithm, each O(n^{1/3}) rounds on any clique size
-// (the padded cube layout), witnesses riding in-band. The squaring stops at
+// (the balanced cube layout), witnesses riding in-band. The squaring stops at
 // its fixed point (Settled: one round after every squaring but the last),
 // so when every shortest path needs at most h hops it runs
 // min(⌈log₂ n⌉, ⌈log₂ h⌉ + 1) products. Weights may be negative; negative
