@@ -245,8 +245,8 @@ func WithTransportVerification() SessionOption {
 	return sessionOpt(func(c *config) { c.transport = clique.TransportVerify })
 }
 
-// WithSeed seeds all randomised components (colour-coding, witness
-// sampling); runs are reproducible for a fixed seed.
+// WithSeed seeds all randomised components (colour-coding, certification
+// probes); runs are reproducible for a fixed seed.
 func WithSeed(seed uint64) CallOption { return callOpt(func(c *config) { c.seed = seed }) }
 
 // WithColourings caps the number of colour-coding trials for cycle

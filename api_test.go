@@ -311,7 +311,7 @@ func TestAPSPUnweightedAPI(t *testing.T) {
 		}
 	}
 
-	withRouting, _, err := s.APSPUnweightedWithRouting(g, cc.WithSeed(5))
+	withRouting, _, err := s.APSPUnweightedWithRouting(g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,8 +167,11 @@ func (s *Clique) apspUnweighted(op string, g *Graph, opts []CallOption) (res *AP
 	return
 }
 
-// APSPUnweightedWithRouting runs Seidel's algorithm and then recovers a
-// routing table with the witness machinery of §3.4 (Lemma 21).
+// APSPUnweightedWithRouting runs Seidel's algorithm and then reads a
+// routing table off one witness-tagged distance product (§3.3): Next[u][v]
+// is the smallest neighbour w of u with 1 + d(w,v) = d(u,v). The table
+// costs one 3D distance product, O(n^{1/3}) rounds on top of Seidel's and
+// the same on every input.
 func (s *Clique) APSPUnweightedWithRouting(g *Graph, opts ...CallOption) (res *APSPResult, stats Stats, err error) {
 	r, err := s.begin("APSPUnweightedWithRouting", g.N(), ringSize, opts)
 	if err != nil {
@@ -195,8 +198,7 @@ func (s *Clique) APSPUnweightedWithRouting(g *Graph, opts ...CallOption) (res *A
 			}
 		}
 	}
-	oracle := distance.MinPlusOracle(r.net, r.engine())
-	next, derr := distance.RoutingFromDistances(r.net, oracle, w, d, distance.WitnessOpts{Seed: r.cfg.seed})
+	next, derr := distance.RoutingFromDistances(r.net, w, d)
 	if derr != nil {
 		err = derr
 		return

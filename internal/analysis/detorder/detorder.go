@@ -15,7 +15,7 @@
 //   - package-level math/rand and math/rand/v2 draws (rand.Int, IntN,
 //     Shuffle, Perm, …), which read the shared global source; explicitly
 //     seeded rand.New(rand.NewPCG(seed, …)) generators remain legal and
-//     are how colour-coding and witness sampling stay reproducible
+//     are how colour-coding and certification probes stay reproducible
 //   - FaultPlan composite literals without an explicit Seed field: the
 //     fault plane's injected schedule is a pure function of the seed, so
 //     an implicit zero seed hides the choice that makes a chaos run

@@ -171,44 +171,67 @@ func TestGridLayoutQuick(t *testing.T) {
 	}
 }
 
-// TestPredictDense3DWithinFactorTwo grades the planner's 3D price against
-// the ledger: predictDenseRounds(Engine3D) must land within a factor of two
-// of the rounds the engine charges, for min-plus products (one word per
-// entry) and packed Boolean ones, on cubes and non-cubes alike.
-func TestPredictDense3DWithinFactorTwo(t *testing.T) {
+// TestPredictDenseWithinFactorTwo grades the planner's dense prices against
+// the ledger: predictDenseRounds must land within a factor of two of the
+// rounds each engine charges — the 3D engine on min-plus products (one word
+// per entry) and packed Boolean ones, on cubes and non-cubes alike; the
+// bilinear engine on the integer ring at its scheme sizes; the naive
+// gather on min-plus.
+func TestPredictDenseWithinFactorTwo(t *testing.T) {
 	rng := rand.New(rand.NewPCG(36, 1))
-	for _, n := range []int{16, 24, 32, 64, 100, 144, 256, 300} {
-		mp := NewRowMat[int64](n)
-		bl := NewRowMat[bool](n)
-		for v := range n {
-			for j := range n {
-				mp.Rows[v][j] = rng.Int64N(100)
-				bl.Rows[v][j] = rng.IntN(3) == 0
-			}
-		}
-		plan := PlanFor(n, Engine3D)
-		for _, tc := range []struct {
-			name string
-			run  func(net *clique.Network) error
-			wd   float64
-		}{
-			{"min-plus", func(net *clique.Network) error {
+	for _, row := range []struct {
+		name   string
+		engine Engine
+		sizes  []int
+		wd     func(n int) float64
+		run    func(net *clique.Network, p *Plan, mp *RowMat[int64], bl *RowMat[bool]) error
+	}{
+		{"3d/min-plus", Engine3D, []int{16, 24, 32, 64, 100, 144, 256, 300},
+			func(n int) float64 { return minPlusAlgebra.entryWords(Engine3D, n) },
+			func(net *clique.Network, _ *Plan, mp *RowMat[int64], _ *RowMat[bool]) error {
 				_, err := Semiring3D[int64](net, nil, ring.MinPlus{}, ring.MinPlus{}, mp, mp)
 				return err
-			}, minPlusAlgebra.entryWords(Engine3D, n)},
-			{"packed-bool", func(net *clique.Network) error {
+			}},
+		{"3d/packed-bool", Engine3D, []int{16, 24, 32, 64, 100, 144, 256, 300},
+			func(n int) float64 { return boolAlgebra.entryWords(Engine3D, n) },
+			func(net *clique.Network, _ *Plan, _ *RowMat[int64], bl *RowMat[bool]) error {
 				_, err := Semiring3D[bool](net, nil, ring.Bool{}, ring.PackedBool{}, bl, bl)
 				return err
-			}, boolAlgebra.entryWords(Engine3D, n)},
-		} {
-			net := clique.New(n)
-			if err := tc.run(net); err != nil {
-				t.Fatalf("%s n=%d: %v", tc.name, n, err)
+			}},
+		{"fast/int", EngineFast, []int{16, 64, 100, 144, 196, 256},
+			func(n int) float64 { return intAlgebra.entryWords(EngineFast, n) },
+			func(net *clique.Network, p *Plan, mp *RowMat[int64], _ *RowMat[bool]) error {
+				_, err := FastBilinear[int64](net, nil, ring.Int64{}, ring.Int64{}, p.Scheme, mp, mp)
+				return err
+			}},
+		{"naive/min-plus", EngineNaive, []int{16, 24, 32, 64, 100, 144, 256},
+			func(n int) float64 { return minPlusAlgebra.entryWords(EngineNaive, n) },
+			func(net *clique.Network, _ *Plan, mp *RowMat[int64], _ *RowMat[bool]) error {
+				_, err := NaiveGather[int64](net, nil, ring.MinPlus{}, ring.MinPlus{}, mp, mp)
+				return err
+			}},
+	} {
+		for _, n := range row.sizes {
+			mp := NewRowMat[int64](n)
+			bl := NewRowMat[bool](n)
+			for v := range n {
+				for j := range n {
+					mp.Rows[v][j] = rng.Int64N(100)
+					bl.Rows[v][j] = rng.IntN(3) == 0
+				}
 			}
-			pred, got := plan.predictDenseRounds(Engine3D, tc.wd), float64(net.Rounds())
-			t.Logf("%s n=%d: predicted %.1f, charged %.0f (%.2f)", tc.name, n, pred, got, pred/got)
+			plan := PlanFor(n, row.engine)
+			if row.engine == EngineFast && plan.Scheme == nil {
+				t.Fatalf("%s n=%d: no bilinear scheme", row.name, n)
+			}
+			net := clique.New(n)
+			if err := row.run(net, plan, mp, bl); err != nil {
+				t.Fatalf("%s n=%d: %v", row.name, n, err)
+			}
+			pred, got := plan.predictDenseRounds(row.engine, row.wd(n)), float64(net.Rounds())
+			t.Logf("%s n=%d: predicted %.1f, charged %.0f (%.2f)", row.name, n, pred, got, pred/got)
 			if pred < got/2 || pred > 2*got {
-				t.Errorf("%s n=%d: predicted %.1f rounds, charged %.0f: outside [½, 2]", tc.name, n, pred, got)
+				t.Errorf("%s n=%d: predicted %.1f rounds, charged %.0f: outside [½, 2]", row.name, n, pred, got)
 			}
 		}
 	}

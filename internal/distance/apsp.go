@@ -9,9 +9,8 @@
 //     Corollary 8 with diameter doubling).
 //   - ApproxDistanceProduct / APSPApprox: the (1+o(1))-approximation by
 //     weight rounding (Lemma 20, Theorem 9).
-//   - FindWitnesses: witness recovery for arbitrary distance-product
-//     oracles (§3.4, Lemma 21) and routing-table construction from
-//     distances.
+//   - RoutingFromDistances: a routing table from exact distances, read off
+//     one witness-tagged 3D distance product (§3.3).
 package distance
 
 import (

@@ -2,6 +2,7 @@ package distance_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -404,88 +405,67 @@ func TestAPSPApproxStretch(t *testing.T) {
 	}
 }
 
-func TestFindWitnessesCertifies(t *testing.T) {
-	rng := rand.New(rand.NewPCG(19, 1))
-	mp := ring.MinPlus{}
-	n := 16
-	a := randBounded(rng, n, 30)
-	b := randBounded(rng, n, 30)
-	net := clique.New(n)
-	oracle := distance.MinPlusOracle(net, ccmm.EngineAuto)
-	s, tm := ccmm.Distribute(a), ccmm.Distribute(b)
-	p, err := oracle(s, tm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := distance.FindWitnesses(net, oracle, s, tm, p, distance.WitnessOpts{Seed: 3, Repetitions: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := matrix.Mul[int64](mp, a, b)
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			w := q.Rows[u][v]
-			if ring.IsInf(want.At(u, v)) {
-				if w != ring.NoWitness {
-					t.Fatalf("infinite pair (%d,%d) has witness", u, v)
-				}
-				continue
-			}
-			if w < 0 || w >= int64(n) {
-				t.Fatalf("missing witness for (%d,%d)", u, v)
-			}
-			if a.At(u, int(w))+b.At(int(w), v) != want.At(u, v) {
-				t.Fatalf("witness %d does not certify (%d,%d)", w, u, v)
-			}
-		}
-	}
-}
-
-func TestFindWitnessesWithSmallWeightOracle(t *testing.T) {
-	rng := rand.New(rand.NewPCG(20, 1))
-	n := 16
-	const m = 6
-	a := randBounded(rng, n, m)
-	b := randBounded(rng, n, m)
-	net := clique.New(n)
-	oracle := distance.SmallWeightOracle(net, ccmm.EngineFast, 2*m)
-	s, tm := ccmm.Distribute(a), ccmm.Distribute(b)
-	p, err := oracle(s, tm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := distance.FindWitnesses(net, oracle, s, tm, p, distance.WitnessOpts{Seed: 4, Repetitions: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			if ring.IsInf(p.Rows[u][v]) {
-				continue
-			}
-			w := q.Rows[u][v]
-			if a.At(u, int(w))+b.At(int(w), v) != p.Rows[u][v] {
-				t.Fatalf("witness %d does not certify (%d,%d)", w, u, v)
-			}
-		}
-	}
-}
-
+// TestRoutingFromDistances pins the routing table entry for entry: on every
+// transport it is the centralised witness of W′ ⋆ D (W′ the weights with
+// the diagonal lifted to ∞; smallest first hop on ties, NoWitness where
+// unreachable) with u on the diagonal, and it passes ValidateRouting. The
+// sparse GNP draws leave some graphs disconnected.
 func TestRoutingFromDistances(t *testing.T) {
-	g := graphs.GNP(16, 0.3, false, 21)
-	w := graphs.UnitWeights(g)
-	net := clique.New(16)
-	d, err := distance.APSPSeidel(net, ccmm.EngineFast, g)
-	if err != nil {
-		t.Fatal(err)
+	type input struct {
+		name string
+		g    *graphs.Graph
 	}
-	oracle := distance.MinPlusOracle(net, ccmm.EngineAuto)
-	next, err := distance.RoutingFromDistances(net, oracle, distWeights(w), d, distance.WitnessOpts{Seed: 5, Repetitions: 10})
-	if err != nil {
-		t.Fatal(err)
+	var inputs []input
+	for _, n := range []int{5, 16, 27, 40} {
+		for i, p := range []float64{0.05, 0.2, 0.6} {
+			inputs = append(inputs, input{fmt.Sprintf("gnp-n%d-p%v", n, p), graphs.GNP(n, p, false, uint64(21+10*n+i))})
+		}
 	}
-	if err := distance.ValidateRouting(w, d.Collect(), next.Collect()); err != nil {
-		t.Fatal(err)
+	inputs = append(inputs, input{"path-n16", graphs.Path(16, false)})
+	unreachable := 0
+	for _, tr := range []clique.Transport{clique.TransportDirect, clique.TransportWire, clique.TransportVerify} {
+		for _, in := range inputs {
+			t.Run(fmt.Sprintf("%v/%s", tr, in.name), func(t *testing.T) {
+				w := graphs.UnitWeights(in.g)
+				dist, err := graphs.FloydWarshall(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := in.g.N()
+				lifted := w.Matrix().Clone()
+				for u := 0; u < n; u++ {
+					lifted.Set(u, u, ring.Inf)
+				}
+				_, want := matrix.DistanceProductWitness(lifted, dist)
+				for u := 0; u < n; u++ {
+					want.Set(u, u, int64(u))
+					for v := 0; v < n; v++ {
+						if want.At(u, v) == ring.NoWitness {
+							unreachable++
+						}
+					}
+				}
+				net := clique.New(n, clique.WithTransport(tr))
+				next, err := distance.RoutingFromDistances(net, distWeights(w), ccmm.Distribute(dist))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := next.Collect()
+				for u := 0; u < n; u++ {
+					for v := 0; v < n; v++ {
+						if g, x := got.At(u, v), want.At(u, v); g != x {
+							t.Fatalf("Next[%d][%d] = %d, want %d", u, v, g, x)
+						}
+					}
+				}
+				if err := distance.ValidateRouting(w, dist, got); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+	if unreachable == 0 {
+		t.Fatal("no input has an unreachable pair")
 	}
 }
 

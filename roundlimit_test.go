@@ -67,7 +67,7 @@ func nil2rand() *rand.Rand { return rand.New(rand.NewPCG(9, 9)) }
 
 // abortOps are the reductions the abort sweep unwinds: each is a chain of
 // products on its network's one working set — witness-carrying squarings,
-// Seidel's recursion under the witness oracle, two ring products and a
+// Seidel's recursion then one witness-tagged product, two ring products and a
 // transpose, Boolean doubling with a binary search, and colour-coding's
 // product tree — so an abort can land inside any engine, between two
 // products, or in a broadcast of the reduction itself.

@@ -4,6 +4,9 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"testing"
+
+	"github.com/algebraic-clique/algclique/internal/ccmm"
+	"github.com/algebraic-clique/algclique/internal/clique"
 )
 
 func randMatT(seed uint64, n int) Mat {
@@ -81,7 +84,8 @@ func TestSessionTrim(t *testing.T) {
 }
 
 // TestSessionAPSPTransportsAgree covers a full application pipeline
-// (iterated products, witnesses, broadcasts) across both transports.
+// (iterated products, a witness-tagged product, broadcasts) across the
+// three transports: distances, routing table and Stats all agree.
 func TestSessionAPSPTransportsAgree(t *testing.T) {
 	g := NewGraph(13, false)
 	rng := rand.New(rand.NewPCG(9, 9))
@@ -92,24 +96,68 @@ func TestSessionAPSPTransportsAgree(t *testing.T) {
 			}
 		}
 	}
-	run := func(opts ...SessionOption) (Mat, Stats) {
+	run := func(opts ...SessionOption) (*APSPResult, Stats) {
 		s, err := NewClique(13, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		res, st, err := s.APSPUnweightedWithRouting(g, WithSeed(5))
+		res, st, err := s.APSPUnweightedWithRouting(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Dist, st
+		return res, st
 	}
-	dDist, dSt := run()
-	wDist, wSt := run(WithWireTransport())
-	if !reflect.DeepEqual(dDist, wDist) {
-		t.Fatalf("APSP distances differ between transports")
+	dRes, dSt := run()
+	for _, tr := range []struct {
+		name string
+		opt  SessionOption
+	}{{"wire", WithWireTransport()}, {"verify", WithTransportVerification()}} {
+		res, st := run(tr.opt)
+		if !reflect.DeepEqual(dRes.Dist, res.Dist) {
+			t.Fatalf("APSP distances differ between direct and %s", tr.name)
+		}
+		if !reflect.DeepEqual(dRes.Next, res.Next) {
+			t.Fatalf("APSP routing tables differ between direct and %s", tr.name)
+		}
+		if !reflect.DeepEqual(dSt, st) {
+			t.Fatalf("APSP stats differ between transports:\ndirect: %+v\n%s: %+v", dSt, tr.name, st)
+		}
 	}
-	if !reflect.DeepEqual(dSt, wSt) {
-		t.Fatalf("APSP stats differ between transports:\ndirect: %+v\nwire:   %+v", dSt, wSt)
+}
+
+// TestRoutingChargesOneProduct pins what the routing table costs at the
+// session: APSPUnweightedWithRouting charges exactly APSPUnweighted's
+// rounds and words plus one DistanceProduct3D's, which is oblivious, so
+// its charge is read off an all-zero product on a bare network.
+func TestRoutingChargesOneProduct(t *testing.T) {
+	const n = 144
+	g := GNP(n, 0.1, false, 17)
+	s, err := NewClique(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	_, seidel, err := s.APSPUnweighted(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, routed, err := s.APSPUnweightedWithRouting(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateRouting(UnitWeights(g), res); err != nil {
+		t.Fatal(err)
+	}
+	net := clique.New(n)
+	if _, _, err := ccmm.DistanceProduct3D(net, nil, ccmm.NewRowMat[int64](n), ccmm.NewRowMat[int64](n)); err != nil {
+		t.Fatal(err)
+	}
+	product := net.Stats()
+	if want := seidel.Rounds + product.Rounds; routed.Rounds != want {
+		t.Errorf("rounds = %d, want %d (Seidel) + %d (one product) = %d", routed.Rounds, seidel.Rounds, product.Rounds, want)
+	}
+	if want := seidel.Words + product.Words; routed.Words != want {
+		t.Errorf("words = %d, want %d (Seidel) + %d (one product) = %d", routed.Words, seidel.Words, product.Words, want)
 	}
 }
