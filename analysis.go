@@ -2,6 +2,7 @@ package algclique
 
 import (
 	"github.com/algebraic-clique/algclique/internal/baseline"
+	"github.com/algebraic-clique/algclique/internal/ccmm"
 	"github.com/algebraic-clique/algclique/internal/distance"
 )
 
@@ -19,7 +20,7 @@ func (s *Clique) TransitiveClosure(g *Graph, opts ...CallOption) (reach Mat, sta
 	}
 	defer r.end(&stats, &err)
 	padded := padGraph(g, r.n)
-	mat := r.getMat()
+	mat := ccmm.GetMat[int64](r.sc, r.n)
 	for v := 0; v < r.n; v++ {
 		row := mat.Rows[v]
 		for j := range row {
@@ -28,23 +29,12 @@ func (s *Clique) TransitiveClosure(g *Graph, opts ...CallOption) (reach Mat, sta
 		row[v] = 1
 		padded.Row(v).ForEach(func(u int) { row[u] = 1 })
 	}
-	cur := mat
-	depth := distance.SquaringCap(r.orig)
-	for iter := 0; iter < depth; iter++ {
-		next, _, merr := r.plan.MulBoolRouted(r.net, r.sc, cur, cur)
-		if merr != nil {
-			err = merr
-			return
-		}
-		r.recycle(next)
-		settled := iter+1 < depth && distance.Settled(r.net, cur, next)
-		cur = next
-		if settled {
-			break
-		}
+	cur, err := distance.Closure(r.net, r.engine(), r.sc, mat, r.orig)
+	if err != nil {
+		return nil, stats, err
 	}
-	reach = truncateRows(cur, r.orig)
-	return
+	r.recycle(cur)
+	return truncateRows(cur, r.orig), stats, nil
 }
 
 // Diameter returns the unweighted diameter (the largest finite pairwise

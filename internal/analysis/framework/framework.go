@@ -126,17 +126,6 @@ func (p *Pass) Preorder(f func(ast.Node)) {
 	}
 }
 
-// FuncDoc returns the doc comment group of the innermost function
-// declaration enclosing pos, or nil. Used for //cc:hotpath markers.
-func FuncDoc(file *ast.File, pos token.Pos) *ast.CommentGroup {
-	for _, decl := range file.Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Pos() <= pos && pos <= fd.End() {
-			return fd.Doc
-		}
-	}
-	return nil
-}
-
 // HasMarker reports whether the comment group contains the given //cc:
 // marker (e.g. "cc:hotpath").
 func HasMarker(doc *ast.CommentGroup, marker string) bool {

@@ -97,12 +97,6 @@ type FaultPlan struct {
 	MaxFaults int64
 }
 
-// active reports whether the plan can inject anything at all.
-func (p *FaultPlan) active() bool {
-	return p.CorruptProb > 0 || p.DropProb > 0 || p.DupProb > 0 ||
-		p.StraggleProb > 0 || p.CrashAtRound > 0 || p.PanicAtFlush > 0
-}
-
 // FaultStats ledgers every fault an injector fired.
 type FaultStats struct {
 	// Corrupted, Dropped, Duplicated count perturbed link deliveries
@@ -208,9 +202,6 @@ func (fi *FaultInjector) Stats() FaultStats { return fi.stats }
 // seed. The ledger is kept (it is cumulative); the crash and panic flags
 // persist too — a fail-stopped node stays stopped across retries.
 func (fi *FaultInjector) Advance() { fi.attempt++ }
-
-// Attempt returns the current attempt number (0-based).
-func (fi *FaultInjector) Attempt() uint64 { return fi.attempt }
 
 // Crashed reports whether the plan's crash has fired; once it has, retrying
 // on the same network cannot succeed (the node stays fail-stopped).

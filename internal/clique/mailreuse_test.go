@@ -67,45 +67,6 @@ func TestMailValidUntilSecondNextFlush(t *testing.T) {
 	}
 }
 
-// TestSendOwnedVecAdoptsBuffer checks the zero-copy enqueue path: an owned
-// vector sent on an idle link becomes the queue's backing array (no copy
-// at enqueue; the network keeps reusing it afterwards), while a busy link
-// falls back to appending in FIFO order.
-func TestSendOwnedVecAdoptsBuffer(t *testing.T) {
-	c := clique.New(2)
-	owned := []clique.Word{7, 8, 9}
-	c.SendOwnedVec(0, 1, owned)
-	if c.PendingWords(0) != 3 {
-		t.Fatal("owned vector not enqueued")
-	}
-	mail := c.Flush()
-	got := mail.From(1, 0)
-	if len(got) != 3 || got[0] != 7 || got[1] != 8 || got[2] != 9 {
-		t.Errorf("owned vector delivered %v, want [7 8 9]", got)
-	}
-	// The adopted array is now network-owned queue capacity: the next
-	// same-size send on the link must not allocate.
-	allocs := testing.AllocsPerRun(5, func() {
-		c.SendVec(0, 1, got)
-		c.Flush()
-	})
-	if allocs > 0 {
-		t.Errorf("post-adoption send+flush allocates %.1f objects, want 0", allocs)
-	}
-
-	c.Reset()
-	c.Send(0, 1, 1)
-	c.SendOwnedVec(0, 1, []clique.Word{2, 3})
-	mail = c.Flush()
-	got = mail.From(1, 0)
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Errorf("owned vector on a busy link delivered %v, want [1 2 3]", got)
-	}
-	if c.Rounds() != 3 {
-		t.Errorf("rounds = %d, want 3", c.Rounds())
-	}
-}
-
 // TestResetKeepsRecycledCapacity checks that Reset invalidates traffic and
 // accounting but keeps the warmed buffers: the first cycle after a Reset is
 // already allocation-free on a previously used pattern.

@@ -389,28 +389,6 @@ func (c *Network) SendVec(src, dst int, ws []Word) {
 	l.q = append(l.q, ws...)
 }
 
-// SendOwnedVec enqueues a vector of words from src to dst, taking
-// ownership of ws: when the link queue is empty the vector is adopted as
-// the queue's backing array without copying (delivery then copies once at
-// Flush, like all queued traffic), and the network retains and reuses the
-// array afterwards. The caller must not read or write ws after the call.
-// It is the zero-copy enqueue path for buffers the caller builds per send
-// and then relinquishes (per-link concatenations).
-//
-//cc:hotpath
-func (c *Network) SendOwnedVec(src, dst int, ws []Word) {
-	c.open(src, dst)
-	if len(ws) == 0 {
-		return
-	}
-	l := c.linkFor(src, dst)
-	if len(l.q) > 0 {
-		l.q = append(l.q, ws...)
-	} else {
-		l.q = ws
-	}
-}
-
 // Mail is the result of a Flush: all words and payloads delivered in this
 // exchange, indexed by destination and source, in FIFO order per link.
 // Each destination keeps a mailbox of entries in ascending source order,

@@ -78,6 +78,29 @@ func Settled(net *clique.Network, old, cur *ccmm.RowMat[int64]) bool {
 	return !net.Any(func(v int) bool { return !slices.Equal(old.Rows[v], cur.Rows[v]) })
 }
 
+// Closure squares reach, the 0/1 rows of A ∨ I, into the reachability
+// closure: Boolean squarings on engine, at most SquaringCap(capN) of them
+// (capN is the unpadded size when the clique is padded), stopping at the
+// fixed point. reach comes from sc's free list and is consumed, like every
+// iterate but the returned one, which is the caller's to return.
+func Closure(net *clique.Network, engine ccmm.Engine, sc *ccmm.Scratch, reach *ccmm.RowMat[int64], capN int) (*ccmm.RowMat[int64], error) {
+	depth := SquaringCap(capN)
+	for iter := 0; iter < depth; iter++ {
+		next, err := ccmm.MulBoolWith(net, engine, sc, reach, reach)
+		if err != nil {
+			ccmm.PutMat(sc, reach)
+			return nil, err
+		}
+		settled := iter+1 < depth && Settled(net, reach, next)
+		ccmm.PutMat(sc, reach)
+		reach = next
+		if settled {
+			break
+		}
+	}
+	return reach, nil
+}
+
 // ValidateRouting is a centralised test helper: it walks every routing-table
 // path and confirms it realises the claimed distance within n hops.
 func ValidateRouting(g *graphs.Weighted, dist, next *matrix.Dense[int64]) error {

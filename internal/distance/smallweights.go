@@ -151,7 +151,6 @@ func APSPSmallWeights(net *clique.Network, engine ccmm.Engine, g *graphs.Weighte
 	// Reachability closure: Boolean iterated squaring of A ∨ I.
 	net.Phase("apsp-smallw/reach")
 	reach := ccmm.GetMat[int64](sc, n)
-	defer func() { ccmm.PutMat(sc, reach) }()
 	for v := 0; v < n; v++ {
 		row := reach.Rows[v]
 		for j, x := range w.Rows[v] {
@@ -161,19 +160,11 @@ func APSPSmallWeights(net *clique.Network, engine ccmm.Engine, g *graphs.Weighte
 			}
 		}
 	}
-	depth := SquaringCap(n)
-	for iter := 0; iter < depth; iter++ {
-		next, err := ccmm.MulBoolWith(net, engine, sc, reach, reach)
-		if err != nil {
-			return nil, err
-		}
-		settled := iter+1 < depth && Settled(net, reach, next)
-		ccmm.PutMat(sc, reach)
-		reach = next
-		if settled {
-			break
-		}
+	reach, err := Closure(net, engine, sc, reach, n)
+	if err != nil {
+		return nil, err
 	}
+	defer ccmm.PutMat(sc, reach)
 
 	// Doubling search over U: at most log₂(n·maxW)+1 guesses.
 	limit := int64(n) * maxW

@@ -25,11 +25,6 @@ func (b Bitset) Set(i int) {
 	b[i/64] |= 1 << (i % 64)
 }
 
-// Clear clears bit i.
-func (b Bitset) Clear(i int) {
-	b[i/64] &^= 1 << (i % 64)
-}
-
 // Count returns the number of set bits.
 func (b Bitset) Count() int {
 	total := 0

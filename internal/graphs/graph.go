@@ -88,20 +88,6 @@ func (g *Graph) EdgeCount() int {
 	return total
 }
 
-// MutualCount returns δ(v): the number of u with both (u,v) and (v,u)
-// present. For undirected graphs this is simply the degree. Used by the
-// directed 4-cycle counting formula (§3.1).
-func (g *Graph) MutualCount(v int) int {
-	g.check(v)
-	count := 0
-	g.adj[v].ForEach(func(u int) {
-		if g.adj[u].Get(v) {
-			count++
-		}
-	})
-	return count
-}
-
 // AdjacencyInt returns the adjacency matrix over the integers (0/1
 // entries), with both orientations set for undirected graphs, as the paper
 // defines in §3.1.
@@ -110,16 +96,6 @@ func (g *Graph) AdjacencyInt() *matrix.Dense[int64] {
 	for v := 0; v < g.n; v++ {
 		row := a.Row(v)
 		g.adj[v].ForEach(func(u int) { row[u] = 1 })
-	}
-	return a
-}
-
-// AdjacencyBool returns the Boolean adjacency matrix.
-func (g *Graph) AdjacencyBool() *matrix.Dense[bool] {
-	a := matrix.New[bool](g.n, g.n)
-	for v := 0; v < g.n; v++ {
-		row := a.Row(v)
-		g.adj[v].ForEach(func(u int) { row[u] = true })
 	}
 	return a
 }

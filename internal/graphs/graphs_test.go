@@ -20,13 +20,9 @@ func TestBitsetBasics(t *testing.T) {
 	if b.Count() != 3 {
 		t.Errorf("Count = %d, want 3", b.Count())
 	}
-	b.Clear(64)
-	if b.Get(64) || b.Count() != 2 {
-		t.Error("Clear broken")
-	}
 	var seen []int
 	b.ForEach(func(i int) { seen = append(seen, i) })
-	if len(seen) != 2 || seen[0] != 0 || seen[1] != 129 {
+	if len(seen) != 3 || seen[0] != 0 || seen[1] != 64 || seen[2] != 129 {
 		t.Errorf("ForEach order = %v", seen)
 	}
 	c := b.Clone()
@@ -58,9 +54,6 @@ func TestGraphBasicsUndirected(t *testing.T) {
 	if n := g.Neighbors(1); len(n) != 2 || n[0] != 0 || n[1] != 2 {
 		t.Errorf("Neighbors(1) = %v", n)
 	}
-	if g.MutualCount(1) != 2 {
-		t.Error("undirected MutualCount should equal degree")
-	}
 }
 
 func TestGraphBasicsDirected(t *testing.T) {
@@ -74,18 +67,14 @@ func TestGraphBasicsDirected(t *testing.T) {
 	if g.EdgeCount() != 3 {
 		t.Errorf("EdgeCount = %d, want 3", g.EdgeCount())
 	}
-	if g.MutualCount(0) != 1 || g.MutualCount(2) != 0 {
-		t.Error("MutualCount wrong")
-	}
 }
 
 func TestAdjacencyMatrices(t *testing.T) {
 	g := graphs.Cycle(4, false)
 	a := g.AdjacencyInt()
-	b := g.AdjacencyBool()
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
-			if (a.At(i, j) == 1) != g.HasEdge(i, j) || b.At(i, j) != g.HasEdge(i, j) {
+			if (a.At(i, j) == 1) != g.HasEdge(i, j) {
 				t.Fatalf("adjacency mismatch at (%d,%d)", i, j)
 			}
 		}

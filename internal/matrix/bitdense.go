@@ -12,7 +12,7 @@ import (
 // element j in bit j%64 of word j/64 — exactly the layout of the
 // ring.PackedBool transport and graphs.Bitset, so rows move between the
 // wire, the graph representation, and the local kernels without any bit
-// shuffling (SetRowWords accepts transport words as-is).
+// shuffling.
 //
 // The pad bits past cols in each row's last word are always zero; every
 // mutator maintains the invariant and the kernels rely on it.
@@ -42,7 +42,7 @@ func NewBitDense(rows, cols int) *BitDense {
 
 // Reset reshapes m to rows×cols reusing the backing storage when it is
 // large enough. The contents are undefined until every row is written
-// (SetRowBits, SetRowWords, or a kernel that overwrites its destination);
+// (SetRowBits or a kernel that overwrites its destination);
 // use Zero to clear explicitly.
 //
 //cc:hotpath
@@ -125,20 +125,6 @@ func (m *BitDense) SetRowBits(i int, vals []bool) {
 		panic(fmt.Sprintf("matrix: BitDense SetRowBits length %d != cols %d", len(vals), m.cols))
 	}
 	ring.PackBits(m.RowWords(i), vals)
-	m.anyValid = false
-}
-
-// SetRowWords copies an already-packed row — e.g. a PackedBool transport
-// chunk — straight into row i. words must hold at least Stride words; pad
-// bits past cols are cleared defensively.
-//
-//cc:hotpath
-func (m *BitDense) SetRowWords(i int, words []uint64) {
-	row := m.RowWords(i)
-	copy(row, words[:m.stride])
-	if extra := uint(m.stride*64 - m.cols); extra > 0 {
-		row[m.stride-1] &= ^uint64(0) >> extra
-	}
 	m.anyValid = false
 }
 

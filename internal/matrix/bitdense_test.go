@@ -50,8 +50,7 @@ func TestBitDenseRoundTrip(t *testing.T) {
 
 // TestBitDenseTransportLayout pins the shared bit layout: a row packed with
 // SetRowBits must be word-for-word identical to the ring.PackedBool
-// encoding of the same values, and SetRowWords must accept that encoding
-// unchanged.
+// encoding of the same values.
 func TestBitDenseTransportLayout(t *testing.T) {
 	rng := rand.New(rand.NewPCG(32, 2))
 	for _, cols := range []int{1, 64, 65, 200} {
@@ -71,32 +70,6 @@ func TestBitDenseTransportLayout(t *testing.T) {
 				t.Fatalf("cols=%d word %d: transport %#x, BitDense %#x", cols, w, enc[w], row[w])
 			}
 		}
-		words := make([]uint64, len(enc))
-		for w := range enc {
-			words[w] = uint64(enc[w])
-		}
-		m.SetRowWords(1, words)
-		for j := 0; j < cols; j++ {
-			if m.Get(1, j) != vals[j] {
-				t.Fatalf("cols=%d: SetRowWords entry %d differs", cols, j)
-			}
-		}
-	}
-}
-
-// TestBitDenseSetRowWordsMasksPad feeds SetRowWords words with garbage in
-// the pad bits and checks the zero-pad invariant the kernels rely on.
-func TestBitDenseSetRowWordsMasksPad(t *testing.T) {
-	cols := 70 // stride 2, 58 pad bits
-	m := NewBitDense(1, cols)
-	words := []uint64{^uint64(0), ^uint64(0)}
-	m.SetRowWords(0, words)
-	row := m.RowWords(0)
-	if want := uint64(1)<<(cols-64) - 1; row[1] != want {
-		t.Fatalf("pad bits survived SetRowWords: word 1 = %#x, want %#x", row[1], want)
-	}
-	if got, want := m.Count(), cols; got != want {
-		t.Fatalf("Count = %d, want %d", got, want)
 	}
 }
 

@@ -58,15 +58,6 @@ func Zeros[T any](r ring.Semiring[T], rows, cols int) *Dense[T] {
 	return NewFilled[T](rows, cols, r.Zero())
 }
 
-// Identity returns the n×n identity matrix of the semiring.
-func Identity[T any](r ring.Semiring[T], n int) *Dense[T] {
-	m := Zeros[T](r, n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, r.One())
-	}
-	return m
-}
-
 // FromRows builds a matrix from a slice of equal-length rows. The rows are
 // copied.
 func FromRows[T any](rows [][]T) *Dense[T] {
@@ -152,58 +143,6 @@ func (m *Dense[T]) SetSub(r0, c0 int, block *Dense[T]) {
 	}
 	for i := 0; i < block.rows; i++ {
 		copy(m.e[(r0+i)*m.cols+c0:(r0+i)*m.cols+c0+block.cols], block.Row(i))
-	}
-}
-
-// TakeRows returns the matrix whose i-th row is row idx[i] of m.
-func (m *Dense[T]) TakeRows(idx []int) *Dense[T] {
-	out := New[T](len(idx), m.cols)
-	for i, r := range idx {
-		copy(out.Row(i), m.Row(r))
-	}
-	return out
-}
-
-// TakeCols returns the matrix whose j-th column is column idx[j] of m.
-func (m *Dense[T]) TakeCols(idx []int) *Dense[T] {
-	out := New[T](m.rows, len(idx))
-	for i := 0; i < m.rows; i++ {
-		src := m.Row(i)
-		dst := out.Row(i)
-		for j, c := range idx {
-			dst[j] = src[c]
-		}
-	}
-	return out
-}
-
-// Take returns the submatrix with the given row and column index sets, in
-// the order given: out[i][j] = m[ridx[i]][cidx[j]].
-func (m *Dense[T]) Take(ridx, cidx []int) *Dense[T] {
-	out := New[T](len(ridx), len(cidx))
-	for i, r := range ridx {
-		src := m.Row(r)
-		dst := out.Row(i)
-		for j, c := range cidx {
-			dst[j] = src[c]
-		}
-	}
-	return out
-}
-
-// ScatterInto writes block into m at the given row and column index sets:
-// m[ridx[i]][cidx[j]] = block[i][j]. It is the inverse of Take.
-func (m *Dense[T]) ScatterInto(ridx, cidx []int, block *Dense[T]) {
-	if block.rows != len(ridx) || block.cols != len(cidx) {
-		panic(fmt.Sprintf("matrix: scatter %d×%d into %d×%d index sets",
-			block.rows, block.cols, len(ridx), len(cidx)))
-	}
-	for i, r := range ridx {
-		dst := m.Row(r)
-		src := block.Row(i)
-		for j, c := range cidx {
-			dst[c] = src[j]
-		}
 	}
 }
 

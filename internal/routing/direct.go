@@ -7,12 +7,13 @@ import (
 	"github.com/algebraic-clique/algclique/internal/clique"
 )
 
-// This file is the routing layer's direct (data-plane) side: the same
-// deterministic schedules as Exchange and AllGather, with the words
-// charged analytically from per-link word lengths and the actual data moved as typed
-// payloads by reference (or not at all, when the receiver can read the
-// sender's structure directly). Every function here reproduces its encoded
-// counterpart's ledger — rounds, words, flushes, strategy choice — exactly.
+// This file is the routing layer's analytic side: the Lenzen schedule's
+// closed-form charges (TwoPhaseCosts), the personalised exchange that
+// rides them with typed payloads moved by reference (ExchangePayload, the
+// body of Exchange too), and AllGather's charge for receivers that read
+// the senders' vectors in place (ChargeAllGather). Every charge here is
+// the ledger — rounds, words, flushes, strategy choice — of the schedule
+// it describes, word for word.
 
 // Link is the traffic of one directed link: Words words from Src to Dst.
 type Link struct {
@@ -38,19 +39,17 @@ func (c Costs) TwoPhase() bool { return c.MaxA+c.MaxB < c.Direct }
 // included, sorted by (Src, Dst) with each link once; the work and memory
 // are O(n + len(links)), never n×n.
 //
-// The striping matches exchangeTwoPhase word for word: sender src's flat
-// word stream — its messages in destination order — rides intermediaries
+// The striping is Lenzen's two-phase schedule: sender src's flat word
+// stream — its messages in destination order — rides intermediaries
 // (off+p) mod n in turn. So each phase-A link of src carries ⌊flat/n⌋ full
 // laps plus at most one more word, closed-form per sender; and in phase B
 // an l-word message to dst puts ⌊l/n⌋ words on every intermediary's link to
 // dst plus one on each intermediary of an arc of l mod n consecutive ones,
 // so the heaviest link into dst carries the laps plus the deepest overlap
 // of those arcs away from dst itself. This is the single implementation of
-// the Lenzen striping arithmetic: the encoded Auto resolution, the direct
-// transport's analytic charges and the engine port's exchanges all read
-// these aggregates, which is what keeps the two planes' ledgers and schedule
-// choices bit-identical (the per-link reference implementation lives in the
-// tests).
+// the Lenzen striping arithmetic: Exchange, ExchangePayload and the engine
+// port's exchanges all read these aggregates, on either transport (the
+// per-link reference implementation lives in the tests).
 func TwoPhaseCosts(n int, sc *Scratch, links []Link) (c Costs) {
 	if n <= 1 {
 		return c // every link is the free self-link
@@ -290,23 +289,29 @@ func ChargeAllGather(net *clique.Network, lens []int64) {
 	net.ChargeBroadcast(held)
 }
 
-// ExchangePayload is Exchange on the data plane: pays[src][dst] is the
+// ExchangePayload is Exchange for typed messages: pays[src][dst] is the
 // typed per-pair message and words(k) the analytic wire length of a
 // k-element message (the codec's EncodedLen summed over the message's
 // chunks — callers with multi-chunk messages fold the chunk structure into
-// the closure). The strategy choice, rounds, words, and flushes match
-// Exchange on the encoded equivalent exactly; the payloads move by
-// reference through the simulator's Mail, so the delivered slices alias
-// the senders' buffers and are valid until the caller rebuilds them.
+// the closure). The strategy is resolved and both schedules charged from
+// those lengths through PlanCosts: direct sends charge their lengths on
+// their own links, and a two-phase exchange charges both Lenzen phases
+// analytically with the messages riding its second flush for free. The
+// payloads move by reference through the simulator's Mail, so the
+// delivered slices alias the senders' buffers and are valid until the
+// caller rebuilds them.
 //
 // in must be an n×n receive matrix; entries for addressed pairs are
-// overwritten and all others left untouched (stale), the same contract
-// ExchangeScratch gives oblivious protocols. It is returned for
-// convenience.
+// overwritten (nil where a fault plan dropped the delivery) and all others
+// left untouched (stale), the contract ExchangeScratch gives oblivious
+// protocols. It is returned for convenience.
 //
 //cc:hotpath
 func ExchangePayload[T any](net *clique.Network, strategy Strategy, sc *Scratch, pays [][][]T, words func(elems int) int64, in [][][]T) [][][]T {
 	n := net.N()
+	if strategy < Auto || strategy > TwoPhase {
+		panic(fmt.Sprintf("routing: unknown strategy %d", int(strategy)))
+	}
 	if len(pays) != n || len(in) != n {
 		panic(fmt.Sprintf("routing: ExchangePayload wants %d×%d matrices, got %d and %d rows", n, n, len(pays), len(in)))
 	}
@@ -330,8 +335,8 @@ func ExchangePayload[T any](net *clique.Network, strategy Strategy, sc *Scratch,
 	twoPhase := strategy == TwoPhase
 	var c Costs
 	if strategy != Direct {
-		// Resolve Auto with the comparison the encoded Exchange uses,
-		// reusing the (memoised) schedule aggregates for the charge itself.
+		// Resolve Auto, reusing the (memoised) schedule aggregates for the
+		// charge itself.
 		c = PlanCosts(n, sc, lensBuf)
 		if strategy == Auto {
 			twoPhase = c.TwoPhase()
@@ -364,7 +369,10 @@ func ExchangePayload[T any](net *clique.Network, strategy Strategy, sc *Scratch,
 	for src := 0; src < n; src++ {
 		for dst := range pays[src] {
 			if len(pays[src][dst]) > 0 {
-				in[dst][src] = *(mail.PayloadsFrom(dst, src)[0].(*[]T))
+				in[dst][src] = nil
+				if ps := mail.PayloadsFrom(dst, src); len(ps) > 0 {
+					in[dst][src] = *(ps[0].(*[]T))
+				}
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package routing
 import (
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/algebraic-clique/algclique/internal/clique"
@@ -34,13 +35,78 @@ func randPattern(rng *rand.Rand, n int) [][][]int64 {
 	return msgs
 }
 
-// TestExchangePayloadMatchesExchange runs the same random patterns through
-// the encoded Exchange and the direct ExchangePayload and requires
-// identical deliveries and identical ledgers — including the Auto strategy
-// choice that decides between direct and two-phase schedules — under three
-// cost closures: a charge that is the element count passes the first and
-// fails the other two.
+// refLedger is the ledger the per-link reference schedule charges for a
+// pattern under strategy: the direct schedule's rounds are its heaviest
+// non-self link and its words the non-self total, the two-phase
+// schedule's are MaxA+MaxB and TotalA+TotalB, and Auto takes two-phase
+// exactly when that is fewer rounds.
+func refLedger(n int, strategy Strategy, lens func(src, dst int) int64) (rounds, words int64) {
+	c := refCosts(n, lens)
+	if strategy == TwoPhase || strategy == Auto && c.MaxA+c.MaxB < c.Direct {
+		return c.MaxA + c.MaxB, c.TotalA + c.TotalB
+	}
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			if src != dst {
+				words += lens(src, dst)
+			}
+		}
+	}
+	return c.Direct, words
+}
+
+// checkExchange runs msgs through Exchange on a fresh network of the given
+// transport and requires exact delivery — idle pairs empty — and the
+// reference ledger.
+func checkExchange(t *testing.T, tr clique.Transport, strategy Strategy, msgs [][][]clique.Word) {
+	t.Helper()
+	n := len(msgs)
+	net := clique.New(n, clique.WithTransport(tr))
+	defer net.Close()
+	in := Exchange(net, strategy, msgs)
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			if !slices.Equal(in[dst][src], msgs[src][dst]) {
+				t.Fatalf("%v %v n=%d (%d→%d): delivered %v, sent %v", tr, strategy, n, src, dst, in[dst][src], msgs[src][dst])
+			}
+		}
+	}
+	rounds, words := refLedger(n, strategy, func(src, dst int) int64 { return int64(len(msgs[src][dst])) })
+	if net.Rounds() != rounds || net.Words() != words {
+		t.Fatalf("%v %v n=%d: charged %d rounds, %d words; reference %d, %d", tr, strategy, n, net.Rounds(), net.Words(), rounds, words)
+	}
+}
+
+var strategies = []Strategy{Direct, TwoPhase, Auto}
+
+// TestExchangePayloadMatchesExchange checks both faces of the one exchange
+// body against the per-link reference schedule rather than against each
+// other: Exchange delivers every vector exactly and charges the reference
+// ledger under each strategy on the direct and wire networks, and
+// ExchangePayload charges the reference ledger of its analytic lengths
+// under three cost closures — a charge that is the element count passes
+// the first and fails the other two.
 func TestExchangePayloadMatchesExchange(t *testing.T) {
+	for _, n := range []int{1, 2, 4, 7, 12, 25} {
+		for trial := 0; trial < 4; trial++ {
+			pays := randPattern(rand.New(rand.NewPCG(uint64(n), uint64(trial))), n)
+			msgs := make([][][]clique.Word, n)
+			for src := range pays {
+				msgs[src] = make([][]clique.Word, n)
+				for dst, vec := range pays[src] {
+					for _, x := range vec {
+						msgs[src][dst] = append(msgs[src][dst], clique.Word(x))
+					}
+				}
+			}
+			for _, tr := range []clique.Transport{clique.TransportDirect, clique.TransportWire} {
+				for _, strategy := range strategies {
+					checkExchange(t, tr, strategy, msgs)
+				}
+			}
+		}
+	}
+
 	costs := []struct {
 		name  string
 		words func(elems int) int64
@@ -52,60 +118,68 @@ func TestExchangePayloadMatchesExchange(t *testing.T) {
 	for _, cost := range costs {
 		for _, n := range []int{2, 4, 7, 12, 25} {
 			for trial := 0; trial < 4; trial++ {
-				rng := rand.New(rand.NewPCG(uint64(n), uint64(trial)))
-				pays := randPattern(rng, n)
-
-				// Encoded reference: a message of words(k) words, carrying
-				// as many of its k elements as fit.
-				wnet := clique.New(n)
-				msgs := make([][][]clique.Word, n)
-				for src := range pays {
-					msgs[src] = make([][]clique.Word, n)
-					for dst := range pays[src] {
-						vec := make([]clique.Word, cost.words(len(pays[src][dst])))
-						for i := range min(len(vec), len(pays[src][dst])) {
-							vec[i] = clique.Word(pays[src][dst][i])
-						}
-						msgs[src][dst] = vec
+				pays := randPattern(rand.New(rand.NewPCG(uint64(n), uint64(trial))), n)
+				lens := func(src, dst int) int64 {
+					if k := len(pays[src][dst]); k > 0 {
+						return cost.words(k)
 					}
+					return 0
 				}
-				win := Exchange(wnet, Auto, msgs)
-
-				dnet := clique.New(n)
-				in := make([][][]int64, n)
-				for i := range in {
-					in[i] = make([][]int64, n)
-				}
-				ExchangePayload(dnet, Auto, NewScratch(), pays, cost.words, in)
-
-				ws, ds := wnet.Stats(), dnet.Stats()
-				if !reflect.DeepEqual(ws, ds) {
-					t.Fatalf("%s, n=%d trial %d: ledger diverged: wire %+v, direct %+v", cost.name, n, trial, ws, ds)
-				}
-				for src := 0; src < n; src++ {
-					for dst := 0; dst < n; dst++ {
-						sent := pays[src][dst]
-						if len(sent) == 0 {
-							continue
-						}
-						got := in[dst][src]
-						want := win[dst][src]
-						if len(got) != len(sent) || int64(len(want)) != cost.words(len(sent)) {
-							t.Fatalf("%s, n=%d (%d→%d): got %d elements and %d words for %d elements",
-								cost.name, n, src, dst, len(got), len(want), len(sent))
-						}
-						for i := range got {
-							if got[i] != sent[i] || (i < len(want) && clique.Word(got[i]) != want[i]) {
-								t.Fatalf("%s, n=%d (%d→%d)[%d]: got %d, sent %d", cost.name, n, src, dst, i, got[i], sent[i])
+				for _, strategy := range strategies {
+					net := clique.New(n)
+					in := make([][][]int64, n)
+					for i := range in {
+						in[i] = make([][]int64, n)
+					}
+					ExchangePayload(net, strategy, NewScratch(), pays, cost.words, in)
+					rounds, words := refLedger(n, strategy, lens)
+					if net.Rounds() != rounds || net.Words() != words {
+						t.Fatalf("%s %v n=%d trial %d: charged %d rounds, %d words; reference %d, %d",
+							cost.name, strategy, n, trial, net.Rounds(), net.Words(), rounds, words)
+					}
+					for src := 0; src < n; src++ {
+						for dst := 0; dst < n; dst++ {
+							if len(pays[src][dst]) > 0 && !slices.Equal(in[dst][src], pays[src][dst]) {
+								t.Fatalf("%s %v n=%d (%d→%d): delivered %v, sent %v", cost.name, strategy, n, src, dst, in[dst][src], pays[src][dst])
 							}
 						}
 					}
+					net.Close()
 				}
-				wnet.Close()
-				dnet.Close()
 			}
 		}
 	}
+}
+
+// FuzzExchange runs arbitrary traffic patterns at n ≤ 32 through Exchange:
+// data[0] picks n, data[1] the strategy and the transport, and each further
+// byte the word length of one ordered pair, in (src, dst) order. Delivery
+// must be exact and the ledger the per-link reference's.
+func FuzzExchange(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n := 1 + int(data[0])%32
+		strategy := strategies[int(data[1])%3]
+		tr := clique.TransportDirect
+		if data[1]/3%2 == 1 {
+			tr = clique.TransportWire
+		}
+		msgs := make([][][]clique.Word, n)
+		for src := range msgs {
+			msgs[src] = make([][]clique.Word, n)
+		}
+		for k, l := range data[2:min(len(data), 2+n*n)] {
+			src, dst := k/n, k%n
+			vec := make([]clique.Word, l)
+			for i := range vec {
+				vec[i] = clique.Word(src)<<40 | clique.Word(dst)<<20 | clique.Word(i)
+			}
+			msgs[src][dst] = vec
+		}
+		checkExchange(t, tr, strategy, msgs)
+	})
 }
 
 // TestChargeAllGatherMatchesAllGather checks the analytic all-gather
@@ -144,9 +218,11 @@ func TestChargeAllGatherMatchesAllGather(t *testing.T) {
 // refTwoPhaseLinkLoads is the per-link reference implementation of the
 // two-phase schedule: loadA[src*n+inter] words ride the phase-A link
 // src→inter and loadB[inter*n+dst] the phase-B link inter→dst, including
-// the free self-links, striped exactly as exchangeTwoPhase sends them —
-// word for word. TwoPhaseCosts must reduce to its maxima and non-self
-// totals.
+// the free self-links. It is the definition of the schedule: sender src's
+// words, in destination order, ride intermediaries (stripeOffset(src)+p)
+// mod n in turn, and each is forwarded from there to its destination.
+// TwoPhaseCosts, and with it every exchange's charge, must reduce to its
+// maxima and non-self totals.
 func refTwoPhaseLinkLoads(n int, lens func(src, dst int) int64) (loadA, loadB []int64) {
 	loadA, loadB = make([]int64, n*n), make([]int64, n*n)
 	for src := 0; src < n; src++ {

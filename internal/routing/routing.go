@@ -6,9 +6,13 @@
 //     of Lenzen's routing theorem [46] (any pattern in which every node
 //     sends and receives at most h words is delivered in ceil(h/n) + O(1)
 //     rounds), falling back to direct per-link delivery when that is cheaper.
+//     Exchange and its typed form ExchangePayload are one body: both
+//     schedules are charged in closed form from per-link word lengths
+//     (TwoPhaseCosts) and the vectors move by reference.
 //   - AllGather: the "learn everything" primitive of Dolev et al. [24]:
 //     all nodes learn the union of all nodes' local words in
-//     ~2*ceil(K/n) + 1 rounds for K total words.
+//     ~2*ceil(K/n) + 1 rounds for K total words. It is the one relay that
+//     still puts real words on the links, so a fault plan can hit them.
 //
 // Addressing metadata travels out-of-band in the simulator: the algorithms
 // in the paper use *oblivious* routing (the pattern is computable by every
@@ -53,90 +57,41 @@ func (s Strategy) String() string {
 
 // Exchange delivers msgs[src][dst] (a vector of words for every ordered
 // pair; empty entries mean no traffic) and returns in[dst][src] with FIFO
-// order preserved per pair. msgs must be n×n.
+// order preserved per pair. msgs must be n×n. The vectors travel by
+// reference: in[dst][src] aliases msgs[src][dst], and a fault plan's
+// perturbations land in it.
 func Exchange(net *clique.Network, strategy Strategy, msgs [][][]clique.Word) [][][]clique.Word {
 	return ExchangeScratch(net, strategy, nil, msgs)
 }
 
-// ExchangeOwned is Exchange for callers that relinquish msgs: the network
-// may adopt the payload vectors as queue storage (clique.SendOwnedVec), so
-// the direct strategy enqueues without copying. Neither msgs' structure
-// nor its vectors may be read or written after the call. Callers that pool
-// their message buffers must use Exchange/ExchangeScratch instead.
-func ExchangeOwned(net *clique.Network, strategy Strategy, msgs [][][]clique.Word) [][][]clique.Word {
-	n := net.N()
-	validateShape(n, msgs)
-	if strategy == TwoPhase || strategy == Auto && autoTwoPhase(n, nil, msgs) {
-		// Ownership is irrelevant two-phase: words travel individually.
-		return exchangeTwoPhase(net, nil, msgs)
-	}
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if len(msgs[src][dst]) > 0 {
-				net.SendOwnedVec(src, dst, msgs[src][dst])
-			}
-		}
-	}
-	mail := net.Flush()
-	in := make([][][]clique.Word, n)
-	for dst := 0; dst < n; dst++ {
-		in[dst] = make([][]clique.Word, n)
-		for src := 0; src < n; src++ {
-			in[dst][src] = mail.From(dst, src)
-		}
-	}
-	return in
-}
-
-// ExchangeScratch is Exchange drawing its receive matrices, per-pair
-// reassembly buffers, and forwarding tables from sc (see Scratch). The
-// returned matrix is recycled two ExchangeScratch calls later, so callers
-// must consume one exchange's delivery before requesting a third — the
-// same lifetime the simulator's Mail gives. Entries for pairs that carried
-// no traffic may be stale under a Scratch: scratch users are oblivious
-// protocols that read exactly the pairs they addressed. A nil sc allocates
-// per call, with nil entries for idle pairs.
+// ExchangeScratch is Exchange drawing its receive matrix and its
+// schedule's working set from sc (see Scratch). It is ExchangePayload with
+// one charged word per word, so both schedules are charged analytically
+// and the vectors move by reference. The returned matrix is recycled two
+// ExchangeScratch calls later, so callers must consume one exchange's
+// delivery before requesting a third — the same lifetime the simulator's
+// Mail gives. Entries for pairs that carried no traffic may be stale under
+// a Scratch: scratch users are oblivious protocols that read exactly the
+// pairs they addressed. A nil sc allocates per call, with nil entries for
+// idle pairs.
 //
 //cc:hotpath
 func ExchangeScratch(net *clique.Network, strategy Strategy, sc *Scratch, msgs [][][]clique.Word) [][][]clique.Word {
 	n := net.N()
 	validateShape(n, msgs)
-	switch strategy {
-	case Direct:
-		return exchangeDirect(net, sc, msgs)
-	case TwoPhase:
-		return exchangeTwoPhase(net, sc, msgs)
-	case Auto:
-		if autoTwoPhase(n, sc, msgs) {
-			return exchangeTwoPhase(net, sc, msgs)
-		}
-		return exchangeDirect(net, sc, msgs)
-	default:
-		panic(fmt.Sprintf("routing: unknown strategy %d", int(strategy)))
-	}
-}
-
-// autoTwoPhase resolves Auto for a materialised message matrix through the
-// same PlanCosts the payload exchange uses — memoised with a Scratch, so a
-// session replaying an oblivious pattern pays the striping arithmetic once
-// per shape on either transport.
-func autoTwoPhase(n int, sc *Scratch, msgs [][][]clique.Word) bool {
-	var lens []int64
+	var in [][][]clique.Word
 	if sc != nil {
-		lens = sc.payLens(n * n)
+		in = sc.receive(n)
 	} else {
-		lens = make([]int64, n*n)
+		in = newMatrix(n) //cc:hotalloc-ok(nil-scratch transient fallback, documented on ExchangeScratch)
 	}
-	for src, row := range msgs {
-		for dst, vec := range row {
-			lens[src*n+dst] = int64(len(vec))
-		}
-	}
-	return PlanCosts(n, sc, lens).TwoPhase()
+	return ExchangePayload(net, strategy, sc, msgs, wordLen, in)
 }
 
-// validateShape panics unless msgs is an n×n message matrix — the shared
-// precondition of every exchange variant.
+// wordLen charges a word vector one word per word.
+func wordLen(k int) int64 { return int64(k) }
+
+// validateShape panics unless msgs is an n×n message matrix.
 func validateShape(n int, msgs [][][]clique.Word) {
 	if len(msgs) != n {
 		panic(fmt.Sprintf("routing: Exchange wants %d source rows, got %d", n, len(msgs)))
@@ -146,48 +101,6 @@ func validateShape(n int, msgs [][][]clique.Word) {
 			panic(fmt.Sprintf("routing: source %d has %d destination slots, want %d", src, len(msgs[src]), n))
 		}
 	}
-}
-
-//cc:hotpath
-func exchangeDirect(net *clique.Network, sc *Scratch, msgs [][][]clique.Word) [][][]clique.Word {
-	n := net.N()
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if len(msgs[src][dst]) > 0 {
-				net.SendVec(src, dst, msgs[src][dst])
-			}
-		}
-	}
-	mail := net.Flush()
-	var in [][][]clique.Word
-	if sc != nil {
-		in = sc.directIn(n)
-	} else {
-		in = make([][][]clique.Word, n) //cc:hotalloc-ok(nil-scratch transient fallback, documented on ExchangeScratch)
-		for dst := 0; dst < n; dst++ {
-			in[dst] = make([][]clique.Word, n) //cc:hotalloc-ok(nil-scratch transient fallback)
-		}
-	}
-	for dst := 0; dst < n; dst++ {
-		row := in[dst]
-		for src := 0; src < n; src++ {
-			row[src] = mail.From(dst, src)
-		}
-	}
-	return in
-}
-
-// routedMeta packs (src, dst, idx) for a word in flight: 22 bits each for
-// src and dst (cliques up to 4M nodes) and 20 bits for the position within
-// its (src, dst) vector.
-type routedMeta uint64
-
-func packMeta(src, dst, idx int) routedMeta {
-	return routedMeta(uint64(src)<<42 | uint64(dst)<<20 | uint64(idx))
-}
-
-func (m routedMeta) unpack() (src, dst, idx int) {
-	return int(m >> 42), int(m >> 20 & 0x3fffff), int(m & 0xfffff)
 }
 
 // stripeOffset rotates each sender's intermediary cycle by a golden-ratio
@@ -202,66 +115,6 @@ func stripeOffset(src, n int) int {
 	}
 	p := int(float64(n)*0.6180339887) | 1
 	return src * p % n
-}
-
-//cc:hotpath
-func exchangeTwoPhase(net *clique.Network, sc *Scratch, msgs [][][]clique.Word) [][][]clique.Word {
-	n := net.N()
-	var heldMeta [][]routedMeta // heldMeta[intermediary]
-	var heldWord [][]clique.Word
-	var in [][][]clique.Word
-	if sc != nil {
-		heldMeta, heldWord = sc.held(n)
-		in = sc.ownedIn(n)
-	} else {
-		heldMeta = make([][]routedMeta, n)  //cc:hotalloc-ok(nil-scratch transient fallback)
-		heldWord = make([][]clique.Word, n) //cc:hotalloc-ok(nil-scratch transient fallback)
-		in = make([][][]clique.Word, n)     //cc:hotalloc-ok(nil-scratch transient fallback, documented on ExchangeScratch)
-		for dst := 0; dst < n; dst++ {
-			in[dst] = make([][]clique.Word, n) //cc:hotalloc-ok(nil-scratch transient fallback)
-		}
-	}
-	// Pre-size the per-pair reassembly buffers (reusing capacity under a
-	// Scratch); every position is overwritten by the forwarding pass.
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if k := len(msgs[src][dst]); k > 0 {
-				in[dst][src] = resize(in[dst][src], k)
-			}
-		}
-	}
-	for src := 0; src < n; src++ {
-		off := stripeOffset(src, n)
-		flat := 0
-		for dst := 0; dst < n; dst++ {
-			vec := msgs[src][dst]
-			if len(vec) >= 1<<20 {
-				// Split points beyond the packed-index range never occur in
-				// this library (vectors are ≤ n words); guard regardless.
-				panic("routing: per-pair vector exceeds packed index range")
-			}
-			for idx, w := range vec {
-				inter := (off + flat) % n
-				net.Send(src, inter, w)
-				heldMeta[inter] = append(heldMeta[inter], packMeta(src, dst, idx))
-				heldWord[inter] = append(heldWord[inter], w)
-				flat++
-			}
-		}
-	}
-	net.Flush()
-
-	for inter := 0; inter < n; inter++ {
-		hw := heldWord[inter]
-		for i, m := range heldMeta[inter] {
-			src, dst, idx := m.unpack()
-			w := hw[i]
-			net.Send(inter, dst, w)
-			in[dst][src][idx] = w
-		}
-	}
-	net.Flush()
-	return in
 }
 
 // AllGather makes every node learn every node's local word vector. The

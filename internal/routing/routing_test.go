@@ -1,9 +1,12 @@
 package routing_test
 
 import (
+	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
+	"github.com/algebraic-clique/algclique/internal/ccmm"
 	"github.com/algebraic-clique/algclique/internal/clique"
 	"github.com/algebraic-clique/algclique/internal/routing"
 )
@@ -62,6 +65,55 @@ func TestExchangeStrategiesDeliverExactly(t *testing.T) {
 			net := clique.New(n)
 			in := routing.Exchange(net, strat, msgs)
 			assertDelivered(t, msgs, in)
+		}
+	}
+}
+
+// TestExchangeUnderFaults checks that a fault plan still reaches
+// Exchange's by-reference deliveries on both schedules: a dropped link
+// delivers nothing, a corrupted one its vector with exactly one bit
+// flipped (through the engines' word-row corrupter), self-pairs are never
+// touched, and the ledger is the fault-free exchange's.
+func TestExchangeUnderFaults(t *testing.T) {
+	const n = 6
+	for _, strat := range []routing.Strategy{routing.Direct, routing.TwoPhase} {
+		for _, plan := range []clique.FaultPlan{{Seed: 1, DropProb: 1}, {Seed: 2, CorruptProb: 1}} {
+			sent := randomMsgs(rand.New(rand.NewPCG(4, 4)), n, 6)
+			clean := clique.New(n)
+			routing.Exchange(clean, strat, sent)
+			msgs := randomMsgs(rand.New(rand.NewPCG(4, 4)), n, 6)
+			net := clique.New(n)
+			net.SetFaultInjector(clique.NewFaultInjector(plan, ccmm.PayloadCorrupters...))
+			in := routing.Exchange(net, strat, msgs)
+			if net.Rounds() != clean.Rounds() || net.Words() != clean.Words() {
+				t.Fatalf("%v %+v: charged %d rounds, %d words; fault-free %d, %d",
+					strat, plan, net.Rounds(), net.Words(), clean.Rounds(), clean.Words())
+			}
+			for s := 0; s < n; s++ {
+				for d := 0; d < n; d++ {
+					got, want := in[d][s], sent[s][d]
+					switch {
+					case s == d || len(want) == 0:
+						if !slices.Equal(got, want) {
+							t.Fatalf("%v %+v (%d→%d): untouched pair delivered %v, sent %v", strat, plan, s, d, got, want)
+						}
+					case plan.DropProb > 0:
+						if len(got) != 0 {
+							t.Fatalf("%v %+v (%d→%d): dropped link delivered %v", strat, plan, s, d, got)
+						}
+					default:
+						flipped := 0
+						for i := range want {
+							flipped += bits.OnesCount64(uint64(got[i] ^ want[i]))
+						}
+						if len(got) != len(want) || flipped != 1 {
+							t.Fatalf("%v %+v (%d→%d): delivered %v for %v, want one flipped bit", strat, plan, s, d, got, want)
+						}
+					}
+				}
+			}
+			clean.Close()
+			net.Close()
 		}
 	}
 }

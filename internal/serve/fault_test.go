@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	cc "github.com/algebraic-clique/algclique"
 )
@@ -230,62 +229,6 @@ func TestPoolDiscard(t *testing.T) {
 	p.Put(sess)
 	if st := p.Stats(); st.Idle != 0 {
 		t.Fatalf("Put after Discard re-pooled the session: %+v", st)
-	}
-}
-
-// TestDoWithBackoff covers the client helper's three exits: immediate
-// success, budget exhaustion against a saturated queue, and an expiring
-// context cutting a backoff sleep short.
-func TestDoWithBackoff(t *testing.T) {
-	ctx := context.Background()
-	a, b := testMat(8, 1), testMat(8, 2)
-
-	// Success needs no retries (a default server with no pressure).
-	clean := New(Config{})
-	res := DoWithBackoff(ctx, clean, Request{Tenant: "ok", Op: OpMatMulBool, A: mod2(a), B: mod2(b)}, Backoff{})
-	if res.Err != nil {
-		t.Fatalf("clean DoWithBackoff failed: %v", res.Err)
-	}
-	clean.Shutdown(ctx)
-
-	// The held dispatcher keeps the occupant queued; QueueCap 1 makes the
-	// queue saturate under it.
-	s, _ := heldServer(Config{QueueCap: 1, TenantQueueCap: 1, MaxBatch: 2})
-	defer s.Shutdown(context.Background())
-
-	// Saturate the matmul queue: the occupant stays queued until Shutdown
-	// releases the dispatcher and drains it.
-	occupied := make(chan Result, 1)
-	go func() {
-		occupied <- s.Do(ctx, Request{Tenant: "hog", Op: OpMatMul, A: a, B: b})
-	}()
-	waitAdmitted(t, s, 1)
-
-	start := time.Now()
-	res = DoWithBackoff(ctx, s, Request{Tenant: "late", Op: OpMatMul, A: a, B: b},
-		Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond, Attempts: 3})
-	var over *OverloadError
-	if !errors.As(res.Err, &over) {
-		t.Fatalf("backoff against a full queue = %v, want *OverloadError", res.Err)
-	}
-	if elapsed := time.Since(start); elapsed < time.Millisecond {
-		t.Fatalf("three attempts finished in %v; the helper never backed off", elapsed)
-	}
-
-	// A context expiring during the backoff sleep surfaces promptly.
-	shortCtx, cancel := context.WithTimeout(ctx, 30*time.Millisecond)
-	defer cancel()
-	res = DoWithBackoff(shortCtx, s, Request{Tenant: "late", Op: OpMatMul, A: a, B: b},
-		Backoff{Base: 10 * time.Second, Max: 10 * time.Second, Attempts: 5})
-	if !errors.Is(res.Err, context.DeadlineExceeded) {
-		t.Fatalf("backoff past the deadline = %v, want context.DeadlineExceeded", res.Err)
-	}
-
-	if err := s.Shutdown(context.Background()); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-	if res := <-occupied; res.Err != nil {
-		t.Fatalf("occupant was lost in the drain: %v", res.Err)
 	}
 }
 

@@ -163,8 +163,7 @@ func DetectC4(net *clique.Network, g *graphs.Graph) (bool, error) {
 			}
 		}
 	})
-	// The walk buffers are relinquished to the network: zero-copy enqueue.
-	in := routing.ExchangeOwned(net, routing.Auto, msgs)
+	in := routing.Exchange(net, routing.Auto, msgs)
 
 	// Check: x received all of P(x,∗,∗); a duplicate endpoint z ≠ x means
 	// two distinct middle nodes, i.e. a 4-cycle.
