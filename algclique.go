@@ -190,7 +190,6 @@ type config struct {
 	seed            uint64
 	colourings      int
 	delta           float64
-	maxCycle        int
 	roundLimit      int64
 	ctx             context.Context
 	fault           *clique.FaultPlan
@@ -234,17 +233,6 @@ func WithWireTransport() SessionOption {
 	return sessionOpt(func(c *config) { c.transport = clique.TransportWire })
 }
 
-// WithTransportVerification runs every engine product on both transports —
-// on the session's network, then again on a wire shadow under the same
-// context and round budget — and fails the operation if the results or the
-// charged rounds/words/flushes/phases differ in any way: the executable
-// proof that the direct transport's analytic accounting is faithful.
-// Roughly twice the work of WithWireTransport; meant for tests and
-// debugging.
-func WithTransportVerification() SessionOption {
-	return sessionOpt(func(c *config) { c.transport = clique.TransportVerify })
-}
-
 // WithSeed seeds all randomised components (colour-coding, certification
 // probes); runs are reproducible for a fixed seed.
 func WithSeed(seed uint64) CallOption { return callOpt(func(c *config) { c.seed = seed }) }
@@ -255,9 +243,6 @@ func WithColourings(k int) CallOption { return callOpt(func(c *config) { c.colou
 
 // WithDelta sets the per-product rounding parameter of approximate APSP.
 func WithDelta(delta float64) CallOption { return callOpt(func(c *config) { c.delta = delta }) }
-
-// WithMaxCycleLen sets ℓ for the girth algorithm's dense branch.
-func WithMaxCycleLen(l int) CallOption { return callOpt(func(c *config) { c.maxCycle = l }) }
 
 // WithRoundLimit aborts the simulation once the algorithm has consumed
 // more than limit rounds; the entry point then returns a

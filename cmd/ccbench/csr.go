@@ -33,7 +33,9 @@ import (
 //     matrix — the "peak RSS sublinear in n²" acceptance criterion — and
 //     at n = 2000 (rows run smallest-first, so Sys is theirs) below two,
 //     64 MB: link state follows traffic, and the CSR engine's never asks
-//     for n² of it.
+//     for n² of it. Sys never falls, so that budget holds only in a
+//     process nothing else has grown: main lists csr first, and
+//     `ccbench all` runs it before every other experiment.
 
 // csrLinkFloor mirrors clique's sparseLinkFloor: from here up a network is
 // pinned to sparse links, below it the traffic selects the form.

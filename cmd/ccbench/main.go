@@ -31,13 +31,16 @@ type experiment struct {
 }
 
 func main() {
+	// csr runs first: its n = 2000 footprint budget reads MemStats.Sys, a
+	// process-wide high-water mark, which the other experiments would
+	// already have raised when `ccbench all` runs them in one process.
 	experiments := []experiment{
+		{"csr", "CSR operand plane: GNP(1e4–1e5) adjacency squares, zero-dense-allocation + memory budgets (ledger, gated)", csrBench},
 		{"table1", "Table 1: round counts per row, engine and n, fitted exponents checked against the paper's bounds (ledger, gated)", table1Bench},
 		{"matmul", "multiply-and-message schedule: session products, packed vs unpacked booleans (ledger, gated)", matmulBench},
 		{"sparse", "density-aware planner: sparse tile engine vs dense plan on GNP (ledger, gated)", sparseBench},
 		{"serve", "service plane: 2000 concurrent mixed queries over 6 tenants (pass/fail)", serveBench},
 		{"chaos", "fault plane: 240 seeded chaos scenarios, typed-or-correct (ledger, gated)", chaosBench},
-		{"csr", "CSR operand plane: GNP(1e4–1e5) adjacency squares, zero-dense-allocation + memory budgets (ledger, gated)", csrBench},
 	}
 	if len(os.Args) < 2 || os.Args[1] == "list" {
 		fmt.Println("experiments:")

@@ -28,10 +28,9 @@ import (
 // port (the step-7 output rows as rows of the accumulators): by reference
 // with the words charged analytically from EncodedLen on the direct
 // transport, one bulk-codec chunk each on the wire.
-func FastBilinear[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T], codec ring.Codec[T], scheme *bilinear.Scheme, s, t *RowMat[T]) (*RowMat[T], error) {
-	return runProduct(net, sc, func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
-		return fastBilinear[T](net, sc, rg, codec, scheme, s, t)
-	})
+func FastBilinear[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T], codec ring.Codec[T], scheme *bilinear.Scheme, s, t *RowMat[T]) (p *RowMat[T], err error) {
+	defer catchAbort(&err)
+	return fastBilinear[T](net, sc.orOf(net), rg, codec, scheme, s, t)
 }
 
 // fastBilinear is the engine body: the seven steps of Lemma 10, every

@@ -17,31 +17,30 @@ import (
 // operand's rows in place; the wire transport ships each row as one bulk
 // chunk. The result comes from sc's free list; a nil sc is the network's
 // own.
-func NaiveGather[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
-	return runProduct(net, sc, func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
-		n := net.N()
-		if err := validatePair(n, s, t); err != nil {
-			return nil, err
+func NaiveGather[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (p *RowMat[T], err error) {
+	defer catchAbort(&err)
+	n := net.N()
+	if err := validatePair(n, s, t); err != nil {
+		return nil, err
+	}
+	f := chunks[T]{ring.AsBulk[T](codec), n} // one chunk per row
+	lens := make([]int64, n)
+	for v := range lens {
+		lens[v] = int64(f.EncodedLen(n))
+	}
+	net.Phase("mmnaive/gather")
+	trows := Learn(net, t.Rows, lens, func(v int) []clique.Word {
+		return f.encode(nil, t.Rows[v], v)
+	}, func(all [][]clique.Word) [][]T {
+		rows := NewRowMat[T](n).Rows
+		for v, ws := range all {
+			f.decode(rows[v], ws, v)
 		}
-		f := chunks[T]{ring.AsBulk[T](codec), n} // one chunk per row
-		lens := make([]int64, n)
-		for v := range lens {
-			lens[v] = int64(f.EncodedLen(n))
-		}
-		net.Phase("mmnaive/gather")
-		trows := Learn(net, t.Rows, lens, func(v int) []clique.Word {
-			return f.encode(nil, t.Rows[v], v)
-		}, func(all [][]clique.Word) [][]T {
-			rows := NewRowMat[T](n).Rows
-			for v, ws := range all {
-				f.decode(rows[v], ws, v)
-			}
-			return rows
-		})
-
-		net.Phase("mmnaive/multiply")
-		return naiveMultiply(net, sc, sr, s, trows), nil
+		return rows
 	})
+
+	net.Phase("mmnaive/multiply")
+	return naiveMultiply(net, sc.orOf(net), sr, s, trows), nil
 }
 
 // naiveMultiply is the local multiplication: node v multiplies its own row

@@ -2,9 +2,7 @@ package ccmm
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
-	"reflect"
 	"slices"
 
 	"github.com/algebraic-clique/algclique/internal/clique"
@@ -31,74 +29,9 @@ import (
 // the receiver reads its messages back (from, each). The flush resolves
 // routing.Auto through routing.TwoPhaseCosts from the word lengths of the
 // links the phase touched, which are the same on either transport, so the
-// ledger (rounds, words, flushes, phases) is identical by construction.
+// ledger (rounds, words, flushes, phases) is identical by construction;
+// the parity table (transport_test.go) and the golden ledger check it.
 // The 3D engine's cube rides the same level (onCube).
-// TransportVerify is decided here as well: runProduct runs the one body on
-// the caller's network, again on a wire shadow, and diffs products and
-// ledgers.
-
-// ErrTransportDiverged reports that the direct and wire transports
-// disagreed on a product's result or accounting under TransportVerify —
-// a simulator bug, never an input error.
-var ErrTransportDiverged = errors.New("ccmm: direct and wire transports diverged")
-
-// runProduct executes one engine body under the network's transport with
-// the abort-to-error conversion every product entry point owes its callers.
-// Under TransportVerify the body runs twice — on the caller's network
-// (whose port moves data by reference) and on a wire shadow that inherits
-// the caller's context and remaining round budget — and the product is
-// returned only if values and charged rounds/words/flushes/phases agree. A
-// nil sc is the network's own working set; the shadow, a network of its
-// own, runs on its own.
-func runProduct[P any](net *clique.Network, sc *Scratch, body func(net *clique.Network, sc *Scratch) (P, error)) (p P, err error) {
-	defer catchAbort(&err)
-	sc = sc.orOf(net)
-	if net.Transport() != clique.TransportVerify {
-		return body(net, sc)
-	}
-	shadow := net.Shadow(clique.TransportWire)
-	defer shadow.Close()
-	before := net.Stats()
-	var none P
-	if p, err = body(net, sc); err != nil {
-		return none, err
-	}
-	q, err := body(shadow, ScratchOf(shadow))
-	if err != nil {
-		return none, fmt.Errorf("ccmm: wire shadow run failed: %w", err)
-	}
-	if err := diffLedger(before, net.Stats(), shadow.Stats()); err != nil {
-		return none, err
-	}
-	if !reflect.DeepEqual(p, q) {
-		return none, fmt.Errorf("%w: products differ", ErrTransportDiverged)
-	}
-	return p, nil
-}
-
-// diffLedger compares the caller-network run's accounting delta (after −
-// before) against the wire shadow's full ledger.
-func diffLedger(before, after, wire clique.Stats) error {
-	if d, w := after.Rounds-before.Rounds, wire.Rounds; d != w {
-		return fmt.Errorf("%w: rounds %d (direct) != %d (wire)", ErrTransportDiverged, d, w)
-	}
-	if d, w := after.Words-before.Words, wire.Words; d != w {
-		return fmt.Errorf("%w: words %d (direct) != %d (wire)", ErrTransportDiverged, d, w)
-	}
-	if d, w := after.Flushes-before.Flushes, wire.Flushes; d != w {
-		return fmt.Errorf("%w: flushes %d (direct) != %d (wire)", ErrTransportDiverged, d, w)
-	}
-	dp := after.Phases[len(before.Phases):]
-	if len(dp) != len(wire.Phases) {
-		return fmt.Errorf("%w: %d phases (direct) != %d (wire)", ErrTransportDiverged, len(dp), len(wire.Phases))
-	}
-	for i := range dp {
-		if dp[i] != wire.Phases[i] {
-			return fmt.Errorf("%w: phase %q %+v (direct) != %+v (wire)", ErrTransportDiverged, dp[i].Name, dp[i], wire.Phases[i])
-		}
-	}
-	return nil
-}
 
 // wireFormat is the layout of one typed message in words. EncodedLen is the
 // accounting side — the direct transport charges it, the wire transport

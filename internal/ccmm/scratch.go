@@ -23,8 +23,7 @@ import (
 // (Seidel's recursion, the trace formulas, colour-coding's 3^k products,
 // girth doubling), which is what makes a warm graph operation allocate its
 // answer and little else. NewScratch builds a working set of the caller's
-// own — a bench rig, a test, the wire shadow of a verified product (a
-// shadow is a network of its own) — for which the same rules hold.
+// own — a bench rig, a test — for which the same rules hold.
 //
 // Ownership rules (see DESIGN.md "Scratch pools"):
 //

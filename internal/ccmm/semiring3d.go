@@ -36,11 +36,10 @@ import (
 // transport, words charged analytically) or as bulk-codec chunks (wire
 // transport). A packing codec (ring.PackedBool) is honoured either way,
 // since every cost is an EncodedLen sum of whole chunks.
-func Semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
-	return runProduct(net, sc, func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
-		al := cubeAlgebra[T, T]{opZero: sr.Zero(), opCodec: codec, sr: sr, codec: codec, lift: copyRow[T]}
-		return semiring3D(net, sc, al, s, t)
-	})
+func Semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (p *RowMat[T], err error) {
+	defer catchAbort(&err)
+	al := cubeAlgebra[T, T]{opZero: sr.Zero(), opCodec: codec, sr: sr, codec: codec, lift: copyRow[T]}
+	return semiring3D(net, sc.orOf(net), al, s, t)
 }
 
 // cubeAlgebra is what the 3D body multiplies over. Operands of type A
@@ -221,27 +220,26 @@ func semiring3D[A, P any](net *clique.Network, sc *Scratch, al cubeAlgebra[A, P]
 // iterated squaring (APSP) holds only p and q — which are the caller's to
 // return once dead. A nil sc is the network's own.
 func DistanceProduct3D(net *clique.Network, sc *Scratch, s, t *RowMat[int64]) (p, q *RowMat[int64], err error) {
-	pq, err := runProduct(net, sc, func(net *clique.Network, sc *Scratch) ([2]*RowMat[int64], error) {
-		pw, err := semiring3D(net, sc, witnessed, s, t)
-		if err != nil {
-			return [2]*RowMat[int64]{}, err
-		}
-		defer PutMat(sc, pw)
-		p, q := GetMat[int64](sc, net.N()), GetMat[int64](sc, net.N())
-		// Untagging is free node-local work; run it on the worker pool like
-		// every other per-node step.
-		net.ForEach(func(v int) {
-			prow, qrow := p.Rows[v], q.Rows[v]
-			for j, e := range pw.Rows[v] {
-				prow[j], qrow[j] = e.V, e.W
-				if ring.IsInf(e.V) {
-					prow[j], qrow[j] = ring.Inf, ring.NoWitness
-				}
+	defer catchAbort(&err)
+	sc = sc.orOf(net)
+	pw, err := semiring3D(net, sc, witnessed, s, t)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer PutMat(sc, pw)
+	p, q = GetMat[int64](sc, net.N()), GetMat[int64](sc, net.N())
+	// Untagging is free node-local work; run it on the worker pool like
+	// every other per-node step.
+	net.ForEach(func(v int) {
+		prow, qrow := p.Rows[v], q.Rows[v]
+		for j, e := range pw.Rows[v] {
+			prow[j], qrow[j] = e.V, e.W
+			if ring.IsInf(e.V) {
+				prow[j], qrow[j] = ring.Inf, ring.NoWitness
 			}
-		})
-		return [2]*RowMat[int64]{p, q}, nil
+		}
 	})
-	return pq[0], pq[1], err
+	return p, q, nil
 }
 
 // witnessed is the distance product's cube algebra: min-plus operands,

@@ -100,7 +100,9 @@ type tileForm[T, P any] struct {
 // enough for the Lemma 12 packing (Σ ca(y)·rb(y) < 2n²), ErrTooDense
 // otherwise. Requires n ≥ 8; see the file comment for the phase structure.
 // The product comes from sc's free list; a nil sc is the network's own.
-func SparseMul[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (*RowMat[T], error) {
+func SparseMul[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (p *RowMat[T], err error) {
+	defer catchAbort(&err)
+	sc = sc.orOf(net)
 	zero := sr.Zero()
 	row := func(m *RowMat[T]) func([]ring.Tuple[T], int) []ring.Tuple[T] {
 		return func(dst []ring.Tuple[T], v int) []ring.Tuple[T] {
@@ -112,26 +114,24 @@ func SparseMul[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], cod
 			return dst
 		}
 	}
-	return runProduct(net, sc, func(net *clique.Network, sc *Scratch) (*RowMat[T], error) {
-		return sparseMul(net, sc, sr, codec, tileForm[T, *RowMat[T]]{
-			validate: func(n int) error { return validatePair(n, s, t) },
-			s:        row(s),
-			t:        row(t),
-			accumulate: func(rows [][]ring.Tuple[T], receive func(x int)) *RowMat[T] {
-				p := GetMat[T](sc, len(rows))
-				net.ForEach(func(x int) {
-					receive(x)
-					out := p.Rows[x]
-					for j := range out {
-						out[j] = zero
-					}
-					for _, tp := range rows[x] {
-						out[tp.Idx] = sr.Add(out[tp.Idx], tp.Val)
-					}
-				})
-				return p
-			},
-		})
+	return sparseMul(net, sc, sr, codec, tileForm[T, *RowMat[T]]{
+		validate: func(n int) error { return validatePair(n, s, t) },
+		s:        row(s),
+		t:        row(t),
+		accumulate: func(rows [][]ring.Tuple[T], receive func(x int)) *RowMat[T] {
+			p := GetMat[T](sc, len(rows))
+			net.ForEach(func(x int) {
+				receive(x)
+				out := p.Rows[x]
+				for j := range out {
+					out[j] = zero
+				}
+				for _, tp := range rows[x] {
+					out[tp.Idx] = sr.Add(out[tp.Idx], tp.Val)
+				}
+			})
+			return p
+		},
 	})
 }
 
@@ -141,7 +141,8 @@ func SparseMul[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], cod
 // CSR product (strictly increasing columns, no stored semiring zeros),
 // bit-identical to compressing the RowMat product. A nil Val on an operand
 // means every stored entry is the semiring one (the adjacency convention).
-func SparseMulCSR[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *matrix.CSR[T]) (*matrix.CSR[T], error) {
+func SparseMulCSR[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *matrix.CSR[T]) (p *matrix.CSR[T], err error) {
+	defer catchAbort(&err)
 	zero, one := sr.Zero(), sr.One()
 	row := func(m *matrix.CSR[T]) func([]ring.Tuple[T], int) []ring.Tuple[T] {
 		return func(dst []ring.Tuple[T], v int) []ring.Tuple[T] {
@@ -149,24 +150,22 @@ func SparseMulCSR[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], 
 			return ring.AppendTuples(dst, cols, vals, one)
 		}
 	}
-	return runProduct(net, sc, func(net *clique.Network, sc *Scratch) (*matrix.CSR[T], error) {
-		return sparseMul(net, sc, sr, codec, tileForm[T, *matrix.CSR[T]]{
-			validate: func(n int) error {
-				if err := csrCheck(s, n); err != nil {
-					return err
-				}
-				return csrCheck(t, n)
-			},
-			s: row(s),
-			t: row(t),
-			accumulate: func(rows [][]ring.Tuple[T], receive func(x int)) *matrix.CSR[T] {
-				net.ForEach(func(x int) {
-					receive(x)
-					rows[x] = csrFold(sr, zero, rows[x])
-				})
-				return csrAssemble(net, rows)
-			},
-		})
+	return sparseMul(net, sc.orOf(net), sr, codec, tileForm[T, *matrix.CSR[T]]{
+		validate: func(n int) error {
+			if err := csrCheck(s, n); err != nil {
+				return err
+			}
+			return csrCheck(t, n)
+		},
+		s: row(s),
+		t: row(t),
+		accumulate: func(rows [][]ring.Tuple[T], receive func(x int)) *matrix.CSR[T] {
+			net.ForEach(func(x int) {
+				receive(x)
+				rows[x] = csrFold(sr, zero, rows[x])
+			})
+			return csrAssemble(net, rows)
+		},
 	})
 }
 

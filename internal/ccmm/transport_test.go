@@ -1,7 +1,6 @@
 package ccmm
 
 import (
-	"context"
 	"errors"
 	"math/rand/v2"
 	"reflect"
@@ -15,10 +14,9 @@ import (
 
 // The parity property is the exchange port's contract, stated once for
 // every engine: on any operands, the product equals the schoolbook
-// reference on the direct transport, on the wire transport, under
-// TransportVerify, and on one and on four local workers, and every run
-// charges the identical ledger — rounds, words, flushes, per-phase
-// breakdown. For the commutative algebras (int64, Boolean, min-plus) three
+// reference on the direct transport, on the wire transport, and on one and
+// on four local workers, and every run charges the identical ledger —
+// rounds, words, flushes, per-phase breakdown. For the commutative algebras (int64, Boolean, min-plus) three
 // metamorphic rows follow: the product of transposed operands in swapped
 // order is the transposed product, (AB)ᵀ = BᵀAᵀ; squaring a relabelled
 // operand relabels the square, (PAPᵀ)² = P·A²·Pᵀ; and products associate,
@@ -51,7 +49,6 @@ var parityRuns = []struct {
 }{
 	{"direct", clique.TransportDirect, 0},
 	{"wire", clique.TransportWire, 0},
-	{"verify", clique.TransportVerify, 0},
 	{"direct, 1 worker", clique.TransportDirect, 1},
 	{"direct, 4 workers", clique.TransportDirect, 4},
 }
@@ -337,88 +334,6 @@ func TestTransportDifferentialLarge(t *testing.T) {
 	r := ring.Int64{}
 	parityOver[int64](t, []int{512}, 48, r, r, genInt, only("3d", "3d/int64"))
 	parityOver[bool](t, []int{512}, 48, ring.Bool{}, ring.PackedBool{}, genTrue, only("3d", "3d/packedbool"))
-}
-
-// TestTransportVerifyMode pins what TransportVerify leaves on the caller's
-// network: exactly the direct run's ledger, the shadow's cost nowhere.
-func TestTransportVerifyMode(t *testing.T) {
-	for _, n := range []int{9, 16, 27} {
-		rng := rand.New(rand.NewPCG(49, uint64(n)))
-		s, u := randIntMat(rng, n, 50), randIntMat(rng, n, 50)
-		r := ring.Int64{}
-		mul := func(net *clique.Network, sc *Scratch) (*RowMat[int64], error) {
-			return Semiring3D[int64](net, sc, r, r, s, u)
-		}
-		direct, dstats := mulOn[int64](t, n, clique.TransportDirect, mul)
-		verified, vstats := mulOn[int64](t, n, clique.TransportVerify, mul)
-		if !reflect.DeepEqual(direct.Rows, verified.Rows) {
-			t.Fatalf("n=%d: verify-mode product differs from direct product", n)
-		}
-		if !reflect.DeepEqual(dstats, vstats) {
-			t.Fatalf("n=%d: verify mode charged %+v, direct charged %+v", n, vstats, dstats)
-		}
-	}
-}
-
-// cancelAfter is a context that reads as cancelled once net has charged
-// at least rounds rounds — a cancellation landing at a chosen point of a
-// run's schedule, with no timing involved.
-type cancelAfter struct {
-	context.Context
-	net    *clique.Network
-	rounds int64
-}
-
-func (c cancelAfter) Err() error {
-	if c.net.Rounds() >= c.rounds {
-		return context.Canceled
-	}
-	return nil
-}
-
-// TestTransportVerifyShadowInheritsAborts pins that the wire shadow runs
-// under the caller's abort conditions. A cancellation landing between the
-// two halves — after the caller's run charged its last round, before the
-// shadow charges its first — must stop the shadow with *CanceledError
-// rather than let the (slower) wire half run to completion; and the shadow
-// gets the round budget the caller had when the product started, so a
-// budget that fits the product exactly still verifies on a network that
-// already carries earlier rounds.
-func TestTransportVerifyShadowInheritsAborts(t *testing.T) {
-	const n = 27
-	rng := rand.New(rand.NewPCG(50, n))
-	s, u := randIntMat(rng, n, 50), randIntMat(rng, n, 50)
-	r := ring.Int64{}
-	mul := func(net *clique.Network, sc *Scratch) (*RowMat[int64], error) {
-		return Semiring3D[int64](net, sc, r, r, s, u)
-	}
-	_, st := mulOn[int64](t, n, clique.TransportDirect, mul)
-
-	net := clique.New(n, clique.WithTransport(clique.TransportVerify))
-	defer net.Close()
-	net.SetContext(cancelAfter{context.Background(), net, st.Rounds})
-	_, err := mul(net, NewScratch())
-	var canceled *clique.CanceledError
-	if !errors.As(err, &canceled) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancel between the halves: err = %v, want *clique.CanceledError", err)
-	}
-	if canceled.Rounds != 0 || net.Rounds() != st.Rounds {
-		t.Fatalf("cancelled at shadow round %d with %d caller rounds; want the shadow's first charge after the caller's full %d",
-			canceled.Rounds, net.Rounds(), st.Rounds)
-	}
-
-	net.Reset()
-	net.SetRoundLimit(2 * st.Rounds)
-	sc := NewScratch()
-	for i := 0; i < 2; i++ {
-		if _, err := mul(net, sc); err != nil {
-			t.Fatalf("product %d inside the budget: %v", i+1, err)
-		}
-	}
-	var limit *clique.RoundLimitError
-	if _, err := mul(net, sc); !errors.As(err, &limit) {
-		t.Fatalf("product past the budget: err = %v, want *clique.RoundLimitError", err)
-	}
 }
 
 // TestWireScratchSurvivesAbort pins that a product aborted mid-schedule —

@@ -89,7 +89,8 @@ func TestWitnessProductMatchesTaggedDefinition(t *testing.T) {
 				_, plain := mulOn[int64](t, n, clique.TransportDirect, func(net *clique.Network, sc *Scratch) (*RowMat[int64], error) {
 					return Semiring3D[int64](net, sc, mp, mp, s, u)
 				})
-				for _, tr := range []clique.Transport{clique.TransportDirect, clique.TransportWire, clique.TransportVerify} {
+				var direct clique.Stats
+				for _, tr := range []clique.Transport{clique.TransportDirect, clique.TransportWire} {
 					net := clique.New(n, clique.WithTransport(tr))
 					p, q, err := DistanceProduct3D(net, NewScratch(), s, u)
 					if err != nil {
@@ -100,6 +101,11 @@ func TestWitnessProductMatchesTaggedDefinition(t *testing.T) {
 					}
 					st := net.Stats()
 					net.Close()
+					if tr == clique.TransportDirect {
+						direct = st
+					} else if !reflect.DeepEqual(st, direct) {
+						t.Errorf("%v charged %+v, direct %+v", tr, st, direct)
+					}
 					if got, want := phaseOf(t, st, "mm3d/distribute"), phaseOf(t, plain, "mm3d/distribute"); got != want {
 						t.Errorf("%v: distribute charged %+v, a min-plus product %+v", tr, got, want)
 					}

@@ -25,7 +25,9 @@ const (
 	// FaultDrop withholds one link's delivery at a Flush; the words were
 	// sent (and charged), the receiver just never sees them.
 	FaultDrop
-	// FaultDuplicate delivers one link's traffic twice in the same Flush.
+	// FaultDuplicate delivers one link's words twice in the same Flush.
+	// Payloads are never duplicated: their readers index the entries they
+	// expect, so a repeat could not reach them.
 	FaultDuplicate
 	// FaultCrash fail-stops a node once the network reaches the plan's
 	// round: its subsequent sends panic with *FaultError and its pending
@@ -74,7 +76,8 @@ type FaultPlan struct {
 	CorruptProb float64
 	// DropProb withholds the link's entire delivery, per delivery.
 	DropProb float64
-	// DupProb delivers the link's traffic twice, per delivery.
+	// DupProb delivers the link's words twice, per delivery that carries
+	// words; payload-only deliveries are never duplicated.
 	DupProb float64
 	// StraggleProb stretches a Flush by StraggleSkew extra rounds, per
 	// Flush.
@@ -100,7 +103,8 @@ type FaultPlan struct {
 // FaultStats ledgers every fault an injector fired.
 type FaultStats struct {
 	// Corrupted, Dropped, Duplicated count perturbed link deliveries
-	// (Dropped includes deliveries withheld because their source crashed).
+	// (Dropped includes deliveries withheld because their source crashed;
+	// Duplicated counts only deliveries that carried words).
 	Corrupted, Dropped, Duplicated int64
 	// Straggles counts stretched flushes; SkewRounds the total extra
 	// rounds they charged.
@@ -335,9 +339,11 @@ func (fi *FaultInjector) link(e *mailEntry, src, dst int, seq uint64) {
 		e.ps = trimPayloads(e.ps)
 		return
 	}
-	if fi.roll(seq, src, dst, saltDup, p.DupProb) {
+	// Only a word vector can be seen twice: payload readers index the
+	// entries they expect, so a repeated payload would be counted but never
+	// read.
+	if len(e.ws) > 0 && fi.roll(seq, src, dst, saltDup, p.DupProb) {
 		e.ws = append(e.ws, e.ws...)
-		e.ps = append(e.ps, e.ps...)
 		fi.stats.Duplicated++
 		if fi.dataCapped() {
 			return

@@ -15,8 +15,9 @@ import "fmt"
 // ⌈len/64⌉ words) and Flush folds it into the same per-link load maximum
 // that real queued words produce. Rounds, words, flushes, and phase
 // attribution are therefore bit-identical between the two transports — the
-// wire transport stays the reference (verification, WithWireTransport) and
-// the path of protocols whose payloads genuinely are word-structured.
+// wire transport stays the reference (WithWireTransport; the ccmm parity
+// tests run every engine on both and compare results and ledgers) and the
+// path of protocols whose payloads genuinely are word-structured.
 
 // Transport selects how the simulator moves algorithm data.
 type Transport int
@@ -31,10 +32,6 @@ const (
 	// through link queues — the reference, in which every charged word
 	// really exists.
 	TransportWire
-	// TransportVerify runs every engine product twice (by reference on
-	// this network, encoded on a wire Shadow) and fails if the results or
-	// the charged rounds/words/flushes/phases differ.
-	TransportVerify
 )
 
 // String implements fmt.Stringer.
@@ -44,8 +41,6 @@ func (t Transport) String() string {
 		return "direct"
 	case TransportWire:
 		return "wire"
-	case TransportVerify:
-		return "verify"
 	default:
 		return fmt.Sprintf("transport(%d)", int(t))
 	}
@@ -62,23 +57,6 @@ func (c *Network) SetTransport(t Transport) { c.transport = t }
 
 // Transport returns the network's current transport.
 func (c *Network) Transport() Transport { return c.transport }
-
-// Shadow returns a fresh, empty-ledger network of the same size and worker
-// count on transport t that runs under this network's abort conditions as
-// they stand now: the same cancellation context and the round budget this
-// network has left. TransportVerify replays a product on a wire shadow
-// taken before the product starts, so the replay is cancelled with the
-// caller and trips the caller's budget exactly where the caller would. (A
-// budget with nothing left trips the caller's own run first.) The fault
-// injector is not inherited: a shadow is the clean reference run.
-func (c *Network) Shadow(t Transport) *Network {
-	s := New(c.n, WithWorkers(c.workers), WithTransport(t))
-	s.ctx = c.ctx
-	if left := c.roundLimit - c.rounds; c.roundLimit > 0 && left > 0 {
-		s.roundLimit = left
-	}
-	return s
-}
 
 // Payload is an opaque value riding the data plane. Senders relinquish the
 // payload at SendPayload; receivers may read it until the second-next

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"github.com/algebraic-clique/algclique/internal/ccmm"
@@ -405,11 +406,13 @@ func TestAPSPApproxStretch(t *testing.T) {
 	}
 }
 
-// TestRoutingFromDistances pins the routing table entry for entry: on every
-// transport it is the centralised witness of W′ ⋆ D (W′ the weights with
+// TestRoutingFromDistances pins the routing table entry for entry: on both
+// transports it is the centralised witness of W′ ⋆ D (W′ the weights with
 // the diagonal lifted to ∞; smallest first hop on ties, NoWitness where
 // unreachable) with u on the diagonal, and it passes ValidateRouting. The
-// sparse GNP draws leave some graphs disconnected.
+// verify rows then check, input by input, that the wire run charged
+// exactly the direct run's ledger. The sparse GNP draws leave some graphs
+// disconnected.
 func TestRoutingFromDistances(t *testing.T) {
 	type input struct {
 		name string
@@ -423,7 +426,9 @@ func TestRoutingFromDistances(t *testing.T) {
 	}
 	inputs = append(inputs, input{"path-n16", graphs.Path(16, false)})
 	unreachable := 0
-	for _, tr := range []clique.Transport{clique.TransportDirect, clique.TransportWire, clique.TransportVerify} {
+	ledgers := map[clique.Transport]map[string]clique.Stats{}
+	for _, tr := range []clique.Transport{clique.TransportDirect, clique.TransportWire} {
+		ledgers[tr] = map[string]clique.Stats{}
 		for _, in := range inputs {
 			t.Run(fmt.Sprintf("%v/%s", tr, in.name), func(t *testing.T) {
 				w := graphs.UnitWeights(in.g)
@@ -446,6 +451,7 @@ func TestRoutingFromDistances(t *testing.T) {
 					}
 				}
 				net := clique.New(n, clique.WithTransport(tr))
+				defer net.Close()
 				next, err := distance.RoutingFromDistances(net, distWeights(w), ccmm.Distribute(dist))
 				if err != nil {
 					t.Fatal(err)
@@ -461,8 +467,21 @@ func TestRoutingFromDistances(t *testing.T) {
 				if err := distance.ValidateRouting(w, dist, got); err != nil {
 					t.Fatal(err)
 				}
+				ledgers[tr][in.name] = net.Stats()
 			})
 		}
+	}
+	for _, in := range inputs {
+		t.Run("verify/"+in.name, func(t *testing.T) {
+			direct, ok := ledgers[clique.TransportDirect][in.name]
+			wire, ok2 := ledgers[clique.TransportWire][in.name]
+			if !ok || !ok2 {
+				t.Fatal("a transport run failed; nothing to compare")
+			}
+			if !reflect.DeepEqual(wire, direct) {
+				t.Fatalf("wire charged %+v, direct %+v", wire, direct)
+			}
+		})
 	}
 	if unreachable == 0 {
 		t.Fatal("no input has an unreachable pair")

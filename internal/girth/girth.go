@@ -18,20 +18,17 @@ import (
 	"github.com/algebraic-clique/algclique/internal/subgraph"
 )
 
-// DefaultMaxCycleLen is the default ℓ in Theorem 15. The paper picks
-// ℓ = ⌈2 + 2/ρ⌉ (≈ 9 for our Strassen-backed ρ ≈ 0.2875), which balances
-// the two branches asymptotically but makes the colour-coding constants
-// (2^{O(ℓ)} · e^ℓ colourings) astronomical; ℓ = 5 keeps the dense branch
-// practical while preserving the algorithm's structure. Configurable via
-// Opts.
+// DefaultMaxCycleLen is ℓ in Theorem 15: the dense branch tries cycle
+// lengths 3..ℓ, and the sparse branch triggers when m ≤ n^{1+1/⌊ℓ/2⌋} + n.
+// The paper picks ℓ = ⌈2 + 2/ρ⌉ (≈ 9 for our Strassen-backed ρ ≈ 0.2875),
+// which balances the two branches asymptotically but makes the
+// colour-coding constants (2^{O(ℓ)} · e^ℓ colourings) astronomical; ℓ = 5
+// keeps the dense branch practical while preserving the algorithm's
+// structure.
 const DefaultMaxCycleLen = 5
 
 // Opts configures the undirected girth computation.
 type Opts struct {
-	// MaxCycleLen is ℓ: the dense branch tries cycle lengths 3..ℓ; the
-	// sparse branch triggers when m ≤ n^{1+1/⌊ℓ/2⌋} + n. 0 selects
-	// DefaultMaxCycleLen.
-	MaxCycleLen int
 	// KCycle configures each colour-coding detection.
 	KCycle subgraph.KCycleOpts
 }
@@ -48,13 +45,7 @@ func Undirected(net *clique.Network, engine ccmm.Engine, g *graphs.Graph, opts O
 	if g.N() != net.N() {
 		return 0, false, fmt.Errorf("girth: graph has %d nodes on an %d-node clique: %w", g.N(), net.N(), ccmm.ErrSize)
 	}
-	l := opts.MaxCycleLen
-	if l <= 0 {
-		l = DefaultMaxCycleLen
-	}
-	if l < 3 {
-		return 0, false, fmt.Errorf("girth: MaxCycleLen %d below 3: %w", l, ccmm.ErrSize)
-	}
+	const l = DefaultMaxCycleLen
 	n := net.N()
 
 	// Edge census: one broadcast round.

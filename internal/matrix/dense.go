@@ -159,10 +159,3 @@ func Equal[T any](r ring.Semiring[T], a, b *Dense[T]) bool {
 	}
 	return true
 }
-
-// Map applies f to every entry in place.
-func (m *Dense[T]) Map(f func(T) T) {
-	for i := range m.e {
-		m.e[i] = f(m.e[i])
-	}
-}

@@ -272,11 +272,10 @@ func (s *Clique) beginAt(op string, orig, n int, opts []CallOption) (*opRun, err
 
 // newRun builds the per-operation harness and arms its network (mu held):
 // a reset, the per-call abort settings, the session's transport (direct by
-// default; WithWireTransport and WithTransportVerification override), the
-// session's sparse threshold — the one place the planner reads it from, so
-// every matrix product the operation performs, including ones graph
-// algorithms resolve internally, honours WithSparseThreshold — and the
-// fault injector. The injector survives Reset like the round limit, so
+// default; WithWireTransport overrides), the session's sparse threshold —
+// the one place the planner reads it from, so every matrix product the
+// operation performs, including ones graph algorithms resolve internally,
+// honours WithSparseThreshold — and the fault injector. The injector survives Reset like the round limit, so
 // every operation sets it, including to nil: a panic escaping a faulted
 // run skips end's disarm, and the next operation must not inherit its
 // chaos.

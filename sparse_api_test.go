@@ -202,9 +202,9 @@ func TestSquareAdjacencySparseSentinels(t *testing.T) {
 	}
 }
 
-// TestSparseTransportsAgree: the sparse route charges identical ledgers on
-// the direct and wire transports, and survives full transport
-// verification.
+// TestSparseTransportsAgree: the sparse route charges identical ledgers —
+// rounds, words, flushes and every phase — on the direct and wire
+// transports.
 func TestSparseTransportsAgree(t *testing.T) {
 	const n = 64
 	a := adjacencyMat(cc.GNP(n, 2.0/n, false, 21))
@@ -224,11 +224,9 @@ func TestSparseTransportsAgree(t *testing.T) {
 		return st
 	}
 	ds := run()
-	ws := run(cc.WithWireTransport())
-	if ds.Rounds != ws.Rounds || ds.Words != ws.Words {
-		t.Fatalf("direct %d rounds / %d words, wire %d / %d", ds.Rounds, ds.Words, ws.Rounds, ws.Words)
+	if ws := run(cc.WithWireTransport()); !reflect.DeepEqual(ds, ws) {
+		t.Fatalf("ledgers differ:\ndirect %+v\nwire   %+v", ds, ws)
 	}
-	run(cc.WithTransportVerification())
 }
 
 // TestSparseThresholdReachesInnerProducts: WithSparseThreshold governs

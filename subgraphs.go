@@ -112,8 +112,7 @@ func (s *Clique) Girth(g *Graph, opts ...CallOption) (value int, ok bool, stats 
 		value, ok, err = girth.Directed(r.net, r.engine(), padded)
 	} else {
 		value, ok, err = girth.Undirected(r.net, r.engine(), padded, girth.Opts{
-			MaxCycleLen: r.cfg.maxCycle,
-			KCycle:      subgraph.KCycleOpts{Colourings: r.cfg.colourings, Seed: r.cfg.seed},
+			KCycle: subgraph.KCycleOpts{Colourings: r.cfg.colourings, Seed: r.cfg.seed},
 		})
 	}
 	return

@@ -22,8 +22,8 @@ func randMatT(seed uint64, n int) Mat {
 }
 
 // TestSessionTransportsAgree runs the same products on a default (direct)
-// session, a WithWireTransport session, and a WithTransportVerification
-// session: results and reported Stats must be identical across all three.
+// session and a WithWireTransport session: results and reported Stats must
+// be identical.
 func TestSessionTransportsAgree(t *testing.T) {
 	for _, n := range []int{10, 27} {
 		a, b := randMatT(1, n), randMatT(2, n)
@@ -49,13 +49,8 @@ func TestSessionTransportsAgree(t *testing.T) {
 			return outcome{mm: mm, dp: dp, mmSt: mmSt, dpSt: dpSt}
 		}
 		direct := run()
-		wire := run(WithWireTransport())
-		verify := run(WithTransportVerification())
-		if !reflect.DeepEqual(direct, wire) {
+		if wire := run(WithWireTransport()); !reflect.DeepEqual(direct, wire) {
 			t.Fatalf("n=%d: direct and wire sessions disagree", n)
-		}
-		if !reflect.DeepEqual(direct, verify) {
-			t.Fatalf("n=%d: direct and verification sessions disagree", n)
 		}
 	}
 }
@@ -84,8 +79,8 @@ func TestSessionTrim(t *testing.T) {
 }
 
 // TestSessionAPSPTransportsAgree covers a full application pipeline
-// (iterated products, a witness-tagged product, broadcasts) across the
-// three transports: distances, routing table and Stats all agree.
+// (iterated products, a witness-tagged product, broadcasts) across both
+// transports: distances, routing table and Stats all agree.
 func TestSessionAPSPTransportsAgree(t *testing.T) {
 	g := NewGraph(13, false)
 	rng := rand.New(rand.NewPCG(9, 9))
@@ -109,20 +104,15 @@ func TestSessionAPSPTransportsAgree(t *testing.T) {
 		return res, st
 	}
 	dRes, dSt := run()
-	for _, tr := range []struct {
-		name string
-		opt  SessionOption
-	}{{"wire", WithWireTransport()}, {"verify", WithTransportVerification()}} {
-		res, st := run(tr.opt)
-		if !reflect.DeepEqual(dRes.Dist, res.Dist) {
-			t.Fatalf("APSP distances differ between direct and %s", tr.name)
-		}
-		if !reflect.DeepEqual(dRes.Next, res.Next) {
-			t.Fatalf("APSP routing tables differ between direct and %s", tr.name)
-		}
-		if !reflect.DeepEqual(dSt, st) {
-			t.Fatalf("APSP stats differ between transports:\ndirect: %+v\n%s: %+v", dSt, tr.name, st)
-		}
+	res, st := run(WithWireTransport())
+	if !reflect.DeepEqual(dRes.Dist, res.Dist) {
+		t.Fatal("APSP distances differ between direct and wire")
+	}
+	if !reflect.DeepEqual(dRes.Next, res.Next) {
+		t.Fatal("APSP routing tables differ between direct and wire")
+	}
+	if !reflect.DeepEqual(dSt, st) {
+		t.Fatalf("APSP stats differ between transports:\ndirect: %+v\nwire: %+v", dSt, st)
 	}
 }
 
