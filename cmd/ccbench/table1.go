@@ -9,6 +9,7 @@ import (
 	"strconv"
 
 	cc "github.com/algebraic-clique/algclique"
+	"github.com/algebraic-clique/algclique/internal/ccmm"
 	"github.com/algebraic-clique/algclique/internal/graphs"
 )
 
@@ -47,6 +48,9 @@ type table1Row struct {
 	Rounds int64  `json:"rounds"`
 	Words  int64  `json:"words"`
 	Answer string `json:"answer,omitempty"`
+	// Bits is the bits per entry of a row whose products pack their
+	// entries (see packedBits); empty where every entry is a word.
+	Bits string `json:"bits_per_entry,omitempty"`
 }
 
 func (r table1Row) key() string { return fmt.Sprintf("%s/%s/%d", r.Row, r.Engine, r.N) }
@@ -61,6 +65,12 @@ type table1Run struct {
 
 // ladder measures f at every n, each on a fresh session under engine e.
 func (t *table1Run) ladder(row string, e cc.Engine, ns []int, f op) []table1Row {
+	return t.packedLadder(row, e, ns, f, nil)
+}
+
+// packedLadder is ladder for a row whose products pack their entries:
+// bits(n) is the row's bits per entry at n.
+func (t *table1Run) packedLadder(row string, e cc.Engine, ns []int, f op, bits func(n int) string) []table1Row {
 	var out []table1Row
 	for _, n := range ns {
 		s, err := cc.NewClique(n, cc.WithEngine(e))
@@ -68,8 +78,11 @@ func (t *table1Run) ladder(row string, e cc.Engine, ns []int, f op) []table1Row 
 		ans, st, err := f(s, n)
 		check(err)
 		check(s.Close())
-		r := table1Row{row, e.String(), n, st.Rounds, st.Words, ans}
-		fmt.Printf("   %-34s %-13s %5d %7d %11d  %s\n", r.Row, r.Engine, r.N, r.Rounds, r.Words, r.Answer)
+		r := table1Row{Row: row, Engine: e.String(), N: n, Rounds: st.Rounds, Words: st.Words, Answer: ans}
+		if bits != nil {
+			r.Bits = bits(n)
+		}
+		fmt.Printf("   %-34s %-13s %5d %7d %11d  %s %s\n", r.Row, r.Engine, r.N, r.Rounds, r.Words, r.Answer, r.Bits)
 		t.rows, out = append(t.rows, r), append(out, r)
 	}
 	return out
@@ -165,6 +178,37 @@ func apsp(f func(*cc.Clique, *cc.Weighted, ...cc.CallOption) (*cc.APSPResult, cc
 	}
 }
 
+// exactAPSP runs APSP on RandomConnectedWeighted(n, p, maxW) drawn with
+// seed like apsp, and pins the distances' digest, which packing must not
+// move.
+func exactAPSP(p float64, maxW int64, seed uint64) op {
+	return func(s *cc.Clique, n int) (string, cc.Stats, error) {
+		g := cc.RandomConnectedWeighted(n, p, maxW, true, seed)
+		res, st, err := s.APSP(g)
+		if err != nil {
+			return "", st, err
+		}
+		return digest(res.Dist), st, cc.ValidateRouting(g, res)
+	}
+}
+
+// packedBits reports the bits per entry APSP's distance products ship on
+// RandomConnectedWeighted(n, p, maxW) drawn with seed: its weights are
+// non-negative, so the products run at the bound (n−1)·maxW the max-weight
+// round establishes — "operand / value+witness" bits, against the 64 of
+// the simulator's word (a reader converting to O(log n)-bit words divides
+// by these).
+func packedBits(p float64, maxW int64, seed uint64) func(n int) string {
+	return func(n int) string {
+		g := cc.RandomConnectedWeighted(n, p, maxW, true, seed)
+		op, partial, ok := ccmm.PackedWidths(int64(n-1)*g.MaxWeight(), n)
+		if !ok {
+			return ""
+		}
+		return fmt.Sprintf("%d / %d+%d", op, op, partial-op)
+	}
+}
+
 // girth runs Girth on g.
 func girth(g *cc.Graph, opts ...cc.CallOption) op {
 	return func(s *cc.Clique, _ int) (string, cc.Stats, error) {
@@ -231,7 +275,7 @@ func table1Bench() {
 	t.expect(cycle[0].Answer == "64", "girth of the 64-cycle = %s", cycle[0].Answer)
 	t.ladder("T1.7 girth, directed G(n, 0.05)", cc.Auto, []int{64}, girth(cc.GNP(64, 0.05, true, 14)))
 
-	t.exponent(t.ladder("T1.8 weighted APSP", cc.Auto, []int{27, 64, 125}, apsp((*cc.Clique).APSP, 0.2, 50, 15)), true, 1.0/3)
+	t.exponent(t.packedLadder("T1.8 weighted APSP", cc.Auto, []int{27, 64, 125}, exactAPSP(0.2, 50, 15), packedBits(0.2, 50, 15)), true, 1.0/3)
 	t.exponent(t.ladder("T1.8 baseline: learn everything", cc.Naive, []int{27, 125}, apsp((*cc.Clique).APSPNaive, 0.2, 50, 19)), false, 1)
 
 	// Small-weight APSP costs Õ(U·n^ρ) (Corollary 8): rounds rise with the
@@ -244,7 +288,7 @@ func table1Bench() {
 	t.beats(small[0], small[1])
 	t.beats(small[1], small[2])
 
-	t.ladder("T1.10 exact reference", cc.Auto, []int{64}, apsp((*cc.Clique).APSP, 0.15, 40, 17))
+	t.packedLadder("T1.10 exact reference", cc.Auto, []int{64}, exactAPSP(0.15, 40, 17), packedBits(0.15, 40, 17))
 	t.ladder("T1.10 approximate APSP, δ = 1/2", cc.Fast, []int{64}, func(s *cc.Clique, n int) (string, cc.Stats, error) {
 		g := cc.RandomConnectedWeighted(n, 0.15, 40, true, 17)
 		exact, err := graphs.FloydWarshall(g)
@@ -299,6 +343,7 @@ func table1Bench() {
 	}
 	gateLedger("table1",
 		"Table 1: rounds and words per (row, engine, n) on a fresh session, and the answer where one is pinned; exact for "+
-			"the seed, gated for equality (the exponent and baseline checks are code, cmd/ccbench/table1.go)",
+			"the seed, gated for equality (the exponent and baseline checks are code, cmd/ccbench/table1.go). A word is 64 bits; "+
+			"bits_per_entry, on the rows whose distance products pack, is the operand / value+witness partial width in bits",
 		t.rows)
 }

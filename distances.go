@@ -198,7 +198,9 @@ func (s *Clique) APSPUnweightedWithRouting(g *Graph, opts ...CallOption) (res *A
 			}
 		}
 	}
-	next, derr := distance.RoutingFromDistances(r.net, w, d)
+	// Every finite entry of w and d, and every partial 1 + d(w,v), is at
+	// most n: a bound known from n alone, with no round.
+	next, derr := distance.RoutingFromDistances(r.net, w, d, int64(r.n))
 	if derr != nil {
 		err = derr
 		return

@@ -98,11 +98,15 @@ func log2Ceil(n int) int { return bits.Len(uint(n - 1)) }
 
 // cappedPathRounds are the rounds APSP and TransitiveClosure charged on the
 // path of fixedPointGraphs when every loop ran all ⌈log₂ n⌉ squarings: the
-// fixed-point rule adds one round per squaring but the last.
+// fixed-point rule adds one round per squaring but the last. The APSP
+// column was measured by running the loop with the rule off (APSPSemiring
+// with Settled never asked) on the packed codec: the max-weight round and
+// ⌈log₂ n⌉ products at the path's bound (n−1)·maxW, with no negative-cycle
+// round, since the path has no negative weight.
 var cappedPathRounds = map[int]struct{ apsp, closure int64 }{
-	16:  {97, 80},
-	64:  {223, 120},
-	144: {457, 229},
+	16:  {17, 80},
+	64:  {43, 120},
+	144: {113, 229},
 }
 
 // TestSquaringStopsAtFixedPoint: every iterated-squaring loop stops one
@@ -242,6 +246,40 @@ func checkDist(t *testing.T, op string, got cc.Mat, want *matrix.Dense[int64]) {
 			if got[u][v] != want.At(u, v) {
 				t.Fatalf("%s: d(%d,%d) = %d, want %d", op, u, v, got[u][v], want.At(u, v))
 			}
+		}
+	}
+}
+
+// TestAPSPNegativeWeightsChargeFullWidth pins what APSP charges on the
+// negatively weighted graphs of fixedPointGraphs, where no entry bound
+// holds and every product runs at full width. At n = 64 and 144 the loop
+// stops at its fixed point, which has no negative diagonal entry, so the
+// max-weight round takes the place of the negative-cycle round and the
+// ledger is exactly the one full-width APSP charged before packing
+// (153 rounds, 510 040 words; 291 rounds, 3 343 892 words). At n = 16 the
+// loop runs to its cap and the negative-cycle round still follows it, so
+// the max-weight round is one round and n(n−1) words on top of the old
+// 100 rounds and 14 640 words.
+func TestAPSPNegativeWeightsChargeFullWidth(t *testing.T) {
+	for _, tc := range []struct {
+		n             int
+		rounds, words int64
+	}{{16, 101, 14880}, {64, 153, 510040}, {144, 291, 3343892}} {
+		g := fixedPointGraphs(tc.n)["negative"]
+		want, err := graphs.FloydWarshall(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, st, err := openSession(t, tc.n).APSP(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDist(t, "APSP", res.Dist, want)
+		if err := cc.ValidateRouting(g, res); err != nil {
+			t.Error(err)
+		}
+		if st.Rounds != tc.rounds || st.Words != tc.words {
+			t.Errorf("n=%d: APSP charged %d rounds and %d words, want %d and %d", tc.n, st.Rounds, st.Words, tc.rounds, tc.words)
 		}
 	}
 }

@@ -52,7 +52,7 @@ func BenchmarkSemiring3DWitnessAllocs(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				net.Reset()
-				if _, _, err := ccmm.DistanceProduct3D(net, sc, s, t); err != nil {
+				if _, _, err := ccmm.DistanceProduct3D(net, sc, s, t, -1); err != nil {
 					b.Fatal(err)
 				}
 			}

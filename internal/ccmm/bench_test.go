@@ -64,7 +64,7 @@ func BenchmarkWitnessOverhead(b *testing.B) {
 		var rounds int64
 		for i := 0; i < b.N; i++ {
 			net := clique.New(n)
-			if _, _, err := ccmm.DistanceProduct3D(net, nil, ccmm.Distribute(a), ccmm.Distribute(c)); err != nil {
+			if _, _, err := ccmm.DistanceProduct3D(net, nil, ccmm.Distribute(a), ccmm.Distribute(c), -1); err != nil {
 				b.Fatal(err)
 			}
 			rounds = net.Rounds()

@@ -194,7 +194,7 @@ func TestDistanceProduct3DArbitrarySizes(t *testing.T) {
 	for _, n := range []int{5, 26, 28, 60} {
 		a, b := randMinPlusMat(rng, n), randMinPlusMat(rng, n)
 		net := clique.New(n)
-		p, q, err := ccmm.DistanceProduct3D(net, nil, ccmm.Distribute(a), ccmm.Distribute(b))
+		p, q, err := ccmm.DistanceProduct3D(net, nil, ccmm.Distribute(a), ccmm.Distribute(b), -1)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -248,7 +248,7 @@ func TestDistanceProduct3DWitnesses(t *testing.T) {
 	for _, n := range []int{8, 27} {
 		a, b := randMinPlusMat(rng, n), randMinPlusMat(rng, n)
 		net := clique.New(n)
-		p, q, err := ccmm.DistanceProduct3D(net, nil, ccmm.Distribute(a), ccmm.Distribute(b))
+		p, q, err := ccmm.DistanceProduct3D(net, nil, ccmm.Distribute(a), ccmm.Distribute(b), -1)
 		if err != nil {
 			t.Fatal(err)
 		}

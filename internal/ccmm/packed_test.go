@@ -1,0 +1,169 @@
+package ccmm
+
+import (
+	"fmt"
+	"math/rand/v2"
+	"reflect"
+	"slices"
+	"testing"
+
+	"github.com/algebraic-clique/algclique/internal/clique"
+	"github.com/algebraic-clique/algclique/internal/ring"
+)
+
+// maxFinite returns the largest finite entry of the given matrices (0 when
+// there is none).
+func maxFinite(ms ...*RowMat[int64]) int64 {
+	var m int64
+	for _, x := range ms {
+		for _, row := range x.Rows {
+			for _, e := range row {
+				if !ring.IsInf(e) {
+					m = max(m, e)
+				}
+			}
+		}
+	}
+	return m
+}
+
+// boundsFrom returns the bounds a product whose finite entries reach top
+// is run at: top itself, the next bound whose sentinel is B + 1 (B + 2 a
+// power of two), and the next whose B + 1 needs a fresh bit (B + 1 a power
+// of two), so both edges of the value field are crossed.
+func boundsFrom(top int64) []int64 {
+	out := []int64{top}
+	for k := 1; k < 62; k++ {
+		if b := int64(1)<<k - 2; b > top {
+			out = append(out, b, b+1)
+			break
+		}
+	}
+	return out
+}
+
+// TestPackedDistanceProductMatchesFullWidth: at a bound that covers every
+// finite entry of S, of T and of the product, the packed distance product
+// returns P and Q bit-identical to the full-width one on the direct and
+// the wire transport, with the same ledger on both and fewer words than
+// full width. The inputs give it what can go wrong:
+//
+//   - partial sums above B: dense random entries whose partial products
+//     reach about 2B, so the wire clamps them in every subcube;
+//   - zero weights, where most sums are 0;
+//   - unreachable blocks: whole middle groups of S and row blocks of T at
+//     Inf, so entire partials travel as the sentinel;
+//   - witness ties: one value everywhere, where only the tie-break toward
+//     the smaller witness decides.
+//
+// Each runs at the tightest bound and at the bounds where B + 1 is the
+// sentinel or needs a fresh bit. The partial codec the engine ships must
+// also clamp B + 1 — the first value above the bound — to
+// (Inf, NoWitness) and keep B.
+func TestPackedDistanceProductMatchesFullWidth(t *testing.T) {
+	inputs := []struct {
+		name string
+		gen  func(rng *rand.Rand, n int) (s, u *RowMat[int64])
+	}{
+		{"partial-sums-above-bound", func(rng *rand.Rand, n int) (*RowMat[int64], *RowMat[int64]) {
+			gen := func(rng *rand.Rand) int64 { return rng.Int64N(int64(8*n) + 1) }
+			return randMat(rng, n, 0.85, ring.Inf, gen), randMat(rng, n, 0.85, ring.Inf, gen)
+		}},
+		{"zero-weights", func(rng *rand.Rand, n int) (*RowMat[int64], *RowMat[int64]) {
+			gen := func(rng *rand.Rand) int64 { return max(0, rng.Int64N(5)-3) }
+			return randMat(rng, n, 0.7, ring.Inf, gen), randMat(rng, n, 0.7, ring.Inf, gen)
+		}},
+		{"unreachable-blocks", func(rng *rand.Rand, n int) (*RowMat[int64], *RowMat[int64]) {
+			gen := func(rng *rand.Rand) int64 { return rng.Int64N(50) }
+			s, u := randMat(rng, n, 0.9, ring.Inf, gen), randMat(rng, n, 0.9, ring.Inf, gen)
+			for v := range n {
+				for j := range n {
+					if j >= n/3 && j < 2*n/3 {
+						s.Rows[v][j] = ring.Inf
+					}
+					if v < n/2 && j%4 == 1 {
+						u.Rows[v][j] = ring.Inf
+					}
+				}
+			}
+			return s, u
+		}},
+		{"witness-ties", func(rng *rand.Rand, n int) (*RowMat[int64], *RowMat[int64]) {
+			gen := func(*rand.Rand) int64 { return 3 }
+			return randMat(rng, n, 0.6, ring.Inf, gen), randMat(rng, n, 0.6, ring.Inf, gen)
+		}},
+	}
+	for _, n := range []int{1, 2, 5, 9, 27, 30, 64, 100, 144} {
+		for _, in := range inputs {
+			t.Run(fmt.Sprintf("%s/n=%d", in.name, n), func(t *testing.T) {
+				s, u := in.gen(rand.New(rand.NewPCG(42, uint64(n))), n)
+				run := func(tr clique.Transport, bound int64) (p, q *RowMat[int64], st clique.Stats) {
+					net := clique.New(n, clique.WithTransport(tr))
+					defer net.Close()
+					p, q, err := DistanceProduct3D(net, NewScratch(), s, u, bound)
+					if err != nil {
+						t.Fatalf("%v, bound %d: %v", tr, bound, err)
+					}
+					return p, q, net.Stats()
+				}
+				wantP, wantQ, full := run(clique.TransportDirect, -1)
+				for _, bound := range boundsFrom(maxFinite(s, u, wantP)) {
+					var direct clique.Stats
+					for _, tr := range []clique.Transport{clique.TransportDirect, clique.TransportWire} {
+						p, q, st := run(tr, bound)
+						if !reflect.DeepEqual(p.Rows, wantP.Rows) || !reflect.DeepEqual(q.Rows, wantQ.Rows) {
+							t.Fatalf("%v, bound %d: product or witnesses differ from full width", tr, bound)
+						}
+						if tr == clique.TransportDirect {
+							direct = st
+						} else if !reflect.DeepEqual(st, direct) {
+							t.Errorf("bound %d: wire charged %+v, direct %+v", bound, st, direct)
+						}
+					}
+					if full.Words > 0 && direct.Words >= full.Words {
+						t.Errorf("bound %d: packed product charged %d words, full width %d", bound, direct.Words, full.Words)
+					}
+					al := witnessedWithin(NewScratch(), bound, n)
+					pc := ring.AsBulk(al.codec)
+					sent := []ring.ValW{{V: bound, W: int64(n - 1)}, {V: bound + 1, W: 0}, {V: 2*bound + 1, W: 0}}
+					got := make([]ring.ValW, len(sent))
+					pc.DecodeSlice(got, pc.EncodeSlice(nil, sent))
+					clamped := ring.ValW{V: ring.Inf, W: ring.NoWitness}
+					if want := []ring.ValW{sent[0], clamped, clamped}; !slices.Equal(got, want) {
+						t.Errorf("bound %d: partials %v arrive as %v, want %v", bound, sent, got, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestPackedChunksCountFor: the engines' dense message format (chunks)
+// must invert its EncodedLen for the packed forms at every width, or a
+// wire receiver could not tell how many block rows arrived.
+func TestPackedChunksCountFor(t *testing.T) {
+	for b := 1; b <= 64; b++ {
+		max := int64(ring.Inf - 1)
+		if b < 62 {
+			max = int64(1)<<b - 2
+		}
+		mp := ring.PackedMinPlus{Bits: b, Max: max}
+		for _, size := range []int{1, 2, 5, 29, 63, 64, 65, 130} {
+			f := chunks[int64]{mp, size}
+			var fw *chunks[ring.ValW]
+			if b < 64 {
+				fw = &chunks[ring.ValW]{ring.PackedMinPlusW{Val: ring.PackedMinPlus{Bits: b, Max: max}, WitBits: 64 - b}, size}
+			}
+			for m := range 5 {
+				if got := f.CountFor(f.EncodedLen(m * size)); got != m*size {
+					t.Fatalf("min-plus b=%d size %d: CountFor(EncodedLen(%d)) = %d", b, size, m*size, got)
+				}
+				if fw != nil {
+					if got := fw.CountFor(fw.EncodedLen(m * size)); got != m*size {
+						t.Fatalf("two-field b=%d size %d: CountFor(EncodedLen(%d)) = %d", b, size, m*size, got)
+					}
+				}
+			}
+		}
+	}
+}

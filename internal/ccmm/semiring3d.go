@@ -34,8 +34,9 @@ import (
 // free list. Block rows are typed messages, sent through the exchange
 // port's cube mode (port.onCube), which moves them by reference (direct
 // transport, words charged analytically) or as bulk-codec chunks (wire
-// transport). A packing codec (ring.PackedBool) is honoured either way,
-// since every cost is an EncodedLen sum of whole chunks.
+// transport). A packing codec (ring.PackedBool, the bounded forms of
+// ring.Packed) is honoured either way, since every cost is an EncodedLen
+// sum of whole chunks.
 func Semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (p *RowMat[T], err error) {
 	defer catchAbort(&err)
 	al := cubeAlgebra[T, T]{opZero: sr.Zero(), opCodec: codec, sr: sr, codec: codec, lift: copyRow[T]}
@@ -212,17 +213,30 @@ func semiring3D[A, P any](net *clique.Network, sc *Scratch, al cubeAlgebra[A, P]
 // witness matrix Q: Q[u][v] = w certifies P[u][v] = S[u][w] + T[w][v]
 // (ring.NoWitness where P is infinite). This is the "easily modified"
 // semiring algorithm of §3.3, with the tagging moved to where it is needed:
-// the operands travel as one-word min-plus entries, and the node that
-// multiplies tags the rows of T it received with their row index — it
-// knows it from the sender — before the blocks multiply over ring.MinPlusW.
-// Only the partial products carry a witness across the network. The tagged
-// product is a free-list matrix that goes back before the call returns, so
+// the operands travel as min-plus entries, and the node that multiplies
+// tags the rows of T it received with their row index — it knows it from
+// the sender — before the blocks multiply over ring.MinPlusW. Only the
+// partial products carry a witness across the network. The tagged product
+// is a free-list matrix that goes back before the call returns, so
 // iterated squaring (APSP) holds only p and q — which are the caller's to
 // return once dead. A nil sc is the network's own.
-func DistanceProduct3D(net *clique.Network, sc *Scratch, s, t *RowMat[int64]) (p, q *RowMat[int64], err error) {
+//
+// bound is the entry bound the caller established. With bound < 0 the
+// operands travel one word per entry and the partials two (value and
+// witness). With bound ≥ 0 the caller promises that every finite entry of
+// S, of T and of P lies in [0, bound]: the operands then travel in the
+// bounded min-plus form (ring.PackedMinPlus, ⌈log₂(bound+2)⌉ bits) and the
+// partials in the two-field form (ring.PackedMinPlusW, ⌈log₂(n+1)⌉ more
+// witness bits), and a finite partial above bound is clamped to
+// (ring.Inf, ring.NoWitness) as it is encoded. The clamp never changes the
+// answer under the promise: such a partial exceeds the minimum it would
+// compete with, so it neither wins nor ties. Only the wire transport
+// encodes; the direct one charges the same packed lengths and moves the
+// values by reference, so P and Q are the unbounded product's on both.
+func DistanceProduct3D(net *clique.Network, sc *Scratch, s, t *RowMat[int64], bound int64) (p, q *RowMat[int64], err error) {
 	defer catchAbort(&err)
 	sc = sc.orOf(net)
-	pw, err := semiring3D(net, sc, witnessed, s, t)
+	pw, err := semiring3D(net, sc, witnessedWithin(sc, bound, net.N()), s, t)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -240,6 +254,33 @@ func DistanceProduct3D(net *clique.Network, sc *Scratch, s, t *RowMat[int64]) (p
 		}
 	})
 	return p, q, nil
+}
+
+// PackedWidths returns the bits per entry a bounded distance product on n
+// nodes ships: its operands' and its partials' (value and witness bits
+// together). ok is false when bound < 0, or when a partial would not fit
+// one word, and the product runs at full width.
+func PackedWidths(bound int64, n int) (operand, partial int, ok bool) {
+	if bound < 0 || bound >= ring.Inf {
+		return 0, 0, false
+	}
+	operand = ring.MinPlusBits(bound)
+	partial = operand + ring.WitnessBits(n)
+	return operand, partial, partial <= 64
+}
+
+// witnessedWithin is the distance product's cube algebra at entry bound
+// bound on n nodes: witnessed, with the packed codecs when PackedWidths
+// allows them, kept in sc while the bound and n stay the same.
+func witnessedWithin(sc *Scratch, bound int64, n int) cubeAlgebra[int64, ring.ValW] {
+	if _, _, ok := PackedWidths(bound, n); !ok {
+		return witnessed
+	}
+	if pc := ring.NewPackedMinPlusW(bound, n); sc.bounded.codec != pc {
+		sc.bounded = witnessed
+		sc.bounded.opCodec, sc.bounded.codec = pc.Val, pc
+	}
+	return sc.bounded
 }
 
 // witnessed is the distance product's cube algebra: min-plus operands,

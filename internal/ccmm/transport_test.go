@@ -307,7 +307,7 @@ func TestTransportDifferentialWitnessProduct(t *testing.T) {
 		run := func(tr clique.Transport) (p, q *RowMat[int64], st clique.Stats) {
 			net := clique.New(n, clique.WithTransport(tr))
 			defer net.Close()
-			p, q, err := DistanceProduct3D(net, NewScratch(), s, u)
+			p, q, err := DistanceProduct3D(net, NewScratch(), s, u, -1)
 			if err != nil {
 				t.Fatalf("transport %v: %v", tr, err)
 			}

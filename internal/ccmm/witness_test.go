@@ -92,7 +92,7 @@ func TestWitnessProductMatchesTaggedDefinition(t *testing.T) {
 				var direct clique.Stats
 				for _, tr := range []clique.Transport{clique.TransportDirect, clique.TransportWire} {
 					net := clique.New(n, clique.WithTransport(tr))
-					p, q, err := DistanceProduct3D(net, NewScratch(), s, u)
+					p, q, err := DistanceProduct3D(net, NewScratch(), s, u, -1)
 					if err != nil {
 						t.Fatalf("%v: %v", tr, err)
 					}

@@ -690,6 +690,20 @@ func (c *Network) Any(pred func(v int) bool) bool {
 	return false
 }
 
+// Max is the distributed maximum of one word per node: node v holds
+// val(v), and one broadcast round tells every node the largest. It is
+// priced like Any — one round, n(n−1) words, what BroadcastWord charges —
+// and allocates nothing. val is each node's local computation, evaluated
+// in node order; it must not touch the network.
+func (c *Network) Max(val func(v int) Word) Word {
+	c.charge(1, int64(c.n)*int64(c.n-1))
+	var m Word
+	for v := 0; v < c.n; v++ {
+		m = max(m, val(v))
+	}
+	return m
+}
+
 // poolTask is one unit of fan-out work handed to a persistent worker.
 type poolTask struct {
 	f func(v int)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -421,5 +422,35 @@ func TestAnyChargesLikeBroadcastWord(t *testing.T) {
 	bits := make([]bool, n)
 	if allocs := testing.AllocsPerRun(100, func() { c.Any(func(v int) bool { return bits[v] }) }); allocs != 0 {
 		t.Errorf("Any allocates %v objects per call, want 0", allocs)
+	}
+}
+
+// TestMaxChargesLikeBroadcastWord: the distributed maximum charges what the
+// one-word broadcast it replaces charges — one round, n(n−1) words, in the
+// current phase — answers the largest node word, and allocates nothing.
+func TestMaxChargesLikeBroadcastWord(t *testing.T) {
+	const n = 9
+	ref, c := clique.New(n), clique.New(n)
+	ref.Phase("max")
+	c.Phase("max")
+	for _, words := range [][]clique.Word{
+		make([]clique.Word, n),
+		{7, 0, 0, 0, 0, 0, 0, 0, 0},
+		{0, 0, 0, 0, 0, 0, 0, 0, 1 << 40},
+		{3, 9, 2, 9, 4, 1, 0, 8, 5},
+		{0, 0, ^clique.Word(0), 0, 0, 0, 0, 0, 6},
+	} {
+		ref.BroadcastWord(words)
+		want := slices.Max(words)
+		if got := c.Max(func(v int) clique.Word { return words[v] }); got != want {
+			t.Errorf("Max over %v = %d, want %d", words, got, want)
+		}
+	}
+	if got, want := c.Stats(), ref.Stats(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Max charged %+v, BroadcastWord %+v", got, want)
+	}
+	words := make([]clique.Word, n)
+	if allocs := testing.AllocsPerRun(100, func() { c.Max(func(v int) clique.Word { return words[v] }) }); allocs != 0 {
+		t.Errorf("Max allocates %v objects per call, want 0", allocs)
 	}
 }

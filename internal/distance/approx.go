@@ -105,28 +105,18 @@ func APSPApprox(net *clique.Network, engine ccmm.Engine, g *graphs.Weighted, opt
 		return nil, 0, fmt.Errorf("distance: delta = %v outside (0, 1]: %w", delta, ccmm.ErrSize)
 	}
 	w := weightRows(g)
-	// Each node knows its own row's largest weight; one broadcast round
-	// tells every node the global maximum maxW, which sizes M.
-	rowMax := make([]clique.Word, n)
 	for v := 0; v < n; v++ {
-		var m int64 = 1
 		for j, x := range w.Rows[v] {
-			if v == j || ring.IsInf(x) {
-				continue
-			}
-			if x < 0 {
+			if v != j && x < 0 {
 				return nil, 0, fmt.Errorf("distance: weight (%d,%d) = %d; approximate APSP needs non-negative weights: %w",
 					v, j, x, ccmm.ErrSize)
 			}
-			m = max(m, x)
 		}
-		rowMax[v] = clique.Word(m)
 	}
+	// Each node knows its own row's largest weight; one charged round
+	// tells every node the global maximum maxW, which sizes M.
 	net.Phase("apsp-approx/max-weight")
-	var maxW int64 = 1
-	for _, m := range net.BroadcastWord(rowMax) {
-		maxW = max(maxW, int64(m))
-	}
+	maxW := max(1, int64(net.Max(func(v int) clique.Word { return rowMaxWeight(w.Rows[v], v) })))
 	// Entry bound after i squarings: path weights ≤ n·maxW, inflated by the
 	// accumulated stretch; bound everything by that once.
 	bound := float64(int64(n)*maxW) * math.Pow(1+delta, float64(iters))

@@ -452,7 +452,7 @@ func TestRoutingFromDistances(t *testing.T) {
 				}
 				net := clique.New(n, clique.WithTransport(tr))
 				defer net.Close()
-				next, err := distance.RoutingFromDistances(net, distWeights(w), ccmm.Distribute(dist))
+				next, err := distance.RoutingFromDistances(net, distWeights(w), ccmm.Distribute(dist), int64(n))
 				if err != nil {
 					t.Fatal(err)
 				}

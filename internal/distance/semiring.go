@@ -18,6 +18,14 @@ import (
 // so when every shortest path needs at most h hops it runs
 // min(⌈log₂ n⌉, ⌈log₂ h⌉ + 1) products. Weights may be negative; negative
 // cycles are detected and rejected.
+//
+// One charged round (Network.Max) first tells every node the largest
+// weight maxW, or that some weight is negative. Without negative weights
+// every finite entry of every iterate and of every product is the weight
+// of a simple path, at most B = (n−1)·maxW, so the products ship their
+// entries at that bound (ccmm.DistanceProduct3D): ⌈log₂(B+2)⌉ bits per
+// operand entry instead of a word. With a negative weight they run at full
+// width, and only then can a negative cycle exist.
 func APSPSemiring(net *clique.Network, g *graphs.Weighted) (*Result, error) {
 	if err := checkWeightedSize(net, g); err != nil {
 		return nil, err
@@ -49,10 +57,19 @@ func APSPSemiring(net *clique.Network, g *graphs.Weighted) (*Result, error) {
 		}
 	}
 
+	net.Phase("apsp3d/max-weight")
+	top := net.Max(func(v int) clique.Word { return rowMaxWeight(w.Rows[v], v) })
+	negative := top == negativeWeight
+	bound := int64(-1)
+	if !negative && (n == 1 || int64(top) <= (ring.Inf-1)/int64(n-1)) {
+		bound = int64(n-1) * int64(top)
+	}
+
 	depth := SquaringCap(n)
+	settled := false
 	for iter := 0; iter < depth; iter++ {
 		net.Phase(fmt.Sprintf("apsp3d/square-%d", iter))
-		w2, q, err := ccmm.DistanceProduct3D(net, sc, w, w)
+		w2, q, err := ccmm.DistanceProduct3D(net, sc, w, w, bound)
 		if err != nil {
 			return nil, err
 		}
@@ -74,7 +91,7 @@ func APSPSemiring(net *clique.Network, g *graphs.Weighted) (*Result, error) {
 		})
 		// The routing table moves only where the distances strictly
 		// improved, so unchanged distances are a fixed point of both.
-		settled := iter+1 < depth && Settled(net, w, w2)
+		settled = iter+1 < depth && Settled(net, w, w2)
 		ccmm.PutMat(sc, w)
 		ccmm.PutMat(sc, q)
 		ccmm.PutMat(sc, next)
@@ -85,9 +102,33 @@ func APSPSemiring(net *clique.Network, g *graphs.Weighted) (*Result, error) {
 	}
 
 	// Negative-cycle check: one node's negative diagonal entry is enough,
-	// and one round tells everyone.
-	if net.Any(func(v int) bool { return w.Rows[v][v] < 0 }) {
+	// and one round tells everyone. Only a negative weight makes a negative
+	// cycle, and a fixed point has none — a negative diagonal entry d would
+	// square to at most 2d < d — so only a loop that saw a negative weight
+	// and ran to the cap asks.
+	if negative && !settled && net.Any(func(v int) bool { return w.Rows[v][v] < 0 }) {
 		return nil, fmt.Errorf("distance: graph contains a negative cycle")
 	}
 	return &Result{Dist: w, Next: next}, nil
+}
+
+// negativeWeight is a node's word in a max-weight round when its row holds
+// a negative weight; it tops every real weight.
+const negativeWeight = ^clique.Word(0)
+
+// rowMaxWeight is node v's word in a max-weight round (Network.Max): the
+// largest finite weight off the diagonal of its row, 0 when there is none,
+// or negativeWeight when one of them is negative.
+func rowMaxWeight(row []int64, v int) clique.Word {
+	var m int64
+	for j, x := range row {
+		if j == v || ring.IsInf(x) {
+			continue
+		}
+		if x < 0 {
+			return negativeWeight
+		}
+		m = max(m, x)
+	}
+	return clique.Word(m)
 }

@@ -53,7 +53,17 @@ func bit(b []byte) bool { return b[0]&1 == 1 }
 // the chunk sits and whatever follows it.
 func checkBulk[T comparable](t *testing.T, c ring.BulkCodec[T], vals []T) {
 	t.Helper()
+	checkBulkAs(t, c, vals, vals)
+}
+
+// checkBulkAs is checkBulk for a codec that maps some values to others on
+// the way (a bounded form's clamp): the chunk decodes to want.
+func checkBulkAs[T comparable](t *testing.T, c ring.BulkCodec[T], vals, want []T) {
+	t.Helper()
 	k := len(vals)
+	if k > 0 && c.EncodedLen(k) < 1 {
+		t.Fatalf("%d values fit in %d words", k, c.EncodedLen(k))
+	}
 	prefix := []ring.Word{0xdead, 0xbeef}
 	buf := make([]ring.Word, len(prefix), len(prefix)+c.EncodedLen(k)+4)
 	for i := range buf[:cap(buf)] {
@@ -71,8 +81,8 @@ func checkBulk[T comparable](t *testing.T, c ring.BulkCodec[T], vals []T) {
 	out := make([]T, k)
 	c.DecodeSlice(out, chunk)
 	for i := range out {
-		if out[i] != vals[i] {
-			t.Fatalf("value %d decoded as %v, want %v", i, out[i], vals[i])
+		if out[i] != want[i] {
+			t.Fatalf("value %d (%v) decoded as %v, want %v", i, vals[i], out[i], want[i])
 		}
 	}
 	moved := make([]ring.Word, 3+len(chunk)+3)
@@ -83,27 +93,60 @@ func checkBulk[T comparable](t *testing.T, c ring.BulkCodec[T], vals []T) {
 	clear(out)
 	c.DecodeSlice(out, moved[3:])
 	for i := range out {
-		if out[i] != vals[i] {
-			t.Fatalf("value %d decoded from a moved chunk as %v, want %v", i, out[i], vals[i])
+		if out[i] != want[i] {
+			t.Fatalf("value %d decoded from a moved chunk as %v, want %v", i, out[i], want[i])
 		}
 	}
 }
 
+// maxFor is the largest bound a width-b bounded min-plus form can carry:
+// 2^b − 2, below the sentinel, and at most Inf − 1.
+func maxFor(b int) int64 {
+	if b >= 62 {
+		return ring.Inf - 1
+	}
+	return min(int64(1)<<b-2, ring.Inf-1)
+}
+
+// aroundBound reads a min-plus value from 8 bytes for a form bounded by
+// max: with bit 6 of the first byte set, max offset by the signed second
+// byte (max+1, the first clamped value, among them); otherwise nearInf.
+func aroundBound(b []byte, max int64) int64 {
+	if b[0]&0x40 != 0 {
+		return max + int64(int8(b[1]))
+	}
+	return nearInf(b)
+}
+
+// clampTo is what the bounded form delivers for v: v in [0, max], Inf
+// otherwise.
+func clampTo(v, max int64) int64 {
+	if v < 0 || v > max {
+		return ring.Inf
+	}
+	return v
+}
+
 // FuzzBulkCodec: every dense row and block the engines ship is one
 // BulkCodec chunk, so for any values a chunk must append exactly its
-// EncodedLen, leave the words before it alone, and decode from its first
-// word only. Byte 0 of the input picks the codec (mod 7): Int64, MinPlus
-// (values at and around Inf), Zp residues, MinPlusW pairs, Bool,
-// PackedBool, and the AsBulk adapter over a per-element MinPlusW; the rest
-// is values (valuesFromBytes). The seeds are the committed corpus under
-// testdata/fuzz/FuzzBulkCodec.
+// EncodedLen (at least one word for a non-empty chunk, so the engines'
+// chunk format can invert it), leave the words before it alone, and decode
+// from its first word only. Byte 0 of the input picks the codec (mod 9):
+// Int64, MinPlus (values at and around Inf), Zp residues, MinPlusW pairs,
+// Bool, PackedBool, the AsBulk adapter over a per-element MinPlusW, and
+// the two value forms of the one packing layout, ring.Packed — the
+// bounded min-plus form at any width 1 … 64 and any bound that width
+// carries (values around the bound clamp to Inf above it), and the
+// two-field witness-tagged form at any split of up to 64 bits. The next
+// bytes choose widths and bounds; the rest is values (valuesFromBytes).
+// The seeds are the committed corpus under testdata/fuzz/FuzzBulkCodec.
 func FuzzBulkCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		body := data[1:]
-		switch data[0] % 7 {
+		switch data[0] % 9 {
 		case 0:
 			checkBulk(t, ring.BulkCodec[int64](ring.Int64{}), valuesFromBytes(body, 8, word))
 		case 1:
@@ -118,8 +161,45 @@ func FuzzBulkCodec(f *testing.F) {
 			checkBulk(t, ring.BulkCodec[bool](ring.Bool{}), valuesFromBytes(body, 1, bit))
 		case 5:
 			checkBulk(t, ring.BulkCodec[bool](ring.PackedBool{}), valuesFromBytes(body, 1, bit))
-		default:
+		case 6:
 			checkBulk(t, ring.AsBulk[ring.ValW](perElement[ring.ValW]{ring.MinPlusW{}}), valuesFromBytes(body, 16, valW))
+		case 7:
+			if len(body) < 9 {
+				return
+			}
+			b := 1 + int(body[0])%64
+			c := ring.PackedMinPlus{Bits: b, Max: int64(uint64(word(body[1:9])) % uint64(maxFor(b)+1))}
+			vals := valuesFromBytes(body[9:], 8, func(x []byte) int64 { return aroundBound(x, c.Max) })
+			want := make([]int64, len(vals))
+			for i, v := range vals {
+				want[i] = clampTo(v, c.Max)
+			}
+			checkBulkAs(t, ring.BulkCodec[int64](c), vals, want)
+		default:
+			if len(body) < 10 {
+				return
+			}
+			vb := 1 + int(body[0])%63
+			c := ring.PackedMinPlusW{
+				Val:     ring.PackedMinPlus{Bits: vb, Max: int64(uint64(word(body[2:10])) % uint64(maxFor(vb)+1))},
+				WitBits: 1 + int(body[1])%(64-vb),
+			}
+			noW := uint64(1)<<c.WitBits - 1
+			vals := valuesFromBytes(body[10:], 16, func(x []byte) ring.ValW {
+				w := ring.NoWitness
+				if x[8]&1 == 0 {
+					w = int64(uint64(word(x[8:])) % noW)
+				}
+				return ring.ValW{V: aroundBound(x[:8], c.Val.Max), W: w}
+			})
+			want := make([]ring.ValW, len(vals))
+			for i, v := range vals {
+				want[i] = v
+				if clampTo(v.V, c.Val.Max) == ring.Inf {
+					want[i] = ring.ValW{V: ring.Inf, W: ring.NoWitness}
+				}
+			}
+			checkBulkAs(t, ring.BulkCodec[ring.ValW](c), vals, want)
 		}
 	})
 }

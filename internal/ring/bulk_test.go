@@ -2,6 +2,7 @@ package ring_test
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"github.com/algebraic-clique/algclique/internal/ring"
@@ -154,6 +155,73 @@ func TestBulkAppendPreservesPrefix(t *testing.T) {
 	for i := range b {
 		if gotB[i] != b[i] {
 			t.Fatalf("chunk B bit %d wrong", i)
+		}
+	}
+}
+
+// TestPackedWidthOneIsPackedBool pins PackedBool as the b = 1 case of the
+// packing layout: for every length 0 … 200 the width-1 bounded min-plus
+// form's chunk of 0 / Inf is PackedBool's chunk of false / true word for
+// word.
+func TestPackedWidthOneIsPackedBool(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	mp := ring.NewPackedMinPlus(0)
+	if mp.Bits != 1 {
+		t.Fatalf("NewPackedMinPlus(0) is %d bits wide, want 1", mp.Bits)
+	}
+	for k := 0; k <= 200; k++ {
+		bools, dists := make([]bool, k), make([]int64, k)
+		for i := range bools {
+			bools[i] = rng.IntN(2) == 1
+			if bools[i] {
+				dists[i] = ring.Inf
+			}
+		}
+		want := ring.PackedBool{}.EncodeSlice(nil, bools)
+		if got := mp.EncodeSlice(nil, dists); !slices.Equal(got, want) {
+			t.Fatalf("k=%d: width-1 min-plus chunk %x, PackedBool's %x", k, got, want)
+		}
+	}
+}
+
+// TestPackedLayoutAndClamp pins the layout itself — ⌊64/b⌋ entries per
+// word, entry i at bit (i mod per)·b of word i/per — and the bounded
+// forms' sentinel and clamp at the widths the bound asks for: the bound B
+// itself travels, B + 1, 2B, a negative value and Inf arrive as Inf, and
+// a witness-tagged value above B arrives as (Inf, NoWitness).
+func TestPackedLayoutAndClamp(t *testing.T) {
+	enc := ring.PackedMinPlus{Bits: 14, Max: 100}.EncodeSlice(nil, []int64{1, 2, 3, 4, 5})
+	if len(enc) != 2 || enc[0] != 1|2<<14|3<<28|4<<42 || enc[1] != 5 {
+		t.Fatalf("14-bit layout %#x, want 4 entries in word 0 and 1 in word 1", enc)
+	}
+	for _, tc := range []struct {
+		max  int64
+		bits int
+	}{{0, 1}, {1, 2}, {2, 2}, {14, 4}, {15, 5}, {14300, 14}, {ring.Inf - 1, 61}} {
+		c := ring.NewPackedMinPlus(tc.max)
+		if c.Bits != tc.bits {
+			t.Fatalf("NewPackedMinPlus(%d) is %d bits wide, want %d", tc.max, c.Bits, tc.bits)
+		}
+		in := []int64{tc.max, tc.max + 1, 2 * tc.max, 0, -1, ring.Inf}
+		want := []int64{tc.max, ring.Inf, ring.Inf, 0, ring.Inf, ring.Inf}
+		if tc.max == 0 {
+			want[2] = 0 // 2·0 is in range
+		}
+		out := make([]int64, len(in))
+		c.DecodeSlice(out, c.EncodeSlice(nil, in))
+		if !slices.Equal(out, want) {
+			t.Fatalf("max %d: %v arrives as %v, want %v", tc.max, in, out, want)
+		}
+		cw := ring.NewPackedMinPlusW(tc.max, 144)
+		if cw.Val.Bits+cw.WitBits > 64 {
+			continue
+		}
+		vin := []ring.ValW{{V: tc.max, W: 143}, {V: tc.max + 1, W: 0}, {V: 0, W: ring.NoWitness}, {V: ring.Inf, W: ring.NoWitness}}
+		vwant := []ring.ValW{{V: tc.max, W: 143}, {V: ring.Inf, W: ring.NoWitness}, {V: 0, W: ring.NoWitness}, {V: ring.Inf, W: ring.NoWitness}}
+		vout := make([]ring.ValW, len(vin))
+		cw.DecodeSlice(vout, cw.EncodeSlice(nil, vin))
+		if !slices.Equal(vout, vwant) {
+			t.Fatalf("max %d: %v arrives as %v, want %v", tc.max, vin, vout, vwant)
 		}
 	}
 }

@@ -1,18 +1,13 @@
 package ring
 
-// PackedBool is the bit-packed Boolean transport codec: a slice of k
-// booleans ships as ⌈k/64⌉ words, element i in bit i%64 of word i/64
-// (little-endian bit order), instead of one full word per entry.
-//
-// Packing is faithful to the simulator's cost model. The model's message is
-// one O(log n)-bit word, and the simulator equates that message with one
-// 64-bit machine word for every algebra — an int64 entry, a Z_p residue,
-// and a boolean all cost one word. Under that convention a message has 64
-// usable bits, so carrying 64 boolean entries in one message is exactly the
-// classic "pack a row of bits into a machine word" trick, not a violation
-// of the bandwidth bound: Boolean-product bandwidth, and with it the
-// simulated round count, drops by the word width. The layout is fixed by
-// the element count alone, so routing stays oblivious.
+// PackedBool is the bit-packed Boolean transport codec, the b = 1 case of
+// the Packed layout: a slice of k booleans ships as ⌈k/64⌉ words, element
+// i in bit i%64 of word i/64 (little-endian bit order), instead of one
+// full word per entry. Packed documents why packing is faithful to the
+// simulator's cost model: Boolean-product bandwidth, and with it the
+// simulated round count, drops by the word width, and the layout is fixed
+// by the element count alone, so routing stays oblivious. Its kernels are
+// PackBits and UnpackBits, which graphs.Bitset and matrix.BitDense share.
 //
 // PackedBool is a pure transport: the algebra is still ring.Bool. Its
 // single-element encoding (Width 1, bit 0 of one word) coincides with
@@ -38,14 +33,14 @@ func (PackedBool) Encode(v bool, dst []Word) {
 // Decode reads a single bool from bit 0.
 func (PackedBool) Decode(src []Word) bool { return src[0]&1 != 0 }
 
-// EncodedLen returns ⌈count/64⌉.
-func (PackedBool) EncodedLen(count int) int { return (count + 63) / 64 }
+// EncodedLen returns ⌈count/64⌉, the 1-bit layout's length.
+func (PackedBool) EncodedLen(count int) int { return Packed{Bits: 1}.EncodedLen(count) }
 
 // EncodeSlice appends vals packed 64 entries per word.
 //
 //cc:hotpath
 func (PackedBool) EncodeSlice(dst []Word, vals []bool) []Word {
-	dst, w := grow(dst, (len(vals)+63)/64)
+	dst, w := grow(dst, PackedBool{}.EncodedLen(len(vals)))
 	PackBits(w, vals)
 	return dst
 }

@@ -140,7 +140,7 @@ func TestRoutingChargesOneProduct(t *testing.T) {
 		t.Fatal(err)
 	}
 	net := clique.New(n)
-	if _, _, err := ccmm.DistanceProduct3D(net, nil, ccmm.NewRowMat[int64](n), ccmm.NewRowMat[int64](n)); err != nil {
+	if _, _, err := ccmm.DistanceProduct3D(net, nil, ccmm.NewRowMat[int64](n), ccmm.NewRowMat[int64](n), int64(n)); err != nil {
 		t.Fatal(err)
 	}
 	product := net.Stats()
