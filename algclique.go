@@ -105,6 +105,29 @@ type PhaseStat struct {
 	Words  int64
 }
 
+// ProductStat is one row of an operation's product ledger: its routed
+// matrix products that ran the same engine under the same routing
+// decision, with the planner's predicted cost beside the charged one, each
+// summed over the row.
+type ProductStat struct {
+	// Engine names the engine that produced the products ("semiring-3d",
+	// "fast-bilinear", "naive-gather" or "sparse").
+	Engine string
+	// Decision is the routing decision, as in Stats.Routing: "sparse",
+	// "dense", "dense-fallback", or empty when no census ran.
+	Decision string
+	// Count is how many products the row holds.
+	Count int64
+	// PredictedRounds and PredictedWords are the planner's estimates for
+	// the engine, summed; the sparse engine predicts rounds only, and a
+	// product run without a census predicts nothing on it.
+	PredictedRounds, PredictedWords float64
+	// Rounds and Words are what the products were charged, from the
+	// engine's first phase to its last: the census round that routed them,
+	// and a sparse attempt its exact bound refuted, stay in Phases only.
+	Rounds, Words int64
+}
+
 // Stats reports the measured communication cost of one simulated run.
 type Stats struct {
 	// N is the clique size the algorithm ran on (after any padding).
@@ -139,20 +162,48 @@ type Stats struct {
 	Routing string
 	// Phases breaks the cost down by algorithm phase.
 	Phases []PhaseStat
+	// Products breaks the operation's routed matrix products down by
+	// engine and routing decision, in first-run order; empty when it ran
+	// none. Products an algorithm runs on a named engine body outside the
+	// router — the distance product of APSP, say — are not in it.
+	Products []ProductStat
 }
 
-// statsFrom converts a simulator accounting snapshot into the public Stats
-// for an instance originally of size orig.
-func statsFrom(st clique.Stats, orig int) Stats {
-	out := Stats{N: st.N, Rounds: st.Rounds, Words: st.Words, Faults: st.Faults}
+// statsFrom reads the public Stats of the operation that just ran on net,
+// for an instance originally of size orig, and the session ledger's own
+// copy of its products. It reads the network's ledgers in place, with no
+// snapshot in between, so the products cost no allocation beyond their
+// one copy.
+func statsFrom(net *clique.Network, orig int) (st Stats, products []ProductStat) {
+	st = Stats{N: net.N(), Rounds: net.Rounds(), Words: net.Words()}
+	if fi := net.FaultInjector(); fi != nil {
+		st.Faults = fi.Stats()
+	}
 	if st.N != orig {
-		out.PaddedFrom = orig
+		st.PaddedFrom = orig
 	}
-	out.Phases = make([]PhaseStat, len(st.Phases))
-	for i, p := range st.Phases {
-		out.Phases[i] = PhaseStat{Name: p.Name, Rounds: p.Rounds, Words: p.Words}
+	phases := net.Phases()
+	st.Phases = make([]PhaseStat, len(phases))
+	for i, p := range phases {
+		st.Phases[i] = PhaseStat{Name: p.Name, Rounds: p.Rounds, Words: p.Words}
 	}
-	return out
+	st.Products, products = productsFrom(net.Products())
+	return st, products
+}
+
+// productsFrom converts a network's product ledger twice over one
+// allocation: one copy for the operation's caller and one for the session
+// ledger, which never alias, so the caller is free to mutate its Stats.
+func productsFrom(src []clique.ProductStat) (caller, ledger []ProductStat) {
+	k := len(src)
+	out := make([]ProductStat, 2*k)
+	for i, p := range src {
+		out[i] = ProductStat{Engine: p.Engine, Decision: p.Decision, Count: p.Count,
+			PredictedRounds: p.PredictedRounds, PredictedWords: p.PredictedWords,
+			Rounds: p.Rounds, Words: p.Words}
+	}
+	copy(out[k:], out[:k])
+	return out[:k:k], out[k:]
 }
 
 // SessionOption configures a session for its whole lifetime: it selects the

@@ -102,11 +102,16 @@ func log2Ceil(n int) int { return bits.Len(uint(n - 1)) }
 // column was measured by running the loop with the rule off (APSPSemiring
 // with Settled never asked) on the packed codec: the max-weight round and
 // ⌈log₂ n⌉ products at the path's bound (n−1)·maxW, with no negative-cycle
-// round, since the path has no negative weight.
+// round, since the path has no negative weight. The closure column was
+// measured the same way (distance.Closure with Settled never asked, which
+// reproduces the earlier 80 / 120 / 229 on the bilinear integer
+// embedding) with every dense-routed Boolean squaring on the packed 3D
+// engine an Auto plan now picks: ⌈log₂ n⌉ routed products, each with its
+// census round.
 var cappedPathRounds = map[int]struct{ apsp, closure int64 }{
-	16:  {17, 80},
-	64:  {43, 120},
-	144: {113, 229},
+	16:  {17, 16},
+	64:  {43, 24},
+	144: {113, 69},
 }
 
 // TestSquaringStopsAtFixedPoint: every iterated-squaring loop stops one

@@ -35,6 +35,12 @@ type Route struct {
 	// Fallback reports that the planner chose the sparse engine but its
 	// Σ ca·rb bound failed mid-call, so the dense engine ran instead.
 	Fallback bool
+	// PredictedRounds and PredictedWords are the planner's estimates for
+	// Engine on this product (predictDenseRounds and predictDenseWords for
+	// a dense engine, predictSparseRounds for the sparse one, which has no
+	// words estimate); zero when nothing was predicted — a sparse product
+	// run without a census.
+	PredictedRounds, PredictedWords float64
 }
 
 // Decision renders the route as the session ledger's sparse/dense tag:
@@ -154,6 +160,69 @@ func (p *Plan) predictDenseRounds(e Engine, wd float64) float64 {
 	}
 }
 
+// predictDenseWords estimates the words the resolved dense engine e
+// charges for an n-clique product whose elements occupy wd words each on
+// that engine's wire. The 3D engine ships nothing longer than a b-entry
+// block row, so its wd is the width of one (EncodedLen(b)/b: a packed
+// Boolean block row of up to 64 entries is one word); the others ship rows
+// of n entries. Calibrated like the rounds: the 3D engine's distribute and
+// products phases send about 3·c³·b block rows, one message per link,
+// which go direct while a row is one word and otherwise ride the two-phase
+// schedule, whose relay charges every word twice; the bilinear engine
+// charges (6 + 3m/d²)·n² for a scheme of m products on d×d blocks —
+// 11.25·n² for Strassen's, 15.2·n² for its square — and the naive gather
+// ships every row to every other node.
+func (p *Plan) predictDenseWords(e Engine, wd float64) float64 {
+	n := float64(p.N)
+	switch e {
+	case EngineFast:
+		d, m := 2.0, 7.0
+		if p.Scheme != nil {
+			d, m = float64(p.Scheme.D), float64(p.Scheme.M)
+		}
+		return (6 + 3*m/(d*d)) * n * n * wd
+	case Engine3D:
+		lay := newCubeLayout(p.N)
+		c, b := float64(lay.c), float64(lay.b)
+		row, relay := wd*b, 2.0
+		if row <= 1 {
+			relay = 1
+		}
+		return 3 * relay * c * c * c * b * row
+	default: // EngineNaive
+		return wd * n * n * (n - 1)
+	}
+}
+
+// denseCost is the planner's price of a product of algebra a on the dense
+// engine e: predicted rounds and words.
+func denseCost[T any](p *Plan, a *algebra[T], e Engine) (rounds, words float64) {
+	row := p.N
+	if e == Engine3D {
+		row = newCubeLayout(p.N).b
+	}
+	return p.predictDenseRounds(e, a.entryWords(e, p.N)), p.predictDenseWords(e, a.entryWords(e, row))
+}
+
+// denseEngine picks the dense engine of a product of algebra a whose plan
+// resolved e. A forced engine runs as forced. An Auto plan keeps e, except
+// that the 3D engine replaces the bilinear one wherever it applies and is
+// predicted to charge fewer rounds and no more words. A Boolean product
+// takes that trade at every scheme size — bit-packed block rows against
+// the bilinear engine's one-word integer embedding — while an integer one
+// keeps the bilinear engine: where 3D would save rounds it costs words.
+func denseEngine[T any](p *Plan, a *algebra[T], e Engine) Engine {
+	if p.Requested != EngineAuto || e != EngineFast || p.SemiringEngine != Engine3D {
+		return e
+	}
+	r3, w3 := denseCost(p, a, Engine3D)
+	rf, wf := denseCost(p, a, EngineFast)
+	if r3 < rf && w3 <= wf {
+		return Engine3D
+	}
+	return e
+}
+
 // chooseSparse is the planner's routing decision. Beyond the round
 // comparison it pre-filters operands whose estimated tile weight
 // Σ ca·rb ≈ ρ_A·ρ_B/n (exact for uniform columns) has no realistic chance
@@ -195,11 +264,13 @@ type operands[P any] struct {
 
 // route is the routed product — the one body behind every Mul*Routed entry
 // point: plan and operand checks, the sparse short-cut (forced, or above
-// the densify cap), the census
-// on the operands the sparse engine would see, the sparse-vs-dense decision
-// from the predictors, the sparse run with transparent fallback on
-// ErrTooDense, and otherwise the plan's resolved dense engine. The Route
-// reports what happened.
+// the densify cap), the census on the operands the sparse engine would
+// see, the sparse-vs-dense decision from the predictors — priced against
+// the plan's resolved engine — the sparse run with transparent fallback on
+// ErrTooDense, and otherwise the dense engine denseEngine picks. The Route
+// reports what happened, and the engine that produced the product is noted
+// in the network's product ledger with its prediction and its charge (the
+// census round and a refuted sparse attempt stay in their phases only).
 func route[T, P any](net *clique.Network, p *Plan, sc *Scratch, a *algebra[T], ops operands[P]) (out P, rt Route, err error) {
 	defer catchAbort(&err)
 	var none P
@@ -216,8 +287,12 @@ func route[T, P any](net *clique.Network, p *Plan, sc *Scratch, a *algebra[T], o
 	// is nothing to decide — no census, no prediction — and the engine's
 	// exact Σ ca·rb bound is the only refusal.
 	if p.Requested == EngineSparse || ops.densifyCap > 0 && n > ops.densifyCap && p.censusApplies(net) {
-		out, err = ops.sparse(sc)
-		return out, Route{Engine: EngineSparse}, err
+		rt.Engine = EngineSparse
+		r0, w0 := net.Rounds(), net.Words()
+		if out, err = ops.sparse(sc); err == nil {
+			noteProduct(net, rt, r0, w0)
+		}
+		return out, rt, err
 	}
 	rt.Engine = p.RingEngine
 	if a.semiring {
@@ -228,9 +303,12 @@ func route[T, P any](net *clique.Network, p *Plan, sc *Scratch, a *algebra[T], o
 		rt.RhoA, rt.RhoB = census(net, sc, ops.count)
 		densePred := p.predictDenseRounds(rt.Engine, a.entryWords(rt.Engine, n))
 		if chooseSparse(n, rt.RhoA, rt.RhoB, a.tupleWords, densePred, sparseThreshold(net)) {
+			r0, w0 := net.Rounds(), net.Words()
 			out, err = ops.sparse(sc)
 			if err == nil {
 				rt.Engine = EngineSparse
+				rt.PredictedRounds = predictSparseRounds(n, rt.RhoA, rt.RhoB, a.tupleWords)
+				noteProduct(net, rt, r0, w0)
 				return out, rt, nil
 			}
 			if !errors.Is(err, ErrTooDense) {
@@ -242,6 +320,17 @@ func route[T, P any](net *clique.Network, p *Plan, sc *Scratch, a *algebra[T], o
 	if ops.densifyCap > 0 && n > ops.densifyCap {
 		return none, rt, fmt.Errorf("ccmm: dense fallback at n = %d would allocate n² state (densify cap %d): %w", n, ops.densifyCap, ErrTooDense)
 	}
-	out, err = ops.dense(sc, rt.Engine)
+	rt.Engine = denseEngine(p, a, rt.Engine)
+	rt.PredictedRounds, rt.PredictedWords = denseCost(p, a, rt.Engine)
+	r0, w0 := net.Rounds(), net.Words()
+	if out, err = ops.dense(sc, rt.Engine); err == nil {
+		noteProduct(net, rt, r0, w0)
+	}
 	return out, rt, err
+}
+
+// noteProduct enters a product that ran on rt.Engine, charged from the
+// network's rounds r0 and words w0 on, in the network's product ledger.
+func noteProduct(net *clique.Network, rt Route, r0, w0 int64) {
+	net.NoteProduct(rt.Engine.String(), rt.Decision(), rt.PredictedRounds, rt.PredictedWords, net.Rounds()-r0, net.Words()-w0)
 }

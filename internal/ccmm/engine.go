@@ -16,9 +16,15 @@ import (
 type Engine int
 
 const (
-	// EngineAuto picks FastBilinear when a scheme fits the clique size,
-	// then Semiring3D (which runs on any n via the balanced cube layout)
-	// for n ≥ 8, then NaiveGather for tiny cliques.
+	// EngineAuto resolves a ring product to FastBilinear when a scheme
+	// fits the clique size, and otherwise — and every semiring product —
+	// to Semiring3D (which runs on any n ≥ 8 via the balanced cube
+	// layout), then NaiveGather for tiny cliques. Each product then picks
+	// its engine from the predicted costs: the density census may route
+	// it through EngineSparse, and a dense-routed product trades
+	// FastBilinear for Semiring3D where that is predicted to charge fewer
+	// rounds and no more words — every Boolean product, no integer one at
+	// the scheme sizes (see denseEngine in census.go).
 	EngineAuto Engine = iota
 	// EngineFast forces the bilinear-scheme algorithm (§2.2).
 	EngineFast
@@ -53,18 +59,21 @@ func (e Engine) String() string {
 	}
 }
 
-// Resolve maps EngineAuto to the best concrete engine for an n-node clique.
-// ringAlgebra reports whether the product algebra is a ring (only rings may
-// use the bilinear engine). Semiring3D handles every clique size via the
-// balanced cube layout, so the O(n)-round NaiveGather is chosen only for
-// cliques too small (n < 8, other than the trivial cube n = 1) for a cube
-// of side two to fit.
+// Resolve maps EngineAuto to the static engine for an n-node clique:
+// FastBilinear for a ring product when a scheme fits, and Semiring3D
+// otherwise. ringAlgebra reports whether the product algebra is a ring
+// (only rings may use the bilinear engine). Semiring3D handles every
+// clique size via the balanced cube layout, so the O(n)-round NaiveGather
+// is chosen only for cliques too small (n < 8, other than the trivial cube
+// n = 1) for a cube of side two to fit.
 //
-// EngineSparse never comes out of a static resolution: its worth depends
-// on the operands' density, which only the per-product census can see, so
-// Auto plans keep a dense resolved engine here and route to the sparse
-// engine dynamically (see Plan and census.go). A forced EngineSparse
-// passes through like every forced engine.
+// The static engine is what the density census prices the dense side at,
+// not necessarily what runs: a product's worth depends on its operands'
+// density and on how wide its entries travel, which only the router sees.
+// Auto plans route a product through EngineSparse when the census says it
+// wins, and a dense-routed product runs Semiring3D instead of
+// FastBilinear when that is predicted to charge fewer rounds and no more
+// words (see Plan and census.go). A forced engine passes through.
 func (e Engine) Resolve(n int, ringAlgebra bool) Engine {
 	if e != EngineAuto {
 		return e
@@ -98,14 +107,14 @@ func MulIntWith(net *clique.Network, e Engine, sc *Scratch, s, t *RowMat[int64])
 }
 
 // MulBoolWith computes the Boolean matrix product on the working set sc
-// (nil for the network's own). Over the bilinear engine the product is
-// computed in the integer ring and collapsed entrywise to 0/1 (the entries
-// are walk counts ≤ n, and an entry is non-zero exactly when the Boolean
-// product is true — the standard embedding the paper uses in §3.1).
-// Semiring engines multiply over the Boolean semiring directly, shipped
-// through the bit-packed transport (ring.PackedBool): 64 entries per word,
-// cutting Boolean-product bandwidth and rounds ~64×. Inputs must be 0/1
-// matrices.
+// (nil for the network's own). Semiring engines multiply over the Boolean
+// semiring directly, shipped through the bit-packed transport
+// (ring.PackedBool): 64 entries per word, cutting Boolean-product
+// bandwidth and rounds ~64×, so an Auto plan runs a dense Boolean product
+// on Semiring3D. A forced bilinear engine computes it in the integer ring
+// and collapses it entrywise to 0/1 (the entries are walk counts ≤ n, and
+// an entry is non-zero exactly when the Boolean product is true — the
+// standard embedding the paper uses in §3.1). Inputs must be 0/1 matrices.
 func MulBoolWith(net *clique.Network, e Engine, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], error) {
 	return dropRoute(PlanFor(net.N(), e).MulBoolRouted(net, sc, s, t))
 }

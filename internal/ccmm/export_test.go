@@ -10,3 +10,16 @@ func PlanCacheLen() int {
 	})
 	return n
 }
+
+// AutoDenseEngine is the engine an Auto plan runs a dense-routed product
+// of the named typed algebra ("int", "bool" or "min-plus") on, on n nodes.
+func AutoDenseEngine(n int, alg string) Engine {
+	p := PlanFor(n, EngineAuto)
+	switch alg {
+	case "int":
+		return denseEngine(p, &intAlgebra, p.RingEngine)
+	case "bool":
+		return denseEngine(p, &boolAlgebra, p.RingEngine)
+	}
+	return denseEngine(p, &minPlusAlgebra, p.SemiringEngine)
+}

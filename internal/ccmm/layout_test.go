@@ -173,39 +173,36 @@ func TestGridLayoutQuick(t *testing.T) {
 
 // TestPredictDenseWithinFactorTwo grades the planner's dense prices against
 // the ledger: predictDenseRounds must land within a factor of two of the
-// rounds each engine charges — the 3D engine on min-plus products (one word
-// per entry) and packed Boolean ones, on cubes and non-cubes alike; the
-// bilinear engine on the integer ring at its scheme sizes; the naive
-// gather on min-plus.
+// rounds each engine charges, and predictDenseWords within [⅔, 3/2] of the
+// words — the 3D engine on min-plus products (one word per entry) and
+// packed Boolean ones, on cubes and non-cubes alike; the bilinear engine
+// on the integer ring at its scheme sizes; the naive gather on min-plus.
+// Both come from denseCost, the price the router compares engines at.
 func TestPredictDenseWithinFactorTwo(t *testing.T) {
 	rng := rand.New(rand.NewPCG(36, 1))
 	for _, row := range []struct {
 		name   string
 		engine Engine
 		sizes  []int
-		wd     func(n int) float64
+		a      *algebra[int64]
 		run    func(net *clique.Network, p *Plan, mp *RowMat[int64], bl *RowMat[bool]) error
 	}{
-		{"3d/min-plus", Engine3D, []int{16, 24, 32, 64, 100, 144, 256, 300},
-			func(n int) float64 { return minPlusAlgebra.entryWords(Engine3D, n) },
+		{"3d/min-plus", Engine3D, []int{16, 24, 32, 64, 100, 144, 256, 300}, &minPlusAlgebra,
 			func(net *clique.Network, _ *Plan, mp *RowMat[int64], _ *RowMat[bool]) error {
 				_, err := Semiring3D[int64](net, nil, ring.MinPlus{}, ring.MinPlus{}, mp, mp)
 				return err
 			}},
-		{"3d/packed-bool", Engine3D, []int{16, 24, 32, 64, 100, 144, 256, 300},
-			func(n int) float64 { return boolAlgebra.entryWords(Engine3D, n) },
+		{"3d/packed-bool", Engine3D, []int{16, 24, 32, 64, 100, 144, 256, 300}, &boolAlgebra,
 			func(net *clique.Network, _ *Plan, _ *RowMat[int64], bl *RowMat[bool]) error {
 				_, err := Semiring3D[bool](net, nil, ring.Bool{}, ring.PackedBool{}, bl, bl)
 				return err
 			}},
-		{"fast/int", EngineFast, []int{16, 64, 100, 144, 196, 256},
-			func(n int) float64 { return intAlgebra.entryWords(EngineFast, n) },
+		{"fast/int", EngineFast, []int{16, 36, 64, 100, 144, 196, 225, 256}, &intAlgebra,
 			func(net *clique.Network, p *Plan, mp *RowMat[int64], _ *RowMat[bool]) error {
 				_, err := FastBilinear[int64](net, nil, ring.Int64{}, ring.Int64{}, p.Scheme, mp, mp)
 				return err
 			}},
-		{"naive/min-plus", EngineNaive, []int{16, 24, 32, 64, 100, 144, 256},
-			func(n int) float64 { return minPlusAlgebra.entryWords(EngineNaive, n) },
+		{"naive/min-plus", EngineNaive, []int{16, 24, 32, 64, 100, 144, 256}, &minPlusAlgebra,
 			func(net *clique.Network, _ *Plan, mp *RowMat[int64], _ *RowMat[bool]) error {
 				_, err := NaiveGather[int64](net, nil, ring.MinPlus{}, ring.MinPlus{}, mp, mp)
 				return err
@@ -228,10 +225,15 @@ func TestPredictDenseWithinFactorTwo(t *testing.T) {
 			if err := row.run(net, plan, mp, bl); err != nil {
 				t.Fatalf("%s n=%d: %v", row.name, n, err)
 			}
-			pred, got := plan.predictDenseRounds(row.engine, row.wd(n)), float64(net.Rounds())
-			t.Logf("%s n=%d: predicted %.1f, charged %.0f (%.2f)", row.name, n, pred, got, pred/got)
+			pred, predW := denseCost(plan, row.a, row.engine)
+			got, gotW := float64(net.Rounds()), float64(net.Words())
+			t.Logf("%s n=%d: predicted %.1f rounds / %.0f words, charged %.0f / %.0f (%.2f / %.2f)",
+				row.name, n, pred, predW, got, gotW, pred/got, predW/gotW)
 			if pred < got/2 || pred > 2*got {
 				t.Errorf("%s n=%d: predicted %.1f rounds, charged %.0f: outside [½, 2]", row.name, n, pred, got)
+			}
+			if predW < gotW*2/3 || predW > gotW*3/2 {
+				t.Errorf("%s n=%d: predicted %.0f words, charged %.0f: outside [⅔, 3/2]", row.name, n, predW, gotW)
 			}
 		}
 	}

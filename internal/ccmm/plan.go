@@ -21,17 +21,22 @@ import (
 // sparse tile engine (EngineSparse) when the paper's ρ-bound predicts
 // fewer rounds than the resolved dense engine — with a transparent
 // fallback to the dense engine when the sparse engine's exact Σ ca·rb
-// bound fails mid-call. The threshold scaling that comparison is not part
-// of the plan: it lives on the network (see sparseThreshold in census.go).
+// bound fails mid-call. A dense-routed product then runs the 3D engine in
+// place of the bilinear one where that is predicted to charge fewer rounds
+// and no more words (denseEngine). The threshold scaling the sparse
+// comparison is not part of the plan: it lives on the network (see
+// sparseThreshold in census.go).
 type Plan struct {
 	// N is the clique size the plan was resolved for.
 	N int
 	// Requested is the engine selection the plan resolves.
 	Requested Engine
-	// RingEngine is the concrete engine used for ring products.
+	// RingEngine is the concrete engine resolved for ring products (and
+	// Boolean ones, which embed in the integer ring); under Auto it prices
+	// the census's dense side, and denseEngine may run 3D in its place.
 	RingEngine Engine
-	// SemiringEngine is the concrete engine used for semiring (min-plus,
-	// Boolean) products.
+	// SemiringEngine is the concrete engine used for semiring products
+	// that are not rings (min-plus).
 	SemiringEngine Engine
 	// Scheme is the bilinear scheme backing RingEngine == EngineFast; nil
 	// when no scheme fits (forcing EngineFast then fails at multiply time,
@@ -87,7 +92,8 @@ type algebra[T any] struct {
 	// RingEngine otherwise.
 	semiring bool
 	// entryWords is the per-entry width in words of the dense transport on
-	// engine e, fed to predictDenseRounds (fractional for packing codecs).
+	// engine e for rows of n entries, fed to predictDenseRounds and
+	// predictDenseWords (fractional for packing codecs).
 	entryWords func(e Engine, n int) float64
 	// tupleWords is the wire width of one tuple of the sparse engine.
 	tupleWords int
@@ -131,11 +137,11 @@ var (
 	// Min-plus is not a ring, so the bilinear engine does not apply.
 	minPlusAlgebra = semiringAlgebra[int64](ring.MinPlus{}, ring.MinPlus{}, true)
 	// boolAlgebra carries 0/1 integers and multiplies in the Boolean
-	// semiring. Dense Boolean products either ride the integer embedding
-	// on the bilinear engine (one word per entry) or the bit-packed
-	// transport on the semiring engines — the prediction follows whichever
-	// the plan resolved; the sparse path's tuples carry bit-packed values
-	// either way.
+	// semiring. Dense Boolean products ride the bit-packed transport on the
+	// semiring engines, or the integer embedding (one word per entry) on a
+	// forced bilinear engine — the entry width follows the engine priced,
+	// which is how an Auto plan sees the 3D engine win; the sparse path's
+	// tuples carry bit-packed values either way.
 	boolAlgebra = algebra[int64]{
 		sr: ring.Int64{},
 		entryWords: func(e Engine, n int) float64 {

@@ -142,10 +142,11 @@ func TestRouteParity(t *testing.T) {
 		off := func(th float64) func(*clique.Network) {
 			return func(net *clique.Network) { net.SetSparseThreshold(th) }
 		}
-		dense := ccmm.PlanFor(n, ccmm.EngineAuto).RingEngine
-		if alg.name == "min-plus" {
-			dense = ccmm.PlanFor(n, ccmm.EngineAuto).SemiringEngine
-		}
+		// The engine a dense-routed Auto product runs: 3D for a Boolean one
+		// (bit-packed block rows beat the bilinear engine's integer
+		// embedding on rounds and words), the plan's resolved engine for
+		// the other two.
+		dense := ccmm.AutoDenseEngine(n, alg.name)
 		for _, row := range []struct {
 			name   string
 			engine ccmm.Engine
@@ -165,7 +166,8 @@ func TestRouteParity(t *testing.T) {
 		} {
 			t.Run(alg.name+"/"+row.name, func(t *testing.T) {
 				rt := parityCase(t, alg, row.engine, row.arm, row.s, row.u, row.err)
-				rt.RhoA, rt.RhoB = 0, 0 // pinned by parity, not by the row
+				// Pinned by parity, not by the row.
+				rt.RhoA, rt.RhoB, rt.PredictedRounds, rt.PredictedWords = 0, 0, 0, 0
 				if rt != row.want {
 					t.Fatalf("route = %+v, want %+v", rt, row.want)
 				}

@@ -75,6 +75,21 @@ type PhaseStat struct {
 	Words  int64
 }
 
+// ProductStat is one row of a network's product ledger: the matrix
+// products that ran the same engine under the same routing decision, how
+// many there were, what the planner predicted they would cost and what
+// they were charged, each summed over the row. The layer above names the
+// engine and the decision; this package only keeps the books.
+type ProductStat struct {
+	Engine          string
+	Decision        string
+	Count           int64
+	PredictedRounds float64
+	PredictedWords  float64
+	Rounds          int64
+	Words           int64
+}
+
 // Stats is a snapshot of a network's accounting.
 type Stats struct {
 	N       int
@@ -120,6 +135,7 @@ type Network struct {
 	words      int64
 	flushes    int64
 	phases     []PhaseStat
+	products   []ProductStat
 	workers    int
 	roundLimit int64
 	fault      *FaultInjector
@@ -257,13 +273,13 @@ func trimPayloads(b []Payload) []Payload {
 	return b[:0]
 }
 
-// Reset drops all queued traffic and zeroes rounds, words, flushes, and
-// phases so the network can run a fresh algorithm. The clique size, worker
-// pool, configured limits, transport, and the recycled queue/mailbox
-// capacity are kept (sessions reuse networks precisely to keep that
-// capacity warm) — except buffers above the linkRetainCap high-water mark,
-// which are released (here and at delivery time) so spikes do not pin peak
-// memory; the per-run context is detached. Mail values from before the
+// Reset drops all queued traffic and zeroes rounds, words, flushes,
+// phases and the product ledger so the network can run a fresh algorithm.
+// The clique size, worker pool, configured limits, transport, and the
+// recycled queue/mailbox capacity are kept (sessions reuse networks
+// precisely to keep that capacity warm) — except buffers above the
+// linkRetainCap high-water mark, which are released (here and at delivery
+// time) so spikes do not pin peak memory; the per-run context is detached. Mail values from before the
 // Reset are invalidated, and the payload references they held are
 // dropped. The walk is proportional to the traffic actually pending or
 // delivered, not to the n² links.
@@ -271,6 +287,7 @@ func (c *Network) Reset() {
 	c.DropPending()
 	c.rounds, c.words, c.flushes = 0, 0, 0
 	c.phases = c.phases[:0]
+	c.products = c.products[:0]
 	c.ctx = nil
 }
 
@@ -326,6 +343,38 @@ func (c *Network) Trim() {
 func (c *Network) Phase(name string) {
 	c.phases = append(c.phases, PhaseStat{Name: name})
 }
+
+// NoteProduct adds one product to the product ledger: the row for its
+// engine and routing decision gains one count, the planner's predicted
+// rounds and words, and the rounds and words the product was charged —
+// network deltas the caller read around it. Rows live beside the phases
+// and are reset with them; a warm network reuses their capacity, so
+// noting allocates nothing.
+func (c *Network) NoteProduct(engine, decision string, predRounds, predWords float64, rounds, words int64) {
+	i := 0
+	for i < len(c.products) && (c.products[i].Engine != engine || c.products[i].Decision != decision) {
+		i++
+	}
+	if i == len(c.products) {
+		c.products = append(c.products, ProductStat{Engine: engine, Decision: decision})
+	}
+	p := &c.products[i]
+	p.Count++
+	p.PredictedRounds += predRounds
+	p.PredictedWords += predWords
+	p.Rounds += rounds
+	p.Words += words
+}
+
+// Phases returns the phase ledger in order. Like Products, the slice is
+// the network's own, valid until the next Reset or Phase: Stats is the
+// copying snapshot.
+func (c *Network) Phases() []PhaseStat { return c.phases }
+
+// Products returns the product ledger in first-noted order. The slice is
+// the network's own and valid until the next Reset or NoteProduct: copy
+// what must outlive them.
+func (c *Network) Products() []ProductStat { return c.products }
 
 func (c *Network) charge(rounds, words int64) {
 	if c.ctx != nil {

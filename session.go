@@ -155,6 +155,7 @@ func (s *Clique) Stats() SessionStats {
 	for i, op := range s.ledger {
 		out.Ops[i] = op
 		out.Ops[i].Phases = append([]PhaseStat(nil), op.Phases...)
+		out.Ops[i].Products = append([]ProductStat(nil), op.Products...)
 	}
 	return out
 }
@@ -167,11 +168,13 @@ func (s *Clique) ResetStats() {
 	s.totalRounds, s.totalWords = 0, 0
 }
 
-// record appends a completed operation to the ledger (mu held). The phase
-// slice is copied: the same Stats value is returned to the operation's
-// caller, who is free to mutate it.
-func (s *Clique) record(op string, st Stats) {
+// record appends a completed operation to the ledger (mu held), with the
+// ledger's own copy of its products. The phase slice is copied: the same
+// Stats value is returned to the operation's caller, who is free to
+// mutate it.
+func (s *Clique) record(op string, st Stats, products []ProductStat) {
 	st.Phases = append([]PhaseStat(nil), st.Phases...)
+	st.Products = products
 	s.ledger = append(s.ledger, OpStats{Op: op, Stats: st})
 	s.totalRounds += st.Rounds
 	s.totalWords += st.Words
@@ -348,7 +351,7 @@ func (r *opRun) end(stats *Stats, err *error) {
 // returns the borrowed buffers to the working set's free list, and records
 // the ledger entry (mu held).
 func (r *opRun) settle() Stats {
-	st := statsFrom(r.net.Stats(), r.orig)
+	st, products := statsFrom(r.net, r.orig)
 	st.Routing = r.route.Decision()
 	st.Attempts = r.attempts
 	st.Certified = r.certified
@@ -356,7 +359,7 @@ func (r *opRun) settle() Stats {
 		ccmm.PutMat(r.sc, m)
 	}
 	r.borrowed = r.borrowed[:0]
-	r.s.record(r.op, st)
+	r.s.record(r.op, st, products)
 	return st
 }
 

@@ -28,9 +28,9 @@ func TestSessionTransportsAgree(t *testing.T) {
 	for _, n := range []int{10, 27} {
 		a, b := randMatT(1, n), randMatT(2, n)
 		type outcome struct {
-			mm, dp Mat
-			mmSt   Stats
-			dpSt   Stats
+			mm, dp, bm Mat
+			mmSt, dpSt Stats
+			bmSt       Stats
 		}
 		run := func(opts ...SessionOption) outcome {
 			s, err := NewClique(n, opts...)
@@ -46,13 +46,34 @@ func TestSessionTransportsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return outcome{mm: mm, dp: dp, mmSt: mmSt, dpSt: dpSt}
+			// A Boolean product on the padded scheme size (16) runs the
+			// packed 3D engine Auto picks over the bilinear one.
+			bm, bmSt, err := s.MatMulBool(boolOf(a), boolOf(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(bmSt.Products) != 1 || bmSt.Products[0].Engine != "semiring-3d" {
+				t.Fatalf("n=%d: Boolean product ledger %+v, want one semiring-3d row", n, bmSt.Products)
+			}
+			return outcome{mm: mm, dp: dp, bm: bm, mmSt: mmSt, dpSt: dpSt, bmSt: bmSt}
 		}
 		direct := run()
 		if wire := run(WithWireTransport()); !reflect.DeepEqual(direct, wire) {
 			t.Fatalf("n=%d: direct and wire sessions disagree", n)
 		}
 	}
+}
+
+// boolOf is the 0/1 matrix of m's odd entries.
+func boolOf(m Mat) Mat {
+	out := make(Mat, len(m))
+	for i, row := range m {
+		out[i] = make([]int64, len(row))
+		for j, x := range row {
+			out[i][j] = x & 1
+		}
+	}
+	return out
 }
 
 // TestSessionTrim checks Trim keeps the session usable and correct.
