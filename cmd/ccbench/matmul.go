@@ -35,35 +35,35 @@ type matmulRow struct {
 
 func (r matmulRow) key() string { return fmt.Sprintf("%s/%d", r.Product, r.N) }
 
-// measureBool runs the same Boolean product through the unpacked and the
-// packed transport on the chosen semiring engine and returns the two
-// charges.
+// measureBool runs the same Boolean product of 0/1 entries through the
+// unpacked (ring.Int64, one word per entry) and the packed (ring.PackedBit)
+// transport on the chosen semiring engine and returns the two charges.
 func measureBool(engine string, n int) (unpacked, packed matmulRow) {
 	rng := rand.New(rand.NewPCG(73, uint64(n)))
-	rows := make([][]bool, n)
+	rows := make([][]int64, n)
 	for i := range rows {
-		rows[i] = make([]bool, n)
+		rows[i] = make([]int64, n)
 		for j := range rows[i] {
-			rows[i][j] = rng.IntN(2) == 1
+			rows[i][j] = int64(rng.IntN(2))
 		}
 	}
-	s := &ccmm.RowMat[bool]{Rows: rows}
+	s := &ccmm.RowMat[int64]{Rows: rows}
 	br := ring.Bool{}
-	run := func(codec ring.BulkCodec[bool]) (rounds, words int64, p *ccmm.RowMat[bool]) {
+	run := func(codec ring.BulkCodec[int64]) (rounds, words int64, p *ccmm.RowMat[int64]) {
 		net := clique.New(n)
 		defer net.Close()
 		var err error
 		if engine == "naive-gather" {
-			p, err = ccmm.NaiveGather[bool](net, nil, br, codec, s, s)
+			p, err = ccmm.NaiveGather[int64](net, nil, br, codec, s, s)
 		} else {
-			p, err = ccmm.Semiring3D[bool](net, nil, br, codec, s, s)
+			p, err = ccmm.Semiring3D[int64](net, nil, br, codec, s, s)
 		}
 		check(err)
 		return net.Rounds(), net.Words(), p
 	}
-	ru, wu, pu := run(ring.AsBulk[bool](br))
-	rp, wp, pp := run(ring.PackedBool{})
-	if !slices.EqualFunc(pu.Rows, pp.Rows, slices.Equal[[]bool]) {
+	ru, wu, pu := run(ring.Int64{})
+	rp, wp, pp := run(ring.PackedBit{})
+	if !slices.EqualFunc(pu.Rows, pp.Rows, slices.Equal[[]int64]) {
 		check(fmt.Errorf("matmul: packed Boolean product differs from unpacked, n=%d", n))
 	}
 	return matmulRow{"bool-" + engine + "-unpacked", n, ru, wu},

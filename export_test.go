@@ -40,11 +40,5 @@ func poisonMat(m any) {
 				row[j] = ring.ValW{V: recycledSentinel, W: recycledSentinel}
 			}
 		}
-	case *ccmm.RowMat[bool]:
-		for _, row := range m.Rows {
-			for j := range row {
-				row[j] = j%2 == 0
-			}
-		}
 	}
 }

@@ -90,20 +90,20 @@ func BenchmarkBoolPackedRounds(b *testing.B) {
 	br := ring.Bool{}
 	for _, n := range []int{64, 512} {
 		rng := rand.New(rand.NewPCG(12, uint64(n)))
-		rows := make([][]bool, n)
+		rows := make([][]int64, n)
 		for i := range rows {
-			rows[i] = make([]bool, n)
+			rows[i] = make([]int64, n)
 			for j := range rows[i] {
-				rows[i][j] = rng.IntN(2) == 1
+				rows[i][j] = int64(rng.IntN(2))
 			}
 		}
-		s := &ccmm.RowMat[bool]{Rows: rows}
+		s := &ccmm.RowMat[int64]{Rows: rows}
 		for _, packed := range []bool{false, true} {
 			name := "unpacked"
-			var codec ring.BulkCodec[bool] = ring.AsBulk[bool](br)
+			var codec ring.BulkCodec[int64] = ring.Int64{}
 			if packed {
 				name = "packed"
-				codec = ring.PackedBool{}
+				codec = ring.PackedBit{}
 			}
 			b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
 				net := clique.New(n)
@@ -113,7 +113,7 @@ func BenchmarkBoolPackedRounds(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					net.Reset()
-					if _, err := ccmm.Semiring3D[bool](net, sc, br, codec, s, s); err != nil {
+					if _, err := ccmm.Semiring3D[int64](net, sc, br, codec, s, s); err != nil {
 						b.Fatal(err)
 					}
 					rounds = net.Rounds()

@@ -69,23 +69,31 @@ func TestSemiring3DMinPlus(t *testing.T) {
 	}
 }
 
+// boolDraw draws a 0/1 Boolean entry, true with probability ⅓.
+func boolDraw(rng *rand.Rand) int64 {
+	if rng.IntN(3) == 0 {
+		return 1
+	}
+	return 0
+}
+
 func TestSemiring3DBool(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 1))
 	br := ring.Bool{}
 	n := 27
-	a, b := matrix.New[bool](n, n), matrix.New[bool](n, n)
+	a, b := matrix.New[int64](n, n), matrix.New[int64](n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			a.Set(i, j, rng.IntN(3) == 0)
-			b.Set(i, j, rng.IntN(3) == 0)
+			a.Set(i, j, boolDraw(rng))
+			b.Set(i, j, boolDraw(rng))
 		}
 	}
 	net := clique.New(n)
-	p, err := ccmm.Semiring3D[bool](net, nil, br, br, ccmm.Distribute(a), ccmm.Distribute(b))
+	p, err := ccmm.Semiring3D[int64](net, nil, br, ring.Int64{}, ccmm.Distribute(a), ccmm.Distribute(b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !matrix.Equal[bool](br, p.Collect(), matrix.Mul[bool](br, a, b)) {
+	if !matrix.Equal[int64](ring.Int64{}, p.Collect(), matrix.Mul[int64](br, a, b)) {
 		t.Fatal("boolean 3D product wrong")
 	}
 }
@@ -167,19 +175,19 @@ func TestSemiring3DArbitrarySizesBool(t *testing.T) {
 	rng := rand.New(rand.NewPCG(23, 1))
 	br := ring.Bool{}
 	for _, n := range awkwardSizes {
-		a, b := matrix.New[bool](n, n), matrix.New[bool](n, n)
+		a, b := matrix.New[int64](n, n), matrix.New[int64](n, n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				a.Set(i, j, rng.IntN(3) == 0)
-				b.Set(i, j, rng.IntN(3) == 0)
+				a.Set(i, j, boolDraw(rng))
+				b.Set(i, j, boolDraw(rng))
 			}
 		}
 		net := clique.New(n)
-		p, err := ccmm.Semiring3D[bool](net, nil, br, br, ccmm.Distribute(a), ccmm.Distribute(b))
+		p, err := ccmm.Semiring3D[int64](net, nil, br, ring.Int64{}, ccmm.Distribute(a), ccmm.Distribute(b))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if !matrix.Equal[bool](br, p.Collect(), matrix.Mul[bool](br, a, b)) {
+		if !matrix.Equal[int64](ring.Int64{}, p.Collect(), matrix.Mul[int64](br, a, b)) {
 			t.Fatalf("n=%d: padded boolean 3D product wrong", n)
 		}
 	}

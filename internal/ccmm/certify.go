@@ -215,27 +215,6 @@ func CertifySpotCheck[T any](net *clique.Network, sr ring.Semiring[T], cd ring.C
 	return true, nil
 }
 
-// boolInt64 views the session layer's 0/1 int64 matrices as the Boolean
-// semiring (any nonzero entry is true), so Boolean products can be
-// spot-checked in their native representation.
-type boolInt64 struct{}
-
-func (boolInt64) Zero() int64 { return 0 }
-func (boolInt64) One() int64  { return 1 }
-func (boolInt64) Add(a, b int64) int64 {
-	if a != 0 || b != 0 {
-		return 1
-	}
-	return 0
-}
-func (boolInt64) Mul(a, b int64) int64 {
-	if a != 0 && b != 0 {
-		return 1
-	}
-	return 0
-}
-func (boolInt64) Equal(a, b int64) bool { return (a != 0) == (b != 0) }
-
 // CertifyIntProduct is Freivalds' check for integer products — the
 // session layer's MatMul results.
 func CertifyIntProduct(net *clique.Network, a, b, c *RowMat[int64], probes int, seed uint64) (bool, error) {
@@ -244,10 +223,10 @@ func CertifyIntProduct(net *clique.Network, a, b, c *RowMat[int64], probes int, 
 }
 
 // CertifyBoolProduct spot-checks a Boolean product in the session layer's
-// 0/1 int64 representation (OR has no inverse, so Freivalds does not
-// apply).
+// 0/1 int64 representation, the one ring.Bool carries (OR has no inverse,
+// so Freivalds does not apply).
 func CertifyBoolProduct(net *clique.Network, a, b, c *RowMat[int64], samples int, seed uint64) (bool, error) {
-	return CertifySpotCheck[int64](net, boolInt64{}, ring.Int64{}, a, b, c, samples, seed)
+	return CertifySpotCheck[int64](net, ring.Bool{}, ring.Int64{}, a, b, c, samples, seed)
 }
 
 // CertifyMinPlusProduct spot-checks a distance product (min has no

@@ -206,10 +206,10 @@ func TestCertifyRoundLimitSurfacesTyped(t *testing.T) {
 
 // TestPayloadCorruptersCoverEngineTypes exercises each registered
 // corrupter against its payload type and checks exactly one element
-// changed.
+// changed — and, for the 0/1 entries Boolean products carry in int64 rows
+// and tuple values, that the change always flips the entry's truth value.
 func TestPayloadCorruptersCoverEngineTypes(t *testing.T) {
-	h := uint64(0x0123456789abcdef)
-	apply := func(p clique.Payload) bool {
+	applyH := func(p clique.Payload, h uint64) bool {
 		for _, co := range ccmm.PayloadCorrupters {
 			if co(p, h) {
 				return true
@@ -217,6 +217,7 @@ func TestPayloadCorruptersCoverEngineTypes(t *testing.T) {
 		}
 		return false
 	}
+	apply := func(p clique.Payload) bool { return applyH(p, 0x0123456789abcdef) }
 
 	ints := []int64{1, 2, 3, 4}
 	orig := append([]int64(nil), ints...)
@@ -233,9 +234,30 @@ func TestPayloadCorruptersCoverEngineTypes(t *testing.T) {
 		t.Fatalf("int64 corrupter changed %d elements, want 1", diff)
 	}
 
-	bools := []bool{true, false, true}
-	if !apply(&bools) {
-		t.Fatal("no corrupter for *[]bool")
+	br := ring.Bool{}
+	rng := rand.New(rand.NewPCG(17, 18))
+	for draw := 0; draw < 1000; draw++ {
+		h := rng.Uint64()
+		row := []int64{1, 0, 1, 1, 0}
+		orig := append([]int64(nil), row...)
+		if !applyH(&row, h) {
+			t.Fatal("no corrupter for a Boolean *[]int64 row")
+		}
+		for i := range row {
+			if br.Equal(row[i], orig[i]) != (row[i] == orig[i]) {
+				t.Fatalf("h=%#x: entry %d went %d → %d without changing truth", h, i, orig[i], row[i])
+			}
+		}
+		tups := []ring.Tuple[int64]{{Idx: 3, Val: 1}, {Idx: 4, Val: 0}}
+		origT := append([]ring.Tuple[int64](nil), tups...)
+		if !applyH(&tups, h) {
+			t.Fatal("no corrupter for a Boolean *[]Tuple[int64]")
+		}
+		for i := range tups {
+			if br.Equal(tups[i].Val, origT[i].Val) != (tups[i].Val == origT[i].Val) {
+				t.Fatalf("h=%#x: tuple %d value went %d → %d without changing truth", h, i, origT[i].Val, tups[i].Val)
+			}
+		}
 	}
 	words := []clique.Word{7, 8}
 	if !apply(&words) {
@@ -254,13 +276,6 @@ func TestPayloadCorruptersCoverEngineTypes(t *testing.T) {
 	}
 	if tupsI[0].Idx != 2 {
 		t.Fatal("tuple corrupter touched the index half")
-	}
-	tupsB := []ring.Tuple[bool]{{Idx: 1, Val: true}}
-	if !apply(&tupsB) {
-		t.Fatal("no corrupter for *[]Tuple[bool]")
-	}
-	if tupsB[0].Val {
-		t.Fatal("bool tuple corrupter left the value intact")
 	}
 
 	if apply(&struct{}{}) {

@@ -5,7 +5,6 @@ import (
 
 	"github.com/algebraic-clique/algclique/internal/bilinear"
 	"github.com/algebraic-clique/algclique/internal/clique"
-	"github.com/algebraic-clique/algclique/internal/matrix"
 	"github.com/algebraic-clique/algclique/internal/ring"
 )
 
@@ -107,14 +106,15 @@ func MulIntWith(net *clique.Network, e Engine, sc *Scratch, s, t *RowMat[int64])
 }
 
 // MulBoolWith computes the Boolean matrix product on the working set sc
-// (nil for the network's own). Semiring engines multiply over the Boolean
-// semiring directly, shipped through the bit-packed transport
-// (ring.PackedBool): 64 entries per word, cutting Boolean-product
-// bandwidth and rounds ~64×, so an Auto plan runs a dense Boolean product
-// on Semiring3D. A forced bilinear engine computes it in the integer ring
-// and collapses it entrywise to 0/1 (the entries are walk counts ≤ n, and
-// an entry is non-zero exactly when the Boolean product is true — the
-// standard embedding the paper uses in §3.1). Inputs must be 0/1 matrices.
+// (nil for the network's own). Semiring engines multiply the 0/1 operands
+// over the Boolean semiring (ring.Bool, carried in int64) directly,
+// shipped through the bit-packed transport (ring.PackedBit): 64 entries
+// per word, cutting Boolean-product bandwidth and rounds ~64×, so an Auto
+// plan runs a dense Boolean product on Semiring3D. A forced bilinear
+// engine computes it in the integer ring and collapses it entrywise to 0/1
+// (the entries are walk counts ≤ n, and an entry is non-zero exactly when
+// the Boolean product is true — the standard embedding the paper uses in
+// §3.1). Inputs must be 0/1 matrices.
 func MulBoolWith(net *clique.Network, e Engine, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], error) {
 	return dropRoute(PlanFor(net.N(), e).MulBoolRouted(net, sc, s, t))
 }
@@ -130,13 +130,12 @@ func MulMinPlusWith(net *clique.Network, e Engine, sc *Scratch, s, t *RowMat[int
 }
 
 // mulBoolDense executes resolved dense engine e on a Boolean product (no
-// census): the integer embedding on the bilinear engine, the bit-packed
-// Boolean semiring otherwise.
+// census): the bit-packed Boolean semiring on the semiring engines, and on
+// the bilinear engine, which needs a ring, the integer embedding with the
+// walk counts collapsed entrywise to 0/1.
 func mulBoolDense(net *clique.Network, p *Plan, sc *Scratch, e Engine, s, t *RowMat[int64]) (*RowMat[int64], error) {
 	if e != EngineFast {
-		return mulBoolVia(net, sc, s, t, func(sb, tb *RowMat[bool]) (*RowMat[bool], error) {
-			return mulDense[bool](net, p, sc, e, ring.Bool{}, ring.PackedBool{}, sb, tb)
-		})
+		return mulDense[int64](net, p, sc, e, ring.Bool{}, ring.PackedBit{}, s, t)
 	}
 	r := ring.Int64{}
 	prod, err := mulDense[int64](net, p, sc, e, r, r, s, t)
@@ -152,65 +151,4 @@ func mulBoolDense(net *clique.Network, p *Plan, sc *Scratch, e Engine, s, t *Row
 		}
 	}
 	return prod, nil
-}
-
-// mulBoolSparse runs a Boolean product through the sparse tile engine: the
-// 0/1 operands convert to the Boolean semiring and the tuple streams carry
-// bit-packed values (ring.TupleCodec over ring.PackedBool).
-func mulBoolSparse(net *clique.Network, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], error) {
-	return mulBoolVia(net, sc, s, t, func(sb, tb *RowMat[bool]) (*RowMat[bool], error) {
-		return SparseMul[bool](net, sc, ring.Bool{}, ring.PackedBool{}, sb, tb)
-	})
-}
-
-// mulBoolSparseCSR is mulBoolSparse on CSR operands. Stored entries are
-// true whatever their value, so the Boolean view shares the structure
-// arrays with no conversion pass, and the product comes back value-free.
-func mulBoolSparseCSR(net *clique.Network, sc *Scratch, s, t *matrix.CSR[int64]) (*matrix.CSR[int64], error) {
-	sb := &matrix.CSR[bool]{N: s.N, RowPtr: s.RowPtr, Col: s.Col}
-	tb := &matrix.CSR[bool]{N: t.N, RowPtr: t.RowPtr, Col: t.Col}
-	pb, err := SparseMulCSR[bool](net, sc, ring.Bool{}, ring.PackedBool{}, sb, tb)
-	if err != nil {
-		return nil, err
-	}
-	return &matrix.CSR[int64]{N: pb.N, RowPtr: pb.RowPtr, Col: pb.Col}, nil
-}
-
-// mulBoolVia converts 0/1 integer operands to the Boolean semiring through
-// free-list row matrices, runs the given Boolean product, and converts the
-// result back into a fourth; the three Boolean ones return to the list.
-// Only route calls it, with validated operands — the conversion writes
-// through pooled n×n buffers, which malformed operands must never reach —
-// and a resolved scratch.
-func mulBoolVia(net *clique.Network, sc *Scratch, s, t *RowMat[int64], run func(sb, tb *RowMat[bool]) (*RowMat[bool], error)) (*RowMat[int64], error) {
-	n := net.N()
-	toBool := func(m *RowMat[int64]) *RowMat[bool] {
-		out := GetMat[bool](sc, n)
-		net.ForEach(func(v int) {
-			b, row := out.Rows[v], m.Rows[v]
-			for j, x := range row {
-				b[j] = x != 0
-			}
-		})
-		return out
-	}
-	sb, tb := toBool(s), toBool(t)
-	defer PutMat(sc, sb)
-	defer PutMat(sc, tb)
-	p, err := run(sb, tb)
-	if err != nil {
-		return nil, err
-	}
-	defer PutMat(sc, p)
-	out := GetMat[int64](sc, n)
-	net.ForEach(func(v int) {
-		ints := out.Rows[v]
-		for j, b := range p.Rows[v] {
-			ints[j] = 0
-			if b {
-				ints[j] = 1
-			}
-		}
-	})
-	return out, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/algebraic-clique/algclique/internal/clique"
+	"github.com/algebraic-clique/algclique/internal/matrix"
 	"github.com/algebraic-clique/algclique/internal/ring"
 )
 
@@ -54,6 +55,56 @@ func TestNetworkTrimReleasesWorkingSet(t *testing.T) {
 		}
 		if !reflect.DeepEqual(first.Rows, again.Rows) {
 			t.Fatalf("%v: product changed after Trim", tr)
+		}
+	}
+}
+
+// TestBoolProductsShareInt64WorkingSet pins that a Boolean product runs on
+// the int64 operands it is handed: Boolean products under Auto, 3D, naive
+// and sparse — on RowMat and CSR operands — and an integer product on one
+// network leave its working set with the int64 element type's arms alone
+// (the row arm, and the tile engine's int64 tuple messages), and every
+// Boolean product equals the schoolbook one.
+func TestBoolProductsShareInt64WorkingSet(t *testing.T) {
+	const n = 64
+	rng := rand.New(rand.NewPCG(44, n))
+	dense := [2]*RowMat[int64]{randMat(rng, n, 0.3, 0, genTrue), randMat(rng, n, 0.3, 0, genTrue)}
+	sparse := [2]*RowMat[int64]{randMat(rng, n, 2.0/n, 0, genTrue), randMat(rng, n, 2.0/n, 0, genTrue)}
+	csr := func(m *RowMat[int64]) *matrix.CSR[int64] {
+		return matrix.CSRFromDense(m.Collect(), func(x int64) bool { return x != 0 })
+	}
+	for _, tr := range []clique.Transport{clique.TransportDirect, clique.TransportWire} {
+		net := clique.New(n, clique.WithTransport(tr))
+		defer net.Close()
+		for _, e := range []Engine{EngineAuto, Engine3D, EngineNaive, EngineSparse} {
+			ops := dense
+			if e == EngineSparse {
+				ops = sparse
+			}
+			got, _, err := PlanFor(n, e).MulBoolRouted(net, nil, ops[0], ops[1])
+			if err != nil {
+				t.Fatalf("%v %v: %v", tr, e, err)
+			}
+			if want := matrix.Mul[int64](ring.Bool{}, ops[0].Collect(), ops[1].Collect()); !reflect.DeepEqual(got.Collect(), want) {
+				t.Fatalf("%v %v: Boolean product differs from the schoolbook one", tr, e)
+			}
+		}
+		if _, _, err := PlanFor(n, EngineAuto).MulBoolCSRRouted(net, nil, csr(sparse[0]), csr(sparse[1])); err != nil {
+			t.Fatalf("%v CSR: %v", tr, err)
+		}
+		if _, _, err := PlanFor(n, EngineAuto).MulIntRouted(net, nil, dense[0], dense[1]); err != nil {
+			t.Fatalf("%v int: %v", tr, err)
+		}
+		sc := ScratchOf(net)
+		for _, arm := range sc.typed {
+			switch arm.(type) {
+			case *typedScratch[int64], *typedScratch[ring.Tuple[int64]], *typedScratch[ring.Tuple[ring.Tuple[int64]]]:
+			default:
+				t.Errorf("%v: the working set holds a %T arm beside int64's", tr, arm)
+			}
+		}
+		if len(sc.typed) != 3 {
+			t.Errorf("%v: %d typed arms, want int64's three", tr, len(sc.typed))
 		}
 	}
 }

@@ -90,7 +90,7 @@ func goldenRun(t *testing.T, tr clique.Transport) map[string]goldenLedger {
 		func(rng *rand.Rand) int64 { return rng.Int64N(100) - 20 }, out)
 	goldenAlgebra[ring.ValW](t, tr, "minplusw", ring.MinPlusW{}, ring.MinPlusW{},
 		func(rng *rand.Rand) ring.ValW { return ring.ValW{V: rng.Int64N(100), W: rng.Int64N(8)} }, out)
-	goldenAlgebra[bool](t, tr, "packedbool", ring.Bool{}, ring.PackedBool{}, genTrue, out)
+	goldenAlgebra[int64](t, tr, "packedbool", ring.Bool{}, ring.PackedBit{}, genTrue, out)
 	return out
 }
 

@@ -185,36 +185,38 @@ func TestPredictDenseWithinFactorTwo(t *testing.T) {
 		engine Engine
 		sizes  []int
 		a      *algebra[int64]
-		run    func(net *clique.Network, p *Plan, mp *RowMat[int64], bl *RowMat[bool]) error
+		run    func(net *clique.Network, p *Plan, mp *RowMat[int64], bl *RowMat[int64]) error
 	}{
 		{"3d/min-plus", Engine3D, []int{16, 24, 32, 64, 100, 144, 256, 300}, &minPlusAlgebra,
-			func(net *clique.Network, _ *Plan, mp *RowMat[int64], _ *RowMat[bool]) error {
+			func(net *clique.Network, _ *Plan, mp *RowMat[int64], _ *RowMat[int64]) error {
 				_, err := Semiring3D[int64](net, nil, ring.MinPlus{}, ring.MinPlus{}, mp, mp)
 				return err
 			}},
 		{"3d/packed-bool", Engine3D, []int{16, 24, 32, 64, 100, 144, 256, 300}, &boolAlgebra,
-			func(net *clique.Network, _ *Plan, _ *RowMat[int64], bl *RowMat[bool]) error {
-				_, err := Semiring3D[bool](net, nil, ring.Bool{}, ring.PackedBool{}, bl, bl)
+			func(net *clique.Network, _ *Plan, _ *RowMat[int64], bl *RowMat[int64]) error {
+				_, err := Semiring3D[int64](net, nil, ring.Bool{}, ring.PackedBit{}, bl, bl)
 				return err
 			}},
 		{"fast/int", EngineFast, []int{16, 36, 64, 100, 144, 196, 225, 256}, &intAlgebra,
-			func(net *clique.Network, p *Plan, mp *RowMat[int64], _ *RowMat[bool]) error {
+			func(net *clique.Network, p *Plan, mp *RowMat[int64], _ *RowMat[int64]) error {
 				_, err := FastBilinear[int64](net, nil, ring.Int64{}, ring.Int64{}, p.Scheme, mp, mp)
 				return err
 			}},
 		{"naive/min-plus", EngineNaive, []int{16, 24, 32, 64, 100, 144, 256}, &minPlusAlgebra,
-			func(net *clique.Network, _ *Plan, mp *RowMat[int64], _ *RowMat[bool]) error {
+			func(net *clique.Network, _ *Plan, mp *RowMat[int64], _ *RowMat[int64]) error {
 				_, err := NaiveGather[int64](net, nil, ring.MinPlus{}, ring.MinPlus{}, mp, mp)
 				return err
 			}},
 	} {
 		for _, n := range row.sizes {
 			mp := NewRowMat[int64](n)
-			bl := NewRowMat[bool](n)
+			bl := NewRowMat[int64](n)
 			for v := range n {
 				for j := range n {
 					mp.Rows[v][j] = rng.Int64N(100)
-					bl.Rows[v][j] = rng.IntN(3) == 0
+					if rng.IntN(3) == 0 {
+						bl.Rows[v][j] = 1
+					}
 				}
 			}
 			plan := PlanFor(n, row.engine)

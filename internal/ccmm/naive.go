@@ -50,8 +50,8 @@ func NaiveGather[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], c
 // columns per word operation.
 func naiveMultiply[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], s *RowMat[T], trows [][]T) *RowMat[T] {
 	if _, ok := any(sr).(ring.Bool); ok {
-		sb := any(s).(*RowMat[bool])
-		tb := any(trows).([][]bool)
+		sb := any(s).(*RowMat[int64])
+		tb := any(trows).([][]int64)
 		return any(naiveMultiplyBool(net, sc, sb, tb)).(*RowMat[T])
 	}
 	n := net.N()
@@ -78,17 +78,20 @@ func naiveMultiply[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T],
 }
 
 // naiveMultiplyBool multiplies Boolean rows word-parallel: the right
-// operand packs once into a pooled BitDense (in parallel, one row per
-// node), its nonzero-row bitset is computed once up front — single-threaded
-// on purpose, the cache is not safe for concurrent first use — and every
-// node runs the packed row kernel on its own slice of the word buffers.
-func naiveMultiplyBool(net *clique.Network, sc *Scratch, s *RowMat[bool], trows [][]bool) *RowMat[bool] {
+// operand's non-zero entries pack once into a pooled BitDense (in
+// parallel, one row per node, in the PackedBit layout), its nonzero-row
+// bitset is computed once up front — single-threaded on purpose, the cache
+// is not safe for concurrent first use — and every node runs the packed
+// row kernel on its own slice of the word buffers, unpacking its row of
+// the product as 0/1 entries.
+func naiveMultiplyBool(net *clique.Network, sc *Scratch, s *RowMat[int64], trows [][]int64) *RowMat[int64] {
 	n := net.N()
-	p := GetMat[bool](sc, n) // UnpackBits writes every entry
+	p := GetMat[int64](sc, n) // DecodeSlice writes every entry
 	bd := matrix.GetBitDense(n, n)
 	defer matrix.PutBitDense(bd)
+	bits := ring.PackedBit{}
 	net.ForEach(func(v int) {
-		ring.PackBits(bd.RowWords(v), trows[v])
+		bits.EncodeSlice(bd.RowWords(v)[:0], trows[v])
 	})
 	bd.Invalidate()
 	bAny := bd.NonzeroRows()
@@ -97,10 +100,10 @@ func naiveMultiplyBool(net *clique.Network, sc *Scratch, s *RowMat[bool], trows 
 	outW := make([]uint64, n*stride)
 	net.ForEach(func(v int) {
 		aw := rowW[v*stride : (v+1)*stride]
-		ring.PackBits(aw, s.Rows[v])
+		bits.EncodeSlice(aw[:0], s.Rows[v]) // overwrites aw's stride words
 		dst := outW[v*stride : (v+1)*stride]
 		matrix.MulBitRowInto(dst, aw, bAny, bd)
-		ring.UnpackBits(p.Rows[v], dst)
+		bits.DecodeSlice(p.Rows[v], dst)
 	})
 	return p
 }

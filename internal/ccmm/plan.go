@@ -81,8 +81,8 @@ func (p *Plan) String() string {
 // algebra describes a product's algebra to the router (route, census.go):
 // everything in which the integer ring, the Boolean semiring, min-plus, and
 // a caller's own ring (MulRingRouted) differ is a field here, so a typed
-// entry point only picks one. T is the type the operands carry, which for
-// Boolean products is not the type they are multiplied in.
+// entry point only picks one. T is the type the operands carry and are
+// multiplied in.
 type algebra[T any] struct {
 	// sr supplies zero and one: the RowMat census counts the entries
 	// different from zero, and densifying a CSR operand fills with zero and
@@ -98,7 +98,8 @@ type algebra[T any] struct {
 	// tupleWords is the wire width of one tuple of the sparse engine.
 	tupleWords int
 	// valueFree reads a CSR operand by its structure alone: every stored
-	// entry is the one, whatever its value (the Boolean algebra).
+	// entry is the one, whatever its value (the Boolean algebra), so mulCSR
+	// hands both routes the operands without their values.
 	valueFree bool
 	// sparse and sparseCSR run the forced sparse tile engine on either
 	// operand form; dense runs the resolved dense engine e. None of them
@@ -131,31 +132,28 @@ func semiringAlgebra[T any](sr ring.Semiring[T], codec ring.Codec[T], semiring b
 	}
 }
 
-// The three int64-carried algebras of the typed entry points.
+// The three algebras of the typed entry points, all carried in int64.
 var (
 	intAlgebra = semiringAlgebra[int64](ring.Int64{}, ring.Int64{}, false)
 	// Min-plus is not a ring, so the bilinear engine does not apply.
 	minPlusAlgebra = semiringAlgebra[int64](ring.MinPlus{}, ring.MinPlus{}, true)
-	// boolAlgebra carries 0/1 integers and multiplies in the Boolean
-	// semiring. Dense Boolean products ride the bit-packed transport on the
-	// semiring engines, or the integer embedding (one word per entry) on a
-	// forced bilinear engine — the entry width follows the engine priced,
-	// which is how an Auto plan sees the 3D engine win; the sparse path's
-	// tuples carry bit-packed values either way.
-	boolAlgebra = algebra[int64]{
-		sr: ring.Int64{},
-		entryWords: func(e Engine, n int) float64 {
+	// boolAlgebra multiplies 0/1 integers in the Boolean semiring, shipped
+	// bit-packed on the semiring engines and in the sparse path's tuples.
+	// A forced bilinear engine instead runs the integer embedding, one word
+	// per entry (mulBoolDense) — the entry width follows the engine priced,
+	// which is how an Auto plan sees the 3D engine win.
+	boolAlgebra = func() algebra[int64] {
+		a := semiringAlgebra[int64](ring.Bool{}, ring.PackedBit{}, false)
+		packed := a.entryWords
+		a.entryWords = func(e Engine, n int) float64 {
 			if e == EngineFast {
 				return 1
 			}
-			return float64(ring.PackedBool{}.EncodedLen(n)) / float64(n)
-		},
-		tupleWords: ring.TupleCodec[bool]{Val: ring.PackedBool{}}.EncodedLen(1),
-		valueFree:  true,
-		sparse:     mulBoolSparse,
-		sparseCSR:  mulBoolSparseCSR,
-		dense:      mulBoolDense,
-	}
+			return packed(e, n)
+		}
+		a.valueFree, a.dense = true, mulBoolDense
+		return a
+	}()
 )
 
 // mulDense executes resolved dense engine e — no census, no routing. Only
@@ -211,9 +209,14 @@ func mulRowMat[T any](net *clique.Network, p *Plan, sc *Scratch, a *algebra[T], 
 // is built around. Sparse products stay CSR; a product the router sends to
 // a dense engine densifies its operands through the pool and comes back as
 // the dense row matrix that engine produced — up to csrDensifyCap. A
-// value-free algebra densifies its operands value-free, as its sparse
-// engine reads them.
+// value-free algebra's engines, on either route, see its operands'
+// structure alone: the values are stripped once, after validation.
 func mulCSR[T any](net *clique.Network, p *Plan, sc *Scratch, a *algebra[T], s, t *matrix.CSR[T]) (CSRProduct[T], Route, error) {
+	es, et := s, t
+	if a.valueFree {
+		es = &matrix.CSR[T]{N: s.N, RowPtr: s.RowPtr, Col: s.Col}
+		et = &matrix.CSR[T]{N: t.N, RowPtr: t.RowPtr, Col: t.Col}
+	}
 	return route(net, p, sc, a, operands[CSRProduct[T]]{
 		validate: func(n int) error {
 			if err := csrCheck(s, n); err != nil {
@@ -228,16 +231,11 @@ func mulCSR[T any](net *clique.Network, p *Plan, sc *Scratch, a *algebra[T], s, 
 			})
 		},
 		sparse: func(sc *Scratch) (CSRProduct[T], error) {
-			m, err := a.sparseCSR(net, sc, s, t)
+			m, err := a.sparseCSR(net, sc, es, et)
 			return CSRProduct[T]{Sparse: m}, err
 		},
 		dense: func(sc *Scratch, e Engine) (CSRProduct[T], error) {
-			ds, dt := s, t
-			if a.valueFree {
-				ds = &matrix.CSR[T]{N: s.N, RowPtr: s.RowPtr, Col: s.Col}
-				dt = &matrix.CSR[T]{N: t.N, RowPtr: t.RowPtr, Col: t.Col}
-			}
-			sd, td, release := densifyPair(net, sc, a.sr.Zero(), a.sr.One(), ds, dt)
+			sd, td, release := densifyPair(net, sc, a.sr.Zero(), a.sr.One(), es, et)
 			defer release()
 			m, err := a.dense(net, p, sc, e, sd, td)
 			return CSRProduct[T]{Dense: m}, err
@@ -265,7 +263,7 @@ func (p *Plan) MulIntRouted(net *clique.Network, sc *Scratch, s, t *RowMat[int64
 // MulBoolRouted computes the Boolean product of 0/1 matrices (see
 // MulBoolWith for the embedding). The sparse path multiplies over the
 // Boolean semiring with bit-packed tuple values (ring.TupleCodec over
-// ring.PackedBool).
+// ring.PackedBit).
 func (p *Plan) MulBoolRouted(net *clique.Network, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], Route, error) {
 	return mulRowMat(net, p, sc, &boolAlgebra, s, t)
 }
@@ -283,10 +281,10 @@ func (p *Plan) MulIntCSRRouted(net *clique.Network, sc *Scratch, s, t *matrix.CS
 
 // MulBoolCSRRouted computes the Boolean product of CSR operands. Stored
 // entries are true whatever their value, on either route — a nil Val is
-// the usual adjacency encoding — so the Boolean view shares the structure
-// arrays with no conversion pass, a dense route densifies value-free, and
-// the sparse tuple streams carry bit-packed values. Sparse results come
-// back value-free (nil Val: every stored entry is 1).
+// the usual adjacency encoding — so both routes read the structure arrays
+// alone, a dense route densifies value-free, and the sparse tuple streams
+// carry bit-packed values. Sparse results come back value-free (nil Val:
+// every stored entry is 1).
 func (p *Plan) MulBoolCSRRouted(net *clique.Network, sc *Scratch, s, t *matrix.CSR[int64]) (CSRProduct[int64], Route, error) {
 	return mulCSR(net, p, sc, &boolAlgebra, s, t)
 }

@@ -113,9 +113,9 @@ func (sc *Scratch) SetRecycleHook(f func(m any)) { sc.recycled = f }
 // engine's single-threaded path (growSlots/growBufs) so that ForEach
 // workers only ever touch their own entries.
 //
-// A typedScratch carries no algebra state — int64 serves both the integer
-// ring and the min-plus semiring — so everything in it is either fully
-// overwritten per use or explicitly refilled (zero rows).
+// A typedScratch carries no algebra state — int64 serves the integer
+// ring, the Boolean semiring and min-plus alike — so everything in it is
+// either fully overwritten per use or explicitly refilled (zero rows).
 type typedScratch[T any] struct {
 	bufs    []([]T) // per-node buffers (dense engines' message arenas; tile engine's A-side lists, then gather arenas; tuple formats' value staging)
 	bufs2   []([]T) // second per-node buffer (tile engine's B-side lists, then received rows; transpose value staging)
@@ -154,8 +154,8 @@ type typedScratch[T any] struct {
 	slots2 []([][]T) // per-node B-part windows, one per tile the node gathers for
 
 	// Free row matrices: engine results, algebra conversions (witness
-	// untagging, Boolean packing), padded operands, and the reductions'
-	// intermediates all come from here and return here once dead.
+	// untagging), padded operands, and the reductions' intermediates all
+	// come from here and return here once dead.
 	mats []*RowMat[T]
 }
 

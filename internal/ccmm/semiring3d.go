@@ -34,7 +34,7 @@ import (
 // free list. Block rows are typed messages, sent through the exchange
 // port's cube mode (port.onCube), which moves them by reference (direct
 // transport, words charged analytically) or as bulk-codec chunks (wire
-// transport). A packing codec (ring.PackedBool, the bounded forms of
+// transport). A packing codec (ring.PackedBit, the bounded forms of
 // ring.Packed) is honoured either way, since every cost is an EncodedLen
 // sum of whole chunks.
 func Semiring3D[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *RowMat[T]) (p *RowMat[T], err error) {

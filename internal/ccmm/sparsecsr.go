@@ -74,21 +74,26 @@ func csrFold[T any](sr ring.Semiring[T], zero T, acc []ring.Tuple[T]) []ring.Tup
 }
 
 // csrAssemble builds the fresh output CSR from the folded rows: a
-// single-threaded RowPtr prefix sum and a parallel flat copy. Outputs are
-// never pooled.
-func csrAssemble[T any](net *clique.Network, rows [][]ring.Tuple[T]) *matrix.CSR[T] {
+// single-threaded RowPtr prefix sum and a parallel flat copy. A value-free
+// output (every stored entry the semiring one) gets no Val array. Outputs
+// are never pooled.
+func csrAssemble[T any](net *clique.Network, rows [][]ring.Tuple[T], valueFree bool) *matrix.CSR[T] {
 	n := len(rows)
 	out := matrix.NewCSR[T](n)
 	for x, row := range rows {
 		out.RowPtr[x+1] = out.RowPtr[x] + int64(len(row))
 	}
 	out.Col = make([]int32, out.RowPtr[n])
-	out.Val = make([]T, out.RowPtr[n])
+	if !valueFree {
+		out.Val = make([]T, out.RowPtr[n])
+	}
 	net.ForEach(func(x int) {
 		lo := out.RowPtr[x]
 		for i, tp := range rows[x] {
 			out.Col[lo+int64(i)] = tp.Idx
-			out.Val[lo+int64(i)] = tp.Val
+			if !valueFree {
+				out.Val[lo+int64(i)] = tp.Val
+			}
 		}
 	})
 	return out

@@ -40,9 +40,9 @@ func TestCSRMatchesDenseAllAlgebras(t *testing.T) {
 		}
 		diffSparse[int64](t, "min-plus", n, mp, mp, mapMat(base, toMP), mapMat(base2, toMP))
 
-		toBool := func(x int64) bool { return x != 0 }
-		diffSparse[bool](t, "bool", n, ring.Bool{}, ring.Bool{}, mapMat(base, toBool), mapMat(base2, toBool))
-		diffSparse[bool](t, "packed-bool", n, ring.Bool{}, ring.PackedBool{}, mapMat(base, toBool), mapMat(base2, toBool))
+		toBool := func(x int64) int64 { return ring.Bool{}.Add(x, 0) }
+		diffSparse[int64](t, "bool", n, ring.Bool{}, ring.Int64{}, mapMat(base, toBool), mapMat(base2, toBool))
+		diffSparse[int64](t, "packed-bool", n, ring.Bool{}, ring.PackedBit{}, mapMat(base, toBool), mapMat(base2, toBool))
 	}
 }
 
@@ -53,21 +53,20 @@ func TestCSRNilValAdjacency(t *testing.T) {
 	rng := rand.New(rand.NewPCG(15, 16))
 	a := sparseIntMat(rng, n, 3, 1)
 	b := sparseIntMat(rng, n, 3, 1)
-	keep := func(b bool) bool { return b }
-	toBool := func(x int64) bool { return x != 0 }
-	sa, sb := csrOf(mapMat(a, toBool), keep), csrOf(mapMat(b, toBool), keep)
+	keep := func(x int64) bool { return x != 0 }
+	sa, sb := csrOf(a, keep), csrOf(b, keep)
 
 	net := clique.New(n)
 	defer net.Close()
-	withVals, err := ccmm.SparseMulCSR[bool](net, nil, ring.Bool{}, ring.PackedBool{}, sa, sb)
+	withVals, err := ccmm.SparseMulCSR[int64](net, nil, ring.Bool{}, ring.PackedBit{}, sa, sb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	saN := &matrix.CSR[bool]{N: n, RowPtr: sa.RowPtr, Col: sa.Col}
-	sbN := &matrix.CSR[bool]{N: n, RowPtr: sb.RowPtr, Col: sb.Col}
+	saN := &matrix.CSR[int64]{N: n, RowPtr: sa.RowPtr, Col: sa.Col}
+	sbN := &matrix.CSR[int64]{N: n, RowPtr: sb.RowPtr, Col: sb.Col}
 	net2 := clique.New(n)
 	defer net2.Close()
-	nilVals, err := ccmm.SparseMulCSR[bool](net2, nil, ring.Bool{}, ring.PackedBool{}, saN, sbN)
+	nilVals, err := ccmm.SparseMulCSR[int64](net2, nil, ring.Bool{}, ring.PackedBit{}, saN, sbN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,8 +315,8 @@ func TestCSRNoDenseAllocs(t *testing.T) {
 
 // gnpCSR draws a GNP(n, c/n)-style adjacency as a nil-Val CSR directly —
 // geometric skip sampling, Θ(nnz) work and memory, never a dense row.
-func gnpCSR(rng *rand.Rand, n int, avgDeg float64) *matrix.CSR[bool] {
-	m := matrix.NewCSR[bool](n)
+func gnpCSR(rng *rand.Rand, n int, avgDeg float64) *matrix.CSR[int64] {
+	m := matrix.NewCSR[int64](n)
 	p := avgDeg / float64(n)
 	if p >= 1 {
 		p = 0.999
@@ -368,7 +367,7 @@ func TestCSRLargeMemoryFootprint(t *testing.T) {
 	net := clique.New(n)
 	defer net.Close()
 	before := ccmm.DenseAllocs()
-	sq, err := ccmm.SparseMulCSR[bool](net, nil, ring.Bool{}, ring.PackedBool{}, adj, adj)
+	sq, err := ccmm.SparseMulCSR[int64](net, nil, ring.Bool{}, ring.PackedBit{}, adj, adj)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,7 +140,9 @@ func SparseMul[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], cod
 // allocated, which the DenseAllocs counter asserts — and a fresh canonical
 // CSR product (strictly increasing columns, no stored semiring zeros),
 // bit-identical to compressing the RowMat product. A nil Val on an operand
-// means every stored entry is the semiring one (the adjacency convention).
+// means every stored entry is the semiring one (the adjacency convention);
+// so does the nil Val of a product over ring.Bool, whose stored entries
+// are all true.
 func SparseMulCSR[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], codec ring.Codec[T], s, t *matrix.CSR[T]) (p *matrix.CSR[T], err error) {
 	defer catchAbort(&err)
 	zero, one := sr.Zero(), sr.One()
@@ -164,7 +166,8 @@ func SparseMulCSR[T any](net *clique.Network, sc *Scratch, sr ring.Semiring[T], 
 				receive(x)
 				rows[x] = csrFold(sr, zero, rows[x])
 			})
-			return csrAssemble(net, rows)
+			_, valueFree := any(sr).(ring.Bool)
+			return csrAssemble(net, rows, valueFree)
 		},
 	})
 }

@@ -254,7 +254,8 @@ func genMinPlus(rng *rand.Rand) int64 { return rng.Int64N(150) - 50 }
 
 func genValW(rng *rand.Rand) ring.ValW { return ring.ValW{V: rng.Int64N(100), W: rng.Int64N(64)} }
 
-func genTrue(*rand.Rand) bool { return true }
+// genTrue draws a Boolean entry as its carriers hold it: 1 (true).
+func genTrue(*rand.Rand) int64 { return 1 }
 
 // diffSizes samples the awkward range 2..100: primes, powers, perfect
 // cubes and squares, and both neighbours of cube boundaries.
@@ -284,9 +285,9 @@ func TestTransportDifferentialBool(t *testing.T) {
 	br := ring.Bool{}
 	for _, codec := range []struct {
 		name string
-		c    ring.BulkCodec[bool]
-	}{{"unpacked", ring.AsBulk[bool](br)}, {"packed", ring.PackedBool{}}} {
-		parityOver[bool](t, diffSizes, 45, br, codec.c, genTrue,
+		c    ring.BulkCodec[int64]
+	}{{"unpacked", ring.Int64{}}, {"packed", ring.PackedBit{}}} {
+		parityOver[int64](t, diffSizes, 45, br, codec.c, genTrue,
 			func(engine string) string { return codec.name + "/" + engine })
 	}
 }
@@ -333,7 +334,7 @@ func TestTransportDifferentialLarge(t *testing.T) {
 	}
 	r := ring.Int64{}
 	parityOver[int64](t, []int{512}, 48, r, r, genInt, only("3d", "3d/int64"))
-	parityOver[bool](t, []int{512}, 48, ring.Bool{}, ring.PackedBool{}, genTrue, only("3d", "3d/packedbool"))
+	parityOver[int64](t, []int{512}, 48, ring.Bool{}, ring.PackedBit{}, genTrue, only("3d", "3d/packedbool"))
 }
 
 // TestWireScratchSurvivesAbort pins that a product aborted mid-schedule —

@@ -10,7 +10,7 @@ import (
 
 // BitDense is a packed Boolean matrix: each row is ⌈cols/64⌉ words with
 // element j in bit j%64 of word j/64 — exactly the layout of the
-// ring.PackedBool transport and graphs.Bitset, so rows move between the
+// ring.PackedBit transport and graphs.Bitset, so rows move between the
 // wire, the graph representation, and the local kernels without any bit
 // shuffling.
 //
@@ -42,7 +42,7 @@ func NewBitDense(rows, cols int) *BitDense {
 
 // Reset reshapes m to rows×cols reusing the backing storage when it is
 // large enough. The contents are undefined until every row is written
-// (SetRowBits or a kernel that overwrites its destination);
+// (PackDense or a kernel that overwrites its destination);
 // use Zero to clear explicitly.
 //
 //cc:hotpath
@@ -75,7 +75,7 @@ func (m *BitDense) Rows() int { return m.rows }
 func (m *BitDense) Cols() int { return m.cols }
 
 // Stride returns the number of words per row, ⌈cols/64⌉ — the length of
-// every RowWords slice and of a PackedBool encoding of one row.
+// every RowWords slice and of a PackedBit encoding of one row.
 func (m *BitDense) Stride() int { return m.stride }
 
 // RowWords returns row i's packed words as a live slice into the backing
@@ -94,12 +94,6 @@ func (m *BitDense) RowWords(i int) []uint64 {
 // RowWords call it once after writing.
 func (m *BitDense) Invalidate() { m.anyValid = false }
 
-// Get returns the entry at (i, j).
-func (m *BitDense) Get(i, j int) bool {
-	m.check(i, j)
-	return m.w[i*m.stride+j>>6]&(1<<(uint(j)&63)) != 0
-}
-
 // Set assigns the entry at (i, j).
 func (m *BitDense) Set(i, j int, v bool) {
 	m.check(i, j)
@@ -117,42 +111,23 @@ func (m *BitDense) check(i, j int) {
 	}
 }
 
-// SetRowBits packs vals (length cols) into row i.
-//
-//cc:hotpath
-func (m *BitDense) SetRowBits(i int, vals []bool) {
-	if len(vals) != m.cols {
-		panic(fmt.Sprintf("matrix: BitDense SetRowBits length %d != cols %d", len(vals), m.cols))
-	}
-	ring.PackBits(m.RowWords(i), vals)
-	m.anyValid = false
-}
-
-// UnpackRow writes row i into out (length cols).
-//
-//cc:hotpath
-func (m *BitDense) UnpackRow(i int, out []bool) {
-	if len(out) != m.cols {
-		panic(fmt.Sprintf("matrix: BitDense UnpackRow length %d != cols %d", len(out), m.cols))
-	}
-	ring.UnpackBits(out, m.RowWords(i))
-}
-
-// PackDense packs src into dst (reshaping dst as needed).
-func PackDense(dst *BitDense, src *Dense[bool]) {
+// PackDense packs src into dst (reshaping dst as needed): entry (i, j) is
+// set exactly when src's is non-zero.
+func PackDense(dst *BitDense, src *Dense[int64]) {
 	dst.Reset(src.rows, src.cols)
 	for i := 0; i < src.rows; i++ {
-		ring.PackBits(dst.RowWords(i), src.Row(i))
+		ring.PackedBit{}.EncodeSlice(dst.RowWords(i)[:0], src.Row(i))
 	}
 }
 
-// UnpackDense unpacks src into dst, which must already have src's shape.
-func UnpackDense(dst *Dense[bool], src *BitDense) {
+// UnpackDense unpacks src into dst as 0/1 entries; dst must already have
+// src's shape.
+func UnpackDense(dst *Dense[int64], src *BitDense) {
 	if dst.rows != src.rows || dst.cols != src.cols {
 		panic(fmt.Sprintf("matrix: UnpackDense %d×%d into %d×%d", src.rows, src.cols, dst.rows, dst.cols))
 	}
 	for i := 0; i < src.rows; i++ {
-		ring.UnpackBits(dst.Row(i), src.RowWords(i))
+		ring.PackedBit{}.DecodeSlice(dst.Row(i), src.RowWords(i))
 	}
 }
 
@@ -187,16 +162,6 @@ func (m *BitDense) NonzeroRows() []uint64 {
 	m.rowAny = ra
 	m.anyValid = true
 	return ra
-}
-
-// Count returns the number of true entries (AND–popcount accounting; pad
-// bits are zero by invariant).
-func (m *BitDense) Count() int {
-	c := 0
-	for _, wd := range m.w {
-		c += bits.OnesCount64(wd)
-	}
-	return c
 }
 
 // MulBitInto computes the Boolean product a·b into out, overwriting every

@@ -7,60 +7,52 @@ import (
 	"github.com/algebraic-clique/algclique/internal/ring"
 )
 
-// TestBitDenseRoundTrip checks Set/Get, SetRowBits/UnpackRow, and
-// PackDense/UnpackDense against each other across widths that straddle
-// word boundaries.
+// TestBitDenseRoundTrip checks PackDense/UnpackDense against each other
+// across widths that straddle word boundaries: every non-zero entry —
+// values other than 1 among them — packs as true and unpacks as 1.
 func TestBitDenseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 1))
 	for _, cols := range []int{1, 7, 63, 64, 65, 128, 130} {
 		rows := 9
 		src := randBoolDense(rng, rows, cols, 0.4)
-		m := NewBitDense(rows, cols)
-		for i := 0; i < rows; i++ {
-			m.SetRowBits(i, src.Row(i))
-		}
-		for i := 0; i < rows; i++ {
-			for j := 0; j < cols; j++ {
-				if m.Get(i, j) != src.At(i, j) {
-					t.Fatalf("cols=%d: Get(%d,%d) = %v after SetRowBits", cols, i, j, m.Get(i, j))
-				}
-			}
-		}
-		out := make([]bool, cols)
-		m.UnpackRow(rows/2, out)
-		for j, v := range out {
-			if v != src.At(rows/2, j) {
-				t.Fatalf("cols=%d: UnpackRow[%d] = %v", cols, j, v)
+		for i := range src.e {
+			if src.e[i] != 0 && rng.IntN(3) == 0 {
+				src.e[i] = []int64{-1, 2, 1 << 40}[rng.IntN(3)]
 			}
 		}
 		var packed BitDense
 		PackDense(&packed, src)
-		back := New[bool](rows, cols)
+		back := New[int64](rows, cols)
 		UnpackDense(back, &packed)
-		if !Equal[bool](ring.Bool{}, src, back) {
-			t.Fatalf("cols=%d: PackDense/UnpackDense round trip differs", cols)
+		for i := range src.e {
+			if want := (ring.Bool{}).Add(src.e[i], 0); back.e[i] != want {
+				t.Fatalf("cols=%d: entry %d (%d) round-tripped as %d, want %d", cols, i, src.e[i], back.e[i], want)
+			}
 		}
 		// Point mutation through Set.
-		m.Set(0, cols-1, !m.Get(0, cols-1))
-		if m.Get(0, cols-1) == src.At(0, cols-1) {
+		bit := func() bool { return packed.RowWords(0)[(cols-1)>>6]>>(uint(cols-1)&63)&1 == 1 }
+		was := bit()
+		packed.Set(0, cols-1, !was)
+		if bit() == was {
 			t.Fatalf("cols=%d: Set did not flip the entry", cols)
 		}
 	}
 }
 
 // TestBitDenseTransportLayout pins the shared bit layout: a row packed with
-// SetRowBits must be word-for-word identical to the ring.PackedBool
-// encoding of the same values.
+// PackDense has entry j in bit j%64 of word j/64, word for word the
+// ring.PackedBool encoding of the same truth values.
 func TestBitDenseTransportLayout(t *testing.T) {
 	rng := rand.New(rand.NewPCG(32, 2))
 	for _, cols := range []int{1, 64, 65, 200} {
+		src := randBoolDense(rng, 2, cols, 0.5)
 		vals := make([]bool, cols)
 		for j := range vals {
-			vals[j] = rng.IntN(2) == 1
+			vals[j] = src.At(0, j) != 0
 		}
 		enc := ring.PackedBool{}.EncodeSlice(nil, vals)
-		m := NewBitDense(2, cols)
-		m.SetRowBits(0, vals)
+		var m BitDense
+		PackDense(&m, src)
 		row := m.RowWords(0)
 		if len(enc) != len(row) {
 			t.Fatalf("cols=%d: EncodeSlice %d words, stride %d", cols, len(enc), len(row))
@@ -112,15 +104,15 @@ func TestMulBitIntoMatchesScalar(t *testing.T) {
 			r, k, c := sh[0], sh[1], sh[2]
 			a := randBoolDense(rng, r, k, p)
 			b := randBoolDense(rng, k, c, p)
-			want := New[bool](r, c)
+			want := New[int64](r, c)
 			MulBoolScalarInto(want, a, b)
 			pa, pb, pout := NewBitDense(r, k), NewBitDense(k, c), NewBitDense(r, c)
 			PackDense(pa, a)
 			PackDense(pb, b)
 			MulBitInto(pout, pa, pb)
-			got := New[bool](r, c)
+			got := New[int64](r, c)
 			UnpackDense(got, pout)
-			if !Equal[bool](ring.Bool{}, want, got) {
+			if !Equal[int64](ring.Int64{}, want, got) {
 				t.Fatalf("p=%v %dx%dx%d: packed product differs from scalar", p, r, k, c)
 			}
 		}
@@ -136,13 +128,14 @@ func TestBitDensePoolReuse(t *testing.T) {
 	}
 	PutBitDense(m)
 	m = GetBitDense(3, 3)
-	m.SetRowBits(0, []bool{true, false, false})
-	m.SetRowBits(1, []bool{false, true, false})
-	m.SetRowBits(2, []bool{false, false, true})
+	id := FromRows([][]int64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}})
+	PackDense(m, id)
 	out := GetBitDense(3, 3)
 	MulBitInto(out, m, m)
-	if got := out.Count(); got != 3 {
-		t.Fatalf("identity squared has %d bits, want 3", got)
+	got := New[int64](3, 3)
+	UnpackDense(got, out)
+	if !Equal[int64](ring.Int64{}, got, id) {
+		t.Fatalf("identity squared is %v, want the identity", got.e)
 	}
 	PutBitDense(m)
 	PutBitDense(out)

@@ -14,13 +14,8 @@ import (
 // tracked from PR to PR are the yardstick's matrix.ns_per_madd.* rates and
 // its dense_products workload (bench/).
 
-func benchBoolDense(n int, p float64, seed uint64) *Dense[bool] {
-	rng := rand.New(rand.NewPCG(seed, uint64(n)))
-	m := New[bool](n, n)
-	for i := range m.e {
-		m.e[i] = rng.Float64() < p
-	}
-	return m
+func benchBoolDense(n int, p float64, seed uint64) *Dense[int64] {
+	return randBoolDense(rand.New(rand.NewPCG(seed, uint64(n))), n, n, p)
 }
 
 func randMinPlusDense(n int, seed uint64) *Dense[int64] {
@@ -39,7 +34,7 @@ func randMinPlusDense(n int, seed uint64) *Dense[int64] {
 func BenchmarkMulBool(b *testing.B) {
 	for _, n := range []int{256, 512} {
 		a, c := benchBoolDense(n, 0.05, 81), benchBoolDense(n, 0.05, 82)
-		out := New[bool](n, n)
+		out := New[int64](n, n)
 		b.Run(fmt.Sprintf("packed/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				MulBoolInto(out, a, c)

@@ -14,10 +14,14 @@ type genericOnly[T any] struct {
 	ring.Semiring[T]
 }
 
-func randBoolDense(rng *rand.Rand, rows, cols int, p float64) *Dense[bool] {
-	m := New[bool](rows, cols)
+// randBoolDense returns a rows×cols 0/1 matrix whose entries are 1 with
+// probability p — the form Boolean products carry.
+func randBoolDense(rng *rand.Rand, rows, cols int, p float64) *Dense[int64] {
+	m := New[int64](rows, cols)
 	for i := range m.e {
-		m.e[i] = rng.Float64() < p
+		if rng.Float64() < p {
+			m.e[i] = 1
+		}
 	}
 	return m
 }
@@ -50,9 +54,9 @@ func TestMulBoolMatchesGeneric(t *testing.T) {
 		for _, n := range []int{1, 7, 16, 33} {
 			a := randBoolDense(rng, n, n, p)
 			b := randBoolDense(rng, n, n, p)
-			got := Mul[bool](br, a, b)
-			want := Mul[bool](genericOnly[bool]{br}, a, b)
-			if !Equal[bool](br, got, want) {
+			got := Mul[int64](br, a, b)
+			want := Mul[int64](genericOnly[int64]{br}, a, b)
+			if !Equal[int64](ring.Int64{}, got, want) {
 				t.Fatalf("p=%v n=%d: boolean kernel differs from generic path", p, n)
 			}
 		}
@@ -233,11 +237,11 @@ func TestMulBoolPackedMatchesScalarSweep(t *testing.T) {
 		}
 		a := randBoolDense(rng, n, n, p)
 		b := randBoolDense(rng, n, n, p)
-		got := New[bool](n, n)
+		got := New[int64](n, n)
 		MulBoolInto(got, a, b)
-		want := New[bool](n, n)
+		want := New[int64](n, n)
 		MulBoolScalarInto(want, a, b)
-		if !Equal[bool](ring.Bool{}, got, want) {
+		if !Equal[int64](ring.Int64{}, got, want) {
 			t.Fatalf("n=%d p=%v: packed Boolean kernel differs from scalar", n, p)
 		}
 	}

@@ -220,7 +220,7 @@ func MulInto[T any](r ring.Semiring[T], out, a, b *Dense[T]) {
 		mulInt64Into(any(out).(*Dense[int64]), any(a).(*Dense[int64]), any(b).(*Dense[int64]))
 		return
 	case ring.Bool:
-		MulBoolInto(any(out).(*Dense[bool]), any(a).(*Dense[bool]), any(b).(*Dense[bool]))
+		MulBoolInto(any(out).(*Dense[int64]), any(a).(*Dense[int64]), any(b).(*Dense[int64]))
 		return
 	case ring.MinPlus:
 		MulMinPlusInto(any(out).(*Dense[int64]), any(a).(*Dense[int64]), any(b).(*Dense[int64]))
@@ -281,16 +281,17 @@ func mulInt64Into(out, a, b *Dense[int64]) {
 	}
 }
 
-// MulBoolInto is the packed Boolean kernel behind MulInto: both operands
-// are packed into pooled BitDense scratch (64 entries per word, the
-// PackedBool layout), multiplied word-parallel by MulBitInto, and the
-// product unpacked into out. The b-row occupancy vector the scalar kernel
-// rebuilt with an O(n²) branchy scan per call is now the BitDense
-// nonzero-row cache, computed word-parallel. Results are bit-identical to
-// MulBoolScalarInto and the generic path (OR is idempotent and monotone).
+// MulBoolInto is the packed Boolean kernel behind MulInto over ring.Bool:
+// both operands' non-zero entries are packed into pooled BitDense scratch
+// (64 entries per word, the PackedBit layout), multiplied word-parallel by
+// MulBitInto, and the product unpacked into out as 0/1 entries. The b-row
+// occupancy vector the scalar kernel rebuilt with an O(n²) branchy scan
+// per call is now the BitDense nonzero-row cache, computed word-parallel.
+// Results are bit-identical to MulBoolScalarInto and the generic path (OR
+// is idempotent and monotone).
 //
 //cc:hotpath
-func MulBoolInto(out, a, b *Dense[bool]) {
+func MulBoolInto(out, a, b *Dense[int64]) {
 	sc := bitMulPool.Get().(*bitMulScratch)
 	PackDense(&sc.a, a)
 	PackDense(&sc.b, b)
@@ -303,14 +304,14 @@ func MulBoolInto(out, a, b *Dense[bool]) {
 // MulBoolScalarInto is the pre-packing scalar Boolean kernel, kept as the
 // differential-test reference and the scalar side of BenchmarkMulBool (the
 // packed kernel's rate is the yardstick's matrix.ns_per_madd.mulbit_256).
-// It ORs a·b with two
+// It ORs a·b, reading non-zero entries as true and writing 0/1, with two
 // short-circuits the Boolean algebra allows: b-rows with no true entry are
 // skipped outright, and the k loop stops as soon as an output row is
 // saturated (all true) — both invisible in the result, since OR is
 // monotone.
-func MulBoolScalarInto(out, a, b *Dense[bool]) {
+func MulBoolScalarInto(out, a, b *Dense[int64]) {
 	for i := range out.e {
-		out.e[i] = false
+		out.e[i] = 0
 	}
 	scratch := boolRowScratch.Get().(*[]bool)
 	defer boolRowScratch.Put(scratch)
@@ -321,7 +322,7 @@ func MulBoolScalarInto(out, a, b *Dense[bool]) {
 	for k := range bAny {
 		bAny[k] = false
 		for _, bv := range b.Row(k) {
-			if bv {
+			if bv != 0 {
 				bAny[k] = true
 				break
 			}
@@ -332,13 +333,13 @@ func MulBoolScalarInto(out, a, b *Dense[bool]) {
 		orow := out.Row(i)
 		unset := len(orow)
 		for k := 0; k < a.cols && unset > 0; k++ {
-			if !arow[k] || !bAny[k] {
+			if arow[k] == 0 || !bAny[k] {
 				continue
 			}
 			brow := b.Row(k)
 			for j, bv := range brow {
-				if bv && !orow[j] {
-					orow[j] = true
+				if bv != 0 && orow[j] == 0 {
+					orow[j] = 1
 					unset--
 				}
 			}

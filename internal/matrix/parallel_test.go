@@ -77,12 +77,16 @@ func TestParMulIntoMatchesSequential(t *testing.T) {
 func TestParMulIntoBoolAndMinPlus(t *testing.T) {
 	rng := rand.New(rand.NewPCG(93, 94))
 	n := 130
-	ab, bb := New[bool](n, n), New[bool](n, n)
+	ab, bb := New[int64](n, n), New[int64](n, n)
 	for i := range ab.e {
-		ab.e[i] = rng.IntN(3) == 0
-		bb.e[i] = rng.IntN(3) == 0
+		if rng.IntN(3) == 0 {
+			ab.e[i] = 1
+		}
+		if rng.IntN(3) == 0 {
+			bb.e[i] = 1
+		}
 	}
-	wantB := Mul[bool](ring.Bool{}, ab, bb)
+	wantB := Mul[int64](ring.Bool{}, ab, bb)
 	am, bm := New[int64](n, n), New[int64](n, n)
 	for i := range am.e {
 		if rng.IntN(5) == 0 {
@@ -98,7 +102,7 @@ func TestParMulIntoBoolAndMinPlus(t *testing.T) {
 	}
 	wantM := Mul[int64](ring.MinPlus{}, am, bm)
 	withWorkerCounts(t, func(t *testing.T, w *testWorkers) {
-		if got := ParMul[bool](w, ring.Bool{}, ab, bb); !Equal[bool](ring.Bool{}, wantB, got) {
+		if got := ParMul[int64](w, ring.Bool{}, ab, bb); !Equal[int64](ring.Int64{}, wantB, got) {
 			t.Fatalf("Boolean ParMul differs from Mul")
 		}
 		if got := ParMul[int64](w, ring.MinPlus{}, am, bm); !Equal[int64](ring.MinPlus{}, wantM, got) {

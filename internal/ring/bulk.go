@@ -9,10 +9,10 @@ package ring
 //
 //   - EncodedLen(k) is the number of words a k-element slice occupies. For
 //     fixed-width codecs it is k·Width(), so the wire format (and therefore
-//     every round count) is unchanged; a packing codec such as PackedBool
+//     every round count) is unchanged; a packing codec such as PackedBit
 //     may return fewer words.
 //   - A slice encoding is one atomic chunk. It is NOT guaranteed to be the
-//     concatenation of per-element encodings (PackedBool's is not), and it
+//     concatenation of per-element encodings (PackedBit's is not), and it
 //     may only be decoded from its first word. Protocols that concatenate
 //     several chunks into one message must place each chunk at the word
 //     offset given by the EncodedLen sums of the chunks before it — which
@@ -179,38 +179,9 @@ func (MinPlusW) DecodeSlice(out []ValW, src []Word) {
 	}
 }
 
-// EncodedLen returns count (one full word per boolean; see PackedBool for
-// the bit-packed transport).
-func (Bool) EncodedLen(count int) int { return count }
-
-// EncodeSlice appends vals as 0/1 words.
-//
-//cc:hotpath
-func (Bool) EncodeSlice(dst []Word, vals []bool) []Word {
-	dst, w := grow(dst, len(vals))
-	for i, v := range vals {
-		if v {
-			w[i] = 1
-		} else {
-			w[i] = 0
-		}
-	}
-	return dst
-}
-
-// DecodeSlice decodes 0/1 words.
-//
-//cc:hotpath
-func (Bool) DecodeSlice(out []bool, src []Word) {
-	for i := range out {
-		out[i] = src[i] != 0
-	}
-}
-
 var (
 	_ BulkCodec[int64] = Int64{}
 	_ BulkCodec[int64] = MinPlus{}
 	_ BulkCodec[int64] = Zp{}
 	_ BulkCodec[ValW]  = MinPlusW{}
-	_ BulkCodec[bool]  = Bool{}
 )

@@ -46,6 +46,10 @@ func valW(b []byte) ring.ValW { return ring.ValW{V: nearInf(b[:8]), W: word(b[8:
 
 func bit(b []byte) bool { return b[0]&1 == 1 }
 
+// truthByte reads a Boolean carried in int64 from 1 byte: the byte itself,
+// so values other than 0 and 1 (true) occur.
+func truthByte(b []byte) int64 { return int64(b[0]) }
+
 // checkBulk asserts the bulk contract on one chunk: EncodeSlice appends
 // exactly EncodedLen(len(vals)) words onto a non-empty dst — overwriting
 // whatever stale words the spare capacity held, never the prefix — and
@@ -133,7 +137,8 @@ func clampTo(v, max int64) int64 {
 // chunk format can invert it), leave the words before it alone, and decode
 // from its first word only. Byte 0 of the input picks the codec (mod 9):
 // Int64, MinPlus (values at and around Inf), Zp residues, MinPlusW pairs,
-// Bool, PackedBool, the AsBulk adapter over a per-element MinPlusW, and
+// PackedBit (any byte value, decoded as its 0/1 truth value), PackedBool,
+// the AsBulk adapter over a per-element MinPlusW, and
 // the two value forms of the one packing layout, ring.Packed — the
 // bounded min-plus form at any width 1 … 64 and any bound that width
 // carries (values around the bound clamp to Inf above it), and the
@@ -158,7 +163,12 @@ func FuzzBulkCodec(f *testing.F) {
 		case 3:
 			checkBulk(t, ring.BulkCodec[ring.ValW](ring.MinPlusW{}), valuesFromBytes(body, 16, valW))
 		case 4:
-			checkBulk(t, ring.BulkCodec[bool](ring.Bool{}), valuesFromBytes(body, 1, bit))
+			vals := valuesFromBytes(body, 1, truthByte)
+			want := make([]int64, len(vals))
+			for i, v := range vals {
+				want[i] = ring.Bool{}.Add(v, 0)
+			}
+			checkBulkAs(t, ring.BulkCodec[int64](ring.PackedBit{}), vals, want)
 		case 5:
 			checkBulk(t, ring.BulkCodec[bool](ring.PackedBool{}), valuesFromBytes(body, 1, bit))
 		case 6:

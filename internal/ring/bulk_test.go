@@ -87,12 +87,13 @@ func TestBulkCodecsRoundTrip(t *testing.T) {
 	}
 	roundTrip(t, "MinPlusW", ring.MinPlusW{}, valws, func(a, b ring.ValW) bool { return a == b }, true)
 
-	bools := make([]bool, k)
+	bools, truths := make([]bool, k), make([]int64, k)
 	for i := range bools {
 		bools[i] = rng.IntN(2) == 1
+		truths[i] = rng.Int64N(5) - 2
 	}
-	roundTrip(t, "Bool", ring.Bool{}, bools, func(a, b bool) bool { return a == b }, true)
 	roundTrip(t, "PackedBool", ring.PackedBool{}, bools, func(a, b bool) bool { return a == b }, false)
+	roundTrip(t, "PackedBit", ring.PackedBit{}, truths, ring.Bool{}.Equal, false)
 }
 
 // TestPackedBoolLayout pins the packed transport: ⌈k/64⌉ words, element i
@@ -123,7 +124,7 @@ func TestPackedBoolLayout(t *testing.T) {
 			t.Fatalf("bit %d round-tripped wrong", i)
 		}
 	}
-	// Single-element encoding coincides with Bool's word.
+	// Single-element encoding is the 0/1 word.
 	var one [1]ring.Word
 	p.Encode(true, one[:])
 	if one[0] != 1 || !p.Decode(one[:]) {
@@ -135,16 +136,16 @@ func TestPackedBoolLayout(t *testing.T) {
 // disturbing already-encoded chunks — the chunk-concatenation contract the
 // engines rely on for multi-part messages.
 func TestBulkAppendPreservesPrefix(t *testing.T) {
-	p := ring.PackedBool{}
-	a := []bool{true, false, true}
-	b := []bool{false, true}
+	p := ring.PackedBit{}
+	a := []int64{1, 0, 1}
+	b := []int64{0, 1}
 	msg := p.EncodeSlice(nil, a)
 	msg = p.EncodeSlice(msg, b)
 	if len(msg) != p.EncodedLen(len(a))+p.EncodedLen(len(b)) {
 		t.Fatalf("chunked message length %d", len(msg))
 	}
-	gotA := make([]bool, len(a))
-	gotB := make([]bool, len(b))
+	gotA := make([]int64, len(a))
+	gotB := make([]int64, len(b))
 	p.DecodeSlice(gotA, msg)
 	p.DecodeSlice(gotB, msg[p.EncodedLen(len(a)):])
 	for i := range a {
@@ -162,7 +163,8 @@ func TestBulkAppendPreservesPrefix(t *testing.T) {
 // TestPackedWidthOneIsPackedBool pins PackedBool as the b = 1 case of the
 // packing layout: for every length 0 … 200 the width-1 bounded min-plus
 // form's chunk of 0 / Inf is PackedBool's chunk of false / true word for
-// word.
+// word, and so is PackedBit's chunk of the same truth values — entries
+// other than 0 and 1 packing as true — which decodes to 0/1.
 func TestPackedWidthOneIsPackedBool(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	mp := ring.NewPackedMinPlus(0)
@@ -170,16 +172,27 @@ func TestPackedWidthOneIsPackedBool(t *testing.T) {
 		t.Fatalf("NewPackedMinPlus(0) is %d bits wide, want 1", mp.Bits)
 	}
 	for k := 0; k <= 200; k++ {
-		bools, dists := make([]bool, k), make([]int64, k)
+		bools, dists, truths := make([]bool, k), make([]int64, k), make([]int64, k)
 		for i := range bools {
 			bools[i] = rng.IntN(2) == 1
 			if bools[i] {
 				dists[i] = ring.Inf
+				truths[i] = []int64{1, -1, 2, ring.Inf}[rng.IntN(4)]
 			}
 		}
 		want := ring.PackedBool{}.EncodeSlice(nil, bools)
 		if got := mp.EncodeSlice(nil, dists); !slices.Equal(got, want) {
 			t.Fatalf("k=%d: width-1 min-plus chunk %x, PackedBool's %x", k, got, want)
+		}
+		if got := (ring.PackedBit{}).EncodeSlice(nil, truths); !slices.Equal(got, want) {
+			t.Fatalf("k=%d: PackedBit chunk %x, PackedBool's %x", k, got, want)
+		}
+		back := make([]int64, k)
+		ring.PackedBit{}.DecodeSlice(back, want)
+		for i, v := range truths {
+			if want := (ring.Bool{}).Add(v, 0); back[i] != want {
+				t.Fatalf("k=%d: PackedBit decoded entry %d (%d) as %d, want %d", k, i, v, back[i], want)
+			}
 		}
 	}
 }

@@ -7,7 +7,7 @@ import "math/bits"
 // (i mod per)·b + b) of word i/per, the top 64 mod b bits of every word
 // zero. Its entries are codes 0 … 2^b − 1; the all-ones code (Sentinel)
 // is the one the value forms reserve for ∞ and NoWitness. Packed{Bits: 1}
-// is PackedBool's layout: 64 entries per word, entry i in bit i%64 of
+// is PackedBit's layout: 64 entries per word, entry i in bit i%64 of
 // word i/64.
 //
 // Packing is faithful to the simulator's cost model. The model's message

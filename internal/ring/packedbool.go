@@ -1,19 +1,69 @@
 package ring
 
-// PackedBool is the bit-packed Boolean transport codec, the b = 1 case of
-// the Packed layout: a slice of k booleans ships as ⌈k/64⌉ words, element
-// i in bit i%64 of word i/64 (little-endian bit order), instead of one
-// full word per entry. Packed documents why packing is faithful to the
+// PackedBit is the bit-packed Boolean transport codec, the b = 1 form of
+// the Packed layout on int64: a slice of k entries ships as ⌈k/64⌉ words,
+// entry i as bit i%64 of word i/64 (little-endian bit order), set exactly
+// when the entry is non-zero — the truth value ring.Bool reads — and
+// decoded as 0 or 1. Packed documents why packing is faithful to the
 // simulator's cost model: Boolean-product bandwidth, and with it the
 // simulated round count, drops by the word width, and the layout is fixed
-// by the element count alone, so routing stays oblivious. Its kernels are
-// PackBits and UnpackBits, which graphs.Bitset and matrix.BitDense share.
+// by the element count alone, so routing stays oblivious. matrix.BitDense
+// rows are this layout, so a packed row moves between the wire and the
+// local kernels without re-shuffling.
 //
-// PackedBool is a pure transport: the algebra is still ring.Bool. Its
-// single-element encoding (Width 1, bit 0 of one word) coincides with
-// Bool's 0/1 word, but slice encodings are NOT concatenations of element
-// encodings — decode a chunk only from its first word, as the BulkCodec
-// contract requires.
+// PackedBit is a pure transport: the algebra is ring.Bool. A lone entry
+// (Width 1) sits in bit 0 of one word, which is also its slice encoding;
+// longer slice encodings are NOT concatenations of element encodings —
+// decode a chunk only from its first word, as the BulkCodec contract
+// requires.
+type PackedBit struct{}
+
+var _ BulkCodec[int64] = PackedBit{}
+
+// Width returns 1: a lone entry still occupies a full word.
+func (PackedBit) Width() int { return 1 }
+
+// Encode stores one entry's truth value in bit 0.
+func (PackedBit) Encode(v int64, dst []Word) { dst[0] = Word(truth(v != 0)) }
+
+// Decode reads one entry, 0 or 1, from bit 0.
+func (PackedBit) Decode(src []Word) int64 { return int64(src[0] & 1) }
+
+// EncodedLen returns ⌈count/64⌉, the 1-bit layout's length.
+func (PackedBit) EncodedLen(count int) int { return Packed{Bits: 1}.EncodedLen(count) }
+
+// EncodeSlice appends vals packed 64 entries per word, a bit set for every
+// non-zero entry; the pad bits past len(vals) are zero.
+//
+//cc:hotpath
+func (PackedBit) EncodeSlice(dst []Word, vals []int64) []Word {
+	dst, w := grow(dst, PackedBit{}.EncodedLen(len(vals)))
+	for j := range w {
+		var acc Word
+		for i, v := range vals[j*64 : min(j*64+64, len(vals))] {
+			if v != 0 {
+				acc |= 1 << uint(i)
+			}
+		}
+		w[j] = acc
+	}
+	return dst
+}
+
+// DecodeSlice unpacks len(out) entries, each 0 or 1, from the chunk at
+// src[0].
+//
+//cc:hotpath
+func (PackedBit) DecodeSlice(out []int64, src []Word) {
+	for i := range out {
+		out[i] = int64(src[i>>6] >> (uint(i) & 63) & 1)
+	}
+}
+
+// PackedBool is PackedBit's layout over a []bool: element i of a slice in
+// bit i%64 of word i/64. The engines carry Boolean products in int64 and
+// ship them through PackedBit; PackedBool and its kernels PackBits and
+// UnpackBits write the same words for the same truth values.
 type PackedBool struct{}
 
 var _ BulkCodec[bool] = PackedBool{}
@@ -21,7 +71,7 @@ var _ BulkCodec[bool] = PackedBool{}
 // Width returns 1: a lone boolean still occupies a full word.
 func (PackedBool) Width() int { return 1 }
 
-// Encode stores a single bool in bit 0 (identical to Bool's encoding).
+// Encode stores a single bool in bit 0.
 func (PackedBool) Encode(v bool, dst []Word) {
 	if v {
 		dst[0] = 1
@@ -53,9 +103,7 @@ func (PackedBool) DecodeSlice(out []bool, src []Word) {
 }
 
 // PackBits packs vals into dst, 64 entries per word, element i in bit i%64
-// of word i/64 — the one bit layout shared by the PackedBool transport,
-// graphs.Bitset, and the matrix.BitDense local kernels, so packed rows move
-// between the three without any re-shuffling. dst must hold at least
+// of word i/64 — the 1-bit layout of PackedBit. dst must hold at least
 // ⌈len(vals)/64⌉ words; the words covered by vals are fully overwritten
 // (trailing pad bits are cleared), words beyond them are untouched.
 //

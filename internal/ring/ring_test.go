@@ -94,10 +94,25 @@ func TestInt64LawsQuick(t *testing.T) {
 	}
 }
 
+// TestBoolLaws checks the Boolean semiring on int64 carriers, values other
+// than 0 and 1 among them (every non-zero value is true): the laws hold up
+// to truth value, Add and Mul answer 0 or 1, and PackedBit carries an
+// entry's truth value.
 func TestBoolLaws(t *testing.T) {
-	gen := func(rng *rand.Rand) bool { return rng.IntN(2) == 0 }
-	semiringLaws[bool](t, ring.Bool{}, gen)
-	codecRoundTrip[bool](t, ring.Bool{}, func(a, b bool) bool { return a == b }, gen)
+	b := ring.Bool{}
+	gen := func(rng *rand.Rand) int64 { return rng.Int64N(5) - 2 }
+	semiringLaws[int64](t, b, gen)
+	codecRoundTrip[int64](t, ring.PackedBit{}, b.Equal, gen)
+	for x := int64(-2); x <= 2; x++ {
+		for y := int64(-2); y <= 2; y++ {
+			if s, p := b.Add(x, y), b.Mul(x, y); s < 0 || s > 1 || p < 0 || p > 1 {
+				t.Fatalf("Add(%d, %d) = %d, Mul = %d: not 0/1", x, y, s, p)
+			}
+			if b.Equal(x, y) != ((x != 0) == (y != 0)) {
+				t.Fatalf("Equal(%d, %d) = %v compares more than truth", x, y, b.Equal(x, y))
+			}
+		}
+	}
 }
 
 func TestZpLaws(t *testing.T) {

@@ -41,7 +41,7 @@ func AppendTuples[T any](dst []Tuple[T], cols []int32, vals []T, one T) []Tuple[
 //
 // so EncodedLen(k) = k + Val.EncodedLen(k). Keeping the values in one
 // inner bulk chunk preserves a packing value codec's compression —
-// Boolean tuples ship their k values in ⌈k/64⌉ words through PackedBool —
+// Boolean tuples ship their k values in ⌈k/64⌉ words through PackedBit —
 // and keeps the chunk contract of BulkCodec: a chunk is atomic, decodable
 // only from its first word, and not necessarily the concatenation of
 // per-element encodings.

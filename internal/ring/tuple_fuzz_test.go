@@ -14,8 +14,8 @@ const maxFuzzTuples = 300
 // tuplesFromBytes decodes a fuzz input into tuples: 4 bytes of index each
 // (little-endian, the sign bit masked off, so 0 … 2³¹−1), then the value —
 // 8 bytes for int64 and min-plus, whose values at or beyond ±Inf read as
-// Inf, and the low bit of 1 byte for Boolean. A trailing partial tuple is
-// dropped.
+// Inf, and the low bit of 1 byte for Boolean (0 or 1). A trailing partial
+// tuple is dropped.
 func tuplesFromBytes[T any](data []byte, width int, val func([]byte) T) []ring.Tuple[T] {
 	var out []ring.Tuple[T]
 	for len(data) >= 4+width && len(out) < maxFuzzTuples {
@@ -88,8 +88,8 @@ func FuzzTupleCodec(f *testing.F) {
 				return ring.Inf
 			}))
 		default:
-			checkTupleCodec(t, ring.NewTupleCodec[bool](ring.PackedBool{}), tuplesFromBytes(data[1:], 1, func(b []byte) bool {
-				return b[0]&1 == 1
+			checkTupleCodec(t, ring.NewTupleCodec[int64](ring.PackedBit{}), tuplesFromBytes(data[1:], 1, func(b []byte) int64 {
+				return int64(b[0] & 1)
 			}))
 		}
 	})

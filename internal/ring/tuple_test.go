@@ -49,14 +49,13 @@ func TestTupleCodecRoundTrip(t *testing.T) {
 	roundTripTuples[ring.ValW](t, "min-plus-w", ring.MinPlusW{}, func(rng *rand.Rand) ring.ValW {
 		return ring.ValW{V: rng.Int64N(1000), W: rng.Int64N(64)}
 	}, func(a, b ring.ValW) bool { return a == b })
-	roundTripTuples[bool](t, "bool", ring.Bool{}, func(rng *rand.Rand) bool { return rng.IntN(2) == 1 }, func(a, b bool) bool { return a == b })
-	roundTripTuples[bool](t, "packed-bool", ring.PackedBool{}, func(rng *rand.Rand) bool { return rng.IntN(2) == 1 }, func(a, b bool) bool { return a == b })
+	roundTripTuples[int64](t, "packed-bool", ring.PackedBit{}, func(rng *rand.Rand) int64 { return rng.Int64N(5) - 2 }, ring.Bool{}.Equal)
 }
 
-// The packed tuple stream must keep PackedBool's compression: k tuples
+// The packed tuple stream must keep PackedBit's compression: k tuples
 // cost k index words plus ⌈k/64⌉ value words, not 2k.
 func TestTupleCodecPackedLen(t *testing.T) {
-	tc := ring.NewTupleCodec[bool](ring.PackedBool{})
+	tc := ring.NewTupleCodec[int64](ring.PackedBit{})
 	for _, k := range []int{1, 64, 65, 128, 1000} {
 		want := k + (k+63)/64
 		if got := tc.EncodedLen(k); got != want {
@@ -118,18 +117,18 @@ func TestTupleCodecWideIndices(t *testing.T) {
 		check("min-plus-w", got)
 	}
 	{
-		tc := ring.NewTupleCodec[bool](ring.PackedBool{})
-		tups := make([]ring.Tuple[bool], len(idxs))
+		tc := ring.NewTupleCodec[int64](ring.PackedBit{})
+		tups := make([]ring.Tuple[int64], len(idxs))
 		for i, x := range idxs {
-			tups[i] = ring.Tuple[bool]{Idx: x, Val: i%2 == 0}
+			tups[i] = ring.Tuple[int64]{Idx: x, Val: int64(1 - i%2)}
 		}
 		enc, vbuf := tc.EncodeSlice(nil, tups, nil)
-		out := make([]ring.Tuple[bool], len(idxs))
+		out := make([]ring.Tuple[int64], len(idxs))
 		tc.DecodeSlice(out, enc, vbuf)
 		got := make([]int32, len(out))
 		for i := range out {
 			got[i] = out[i].Idx
-			if out[i].Val != (i%2 == 0) {
+			if out[i].Val != int64(1-i%2) {
 				t.Fatalf("packed-bool: value %d decoded as %v", i, out[i].Val)
 			}
 		}
