@@ -136,72 +136,96 @@ func predictSparseRounds(n int, rhoA, rhoB int64, tupleWords int) float64 {
 }
 
 // predictDenseRounds estimates the resolved dense engine's round count for
-// an n-clique product whose elements occupy wd words each (fractional for
-// packing transports: wd = EncodedLen(n)/n). The constants are calibrated
-// against the simulator's measured schedules — the 3D engine moves
-// Θ(b²/n) words per link for its block side b (cubeLayout), the bilinear
-// engine Θ(n/d²), the naive gather Θ(n) — and deliberately stay on the low
-// side for small wd so the planner never abandons a cheap packed dense
-// product.
-func (p *Plan) predictDenseRounds(e Engine, wd float64) float64 {
+// an n-clique product whose k-entry chunks occupy wd(k) words per entry on
+// that engine's wire (1 for one-word entries, fractional for packing
+// codecs: EncodedLen(k)/k). The constants are calibrated against the
+// simulator's measured schedules, and each term is priced at the width of
+// the chunks its phases ship:
+//
+//   - The bilinear engine moves Θ(n/d²) words per link in its combine and
+//     products phases, which ship pieces of q/d entries, plus about 4
+//     rounds at one word per entry in its distribute and assemble phases,
+//     which ship rows of q entries.
+//   - The 3D engine moves Θ(b²/n) words per link for its block side b
+//     (cubeLayout), priced at the width of a row of n entries and at
+//     least 3 rounds. Once a block row exceeds two words its two exchanges
+//     relay, and relayed rows of row words take no fewer than
+//     4 + 3·(c² + b)·row/n rounds — each node's load in laps of n words
+//     over the four phases, plus about a round each. Small packed rows
+//     reach that floor; one-word entries stay above it.
+//   - The naive gather moves Θ(n) words per link.
+//
+// Within those, the estimates deliberately stay on the low side for small
+// widths so the planner never abandons a cheap packed dense product.
+func (p *Plan) predictDenseRounds(e Engine, wd func(k int) float64) float64 {
 	n := float64(p.N)
 	switch e {
 	case EngineFast:
-		d := 2.0
-		if p.Scheme != nil {
-			d = float64(p.Scheme.D)
-		}
-		return 4*wd*n/(d*d) + 4
+		d, _, row, piece := p.fastShape()
+		return 4*wd(piece)*n/(d*d) + 4*wd(row)
 	case Engine3D:
-		b := float64(newCubeLayout(p.N).b)
-		return math.Max(3, 7*wd*b*b/n)
+		lay := newCubeLayout(p.N)
+		c, b := float64(lay.c), float64(lay.b)
+		rounds := math.Max(3, 7*wd(p.N)*b*b/n)
+		if row := wd(lay.b) * b; row > 2 {
+			rounds = math.Max(rounds, 4+3*(c*c+b)*row/n)
+		}
+		return rounds
 	default: // EngineNaive
-		return wd*n + 2
+		return wd(p.N)*n + 2
 	}
 }
 
 // predictDenseWords estimates the words the resolved dense engine e
-// charges for an n-clique product whose elements occupy wd words each on
-// that engine's wire. The 3D engine ships nothing longer than a b-entry
-// block row, so its wd is the width of one (EncodedLen(b)/b: a packed
-// Boolean block row of up to 64 entries is one word); the others ship rows
-// of n entries. Calibrated like the rounds: the 3D engine's distribute and
-// products phases send about 3·c³·b block rows, one message per link,
-// which go direct while a row is one word and otherwise ride the two-phase
-// schedule, whose relay charges every word twice; the bilinear engine
-// charges (6 + 3m/d²)·n² for a scheme of m products on d×d blocks —
-// 11.25·n² for Strassen's, 15.2·n² for its square — and the naive gather
+// charges for an n-clique product whose k-entry chunks occupy wd(k) words
+// per entry on that engine's wire. Each engine is priced at the chunks it
+// ships. The 3D engine ships nothing longer than a b-entry block row (a
+// packed Boolean block row of up to 64 entries is one word); its
+// distribute and products phases send about 3·c³·b block rows, one
+// message per link, which go direct while a row is at most two words (the
+// two-phase schedule takes two rounds at least) and otherwise ride that
+// schedule, whose relay charges every word twice. The
+// bilinear engine charges about 6·n² in q-entry row chunks and 3m/d²·n²
+// in q/d-entry piece chunks for a scheme of m products on d×d blocks —
+// 11.25·n² in all for Strassen's, 15.2·n² for its square. The naive gather
 // ships every row to every other node.
-func (p *Plan) predictDenseWords(e Engine, wd float64) float64 {
+func (p *Plan) predictDenseWords(e Engine, wd func(k int) float64) float64 {
 	n := float64(p.N)
 	switch e {
 	case EngineFast:
-		d, m := 2.0, 7.0
-		if p.Scheme != nil {
-			d, m = float64(p.Scheme.D), float64(p.Scheme.M)
-		}
-		return (6 + 3*m/(d*d)) * n * n * wd
+		d, m, row, piece := p.fastShape()
+		return (6*wd(row) + 3*m/(d*d)*wd(piece)) * n * n
 	case Engine3D:
 		lay := newCubeLayout(p.N)
 		c, b := float64(lay.c), float64(lay.b)
-		row, relay := wd*b, 2.0
-		if row <= 1 {
+		row, relay := wd(lay.b)*b, 2.0
+		if row <= 2 {
 			relay = 1
 		}
 		return 3 * relay * c * c * c * b * row
 	default: // EngineNaive
-		return wd * n * n * (n - 1)
+		return wd(p.N) * n * n * (n - 1)
 	}
+}
+
+// fastShape returns the bilinear engine's block dimension d, its scheme's
+// product count m, and the entries of its two chunk kinds: rows of q = √n
+// in the distribute and assemble phases, pieces of q/d in the combine and
+// products phases. Without a scheme (forcing the engine then fails at
+// multiply time) it prices Strassen's d = 2, m = 7.
+func (p *Plan) fastShape() (d, m float64, row, piece int) {
+	q := isqrt(p.N)
+	if p.Scheme == nil {
+		return 2, 7, q, max(1, q/2)
+	}
+	return float64(p.Scheme.D), float64(p.Scheme.M), q, q / p.Scheme.D
 }
 
 // denseCost is the planner's price of a product of algebra a on the dense
 // engine e: predicted rounds and words.
 func denseCost[T any](p *Plan, a *algebra[T], e Engine) (rounds, words float64) {
-	row := p.N
-	if e == Engine3D {
-		row = newCubeLayout(p.N).b
-	}
-	return p.predictDenseRounds(e, a.entryWords(e, p.N)), p.predictDenseWords(e, a.entryWords(e, row))
+	wd := func(k int) float64 { return a.entryWords(e, k) }
+	return p.predictDenseRounds(e, wd), p.predictDenseWords(e, wd)
 }
 
 // denseEngine picks the dense engine of a product of algebra a whose plan
@@ -209,8 +233,11 @@ func denseCost[T any](p *Plan, a *algebra[T], e Engine) (rounds, words float64) 
 // that the 3D engine replaces the bilinear one wherever it applies and is
 // predicted to charge fewer rounds and no more words. A Boolean product
 // takes that trade at every scheme size — bit-packed block rows against
-// the bilinear engine's one-word integer embedding — while an integer one
-// keeps the bilinear engine: where 3D would save rounds it costs words.
+// the bilinear engine's one-word integer embedding — while a full-width
+// integer one keeps the bilinear engine: where 3D would save rounds it
+// costs words. An integer product shipped as narrow residues
+// (ring.PackedInt) may take it: at n = 144 one of 8 bits does, one of 15
+// does not.
 func denseEngine[T any](p *Plan, a *algebra[T], e Engine) Engine {
 	if p.Requested != EngineAuto || e != EngineFast || p.SemiringEngine != Engine3D {
 		return e
@@ -301,7 +328,7 @@ func route[T, P any](net *clique.Network, p *Plan, sc *Scratch, a *algebra[T], o
 	if p.censusApplies(net) {
 		rt.Census = true
 		rt.RhoA, rt.RhoB = census(net, sc, ops.count)
-		densePred := p.predictDenseRounds(rt.Engine, a.entryWords(rt.Engine, n))
+		densePred, _ := denseCost(p, a, rt.Engine)
 		if chooseSparse(n, rt.RhoA, rt.RhoB, a.tupleWords, densePred, sparseThreshold(net)) {
 			r0, w0 := net.Rounds(), net.Words()
 			out, err = ops.sparse(sc)

@@ -3,6 +3,7 @@ package ccmm
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"github.com/algebraic-clique/algclique/internal/clique"
@@ -30,23 +31,28 @@ func randomOperand(rng *rand.Rand, n int, deg float64, zero int64, boolean bool)
 
 // TestDenseChoiceMatchesCharges grades the dense engine an Auto plan picks
 // against what the two candidates charge: on every scheme size probed, a
-// dense integer or Boolean product runs both FastBilinear and Semiring3D
-// on fresh networks, and denseEngine must pick 3D exactly when 3D charged
-// fewer rounds and no more words. The truth it pins: every Boolean
-// product goes 3D (bit-packed block rows against a one-word integer
-// embedding), no integer one does (where 3D saves rounds, at n = 100, 196
-// and 256, it costs two to three times the words). Min-plus is not a ring
-// and never reaches the bilinear engine, whatever the size.
+// dense integer, Boolean or bounded integer product runs both FastBilinear
+// and Semiring3D on fresh networks, and denseEngine must pick 3D exactly
+// when 3D charged fewer rounds and no more words. The truth it pins: every
+// Boolean product goes 3D (bit-packed block rows against a one-word
+// integer embedding), no full-width integer one does (where 3D saves
+// rounds, at n = 100, 196 and 256, it costs two to three times the
+// words), and a bounded integer product (ring.PackedInt) goes 3D at 8 bits
+// on n = 16, 64 and 144 and at 15 bits on n = 16 only — at n = 64 the two
+// engines tie at 10 rounds. Min-plus is not a ring and never reaches the
+// bilinear engine, whatever the size.
 func TestDenseChoiceMatchesCharges(t *testing.T) {
 	rng := rand.New(rand.NewPCG(43, 1))
 	for _, alg := range []struct {
 		name    string
 		a       *algebra[int64]
-		want3D  bool
+		want3D  []int // the sizes at which 3D wins
 		boolean bool
 	}{
-		{"int", &intAlgebra, false, false},
-		{"bool", &boolAlgebra, true, true},
+		{"int", &intAlgebra, nil, false},
+		{"bool", &boolAlgebra, []int{16, 64, 100, 144, 196, 256}, true},
+		{"int8", &boundedIntAlgebras[8], []int{16, 64, 144}, true},
+		{"int15", &boundedIntAlgebras[15], []int{16}, true},
 	} {
 		for _, n := range []int{16, 64, 100, 144, 196, 256} {
 			t.Run(fmt.Sprintf("%s/n=%d", alg.name, n), func(t *testing.T) {
@@ -80,8 +86,8 @@ func TestDenseChoiceMatchesCharges(t *testing.T) {
 				if (got == Engine3D) != charged3D {
 					t.Errorf("auto picks %v; 3D charged %d/%d against fast's %d/%d", got, rounds[1], words[1], rounds[0], words[0])
 				}
-				if (got == Engine3D) != alg.want3D {
-					t.Errorf("auto picks %v for %s at n = %d, want 3D = %v", got, alg.name, n, alg.want3D)
+				if want := slices.Contains(alg.want3D, n); (got == Engine3D) != want {
+					t.Errorf("auto picks %v for %s at n = %d, want 3D = %v", got, alg.name, n, want)
 				}
 			})
 		}

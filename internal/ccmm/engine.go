@@ -22,8 +22,9 @@ const (
 	// its engine from the predicted costs: the density census may route
 	// it through EngineSparse, and a dense-routed product trades
 	// FastBilinear for Semiring3D where that is predicted to charge fewer
-	// rounds and no more words — every Boolean product, no integer one at
-	// the scheme sizes (see denseEngine in census.go).
+	// rounds and no more words — every Boolean product, no full-width
+	// integer one at the scheme sizes, and some integer ones shipped as
+	// narrow residues (see denseEngine in census.go).
 	EngineAuto Engine = iota
 	// EngineFast forces the bilinear-scheme algorithm (§2.2).
 	EngineFast
@@ -100,9 +101,24 @@ func MulRingWith[T any](net *clique.Network, e Engine, sc *Scratch, rg ring.Ring
 }
 
 // MulIntWith multiplies distributed int64 matrices over the integer ring
-// on the working set sc (nil for the network's own).
-func MulIntWith(net *clique.Network, e Engine, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], error) {
-	return dropRoute(PlanFor(net.N(), e).MulIntRouted(net, sc, s, t))
+// on the working set sc (nil for the network's own). bound is the entry
+// bound the caller knows without communication. With bound < 0 every
+// entry travels as one word. With bound ≥ 0 the caller promises
+// non-negative operands whose product has every entry in [0, bound]; every
+// entry then travels as its residue mod 2^b, b = ring.IntBits(bound)
+// (ring.PackedInt). Every engine computes the product mod 2^b, and under
+// the promise that residue is the product: the bilinear engine's last
+// exchange ships the finished entries, and every partial sum the other
+// engines ship or add is non-negative and at most the entry it sums to.
+// Only the wire transport masks; the direct one charges the same packed
+// lengths and moves the values by reference, so both return the same
+// product.
+func MulIntWith(net *clique.Network, e Engine, sc *Scratch, s, t *RowMat[int64], bound int64) (*RowMat[int64], error) {
+	a := &intAlgebra
+	if bound >= 0 {
+		a = &boundedIntAlgebras[ring.IntBits(bound)]
+	}
+	return dropRoute(mulRowMat(net, PlanFor(net.N(), e), sc, a, s, t))
 }
 
 // MulBoolWith computes the Boolean matrix product on the working set sc

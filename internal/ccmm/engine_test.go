@@ -90,7 +90,7 @@ func TestMulRingAutoOnSchemelessSizes(t *testing.T) {
 	for _, n := range []int{20, 60} {
 		a, b := randIntMat(rng, n, 20), randIntMat(rng, n, 20)
 		net := clique.New(n)
-		p, err := ccmm.MulIntWith(net, ccmm.EngineAuto, nil, ccmm.Distribute(a), ccmm.Distribute(b))
+		p, err := ccmm.MulIntWith(net, ccmm.EngineAuto, nil, ccmm.Distribute(a), ccmm.Distribute(b), -1)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -99,7 +99,7 @@ func TestMulRingAutoOnSchemelessSizes(t *testing.T) {
 		}
 		if n >= 60 {
 			naive := clique.New(n)
-			if _, err := ccmm.MulIntWith(naive, ccmm.EngineNaive, nil, ccmm.Distribute(a), ccmm.Distribute(b)); err != nil {
+			if _, err := ccmm.MulIntWith(naive, ccmm.EngineNaive, nil, ccmm.Distribute(a), ccmm.Distribute(b), -1); err != nil {
 				t.Fatal(err)
 			}
 			if net.Rounds() >= naive.Rounds() {

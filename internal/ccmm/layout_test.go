@@ -171,12 +171,24 @@ func TestGridLayoutQuick(t *testing.T) {
 	}
 }
 
+// runBoundedInt runs engine e on the 0/1 operand as the integer ring
+// shipped at b-bit residues.
+func runBoundedInt(e Engine, b int) func(net *clique.Network, p *Plan, _ *RowMat[int64], bl *RowMat[int64]) error {
+	return func(net *clique.Network, p *Plan, _ *RowMat[int64], bl *RowMat[int64]) error {
+		_, err := mulDense[int64](net, p, nil, e, ring.Int64{}, ring.PackedInt{Bits: b}, bl, bl)
+		return err
+	}
+}
+
 // TestPredictDenseWithinFactorTwo grades the planner's dense prices against
 // the ledger: predictDenseRounds must land within a factor of two of the
 // rounds each engine charges, and predictDenseWords within [⅔, 3/2] of the
 // words — the 3D engine on min-plus products (one word per entry) and
 // packed Boolean ones, on cubes and non-cubes alike; the bilinear engine
-// on the integer ring at its scheme sizes; the naive gather on min-plus.
+// on the integer ring at its scheme sizes; the naive gather on min-plus;
+// and both candidates of a bounded integer product (ring.PackedInt at 8
+// and 15 bits, MulIntWith's widths for A² and A³ at n = 144), whose
+// bilinear chunks of q and q/d entries pack far looser than a row of n.
 // Both come from denseCost, the price the router compares engines at.
 func TestPredictDenseWithinFactorTwo(t *testing.T) {
 	rng := rand.New(rand.NewPCG(36, 1))
@@ -207,6 +219,10 @@ func TestPredictDenseWithinFactorTwo(t *testing.T) {
 				_, err := NaiveGather[int64](net, nil, ring.MinPlus{}, ring.MinPlus{}, mp, mp)
 				return err
 			}},
+		{"fast/int8", EngineFast, []int{16, 64, 144, 256}, &boundedIntAlgebras[8], runBoundedInt(EngineFast, 8)},
+		{"fast/int15", EngineFast, []int{16, 64, 144, 256}, &boundedIntAlgebras[15], runBoundedInt(EngineFast, 15)},
+		{"3d/int8", Engine3D, []int{16, 64, 144, 256}, &boundedIntAlgebras[8], runBoundedInt(Engine3D, 8)},
+		{"3d/int15", Engine3D, []int{16, 64, 144, 256}, &boundedIntAlgebras[15], runBoundedInt(Engine3D, 15)},
 	} {
 		for _, n := range row.sizes {
 			mp := NewRowMat[int64](n)

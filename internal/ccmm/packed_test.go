@@ -167,3 +167,70 @@ func TestPackedChunksCountFor(t *testing.T) {
 		}
 	}
 }
+
+// TestBoundedIntProductHitsBound: a bounded integer product ships its
+// entries as residues mod 2^b (ring.PackedInt) and must still return the
+// exact product when an entry sits at the bound itself, the all-ones field.
+// On K_n, A² is n − 1 on the diagonal and n − 2 elsewhere; at n = 16 and
+// 64 the bound n − 1 is 2^b − 1. Every dense engine runs it on both
+// transports — the bilinear one on Strassen's scheme and its square,
+// whose subtractions leave negative intermediates that only the
+// homomorphism Z → Z/2^b makes exact on the wire — and must return A²
+// with the same ledger on either, in fewer words than at full width.
+func TestBoundedIntProductHitsBound(t *testing.T) {
+	for _, n := range []int{16, 64} {
+		a := NewRowMat[int64](n)
+		for v, row := range a.Rows {
+			for j := range row {
+				if j != v {
+					row[j] = 1
+				}
+			}
+		}
+		bound := int64(n - 1)
+		if b := ring.IntBits(bound); bound != int64(1)<<b-1 {
+			t.Fatalf("n=%d: bound %d is not the all-ones %d-bit field", n, bound, b)
+		}
+		scheme := PlanFor(n, EngineFast).Scheme
+		negative := false
+		for _, terms := range slices.Concat(scheme.Alpha, scheme.Beta, scheme.Lambda) {
+			for _, term := range terms {
+				negative = negative || term.C < 0
+			}
+		}
+		if !negative {
+			t.Fatalf("n=%d: scheme %v has no subtraction", n, scheme)
+		}
+		for _, e := range []Engine{EngineFast, Engine3D, EngineNaive} {
+			run := func(tr clique.Transport, bound int64) (*RowMat[int64], clique.Stats) {
+				net := clique.New(n, clique.WithTransport(tr))
+				defer net.Close()
+				p, err := MulIntWith(net, e, NewScratch(), a, a, bound)
+				if err != nil {
+					t.Fatalf("n=%d %v %v bound %d: %v", n, e, tr, bound, err)
+				}
+				return p, net.Stats()
+			}
+			_, full := run(clique.TransportDirect, -1)
+			p, direct := run(clique.TransportDirect, bound)
+			pw, wire := run(clique.TransportWire, bound)
+			for v := range n {
+				for j := range n {
+					want := bound - 1
+					if j == v {
+						want = bound
+					}
+					if p.Rows[v][j] != want || pw.Rows[v][j] != want {
+						t.Fatalf("n=%d %v: A²[%d][%d] = %d direct, %d wire; want %d", n, e, v, j, p.Rows[v][j], pw.Rows[v][j], want)
+					}
+				}
+			}
+			if !reflect.DeepEqual(direct, wire) {
+				t.Errorf("n=%d %v: wire charged %+v, direct %+v", n, e, wire, direct)
+			}
+			if direct.Words >= full.Words {
+				t.Errorf("n=%d %v: packed product charged %d words, full width %d", n, e, direct.Words, full.Words)
+			}
+		}
+	}
+}

@@ -92,9 +92,9 @@ type algebra[T any] struct {
 	// RingEngine otherwise.
 	semiring bool
 	// entryWords is the per-entry width in words of the dense transport on
-	// engine e for rows of n entries, fed to predictDenseRounds and
+	// engine e for chunks of k entries, fed to predictDenseRounds and
 	// predictDenseWords (fractional for packing codecs).
-	entryWords func(e Engine, n int) float64
+	entryWords func(e Engine, k int) float64
 	// tupleWords is the wire width of one tuple of the sparse engine.
 	tupleWords int
 	// valueFree reads a CSR operand by its structure alone: every stored
@@ -116,8 +116,8 @@ func semiringAlgebra[T any](sr ring.Semiring[T], codec ring.Codec[T], semiring b
 	return algebra[T]{
 		sr:       sr,
 		semiring: semiring,
-		entryWords: func(_ Engine, n int) float64 {
-			return float64(bc.EncodedLen(n)) / float64(n)
+		entryWords: func(_ Engine, k int) float64 {
+			return float64(bc.EncodedLen(k)) / float64(k)
 		},
 		tupleWords: ring.TupleCodec[T]{Val: bc}.EncodedLen(1),
 		sparse: func(net *clique.Network, sc *Scratch, s, t *RowMat[T]) (*RowMat[T], error) {
@@ -132,9 +132,19 @@ func semiringAlgebra[T any](sr ring.Semiring[T], codec ring.Codec[T], semiring b
 	}
 }
 
-// The three algebras of the typed entry points, all carried in int64.
+// The algebras of the typed entry points, all carried in int64.
 var (
 	intAlgebra = semiringAlgebra[int64](ring.Int64{}, ring.Int64{}, false)
+	// boundedIntAlgebras[b] is the integer ring shipped as b-bit residues
+	// (ring.PackedInt), b = 1 … 63: the algebra of a product whose entries
+	// a bound known from n alone keeps below 2^b (MulIntWith). Built once
+	// per width, so a bounded product builds no algebra.
+	boundedIntAlgebras = func() (as [64]algebra[int64]) {
+		for b := 1; b < len(as); b++ {
+			as[b] = semiringAlgebra[int64](ring.Int64{}, ring.PackedInt{Bits: b}, false)
+		}
+		return as
+	}()
 	// Min-plus is not a ring, so the bilinear engine does not apply.
 	minPlusAlgebra = semiringAlgebra[int64](ring.MinPlus{}, ring.MinPlus{}, true)
 	// boolAlgebra multiplies 0/1 integers in the Boolean semiring, shipped
@@ -145,11 +155,11 @@ var (
 	boolAlgebra = func() algebra[int64] {
 		a := semiringAlgebra[int64](ring.Bool{}, ring.PackedBit{}, false)
 		packed := a.entryWords
-		a.entryWords = func(e Engine, n int) float64 {
+		a.entryWords = func(e Engine, k int) float64 {
 			if e == EngineFast {
 				return 1
 			}
-			return packed(e, n)
+			return packed(e, k)
 		}
 		a.valueFree, a.dense = true, mulBoolDense
 		return a
@@ -255,7 +265,8 @@ func MulRingRouted[T any](net *clique.Network, p *Plan, sc *Scratch, rg ring.Rin
 	return mulRowMat(net, p, sc, &a, s, t)
 }
 
-// MulIntRouted multiplies distributed int64 matrices over the integer ring.
+// MulIntRouted multiplies distributed int64 matrices over the integer ring,
+// every entry one word: its operands carry no bound.
 func (p *Plan) MulIntRouted(net *clique.Network, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], Route, error) {
 	return mulRowMat(net, p, sc, &intAlgebra, s, t)
 }

@@ -121,7 +121,8 @@ func seidelRec(net *clique.Network, engine ccmm.Engine, sc *ccmm.Scratch, a *ccm
 
 	// S = D₂'·A over the integers, with infinities capped to n: the capped
 	// entries only involve cross-component pairs, whose output stays ∞, and
-	// capping keeps the product within int64 (true distances are < n).
+	// capping bounds every entry of S by n² from n alone (true distances are
+	// < n), so the product ships ⌈log₂(n² + 1)⌉-bit entries.
 	capped := ccmm.GetMat[int64](sc, n)
 	net.ForEach(func(v int) {
 		crow, drow := capped.Rows[v], d2.Rows[v]
@@ -133,7 +134,7 @@ func seidelRec(net *clique.Network, engine ccmm.Engine, sc *ccmm.Scratch, a *ccm
 			}
 		}
 	})
-	s, err := ccmm.MulIntWith(net, engine, sc, capped, a)
+	s, err := ccmm.MulIntWith(net, engine, sc, capped, a, int64(n)*int64(n))
 	ccmm.PutMat(sc, capped)
 	if err != nil {
 		return nil, err

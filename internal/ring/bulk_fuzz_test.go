@@ -135,14 +135,17 @@ func clampTo(v, max int64) int64 {
 // BulkCodec chunk, so for any values a chunk must append exactly its
 // EncodedLen (at least one word for a non-empty chunk, so the engines'
 // chunk format can invert it), leave the words before it alone, and decode
-// from its first word only. Byte 0 of the input picks the codec (mod 9):
+// from its first word only. Byte 0 of the input picks the codec (mod 10):
 // Int64, MinPlus (values at and around Inf), Zp residues, MinPlusW pairs,
 // PackedBit (any byte value, decoded as its 0/1 truth value), PackedBool,
 // the AsBulk adapter over a per-element MinPlusW, and
-// the two value forms of the one packing layout, ring.Packed — the
+// the three value forms of the one packing layout, ring.Packed — the
 // bounded min-plus form at any width 1 … 64 and any bound that width
-// carries (values around the bound clamp to Inf above it), and the
-// two-field witness-tagged form at any split of up to 64 bits. The next
+// carries (values around the bound clamp to Inf above it), the
+// two-field witness-tagged form at any split of up to 64 bits, and the
+// residue form at any width 1 … 64 (any int64, negative ones included,
+// arrives as its residue mod 2^b, and every bit of the chunk past its
+// entries' fields is zero). The next
 // bytes choose widths and bounds; the rest is values (valuesFromBytes).
 // The seeds are the committed corpus under testdata/fuzz/FuzzBulkCodec.
 func FuzzBulkCodec(f *testing.F) {
@@ -151,7 +154,7 @@ func FuzzBulkCodec(f *testing.F) {
 			return
 		}
 		body := data[1:]
-		switch data[0] % 9 {
+		switch data[0] % 10 {
 		case 0:
 			checkBulk(t, ring.BulkCodec[int64](ring.Int64{}), valuesFromBytes(body, 8, word))
 		case 1:
@@ -185,7 +188,7 @@ func FuzzBulkCodec(f *testing.F) {
 				want[i] = clampTo(v, c.Max)
 			}
 			checkBulkAs(t, ring.BulkCodec[int64](c), vals, want)
-		default:
+		case 8:
 			if len(body) < 10 {
 				return
 			}
@@ -210,6 +213,32 @@ func FuzzBulkCodec(f *testing.F) {
 				}
 			}
 			checkBulkAs(t, ring.BulkCodec[ring.ValW](c), vals, want)
+		default:
+			if len(body) < 1 {
+				return
+			}
+			c := ring.PackedInt{Bits: 1 + int(body[0])%64}
+			vals := valuesFromBytes(body[1:], 8, word)
+			want := make([]int64, len(vals))
+			for i, v := range vals {
+				want[i] = int64(uint64(v) & ring.Packed{Bits: c.Bits}.Sentinel())
+			}
+			checkBulkAs(t, ring.BulkCodec[int64](c), vals, want)
+			checkPadBits(t, c.Bits, len(vals), c.EncodeSlice(nil, vals))
 		}
 	})
+}
+
+// checkPadBits asserts that a Packed chunk of k entries of b bits sets no
+// bit outside their fields: neither the top 64 mod b bits of a word nor
+// the unused fields of its last word.
+func checkPadBits(t *testing.T, b, k int, chunk []ring.Word) {
+	t.Helper()
+	per := 64 / b
+	for j, w := range chunk {
+		used := uint(min(per, k-j*per) * b)
+		if used < 64 && w>>used != 0 {
+			t.Fatalf("word %d of a %d-entry %d-bit chunk is %#x: bits past its %d used bits are set", j, k, b, w, used)
+		}
+	}
 }

@@ -201,8 +201,30 @@ func TestPackedWidthOneIsPackedBool(t *testing.T) {
 // word, entry i at bit (i mod per)·b of word i/per — and the bounded
 // forms' sentinel and clamp at the widths the bound asks for: the bound B
 // itself travels, B + 1, 2B, a negative value and Inf arrive as Inf, and
-// a witness-tagged value above B arrives as (Inf, NoWitness).
+// a witness-tagged value above B arrives as (Inf, NoWitness). The residue
+// form at IntBits(B) bits has no sentinel: B travels, and B + 1 and −1
+// arrive as their residues.
 func TestPackedLayoutAndClamp(t *testing.T) {
+	for _, tc := range []struct {
+		max  int64
+		bits int
+	}{{0, 1}, {1, 1}, {2, 2}, {15, 4}, {144, 8}, {20736, 15}, {1<<63 - 1, 63}} {
+		c := ring.PackedInt{Bits: ring.IntBits(tc.max)}
+		if c.Bits != tc.bits {
+			t.Fatalf("IntBits(%d) = %d, want %d", tc.max, c.Bits, tc.bits)
+		}
+		mod := uint64(1) << c.Bits
+		in := []int64{tc.max, tc.max + 1, -1}
+		want := []int64{tc.max, int64(uint64(tc.max+1) % mod), int64(mod - 1)}
+		out := make([]int64, len(in))
+		c.DecodeSlice(out, c.EncodeSlice(nil, in))
+		if !slices.Equal(out, want) {
+			t.Fatalf("%d-bit residues: %v arrive as %v, want %v", c.Bits, in, out, want)
+		}
+	}
+	if enc := (ring.PackedInt{Bits: 15}).EncodeSlice(nil, []int64{1, 2, 3, 4, 5}); len(enc) != 2 || enc[0] != 1|2<<15|3<<30|4<<45 || enc[1] != 5 {
+		t.Fatalf("15-bit residue layout %#x, want 4 entries in word 0 and 1 in word 1", enc)
+	}
 	enc := ring.PackedMinPlus{Bits: 14, Max: 100}.EncodeSlice(nil, []int64{1, 2, 3, 4, 5})
 	if len(enc) != 2 || enc[0] != 1|2<<14|3<<28|4<<42 || enc[1] != 5 {
 		t.Fatalf("14-bit layout %#x, want 4 entries in word 0 and 1 in word 1", enc)

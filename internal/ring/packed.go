@@ -6,15 +6,16 @@ import "math/bits"
 // entry, ⌊64/b⌋ entries per word, entry i in bits [(i mod per)·b,
 // (i mod per)·b + b) of word i/per, the top 64 mod b bits of every word
 // zero. Its entries are codes 0 … 2^b − 1; the all-ones code (Sentinel)
-// is the one the value forms reserve for ∞ and NoWitness. Packed{Bits: 1}
-// is PackedBit's layout: 64 entries per word, entry i in bit i%64 of
-// word i/64.
+// is the one the min-plus forms reserve for ∞ and NoWitness, while the
+// residue form (PackedInt) reserves none. Packed{Bits: 1} is PackedBit's
+// layout: 64 entries per word, entry i in bit i%64 of word i/64.
 //
 // Packing is faithful to the simulator's cost model. The model's message
 // is one O(log n)-bit word, and the simulator equates it with one 64-bit
 // machine word for every algebra, so a message has 64 usable bits; an
 // entry known to need only b of them (a Boolean, a distance bounded by a
-// charged round, a node index) may share its word with ⌊64/b⌋ − 1 others.
+// charged round, a node index, a walk count bounded by n) may share its
+// word with ⌊64/b⌋ − 1 others.
 // The layout is fixed by the element count and b alone, so routing stays
 // oblivious as long as every node knows b — which is why a width that
 // depends on the data must come from a charged round.
@@ -220,4 +221,53 @@ func (c PackedMinPlusW) EncodeSlice(dst []Word, vals []ValW) []Word {
 //cc:hotpath
 func (c PackedMinPlusW) DecodeSlice(out []ValW, src []Word) {
 	c.layout().unpack(src, len(out), func(i int, code uint64) { out[i] = c.value(code) })
+}
+
+// IntBits returns ⌈log₂(max + 1)⌉, at least 1: the fewest bits that hold
+// every integer in [0, max]. max must not be negative.
+func IntBits(max int64) int { return bits.Len64(uint64(max) | 1) }
+
+// PackedInt is the residue form of the Packed layout: an int64 ships as
+// its residue mod 2^Bits — the low Bits bits of its two's complement — and
+// decodes as that residue in [0, 2^Bits). No code is reserved. Z → Z/2^64
+// → Z/2^b are ring homomorphisms, so every engine of the integer ring
+// (the bilinear one, whose schemes have ±1 coefficients, included) stays
+// correct mod 2^b whatever its intermediates, negative or wrapped; a
+// product known to have every entry in [0, 2^b) ships exactly. At Bits =
+// 64 it is ring.Int64's layout.
+type PackedInt struct {
+	Bits int // b, 1 … 64
+}
+
+var _ BulkCodec[int64] = PackedInt{}
+
+func (c PackedInt) layout() Packed { return Packed{Bits: c.Bits} }
+
+// Width returns 1: a lone entry occupies one word.
+func (PackedInt) Width() int { return 1 }
+
+// Encode stores one value's residue in bits [0, Bits) of dst[0].
+func (c PackedInt) Encode(v int64, dst []Word) { dst[0] = uint64(v) & c.layout().Sentinel() }
+
+// Decode reads one residue from bits [0, Bits) of src[0].
+func (c PackedInt) Decode(src []Word) int64 { return int64(src[0] & c.layout().Sentinel()) }
+
+// EncodedLen returns ⌈count / ⌊64/Bits⌋⌉.
+func (c PackedInt) EncodedLen(count int) int { return c.layout().EncodedLen(count) }
+
+// EncodeSlice appends the residues of vals packed ⌊64/Bits⌋ per word.
+//
+//cc:hotpath
+func (c PackedInt) EncodeSlice(dst []Word, vals []int64) []Word {
+	lay := c.layout()
+	dst, w := grow(dst, lay.EncodedLen(len(vals)))
+	lay.pack(w, len(vals), func(i int) uint64 { return uint64(vals[i]) })
+	return dst
+}
+
+// DecodeSlice unpacks len(out) residues from the chunk at src[0].
+//
+//cc:hotpath
+func (c PackedInt) DecodeSlice(out []int64, src []Word) {
+	c.layout().unpack(src, len(out), func(i int, code uint64) { out[i] = int64(code) })
 }

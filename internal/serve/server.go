@@ -328,6 +328,7 @@ func (s *Server) respond(q *queue, req *Request, start time.Time, res Result) {
 // warm session until a call panics: the poisoned session is discarded —
 // never re-pooled — the guilty request is answered with
 // *SessionPanicError, and the rest of the drain continues on a fresh one.
+// A healthy session goes back to the pool before the drain's last answer.
 func (s *Server) serveOps(q *queue, reqs []*Request, start time.Time) {
 	remaining := reqs
 	for len(remaining) > 0 {
@@ -344,15 +345,18 @@ func (s *Server) serveOps(q *queue, reqs []*Request, start time.Time) {
 			remaining = remaining[1:]
 			var res Result
 			res, poisoned = runOp(sess, req)
-			if poisoned {
+			switch {
+			case poisoned:
 				// Discard before answering: a caller holding the
 				// *SessionPanicError must find the session already gone.
 				s.pool.Discard(sess)
+			case len(remaining) == 0:
+				// Re-pool before the drain's last answer, for the same
+				// reason: that caller's next request must find the
+				// session back in the pool, not build a second one.
+				s.pool.Put(sess)
 			}
 			s.respond(q, req, start, res)
-		}
-		if !poisoned {
-			s.pool.Put(sess)
 		}
 	}
 }

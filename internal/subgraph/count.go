@@ -11,7 +11,8 @@ import (
 // CountTriangles counts triangles (directed: directed 3-cycles) with the
 // trace formula of Itai–Rodeh (Corollary 2): the count is tr(A³)/6 for
 // undirected graphs and tr(A³)/3 for directed ones. One distributed product
-// computes A²; the diagonal of A³ is then Σ_w A²[v][w]·A[w][v], obtained
+// computes A², whose entries count walks and so are at most n — a bound
+// every node knows, so the product ships ⌈log₂(n + 1)⌉-bit entries; the diagonal of A³ is then Σ_w A²[v][w]·A[w][v], obtained
 // with a one-round column exchange and a one-round sum broadcast.
 func CountTriangles(net *clique.Network, engine ccmm.Engine, g *graphs.Graph) (int64, error) {
 	if err := checkGraphSize(net, g); err != nil {
@@ -20,7 +21,7 @@ func CountTriangles(net *clique.Network, engine ccmm.Engine, g *graphs.Graph) (i
 	sc := ccmm.ScratchOf(net)
 	a := adjacencyRows(sc, g)
 	defer ccmm.PutMat(sc, a)
-	a2, err := ccmm.MulIntWith(net, engine, sc, a, a)
+	a2, err := ccmm.MulIntWith(net, engine, sc, a, a, int64(net.N()))
 	if err != nil {
 		return 0, err
 	}
@@ -60,7 +61,8 @@ func CountTriangles(net *clique.Network, engine ccmm.Engine, g *graphs.Graph) (i
 //
 //	#C4 = (tr(A⁴) − Σ_v (2·δ(v)² − δ(v))) / 4 .
 //
-// One distributed product computes A²; tr(A⁴) = Σ_{v,w} A²[v][w]·A²[w][v]
+// One distributed product computes A² (entries at most n, shipped at that
+// width, as in CountTriangles); tr(A⁴) = Σ_{v,w} A²[v][w]·A²[w][v]
 // comes from a column exchange on A², and δ(v) from a column exchange on A.
 func CountC4(net *clique.Network, engine ccmm.Engine, g *graphs.Graph) (int64, error) {
 	if err := checkGraphSize(net, g); err != nil {
@@ -69,7 +71,7 @@ func CountC4(net *clique.Network, engine ccmm.Engine, g *graphs.Graph) (int64, e
 	sc := ccmm.ScratchOf(net)
 	a := adjacencyRows(sc, g)
 	defer ccmm.PutMat(sc, a)
-	a2, err := ccmm.MulIntWith(net, engine, sc, a, a)
+	a2, err := ccmm.MulIntWith(net, engine, sc, a, a, int64(net.N()))
 	if err != nil {
 		return 0, err
 	}

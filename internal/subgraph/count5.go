@@ -29,12 +29,13 @@ func CountC5(net *clique.Network, engine ccmm.Engine, g *graphs.Graph) (int64, e
 	sc := ccmm.ScratchOf(net)
 	a := adjacencyRows(sc, g)
 	defer ccmm.PutMat(sc, a)
-	a2, err := ccmm.MulIntWith(net, engine, sc, a, a)
+	// Walk counts bound both products from n alone: A² ≤ n, A³ ≤ n².
+	a2, err := ccmm.MulIntWith(net, engine, sc, a, a, int64(n))
 	if err != nil {
 		return 0, err
 	}
 	defer ccmm.PutMat(sc, a2)
-	a3, err := ccmm.MulIntWith(net, engine, sc, a2, a)
+	a3, err := ccmm.MulIntWith(net, engine, sc, a2, a, int64(n)*int64(n))
 	if err != nil {
 		return 0, err
 	}

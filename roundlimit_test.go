@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	cc "github.com/algebraic-clique/algclique"
@@ -100,7 +102,8 @@ func abortOps(n int) []graphOp {
 // object. For each reduction the sweep aborts at the round indices below
 // the clean run's count — every one up to 64 and a stride beyond on the
 // direct transport, a stride throughout on the wire and under -short — by
-// context at a few poll counts and by a node crash at a few rounds; each
+// context after 1, half and all but one of the polls a counted clean run
+// makes, and by a node crash at a few rounds; each
 // abort must surface as its typed error, and the unrestricted rerun on the
 // same session must return the answer and the Stats — rounds, words, phase
 // list — of a session that never aborted.
@@ -163,7 +166,19 @@ func TestAbortedOpLeavesWorkingSetClean(t *testing.T) {
 						return errors.As(err, &lim)
 					}, cc.WithRoundLimit(k))
 				}
-				for _, polls := range []int{1, 3, 8} {
+				// The poll counts come from a counted clean run: a context
+				// that cancels after k polls aborts exactly when the op polls
+				// more than k times.
+				counted := &cancelAfterCalls{Context: context.Background(), remaining: math.MaxInt}
+				if _, _, err := op.run(fresh, cc.WithContext(counted)); err != nil {
+					t.Fatal(err)
+				}
+				own := math.MaxInt - counted.remaining
+				if own < 2 {
+					t.Fatalf("a clean run polls its context %d times; the sweep needs two", own)
+				}
+				t.Logf("a clean run polls its context %d times", own)
+				for _, polls := range slices.Compact([]int{1, own / 2, own - 1}) {
 					ctx := &cancelAfterCalls{Context: context.Background(), remaining: polls}
 					abort(fmt.Sprintf("cancel after %d polls", polls), func(err error) bool {
 						var canc *clique.CanceledError

@@ -21,16 +21,24 @@ func randMatT(seed uint64, n int) Mat {
 	return m
 }
 
-// TestSessionTransportsAgree runs the same products on a default (direct)
-// session and a WithWireTransport session: results and reported Stats must
-// be identical.
+// TestSessionTransportsAgree runs the same products and graph operations
+// on a default (direct) session and a WithWireTransport session: results
+// and reported Stats, the product ledger included, must be identical. The
+// counting products of CountTriangles and CountFiveCycles and the D·A
+// products of APSPUnweighted's Seidel recursion ship residues mod 2^b,
+// which only the wire masks; at n = 144 A³ and D·A (15 bits) run on the
+// bilinear engine and A² (8 bits) on the 3D one.
 func TestSessionTransportsAgree(t *testing.T) {
-	for _, n := range []int{10, 27} {
+	for _, n := range []int{10, 27, 144} {
 		a, b := randMatT(1, n), randMatT(2, n)
+		g := GNP(n, 0.3, false, uint64(n))
 		type outcome struct {
-			mm, dp, bm Mat
-			mmSt, dpSt Stats
-			bmSt       Stats
+			mm, dp, bm        Mat
+			mmSt, dpSt        Stats
+			bmSt              Stats
+			tri, c5           int64
+			apsp              *APSPResult
+			triSt, c5St, apSt Stats
 		}
 		run := func(opts ...SessionOption) outcome {
 			s, err := NewClique(n, opts...)
@@ -38,28 +46,51 @@ func TestSessionTransportsAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			mm, mmSt, err := s.MatMul(a, b)
-			if err != nil {
+			var o outcome
+			if o.mm, o.mmSt, err = s.MatMul(a, b); err != nil {
 				t.Fatal(err)
 			}
-			dp, dpSt, err := s.DistanceProduct(a, b)
-			if err != nil {
+			if o.dp, o.dpSt, err = s.DistanceProduct(a, b); err != nil {
 				t.Fatal(err)
 			}
 			// A Boolean product on the padded scheme size (16) runs the
 			// packed 3D engine Auto picks over the bilinear one.
-			bm, bmSt, err := s.MatMulBool(boolOf(a), boolOf(b))
-			if err != nil {
+			if o.bm, o.bmSt, err = s.MatMulBool(boolOf(a), boolOf(b)); err != nil {
 				t.Fatal(err)
 			}
-			if len(bmSt.Products) != 1 || bmSt.Products[0].Engine != "semiring-3d" {
-				t.Fatalf("n=%d: Boolean product ledger %+v, want one semiring-3d row", n, bmSt.Products)
+			if len(o.bmSt.Products) != 1 || o.bmSt.Products[0].Engine != "semiring-3d" {
+				t.Fatalf("n=%d: Boolean product ledger %+v, want one semiring-3d row", n, o.bmSt.Products)
 			}
-			return outcome{mm: mm, dp: dp, bm: bm, mmSt: mmSt, dpSt: dpSt, bmSt: bmSt}
+			if o.tri, o.triSt, err = s.CountTriangles(g); err != nil {
+				t.Fatal(err)
+			}
+			if o.c5, o.c5St, err = s.CountFiveCycles(g); err != nil {
+				t.Fatal(err)
+			}
+			if o.apsp, o.apSt, err = s.APSPUnweighted(g); err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range []Stats{o.triSt, o.c5St, o.apSt} {
+				if len(st.Products) == 0 {
+					t.Fatalf("n=%d: a graph operation's Stats list no product", n)
+				}
+			}
+			return o
 		}
 		direct := run()
 		if wire := run(WithWireTransport()); !reflect.DeepEqual(direct, wire) {
 			t.Fatalf("n=%d: direct and wire sessions disagree", n)
+		}
+		if n == 144 {
+			engines := map[string]bool{}
+			for _, st := range []Stats{direct.c5St, direct.apSt} {
+				for _, p := range st.Products {
+					engines[p.Engine] = true
+				}
+			}
+			if !engines["fast-bilinear"] || !engines["semiring-3d"] {
+				t.Fatalf("n=144: counting and Seidel products ran on %v, want both dense engines", engines)
+			}
 		}
 	}
 }
