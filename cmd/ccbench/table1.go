@@ -7,9 +7,11 @@ import (
 	"math"
 	"os"
 	"strconv"
+	"strings"
 
 	cc "github.com/algebraic-clique/algclique"
 	"github.com/algebraic-clique/algclique/internal/ccmm"
+	"github.com/algebraic-clique/algclique/internal/distance"
 	"github.com/algebraic-clique/algclique/internal/graphs"
 	"github.com/algebraic-clique/algclique/internal/ring"
 )
@@ -30,7 +32,7 @@ import (
 //   - the approximate distances of Theorem 9 stay within their stretch.
 //
 // Theorem 9's approximate APSP is one row at δ = 1/2: at n = 64, δ = 1/2,
-// 1/4 and 1/8 charge 43 902, 107 070 and 312 132 rounds, and simulating
+// 1/4 and 1/8 charge 30 895, 78 021 and 235 506 rounds, and simulating
 // the smaller δ would dominate the experiment.
 
 // rho is the bilinear engine's exponent with the Strassen scheme,
@@ -50,7 +52,9 @@ type table1Row struct {
 	Words  int64  `json:"words"`
 	Answer string `json:"answer,omitempty"`
 	// Bits is the bits per entry of a row whose products pack their
-	// entries (see packedBits); empty where every entry is a word.
+	// entries (see residueBits, packedBits and seidelBits): one width, or
+	// one per squaring or level where the loop sets each its own; empty
+	// where every entry is a word.
 	Bits string `json:"bits_per_entry,omitempty"`
 }
 
@@ -70,8 +74,9 @@ func (t *table1Run) ladder(row string, e cc.Engine, ns []int, f op) []table1Row 
 }
 
 // packedLadder is ladder for a row whose products pack their entries:
-// bits(n) is the row's bits per entry at n.
-func (t *table1Run) packedLadder(row string, e cc.Engine, ns []int, f op, bits func(n int) string) []table1Row {
+// bits(n, st) is the row's bits per entry at n, given what the call
+// charged (its phases name the squarings or levels that ran).
+func (t *table1Run) packedLadder(row string, e cc.Engine, ns []int, f op, bits func(n int, st cc.Stats) string) []table1Row {
 	var out []table1Row
 	for _, n := range ns {
 		s, err := cc.NewClique(n, cc.WithEngine(e))
@@ -81,7 +86,7 @@ func (t *table1Run) packedLadder(row string, e cc.Engine, ns []int, f op, bits f
 		check(s.Close())
 		r := table1Row{Row: row, Engine: e.String(), N: n, Rounds: st.Rounds, Words: st.Words, Answer: ans}
 		if bits != nil {
-			r.Bits = bits(n)
+			r.Bits = bits(n, st)
 		}
 		fmt.Printf("   %-34s %-13s %5d %7d %11d  %s %s\n", r.Row, r.Engine, r.N, r.Rounds, r.Words, r.Answer, r.Bits)
 		t.rows, out = append(t.rows, r), append(out, r)
@@ -193,35 +198,55 @@ func exactAPSP(p float64, maxW int64, seed uint64) op {
 	}
 }
 
-// packedBits reports the bits per entry APSP's distance products ship on
-// RandomConnectedWeighted(n, p, maxW) drawn with seed: its weights are
-// non-negative, so the products run at the bound (n−1)·maxW the max-weight
-// round establishes — "operand / value+witness" bits, against the 64 of
-// the simulator's word (a reader converting to O(log n)-bit words divides
-// by these).
-func packedBits(p float64, maxW int64, seed uint64) func(n int) string {
-	return func(n int) string {
-		g := cc.RandomConnectedWeighted(n, p, maxW, true, seed)
-		op, partial, ok := ccmm.PackedWidths(int64(n-1)*g.MaxWeight(), n)
-		if !ok {
-			return ""
+// packedBits reports the bits per entry of each distance product APSP ran
+// on RandomConnectedWeighted(n, p, maxW) drawn with seed: its weights are
+// non-negative, so squaring s runs at its hop bound
+// min(2^{s+1}, n−1)·maxW (distance.SquaringBound), maxW from the
+// max-weight round — "o₀,o₁,… / +w": the operand bits of each squaring
+// that ran, in loop order, and the witness bits its partials add, against
+// the 64 of the simulator's word (a reader converting to O(log n)-bit
+// words divides by these).
+func packedBits(p float64, maxW int64, seed uint64) func(n int, st cc.Stats) string {
+	return func(n int, st cc.Stats) string {
+		top := cc.RandomConnectedWeighted(n, p, maxW, true, seed).MaxWeight()
+		var ops []string
+		wit := 0
+		for s := range countPhases(st, "apsp3d/square-") {
+			op, partial, ok := ccmm.PackedWidths(distance.SquaringBound(st.N, top, s), st.N)
+			if !ok {
+				return ""
+			}
+			ops, wit = append(ops, strconv.Itoa(op)), partial-op
 		}
-		return fmt.Sprintf("%d / %d+%d", op, op, partial-op)
+		return fmt.Sprintf("%s / +%d", strings.Join(ops, ","), wit)
 	}
 }
 
-// residueBits reports the bits per entry of a row whose integer products
-// ship residues mod 2^b at a bound known from n alone, n^k: A² ≤ n for the
-// trace formulas (k = 1), the capped D·A ≤ n² in Seidel's recursion
-// (k = 2).
-func residueBits(k int) func(n int) string {
-	return func(n int) string {
-		bound := int64(1)
-		for range k {
-			bound *= int64(n)
-		}
-		return strconv.Itoa(ring.IntBits(bound))
+// residueBits reports the bits per entry of a counting row, whose integer
+// products ship residues mod 2^b at A² ≤ n, a bound known from n alone.
+func residueBits(n int, _ cc.Stats) string { return strconv.Itoa(ring.IntBits(int64(n))) }
+
+// seidelBits reports the bits per entry of each parity product D₂'·A that
+// Seidel's recursion ran, by level from depth 0: level k ships residues at
+// its depth bound (n−1)·⌈(n−1)/2^{k+1}⌉ (distance.SeidelBounds).
+func seidelBits(_ int, st cc.Stats) string {
+	var bits []string
+	for k := range countPhases(st, "seidel/parity-") {
+		_, bound := distance.SeidelBounds(st.N, k)
+		bits = append(bits, strconv.Itoa(ring.IntBits(bound)))
 	}
+	return strings.Join(bits, ",")
+}
+
+// countPhases returns how many of st's phases are named with prefix.
+func countPhases(st cc.Stats, prefix string) int {
+	c := 0
+	for _, ph := range st.Phases {
+		if strings.HasPrefix(ph.Name, prefix) {
+			c++
+		}
+	}
+	return c
 }
 
 // girth runs Girth on g.
@@ -264,13 +289,13 @@ func table1Bench() {
 	t.beats(semi, naive)
 	t.exponent(t.ladder("T1.2 matmul (ring)", cc.Fast, []int{16, 64, 256, 1024}, matMul(3, 4)), false, rho)
 
-	t.beats(t.packedLadder("T1.3 triangle counting", cc.Fast, []int{64, 256}, count((*cc.Clique).CountTriangles, 0.25, 7), residueBits(1)),
+	t.beats(t.packedLadder("T1.3 triangle counting", cc.Fast, []int{64, 256}, count((*cc.Clique).CountTriangles, 0.25, 7), residueBits),
 		t.ladder("T1.3 baseline: Dolev et al.", cc.Auto, []int{64, 256}, count((*cc.Clique).CountTrianglesDolev, 0.25, 7)))
 	t.exponent(t.ladder("T1.4 4-cycle detection", cc.Auto, []int{16, 64, 256, 1024}, func(s *cc.Clique, n int) (string, cc.Stats, error) {
 		found, st, err := s.DetectFourCycle(cc.GNP(n, 3/float64(n), false, 8))
 		return strconv.FormatBool(found), st, err
 	}), false, 0)
-	t.exponent(t.packedLadder("T1.5 4-cycle counting", cc.Fast, []int{16, 64, 256}, count((*cc.Clique).CountFourCycles, 0.2, 9), residueBits(1)), false, rho)
+	t.exponent(t.packedLadder("T1.5 4-cycle counting", cc.Fast, []int{16, 64, 256}, count((*cc.Clique).CountFourCycles, 0.2, 9), residueBits), false, rho)
 
 	// Colour-coding costs O(3^k) products per colouring (Lemma 11): two
 	// colourings of a tree, which has no cycle to stop them early.
@@ -326,7 +351,7 @@ func table1Bench() {
 	t.exponent(t.packedLadder("T1.11 unweighted APSP (Seidel)", cc.Fast, []int{16, 64, 256}, func(s *cc.Clique, n int) (string, cc.Stats, error) {
 		_, st, err := s.APSPUnweighted(cc.GNP(n, 0.15, false, 18))
 		return "", st, err
-	}, residueBits(2)), true, rho)
+	}, seidelBits), true, rho)
 
 	bcast := t.ladder("§4 matmul, broadcast clique", cc.Auto, []int{64, 216}, func(s *cc.Clique, n int) (string, cc.Stats, error) {
 		_, st, err := s.MatMulBroadcast(randSquare(n, 31), randSquare(n, 32))
@@ -359,7 +384,8 @@ func table1Bench() {
 	gateLedger("table1",
 		"Table 1: rounds and words per (row, engine, n) on a fresh session, and the answer where one is pinned; exact for "+
 			"the seed, gated for equality (the exponent and baseline checks are code, cmd/ccbench/table1.go). A word is 64 bits; "+
-			"bits_per_entry, on the rows whose distance products pack, is the operand / value+witness partial width in bits, "+
-			"and on the counting and Seidel rows the width of the residues mod 2^b their integer products ship",
+			"bits_per_entry, on the exact APSP rows, is each squaring's operand width in bits, in loop order, / the witness "+
+			"bits its partials add; on the counting rows the width of the residues mod 2^b their integer products ship, and on "+
+			"the Seidel rows that width for each level's parity product, from depth 0",
 		t.rows)
 }

@@ -101,17 +101,17 @@ func log2Ceil(n int) int { return bits.Len(uint(n - 1)) }
 // fixed-point rule adds one round per squaring but the last. The APSP
 // column was measured by running the loop with the rule off (APSPSemiring
 // with Settled never asked) on the packed codec: the max-weight round and
-// ⌈log₂ n⌉ products at the path's bound (n−1)·maxW, with no negative-cycle
-// round, since the path has no negative weight. The closure column was
-// measured the same way (distance.Closure with Settled never asked, which
-// reproduces the earlier 80 / 120 / 229 on the bilinear integer
-// embedding) with every dense-routed Boolean squaring on the packed 3D
-// engine an Auto plan now picks: ⌈log₂ n⌉ routed products, each with its
-// census round.
+// ⌈log₂ n⌉ products, squaring s at its hop bound min(2^{s+1}, n−1)·maxW,
+// with no negative-cycle round, since the path has no negative weight.
+// The closure column was measured the same way (distance.Closure with
+// Settled never asked, which reproduces the earlier 80 / 120 / 229 on the
+// bilinear integer embedding) with every dense-routed Boolean squaring on
+// the packed 3D engine an Auto plan now picks: ⌈log₂ n⌉ routed products,
+// each with its census round.
 var cappedPathRounds = map[int]struct{ apsp, closure int64 }{
 	16:  {17, 16},
-	64:  {43, 24},
-	144: {113, 69},
+	64:  {41, 24},
+	144: {96, 69},
 }
 
 // TestSquaringStopsAtFixedPoint: every iterated-squaring loop stops one

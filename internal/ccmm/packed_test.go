@@ -57,9 +57,10 @@ func boundsFrom(top int64) []int64 {
 //     the smaller witness decides.
 //
 // Each runs at the tightest bound and at the bounds where B + 1 is the
-// sentinel or needs a fresh bit. The partial codec the engine ships must
-// also clamp B + 1 — the first value above the bound — to
-// (Inf, NoWitness) and keep B.
+// sentinel or needs a fresh bit. The partial codec the engine ships is the
+// one of B's field width, whose top code 2^b − 2 is at least B: it must
+// keep B and that top code and clamp the first value above it to
+// (Inf, NoWitness).
 func TestPackedDistanceProductMatchesFullWidth(t *testing.T) {
 	inputs := []struct {
 		name string
@@ -123,13 +124,17 @@ func TestPackedDistanceProductMatchesFullWidth(t *testing.T) {
 					if full.Words > 0 && direct.Words >= full.Words {
 						t.Errorf("bound %d: packed product charged %d words, full width %d", bound, direct.Words, full.Words)
 					}
-					al := witnessedWithin(NewScratch(), bound, n)
+					al := witnessedWithin(bound, n)
+					top := al.opCodec.(ring.PackedMinPlus).Max
+					if ring.MinPlusBits(top) != ring.MinPlusBits(bound) || top < bound {
+						t.Fatalf("bound %d: codec top %d, want the top code of its %d-bit field", bound, top, ring.MinPlusBits(bound))
+					}
 					pc := ring.AsBulk(al.codec)
-					sent := []ring.ValW{{V: bound, W: int64(n - 1)}, {V: bound + 1, W: 0}, {V: 2*bound + 1, W: 0}}
+					sent := []ring.ValW{{V: bound, W: int64(n - 1)}, {V: top, W: 0}, {V: top + 1, W: 0}, {V: 2*top + 1, W: 0}}
 					got := make([]ring.ValW, len(sent))
 					pc.DecodeSlice(got, pc.EncodeSlice(nil, sent))
 					clamped := ring.ValW{V: ring.Inf, W: ring.NoWitness}
-					if want := []ring.ValW{sent[0], clamped, clamped}; !slices.Equal(got, want) {
+					if want := []ring.ValW{sent[0], sent[1], clamped, clamped}; !slices.Equal(got, want) {
 						t.Errorf("bound %d: partials %v arrive as %v, want %v", bound, sent, got, want)
 					}
 				}

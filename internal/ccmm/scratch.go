@@ -3,7 +3,6 @@ package ccmm
 import (
 	"github.com/algebraic-clique/algclique/internal/clique"
 	"github.com/algebraic-clique/algclique/internal/matrix"
-	"github.com/algebraic-clique/algclique/internal/ring"
 	"github.com/algebraic-clique/algclique/internal/routing"
 )
 
@@ -53,10 +52,6 @@ type Scratch struct {
 	rt    *routing.Scratch // delivery-layer pools
 	typed []any            // one *typedScratch[T] per element type
 	sp    *sparseState     // sparse-engine census/tile tables
-	// bounded is the last bounded distance product's cube algebra
-	// (witnessedWithin): its packed codecs are boxed once per bound, not
-	// once per product.
-	bounded cubeAlgebra[int64, ring.ValW]
 
 	recycled func(m any) // test seam: sees every matrix PutMat accepts (SetRecycleHook)
 }

@@ -221,22 +221,26 @@ func semiring3D[A, P any](net *clique.Network, sc *Scratch, al cubeAlgebra[A, P]
 // iterated squaring (APSP) holds only p and q — which are the caller's to
 // return once dead. A nil sc is the network's own.
 //
-// bound is the entry bound the caller established. With bound < 0 the
+// bound is the entry bound the caller established; it may change from one
+// call to the next (APSP passes each squaring its own). With bound < 0 the
 // operands travel one word per entry and the partials two (value and
 // witness). With bound ≥ 0 the caller promises that every finite entry of
 // S, of T and of P lies in [0, bound]: the operands then travel in the
-// bounded min-plus form (ring.PackedMinPlus, ⌈log₂(bound+2)⌉ bits) and the
-// partials in the two-field form (ring.PackedMinPlusW, ⌈log₂(n+1)⌉ more
-// witness bits), and a finite partial above bound is clamped to
-// (ring.Inf, ring.NoWitness) as it is encoded. The clamp never changes the
-// answer under the promise: such a partial exceeds the minimum it would
-// compete with, so it neither wins nor ties. Only the wire transport
-// encodes; the direct one charges the same packed lengths and moves the
-// values by reference, so P and Q are the unbounded product's on both.
+// bounded min-plus form (ring.PackedMinPlus, b = ⌈log₂(bound+2)⌉ bits) and
+// the partials in the two-field form (ring.PackedMinPlusW, ⌈log₂(n+1)⌉
+// more witness bits). The codecs are those of the b-bit field, not of
+// bound: a finite partial above the field's top code 2^b − 2 ≥ bound is
+// clamped to (ring.Inf, ring.NoWitness) as it is encoded, and one in
+// (bound, 2^b − 2] travels as it is. Neither changes the answer under the
+// promise: every such partial exceeds the minimum it would compete with,
+// which is at most bound, so it neither wins nor ties. Only the wire
+// transport encodes; the direct one charges the same packed lengths and
+// moves the values by reference, so P and Q are the unbounded product's
+// on both.
 func DistanceProduct3D(net *clique.Network, sc *Scratch, s, t *RowMat[int64], bound int64) (p, q *RowMat[int64], err error) {
 	defer catchAbort(&err)
 	sc = sc.orOf(net)
-	pw, err := semiring3D(net, sc, witnessedWithin(sc, bound, net.N()), s, t)
+	pw, err := semiring3D(net, sc, witnessedWithin(bound, net.N()), s, t)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -270,18 +274,35 @@ func PackedWidths(bound int64, n int) (operand, partial int, ok bool) {
 }
 
 // witnessedWithin is the distance product's cube algebra at entry bound
-// bound on n nodes: witnessed, with the packed codecs when PackedWidths
-// allows them, kept in sc while the bound and n stay the same.
-func witnessedWithin(sc *Scratch, bound int64, n int) cubeAlgebra[int64, ring.ValW] {
-	if _, _, ok := PackedWidths(bound, n); !ok {
+// bound on n nodes: witnessed, with the packed codecs of
+// witnessedAlgebras when PackedWidths allows them. Every width pair is
+// built once, so a loop whose bound follows its counter (APSP's squarings)
+// builds no algebra however many widths it runs at.
+func witnessedWithin(bound int64, n int) cubeAlgebra[int64, ring.ValW] {
+	op, partial, ok := PackedWidths(bound, n)
+	if !ok {
 		return witnessed
 	}
-	if pc := ring.NewPackedMinPlusW(bound, n); sc.bounded.codec != pc {
-		sc.bounded = witnessed
-		sc.bounded.opCodec, sc.bounded.codec = pc.Val, pc
-	}
-	return sc.bounded
+	return witnessedAlgebras[op][partial-op]
 }
+
+// witnessedAlgebras[o][w] is the distance product's cube algebra with
+// operands in o bits and partials in o + w (o + w ≤ 64): the bounded
+// min-plus and two-field forms whose Max is the field's top code 2^o − 2,
+// not the bound that chose o. That clamps less than the bound would, and
+// never more, so it changes no answer under the bound's promise (see
+// DistanceProduct3D).
+var witnessedAlgebras = func() (as [64][]cubeAlgebra[int64, ring.ValW]) {
+	for o := 1; o < len(as); o++ {
+		as[o] = make([]cubeAlgebra[int64, ring.ValW], 65-o)
+		val := ring.PackedMinPlus{Bits: o, Max: int64(ring.Packed{Bits: o}.Sentinel()) - 1}
+		for w := 1; o+w <= 64; w++ {
+			as[o][w] = witnessed
+			as[o][w].opCodec, as[o][w].codec = val, ring.PackedMinPlusW{Val: val, WitBits: w}
+		}
+	}
+	return as
+}()
 
 // witnessed is the distance product's cube algebra: min-plus operands,
 // lifted at the multiplying node into witness-tagged values — an S entry

@@ -87,6 +87,14 @@ type ApproxOpts struct {
 //	d(u,v) ≤ D̃[u][v] ≤ (1+δ)^⌈log₂ n⌉ · d(u,v).
 //
 // The returned stretch bound is that factor.
+//
+// Squaring s (from 0) runs at its own entry bound M_s (approxBound), not
+// the loop's: its estimates are at most (1+δ)^s times a shortest distance
+// over at most 2^s hops, so M_s = ⌈min(2^{s+1}, n−1)·maxW·(1+δ)^s⌉ + 1
+// bounds both its operands and the exact product of them, which is what
+// Lemma 20 asks of M. M_s sizes the product's ⌈log_{1+δ} M_s⌉ + 1 scale
+// levels, so the early squarings run fewer levels. maxW comes from one
+// charged round and s is the loop counter, so every node knows M_s.
 func APSPApprox(net *clique.Network, engine ccmm.Engine, g *graphs.Weighted, opts ApproxOpts) (dist *ccmm.RowMat[int64], stretch float64, err error) {
 	if err := checkWeightedSize(net, g); err != nil {
 		return nil, 0, err
@@ -117,17 +125,26 @@ func APSPApprox(net *clique.Network, engine ccmm.Engine, g *graphs.Weighted, opt
 	// tells every node the global maximum maxW, which sizes M.
 	net.Phase("apsp-approx/max-weight")
 	maxW := max(1, int64(net.Max(func(v int) clique.Word { return rowMaxWeight(w.Rows[v], v) })))
-	// Entry bound after i squarings: path weights ≤ n·maxW, inflated by the
-	// accumulated stretch; bound everything by that once.
-	bound := float64(int64(n)*maxW) * math.Pow(1+delta, float64(iters))
-	m := int64(math.Ceil(bound)) + 1
+	// The loop's overall entry bound: path weights ≤ n·maxW, inflated by
+	// the whole stretch.
+	m := int64(math.Ceil(float64(int64(n)*maxW)*math.Pow(1+delta, float64(iters)))) + 1
 
 	for iter := 0; iter < iters; iter++ {
 		net.Phase(fmt.Sprintf("apsp-approx/square-%d", iter))
-		w, err = ApproxDistanceProduct(net, engine, w, w, m, delta)
+		w, err = ApproxDistanceProduct(net, engine, w, w, approxBound(n, maxW, iter, delta, m), delta)
 		if err != nil {
 			return nil, 0, err
 		}
 	}
 	return w, math.Pow(1+delta, float64(iters)), nil
+}
+
+// approxBound returns M_s = min(m, ⌈SquaringBound(n, maxW, s)·(1+δ)^s⌉ + 1),
+// the entry bound of APSPApprox's squaring s under the loop's bound m.
+func approxBound(n int, maxW int64, s int, delta float64, m int64) int64 {
+	b := SquaringBound(n, maxW, s)
+	if b < 0 {
+		return m
+	}
+	return min(m, int64(math.Ceil(float64(b)*math.Pow(1+delta, float64(s))))+1)
 }

@@ -17,6 +17,11 @@ import (
 // O(log n) levels when G² = G (a disjoint union of cliques), so
 // disconnected graphs are handled and yield ring.Inf across components.
 func APSPSeidel(net *clique.Network, engine ccmm.Engine, g *graphs.Graph) (*ccmm.RowMat[int64], error) {
+	return apspSeidel(net, engine, g, SeidelBounds)
+}
+
+// apspSeidel is APSPSeidel with level k run at the bounds bounds(n, k).
+func apspSeidel(net *clique.Network, engine ccmm.Engine, g *graphs.Graph, bounds func(n, depth int) (dist, product int64)) (*ccmm.RowMat[int64], error) {
 	if g.Directed() {
 		return nil, fmt.Errorf("distance: Seidel's algorithm requires an undirected graph: %w", ccmm.ErrSize)
 	}
@@ -36,13 +41,30 @@ func APSPSeidel(net *clique.Network, engine ccmm.Engine, g *graphs.Graph) (*ccmm
 		clear(row)
 		g.Row(v).ForEach(func(u int) { row[u] = 1 })
 	})
-	return seidelRec(net, engine, sc, a, 0, log2Ceil(n)+2)
+	return seidelRec(net, engine, sc, a, 0, log2Ceil(n)+2, bounds)
 }
 
-// seidelRec solves one level. The caller keeps a; everything the level makes
-// except the distances it returns is back on sc's free list when it returns
-// (on an error or an abort the level's matrices are simply the collector's).
-func seidelRec(net *clique.Network, engine ccmm.Engine, sc *ccmm.Scratch, a *ccmm.RowMat[int64], depth, maxDepth int) (*ccmm.RowMat[int64], error) {
+// SeidelBounds returns the bounds of level depth (k, from 0) of Seidel's
+// recursion on n nodes, which holds the adjacency A of G^{2^k} and gets
+// back from the level below the distances D₂ of G^{2^{k+1}}. A distance of G is at
+// most n − 1, so every finite entry of D₂ is at most
+// dist = L_k = ⌈(n−1)/2^{k+1}⌉, the value the level caps ∞ at; S = D₂'·A
+// sums at most n − 1 capped entries, so product = (n−1)·L_k bounds it.
+// Both follow from n and the depth alone, which every node knows.
+func SeidelBounds(n, depth int) (dist, product int64) {
+	k := min(depth+1, 62) // 2^62 already exceeds n − 1
+	dist = (int64(n-1) + int64(1)<<k - 1) >> k
+	return dist, int64(n-1) * dist
+}
+
+// seidelRec solves one level at the bounds bounds(n, depth) (SeidelBounds).
+// The caller keeps a; everything the level makes except the distances it
+// returns is back on sc's free list when it returns (on an error or an
+// abort the level's matrices are simply the collector's).
+//
+// At depth k the capped product S = D₂'·A ships ⌈log₂((n−1)·L_k + 1)⌉-bit
+// residues (ccmm.MulIntWith), a width that shrinks level by level.
+func seidelRec(net *clique.Network, engine ccmm.Engine, sc *ccmm.Scratch, a *ccmm.RowMat[int64], depth, maxDepth int, bounds func(n, depth int) (dist, product int64)) (*ccmm.RowMat[int64], error) {
 	if depth > maxDepth {
 		return nil, fmt.Errorf("distance: Seidel recursion exceeded depth %d (internal invariant)", maxDepth)
 	}
@@ -96,7 +118,7 @@ func seidelRec(net *clique.Network, engine ccmm.Engine, sc *ccmm.Scratch, a *ccm
 		return d, nil
 	}
 
-	d2, err := seidelRec(net, engine, sc, b, depth+1, maxDepth)
+	d2, err := seidelRec(net, engine, sc, b, depth+1, maxDepth, bounds)
 	if err != nil {
 		return nil, err
 	}
@@ -119,22 +141,23 @@ func seidelRec(net *clique.Network, engine ccmm.Engine, sc *ccmm.Scratch, a *ccm
 		degs[v] = int64(bc[v])
 	}
 
-	// S = D₂'·A over the integers, with infinities capped to n: the capped
-	// entries only involve cross-component pairs, whose output stays ∞, and
-	// capping bounds every entry of S by n² from n alone (true distances are
-	// < n), so the product ships ⌈log₂(n² + 1)⌉-bit entries.
+	// S = D₂'·A over the integers, with infinities capped to L_k, the
+	// largest finite distance of G^{2^{k+1}}: the capped entries only meet
+	// cross-component pairs, whose output stays ∞, and capping bounds every
+	// entry of S by (n−1)·L_k from n and the depth alone.
+	top, bound := bounds(n, depth)
 	capped := ccmm.GetMat[int64](sc, n)
 	net.ForEach(func(v int) {
 		crow, drow := capped.Rows[v], d2.Rows[v]
 		for j := 0; j < n; j++ {
 			if ring.IsInf(drow[j]) {
-				crow[j] = int64(n)
+				crow[j] = top
 			} else {
 				crow[j] = drow[j]
 			}
 		}
 	})
-	s, err := ccmm.MulIntWith(net, engine, sc, capped, a, int64(n)*int64(n))
+	s, err := ccmm.MulIntWith(net, engine, sc, capped, a, bound)
 	ccmm.PutMat(sc, capped)
 	if err != nil {
 		return nil, err

@@ -21,12 +21,33 @@ import (
 //
 // One charged round (Network.Max) first tells every node the largest
 // weight maxW, or that some weight is negative. Without negative weights
-// every finite entry of every iterate and of every product is the weight
-// of a simple path, at most B = (n−1)·maxW, so the products ship their
-// entries at that bound (ccmm.DistanceProduct3D): ⌈log₂(B+2)⌉ bits per
-// operand entry instead of a word. With a negative weight they run at full
-// width, and only then can a negative cycle exist.
+// every finite entry of the iterate D_s that squaring s (from 0) squares
+// is the weight of a shortest path of at most 2^s hops, and every finite
+// entry of its square one of at most 2^{s+1} hops; a simple path of at
+// most n − 1 edges matches or beats either. So squaring s ships its
+// entries at B_s = SquaringBound(n, maxW, s) = min(2^{s+1}, n−1)·maxW
+// (ccmm.DistanceProduct3D): ⌈log₂(B_s+2)⌉ bits per operand entry instead
+// of a word, a width that grows with the loop counter and reaches the
+// single bound (n−1)·maxW only once 2^{s+1} ≥ n − 1. Every node knows
+// maxW and s, so no width costs a round. With a negative weight the
+// products run at full width, and only then can a negative cycle exist.
 func APSPSemiring(net *clique.Network, g *graphs.Weighted) (*Result, error) {
+	return apspSemiring(net, g, SquaringBound)
+}
+
+// SquaringBound returns B_s = min(2^{s+1}, n−1)·maxW, the entry bound of
+// squaring s (from 0) of APSP on n nodes whose weights lie in [0, maxW],
+// or −1 when B_s would reach ring.Inf and the squaring runs at full width.
+func SquaringBound(n int, maxW int64, s int) int64 {
+	hops := min(int64(n-1), int64(1)<<min(s+1, 62)) // 2^62 already exceeds n − 1
+	if hops > 0 && maxW > (ring.Inf-1)/hops {
+		return -1
+	}
+	return hops * maxW
+}
+
+// apspSemiring is APSPSemiring with squaring s shipped at bound(n, maxW, s).
+func apspSemiring(net *clique.Network, g *graphs.Weighted, bound func(n int, maxW int64, s int) int64) (*Result, error) {
 	if err := checkWeightedSize(net, g); err != nil {
 		return nil, err
 	}
@@ -60,16 +81,16 @@ func APSPSemiring(net *clique.Network, g *graphs.Weighted) (*Result, error) {
 	net.Phase("apsp3d/max-weight")
 	top := net.Max(func(v int) clique.Word { return rowMaxWeight(w.Rows[v], v) })
 	negative := top == negativeWeight
-	bound := int64(-1)
-	if !negative && (n == 1 || int64(top) <= (ring.Inf-1)/int64(n-1)) {
-		bound = int64(n-1) * int64(top)
-	}
 
 	depth := SquaringCap(n)
 	settled := false
 	for iter := 0; iter < depth; iter++ {
 		net.Phase(fmt.Sprintf("apsp3d/square-%d", iter))
-		w2, q, err := ccmm.DistanceProduct3D(net, sc, w, w, bound)
+		b := int64(-1)
+		if !negative {
+			b = bound(n, int64(top), iter)
+		}
+		w2, q, err := ccmm.DistanceProduct3D(net, sc, w, w, b)
 		if err != nil {
 			return nil, err
 		}

@@ -167,9 +167,9 @@ func TestBulkAppendPreservesPrefix(t *testing.T) {
 // other than 0 and 1 packing as true — which decodes to 0/1.
 func TestPackedWidthOneIsPackedBool(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
-	mp := ring.NewPackedMinPlus(0)
+	mp := ring.PackedMinPlus{Bits: ring.MinPlusBits(0), Max: 0}
 	if mp.Bits != 1 {
-		t.Fatalf("NewPackedMinPlus(0) is %d bits wide, want 1", mp.Bits)
+		t.Fatalf("MinPlusBits(0) = %d, want 1", mp.Bits)
 	}
 	for k := 0; k <= 200; k++ {
 		bools, dists, truths := make([]bool, k), make([]int64, k), make([]int64, k)
@@ -233,9 +233,9 @@ func TestPackedLayoutAndClamp(t *testing.T) {
 		max  int64
 		bits int
 	}{{0, 1}, {1, 2}, {2, 2}, {14, 4}, {15, 5}, {14300, 14}, {ring.Inf - 1, 61}} {
-		c := ring.NewPackedMinPlus(tc.max)
+		c := ring.PackedMinPlus{Bits: ring.MinPlusBits(tc.max), Max: tc.max}
 		if c.Bits != tc.bits {
-			t.Fatalf("NewPackedMinPlus(%d) is %d bits wide, want %d", tc.max, c.Bits, tc.bits)
+			t.Fatalf("MinPlusBits(%d) = %d, want %d", tc.max, c.Bits, tc.bits)
 		}
 		in := []int64{tc.max, tc.max + 1, 2 * tc.max, 0, -1, ring.Inf}
 		want := []int64{tc.max, ring.Inf, ring.Inf, 0, ring.Inf, ring.Inf}
@@ -247,7 +247,7 @@ func TestPackedLayoutAndClamp(t *testing.T) {
 		if !slices.Equal(out, want) {
 			t.Fatalf("max %d: %v arrives as %v, want %v", tc.max, in, out, want)
 		}
-		cw := ring.NewPackedMinPlusW(tc.max, 144)
+		cw := ring.PackedMinPlusW{Val: c, WitBits: ring.WitnessBits(144)}
 		if cw.Val.Bits+cw.WitBits > 64 {
 			continue
 		}

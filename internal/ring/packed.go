@@ -94,12 +94,6 @@ type PackedMinPlus struct {
 
 var _ BulkCodec[int64] = PackedMinPlus{}
 
-// NewPackedMinPlus returns the narrowest bounded form for values in
-// [0, max]: MinPlusBits(max) bits per entry.
-func NewPackedMinPlus(max int64) PackedMinPlus {
-	return PackedMinPlus{Bits: MinPlusBits(max), Max: max}
-}
-
 func (c PackedMinPlus) layout() Packed { return Packed{Bits: c.Bits} }
 
 // code maps a value to its code: itself in range, the sentinel otherwise.
@@ -162,12 +156,6 @@ type PackedMinPlusW struct {
 }
 
 var _ BulkCodec[ValW] = PackedMinPlusW{}
-
-// NewPackedMinPlusW returns the narrowest two-field form for values in
-// [0, max] tagged with witnesses among n nodes.
-func NewPackedMinPlusW(max int64, n int) PackedMinPlusW {
-	return PackedMinPlusW{Val: NewPackedMinPlus(max), WitBits: WitnessBits(n)}
-}
 
 func (c PackedMinPlusW) layout() Packed { return Packed{Bits: c.Val.Bits + c.WitBits} }
 
