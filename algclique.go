@@ -27,13 +27,11 @@
 // measurements. Semiring (3D) products run on any clique size via a padded
 // cube layout, so min-plus entry points never pad; the bilinear engine
 // still needs perfect-square clique sizes, and those entry points
-// transparently pad the instance with isolated nodes unless WithoutPadding
-// is set.
+// transparently pad the instance with isolated nodes.
 package algclique
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/algebraic-clique/algclique/internal/bilinear"
 	"github.com/algebraic-clique/algclique/internal/ccmm"
@@ -207,8 +205,9 @@ func productsFrom(src []clique.ProductStat) (caller, ledger []ProductStat) {
 }
 
 // SessionOption configures a session for its whole lifetime: it selects the
-// engine plan, the padding policy, and the simulator worker pool, which are
-// resolved once at NewClique and shared by every subsequent operation.
+// engine plan, the transport, the sparse threshold and the simulator worker
+// pool, which are resolved once at NewClique and shared by every
+// subsequent operation.
 type SessionOption interface {
 	apply(*config)
 	sessionOption()
@@ -234,7 +233,6 @@ func (o callOpt) callOption()     {}
 
 type config struct {
 	engine          Engine
-	strict          bool
 	workers         int
 	transport       clique.Transport
 	sparseThreshold float64
@@ -250,9 +248,6 @@ type config struct {
 
 // WithEngine forces a specific multiplication engine.
 func WithEngine(e Engine) SessionOption { return sessionOpt(func(c *config) { c.engine = e }) }
-
-// WithoutPadding fails instead of padding incompatible instance sizes.
-func WithoutPadding() SessionOption { return sessionOpt(func(c *config) { c.strict = true }) }
 
 // WithWorkers bounds the simulator's local-computation worker pool.
 func WithWorkers(k int) SessionOption { return sessionOpt(func(c *config) { c.workers = k }) }
@@ -319,50 +314,27 @@ const (
 	anySize     sizeClass = iota // every engine runs unpadded (semiring products)
 	ringSize                     // the bilinear engine wants a scheme-compatible size
 	minPlusSize                  // anySize, and the bilinear engine cannot run it at all
+	sparseSize                   // the sparse square's Lemma 12 packing wants n ≥ 8
 )
 
-// paddedSize returns the clique size to simulate for an instance of size n.
-// Semiring products (anySize) never pad: the 3D algorithm's cube layout
-// handles arbitrary n. Ring products pad only for the bilinear engine,
-// whose two-level grid needs a scheme-compatible perfect square; under
-// EngineAuto the smaller of the scheme padding and the cube padding wins
-// (on a perfect cube the 3D engine's index groups need no padding).
-func (c config) paddedSize(n int, class sizeClass) (int, error) {
-	if n < 1 {
-		return 0, fmt.Errorf("algclique: empty instance: %w", ccmm.ErrSize)
+// ringPadding returns the clique size to simulate a ring product of an
+// instance of size n on. Semiring products never pad: the 3D algorithm's
+// cube layout handles arbitrary n. Ring products pad only for the bilinear
+// engine, whose two-level grid needs a scheme-compatible perfect square;
+// under Auto, where the engine resolution falls back to the 3D (or naive)
+// algorithm on any size, padding is a performance choice and the smaller
+// of the scheme padding and the cube padding wins (on a perfect cube the
+// 3D engine's index groups need no padding).
+func (c config) ringPadding(n int) int {
+	switch c.engine {
+	case Naive, Semiring3D, Sparse:
+		// No constraint: the semiring engines run on any size (the sparse
+		// engine rejects n < 8 at multiply time instead).
+		return n
+	case Fast:
+		return nextSchemeSize(n)
 	}
-	want := n
-	switch class {
-	case anySize, minPlusSize:
-		// No constraint.
-	case ringSize:
-		switch c.engine {
-		case Naive, Semiring3D, Sparse:
-			// No constraint: the semiring engines run on any size (the
-			// sparse engine rejects n < 8 at multiply time instead).
-		case Fast:
-			want = nextSchemeSize(n)
-		default:
-			// Auto: padding is a performance choice, never a requirement —
-			// the engine resolution falls back to the 3D (or naive)
-			// algorithm, which runs any size unpadded. Strict runs stay at
-			// n; otherwise the smaller compatible padding wins.
-			if c.strict {
-				break
-			}
-			f, cu := nextSchemeSize(n), nextCube(n)
-			if cu < f {
-				want = cu
-			} else {
-				want = f
-			}
-		}
-	}
-	if c.strict && want != n {
-		return 0, fmt.Errorf("algclique: instance size %d needs padding to %d (engine %v); remove WithoutPadding or resize: %w",
-			n, want, c.engine, ccmm.ErrSize)
-	}
-	return want, nil
+	return min(nextSchemeSize(n), nextCube(n))
 }
 
 func nextCube(n int) int {

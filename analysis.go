@@ -13,28 +13,16 @@ import (
 // changed, so when every reachable pair is at most h hops apart it runs
 // min(⌈log₂ n⌉, ⌈log₂ h⌉ + 1) products. This is the reachability step of
 // Corollary 8, exposed on its own.
-func (s *Clique) TransitiveClosure(g *Graph, opts ...CallOption) (reach Mat, stats Stats, err error) {
-	r, err := s.begin("TransitiveClosure", g.N(), ringSize, opts)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	defer r.end(&stats, &err)
-	padded := padGraph(g, r.n)
-	mat := ccmm.GetMat[int64](r.sc, r.n)
-	for v := 0; v < r.n; v++ {
-		row := mat.Rows[v]
-		for j := range row {
-			row[j] = 0
+func (s *Clique) TransitiveClosure(g *Graph, opts ...CallOption) (Mat, Stats, error) {
+	return call(s, "TransitiveClosure", g.N(), ringSize, opts, func(r *opRun) (Mat, error) {
+		reach := ccmm.AdjacencyRows(r.sc, padGraph(g, r.n), true)
+		cur, err := distance.Closure(r.net, r.engine(), r.sc, reach, r.orig)
+		if err != nil {
+			return nil, err
 		}
-		row[v] = 1
-		padded.Row(v).ForEach(func(u int) { row[u] = 1 })
-	}
-	cur, err := distance.Closure(r.net, r.engine(), r.sc, mat, r.orig)
-	if err != nil {
-		return nil, stats, err
-	}
-	r.recycle(cur)
-	return truncateRows(cur, r.orig), stats, nil
+		r.recycle(cur)
+		return truncateRows(cur, r.orig), nil
+	})
 }
 
 // Diameter returns the unweighted diameter (the largest finite pairwise
@@ -73,20 +61,16 @@ const broadcastOp = "MatMulBroadcast"
 // broadcast rounds — so round limits, cancellation contexts, and per-phase
 // breakdowns all apply. It refuses a fault plan: a broadcast never flushes,
 // so no fault could fire.
-func (s *Clique) MatMulBroadcast(a, b Mat, opts ...CallOption) (prod Mat, stats Stats, err error) {
+func (s *Clique) MatMulBroadcast(a, b Mat, opts ...CallOption) (Mat, Stats, error) {
 	orig, err := squareSize(a, b)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	r, err := s.begin(broadcastOp, orig, anySize, opts)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	defer r.end(&stats, &err)
-	p, err := baseline.BroadcastMatMul(r.net, r.borrow(a, &matMulSpec), r.borrow(b, &matMulSpec))
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	prod = truncateRows(p, orig)
-	return
+	return call(s, broadcastOp, orig, anySize, opts, func(r *opRun) (Mat, error) {
+		p, err := baseline.BroadcastMatMul(r.net, r.borrow(a, &matMulSpec), r.borrow(b, &matMulSpec))
+		if err != nil {
+			return nil, err
+		}
+		return truncateRows(p, orig), nil
+	})
 }

@@ -71,36 +71,6 @@ func mulRef(a, b [][]int64) [][]int64 {
 	return out
 }
 
-func TestMatMulStrictSemantics(t *testing.T) {
-	// Under Auto, WithoutPadding never fails: engine resolution falls back
-	// to the 3D (or naive) algorithm, which runs any size unpadded.
-	a := randMat(rand.New(rand.NewPCG(2, 1)), 10, 5)
-	p, stats, err := openSession(t, 10, cc.WithoutPadding()).MatMul(a, a)
-	if err != nil {
-		t.Fatalf("strict auto run rejected: %v", err)
-	}
-	if stats.N != 10 || stats.PaddedFrom != 0 {
-		t.Errorf("strict run not unpadded: %+v", stats)
-	}
-	want := mulRef(a, a)
-	for i := range want {
-		for j := range want[i] {
-			if p[i][j] != want[i][j] {
-				t.Fatalf("strict product wrong at (%d,%d)", i, j)
-			}
-		}
-	}
-	// Forcing the bilinear engine still rejects scheme-incompatible sizes
-	// under WithoutPadding, and accepts compatible ones.
-	if _, _, err := openSession(t, 10, cc.WithEngine(cc.Fast), cc.WithoutPadding()).MatMul(a, a); err == nil {
-		t.Error("scheme-incompatible size accepted by strict fast engine")
-	}
-	b := randMat(rand.New(rand.NewPCG(2, 2)), 16, 5)
-	if _, _, err := openSession(t, 16, cc.WithoutPadding()).MatMul(b, b); err != nil {
-		t.Errorf("compatible size rejected: %v", err)
-	}
-}
-
 func TestDistanceProduct(t *testing.T) {
 	a := [][]int64{
 		{0, 3, cc.Inf},

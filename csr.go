@@ -190,7 +190,7 @@ func (r *opRun) publicProduct(p ccmm.CSRProduct[int64]) CSRProduct {
 // csrProduct is the shared harness for the one-product CSR entry points:
 // op is the ledger name, spec the product table row whose routed CSR
 // product runs.
-func (s *Clique) csrProduct(op string, spec *productSpec, a, b *CSR, opts []CallOption) (prod CSRProduct, stats Stats, err error) {
+func (s *Clique) csrProduct(op string, spec *productSpec, a, b *CSR, opts []CallOption) (CSRProduct, Stats, error) {
 	orig, err := csrPairSize(a, b)
 	if err != nil {
 		return CSRProduct{}, Stats{}, err
@@ -203,21 +203,19 @@ func (s *Clique) csrProduct(op string, spec *productSpec, a, b *CSR, opts []Call
 			return CSRProduct{}, Stats{}, err
 		}
 	}
-	r, err := s.begin(op, orig, spec.class, opts)
-	if err != nil {
-		return CSRProduct{}, Stats{}, err
-	}
-	defer r.end(&stats, &err)
-	pa := padCSRTo(a, r.n)
-	pb := pa
-	if b != a {
-		pb = padCSRTo(b, r.n)
-	}
-	var p ccmm.CSRProduct[int64]
-	if p, r.route, err = spec.mulCSR(r.plan, r.net, r.sc, pa, pb); err == nil {
-		prod = r.publicProduct(p)
-	}
-	return
+	return call(s, op, orig, spec.class, opts, func(r *opRun) (CSRProduct, error) {
+		pa := padCSRTo(a, r.n)
+		pb := pa
+		if b != a {
+			pb = padCSRTo(b, r.n)
+		}
+		p, route, err := spec.mulCSR(r.plan, r.net, r.sc, pa, pb)
+		r.route = route
+		if err != nil {
+			return CSRProduct{}, err
+		}
+		return r.publicProduct(p), nil
+	})
 }
 
 // MatMulCSR multiplies two n×n integer matrices given as compressed
@@ -316,47 +314,13 @@ func rowChanged(old, cur ccmm.CSRProduct[int64], v int) bool {
 	return true
 }
 
-// iterateSquaring drives an iterated-squaring loop that stays CSR until
-// fill-in forces densification: each squaring runs through spec's routed
-// CSR product, and the first dense result switches the loop to its dense
-// product for the remaining iterations. It squares at most
-// distance.SquaringCap(n) times and stops at the fixed point by the rule
-// every squaring loop shares (distance.Settled): after every squaring but
-// the last, one round of Network.Any tells every node whether any row
-// changed.
-func (r *opRun) iterateSquaring(spec *productSpec, d *matrix.CSR[int64], n int) (ccmm.CSRProduct[int64], error) {
-	it := ccmm.CSRProduct[int64]{Sparse: d}
-	depth := distance.SquaringCap(n)
-	for iter := 0; iter < depth; iter++ {
-		var next ccmm.CSRProduct[int64]
-		var err error
-		if it.Dense == nil {
-			next, r.route, err = spec.mulCSR(r.plan, r.net, r.sc, it.Sparse, it.Sparse)
-		} else {
-			next.Dense, r.route, err = spec.mul(r.plan, r.net, r.sc, it.Dense, it.Dense)
-		}
-		if err != nil {
-			return ccmm.CSRProduct[int64]{}, err
-		}
-		settled := iter+1 < depth && !r.net.Any(func(v int) bool { return rowChanged(it, next, v) })
-		r.recycle(it.Dense)
-		it = next
-		if settled {
-			break
-		}
-	}
-	// A sparse iterate may still be the caller's seeded view; products are
-	// always fresh, so this aliases no pooled state.
-	return it, nil
-}
-
 // iterateCSR is the shared harness of the iterated-squaring CSR entry
 // points: seed the iterate with the operand plus diag on the diagonal —
 // values kept (min-plus) or dropped, since a Boolean iterate is
 // structure-only and successive iterates come back value-free — and square
 // it to its fixed point, within ⌈log₂ n⌉ squarings of the instance size,
 // with spec's products.
-func (s *Clique) iterateCSR(op string, spec *productSpec, a *CSR, diag int64, keepVal bool, opts []CallOption) (prod CSRProduct, stats Stats, err error) {
+func (s *Clique) iterateCSR(op string, spec *productSpec, a *CSR, diag int64, keepVal bool, opts []CallOption) (CSRProduct, Stats, error) {
 	if err := a.validate(); err != nil {
 		return CSRProduct{}, Stats{}, err
 	}
@@ -365,17 +329,25 @@ func (s *Clique) iterateCSR(op string, spec *productSpec, a *CSR, diag int64, ke
 			return CSRProduct{}, Stats{}, err
 		}
 	}
-	r, err := s.begin(op, a.N, spec.class, opts)
-	if err != nil {
-		return CSRProduct{}, Stats{}, err
-	}
-	defer r.end(&stats, &err)
-	d := withDiagonal(padCSRTo(a, r.n), r.n, diag, keepVal)
-	var p ccmm.CSRProduct[int64]
-	if p, err = r.iterateSquaring(spec, d, a.N); err == nil {
-		prod = r.publicProduct(p)
-	}
-	return
+	return call(s, op, a.N, spec.class, opts, func(r *opRun) (CSRProduct, error) {
+		seed := ccmm.CSRProduct[int64]{Sparse: withDiagonal(padCSRTo(a, r.n), r.n, diag, keepVal)}
+		// Each squaring runs through spec's routed CSR product, and the
+		// first dense result switches the loop to its dense product.
+		p, _, err := distance.Square(r.net, a.N, seed,
+			func(_ int, it ccmm.CSRProduct[int64]) (next ccmm.CSRProduct[int64], err error) {
+				if it.Dense == nil {
+					next, r.route, err = spec.mulCSR(r.plan, r.net, r.sc, it.Sparse, it.Sparse)
+				} else {
+					next.Dense, r.route, err = spec.mul(r.plan, r.net, r.sc, it.Dense, it.Dense)
+				}
+				return next, err
+			},
+			rowChanged, func(it ccmm.CSRProduct[int64]) { r.recycle(it.Dense) })
+		if err != nil {
+			return CSRProduct{}, err
+		}
+		return r.publicProduct(p), nil
+	})
 }
 
 // APSPCSR computes all-pairs shortest-path distances of a nonnegatively

@@ -124,24 +124,19 @@ func checkWeights(g *Weighted) error {
 // ErrOutOfRange) by min-plus iterated squaring on the 3D algorithm —
 // O(n^{1/3} log n) rounds (Corollary 6). The 3D algorithm runs on any
 // clique size, so the instance is simulated unpadded.
-func (s *Clique) APSP(g *Weighted, opts ...CallOption) (res *APSPResult, stats Stats, err error) {
+func (s *Clique) APSP(g *Weighted, opts ...CallOption) (*APSPResult, Stats, error) {
 	if err := checkWeights(g); err != nil {
 		return nil, Stats{}, err
 	}
-	r, err := s.begin("APSP", g.N(), anySize, opts)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	defer r.end(&stats, &err)
-	dres, derr := distance.APSPSemiring(r.net, padWeighted(g, r.n))
-	if derr != nil {
-		err = derr
-		return
-	}
-	res = truncateResult(dres, r.orig)
-	r.recycle(dres.Dist)
-	r.recycle(dres.Next)
-	return
+	return call(s, "APSP", g.N(), anySize, opts, func(r *opRun) (*APSPResult, error) {
+		dres, err := distance.APSPSemiring(r.net, padWeighted(g, r.n))
+		if err != nil {
+			return nil, err
+		}
+		r.recycle(dres.Dist)
+		r.recycle(dres.Next)
+		return truncateResult(dres, r.orig), nil
+	})
 }
 
 // APSPUnweighted computes exact all-pairs shortest paths of an unweighted
@@ -151,20 +146,15 @@ func (s *Clique) APSPUnweighted(g *Graph, opts ...CallOption) (*APSPResult, Stat
 	return s.apspUnweighted("APSPUnweighted", g, opts)
 }
 
-func (s *Clique) apspUnweighted(op string, g *Graph, opts []CallOption) (res *APSPResult, stats Stats, err error) {
-	r, err := s.begin(op, g.N(), ringSize, opts)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	defer r.end(&stats, &err)
-	d, derr := distance.APSPSeidel(r.net, r.engine(), padGraph(g, r.n))
-	if derr != nil {
-		err = derr
-		return
-	}
-	res = &APSPResult{Dist: truncateRows(d, r.orig)}
-	r.recycle(d)
-	return
+func (s *Clique) apspUnweighted(op string, g *Graph, opts []CallOption) (*APSPResult, Stats, error) {
+	return call(s, op, g.N(), ringSize, opts, func(r *opRun) (*APSPResult, error) {
+		d, err := distance.APSPSeidel(r.net, r.engine(), padGraph(g, r.n))
+		if err != nil {
+			return nil, err
+		}
+		r.recycle(d)
+		return &APSPResult{Dist: truncateRows(d, r.orig)}, nil
+	})
 }
 
 // APSPUnweightedWithRouting runs Seidel's algorithm and then reads a
@@ -172,66 +162,55 @@ func (s *Clique) apspUnweighted(op string, g *Graph, opts []CallOption) (res *AP
 // is the smallest neighbour w of u with 1 + d(w,v) = d(u,v). The table
 // costs one 3D distance product, O(n^{1/3}) rounds on top of Seidel's and
 // the same on every input.
-func (s *Clique) APSPUnweightedWithRouting(g *Graph, opts ...CallOption) (res *APSPResult, stats Stats, err error) {
-	r, err := s.begin("APSPUnweightedWithRouting", g.N(), ringSize, opts)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	defer r.end(&stats, &err)
-	padded := padGraph(g, r.n)
-	d, derr := distance.APSPSeidel(r.net, r.engine(), padded)
-	if derr != nil {
-		err = derr
-		return
-	}
-	w := r.getMat()
-	for u := 0; u < r.n; u++ {
-		row := w.Rows[u]
-		for v := 0; v < r.n; v++ {
-			switch {
-			case u == v:
-				row[v] = 0
-			case padded.HasEdge(u, v):
-				row[v] = 1
-			default:
-				row[v] = ring.Inf
+func (s *Clique) APSPUnweightedWithRouting(g *Graph, opts ...CallOption) (*APSPResult, Stats, error) {
+	return call(s, "APSPUnweightedWithRouting", g.N(), ringSize, opts, func(r *opRun) (*APSPResult, error) {
+		padded := padGraph(g, r.n)
+		d, err := distance.APSPSeidel(r.net, r.engine(), padded)
+		if err != nil {
+			return nil, err
+		}
+		r.recycle(d)
+		w := r.getMat()
+		for u := 0; u < r.n; u++ {
+			row := w.Rows[u]
+			for v := 0; v < r.n; v++ {
+				switch {
+				case u == v:
+					row[v] = 0
+				case padded.HasEdge(u, v):
+					row[v] = 1
+				default:
+					row[v] = ring.Inf
+				}
 			}
 		}
-	}
-	// Every finite entry of w and d, and every partial 1 + d(w,v), is at
-	// most n: a bound known from n alone, with no round.
-	next, derr := distance.RoutingFromDistances(r.net, w, d, int64(r.n))
-	if derr != nil {
-		err = derr
-		return
-	}
-	res = &APSPResult{Dist: truncateRows(d, r.orig), Next: truncateRows(next, r.orig)}
-	r.recycle(d)
-	r.recycle(next)
-	return
+		// Every finite entry of w and d, and every partial 1 + d(w,v), is
+		// at most n: a bound known from n alone, with no round.
+		next, err := distance.RoutingFromDistances(r.net, w, d, int64(r.n))
+		if err != nil {
+			return nil, err
+		}
+		r.recycle(next)
+		return &APSPResult{Dist: truncateRows(d, r.orig), Next: truncateRows(next, r.orig)}, nil
+	})
 }
 
 // APSPSmallWeights computes exact all-pairs shortest paths for directed
 // graphs with positive integer weights and weighted diameter U in
 // Õ(U·n^ρ) rounds (Corollary 8, via the Lemma 18 ring embedding). Weights
 // are range-checked as for APSP.
-func (s *Clique) APSPSmallWeights(g *Weighted, opts ...CallOption) (res *APSPResult, stats Stats, err error) {
+func (s *Clique) APSPSmallWeights(g *Weighted, opts ...CallOption) (*APSPResult, Stats, error) {
 	if err := checkWeights(g); err != nil {
 		return nil, Stats{}, err
 	}
-	r, err := s.begin("APSPSmallWeights", g.N(), ringSize, opts)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	defer r.end(&stats, &err)
-	d, derr := distance.APSPSmallWeights(r.net, r.engine(), padWeighted(g, r.n))
-	if derr != nil {
-		err = derr
-		return
-	}
-	res = &APSPResult{Dist: truncateRows(d, r.orig)}
-	r.recycle(d)
-	return
+	return call(s, "APSPSmallWeights", g.N(), ringSize, opts, func(r *opRun) (*APSPResult, error) {
+		d, err := distance.APSPSmallWeights(r.net, r.engine(), padWeighted(g, r.n))
+		if err != nil {
+			return nil, err
+		}
+		r.recycle(d)
+		return &APSPResult{Dist: truncateRows(d, r.orig)}, nil
+	})
 }
 
 // APSPApprox computes (1+ε)-approximate all-pairs shortest paths for
@@ -239,50 +218,41 @@ func (s *Clique) APSPSmallWeights(g *Weighted, opts ...CallOption) (res *APSPRes
 // rounds (Theorem 9). The returned stretch is the proven bound
 // (1+δ)^⌈log₂ n⌉ for the δ in effect (see WithDelta); with the default δ
 // the stretch is 1+o(1). Weights are range-checked as for APSP.
-func (s *Clique) APSPApprox(g *Weighted, opts ...CallOption) (res *APSPResult, stretch float64, stats Stats, err error) {
+func (s *Clique) APSPApprox(g *Weighted, opts ...CallOption) (*APSPResult, float64, Stats, error) {
 	if err := checkWeights(g); err != nil {
 		return nil, 0, Stats{}, err
 	}
-	r, err := s.begin("APSPApprox", g.N(), ringSize, opts)
-	if err != nil {
-		return nil, 0, Stats{}, err
-	}
-	defer r.end(&stats, &err)
-	d, str, derr := distance.APSPApprox(r.net, r.engine(), padWeighted(g, r.n),
-		distance.ApproxOpts{Delta: r.cfg.delta})
-	if derr != nil {
-		err = derr
-		return
-	}
-	res = &APSPResult{Dist: truncateRows(d, r.orig)}
-	stretch = str
-	r.recycle(d)
-	return
+	var stretch float64
+	res, stats, err := call(s, "APSPApprox", g.N(), ringSize, opts, func(r *opRun) (*APSPResult, error) {
+		d, str, err := distance.APSPApprox(r.net, r.engine(), padWeighted(g, r.n),
+			distance.ApproxOpts{Delta: r.cfg.delta})
+		if err != nil {
+			return nil, err
+		}
+		r.recycle(d)
+		stretch = str
+		return &APSPResult{Dist: truncateRows(d, r.orig)}, nil
+	})
+	return res, stretch, stats, err
 }
 
 // APSPNaive is the Θ(n)-round learn-everything baseline (per-node
 // Dijkstra); non-negative weights only. Like the other semiring entry
 // points it runs on the instance's own clique size (anySize never pads),
-// but the padded size is resolved through the same session machinery so
-// engine and padding options behave consistently across all APSP variants.
+// resolved through the same session machinery as every APSP variant.
 // Weights are range-checked as for APSP.
-func (s *Clique) APSPNaive(g *Weighted, opts ...CallOption) (res *APSPResult, stats Stats, err error) {
+func (s *Clique) APSPNaive(g *Weighted, opts ...CallOption) (*APSPResult, Stats, error) {
 	if err := checkWeights(g); err != nil {
 		return nil, Stats{}, err
 	}
-	r, err := s.begin("APSPNaive", g.N(), anySize, opts)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	defer r.end(&stats, &err)
-	d, derr := baseline.NaiveAPSP(r.net, padWeighted(g, r.n))
-	if derr != nil {
-		err = derr
-		return
-	}
-	res = &APSPResult{Dist: truncateRows(d, r.orig)}
-	r.recycle(d)
-	return
+	return call(s, "APSPNaive", g.N(), anySize, opts, func(r *opRun) (*APSPResult, error) {
+		d, err := baseline.NaiveAPSP(r.net, padWeighted(g, r.n))
+		if err != nil {
+			return nil, err
+		}
+		r.recycle(d)
+		return &APSPResult{Dist: truncateRows(d, r.orig)}, nil
+	})
 }
 
 // ValidateRouting checks a distance matrix and routing table against the

@@ -29,7 +29,7 @@ func main() {
 
 	// A session owns the simulated network, the resolved engine plan, and
 	// reusable buffers; every operation below shares them. Session options
-	// (engine, padding, workers) are fixed here; per-call options (seed,
+	// (engine, workers, transport) are fixed here; per-call options (seed,
 	// round limits, contexts) go to the individual methods.
 	sess, err := cc.NewClique(g.N())
 	if err != nil {

@@ -17,11 +17,7 @@ const recycledSentinel int64 = -0x5eed5eed5eed
 func (s *Clique) PoisonRecycled() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sizes := []int{s.nAny}
-	if s.ringErr == nil {
-		sizes = append(sizes, s.nRing)
-	}
-	for _, n := range sizes {
+	for _, n := range []int{s.n, s.nRing} {
 		ccmm.ScratchOf(s.networkFor(n)).SetRecycleHook(poisonMat)
 	}
 }

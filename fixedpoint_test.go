@@ -100,11 +100,11 @@ func log2Ceil(n int) int { return bits.Len(uint(n - 1)) }
 // path of fixedPointGraphs when every loop ran all ⌈log₂ n⌉ squarings: the
 // fixed-point rule adds one round per squaring but the last. The APSP
 // column was measured by running the loop with the rule off (APSPSemiring
-// with Settled never asked) on the packed codec: the max-weight round and
+// with the fixed-point round never asked) on the packed codec: the max-weight round and
 // ⌈log₂ n⌉ products, squaring s at its hop bound min(2^{s+1}, n−1)·maxW,
 // with no negative-cycle round, since the path has no negative weight.
 // The closure column was measured the same way (distance.Closure with
-// Settled never asked, which reproduces the earlier 80 / 120 / 229 on the
+// the fixed-point round never asked, which reproduces the earlier 80 / 120 / 229 on the
 // bilinear integer embedding) with every dense-routed Boolean squaring on
 // the packed 3D engine an Auto plan now picks: ⌈log₂ n⌉ routed products,
 // each with its census round.

@@ -20,6 +20,7 @@ import (
 	"github.com/algebraic-clique/algclique/internal/ccmm"
 	"github.com/algebraic-clique/algclique/internal/clique"
 	"github.com/algebraic-clique/algclique/internal/graphs"
+	"github.com/algebraic-clique/algclique/internal/matrix"
 	"github.com/algebraic-clique/algclique/internal/ring"
 	"github.com/algebraic-clique/algclique/internal/routing"
 )
@@ -195,26 +196,28 @@ func NaiveAPSP(net *clique.Network, g *graphs.Weighted) (*ccmm.RowMat[int64], er
 		}
 	}
 	net.Phase("naive-apsp/gather")
-	vecs := make([][]clique.Word, n)
-	for v := 0; v < n; v++ {
-		row := w.Row(v)
-		vec := make([]clique.Word, n)
-		for j := 0; j < n; j++ {
-			vec[j] = clique.Word(row[j])
-		}
-		vecs[v] = vec
+	lens := make([]int64, n)
+	for v := range lens {
+		lens[v] = int64(n)
 	}
-	all := routing.AllGather(net, vecs)
+	full := ccmm.Learn(net, w, lens, func(v int) []clique.Word {
+		vec := make([]clique.Word, n)
+		for j, x := range w.Row(v) {
+			vec[j] = clique.Word(x)
+		}
+		return vec
+	}, func(all [][]clique.Word) *matrix.Dense[int64] {
+		out := matrix.New[int64](n, n)
+		for v, vec := range all {
+			row := out.Row(v)
+			for j, x := range vec {
+				row[j] = int64(x)
+			}
+		}
+		return out
+	})
 
 	net.Phase("naive-apsp/dijkstra")
-	full := make([][]int64, n)
-	for v := 0; v < n; v++ {
-		row := make([]int64, n)
-		for j := 0; j < n; j++ {
-			row[j] = int64(all[v][j])
-		}
-		full[v] = row
-	}
 	out := ccmm.NewRowMat[int64](n)
 	net.ForEach(func(src int) {
 		out.Rows[src] = dijkstra(full, src)
@@ -235,8 +238,8 @@ func (p pq) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
 func (p *pq) Push(x any)        { *p = append(*p, x.(pqItem)) }
 func (p *pq) Pop() any          { old := *p; x := old[len(old)-1]; *p = old[:len(old)-1]; return x }
 
-func dijkstra(w [][]int64, src int) []int64 {
-	n := len(w)
+func dijkstra(w *matrix.Dense[int64], src int) []int64 {
+	n := w.Rows()
 	dist := make([]int64, n)
 	done := make([]bool, n)
 	for i := range dist {
@@ -250,11 +253,12 @@ func dijkstra(w [][]int64, src int) []int64 {
 			continue
 		}
 		done[it.v] = true
+		row := w.Row(it.v)
 		for u := 0; u < n; u++ {
-			if u == it.v || done[u] || ring.IsInf(w[it.v][u]) {
+			if u == it.v || done[u] || ring.IsInf(row[u]) {
 				continue
 			}
-			if nd := it.d + w[it.v][u]; nd < dist[u] {
+			if nd := it.d + row[u]; nd < dist[u] {
 				dist[u] = nd
 				heap.Push(h, pqItem{v: u, d: nd})
 			}

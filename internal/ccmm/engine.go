@@ -135,16 +135,6 @@ func MulBoolWith(net *clique.Network, e Engine, sc *Scratch, s, t *RowMat[int64]
 	return dropRoute(PlanFor(net.N(), e).MulBoolRouted(net, sc, s, t))
 }
 
-// MulMinPlusWith computes the distance product over the (min, +) semiring
-// on the working set sc (nil for the network's own). The bilinear engine
-// does not apply (min-plus is not a ring); EngineAuto resolves to
-// Semiring3D — O(n^{1/3}) rounds on any clique size n ≥ 8 — and to
-// NaiveGather only on tiny cliques. For the ring-embedded fast distance
-// product with bounded entries, see the distance package (Lemma 18).
-func MulMinPlusWith(net *clique.Network, e Engine, sc *Scratch, s, t *RowMat[int64]) (*RowMat[int64], error) {
-	return dropRoute(PlanFor(net.N(), e).MulMinPlusRouted(net, sc, s, t))
-}
-
 // mulBoolDense executes resolved dense engine e on a Boolean product (no
 // census): the bit-packed Boolean semiring on the semiring engines, and on
 // the bilinear engine, which needs a ring, the integer embedding with the

@@ -62,12 +62,12 @@ func TestMulMinPlusAutoBeatsNaiveOnNonCubes(t *testing.T) {
 	for _, n := range []int{60, 100} {
 		a, b := randMinPlusMat(rng, n), randMinPlusMat(rng, n)
 		auto := clique.New(n)
-		pAuto, err := ccmm.MulMinPlusWith(auto, ccmm.EngineAuto, nil, ccmm.Distribute(a), ccmm.Distribute(b))
+		pAuto, _, err := ccmm.PlanFor(n, ccmm.EngineAuto).MulMinPlusRouted(auto, nil, ccmm.Distribute(a), ccmm.Distribute(b))
 		if err != nil {
 			t.Fatalf("n=%d auto: %v", n, err)
 		}
 		naive := clique.New(n)
-		pNaive, err := ccmm.MulMinPlusWith(naive, ccmm.EngineNaive, nil, ccmm.Distribute(a), ccmm.Distribute(b))
+		pNaive, _, err := ccmm.PlanFor(n, ccmm.EngineNaive).MulMinPlusRouted(naive, nil, ccmm.Distribute(a), ccmm.Distribute(b))
 		if err != nil {
 			t.Fatalf("n=%d naive: %v", n, err)
 		}

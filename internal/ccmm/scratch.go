@@ -2,6 +2,7 @@ package ccmm
 
 import (
 	"github.com/algebraic-clique/algclique/internal/clique"
+	"github.com/algebraic-clique/algclique/internal/graphs"
 	"github.com/algebraic-clique/algclique/internal/matrix"
 	"github.com/algebraic-clique/algclique/internal/routing"
 )
@@ -284,6 +285,22 @@ func GetMat[T any](sc *Scratch, n int) *RowMat[T] {
 		}
 	}
 	return NewRowMat[T](n)
+}
+
+// AdjacencyRows distributes g's 0/1 adjacency matrix one row per node —
+// node v's local input, as the model prescribes — with 1 on the diagonal
+// when reflexive (A ∨ I). The matrix comes from sc's free list and goes
+// back there when the caller is done with it.
+func AdjacencyRows(sc *Scratch, g *graphs.Graph, reflexive bool) *RowMat[int64] {
+	out := GetMat[int64](sc, g.N())
+	for v, row := range out.Rows {
+		clear(row)
+		g.Row(v).ForEach(func(u int) { row[u] = 1 })
+		if reflexive {
+			row[v] = 1
+		}
+	}
+	return out
 }
 
 // PutMat returns a matrix nothing reads any more to sc's free list for T;

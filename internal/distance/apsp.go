@@ -65,40 +65,57 @@ func log2Ceil(n int) int {
 // n−1 hops, so ⌈log₂ n⌉ squarings settle any iterate.
 func SquaringCap(n int) int { return log2Ceil(n) }
 
-// Settled is the fixed-point rule of the iterated-squaring loops. Every
-// node compares its row of the new iterate cur with its row of the old one,
-// and Network.Any — one charged round — tells every node whether any row
-// changed. A deterministic squaring map that leaves its iterate unchanged
-// leaves it unchanged for ever, so a loop stops when Settled reports true
-// and returns exactly what the capped run would. Loops ask after every
-// squaring but the last one the cap allows, so when every shortest path
-// (or reachability witness) needs at most h hops the loop stops after
-// min(SquaringCap(n), ⌈log₂ h⌉ + 1) squarings.
-func Settled(net *clique.Network, old, cur *ccmm.RowMat[int64]) bool {
-	return !net.Any(func(v int) bool { return !slices.Equal(old.Rows[v], cur.Rows[v]) })
-}
-
-// Closure squares reach, the 0/1 rows of A ∨ I, into the reachability
-// closure: Boolean squarings on engine, at most SquaringCap(capN) of them
-// (capN is the unpadded size when the clique is padded), stopping at the
-// fixed point. reach comes from sc's free list and is consumed, like every
-// iterate but the returned one, which is the caller's to return.
-func Closure(net *clique.Network, engine ccmm.Engine, sc *ccmm.Scratch, reach *ccmm.RowMat[int64], capN int) (*ccmm.RowMat[int64], error) {
+// Square is the one iterated-squaring loop: it squares seed with step, at
+// most SquaringCap(capN) times (capN is the unpadded size when the clique
+// is padded), and stops at the fixed point. After every squaring but the
+// last one the cap allows, every node tests its row v with changed(old,
+// cur, v), and Network.Any — one charged round — tells every node whether
+// any row changed. A deterministic squaring map that leaves its iterate
+// unchanged leaves it unchanged for ever, so a run that stops there returns
+// exactly what the capped run would; when every shortest path (or
+// reachability witness) needs at most h hops it runs
+// min(SquaringCap(capN), ⌈log₂ h⌉ + 1) squarings. step(s, cur) is squaring
+// s (from 0); it sets its own phase, so the fixed-point round is charged to
+// it. Square hands every iterate that a later one supersedes to put, and on
+// an error the current one as well, so the caller owns only the returned
+// iterate. settled reports a run that stopped at its fixed point.
+func Square[M any](net *clique.Network, capN int, seed M, step func(s int, cur M) (M, error), changed func(old, cur M, v int) bool, put func(M)) (cur M, settled bool, err error) {
 	depth := SquaringCap(capN)
-	for iter := 0; iter < depth; iter++ {
-		next, err := ccmm.MulBoolWith(net, engine, sc, reach, reach)
+	cur = seed
+	for s := 0; s < depth; s++ {
+		next, err := step(s, cur)
 		if err != nil {
-			ccmm.PutMat(sc, reach)
-			return nil, err
+			put(cur)
+			var zero M
+			return zero, false, err
 		}
-		settled := iter+1 < depth && Settled(net, reach, next)
-		ccmm.PutMat(sc, reach)
-		reach = next
+		settled = s+1 < depth && !net.Any(func(v int) bool { return changed(cur, next, v) })
+		put(cur)
+		cur = next
 		if settled {
 			break
 		}
 	}
-	return reach, nil
+	return cur, settled, nil
+}
+
+// rowsChanged is Square's row test for row matrices: node v's row differs.
+func rowsChanged(old, cur *ccmm.RowMat[int64], v int) bool {
+	return !slices.Equal(old.Rows[v], cur.Rows[v])
+}
+
+// Closure squares reach, the 0/1 rows of A ∨ I, into the reachability
+// closure: Boolean squarings on engine, at most SquaringCap(capN) of them,
+// stopping at the fixed point. reach comes from sc's free list and is
+// consumed, like every iterate but the returned one, which is the caller's
+// to return.
+func Closure(net *clique.Network, engine ccmm.Engine, sc *ccmm.Scratch, reach *ccmm.RowMat[int64], capN int) (*ccmm.RowMat[int64], error) {
+	reach, _, err := Square(net, capN, reach,
+		func(_ int, cur *ccmm.RowMat[int64]) (*ccmm.RowMat[int64], error) {
+			return ccmm.MulBoolWith(net, engine, sc, cur, cur)
+		},
+		rowsChanged, func(x *ccmm.RowMat[int64]) { ccmm.PutMat(sc, x) })
+	return reach, err
 }
 
 // ValidateRouting is a centralised test helper: it walks every routing-table

@@ -34,13 +34,8 @@ func apspSeidel(net *clique.Network, engine ccmm.Engine, g *graphs.Graph, bounds
 	// Boolean squaring and parity product run on it, and every matrix that
 	// dies inside the recursion goes back to its free list.
 	sc := ccmm.ScratchOf(net)
-	a := ccmm.GetMat[int64](sc, n)
+	a := ccmm.AdjacencyRows(sc, g, false)
 	defer ccmm.PutMat(sc, a)
-	net.ForEach(func(v int) {
-		row := a.Rows[v]
-		clear(row)
-		g.Row(v).ForEach(func(u int) { row[u] = 1 })
-	})
 	return seidelRec(net, engine, sc, a, 0, log2Ceil(n)+2, bounds)
 }
 

@@ -14,7 +14,7 @@ import (
 // over the min-plus semiring (Corollary 6): at most ⌈log₂ n⌉ distance
 // products on the 3D algorithm, each O(n^{1/3}) rounds on any clique size
 // (the balanced cube layout), witnesses riding in-band. The squaring stops at
-// its fixed point (Settled: one round after every squaring but the last),
+// its fixed point (Square: one round after every squaring but the last),
 // so when every shortest path needs at most h hops it runs
 // min(⌈log₂ n⌉, ⌈log₂ h⌉ + 1) products. Weights may be negative; negative
 // cycles are detected and rejected.
@@ -82,44 +82,47 @@ func apspSemiring(net *clique.Network, g *graphs.Weighted, bound func(n int, max
 	top := net.Max(func(v int) clique.Word { return rowMaxWeight(w.Rows[v], v) })
 	negative := top == negativeWeight
 
-	depth := SquaringCap(n)
-	settled := false
-	for iter := 0; iter < depth; iter++ {
-		net.Phase(fmt.Sprintf("apsp3d/square-%d", iter))
-		b := int64(-1)
-		if !negative {
-			b = bound(n, int64(top), iter)
-		}
-		w2, q, err := ccmm.DistanceProduct3D(net, sc, w, w, b)
-		if err != nil {
-			return nil, err
-		}
-		// R'[u,v] = R[u, Q[u,v]] where the square strictly improved, R[u,v]
-		// elsewhere — a purely local update, since node u owns all the rows
-		// involved. It is written into a second table so that updates
-		// within the same squaring cannot observe each other.
-		next2 := ccmm.GetMat[int64](sc, n)
-		net.ForEach(func(u int) {
-			wrow, w2row := w.Rows[u], w2.Rows[u]
-			old, nrow, qrow := next.Rows[u], next2.Rows[u], q.Rows[u]
-			for v := 0; v < n; v++ {
-				if w2row[v] < wrow[v] {
-					nrow[v] = old[qrow[v]]
-				} else {
-					nrow[v] = old[v]
-				}
+	put := func(it Result) {
+		ccmm.PutMat(sc, it.Dist)
+		ccmm.PutMat(sc, it.Next)
+	}
+	res, settled, err := Square(net, n, Result{Dist: w, Next: next},
+		func(s int, cur Result) (Result, error) {
+			net.Phase(fmt.Sprintf("apsp3d/square-%d", s))
+			b := int64(-1)
+			if !negative {
+				b = bound(n, int64(top), s)
 			}
-		})
+			w2, q, err := ccmm.DistanceProduct3D(net, sc, cur.Dist, cur.Dist, b)
+			if err != nil {
+				return Result{}, err
+			}
+			// R'[u,v] = R[u, Q[u,v]] where the square strictly improved,
+			// R[u,v] elsewhere — a purely local update, since node u owns
+			// all the rows involved. It is written into a second table so
+			// that updates within the same squaring cannot observe each
+			// other.
+			next2 := ccmm.GetMat[int64](sc, n)
+			net.ForEach(func(u int) {
+				wrow, w2row := cur.Dist.Rows[u], w2.Rows[u]
+				old, nrow, qrow := cur.Next.Rows[u], next2.Rows[u], q.Rows[u]
+				for v := 0; v < n; v++ {
+					if w2row[v] < wrow[v] {
+						nrow[v] = old[qrow[v]]
+					} else {
+						nrow[v] = old[v]
+					}
+				}
+			})
+			ccmm.PutMat(sc, q)
+			return Result{Dist: w2, Next: next2}, nil
+		},
 		// The routing table moves only where the distances strictly
 		// improved, so unchanged distances are a fixed point of both.
-		settled = iter+1 < depth && Settled(net, w, w2)
-		ccmm.PutMat(sc, w)
-		ccmm.PutMat(sc, q)
-		ccmm.PutMat(sc, next)
-		w, next = w2, next2
-		if settled {
-			break
-		}
+		func(old, cur Result, v int) bool { return rowsChanged(old.Dist, cur.Dist, v) },
+		put)
+	if err != nil {
+		return nil, err
 	}
 
 	// Negative-cycle check: one node's negative diagonal entry is enough,
@@ -127,10 +130,11 @@ func apspSemiring(net *clique.Network, g *graphs.Weighted, bound func(n int, max
 	// cycle, and a fixed point has none — a negative diagonal entry d would
 	// square to at most 2d < d — so only a loop that saw a negative weight
 	// and ran to the cap asks.
-	if negative && !settled && net.Any(func(v int) bool { return w.Rows[v][v] < 0 }) {
+	if negative && !settled && net.Any(func(v int) bool { return res.Dist.Rows[v][v] < 0 }) {
+		put(res)
 		return nil, fmt.Errorf("distance: graph contains a negative cycle")
 	}
-	return &Result{Dist: w, Next: next}, nil
+	return &res, nil
 }
 
 // negativeWeight is a node's word in a max-weight round when its row holds

@@ -71,33 +71,27 @@ func DistanceProductSmall(net *clique.Network, engine ccmm.Engine, s, t *ccmm.Ro
 // (Lemma 19): iterated squaring where entries above M are truncated to ∞
 // before every product, so every product stays within the Lemma 18 regime.
 // The map "square, then truncate above M" is deterministic, so the loop
-// stops at its fixed point (Settled) within the ⌈log₂ n⌉ cap. Output
+// stops at its fixed point (Square) within the ⌈log₂ n⌉ cap. Output
 // entries are exact distances ≤ M; pairs farther apart (or unreachable)
 // are ∞.
 func APSPBounded(net *clique.Network, engine ccmm.Engine, w *ccmm.RowMat[int64], m int64) (*ccmm.RowMat[int64], error) {
 	if m < 1 {
 		return nil, fmt.Errorf("distance: distance bound M = %d must be ≥ 1: %w", m, ccmm.ErrSize)
 	}
-	n := net.N()
 	sc := ccmm.ScratchOf(net)
-	cur := truncateAbove(sc, w, m)
-	depth := SquaringCap(n)
-	for iter := 0; iter < depth; iter++ {
-		net.Phase(fmt.Sprintf("apsp-bounded/square-%d", iter))
-		next, err := DistanceProductSmall(net, engine, cur, cur, m)
-		if err != nil {
-			return nil, err
-		}
-		trunc := truncateAbove(sc, next, m)
-		ccmm.PutMat(sc, next)
-		settled := iter+1 < depth && Settled(net, cur, trunc)
-		ccmm.PutMat(sc, cur)
-		cur = trunc
-		if settled {
-			break
-		}
-	}
-	return cur, nil
+	d, _, err := Square(net, net.N(), truncateAbove(sc, w, m),
+		func(s int, cur *ccmm.RowMat[int64]) (*ccmm.RowMat[int64], error) {
+			net.Phase(fmt.Sprintf("apsp-bounded/square-%d", s))
+			next, err := DistanceProductSmall(net, engine, cur, cur, m)
+			if err != nil {
+				return nil, err
+			}
+			trunc := truncateAbove(sc, next, m)
+			ccmm.PutMat(sc, next)
+			return trunc, nil
+		},
+		rowsChanged, func(x *ccmm.RowMat[int64]) { ccmm.PutMat(sc, x) })
+	return d, err
 }
 
 // truncateAbove copies w into a free-list matrix with entries above m set

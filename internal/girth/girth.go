@@ -100,12 +100,7 @@ func Directed(net *clique.Network, engine ccmm.Engine, g *graphs.Graph) (girth i
 	// set; the powers and the search's candidates all die in here and go
 	// back to its free list.
 	sc := ccmm.ScratchOf(net)
-	a := ccmm.GetMat[int64](sc, n)
-	net.ForEach(func(v int) {
-		row := a.Rows[v]
-		clear(row)
-		g.Row(v).ForEach(func(u int) { row[u] = 1 })
-	})
+	a := ccmm.AdjacencyRows(sc, g, false)
 
 	diagSet := func(b *ccmm.RowMat[int64]) bool {
 		return net.Any(func(v int) bool { return b.Rows[v][v] != 0 })

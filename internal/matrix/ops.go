@@ -17,14 +17,6 @@ func Add[T any](r ring.Semiring[T], a, b *Dense[T]) *Dense[T] {
 	return out
 }
 
-// AddInto accumulates b into a entry-wise: a[i] = a[i] + b[i].
-func AddInto[T any](r ring.Semiring[T], a, b *Dense[T]) {
-	shapeCheck("AddInto", a, b)
-	for i := range a.e {
-		a.e[i] = r.Add(a.e[i], b.e[i])
-	}
-}
-
 // Sub returns a - b entry-wise over the ring.
 func Sub[T any](r ring.Ring[T], a, b *Dense[T]) *Dense[T] {
 	shapeCheck("Sub", a, b)

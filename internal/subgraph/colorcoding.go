@@ -39,7 +39,7 @@ func DetectKCycleColourful(net *clique.Network, engine ccmm.Engine, g *graphs.Gr
 	// matrix of the recursion — all of them dead once the cycle is closed —
 	// goes back to its free list for the next colouring.
 	sc := ccmm.ScratchOf(net)
-	a := adjacencyRows(sc, g)
+	a := ccmm.AdjacencyRows(sc, g, false)
 	defer ccmm.PutMat(sc, a)
 	var kept []*ccmm.RowMat[int64] // every C(X) and C(Y)·A, in the order made
 	defer func() {

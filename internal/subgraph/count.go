@@ -19,7 +19,7 @@ func CountTriangles(net *clique.Network, engine ccmm.Engine, g *graphs.Graph) (i
 		return 0, err
 	}
 	sc := ccmm.ScratchOf(net)
-	a := adjacencyRows(sc, g)
+	a := ccmm.AdjacencyRows(sc, g, false)
 	defer ccmm.PutMat(sc, a)
 	a2, err := ccmm.MulIntWith(net, engine, sc, a, a, int64(net.N()))
 	if err != nil {
@@ -69,7 +69,7 @@ func CountC4(net *clique.Network, engine ccmm.Engine, g *graphs.Graph) (int64, e
 		return 0, err
 	}
 	sc := ccmm.ScratchOf(net)
-	a := adjacencyRows(sc, g)
+	a := ccmm.AdjacencyRows(sc, g, false)
 	defer ccmm.PutMat(sc, a)
 	a2, err := ccmm.MulIntWith(net, engine, sc, a, a, int64(net.N()))
 	if err != nil {

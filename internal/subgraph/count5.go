@@ -27,7 +27,7 @@ func CountC5(net *clique.Network, engine ccmm.Engine, g *graphs.Graph) (int64, e
 	}
 	n := net.N()
 	sc := ccmm.ScratchOf(net)
-	a := adjacencyRows(sc, g)
+	a := ccmm.AdjacencyRows(sc, g, false)
 	defer ccmm.PutMat(sc, a)
 	// Walk counts bound both products from n alone: A² ≤ n, A³ ≤ n².
 	a2, err := ccmm.MulIntWith(net, engine, sc, a, a, int64(n))

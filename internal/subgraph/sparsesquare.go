@@ -54,7 +54,7 @@ func SparseSquareScratch(net *clique.Network, sc *ccmm.Scratch, g *graphs.Graph)
 		sc = ccmm.ScratchOf(net)
 	}
 	r := ring.Int64{}
-	a := adjacencyRows(sc, g)
+	a := ccmm.AdjacencyRows(sc, g, false)
 	defer ccmm.PutMat(sc, a)
 	sq, err := ccmm.SparseMul[int64](net, sc, r, r, a, a)
 	if err != nil {

@@ -17,18 +17,6 @@ import (
 	"github.com/algebraic-clique/algclique/internal/graphs"
 )
 
-// adjacencyRows distributes the adjacency matrix one row per node: node v's
-// local input, as the model prescribes. The matrix comes from sc's free
-// list and goes back there when the caller is done with it.
-func adjacencyRows(sc *ccmm.Scratch, g *graphs.Graph) *ccmm.RowMat[int64] {
-	out := ccmm.GetMat[int64](sc, g.N())
-	for v, row := range out.Rows {
-		clear(row)
-		g.Row(v).ForEach(func(u int) { row[u] = 1 })
-	}
-	return out
-}
-
 // sumBroadcast sums per-node partial values via a single broadcast round.
 func sumBroadcast(net *clique.Network, partial []int64) int64 {
 	n := net.N()

@@ -38,7 +38,7 @@ func (s *Clique) MatMulBool(a, b Mat, opts ...CallOption) (Mat, Stats, error) {
 
 // product is the shared entry for the three matrix products: one
 // per-operation harness around runProduct's retry/certification loop.
-func (s *Clique) product(spec *productSpec, a, b Mat, opts []CallOption) (prod Mat, stats Stats, err error) {
+func (s *Clique) product(spec *productSpec, a, b Mat, opts []CallOption) (Mat, Stats, error) {
 	orig, err := squareSize(a, b)
 	if err != nil {
 		return nil, Stats{}, err
@@ -48,13 +48,9 @@ func (s *Clique) product(spec *productSpec, a, b Mat, opts []CallOption) (prod M
 			return nil, Stats{}, err
 		}
 	}
-	r, err := s.begin(spec.op, orig, spec.class, opts)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	defer r.end(&stats, &err)
-	prod, err = r.runProduct(spec, a, b)
-	return
+	return call(s, spec.op, orig, spec.class, opts, func(r *opRun) (Mat, error) {
+		return r.runProduct(spec, a, b)
+	})
 }
 
 func squareSize(a, b Mat) (int, error) {

@@ -26,9 +26,9 @@ var ErrSessionClosed = errors.New("algclique: session is closed")
 //     padding decisions are computed once at construction),
 //
 // and every algorithm in the package is a method on it. Construction
-// options (engine, padding policy, workers) are fixed for the session's
-// lifetime; per-operation options (seed, delta, round limit, context) are
-// passed to each call. Methods may be called from multiple goroutines; the
+// options (engine, workers, transport, sparse threshold) are fixed for the
+// session's lifetime; per-operation options (seed, delta, round limit,
+// context) are passed to each call. Methods may be called from multiple goroutines; the
 // session serialises them, since a congested clique runs one algorithm at a
 // time.
 //
@@ -45,9 +45,7 @@ type Clique struct {
 	n   int
 	cfg config
 
-	nAny    int // clique size for semiring (never-padded) operations
-	nRing   int // clique size for ring operations (scheme padding)
-	ringErr error
+	nRing int // clique size for ring operations (scheme padding)
 
 	nets   map[int]*clique.Network
 	closed bool
@@ -82,22 +80,14 @@ type SessionStats struct {
 // and padding decisions happen here, once; the session's networks and
 // buffers are then reused by every operation.
 func NewClique(n int, opts ...SessionOption) (*Clique, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("algclique: empty instance: %w", ccmm.ErrSize)
+	}
 	cfg := config{engine: Auto, sparseThreshold: ccmm.DefaultSparseThreshold, certifyRetries: -1}
 	for _, o := range opts {
 		o.apply(&cfg)
 	}
-	nAny, err := cfg.paddedSize(n, anySize)
-	if err != nil {
-		return nil, err
-	}
-	s := &Clique{
-		n:    n,
-		cfg:  cfg,
-		nAny: nAny,
-		nets: make(map[int]*clique.Network),
-	}
-	s.nRing, s.ringErr = cfg.paddedSize(n, ringSize)
-	return s, nil
+	return &Clique{n: n, cfg: cfg, nRing: cfg.ringPadding(n), nets: make(map[int]*clique.Network)}, nil
 }
 
 // N returns the instance size the session serves.
@@ -186,16 +176,15 @@ func (s *Clique) record(op string, st Stats, products []ProductStat) {
 func (s *Clique) sizeFor(class sizeClass) (int, error) {
 	switch class {
 	case ringSize:
-		if s.ringErr != nil {
-			return 0, s.ringErr
-		}
 		return s.nRing, nil
+	case sparseSize:
+		return max(s.n, 8), nil
 	case minPlusSize:
 		if s.cfg.engine == Fast {
 			return 0, fmt.Errorf("algclique: min-plus is not a ring; use Auto, Semiring3D or Naive: %w", ccmm.ErrSize)
 		}
 	}
-	return s.nAny, nil
+	return s.n, nil
 }
 
 // networkFor returns the session's persistent network of the given size,
@@ -215,7 +204,7 @@ func (s *Clique) networkFor(n int) *clique.Network {
 
 // opRun is the per-operation harness: it holds the session lock, the reset
 // network, the merged per-call config, and the buffers borrowed for the
-// run. begin acquires it; end (deferred) converts abort panics to errors,
+// run. call acquires it; end (deferred) converts abort panics to errors,
 // snapshots the operation's Stats, records the ledger entry, returns
 // buffers, and releases the lock.
 type opRun struct {
@@ -264,15 +253,6 @@ func (s *Clique) acquire(op string, orig int, opts []CallOption) (config, error)
 	return cfg, nil
 }
 
-// beginAt starts an operation on a clique of the given (padded) size.
-func (s *Clique) beginAt(op string, orig, n int, opts []CallOption) (*opRun, error) {
-	cfg, err := s.acquire(op, orig, opts)
-	if err != nil {
-		return nil, err
-	}
-	return s.newRun(op, cfg, orig, n), nil
-}
-
 // newRun builds the per-operation harness and arms its network (mu held):
 // a reset, the per-call abort settings, the session's transport (direct by
 // default; WithWireTransport overrides), the session's sparse threshold —
@@ -300,24 +280,29 @@ func (s *Clique) newRun(op string, cfg config, orig, n int) *opRun {
 	return r
 }
 
-// begin starts an operation whose clique size follows from the algorithm's
-// size class. The closed/size checks in acquire take precedence over the
-// deferred ring-padding error.
-func (s *Clique) begin(op string, orig int, class sizeClass, opts []CallOption) (*opRun, error) {
+// call runs one operation through the per-operation harness: it opens the
+// run on the clique size op's size class resolves to, runs body on it, and
+// closes it with the deferred end, which turns an abort into the error and
+// fills in the Stats. The closed/size checks in acquire take precedence
+// over the size class's own error.
+func call[T any](s *Clique, op string, orig int, class sizeClass, opts []CallOption, body func(r *opRun) (T, error)) (out T, stats Stats, err error) {
 	cfg, err := s.acquire(op, orig, opts)
 	if err != nil {
-		return nil, err
+		return out, Stats{}, err
 	}
 	n, err := s.sizeFor(class)
 	if err != nil {
 		s.mu.Unlock()
-		return nil, err
+		return out, Stats{}, err
 	}
-	return s.newRun(op, cfg, orig, n), nil
+	r := s.newRun(op, cfg, orig, n)
+	defer r.end(&stats, &err)
+	out, err = body(r)
+	return
 }
 
-// end completes the operation; it must be deferred immediately after a
-// successful begin, with the method's named stats and error results.
+// end completes the operation; call defers it with its named stats and
+// error results.
 func (r *opRun) end(stats *Stats, err *error) {
 	s := r.s
 	if rec := recover(); rec != nil {
@@ -380,8 +365,8 @@ func (r *opRun) borrow(rows Mat, spec *productSpec) *ccmm.RowMat[int64] {
 	return m
 }
 
-// recycle hands an engine-produced matrix (whose contents have been copied
-// out) to the free list when the operation ends.
+// recycle hands an engine-produced matrix to the free list when the
+// operation ends, after the body has copied out what it returns.
 func (r *opRun) recycle(m *ccmm.RowMat[int64]) {
 	if m != nil && m.N() == r.n {
 		r.borrowed = append(r.borrowed, m)

@@ -356,25 +356,6 @@ func TestSessionPoolBounded(t *testing.T) {
 	}
 }
 
-// Closed-session errors take precedence over the session's deferred
-// ring-padding error.
-func TestSessionClosedBeatsDeferredPaddingError(t *testing.T) {
-	sess, err := cc.NewClique(60, cc.WithEngine(cc.Fast), cc.WithoutPadding())
-	if err != nil {
-		t.Fatal(err) // the ring-size error is deferred to ring-class calls
-	}
-	a := sessionTestMat(60, 1)
-	if _, _, err := sess.MatMul(a, a); err == nil {
-		t.Fatal("strict Fast at n=60 must fail")
-	}
-	if err := sess.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := sess.MatMul(a, a); !errors.Is(err, cc.ErrSessionClosed) {
-		t.Errorf("err = %v, want ErrSessionClosed", err)
-	}
-}
-
 func TestSessionClosedAndSizeMismatch(t *testing.T) {
 	sess, err := cc.NewClique(16)
 	if err != nil {
