@@ -96,11 +96,18 @@ func (e Engine) internal() ccmm.Engine {
 	}
 }
 
-// PhaseStat is the cost of one named algorithm phase.
+// PhaseStat is the cost of one named algorithm phase, graded against its
+// information bound: Flushes counts the phase's exchanges (every flush and
+// collective; a two-phase schedule's two legs are one), and Bound sums
+// each exchange's ⌈max(out, in)/(n−1)⌉, out and in the most words any node
+// sends and receives in it. No schedule beats the bound, so
+// Bound ≤ Rounds; the gap is what the phase's schedule leaves on the table.
 type PhaseStat struct {
-	Name   string
-	Rounds int64
-	Words  int64
+	Name    string
+	Rounds  int64
+	Words   int64
+	Flushes int64
+	Bound   int64
 }
 
 // ProductStat is one row of an operation's product ledger: its routed
@@ -183,7 +190,7 @@ func statsFrom(net *clique.Network, orig int) (st Stats, products []ProductStat)
 	phases := net.Phases()
 	st.Phases = make([]PhaseStat, len(phases))
 	for i, p := range phases {
-		st.Phases[i] = PhaseStat{Name: p.Name, Rounds: p.Rounds, Words: p.Words}
+		st.Phases[i] = PhaseStat(p)
 	}
 	st.Products, products = productsFrom(net.Products())
 	return st, products

@@ -102,7 +102,8 @@ func log2Ceil(n int) int { return bits.Len(uint(n - 1)) }
 // column was measured by running the loop with the rule off (APSPSemiring
 // with the fixed-point round never asked) on the packed codec: the max-weight round and
 // ⌈log₂ n⌉ products, squaring s at its hop bound min(2^{s+1}, n−1)·maxW,
-// with no negative-cycle round, since the path has no negative weight.
+// with no negative-cycle round, since the path has no negative weight —
+// each 3D exchange on the cheaper of the stripe and the König assignment.
 // The closure column was measured the same way (distance.Closure with
 // the fixed-point round never asked, which reproduces the earlier 80 / 120 / 229 on the
 // bilinear integer embedding) with every dense-routed Boolean squaring on
@@ -110,8 +111,8 @@ func log2Ceil(n int) int { return bits.Len(uint(n - 1)) }
 // each with its census round.
 var cappedPathRounds = map[int]struct{ apsp, closure int64 }{
 	16:  {17, 16},
-	64:  {41, 24},
-	144: {96, 69},
+	64:  {35, 24},
+	144: {68, 69},
 }
 
 // TestSquaringStopsAtFixedPoint: every iterated-squaring loop stops one
@@ -260,16 +261,18 @@ func checkDist(t *testing.T, op string, got cc.Mat, want *matrix.Dense[int64]) {
 // holds and every product runs at full width. At n = 64 and 144 the loop
 // stops at its fixed point, which has no negative diagonal entry, so the
 // max-weight round takes the place of the negative-cycle round and the
-// ledger is exactly the one full-width APSP charged before packing
-// (153 rounds, 510 040 words; 291 rounds, 3 343 892 words). At n = 16 the
-// loop runs to its cap and the negative-cycle round still follows it, so
-// the max-weight round is one round and n(n−1) words on top of the old
-// 100 rounds and 14 640 words.
+// ledger is exactly the one full-width APSP charged before packing, with
+// its 3D exchanges on the König assignment wherever that beats the stripe
+// (153 rounds, 510 040 words and 291 rounds, 3 343 892 words on the
+// stripe alone). At n = 16 the loop runs to its cap and the negative-cycle
+// round still follows it, so the max-weight round is one round and n(n−1)
+// words on top of the full-width loop's 96 rounds and 14 636 words (100
+// and 14 640 on the stripe alone).
 func TestAPSPNegativeWeightsChargeFullWidth(t *testing.T) {
 	for _, tc := range []struct {
 		n             int
 		rounds, words int64
-	}{{16, 101, 14880}, {64, 153, 510040}, {144, 291, 3343892}} {
+	}{{16, 97, 14876}, {64, 133, 509772}, {144, 266, 3343602}} {
 		g := fixedPointGraphs(tc.n)["negative"]
 		want, err := graphs.FloydWarshall(g)
 		if err != nil {

@@ -1,6 +1,7 @@
 package algclique_test
 
 import (
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -198,5 +199,97 @@ func TestWarmGraphOpAllocs(t *testing.T) {
 	trimmed, _ := liveHeap()
 	if over := int64(trimmed) - int64(base); over > 1<<20 {
 		t.Errorf("Trim left %.1f MB over a never-used session's heap, want < 1 MB", float64(over)/(1<<20))
+	}
+}
+
+// TestWarmServeOpAllocs pins, exactly, what a warm one-worker session
+// allocates per call of the serving plane's product and graph ops at the
+// sizes the serve_mixed yardstick sends (n = 16, 24, 32). On one worker
+// the count does not depend on the machine. The dense engines' oblivious
+// exchanges look their charge up in a process-wide memo
+// (routing.ObliviousCosts) on every warm flush; the pins hold that lookup
+// to no allocation — they are the counts from before the memo existed.
+func TestWarmServeOpAllocs(t *testing.T) {
+	if raceDetector() {
+		t.Skip("the Boolean kernels draw scratch from a sync.Pool, which -race makes lossy")
+	}
+	pins := map[int]map[string]float64{
+		16: {"matmul": 29, "matmul_bool": 20, "distance_product": 20, "apsp": 56, "triangles": 20},
+		24: {"matmul": 20, "matmul_bool": 20, "distance_product": 20, "apsp": 56, "triangles": 73},
+		32: {"matmul": 31, "matmul_bool": 20, "distance_product": 20, "apsp": 56, "triangles": 90},
+	}
+	for _, n := range []int{16, 24, 32} {
+		a, b := randSquare(n, 71), randSquare(n, 72)
+		adj := make(cc.Mat, n)
+		for i := range adj {
+			adj[i] = make([]int64, n)
+			for j := range adj[i] {
+				if i != j && (7*i+3*j)%5 == 0 {
+					adj[i][j] = 1
+				}
+			}
+		}
+		g := cc.RandomConnectedWeighted(n, 0.3, 50, true, uint64(n))
+		u := cc.GNP(n, 0.3, false, uint64(n))
+		sess, err := cc.NewClique(n, cc.WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := []struct {
+			name string
+			call func() error
+		}{
+			{"matmul", func() error { _, _, err := sess.MatMul(a, b); return err }},
+			{"matmul_bool", func() error { _, _, err := sess.MatMulBool(adj, adj); return err }},
+			{"distance_product", func() error { _, _, err := sess.DistanceProduct(a, b); return err }},
+			{"apsp", func() error { _, _, err := sess.APSP(g); return err }},
+			{"triangles", func() error { _, _, err := sess.CountTriangles(u); return err }},
+		}
+		for _, op := range ops {
+			call := func() {
+				if err := op.call(); err != nil {
+					t.Fatalf("%s n=%d: %v", op.name, n, err)
+				}
+			}
+			for warm := 0; warm < 3; warm++ { // buffers reach their high-water marks over the first calls
+				call()
+			}
+			if got, want := testing.AllocsPerRun(5, call), pins[n][op.name]; got != want {
+				t.Errorf("%s n=%d: %.0f allocs/op on a warm one-worker session, pinned %.0f", op.name, n, got, want)
+			}
+		}
+		sess.Close()
+	}
+}
+
+// TestGraphOpPhasesWithinBounds grades every phase of the graph_pipeline
+// operations, on both transports, against the information bound it
+// recorded: Bound ≤ Rounds, and the two transports record one ledger,
+// bounds included. (The engines' own phases are graded over the parity
+// table in internal/ccmm, TestPhaseBoundsBelowCharges.)
+func TestGraphOpPhasesWithinBounds(t *testing.T) {
+	const n = 64
+	for _, op := range graphPipelineOps(n, 1) {
+		var phases [2][]cc.PhaseStat
+		for i, opts := range [][]cc.SessionOption{nil, {cc.WithWireTransport()}} {
+			s, err := cc.NewClique(n, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, st, err := op.run(s)
+			s.Close()
+			if err != nil {
+				t.Fatalf("%s: %v", op.name, err)
+			}
+			phases[i] = st.Phases
+			for _, p := range st.Phases {
+				if p.Bound > p.Rounds {
+					t.Errorf("%s: phase %s charged %d rounds below its bound %d", op.name, p.Name, p.Rounds, p.Bound)
+				}
+			}
+		}
+		if !reflect.DeepEqual(phases[0], phases[1]) {
+			t.Errorf("%s: direct and wire phases differ:\n%+v\n%+v", op.name, phases[0], phases[1])
+		}
 	}
 }

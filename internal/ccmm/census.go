@@ -1,11 +1,15 @@
 package ccmm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"github.com/algebraic-clique/algclique/internal/clique"
+	"github.com/algebraic-clique/algclique/internal/routing"
 )
 
 // This file is the density-aware half of the planner: a one-round census
@@ -135,24 +139,23 @@ func predictSparseRounds(n int, rhoA, rhoB int64, tupleWords int) float64 {
 	return sparseLoadFactor*float64(tupleWords)*load + sparseOverheadRounds
 }
 
-// predictDenseRounds estimates the resolved dense engine's round count for
-// an n-clique product whose k-entry chunks occupy wd(k) words per entry on
+// predictDenseRounds prices the resolved dense engine's rounds for an
+// n-clique product whose k-entry chunks occupy wd(k) words per entry on
 // that engine's wire (1 for one-word entries, fractional for packing
-// codecs: EncodedLen(k)/k). The constants are calibrated against the
-// simulator's measured schedules, and each term is priced at the width of
-// the chunks its phases ship:
+// codecs: EncodedLen(k)/k). Each term is priced at the width of the chunks
+// its phases ship:
 //
+//   - The 3D engine's exchanges are oblivious — every message length
+//     follows from n, the layout and the chunk widths — so its price is
+//     exact (up to exactPriceMaxN nodes): denseCharge builds each
+//     exchange's link list and charges it as the port will.
 //   - The bilinear engine moves Θ(n/d²) words per link in its combine and
 //     products phases, which ship pieces of q/d entries, plus about 4
 //     rounds at one word per entry in its distribute and assemble phases,
-//     which ship rows of q entries.
-//   - The 3D engine moves Θ(b²/n) words per link for its block side b
-//     (cubeLayout), priced at the width of a row of n entries and at
-//     least 3 rounds. Once a block row exceeds two words its two exchanges
-//     relay, and relayed rows of row words take no fewer than
-//     4 + 3·(c² + b)·row/n rounds — each node's load in laps of n words
-//     over the four phases, plus about a round each. Small packed rows
-//     reach that floor; one-word entries stay above it.
+//     which ship rows of q entries. The sparse engine's ρ-bound
+//     (predictSparseRounds) was calibrated against this estimate, so the
+//     census keeps it (see censusPrice); denseEngine compares the
+//     bilinear engine's exact charge instead.
 //   - The naive gather moves Θ(n) words per link.
 //
 // Within those, the estimates deliberately stay on the low side for small
@@ -164,12 +167,7 @@ func (p *Plan) predictDenseRounds(e Engine, wd func(k int) float64) float64 {
 		d, _, row, piece := p.fastShape()
 		return 4*wd(piece)*n/(d*d) + 4*wd(row)
 	case Engine3D:
-		lay := newCubeLayout(p.N)
-		c, b := float64(lay.c), float64(lay.b)
-		rounds := math.Max(3, 7*wd(p.N)*b*b/n)
-		if row := wd(lay.b) * b; row > 2 {
-			rounds = math.Max(rounds, 4+3*(c*c+b)*row/n)
-		}
+		rounds, _ := p.denseCharge(e, wd)
 		return rounds
 	default: // EngineNaive
 		return wd(p.N)*n + 2
@@ -178,17 +176,11 @@ func (p *Plan) predictDenseRounds(e Engine, wd func(k int) float64) float64 {
 
 // predictDenseWords estimates the words the resolved dense engine e
 // charges for an n-clique product whose k-entry chunks occupy wd(k) words
-// per entry on that engine's wire. Each engine is priced at the chunks it
-// ships. The 3D engine ships nothing longer than a b-entry block row (a
-// packed Boolean block row of up to 64 entries is one word); its
-// distribute and products phases send about 3·c³·b block rows, one
-// message per link, which go direct while a row is at most two words (the
-// two-phase schedule takes two rounds at least) and otherwise ride that
-// schedule, whose relay charges every word twice. The
-// bilinear engine charges about 6·n² in q-entry row chunks and 3m/d²·n²
-// in q/d-entry piece chunks for a scheme of m products on d×d blocks —
-// 11.25·n² in all for Strassen's, 15.2·n² for its square. The naive gather
-// ships every row to every other node.
+// per entry on that engine's wire. The 3D engine's price is exact
+// (denseCharge). The bilinear engine charges about 6·n² in q-entry row
+// chunks and 3m/d²·n² in q/d-entry piece chunks for a scheme of m products
+// on d×d blocks — 11.25·n² in all for Strassen's, 15.2·n² for its square.
+// The naive gather ships every row to every other node.
 func (p *Plan) predictDenseWords(e Engine, wd func(k int) float64) float64 {
 	n := float64(p.N)
 	switch e {
@@ -196,16 +188,221 @@ func (p *Plan) predictDenseWords(e Engine, wd func(k int) float64) float64 {
 		d, m, row, piece := p.fastShape()
 		return (6*wd(row) + 3*m/(d*d)*wd(piece)) * n * n
 	case Engine3D:
-		lay := newCubeLayout(p.N)
-		c, b := float64(lay.c), float64(lay.b)
-		row, relay := wd(lay.b)*b, 2.0
-		if row <= 2 {
-			relay = 1
-		}
-		return 3 * relay * c * c * c * b * row
+		_, words := p.denseCharge(e, wd)
+		return words
 	default: // EngineNaive
 		return wd(p.N) * n * n * (n - 1)
 	}
+}
+
+// censusPrice is the dense side of the census's comparison: the resolved
+// engine's predicted rounds, except on the 3D engine, which the census
+// prices by the closed form predictSparseRounds was calibrated against —
+// 7·wd(n)·b²/n, and once a block row exceeds two words at least
+// 4 + 3·(c² + b)·row/n — not by its exact charge. The sparse engine has no
+// words estimate, so the census cannot weigh words; the exact charge, a
+// fifth to a third lower on small cliques, would move quarter-density
+// distance products at n = 16 and 24 from the sparse engine to 3D, trading
+// 30–45 % of their rounds for 10–30 % more words.
+func (p *Plan) censusPrice(e Engine, wd func(k int) float64) float64 {
+	if e != Engine3D {
+		return p.predictDenseRounds(e, wd)
+	}
+	lay := newCubeLayout(p.N)
+	n, c, b := float64(p.N), float64(lay.c), float64(lay.b)
+	rounds := math.Max(3, 7*wd(p.N)*b*b/n)
+	if row := wd(lay.b) * b; row > 2 {
+		rounds = math.Max(rounds, 4+3*(c*c+b)*row/n)
+	}
+	return rounds
+}
+
+// denseCharge is what the 3D (e = Engine3D) or the bilinear engine is
+// charged on the plan's clique at wd(k) words per entry in k-entry chunks:
+// the sum over the engine's exchanges of the port's charge of each
+// (obliviousCharge), from link lists built as the engine sends — exact up
+// to exactPriceMaxN nodes. A bilinear plan without a scheme cannot run,
+// and is priced +Inf.
+func (p *Plan) denseCharge(e Engine, wd func(k int) float64) (rounds, words float64) {
+	chunk := func(k int) int64 { return int64(math.Round(wd(k) * float64(k))) }
+	key := denseKey{n: p.N, e: e}
+	if e == Engine3D {
+		key.row = chunk(newCubeLayout(p.N).b)
+	} else {
+		if p.Scheme == nil {
+			return math.Inf(1), math.Inf(1)
+		}
+		q := isqrt(p.N)
+		key.d, key.m = p.Scheme.D, p.Scheme.M
+		key.row, key.piece = chunk(q), chunk(q/p.Scheme.D)
+	}
+	denseCharges.Lock()
+	c, ok := denseCharges.m[key]
+	denseCharges.Unlock()
+	if !ok {
+		c = key.charge()
+		denseCharges.Lock()
+		if denseCharges.m == nil {
+			denseCharges.m = map[denseKey][2]int64{}
+		}
+		denseCharges.m[key] = c
+		denseCharges.Unlock()
+	}
+	return float64(c[0]), float64(c[1])
+}
+
+// denseKey is one oblivious engine's pattern: the clique, the engine, the
+// words of its row chunk (a b-entry block row on 3D, a q-entry row on the
+// bilinear engine) and, on the bilinear engine, its scheme's d and m and
+// the words of its q/d-entry piece chunk.
+type denseKey struct {
+	n     int
+	e     Engine
+	d, m  int
+	row   int64
+	piece int64
+}
+
+// denseCharges memoises denseCharge per pattern, so a warm prediction
+// allocates nothing.
+var denseCharges struct {
+	sync.Mutex
+	m map[denseKey][2]int64 // → (rounds, words)
+}
+
+// exactPriceMaxN is the largest clique whose dense prices are exact. Above
+// it an exchange's link list costs more memory than a price is worth (the
+// 3D distribute at n = 2000 has 550 000 links), so charge prices each
+// exchange at the cheaper of its direct schedule and its two-phase floor
+// ⌈out/n⌉ + ⌈in/n⌉ at twice its words, which the König assignment meets.
+const exactPriceMaxN = 1024
+
+// charge builds the pattern's exchanges as semiring3D or fastBilinear
+// sends them and sums their charges.
+func (k denseKey) charge() (c [2]int64) {
+	n, exact := k.n, k.n <= exactPriceMaxN
+	var links []routing.Link
+	var out, in []int64 // per node, above exactPriceMaxN
+	var maxLink, total int64
+	if !exact {
+		out, in = make([]int64, n), make([]int64, n)
+	}
+	send := func(src, dst int, words int64) {
+		switch {
+		case exact:
+			links = append(links, routing.Link{Src: int32(src), Dst: int32(dst), Words: words})
+		case src != dst:
+			out[src], in[dst] = out[src]+words, in[dst]+words
+			maxLink, total = max(maxLink, words), total+words
+		}
+	}
+	flush := func(cube bool) {
+		r, w := maxLink, total
+		if exact {
+			if cube { // a node feeding the subcube it hosts is free and outside Auto
+				links = slices.DeleteFunc(links, func(l routing.Link) bool { return l.Src == l.Dst })
+			}
+			slices.SortFunc(links, func(a, b routing.Link) int {
+				return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+			})
+			r, w = obliviousCharge(n, links)
+			links = links[:0]
+		} else {
+			nn := int64(n)
+			if floor := (slices.Max(out)+nn-1)/nn + (slices.Max(in)+nn-1)/nn; maxLink > 2 && floor < r {
+				r, w = floor, 2*total
+			}
+			clear(out)
+			clear(in)
+			maxLink, total = 0, 0
+		}
+		c[0], c[1] = c[0]+r, c[1]+w
+	}
+	if k.e == Engine3D {
+		lay := newCubeLayout(n)
+		for v := 0; v < n; v++ {
+			v1 := lay.group(v)
+			for u1 := range lay.c {
+				for u2 := range lay.c {
+					var w int64 // an S block row to (v1, ∗, ∗), a T block row to (∗, v1, ∗)
+					if u1 == v1 {
+						w += k.row
+					}
+					if u2 == v1 {
+						w += k.row
+					}
+					for u3 := range lay.c {
+						if w > 0 {
+							send(v, lay.host(u1, u2, u3), w)
+						}
+					}
+				}
+			}
+		}
+		flush(true)
+		for r := 0; r < n; r++ {
+			if u1, _, _, ok := lay.subcube(r); ok {
+				for x := lay.lo(u1); x < lay.lo(u1+1); x++ {
+					send(r, x, k.row)
+				}
+			}
+		}
+		flush(true)
+		return c
+	}
+	lay, err := newGridLayout(n, k.d)
+	if err != nil {
+		panic(err) // a scheme's d divides q
+	}
+	q, qd := lay.q, int64(lay.qd)
+	for v := 0; v < n; v++ { // distribute: two row chunks to each (v2, x2)
+		_, v2, _ := lay.split(v)
+		for x2 := range q {
+			send(v, lay.nodeAt(v2, x2), 2*k.row)
+		}
+	}
+	flush(false)
+	for v := 0; v < n; v++ { // combine: 2·q/d piece chunks to each site
+		for w := range k.m {
+			send(v, w, 2*qd*k.piece)
+		}
+	}
+	flush(false)
+	for w := range k.m { // products: q/d piece chunks to every node
+		for v := 0; v < n; v++ {
+			send(w, v, qd*k.piece)
+		}
+	}
+	flush(false)
+	for v := 0; v < n; v++ { // assemble: one row chunk to each row owner
+		x1, _ := lay.label(v)
+		for _, u := range lay.groupSet(x1) {
+			send(v, u, k.row)
+		}
+	}
+	flush(false)
+	return c
+}
+
+// obliviousCharge is the rounds and words the port charges an oblivious
+// flush of links (sorted by (Src, Dst), each link once): direct when no
+// link carries more than two words, else Auto between direct and the
+// two-phase schedule of routing.ObliviousCosts. A self-link is free on the
+// direct schedule.
+func obliviousCharge(n int, links []routing.Link) (rounds, words int64) {
+	var maxWords int64
+	for _, l := range links {
+		maxWords = max(maxWords, l.Words)
+		if l.Src != l.Dst {
+			rounds, words = max(rounds, l.Words), words+l.Words
+		}
+	}
+	if maxWords > 2 {
+		if c := routing.ObliviousCosts(n, nil, links); c.TwoPhase() {
+			return c.MaxA + c.MaxB, c.TotalA + c.TotalB
+		}
+	}
+	return rounds, words
 }
 
 // fastShape returns the bilinear engine's block dimension d, its scheme's
@@ -230,20 +427,21 @@ func denseCost[T any](p *Plan, a *algebra[T], e Engine) (rounds, words float64) 
 
 // denseEngine picks the dense engine of a product of algebra a whose plan
 // resolved e. A forced engine runs as forced. An Auto plan keeps e, except
-// that the 3D engine replaces the bilinear one wherever it applies and is
-// predicted to charge fewer rounds and no more words. A Boolean product
-// takes that trade at every scheme size — bit-packed block rows against
-// the bilinear engine's one-word integer embedding — while a full-width
+// that the 3D engine replaces the bilinear one wherever it applies and
+// charges fewer rounds and no more words — both engines' exchanges are
+// oblivious, so denseCharge prices both exactly. A Boolean product takes
+// that trade at every scheme size — bit-packed block rows against the
+// bilinear engine's one-word integer embedding — while a full-width
 // integer one keeps the bilinear engine: where 3D would save rounds it
 // costs words. An integer product shipped as narrow residues
 // (ring.PackedInt) may take it: at n = 144 one of 8 bits does, one of 15
-// does not.
+// does not; at n = 64 both do.
 func denseEngine[T any](p *Plan, a *algebra[T], e Engine) Engine {
 	if p.Requested != EngineAuto || e != EngineFast || p.SemiringEngine != Engine3D {
 		return e
 	}
-	r3, w3 := denseCost(p, a, Engine3D)
-	rf, wf := denseCost(p, a, EngineFast)
+	r3, w3 := p.denseCharge(Engine3D, func(k int) float64 { return a.entryWords(Engine3D, k) })
+	rf, wf := p.denseCharge(EngineFast, func(k int) float64 { return a.entryWords(EngineFast, k) })
 	if r3 < rf && w3 <= wf {
 		return Engine3D
 	}
@@ -328,7 +526,7 @@ func route[T, P any](net *clique.Network, p *Plan, sc *Scratch, a *algebra[T], o
 	if p.censusApplies(net) {
 		rt.Census = true
 		rt.RhoA, rt.RhoB = census(net, sc, ops.count)
-		densePred, _ := denseCost(p, a, rt.Engine)
+		densePred := p.censusPrice(rt.Engine, func(k int) float64 { return a.entryWords(rt.Engine, k) })
 		if chooseSparse(n, rt.RhoA, rt.RhoB, a.tupleWords, densePred, sparseThreshold(net)) {
 			r0, w0 := net.Rounds(), net.Words()
 			out, err = ops.sparse(sc)

@@ -33,14 +33,17 @@ func randomOperand(rng *rand.Rand, n int, deg float64, zero int64, boolean bool)
 // against what the two candidates charge: on every scheme size probed, a
 // dense integer, Boolean or bounded integer product runs both FastBilinear
 // and Semiring3D on fresh networks, and denseEngine must pick 3D exactly
-// when 3D charged fewer rounds and no more words. The truth it pins: every
-// Boolean product goes 3D (bit-packed block rows against a one-word
-// integer embedding), no full-width integer one does (where 3D saves
-// rounds, at n = 100, 196 and 256, it costs two to three times the
-// words), and a bounded integer product (ring.PackedInt) goes 3D at 8 bits
-// on n = 16, 64 and 144 and at 15 bits on n = 16 only — at n = 64 the two
-// engines tie at 10 rounds. Min-plus is not a ring and never reaches the
-// bilinear engine, whatever the size.
+// when 3D charged fewer rounds and no more words, and denseCharge, which
+// it compares, must price both engines exactly. The truth it pins, with
+// both engines' oblivious exchanges on the cheaper of the stripe and the
+// König assignment: every Boolean product goes 3D (bit-packed block rows
+// against a one-word integer embedding), no full-width integer one does
+// (where 3D saves rounds, at n = 100, 196 and 256, it costs two to three
+// times the words; at n = 16 it charges 19 rounds against 18), and a
+// bounded integer product (ring.PackedInt) goes 3D at 8 bits on n = 16,
+// 64 and 144 and at 15 bits on n = 16 and 64 — at n = 64, 6 rounds and
+// 23 045 words against the bilinear engine's 10 and 23 562. Min-plus is
+// not a ring and never reaches the bilinear engine, whatever the size.
 func TestDenseChoiceMatchesCharges(t *testing.T) {
 	rng := rand.New(rand.NewPCG(43, 1))
 	for _, alg := range []struct {
@@ -52,7 +55,7 @@ func TestDenseChoiceMatchesCharges(t *testing.T) {
 		{"int", &intAlgebra, nil, false},
 		{"bool", &boolAlgebra, []int{16, 64, 100, 144, 196, 256}, true},
 		{"int8", &boundedIntAlgebras[8], []int{16, 64, 144}, true},
-		{"int15", &boundedIntAlgebras[15], []int{16}, true},
+		{"int15", &boundedIntAlgebras[15], []int{16, 64}, true},
 	} {
 		for _, n := range []int{16, 64, 100, 144, 196, 256} {
 			t.Run(fmt.Sprintf("%s/n=%d", alg.name, n), func(t *testing.T) {
@@ -79,6 +82,12 @@ func TestDenseChoiceMatchesCharges(t *testing.T) {
 				auto := PlanFor(n, EngineAuto)
 				if auto.RingEngine != EngineFast {
 					t.Fatalf("no bilinear scheme at n = %d: plan %v", n, auto)
+				}
+				for i, e := range []Engine{EngineFast, Engine3D} {
+					r, w := auto.denseCharge(e, func(k int) float64 { return alg.a.entryWords(e, k) })
+					if r != float64(rounds[i]) || w != float64(words[i]) {
+						t.Errorf("%v: denseCharge %.0f rounds / %.0f words, charged %d / %d", e, r, w, rounds[i], words[i])
+					}
 				}
 				got := denseEngine(auto, alg.a, auto.RingEngine)
 				charged3D := rounds[1] < rounds[0] && words[1] <= words[0]

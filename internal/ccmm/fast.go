@@ -66,8 +66,8 @@ func fastBilinear[T any](net *clique.Network, sc *Scratch, rg ring.Ring[T], code
 	ts := typedFrom[T](sc)
 	q, d, qd := lay.q, lay.d, lay.qd
 	m := scheme.M
-	rows := newPort[T](net, sc, chunks[T]{bc, q}) // messages of length-q row chunks
-	pieces := rows.with(chunks[T]{bc, qd})        // messages of length-q/d piece chunks
+	rows := newPort[T](net, sc, chunks[T]{bc, q}).oblivious() // messages of length-q row chunks
+	pieces := rows.with(chunks[T]{bc, qd})                    // messages of length-q/d piece chunks
 	zero := rg.Zero()
 
 	groups := make([][]int, q) // ∗x∗ ordered by (v1, v3)

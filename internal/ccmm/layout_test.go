@@ -183,7 +183,9 @@ func runBoundedInt(e Engine, b int) func(net *clique.Network, p *Plan, _ *RowMat
 // TestPredictDenseWithinFactorTwo grades the planner's dense prices against
 // the ledger: predictDenseRounds must land within a factor of two of the
 // rounds each engine charges, and predictDenseWords within [⅔, 3/2] of the
-// words — the 3D engine on min-plus products (one word per entry) and
+// words — and on the 3D engine, whose exchanges are oblivious, both must
+// equal the charge — the 3D engine on min-plus products (one word per
+// entry) and
 // packed Boolean ones, on cubes and non-cubes alike; the bilinear engine
 // on the integer ring at its scheme sizes; the naive gather on min-plus;
 // and both candidates of a bounded integer product (ring.PackedInt at 8
@@ -252,6 +254,9 @@ func TestPredictDenseWithinFactorTwo(t *testing.T) {
 			}
 			if predW < gotW*2/3 || predW > gotW*3/2 {
 				t.Errorf("%s n=%d: predicted %.0f words, charged %.0f: outside [⅔, 3/2]", row.name, n, predW, gotW)
+			}
+			if row.engine == Engine3D && (pred != got || predW != gotW) {
+				t.Errorf("%s n=%d: predicted %.0f rounds / %.0f words of an oblivious engine, charged %.0f / %.0f", row.name, n, pred, predW, got, gotW)
 			}
 		}
 	}

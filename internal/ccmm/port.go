@@ -31,7 +31,9 @@ import (
 // links the phase touched, which are the same on either transport, so the
 // ledger (rounds, words, flushes, phases) is identical by construction;
 // the parity table (transport_test.go) and the golden ledger check it.
-// The 3D engine's cube rides the same level (onCube).
+// The 3D engine's cube rides the same level (onCube). The dense engines'
+// exchanges are oblivious (oblivious): their two-phase flushes may ride the
+// König assignment instead of the stripe.
 
 // wireFormat is the layout of one typed message in words. EncodedLen is the
 // accounting side — the direct transport charges it, the wire transport
@@ -122,12 +124,13 @@ func (f tuples[T]) decode(out []ring.Tuple[T], ws []clique.Word, v int) {
 // transport, valid while the sender leaves it untouched, and a window of
 // the receiver's arena on the wire, valid until the product ends.
 type port[E any] struct {
-	net  *clique.Network
-	sc   *Scratch
-	ts   *typedScratch[E]
-	f    wireFormat[E]
-	cube bool // set by onCube: a self-send is free and outside Auto
-	wire bool
+	net   *clique.Network
+	sc    *Scratch
+	ts    *typedScratch[E]
+	f     wireFormat[E]
+	cube  bool // set by onCube: a self-send is free and outside Auto
+	known bool // set by oblivious: every message length is common knowledge
+	wire  bool
 }
 
 // newPort opens the product's port for E. It truncates E's message
@@ -163,6 +166,17 @@ func (p port[E]) with(f wireFormat[E]) port[E] {
 // engines' self-messages take part in it.)
 func (p port[E]) onCube() port[E] {
 	p.cube = true
+	return p
+}
+
+// oblivious returns the port for an engine whose every message length
+// follows from n, the layout and the codec widths, which every node knows:
+// its flushes may ride the König assignment every node computes alike
+// (routing.ObliviousCosts) instead of Lenzen's stripe. The dense engines'
+// exchanges are such; the sparse engine's, whose lengths follow its data,
+// are not.
+func (p port[E]) oblivious() port[E] {
+	p.known = true
 	return p
 }
 
@@ -230,10 +244,11 @@ func (p port[E]) send(src, dst int, msg []E) {
 // flush delivers everything sent since the port's last flush as one
 // exchange and resolves routing.Auto for it from the links it touched:
 // each link's word length — the sum of its messages' EncodedLen, on either
-// transport — goes through routing.TwoPhaseCosts, and a two-phase choice
-// charges both Lenzen phases analytically with the messages riding the
-// second flush for free. The work is proportional to n plus the traffic;
-// nothing is n×n.
+// transport — goes through routing.TwoPhaseCosts (routing.ObliviousCosts
+// on an oblivious port), and a two-phase choice charges both phases
+// analytically with the messages riding the second flush for free, and
+// grades the exchange by the link list's heaviest sender and receiver. The
+// work is proportional to n plus the traffic; nothing is n×n.
 //
 // Each message travels as a payload, in send order: on the direct
 // transport a pointer to its queue entry, on the wire transport its
@@ -275,11 +290,16 @@ func (p port[E]) flush() *clique.Mail {
 	// Two-phase needs two rounds as soon as any word leaves its node, so
 	// it can only win against a direct schedule of three rounds or more.
 	var c routing.Costs
-	if maxWords > 2 {
+	switch {
+	case maxWords <= 2:
+	case p.known:
+		c = routing.ObliviousCosts(p.net.N(), p.sc.rt, links)
+	default:
 		c = routing.TwoPhaseCosts(p.net.N(), p.sc.rt, links)
 	}
 	twoPhase := c.TwoPhase()
 	if twoPhase {
+		p.net.GradeExchange(c.Out, c.In)
 		p.net.FlushAnalytic(c.MaxA, c.TotalA)
 	}
 	for src, msgs := range ob {
@@ -358,6 +378,7 @@ func Transpose(net *clique.Network, sc *Scratch, m *RowMat[int64]) *RowMat[int64
 		mail = net.Flush()
 	} else {
 		net.FlushAnalytic(min(int64(n-1), 1), int64(n)*int64(n-1))
+		net.GradeExchange(int64(n-1), int64(n-1))
 	}
 	net.ForEach(func(v int) {
 		cv := col.Rows[v]

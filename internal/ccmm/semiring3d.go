@@ -89,8 +89,8 @@ func semiring3D[A, P any](net *clique.Network, sc *Scratch, al cubeAlgebra[A, P]
 	c, b := lay.c, lay.b
 	// Every message is whole padded block rows: operand rows in the
 	// distribute phase, product rows in the products phase.
-	pa := newPort[A](net, sc, chunks[A]{ring.AsBulk[A](al.opCodec), b}).onCube()
-	pp := newPort[P](net, sc, chunks[P]{ring.AsBulk[P](al.codec), b}).onCube()
+	pa := newPort[A](net, sc, chunks[A]{ring.AsBulk[A](al.opCodec), b}).onCube().oblivious()
+	pp := newPort[P](net, sc, chunks[P]{ring.AsBulk[P](al.codec), b}).onCube().oblivious()
 	sr, opZero := al.sr, al.opZero
 	zero := sr.Zero()
 	growBufs(&ta.bufs, n)

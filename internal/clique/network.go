@@ -68,11 +68,19 @@ func (e *CanceledError) Error() string {
 // Unwrap exposes the underlying context error.
 func (e *CanceledError) Unwrap() error { return e.Cause }
 
-// PhaseStat records the cost of one named algorithm phase.
+// PhaseStat records the cost of one named algorithm phase: the rounds and
+// words charged, and the phase graded against its information bound.
+// Flushes counts the phase's exchanges — every Flush, every collective, and
+// every exchange a caller charged in legs and graded (GradeExchange) —
+// and Bound sums each exchange's ⌈max(out, in)/(n−1)⌉, out and in the most
+// words any node sends and receives in it off its own node. No schedule
+// delivers an exchange in fewer rounds, so Bound ≤ Rounds on every phase.
 type PhaseStat struct {
-	Name   string
-	Rounds int64
-	Words  int64
+	Name    string
+	Rounds  int64
+	Words   int64
+	Flushes int64
+	Bound   int64
 }
 
 // ProductStat is one row of a network's product ledger: the matrix
@@ -144,7 +152,8 @@ type Network struct {
 	sparseThOn bool
 	ctx        context.Context
 	pool       *workerPool
-	engine     any // the multiplication engines' working set for this network (see EngineState)
+	engine     any     // the multiplication engines' working set for this network (see EngineState)
+	inLoad     []int64 // per-destination words of the flush being walked (its information bound)
 }
 
 // New returns a network of n ≥ 1 nodes.
@@ -155,6 +164,7 @@ func New(n int, opts ...Option) *Network {
 	c := &Network{
 		n:       n,
 		workers: runtime.GOMAXPROCS(0),
+		inLoad:  make([]int64, n),
 	}
 	for _, o := range opts {
 		o(c)
@@ -376,6 +386,24 @@ func (c *Network) Phases() []PhaseStat { return c.phases }
 // what must outlive them.
 func (c *Network) Products() []ProductStat { return c.products }
 
+// GradeExchange records one exchange in the current phase's grading: its
+// heaviest sender sends out words and its heaviest receiver takes in words,
+// self-deliveries excluded. Flush grades itself from its own walk and every
+// collective grades itself; a caller that charges an exchange in analytic
+// legs (FlushAnalytic, a two-phase schedule's two flushes) grades it here,
+// once.
+func (c *Network) GradeExchange(out, in int64) {
+	if len(c.phases) == 0 {
+		return
+	}
+	p := &c.phases[len(c.phases)-1]
+	p.Flushes++
+	if c.n > 1 {
+		d := int64(c.n - 1)
+		p.Bound += (max(out, in) + d - 1) / d
+	}
+}
+
 func (c *Network) charge(rounds, words int64) {
 	if c.ctx != nil {
 		if err := c.ctx.Err(); err != nil {
@@ -394,6 +422,18 @@ func (c *Network) charge(rounds, words int64) {
 	}
 	if c.roundLimit > 0 && c.rounds > c.roundLimit {
 		panic(&RoundLimitError{Limit: c.roundLimit, Rounds: c.rounds})
+	}
+}
+
+// chargeBroadcast charges a broadcast collective in which every node sends
+// between minLen and maxLen words to each other node, total words in all:
+// maxLen rounds, graded as one exchange whose heaviest sender sends
+// maxLen·(n−1) words and whose heaviest receiver takes what every node but
+// the lightest sent.
+func (c *Network) chargeBroadcast(maxLen, minLen, total int64) {
+	c.charge(maxLen, total)
+	if d := int64(c.n - 1); d > 0 {
+		c.GradeExchange(maxLen*d, total/d-minLen)
 	}
 }
 
@@ -555,7 +595,8 @@ func (m *Mail) Each(dst int, f func(src int, words []Word)) {
 // load declared by SendPayload — delivered one word per link per round in
 // parallel across links, exactly as the synchronous model allows. The two
 // planes share one ledger, so a protocol charges the same rounds and words
-// whichever plane carries it.
+// whichever plane carries it. The flush is one exchange of the current
+// phase, graded (see PhaseStat) by the per-node totals its walk sees.
 //
 // Delivery is allocation-free in steady state and proportional to the
 // links actually used: the network tracks touched links, so a flush walks
@@ -566,7 +607,7 @@ func (m *Mail) Each(dst int, f func(src int, words []Word)) {
 //
 //cc:hotpath
 func (c *Network) Flush() *Mail {
-	return c.FlushAnalytic(0, 0)
+	return c.flush(0, 0, true)
 }
 
 // FlushAnalytic is Flush with an additional analytically-described load:
@@ -578,10 +619,19 @@ func (c *Network) Flush() *Mail {
 // SendPayload and calling Flush would charge, at O(1) instead of O(links).
 // The walk is over the touched links only; each destination's mailbox
 // receives its entries in ascending source order because the outer loop
-// ascends sources.
+// ascends sources. An analytic flush is a leg of an exchange the caller
+// grades itself (GradeExchange): it records no exchange of its own.
 //
 //cc:hotpath
 func (c *Network) FlushAnalytic(maxLoad, totalWords int64) *Mail {
+	return c.flush(maxLoad, totalWords, false)
+}
+
+// flush is the one delivery walk of Flush and FlushAnalytic; grade makes
+// it record itself as an exchange, from its per-node totals.
+//
+//cc:hotpath
+func (c *Network) flush(maxLoad, totalWords int64, grade bool) *Mail {
 	n := c.n
 	if c.fault != nil {
 		c.fault.checkFlush(c.flushes + 1)
@@ -602,9 +652,11 @@ func (c *Network) FlushAnalytic(maxLoad, totalWords int64) *Mail {
 	// costs nothing on the per-link walk below.
 	faultLinks := c.fault != nil && c.fault.linkActive()
 	links := 0
+	var maxOut int64
 	for src := 0; src < n; src++ {
 		list := c.touched[src]
 		links += len(list)
+		var out int64
 		for _, dst := range list {
 			l := c.at(src, dst)
 			load := int64(len(l.q)) + l.load
@@ -657,9 +709,17 @@ func (c *Network) FlushAnalytic(maxLoad, totalWords int64) *Mail {
 					maxLoad = load
 				}
 				total += load
+				out += load
+				c.inLoad[dst] += load
 			}
 		}
+		maxOut = max(maxOut, out)
 		c.touched[src] = list[:0]
+	}
+	var maxIn int64
+	for dst, l := range c.inLoad {
+		maxIn = max(maxIn, l)
+		c.inLoad[dst] = 0
 	}
 	c.flushSeq = seq
 	c.flushes++
@@ -670,6 +730,9 @@ func (c *Network) FlushAnalytic(maxLoad, totalWords int64) *Mail {
 		maxLoad += c.fault.straggle(seq)
 	}
 	c.charge(maxLoad, total)
+	if grade {
+		c.GradeExchange(maxOut, maxIn)
+	}
 	return mail
 }
 
@@ -699,13 +762,13 @@ func (c *Network) Broadcast(vals [][]Word) [][]Word {
 		panic(fmt.Sprintf("clique: Broadcast wants %d vectors, got %d", c.n, len(vals)))
 	}
 	var maxLen, total int64
+	minLen := int64(len(vals[0]))
 	for _, v := range vals {
-		if l := int64(len(v)); l > maxLen {
-			maxLen = l
-		}
-		total += int64(len(v)) * int64(c.n-1)
+		l := int64(len(v))
+		maxLen, minLen = max(maxLen, l), min(minLen, l)
+		total += l * int64(c.n-1)
 	}
-	c.charge(maxLen, total)
+	c.chargeBroadcast(maxLen, minLen, total)
 	out := make([][]Word, c.n)
 	copy(out, vals)
 	return out
@@ -716,7 +779,7 @@ func (c *Network) BroadcastWord(vals []Word) []Word {
 	if len(vals) != c.n {
 		panic(fmt.Sprintf("clique: BroadcastWord wants %d values, got %d", c.n, len(vals)))
 	}
-	c.charge(1, int64(c.n)*int64(c.n-1))
+	c.chargeBroadcast(1, 1, int64(c.n)*int64(c.n-1))
 	out := make([]Word, c.n)
 	copy(out, vals)
 	return out
@@ -730,7 +793,7 @@ func (c *Network) BroadcastWord(vals []Word) []Word {
 // touch the network, and once one node's bit is set the rest are not
 // evaluated.
 func (c *Network) Any(pred func(v int) bool) bool {
-	c.charge(1, int64(c.n)*int64(c.n-1))
+	c.chargeBroadcast(1, 1, int64(c.n)*int64(c.n-1))
 	for v := 0; v < c.n; v++ {
 		if pred(v) {
 			return true
@@ -745,7 +808,7 @@ func (c *Network) Any(pred func(v int) bool) bool {
 // and allocates nothing. val is each node's local computation, evaluated
 // in node order; it must not touch the network.
 func (c *Network) Max(val func(v int) Word) Word {
-	c.charge(1, int64(c.n)*int64(c.n-1))
+	c.chargeBroadcast(1, 1, int64(c.n)*int64(c.n-1))
 	var m Word
 	for v := 0; v < c.n; v++ {
 		m = max(m, val(v))

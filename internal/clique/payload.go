@@ -93,13 +93,12 @@ func (c *Network) ChargeBroadcast(lens []int64) {
 		panic(fmt.Sprintf("clique: ChargeBroadcast wants %d lengths, got %d", c.n, len(lens)))
 	}
 	var maxLen, total int64
+	minLen := lens[0]
 	for _, l := range lens {
-		if l > maxLen {
-			maxLen = l
-		}
+		maxLen, minLen = max(maxLen, l), min(minLen, l)
 		total += l * int64(c.n-1)
 	}
-	c.charge(maxLen, total)
+	c.chargeBroadcast(maxLen, minLen, total)
 }
 
 // EachPayload calls f for every (src, payloads) pair delivered to dst, in

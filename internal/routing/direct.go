@@ -7,8 +7,9 @@ import (
 	"github.com/algebraic-clique/algclique/internal/clique"
 )
 
-// This file is the routing layer's analytic side: the Lenzen schedule's
-// closed-form charges (TwoPhaseCosts), the personalised exchange that
+// This file is the routing layer's analytic side: the Lenzen stripe's
+// closed-form charges (TwoPhaseCosts; koenig.go holds the oblivious
+// exchanges' König assignment), the personalised exchange that
 // rides them with typed payloads moved by reference (ExchangePayload, the
 // body of Exchange too), and AllGather's charge for receivers that read
 // the senders' vectors in place (ChargeAllGather). Every charge here is
@@ -23,10 +24,13 @@ type Link struct {
 
 // Costs are the charged aggregates of the two schedules Auto chooses
 // between for one traffic pattern: the non-self per-link load maximum and
-// word total of each phase of the two-phase (Lenzen) schedule, and the
-// direct schedule's non-self per-link maximum.
+// word total of each phase of the two-phase schedule, and the direct
+// schedule's non-self per-link maximum. Out and In are the pattern's own:
+// the most words any node sends, and receives, off its own node — its
+// information bound (clique.Network.GradeExchange).
 type Costs struct {
 	MaxA, TotalA, MaxB, TotalB, Direct int64
+	Out, In                            int64
 }
 
 // TwoPhase is Auto's choice, the one comparison every exchange resolves it
@@ -46,10 +50,13 @@ func (c Costs) TwoPhase() bool { return c.MaxA+c.MaxB < c.Direct }
 // an l-word message to dst puts ⌊l/n⌋ words on every intermediary's link to
 // dst plus one on each intermediary of an arc of l mod n consecutive ones,
 // so the heaviest link into dst carries the laps plus the deepest overlap
-// of those arcs away from dst itself. This is the single implementation of
-// the Lenzen striping arithmetic: Exchange, ExchangePayload and the engine
-// port's exchanges all read these aggregates, on either transport (the
-// per-link reference implementation lives in the tests).
+// of those arcs away from dst itself. It is the one implementation of the
+// striping arithmetic, and the schedule of every exchange whose lengths
+// follow its data: Exchange, ExchangePayload and the sparse engine's port
+// read these aggregates, on either transport (the per-link reference
+// implementation lives in the tests). An exchange whose lengths are common
+// knowledge may ride the König assignment instead (ObliviousCosts, which
+// starts from these aggregates).
 func TwoPhaseCosts(n int, sc *Scratch, links []Link) (c Costs) {
 	if n <= 1 {
 		return c // every link is the free self-link
@@ -59,10 +66,11 @@ func TwoPhaseCosts(n int, sc *Scratch, links []Link) (c Costs) {
 		ws = &sc.tp
 	}
 	nn := int64(n)
-	laps := zeroedLoads(ws.laps, n)
+	laps, in := zeroedLoads(ws.laps, n), zeroedLoads(ws.in, n)
 	evs := ws.evs[:0]
 	for i := 0; i < len(links); {
 		src := links[i].Src
+		var out int64
 		off := int64(stripeOffset(int(src), n))
 		// flat counts src's words so far; pos = (off + flat) mod n is the
 		// intermediary of its next word. Messages are mostly shorter than n,
@@ -74,8 +82,10 @@ func TwoPhaseCosts(n int, sc *Scratch, links []Link) (c Costs) {
 			if l.Words <= 0 {
 				continue
 			}
-			if l.Src != l.Dst && l.Words > c.Direct {
-				c.Direct = l.Words
+			if l.Src != l.Dst {
+				c.Direct = max(c.Direct, l.Words)
+				out += l.Words
+				in[l.Dst] += l.Words
 			}
 			lp, rem := int64(0), l.Words
 			if rem >= nn {
@@ -116,6 +126,7 @@ func TwoPhaseCosts(n int, sc *Scratch, links []Link) (c Costs) {
 			c.MaxA = max(c.MaxA, ma)
 			c.TotalA += flat - selfLoad
 		}
+		c.Out = max(c.Out, out)
 	}
 	// Order the events by (dst, key) with two stable counting passes, key
 	// first; ends[d] is then the end of d's run.
@@ -145,9 +156,10 @@ func TwoPhaseCosts(n int, sc *Scratch, links []Link) (c Costs) {
 	var lo int64
 	for d := 0; d < n; d++ {
 		c.MaxB = max(c.MaxB, laps[d]+deepest(byDst[lo:ends[d]], int32(d), int32(n)))
+		c.In = max(c.In, in[d])
 		lo = ends[d]
 	}
-	ws.laps, ws.evs, ws.byKey, ws.byDst, ws.cnt, ws.ends = laps, evs, byKey, byDst, cnt, ends
+	ws.laps, ws.in, ws.evs, ws.byKey, ws.byDst, ws.cnt, ws.ends = laps, in, evs, byKey, byDst, cnt, ends
 	return c
 }
 
@@ -157,11 +169,11 @@ func TwoPhaseCosts(n int, sc *Scratch, links []Link) (c Costs) {
 type event struct{ dst, key int32 }
 
 // twoPhaseWork is TwoPhaseCosts' working set, kept in a Scratch between
-// calls: per-destination laps, the arc events in sender order and sorted,
+// calls: per-destination laps and words, the arc events in sender order and sorted,
 // and the counting sorts' tallies.
 type twoPhaseWork struct {
-	laps, cnt, ends   []int64
-	evs, byKey, byDst []event
+	laps, in, cnt, ends []int64
+	evs, byKey, byDst   []event
 }
 
 // deepest returns how many arcs cover the most-covered intermediary other
@@ -248,11 +260,13 @@ func ChargeAllGather(net *clique.Network, lens []int64) {
 	// words landing on holder h are the overlap with h's window
 	// [h·chunk, (h+1)·chunk). Self-deliveries (h = v) are free, as in the
 	// real flush.
-	var pos, maxSpread, totalSpread int64
+	var pos, maxSpread, totalSpread, maxOut int64
+	held := make([]int64, n) // first what each holder takes from the others, then its window
 	for v, l := range lens {
 		if l == 0 {
 			continue
 		}
+		var out int64
 		end := pos + l
 		for h := int(pos / chunk); int64(h)*chunk < end && h < n; h++ {
 			lo := int64(h) * chunk
@@ -265,18 +279,20 @@ func ChargeAllGather(net *clique.Network, lens []int64) {
 			}
 			if hi > lo && h != v {
 				totalSpread += hi - lo
-				if hi-lo > maxSpread {
-					maxSpread = hi - lo
-				}
+				maxSpread = max(maxSpread, hi-lo)
+				out += hi - lo
+				held[h] += hi - lo
 			}
 		}
+		maxOut = max(maxOut, out)
 		pos = end
 	}
 	net.FlushAnalytic(maxSpread, totalSpread)
+	net.GradeExchange(maxOut, slices.Max(held))
 
 	// Publish: each holder broadcasts its window.
-	held := make([]int64, n)
 	for h := 0; h < n; h++ {
+		held[h] = 0
 		lo := int64(h) * chunk
 		hi := lo + chunk
 		if hi > total {
@@ -344,6 +360,7 @@ func ExchangePayload[T any](net *clique.Network, strategy Strategy, sc *Scratch,
 	}
 	var mail *clique.Mail
 	if twoPhase {
+		net.GradeExchange(c.Out, c.In)
 		net.FlushAnalytic(c.MaxA, c.TotalA)
 		for src := 0; src < n; src++ {
 			row := pays[src]

@@ -269,11 +269,14 @@ func refTwoPhaseLinkLoads(n int, lens func(src, dst int) int64) (loadA, loadB []
 }
 
 // refCosts reduces the reference per-link loads of a pattern to the
-// aggregates TwoPhaseCosts must return.
+// aggregates TwoPhaseCosts must return, with the pattern's heaviest
+// off-node sender and receiver.
 func refCosts(n int, lens func(src, dst int) int64) Costs {
 	loadA, loadB := refTwoPhaseLinkLoads(n, lens)
 	var c Costs
+	in := make([]int64, n)
 	for src := 0; src < n; src++ {
+		var out int64
 		for dst := 0; dst < n; dst++ {
 			if src == dst {
 				continue
@@ -283,7 +286,13 @@ func refCosts(n int, lens func(src, dst int) int64) Costs {
 			c.TotalA += loadA[i]
 			c.TotalB += loadB[i]
 			c.Direct = max(c.Direct, lens(src, dst))
+			out += lens(src, dst)
+			in[dst] += lens(src, dst)
 		}
+		c.Out = max(c.Out, out)
+	}
+	for _, l := range in {
+		c.In = max(c.In, l)
 	}
 	return c
 }

@@ -9,6 +9,10 @@
 //     Exchange and its typed form ExchangePayload are one body: both
 //     schedules are charged in closed form from per-link word lengths
 //     (TwoPhaseCosts) and the vectors move by reference.
+//   - ObliviousCosts: the two-phase schedule of an exchange whose every
+//     length is common knowledge (the dense engines'), on a König
+//     edge-colouring every node computes alike, which holds both phases at
+//     their floors ⌈out/n⌉ and ⌈in/n⌉ where the stripe lets phase B stack.
 //   - AllGather: the "learn everything" primitive of Dolev et al. [24]:
 //     all nodes learn the union of all nodes' local words in
 //     ~2*ceil(K/n) + 1 rounds for K total words. It is the one relay that

@@ -65,8 +65,19 @@ func serveEachOpOnce(t *testing.T, sess *cc.Clique, n int) {
 // has served each op once, trimmedBytes against what Trim leaves of it. The
 // estimates order trims and evictions under the budget, so each must be
 // within a factor of two of the measurement, at every size.
+//
+// The routing layer memoises each oblivious exchange pattern's charge for
+// the process (routing.ObliviousCosts), as the plan cache memoises plans:
+// no session owns that memory and Trim cannot release it, so a throwaway
+// session serves each op first and the measurement starts after it.
 func TestSessionFootprintEstimate(t *testing.T) {
 	for _, n := range []int{16, 32, 64, 144} {
+		warmup, err := cc.NewClique(n, cc.WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		serveEachOpOnce(t, warmup, n)
+		warmup.Close()
 		base := liveHeapBytes()
 		sess, err := cc.NewClique(n, cc.WithWorkers(1))
 		if err != nil {

@@ -453,9 +453,10 @@ func TestBroadcastThroughConfigPath(t *testing.T) {
 		t.Fatal("broadcast product differs from unicast product")
 	}
 	// Every node broadcasts its two rows, one word per round: 2n rounds and
-	// 2n·n·(n−1) words, all in the publish phase.
+	// 2n·n·(n−1) words, all in the publish phase — one exchange, at its
+	// information bound.
 	wantPhases := []cc.PhaseStat{
-		{Name: "bcastmm/publish", Rounds: 2 * n, Words: 2 * n * n * (n - 1)},
+		{Name: "bcastmm/publish", Rounds: 2 * n, Words: 2 * n * n * (n - 1), Flushes: 1, Bound: 2 * n},
 		{Name: "bcastmm/multiply"},
 	}
 	if stats.N != n || stats.Rounds != 16 || stats.Words != 896 || !reflect.DeepEqual(stats.Phases, wantPhases) {
