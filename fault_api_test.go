@@ -548,3 +548,96 @@ func TestCertifiesOrRefuses(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultDamageIsTypedOnEveryOp: an operation without product attempts
+// of its own — a graph algorithm, a CSR product — has no per-attempt
+// recovery, so a data fault that garbles what an engine reads (a dropped
+// block row arriving as nothing, a corrupted witness indexing outside the
+// routing table) used to escape it as a raw panic. Under drop-only and
+// corrupt-only plans, on both transports, every such operation must
+// return its fault-free answer or a typed *FaultError, and never panic.
+func TestFaultDamageIsTypedOnEveryOp(t *testing.T) {
+	const n = 64
+	wg := RandomConnectedWeighted(n, 0.1, 20, false, 3)
+	g := GNP(n, 0.1, false, 4)
+	dense, err := CSRFromMat(randMatT(5, n), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csr := func(s *Clique, opts ...CallOption) (any, error) {
+		p, _, err := s.MatMulCSR(dense, dense, opts...)
+		return p, err
+	}
+	ops := []struct {
+		name   string
+		engine Engine
+		run    func(s *Clique, opts ...CallOption) (any, error)
+	}{
+		{"APSP", Auto, func(s *Clique, opts ...CallOption) (any, error) {
+			r, _, err := s.APSP(wg, opts...)
+			return r, err
+		}},
+		{"APSPUnweighted", Auto, func(s *Clique, opts ...CallOption) (any, error) {
+			r, _, err := s.APSPUnweighted(g, opts...)
+			return r, err
+		}},
+		{"TransitiveClosure", Auto, func(s *Clique, opts ...CallOption) (any, error) {
+			r, _, err := s.TransitiveClosure(g, opts...)
+			return r, err
+		}},
+		{"CountTriangles", Auto, func(s *Clique, opts ...CallOption) (any, error) {
+			r, _, err := s.CountTriangles(g, opts...)
+			return r, err
+		}},
+		{"Girth", Auto, func(s *Clique, opts ...CallOption) (any, error) {
+			r, ok, _, err := s.Girth(g, opts...)
+			return [2]any{r, ok}, err
+		}},
+		{"MatMulCSR/fast", Fast, csr},
+		{"MatMulCSR/3d", Semiring3D, csr},
+	}
+	plans := []struct {
+		name string
+		plan FaultPlan
+	}{{"drop", FaultPlan{DropProb: 0.01}}, {"corrupt", FaultPlan{CorruptProb: 0.01}}}
+	for _, tr := range []struct {
+		name string
+		opts []SessionOption
+	}{{"direct", nil}, {"wire", []SessionOption{WithWireTransport()}}} {
+		for _, o := range ops {
+			s, err := NewClique(n, append(tr.opts, WithEngine(o.engine))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			want, err := o.run(s)
+			if err != nil {
+				t.Fatalf("%s %s: fault-free run: %v", tr.name, o.name, err)
+			}
+			for _, pl := range plans {
+				typed := 0
+				for seed := uint64(1); seed <= 3; seed++ {
+					plan := pl.plan
+					plan.Seed = seed
+					got, err, raw := func() (got any, err error, raw any) {
+						defer func() { raw = recover() }()
+						got, err = o.run(s, WithFaultInjection(plan))
+						return got, err, nil
+					}()
+					var fe *FaultError
+					switch {
+					case raw != nil:
+						t.Errorf("%s %s %s seed %d: raw panic %v", tr.name, o.name, pl.name, seed, raw)
+					case err == nil && !reflect.DeepEqual(got, want):
+						t.Errorf("%s %s %s seed %d: wrong answer without an error", tr.name, o.name, pl.name, seed)
+					case err != nil && !errors.As(err, &fe):
+						t.Errorf("%s %s %s seed %d: untyped failure %v (%T)", tr.name, o.name, pl.name, seed, err, err)
+					case err != nil:
+						typed++
+					}
+				}
+				t.Logf("%s %s %s: %d of 3 seeds typed", tr.name, o.name, pl.name, typed)
+			}
+		}
+	}
+}

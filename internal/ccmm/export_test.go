@@ -1,5 +1,11 @@
 package ccmm
 
+import (
+	"fmt"
+
+	"github.com/algebraic-clique/algclique/internal/ring"
+)
+
 // PlanCacheLen counts the memoised plans, for the test that the cache
 // cannot grow with the number of operations.
 func PlanCacheLen() int {
@@ -22,4 +28,18 @@ func AutoDenseEngine(n int, alg string) Engine {
 		return denseEngine(p, &boolAlgebra, p.RingEngine)
 	}
 	return denseEngine(p, &minPlusAlgebra, p.SemiringEngine)
+}
+
+// ForeignArms names, by type, the working set's typed arms other than
+// int64's: the int64 arm itself and the tuple formats over it.
+func ForeignArms(sc *Scratch) []string {
+	var out []string
+	for _, arm := range sc.typed {
+		switch arm.(type) {
+		case *typedScratch[int64], *typedScratch[ring.Tuple[int64]], *typedScratch[ring.Tuple[ring.Tuple[int64]]]:
+		default:
+			out = append(out, fmt.Sprintf("%T", arm))
+		}
+	}
+	return out
 }

@@ -96,12 +96,8 @@ func TestBoolProductsShareInt64WorkingSet(t *testing.T) {
 			t.Fatalf("%v int: %v", tr, err)
 		}
 		sc := ScratchOf(net)
-		for _, arm := range sc.typed {
-			switch arm.(type) {
-			case *typedScratch[int64], *typedScratch[ring.Tuple[int64]], *typedScratch[ring.Tuple[ring.Tuple[int64]]]:
-			default:
-				t.Errorf("%v: the working set holds a %T arm beside int64's", tr, arm)
-			}
+		for _, arm := range ForeignArms(sc) {
+			t.Errorf("%v: the working set holds a %s arm beside int64's", tr, arm)
 		}
 		if len(sc.typed) != 3 {
 			t.Errorf("%v: %d typed arms, want int64's three", tr, len(sc.typed))

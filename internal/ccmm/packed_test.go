@@ -54,13 +54,18 @@ func boundsFrom(top int64) []int64 {
 //   - unreachable blocks: whole middle groups of S and row blocks of T at
 //     Inf, so entire partials travel as the sentinel;
 //   - witness ties: one value everywhere, where only the tie-break toward
-//     the smaller witness decides.
+//     the smaller witness decides — the key order must be MinPlusW.Less;
+//   - keys at the headroom: entries whose field, with the witness bits,
+//     fills the keys' maxKeyBits, so partials above the field's top code
+//     reach 2^61 · 5/8 unclamped on the direct transport.
 //
 // Each runs at the tightest bound and at the bounds where B + 1 is the
-// sentinel or needs a fresh bit. The partial codec the engine ships is the
-// one of B's field width, whose top code 2^b − 2 is at least B: it must
-// keep B and that top code and clamp the first value above it to
-// (Inf, NoWitness).
+// sentinel or needs a fresh bit, and at a bound whose keys would pass
+// maxKeyBits: that one runs at full width, with the full-width ledger.
+// The key codec the engine ships partials in is the one of B's field
+// width, whose top code 2^b − 2 is at least B: it must keep the keys of B
+// and of that top code and clamp the key of the first value above it to
+// ∞.
 func TestPackedDistanceProductMatchesFullWidth(t *testing.T) {
 	inputs := []struct {
 		name string
@@ -93,6 +98,11 @@ func TestPackedDistanceProductMatchesFullWidth(t *testing.T) {
 			gen := func(*rand.Rand) int64 { return 3 }
 			return randMat(rng, n, 0.6, ring.Inf, gen), randMat(rng, n, 0.6, ring.Inf, gen)
 		}},
+		{"keys-at-headroom", func(rng *rand.Rand, n int) (*RowMat[int64], *RowMat[int64]) {
+			half := int64(1) << (maxKeyBits - 1 - ring.WitnessBits(n))
+			gen := func(rng *rand.Rand) int64 { return half - half/4 + rng.Int64N(half/2) }
+			return randMat(rng, n, 0.85, ring.Inf, gen), randMat(rng, n, 0.85, ring.Inf, gen)
+		}},
 	}
 	for _, n := range []int{1, 2, 5, 9, 27, 30, 64, 100, 144} {
 		for _, in := range inputs {
@@ -108,7 +118,12 @@ func TestPackedDistanceProductMatchesFullWidth(t *testing.T) {
 					return p, q, net.Stats()
 				}
 				wantP, wantQ, full := run(clique.TransportDirect, -1)
-				for _, bound := range boundsFrom(maxFinite(s, u, wantP)) {
+				w := ring.WitnessBits(n)
+				overLimit := int64(1)<<(maxKeyBits-w) - 1
+				if o, _, ok := PackedWidths(overLimit, n); ok || o+w != maxKeyBits+1 {
+					t.Fatalf("bound %d: %d operand bits, keyed %v; want %d, full width", overLimit, o, ok, maxKeyBits+1-w)
+				}
+				for _, bound := range append(boundsFrom(maxFinite(s, u, wantP)), overLimit) {
 					var direct clique.Stats
 					for _, tr := range []clique.Transport{clique.TransportDirect, clique.TransportWire} {
 						p, q, st := run(tr, bound)
@@ -121,21 +136,28 @@ func TestPackedDistanceProductMatchesFullWidth(t *testing.T) {
 							t.Errorf("bound %d: wire charged %+v, direct %+v", bound, st, direct)
 						}
 					}
+					op, _, keyed := PackedWidths(bound, n)
+					if !keyed {
+						if !reflect.DeepEqual(direct, full) {
+							t.Errorf("bound %d past the key limit: charged %+v, full width %+v", bound, direct, full)
+						}
+						continue
+					}
 					if full.Words > 0 && direct.Words >= full.Words {
 						t.Errorf("bound %d: packed product charged %d words, full width %d", bound, direct.Words, full.Words)
 					}
-					al := witnessedWithin(bound, n)
+					al := keyedAlgebras[op][w]
 					top := al.opCodec.(ring.PackedMinPlus).Max
 					if ring.MinPlusBits(top) != ring.MinPlusBits(bound) || top < bound {
 						t.Fatalf("bound %d: codec top %d, want the top code of its %d-bit field", bound, top, ring.MinPlusBits(bound))
 					}
+					key := func(v, wit int64) int64 { return v<<w | wit }
 					pc := ring.AsBulk(al.codec)
-					sent := []ring.ValW{{V: bound, W: int64(n - 1)}, {V: top, W: 0}, {V: top + 1, W: 0}, {V: 2*top + 1, W: 0}}
-					got := make([]ring.ValW, len(sent))
+					sent := []int64{key(bound, int64(n-1)), key(top, int64(n-1)), key(top, 0), key(top+1, 0), key(2*top+1, 0)}
+					got := make([]int64, len(sent))
 					pc.DecodeSlice(got, pc.EncodeSlice(nil, sent))
-					clamped := ring.ValW{V: ring.Inf, W: ring.NoWitness}
-					if want := []ring.ValW{sent[0], sent[1], clamped, clamped}; !slices.Equal(got, want) {
-						t.Errorf("bound %d: partials %v arrive as %v, want %v", bound, sent, got, want)
+					if want := []int64{sent[0], sent[1], sent[2], ring.Inf, ring.Inf}; !slices.Equal(got, want) {
+						t.Errorf("bound %d: partial keys %v arrive as %v, want %v", bound, sent, got, want)
 					}
 				}
 			})
@@ -144,8 +166,9 @@ func TestPackedDistanceProductMatchesFullWidth(t *testing.T) {
 }
 
 // TestPackedChunksCountFor: the engines' dense message format (chunks)
-// must invert its EncodedLen for the packed forms at every width, or a
-// wire receiver could not tell how many block rows arrived.
+// must invert its EncodedLen for the packed forms at every width — the
+// operands' and the partials' keys' alike — or a wire receiver could not
+// tell how many block rows arrived.
 func TestPackedChunksCountFor(t *testing.T) {
 	for b := 1; b <= 64; b++ {
 		max := int64(ring.Inf - 1)
@@ -155,18 +178,9 @@ func TestPackedChunksCountFor(t *testing.T) {
 		mp := ring.PackedMinPlus{Bits: b, Max: max}
 		for _, size := range []int{1, 2, 5, 29, 63, 64, 65, 130} {
 			f := chunks[int64]{mp, size}
-			var fw *chunks[ring.ValW]
-			if b < 64 {
-				fw = &chunks[ring.ValW]{ring.PackedMinPlusW{Val: ring.PackedMinPlus{Bits: b, Max: max}, WitBits: 64 - b}, size}
-			}
 			for m := range 5 {
 				if got := f.CountFor(f.EncodedLen(m * size)); got != m*size {
 					t.Fatalf("min-plus b=%d size %d: CountFor(EncodedLen(%d)) = %d", b, size, m*size, got)
-				}
-				if fw != nil {
-					if got := fw.CountFor(fw.EncodedLen(m * size)); got != m*size {
-						t.Fatalf("two-field b=%d size %d: CountFor(EncodedLen(%d)) = %d", b, size, m*size, got)
-					}
 				}
 			}
 		}

@@ -199,10 +199,7 @@ func semiring3D[A, P any](net *clique.Network, sc *Scratch, al cubeAlgebra[A, P]
 		for u2 := 0; u2 < c; u2++ {
 			for u3 := 0; u3 < c; u3++ {
 				piece := pp.from(pmail, x, lay.host(x1, u2, u3), 0)
-				lo := lay.lo(u3)
-				for i := range lay.lo(u3+1) - lo {
-					row[lo+i] = sr.Add(row[lo+i], piece[i])
-				}
+				matrix.AddRowInto(sr, row[lay.lo(u3):lay.lo(u3+1)], piece)
 			}
 		}
 	})
@@ -215,39 +212,73 @@ func semiring3D[A, P any](net *clique.Network, sc *Scratch, al cubeAlgebra[A, P]
 // semiring algorithm of §3.3, with the tagging moved to where it is needed:
 // the operands travel as min-plus entries, and the node that multiplies
 // tags the rows of T it received with their row index — it knows it from
-// the sender — before the blocks multiply over ring.MinPlusW. Only the
-// partial products carry a witness across the network. The tagged product
-// is a free-list matrix that goes back before the call returns, so
-// iterated squaring (APSP) holds only p and q — which are the caller's to
-// return once dead. A nil sc is the network's own.
+// the sender — before the blocks multiply. Only the partial products carry
+// a witness across the network. The tagged product is untagged in place
+// into P, so iterated squaring (APSP) holds only p and q — which are the
+// caller's to return once dead. A nil sc is the network's own.
 //
 // bound is the entry bound the caller established; it may change from one
-// call to the next (APSP passes each squaring its own). With bound < 0 the
-// operands travel one word per entry and the partials two (value and
-// witness). With bound ≥ 0 the caller promises that every finite entry of
-// S, of T and of P lies in [0, bound]: the operands then travel in the
-// bounded min-plus form (ring.PackedMinPlus, b = ⌈log₂(bound+2)⌉ bits) and
-// the partials in the two-field form (ring.PackedMinPlusW, ⌈log₂(n+1)⌉
-// more witness bits). The codecs are those of the b-bit field, not of
-// bound: a finite partial above the field's top code 2^b − 2 ≥ bound is
-// clamped to (ring.Inf, ring.NoWitness) as it is encoded, and one in
-// (bound, 2^b − 2] travels as it is. Neither changes the answer under the
-// promise: every such partial exceeds the minimum it would compete with,
-// which is at most bound, so it neither wins nor ties. Only the wire
-// transport encodes; the direct one charges the same packed lengths and
-// moves the values by reference, so P and Q are the unbounded product's
-// on both.
+// call to the next (APSP passes each squaring its own). With bound < 0 —
+// or too large a bound for the keys below (PackedWidths) — the product
+// runs at full width: operands one word per entry, blocks multiplied over
+// ring.MinPlusW, partials two words (value and witness).
+//
+// With bound ≥ 0 the caller promises that every finite entry of S, of T
+// and of P lies in [0, bound]. The operands then travel in the bounded
+// min-plus form (ring.PackedMinPlus, o = ⌈log₂(bound+2)⌉ bits), and the
+// witness rides in a value's low w = ⌈log₂(n+1)⌉ bits: the multiplying
+// node lifts an S entry x to the key x·2^w and a T entry x of row v to
+// x·2^w + v, ∞ staying ring.Inf. A sum of two keys is then (a+b)·2^w + v,
+// and the order of keys is (value, witness) — MinPlusW.Less on tagged
+// entries, the only kind a finite partial is — so the blocks multiply and
+// the partials assemble over plain ring.MinPlus, and P = key >> w,
+// Q = key mod 2^w. The partials ship as (o+w)-bit keys whose top code is
+// the key of (2^o − 2, 2^w − 1): a finite partial whose value lies above
+// the operand field's top code 2^o − 2 ≥ bound is clamped to ∞ as it is
+// encoded, and one in (bound, 2^o − 2] travels as it is. Neither changes
+// the answer under the promise: every such partial exceeds the minimum it
+// would compete with, which is at most bound, so it neither wins nor ties.
+// Only the wire transport encodes; the direct one charges the same packed
+// lengths and moves the keys by reference, so P and Q are the unbounded
+// product's on both.
 func DistanceProduct3D(net *clique.Network, sc *Scratch, s, t *RowMat[int64], bound int64) (p, q *RowMat[int64], err error) {
 	defer catchAbort(&err)
 	sc = sc.orOf(net)
-	pw, err := semiring3D(net, sc, witnessedWithin(bound, net.N()), s, t)
+	n := net.N()
+	op, partial, ok := PackedWidths(bound, n)
+	if !ok {
+		return wideDistanceProduct(net, sc, s, t)
+	}
+	w := partial - op
+	p, err = semiring3D(net, sc, keyedAlgebras[op][w], s, t)
+	if err != nil {
+		return nil, nil, err
+	}
+	q = GetMat[int64](sc, n)
+	mask := int64(1)<<w - 1
+	// Untagging is free node-local work; run it on the worker pool like
+	// every other per-node step.
+	net.ForEach(func(v int) {
+		prow, qrow := p.Rows[v], q.Rows[v]
+		for j, k := range prow {
+			prow[j], qrow[j] = k>>w, k&mask
+			if ring.IsInf(k) {
+				prow[j], qrow[j] = ring.Inf, ring.NoWitness
+			}
+		}
+	})
+	return p, q, nil
+}
+
+// wideDistanceProduct is DistanceProduct3D at full width: the product over
+// witness-tagged values, split into P and Q.
+func wideDistanceProduct(net *clique.Network, sc *Scratch, s, t *RowMat[int64]) (p, q *RowMat[int64], err error) {
+	pw, err := semiring3D(net, sc, witnessed, s, t)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer PutMat(sc, pw)
 	p, q = GetMat[int64](sc, net.N()), GetMat[int64](sc, net.N())
-	// Untagging is free node-local work; run it on the worker pool like
-	// every other per-node step.
 	net.ForEach(func(v int) {
 		prow, qrow := p.Rows[v], q.Rows[v]
 		for j, e := range pw.Rows[v] {
@@ -260,54 +291,77 @@ func DistanceProduct3D(net *clique.Network, sc *Scratch, s, t *RowMat[int64], bo
 	return p, q, nil
 }
 
+// maxKeyBits bounds o + w, the bits of a bounded distance product's keys.
+// A finite operand key is at most (2^o − 2)·2^w + 2^w − 1, so a sum of two
+// — every partial, which the direct transport moves unclamped — is at most
+// 2^{o+w+1} − 3·2^w − 1. At o + w ≤ 60 that stays below ring.Inf = 2^61 − 1,
+// so no finite partial reads as ∞, and the kernel's sums never overflow.
+const maxKeyBits = 60
+
 // PackedWidths returns the bits per entry a bounded distance product on n
-// nodes ships: its operands' and its partials' (value and witness bits
-// together). ok is false when bound < 0, or when a partial would not fit
-// one word, and the product runs at full width.
+// nodes ships: its operands' o and its partials' keys' o + w (value and
+// witness bits together). ok is false when bound < 0, or when the keys
+// would pass maxKeyBits, and the product runs at full width.
 func PackedWidths(bound int64, n int) (operand, partial int, ok bool) {
 	if bound < 0 || bound >= ring.Inf {
 		return 0, 0, false
 	}
 	operand = ring.MinPlusBits(bound)
 	partial = operand + ring.WitnessBits(n)
-	return operand, partial, partial <= 64
+	return operand, partial, partial <= maxKeyBits
 }
 
-// witnessedWithin is the distance product's cube algebra at entry bound
-// bound on n nodes: witnessed, with the packed codecs of
-// witnessedAlgebras when PackedWidths allows them. Every width pair is
-// built once, so a loop whose bound follows its counter (APSP's squarings)
-// builds no algebra however many widths it runs at.
-func witnessedWithin(bound int64, n int) cubeAlgebra[int64, ring.ValW] {
-	op, partial, ok := PackedWidths(bound, n)
-	if !ok {
-		return witnessed
-	}
-	return witnessedAlgebras[op][partial-op]
-}
-
-// witnessedAlgebras[o][w] is the distance product's cube algebra with
-// operands in o bits and partials in o + w (o + w ≤ 64): the bounded
-// min-plus and two-field forms whose Max is the field's top code 2^o − 2,
-// not the bound that chose o. That clamps less than the bound would, and
-// never more, so it changes no answer under the bound's promise (see
-// DistanceProduct3D).
-var witnessedAlgebras = func() (as [64][]cubeAlgebra[int64, ring.ValW]) {
-	for o := 1; o < len(as); o++ {
-		as[o] = make([]cubeAlgebra[int64, ring.ValW], 65-o)
-		val := ring.PackedMinPlus{Bits: o, Max: int64(ring.Packed{Bits: o}.Sentinel()) - 1}
-		for w := 1; o+w <= 64; w++ {
-			as[o][w] = witnessed
-			as[o][w].opCodec, as[o][w].codec = val, ring.PackedMinPlusW{Val: val, WitBits: w}
+// keyedAlgebras[o][w] is the bounded distance product's cube algebra with
+// operands in o bits and witnesses in w (o + w ≤ maxKeyBits): operands in
+// the bounded min-plus form and partials as (o+w)-bit keys, both of whose
+// tops are the operand field's top code 2^o − 2, not the bound that chose
+// o. That clamps less than the bound would, and never more, so it changes
+// no answer under the bound's promise (see DistanceProduct3D). Every width
+// pair is built once, with one lift per w, so a loop whose bound follows
+// its counter (APSP's squarings) builds no algebra however many widths it
+// runs at.
+var keyedAlgebras = func() (as [maxKeyBits][]cubeAlgebra[int64, int64]) {
+	for w := 1; w < maxKeyBits; w++ {
+		lift := keyLift(w)
+		for o := 1; o+w <= maxKeyBits; o++ {
+			if as[o] == nil {
+				as[o] = make([]cubeAlgebra[int64, int64], maxKeyBits+1-o)
+			}
+			top := int64(ring.Packed{Bits: o}.Sentinel())
+			as[o][w] = cubeAlgebra[int64, int64]{
+				opZero:  ring.Inf,
+				opCodec: ring.PackedMinPlus{Bits: o, Max: top - 1},
+				sr:      ring.MinPlus{},
+				codec:   ring.PackedMinPlus{Bits: o + w, Max: top<<w - 1},
+				lift:    lift,
+			}
 		}
 	}
 	return as
 }()
 
-// witnessed is the distance product's cube algebra: min-plus operands,
-// lifted at the multiplying node into witness-tagged values — an S entry
-// untagged, a finite T entry tagged with its row index, an infinite entry
-// the MinPlusW zero.
+// keyLift returns the lift into w-bit-witness keys: a finite entry x of an
+// S row to x·2^w, of T row v to x·2^w + v, an infinite one to ring.Inf.
+func keyLift(w int) func(dst, src []int64, row int) {
+	return func(dst, src []int64, row int) {
+		tag := int64(max(row, 0))
+		dst = dst[:len(src)]
+		for j, x := range src {
+			// One conditional move, not a branch: ∞ is an operand's
+			// other common value.
+			k := x<<w | tag
+			if x >= ring.Inf {
+				k = ring.Inf
+			}
+			dst[j] = k
+		}
+	}
+}
+
+// witnessed is the full-width distance product's cube algebra: min-plus
+// operands, lifted at the multiplying node into witness-tagged values — an
+// S entry untagged, a finite T entry tagged with its row index, an
+// infinite entry the MinPlusW zero.
 var witnessed = cubeAlgebra[int64, ring.ValW]{
 	opZero:  ring.Inf,
 	opCodec: ring.MinPlus{},

@@ -159,11 +159,14 @@ func MulMinPlusRefInto(out, a, b *Dense[int64]) {
 	}
 }
 
-// MulMinPlusWInto is the witness-carrying min-plus kernel: the algebra
-// behind every APSP squaring. It reproduces MinPlusW exactly: products take
-// the right operand's witness (falling back to the left), and minima break
-// value ties by MinPlusW.Less in ascending-k, ascending-j order, so the
-// result matches the generic path bit for bit. The inner loop hoists the
+// MulMinPlusWInto is the witness-carrying min-plus kernel: the algebra of
+// the full-width witnessed distance product, which runs on a negative
+// weight or a bound too wide for keys (a bounded product multiplies
+// value·2^w + witness keys on MulMinPlusInto instead). It reproduces
+// MinPlusW exactly: products take the right operand's witness (falling
+// back to the left), and minima break value ties by MinPlusW.Less in
+// ascending-k, ascending-j order, so the result matches the generic path
+// bit for bit. The inner loop hoists the
 // operand fields, inlines the Less comparison, and orders the value test
 // first so the hot no-improvement path touches no witness state; the
 // infinity skips stay (the witness algebra is order- and state-sensitive,

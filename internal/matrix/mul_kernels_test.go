@@ -300,3 +300,32 @@ func TestMulMinPlusWInlinedMatchesRefSweep(t *testing.T) {
 		}
 	}
 }
+
+// TestAddRowIntoMatchesGeneric pins AddRowInto's int64 loops against the
+// generic r.Add path: min-plus values at, above and around Inf, negative
+// and wrapping integers, and Boolean entries other than 0/1 (a corrupted
+// delivery), over a dst shorter than src as the 3D assembly passes it.
+func TestAddRowIntoMatchesGeneric(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23, 1))
+	vals := []int64{0, 1, 2, -1, 7, ring.Inf - 1, ring.Inf, ring.Inf + 5, 1 << 62, -(1 << 62), 1<<63 - 1}
+	draw := func(k int) []int64 {
+		out := make([]int64, k)
+		for i := range out {
+			out[i] = vals[rng.IntN(len(vals))]
+		}
+		return out
+	}
+	for _, r := range []ring.Semiring[int64]{ring.MinPlus{}, ring.Int64{}, ring.Bool{}} {
+		for _, k := range []int{0, 1, 5, 33} {
+			dst, src := draw(k), draw(k+3)
+			want := append([]int64(nil), dst...)
+			AddRowInto[int64](genericOnly[int64]{r}, want, src)
+			AddRowInto(r, dst, src)
+			for i := range dst {
+				if dst[i] != want[i] {
+					t.Fatalf("%T k=%d: entry %d is %d, generic %d", r, k, i, dst[i], want[i])
+				}
+			}
+		}
+	}
+}

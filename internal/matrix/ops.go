@@ -17,6 +17,46 @@ func Add[T any](r ring.Semiring[T], a, b *Dense[T]) *Dense[T] {
 	return out
 }
 
+// AddRowInto accumulates src into dst entry-wise over r: dst[i] =
+// r.Add(dst[i], src[i]) for every i < len(dst), src at least as long. It
+// is the 3D engine's assembly of its partial products, and like MulInto
+// it dispatches the int64 algebras to loops the compiler inlines — a plain
+// min for min-plus, which the bounded witnessed distance product's keys
+// ride too — where the generic path calls r.Add through the interface once
+// an entry.
+//
+//cc:hotpath
+func AddRowInto[T any](r ring.Semiring[T], dst, src []T) {
+	src = src[:len(dst)]
+	switch any(r).(type) {
+	case ring.MinPlus:
+		d, s := any(dst).([]int64), any(src).([]int64)
+		for i, x := range s {
+			d[i] = min(d[i], x)
+		}
+		return
+	case ring.Int64:
+		d, s := any(dst).([]int64), any(src).([]int64)
+		for i, x := range s {
+			d[i] += x
+		}
+		return
+	case ring.Bool:
+		d, s := any(dst).([]int64), any(src).([]int64)
+		for i, x := range s {
+			t := int64(0)
+			if d[i]|x != 0 {
+				t = 1
+			}
+			d[i] = t
+		}
+		return
+	}
+	for i, x := range src {
+		dst[i] = r.Add(dst[i], x)
+	}
+}
+
 // Sub returns a - b entry-wise over the ring.
 func Sub[T any](r ring.Ring[T], a, b *Dense[T]) *Dense[T] {
 	shapeCheck("Sub", a, b)

@@ -135,15 +135,15 @@ func clampTo(v, max int64) int64 {
 // BulkCodec chunk, so for any values a chunk must append exactly its
 // EncodedLen (at least one word for a non-empty chunk, so the engines'
 // chunk format can invert it), leave the words before it alone, and decode
-// from its first word only. Byte 0 of the input picks the codec (mod 10):
+// from its first word only. Byte 0 of the input picks the codec (mod 9):
 // Int64, MinPlus (values at and around Inf), Zp residues, MinPlusW pairs,
 // PackedBit (any byte value, decoded as its 0/1 truth value), PackedBool,
 // the AsBulk adapter over a per-element MinPlusW, and
-// the three value forms of the one packing layout, ring.Packed — the
+// the two value forms of the one packing layout, ring.Packed — the
 // bounded min-plus form at any width 1 … 64 and any bound that width
-// carries (values around the bound clamp to Inf above it), the
-// two-field witness-tagged form at any split of up to 64 bits, and the
-// residue form at any width 1 … 64 (any int64, negative ones included,
+// carries (values around the bound clamp to Inf above it; the witnessed
+// distance product's partial keys are this form too), and the residue
+// form at any width 1 … 64 (any int64, negative ones included,
 // arrives as its residue mod 2^b, and every bit of the chunk past its
 // entries' fields is zero). The next
 // bytes choose widths and bounds; the rest is values (valuesFromBytes).
@@ -154,7 +154,7 @@ func FuzzBulkCodec(f *testing.F) {
 			return
 		}
 		body := data[1:]
-		switch data[0] % 10 {
+		switch data[0] % 9 {
 		case 0:
 			checkBulk(t, ring.BulkCodec[int64](ring.Int64{}), valuesFromBytes(body, 8, word))
 		case 1:
@@ -188,31 +188,6 @@ func FuzzBulkCodec(f *testing.F) {
 				want[i] = clampTo(v, c.Max)
 			}
 			checkBulkAs(t, ring.BulkCodec[int64](c), vals, want)
-		case 8:
-			if len(body) < 10 {
-				return
-			}
-			vb := 1 + int(body[0])%63
-			c := ring.PackedMinPlusW{
-				Val:     ring.PackedMinPlus{Bits: vb, Max: int64(uint64(word(body[2:10])) % uint64(maxFor(vb)+1))},
-				WitBits: 1 + int(body[1])%(64-vb),
-			}
-			noW := uint64(1)<<c.WitBits - 1
-			vals := valuesFromBytes(body[10:], 16, func(x []byte) ring.ValW {
-				w := ring.NoWitness
-				if x[8]&1 == 0 {
-					w = int64(uint64(word(x[8:])) % noW)
-				}
-				return ring.ValW{V: aroundBound(x[:8], c.Val.Max), W: w}
-			})
-			want := make([]ring.ValW, len(vals))
-			for i, v := range vals {
-				want[i] = v
-				if clampTo(v.V, c.Val.Max) == ring.Inf {
-					want[i] = ring.ValW{V: ring.Inf, W: ring.NoWitness}
-				}
-			}
-			checkBulkAs(t, ring.BulkCodec[ring.ValW](c), vals, want)
 		default:
 			if len(body) < 1 {
 				return

@@ -6,8 +6,8 @@ import "math/bits"
 // entry, ⌊64/b⌋ entries per word, entry i in bits [(i mod per)·b,
 // (i mod per)·b + b) of word i/per, the top 64 mod b bits of every word
 // zero. Its entries are codes 0 … 2^b − 1; the all-ones code (Sentinel)
-// is the one the min-plus forms reserve for ∞ and NoWitness, while the
-// residue form (PackedInt) reserves none. Packed{Bits: 1} is PackedBit's
+// is the one the bounded min-plus form reserves for ∞, while the residue
+// form (PackedInt) reserves none. Packed{Bits: 1} is PackedBit's
 // layout: 64 entries per word, entry i in bit i%64 of word i/64.
 //
 // Packing is faithful to the simulator's cost model. The model's message
@@ -75,8 +75,9 @@ func (p Packed) unpack(src []Word, k int, set func(i int, code uint64)) {
 // codes 0 … max and a distinct all-ones sentinel.
 func MinPlusBits(max int64) int { return bits.Len64(uint64(max) + 1) }
 
-// WitnessBits returns ⌈log₂(n + 1)⌉, the fewest bits that hold every node
-// index 0 … n−1 and a distinct all-ones NoWitness.
+// WitnessBits returns ⌈log₂(n + 1)⌉: the bits that hold every node index
+// 0 … n−1 with the all-ones code to spare, the witness bits of a bounded
+// distance product's keys on n nodes.
 func WitnessBits(n int) int { return bits.Len(uint(n)) }
 
 // PackedMinPlus is the bounded min-plus form of the Packed layout: values
@@ -138,76 +139,6 @@ func (c PackedMinPlus) EncodeSlice(dst []Word, vals []int64) []Word {
 //
 //cc:hotpath
 func (c PackedMinPlus) DecodeSlice(out []int64, src []Word) {
-	c.layout().unpack(src, len(out), func(i int, code uint64) { out[i] = c.value(code) })
-}
-
-// PackedMinPlusW is the two-field form of the Packed layout for
-// witness-tagged values: a ValW ships as one field of Val.Bits + WitBits
-// bits, its value coded as Val codes it in the low Val.Bits bits and its
-// witness in the high WitBits bits, NoWitness as that part's all-ones
-// code. A value out of Val's range ships as (Inf, NoWitness), the whole
-// field all-ones: the clamp that lets a witness-tagged partial product
-// above the bound travel as "no path". Witnesses must lie in
-// [0, 2^WitBits − 2] (WitnessBits(n) holds every node index), and
-// Val.Bits + WitBits must not exceed 64.
-type PackedMinPlusW struct {
-	Val     PackedMinPlus
-	WitBits int
-}
-
-var _ BulkCodec[ValW] = PackedMinPlusW{}
-
-func (c PackedMinPlusW) layout() Packed { return Packed{Bits: c.Val.Bits + c.WitBits} }
-
-// code packs one ValW into its field.
-func (c PackedMinPlusW) code(v ValW) uint64 {
-	vc := c.Val.code(v.V)
-	if vc == c.Val.layout().Sentinel() {
-		return c.layout().Sentinel()
-	}
-	wc := Packed{Bits: c.WitBits}.Sentinel()
-	if v.W != NoWitness {
-		wc = uint64(v.W)
-	}
-	return vc | wc<<c.Val.Bits
-}
-
-// value unpacks one field into its ValW.
-func (c PackedMinPlusW) value(code uint64) ValW {
-	wc := code >> c.Val.Bits
-	w := int64(wc)
-	if wc == (Packed{Bits: c.WitBits}).Sentinel() {
-		w = NoWitness
-	}
-	return ValW{V: c.Val.value(code & c.Val.layout().Sentinel()), W: w}
-}
-
-// Width returns 1: a lone entry occupies one word.
-func (PackedMinPlusW) Width() int { return 1 }
-
-// Encode stores one ValW's field in the low bits of dst[0].
-func (c PackedMinPlusW) Encode(v ValW, dst []Word) { dst[0] = c.code(v) & c.layout().Sentinel() }
-
-// Decode reads one ValW from the low bits of src[0].
-func (c PackedMinPlusW) Decode(src []Word) ValW { return c.value(src[0] & c.layout().Sentinel()) }
-
-// EncodedLen returns ⌈count / ⌊64/(Val.Bits + WitBits)⌋⌉.
-func (c PackedMinPlusW) EncodedLen(count int) int { return c.layout().EncodedLen(count) }
-
-// EncodeSlice appends vals packed one field each.
-//
-//cc:hotpath
-func (c PackedMinPlusW) EncodeSlice(dst []Word, vals []ValW) []Word {
-	lay := c.layout()
-	dst, w := grow(dst, lay.EncodedLen(len(vals)))
-	lay.pack(w, len(vals), func(i int) uint64 { return c.code(vals[i]) })
-	return dst
-}
-
-// DecodeSlice unpacks len(out) ValWs from the chunk at src[0].
-//
-//cc:hotpath
-func (c PackedMinPlusW) DecodeSlice(out []ValW, src []Word) {
 	c.layout().unpack(src, len(out), func(i int, code uint64) { out[i] = c.value(code) })
 }
 

@@ -307,6 +307,13 @@ func (r *opRun) end(stats *Stats, err *error) {
 	s := r.s
 	if rec := recover(); rec != nil {
 		e, ok := clique.AsAbort(rec)
+		if !ok && r.attempts == 0 {
+			// An operation without product attempts (a graph algorithm, a
+			// CSR product) has no attemptProduct to convert the collateral
+			// damage of data faults; the same rule converts it here.
+			e = r.disrupted(0)
+			ok = e != nil
+		}
 		if !ok {
 			s.mu.Unlock()
 			panic(rec)
@@ -317,12 +324,15 @@ func (r *opRun) end(stats *Stats, err *error) {
 	// Taint backstop for operations without their own retry loop (graph
 	// algorithms, attempts == 0): a run that "succeeded" while data faults
 	// fired, with nothing vouching for the result, must not return a
-	// silently wrong answer. Products police themselves per attempt in
+	// silently wrong answer, and one that failed with an error no layer
+	// typed (a reduction's consistency check tripping over garbled counts)
+	// failed because of them. Products police themselves per attempt in
 	// runProduct (a retried attempt may be clean while the cumulative
 	// ledger is not).
-	if *err == nil && r.attempts == 0 && r.fi != nil && dataFaults(r.fi.Stats()) > 0 {
-		*err = &clique.FaultError{Kind: clique.FaultDisrupt, Node: -1,
-			Round: stats.Rounds, Injected: r.fi.Stats()}
+	if r.attempts == 0 && !abortTyped(*err) {
+		if e := r.disrupted(0); e != nil {
+			*err = e
+		}
 	}
 	// The abort settings and the fault injector survive Reset; clear them
 	// so the next operation starts clean.
@@ -449,11 +459,10 @@ func (r *opRun) runProduct(spec *productSpec, a, b Mat) (Mat, error) {
 				r.certified = true
 			}
 		}
-		if err == nil && !r.certified && r.fi != nil && dataFaults(r.fi.Stats()) > before {
-			// The product completed, but data faults fired during the
-			// attempt and nothing vouched for the result.
-			err = &clique.FaultError{Kind: clique.FaultDisrupt, Node: -1,
-				Round: r.net.Stats().Rounds, Injected: r.fi.Stats()}
+		if err == nil && !r.certified {
+			// The product completed, but data faults may have fired during
+			// the attempt, and nothing vouched for the result.
+			err = r.disrupted(before)
 		}
 		if err == nil {
 			prod := truncateRows(p, r.orig)
@@ -482,15 +491,39 @@ func (r *opRun) attemptProduct(spec *productSpec, pa, pb *ccmm.RowMat[int64], be
 			err = e
 			return
 		}
-		if r.fi != nil && !r.fi.PanicInjected() && dataFaults(r.fi.Stats()) > before {
-			err = &clique.FaultError{Kind: clique.FaultDisrupt, Node: -1,
-				Round: r.net.Stats().Rounds, Injected: r.fi.Stats()}
-			return
+		if err = r.disrupted(before); err == nil {
+			panic(rec)
 		}
-		panic(rec)
 	}()
 	p, r.route, err = spec.mul(r.plan, r.net, r.sc, pa, pb)
 	return p, err
+}
+
+// abortTyped reports whether err is, or wraps, one of the simulator's typed
+// aborts: a round limit, a cancellation or a fault.
+func abortTyped(err error) bool {
+	if err == nil {
+		return false // and the targets below, which escape, are never built
+	}
+	var rl *clique.RoundLimitError
+	var cancel *clique.CanceledError
+	var fe *clique.FaultError
+	return errors.As(err, &rl) || errors.As(err, &cancel) || errors.As(err, &fe)
+}
+
+// disrupted is the fault plane's one rule for damage no layer below can
+// name: when data faults fired beyond the first before of them and no
+// panic was injected, it returns the *FaultError (FaultDisrupt) that
+// stands for them — whether a run completed with nothing to vouch for its
+// result or a raw panic is their collateral damage (a dropped row read as
+// nothing, a garbled witness indexing out of range); otherwise nil.
+// Injected panics (FaultPlan.PanicAtFlush) and genuine bugs stay raw.
+func (r *opRun) disrupted(before int64) error {
+	if r.fi == nil || r.fi.PanicInjected() || dataFaults(r.fi.Stats()) <= before {
+		return nil
+	}
+	return &clique.FaultError{Kind: clique.FaultDisrupt, Node: -1,
+		Round: r.net.Rounds(), Injected: r.fi.Stats()}
 }
 
 // retryable decides whether a failed attempt is worth re-running: only
