@@ -256,7 +256,9 @@ type config struct {
 // WithEngine forces a specific multiplication engine.
 func WithEngine(e Engine) SessionOption { return sessionOpt(func(c *config) { c.engine = e }) }
 
-// WithWorkers bounds the simulator's local-computation worker pool.
+// WithWorkers bounds the simulator's local-computation worker pool: at
+// most k tasks of a fan-out run at once, the calling goroutine counted as
+// one of them.
 func WithWorkers(k int) SessionOption { return sessionOpt(func(c *config) { c.workers = k }) }
 
 // WithSparseThreshold scales the density-aware planner's sparse-vs-dense

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Word is one message payload: O(log n) bits in the model.
@@ -113,12 +114,14 @@ type Stats struct {
 // Option configures a Network.
 type Option func(*Network)
 
-// WithWorkers sets the worker-pool size for ForEach. Values < 1 select
+// WithWorkers bounds the fan-outs of ForEach and RunLocal: at most k tasks
+// run at once, the calling goroutine counted as one of them (so k − 1
+// helpers), and never more than the network has nodes. Values < 1 select
 // GOMAXPROCS.
 func WithWorkers(k int) Option {
 	return func(c *Network) {
 		if k >= 1 {
-			c.workers = k
+			c.local.workers = k
 		}
 	}
 }
@@ -144,16 +147,15 @@ type Network struct {
 	flushes    int64
 	phases     []PhaseStat
 	products   []ProductStat
-	workers    int
 	roundLimit int64
 	fault      *FaultInjector
 	transport  Transport
 	sparseTh   float64 // planner sparse-threshold override (armed per op)
 	sparseThOn bool
 	ctx        context.Context
-	pool       *workerPool
-	engine     any     // the multiplication engines' working set for this network (see EngineState)
-	inLoad     []int64 // per-destination words of the flush being walked (its information bound)
+	local      LocalPool // the fan-out pool of ForEach and RunLocal
+	engine     any       // the multiplication engines' working set for this network (see EngineState)
+	inLoad     []int64   // per-destination words of the flush being walked (its information bound)
 }
 
 // New returns a network of n ≥ 1 nodes.
@@ -162,13 +164,14 @@ func New(n int, opts ...Option) *Network {
 		panic(fmt.Sprintf("clique: network size %d < 1", n))
 	}
 	c := &Network{
-		n:       n,
-		workers: runtime.GOMAXPROCS(0),
-		inLoad:  make([]int64, n),
+		n:      n,
+		local:  LocalPool{workers: runtime.GOMAXPROCS(0)},
+		inLoad: make([]int64, n),
 	}
 	for _, o := range opts {
 		o(c)
 	}
+	c.local.workers = min(c.local.workers, n)
 	if n >= sparseLinkFloor {
 		c.pinSparse = true
 	}
@@ -816,12 +819,6 @@ func (c *Network) Max(val func(v int) Word) Word {
 	return m
 }
 
-// poolTask is one unit of fan-out work handed to a persistent worker.
-type poolTask struct {
-	f func(v int)
-	v int
-}
-
 // panicCell carries the first panic of a fan-out back to the goroutine
 // that waits on it. Without it a panicking task — a decode tripping over
 // fault-garbled words, an injected chaos panic — would kill the whole
@@ -853,56 +850,99 @@ func (p *panicCell) rethrow() {
 	}
 }
 
-// workerPool is a set of persistent goroutines fed over a channel, so a
-// reused network pays goroutine startup once rather than per ForEach. Its
-// owner runs one fan-out at a time (a Network is single-caller and fan-outs
-// never nest), so the pool keeps the one fan-out's wait group and panic
-// cell itself and a fan-out allocates nothing.
+// workerPool runs one fan-out at a time over the calling goroutine and a
+// set of persistent helpers, so a reused network pays goroutine startup
+// once rather than per ForEach. A fan-out publishes its f and task count,
+// wakes min(helpers, tasks−1) helpers with one channel send each, and
+// then every participant — the caller included — claims task indices from
+// one atomic counter until none are left: a task costs one atomic add and
+// its own recover, not a channel hand-off. The pool keeps the one
+// fan-out's state, wait group and panic cell itself, so a fan-out
+// allocates nothing.
 type workerPool struct {
-	tasks chan poolTask
-	stop  sync.Once
+	wake  chan struct{} // one slot per helper; one token per woken helper per fan-out
+	busy  atomic.Bool   // a fan-out is in flight (nesting check)
+	f     func(int)
+	tasks int64
+	next  atomic.Int64 // the next unclaimed task index
 	wg    sync.WaitGroup
 	pan   panicCell
+	stop  sync.Once
 }
 
-// runTask executes one task, capturing a panic into the fan-out's cell so
-// the waiter can re-raise it; wg.Done always runs, so a panicking task can
-// never deadlock its fan-out.
-func (p *workerPool) runTask(t poolTask) {
-	defer func() {
-		if r := recover(); r != nil {
-			p.pan.capture(r)
-		}
-		p.wg.Done()
-	}()
-	t.f(t.v)
-}
-
+// newWorkerPool starts the workers−1 helpers of a pool whose fan-outs run
+// at most workers tasks at once, the caller's included.
 func newWorkerPool(workers int) *workerPool {
-	p := &workerPool{tasks: make(chan poolTask, workers)}
-	for w := 0; w < workers; w++ {
+	p := &workerPool{wake: make(chan struct{}, workers-1)}
+	for h := 0; h < workers-1; h++ {
 		go func() {
-			for t := range p.tasks {
-				p.runTask(t)
+			for range p.wake {
+				p.help()
 			}
 		}()
 	}
 	return p
 }
 
-// run fans f(0), …, f(tasks-1) out to the workers, waits for all of them,
-// and re-raises the first panic among them on the caller.
+// help is one woken helper's share of a fan-out. wg.Done is deferred, so
+// even a task that exits its goroutine cannot hang the caller's wait.
+func (p *workerPool) help() {
+	defer p.wg.Done()
+	p.drain()
+}
+
+// run runs f(0), …, f(tasks-1) on the caller and the woken helpers, waits
+// for all of them, and re-raises the first panic among them on the caller.
+// The wake channel has a slot per helper and the previous fan-out's
+// helpers have all taken their tokens, so no send blocks.
+//
+//cc:hotpath
 func (p *workerPool) run(tasks int, f func(int)) {
-	p.wg.Add(tasks)
-	for t := 0; t < tasks; t++ {
-		p.tasks <- poolTask{f: f, v: t}
+	if !p.busy.CompareAndSwap(false, true) {
+		panic("clique: fan-out called from inside a fan-out task")
 	}
+	p.f, p.tasks = f, int64(tasks)
+	p.next.Store(0)
+	woken := min(cap(p.wake), tasks-1)
+	p.wg.Add(woken)
+	for h := 0; h < woken; h++ {
+		p.wake <- struct{}{}
+	}
+	p.drain()
 	p.wg.Wait()
+	p.f = nil // an idle pool pins nothing the closure reaches
+	p.busy.Store(false)
 	p.pan.rethrow()
 }
 
-// shutdown stops the workers; safe to call more than once.
-func (p *workerPool) shutdown() { p.stop.Do(func() { close(p.tasks) }) }
+// drain claims and runs tasks until the counter passes the last one. It
+// reads f and the task count once, so the loop touches only the counter.
+//
+//cc:hotpath
+func (p *workerPool) drain() {
+	f, tasks := p.f, p.tasks
+	for {
+		t := p.next.Add(1) - 1
+		if t >= tasks {
+			return
+		}
+		p.runTask(f, int(t))
+	}
+}
+
+// runTask runs one task, capturing a panic into the fan-out's cell so the
+// caller can re-raise it once every other task has run.
+func (p *workerPool) runTask(f func(int), t int) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.pan.capture(r)
+		}
+	}()
+	f(t)
+}
+
+// shutdown stops the helpers; safe to call more than once.
+func (p *workerPool) shutdown() { p.stop.Do(func() { close(p.wake) }) }
 
 // ForEach runs f(v) for every node concurrently on the worker pool and
 // waits for completion. f must restrict itself to node v's state and may
@@ -911,7 +951,7 @@ func (p *workerPool) shutdown() { p.stop.Do(func() { close(p.tasks) }) }
 // garbage collected, so unclosed networks do not leak goroutines forever).
 // A ForEach on a warm network allocates nothing of its own.
 func (c *Network) ForEach(f func(v int)) {
-	c.RunLocal(c.n, f)
+	c.local.RunLocal(c.n, f)
 }
 
 // RunLocal runs f(0), …, f(tasks-1) concurrently on the same persistent
@@ -922,20 +962,9 @@ func (c *Network) ForEach(f func(v int)) {
 // WithWorkers setting governs the concurrency exactly as for ForEach.
 //
 // RunLocal must not be called from inside a ForEach or RunLocal task: the
-// pool's workers are already occupied and the nested wait can deadlock.
+// fan-out in flight owns the pool, and the nested call panics.
 func (c *Network) RunLocal(tasks int, f func(task int)) {
-	workers := min(c.workers, c.n)
-	if workers <= 1 || tasks <= 1 {
-		for t := 0; t < tasks; t++ {
-			f(t)
-		}
-		return
-	}
-	if c.pool == nil {
-		c.pool = newWorkerPool(workers)
-		runtime.AddCleanup(c, func(p *workerPool) { p.shutdown() }, c.pool)
-	}
-	c.pool.run(tasks, f)
+	c.local.RunLocal(tasks, f)
 }
 
 // Close releases the persistent worker pool and the engines' working set.
@@ -944,22 +973,20 @@ func (c *Network) RunLocal(tasks int, f func(task int)) {
 // workers do not outlive them.
 func (c *Network) Close() {
 	c.engine = nil
-	if c.pool != nil {
-		c.pool.shutdown()
-		c.pool = nil
-	}
+	c.local.Close()
 }
 
 // LocalPool is a standalone worker pool with the RunLocal contract of
 // Network, for contexts that have local compute to fan out but no network.
-// It shares the workerPool machinery: persistent goroutines started lazily
-// on first use.
+// Every Network fans out through one too: persistent helpers started
+// lazily on first use.
 type LocalPool struct {
 	workers int
 	pool    *workerPool
 }
 
-// NewLocalPool returns a pool of k workers; k < 1 selects GOMAXPROCS.
+// NewLocalPool returns a pool that runs at most k tasks at once, the
+// calling goroutine counted; k < 1 selects GOMAXPROCS.
 func NewLocalPool(k int) *LocalPool {
 	if k < 1 {
 		k = runtime.GOMAXPROCS(0)
@@ -968,7 +995,8 @@ func NewLocalPool(k int) *LocalPool {
 }
 
 // RunLocal runs f(0), …, f(tasks-1) concurrently and waits for completion,
-// with the same nesting rule as Network.RunLocal.
+// with the same nesting rule as Network.RunLocal. One worker or one task
+// runs as a plain loop on the caller.
 func (p *LocalPool) RunLocal(tasks int, f func(task int)) {
 	if p.workers <= 1 || tasks <= 1 {
 		for t := 0; t < tasks; t++ {
@@ -983,8 +1011,8 @@ func (p *LocalPool) RunLocal(tasks int, f func(task int)) {
 	p.pool.run(tasks, f)
 }
 
-// Close releases the pool's workers; the pool remains usable (a later
-// RunLocal starts fresh workers).
+// Close releases the pool's helpers; the pool remains usable (a later
+// RunLocal starts fresh ones).
 func (p *LocalPool) Close() {
 	if p.pool != nil {
 		p.pool.shutdown()

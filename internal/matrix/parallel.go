@@ -39,9 +39,9 @@ const parTasks = 32
 // sequential path and the result is bit-identical for every worker count.
 // A nil w, or a product too small to split, falls through to MulInto.
 //
-// Must not be called from inside a ForEach or RunLocal task — the pool's
-// workers are already busy and the nested wait could deadlock; parallel
-// kernels belong to single-threaded (per-session, not per-node) contexts.
+// Must not be called from inside a ForEach or RunLocal task — the fan-out
+// in flight owns the pool and the nested call panics; parallel kernels
+// belong to single-threaded (per-session, not per-node) contexts.
 func ParMulInto[T any](w Workers, r ring.Semiring[T], out, a, b *Dense[T]) {
 	tasks := a.rows / parGrain
 	if tasks > parTasks {
