@@ -152,20 +152,22 @@ func TestWarmGraphOpAllocs(t *testing.T) {
 	const n = 144
 	// Measured → budget; in brackets what the same call allocated while
 	// every reduction built its own working set. Undirected girth never
-	// did (it gathers this graph and runs the local reference), so its
-	// budget only pins the status quo; closure's squarings always ran on the
-	// session's working set and gain from results drawn off the free list
-	// and from message matrices that keep their roles between products.
+	// did: it learns this sparse graph and solves it locally, on BFS
+	// buffers drawn from a pool, so a warm call allocates its count round
+	// and its learn lengths (1 595 while every call ran graphs.GirthRef,
+	// budget 3 500); closure's squarings always ran on the session's
+	// working set and gain from results drawn off the free list and from
+	// message matrices that keep their roles between products.
 	budget := map[string]float64{
-		"apsp":            400,  // 177 [11 712]
-		"apsp_unweighted": 400,  // 180 [76 996]
-		"closure":         500,  // 238 [1 695]
-		"triangles":       100,  // 39 [75 105]
-		"c4count":         100,  // 39 [75 105]
-		"c5count":         150,  // 67 [75 279]
-		"c4detect":        30,   // 12 [12]
-		"girth":           3500, // 1 740 [1 740]
-		"girth_directed":  100,  // 42 [5 180]
+		"apsp":            400, // 177 [11 712]
+		"apsp_unweighted": 400, // 180 [76 996]
+		"closure":         500, // 238 [1 695]
+		"triangles":       100, // 39 [75 105]
+		"c4count":         100, // 39 [75 105]
+		"c5count":         150, // 67 [75 279]
+		"c4detect":        30,  // 12 [12]
+		"girth":           20,  // 10 [1 740]
+		"girth_directed":  100, // 42 [5 180]
 	}
 	base, _ := liveHeap() // no session yet: what a never-used one costs is noise here
 	sess, err := cc.NewClique(n, cc.WithWorkers(1))

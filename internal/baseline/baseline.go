@@ -181,7 +181,8 @@ func dedupe(xs []int) []int {
 
 // NaiveAPSP gathers the whole weight matrix at every node (Θ(n) rounds)
 // and solves single-source shortest paths locally with Dijkstra. Weights
-// must be non-negative.
+// must be non-negative. Every row ships as n one-word entries, a length
+// every node knows from n, so the gather pays no count round.
 func NaiveAPSP(net *clique.Network, g *graphs.Weighted) (*ccmm.RowMat[int64], error) {
 	n := net.N()
 	if g.N() != n {

@@ -396,10 +396,13 @@ func Transpose(net *clique.Network, sc *Scratch, m *RowMat[int64]) *RowMat[int64
 // Learn is the "learn everything" step of Dolev et al. for a structure the
 // nodes hold one row each of: every node learns every row, through
 // routing.AllGather. lens[v] is the length of row v in words, which row(v)
-// builds only where words really travel. On the wire transport the rows
-// are gathered and handed to rebuild, whose result every node then holds;
-// the direct transport charges the same ledger from lens and returns local,
-// which every node reads in place.
+// builds only where words really travel. Every node must know lens
+// already — from n, or from a count round the caller paid — because Learn
+// sends none; rebuild reads each row's layout from the same knowledge, not
+// from the words. On the wire transport the rows are gathered and handed to
+// rebuild, whose result every node then holds; the direct transport
+// charges the same ledger from lens and returns local, which every node
+// reads in place.
 func Learn[G any](net *clique.Network, local G, lens []int64, row func(v int) []clique.Word, rebuild func(all [][]clique.Word) G) G {
 	if net.Transport() != clique.TransportWire {
 		routing.ChargeAllGather(net, lens)

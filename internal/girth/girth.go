@@ -48,17 +48,14 @@ func Undirected(net *clique.Network, engine ccmm.Engine, g *graphs.Graph, opts O
 	const l = DefaultMaxCycleLen
 	n := net.N()
 
-	// Edge census: one broadcast round.
+	// Edge census: one broadcast round of every node's higher-neighbour
+	// count, which is also the sparse branch's learn-step count round.
 	net.Phase("girth/census")
-	degs := make([]clique.Word, n)
-	for v := 0; v < n; v++ {
-		degs[v] = clique.Word(g.OutDegree(v))
-	}
+	counts := subgraph.HigherCounts(net, g)
 	var m int64
-	for _, d := range net.BroadcastWord(degs) {
-		m += int64(d)
+	for _, k := range counts {
+		m += k
 	}
-	m /= 2
 
 	threshold := int64(math.Pow(float64(n), 1+1/float64(l/2))) + int64(n)
 	if m > threshold {
@@ -78,7 +75,7 @@ func Undirected(net *clique.Network, engine ccmm.Engine, g *graphs.Graph, opts O
 	// Sparse: every node learns the whole graph and computes the girth
 	// locally (Dolev et al.).
 	net.Phase("girth/gather")
-	girth, ok = graphs.GirthRef(subgraph.LearnGraph(net, g))
+	girth, ok = local(subgraph.LearnGraph(net, g, counts))
 	return girth, ok, nil
 }
 

@@ -235,22 +235,18 @@ func PlanCosts(n int, sc *Scratch, lensBuf []int64) Costs {
 }
 
 // ChargeAllGather charges the exact ledger of AllGather for per-node
-// vector lengths lens: the counts broadcast (real — the counts are the
-// words), the analytic spread flush, and the publish broadcast. The data
-// plane is the callers' own vectors, which every receiver can read in
-// place.
+// vector lengths lens, which every node knows already: the analytic spread
+// flush and the publish broadcast. The data plane is the callers' own
+// vectors, which every receiver can read in place.
 func ChargeAllGather(net *clique.Network, lens []int64) {
 	n := net.N()
 	if len(lens) != n {
 		panic(fmt.Sprintf("routing: ChargeAllGather wants %d lengths, got %d", n, len(lens)))
 	}
-	counts := make([]clique.Word, n)
 	var total int64
-	for v, l := range lens {
-		counts[v] = clique.Word(l)
+	for _, l := range lens {
 		total += l
 	}
-	net.BroadcastWord(counts)
 	if total == 0 {
 		return
 	}

@@ -15,8 +15,9 @@
 //     their floors ⌈out/n⌉ and ⌈in/n⌉ where the stripe lets phase B stack.
 //   - AllGather: the "learn everything" primitive of Dolev et al. [24]:
 //     all nodes learn the union of all nodes' local words in
-//     ~2*ceil(K/n) + 1 rounds for K total words. It is the one relay that
-//     still puts real words on the links, so a fault plan can hit them.
+//     ~2*ceil(K/n) rounds for K total words, once every node knows every
+//     vector's length. It is the one relay that still puts real words on
+//     the links, so a fault plan can hit them.
 //
 // Addressing metadata travels out-of-band in the simulator: the algorithms
 // in the paper use *oblivious* routing (the pattern is computable by every
@@ -126,20 +127,21 @@ func stripeOffset(src, n int) int {
 // (it is shared by all receivers, which is sound because all nodes hold
 // identical copies after the gather).
 //
-// Cost: 1 round to broadcast counts, ~ceil(K/n) rounds to spread the K
-// total words evenly, and ceil(K/n) broadcast rounds to publish them.
+// Every node must already know every vector's length: the spread's holder
+// assignment follows from them. AllGather sends no lengths; a caller whose
+// lengths do not follow from n pays a count round for them first.
+//
+// Cost: ~ceil(K/n) rounds to spread the K total words evenly, and
+// ceil(K/n) broadcast rounds to publish them; nothing when K = 0.
 func AllGather(net *clique.Network, vecs [][]clique.Word) [][]clique.Word {
 	n := net.N()
 	if len(vecs) != n {
 		panic(fmt.Sprintf("routing: AllGather wants %d vectors, got %d", n, len(vecs)))
 	}
-	counts := make([]clique.Word, n)
 	var total int64
-	for v, vec := range vecs {
-		counts[v] = clique.Word(len(vec))
+	for _, vec := range vecs {
 		total += int64(len(vec))
 	}
-	net.BroadcastWord(counts)
 	if total == 0 {
 		out := make([][]clique.Word, n)
 		copy(out, vecs)
@@ -148,7 +150,7 @@ func AllGather(net *clique.Network, vecs [][]clique.Word) [][]clique.Word {
 	chunk := (total + int64(n) - 1) / int64(n)
 
 	// Spread: word at global position p goes to holder p/chunk. Each node
-	// computes the same assignment from the broadcast counts.
+	// computes the same assignment from the known lengths.
 	holderOf := func(p int64) int { return int(p / chunk) }
 	held := make([][]clique.Word, n)
 	var pos int64

@@ -275,8 +275,8 @@ func TestAllGatherEveryoneLearnsEverything(t *testing.T) {
 		if net.Rounds() > bound {
 			t.Errorf("n=%d K=%d: AllGather took %d rounds, bound %d", n, total, net.Rounds(), bound)
 		}
-		if net.Rounds() < 1 {
-			t.Error("AllGather must at least broadcast counts")
+		if total > 0 && net.Rounds() < 1 {
+			t.Error("AllGather moved words in no round")
 		}
 	}
 }
@@ -284,8 +284,8 @@ func TestAllGatherEveryoneLearnsEverything(t *testing.T) {
 func TestAllGatherEmpty(t *testing.T) {
 	net := clique.New(4)
 	all := routing.AllGather(net, make([][]clique.Word, 4))
-	if net.Rounds() != 1 {
-		t.Errorf("empty AllGather = %d rounds, want 1 (count broadcast)", net.Rounds())
+	if net.Rounds() != 0 {
+		t.Errorf("empty AllGather = %d rounds, want 0 (the lengths are the caller's)", net.Rounds())
 	}
 	for _, v := range all {
 		if len(v) != 0 {

@@ -68,7 +68,7 @@ func DetectC4(net *clique.Network, g *graphs.Graph) (bool, error) {
 		// Below the Lemma 12 packing threshold every node learns the whole
 		// (constant-size) graph: still O(1) rounds.
 		net.Phase("c4detect/small")
-		return graphs.HasC4Ref(LearnGraph(net, g)), nil
+		return graphs.HasC4Ref(LearnGraph(net, g, HigherCounts(net, g))), nil
 	}
 
 	// Phase 1: degree broadcast and the pigeonhole shortcut.

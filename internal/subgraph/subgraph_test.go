@@ -202,15 +202,16 @@ func TestDetectC4SmallFallback(t *testing.T) {
 
 // TestLearnGraphTransportsAgree: every node ends up with the same graph, for
 // the same ledger, on either transport — the direct one hands back the
-// caller's graph, the wire one rebuilds it from the edges that travelled.
+// caller's graph, the wire one rebuilds it from the packed rows that
+// travelled.
 func TestLearnGraphTransportsAgree(t *testing.T) {
-	for _, n := range []int{6, 30} {
+	for _, n := range []int{1, 2, 7, 64, 144} {
 		g := graphs.GNP(n, 0.3, false, uint64(n))
 		direct, wire := clique.New(n), clique.New(n, clique.WithTransport(clique.TransportWire))
-		if got := subgraph.LearnGraph(direct, g); got != g {
+		if got := subgraph.LearnGraph(direct, g, subgraph.HigherCounts(direct, g)); got != g {
 			t.Fatalf("n=%d: the direct transport rebuilt the graph", n)
 		}
-		got := subgraph.LearnGraph(wire, g)
+		got := subgraph.LearnGraph(wire, g, subgraph.HigherCounts(wire, g))
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
 				if got.HasEdge(u, v) != g.HasEdge(u, v) {
@@ -223,6 +224,65 @@ func TestLearnGraphTransportsAgree(t *testing.T) {
 		}
 		direct.Close()
 		wire.Close()
+	}
+}
+
+// TestDetectC4SmallLearnsExhaustively covers DetectC4's small-n branch,
+// which learns the graph and checks it locally: every graph on n ≤ 5 nodes
+// (1 024 at n = 5) and 200 random ones at n = 6 and 7 answer
+// graphs.HasC4Ref on both transports, and the transports charge one ledger.
+func TestDetectC4SmallLearnsExhaustively(t *testing.T) {
+	check := func(g *graphs.Graph) {
+		t.Helper()
+		n := g.N()
+		edges := func() (out [][2]int) {
+			for u := 0; u < n; u++ {
+				for _, v := range g.Neighbors(u) {
+					if u < v {
+						out = append(out, [2]int{u, v})
+					}
+				}
+			}
+			return out
+		}
+		want := graphs.HasC4Ref(g)
+		var stats [2]clique.Stats
+		for i, tr := range []clique.Transport{clique.TransportDirect, clique.TransportWire} {
+			net := clique.New(n, clique.WithTransport(tr))
+			got, err := subgraph.DetectC4(net, g)
+			stats[i] = net.Stats()
+			net.Close()
+			if err != nil || got != want {
+				t.Fatalf("n=%d %v: transport %v answered (%v, %v), want %v", n, edges(), tr, got, err, want)
+			}
+		}
+		if !reflect.DeepEqual(stats[0], stats[1]) {
+			t.Fatalf("n=%d: ledgers differ:\ndirect %+v\nwire   %+v", n, stats[0], stats[1])
+		}
+	}
+	type pair struct{ u, v int }
+	for n := 1; n <= 5; n++ {
+		var pairs []pair
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				pairs = append(pairs, pair{u, v})
+			}
+		}
+		for mask := 0; mask < 1<<len(pairs); mask++ {
+			g := graphs.NewGraph(n, false)
+			for i, p := range pairs {
+				if mask>>i&1 != 0 {
+					g.AddEdge(p.u, p.v)
+				}
+			}
+			check(g)
+		}
+	}
+	rng := rand.New(rand.NewPCG(6, 7))
+	for _, n := range []int{6, 7} {
+		for trial := 0; trial < 200; trial++ {
+			check(graphs.GNP(n, rng.Float64(), false, rng.Uint64()))
+		}
 	}
 }
 

@@ -32,40 +32,6 @@ func sumBroadcast(net *clique.Network, partial []int64) int64 {
 	return total
 }
 
-// LearnGraph makes every node learn the whole undirected graph g, each
-// edge shipped once — as the word u from its endpoint v < u — and returns
-// the graph every node then holds (ccmm.Learn): on the wire transport the
-// one rebuilt from the words that arrived, on the direct transport g
-// itself.
-func LearnGraph(net *clique.Network, g *graphs.Graph) *graphs.Graph {
-	n := net.N()
-	lens := make([]int64, n)
-	for v := 0; v < n; v++ {
-		g.Row(v).ForEach(func(u int) {
-			if u > v {
-				lens[v]++
-			}
-		})
-	}
-	return ccmm.Learn(net, g, lens, func(v int) []clique.Word {
-		ws := make([]clique.Word, 0, lens[v])
-		g.Row(v).ForEach(func(u int) {
-			if u > v {
-				ws = append(ws, clique.Word(u))
-			}
-		})
-		return ws
-	}, func(all [][]clique.Word) *graphs.Graph {
-		rebuilt := graphs.NewGraph(n, false)
-		for v, ws := range all {
-			for _, w := range ws {
-				rebuilt.AddEdge(v, int(w))
-			}
-		}
-		return rebuilt
-	})
-}
-
 func checkGraphSize(net *clique.Network, g *graphs.Graph) error {
 	if g.N() != net.N() {
 		return fmt.Errorf("subgraph: graph has %d nodes on an %d-node clique: %w",

@@ -50,7 +50,9 @@ func TestWithRoundLimitAcrossEntryPoints(t *testing.T) {
 			return err
 		}},
 		{"girth", func() error {
-			_, _, _, err := s.Girth(g, cc.WithRoundLimit(3), cc.WithColourings(5))
+			// This graph takes the sparse branch: a count round and a packed
+			// learn, two rounds in all.
+			_, _, _, err := s.Girth(g, cc.WithRoundLimit(1), cc.WithColourings(5))
 			return err
 		}},
 	}
